@@ -31,8 +31,9 @@ from .imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
 from .phantoms import CohortSpec, PhantomSpec, gen_cohort, gen_mask
 from .prognosis import (DEFAULT_THRESHOLDS, METRICS_COLUMNS, evaluate,
                         run_experiment_matrix)
-from .regressors import (grid_search_cv, load_model, predict, save_model,
-                         train_model)
+from .regressors import (FAMILIES, PREDICTOR_KINDS, grid_search_cv,
+                         load_model, predict, save_model, train_model)
+from .rng import make_rng
 from .util import parse_float_cell, read_csv, write_csv
 from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
 
@@ -55,9 +56,8 @@ def _write_config(resolved: dict, directory: str, command: str) -> None:
         fh.write("\n")
 
 
-def _merge_config(defaults: dict, args: argparse.Namespace,
-                  keys: list[str]) -> dict:
-    """defaults < config file < explicit flags."""
+def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags (one per key of defaults)."""
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -67,7 +67,7 @@ def _merge_config(defaults: dict, args: argparse.Namespace,
         if unknown:
             raise SystemExit(f"config file has unknown keys: {sorted(unknown)}")
         resolved.update(file_values)
-    for key in keys:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
@@ -123,9 +123,8 @@ def _extract_columns(feature_mode: str) -> list[str]:
 def cmd_extract(args) -> int:
     resolved = _merge_config(
         {"subjects": None, "metadata": None, "out": None, "features": "all",
-         "roi": "WT", "bins": 32, "bin_width": None, "channel": "unspecified"},
-        args, ["subjects", "metadata", "out", "features", "roi", "bins",
-               "bin_width", "channel"])
+         "roi": "WT", "bins": 32, "bin_width": None,
+         "channel": "unspecified"}, args)
     header, rows = read_csv(resolved["subjects"])
     required = {"ID", "mask"}
     if not required.issubset(header):
@@ -174,8 +173,7 @@ def cmd_rfe(args) -> int:
     resolved = _merge_config(
         {"features": None, "metadata": None, "out": None, "n_keep": 20,
          "estimator": "rfr", "estimator_params": {}, "step": 1, "seed": 0},
-        args, ["features", "metadata", "out", "n_keep", "estimator", "step",
-               "seed"])
+        args)
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     if np.isnan(cohort.survival_days).any():
         raise SystemExit("RFE needs survival days for every subject")
@@ -201,9 +199,7 @@ def cmd_rfe(args) -> int:
 def cmd_train(args) -> int:
     resolved = _merge_config(
         {"features": None, "metadata": None, "out": None, "predictor": None,
-         "params": {}, "grid": None, "cv_folds": 3, "seed": 0},
-        args, ["features", "metadata", "out", "predictor", "params", "grid",
-               "cv_folds", "seed"])
+         "params": {}, "grid": None, "cv_folds": 3, "seed": 0}, args)
     if isinstance(resolved["params"], str):
         resolved["params"] = json.loads(resolved["params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
@@ -238,8 +234,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     resolved = _merge_config(
-        {"model": None, "features": None, "out": None},
-        args, ["model", "features", "out"])
+        {"model": None, "features": None, "out": None}, args)
     model = load_model(resolved["model"])
     header, rows = read_csv(resolved["features"])
     if header[0] != "subject_id":
@@ -263,8 +258,7 @@ def cmd_evaluate(args) -> int:
     resolved = _merge_config(
         {"predictions": None, "metadata": None, "out": None,
          "eval_filter": "GTR", "t_lo": DEFAULT_THRESHOLDS[0],
-         "t_hi": DEFAULT_THRESHOLDS[1]},
-        args, ["predictions", "metadata", "out", "eval_filter", "t_lo", "t_hi"])
+         "t_hi": DEFAULT_THRESHOLDS[1]}, args)
     header, rows = read_csv(resolved["predictions"])
     if header[:2] != ["subject_id", "predicted_days"]:
         raise SystemExit(
@@ -301,10 +295,7 @@ def cmd_experiment(args) -> int:
          "feature_sets": "image7,radiomics107,rfe20,shape",
          "predictors": "mlp,linear,gbr,rfr", "seed": 0, "params": {},
          "grid": None, "cv_folds": 3, "eval_filter": "GTR",
-         "t_lo": DEFAULT_THRESHOLDS[0], "t_hi": DEFAULT_THRESHOLDS[1]},
-        args, ["features", "metadata", "out", "feature_sets", "predictors",
-               "seed", "params", "grid", "cv_folds", "eval_filter", "t_lo",
-               "t_hi"])
+         "t_lo": DEFAULT_THRESHOLDS[0], "t_hi": DEFAULT_THRESHOLDS[1]}, args)
     if isinstance(resolved["params"], str):
         resolved["params"] = json.loads(resolved["params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
@@ -332,8 +323,7 @@ def cmd_experiment(args) -> int:
 # phantom
 
 def cmd_phantom(args) -> int:
-    resolved = _merge_config({"spec": None, "out": None},
-                             args, ["spec", "out"])
+    resolved = _merge_config({"spec": None, "out": None}, args)
     with open(resolved["spec"], "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     outdir = resolved["out"]
@@ -351,8 +341,7 @@ def cmd_phantom(args) -> int:
         write_nifti(os.path.join(outdir, f"{name}_mask.nii.gz"),
                     mask.labels.astype(np.int16), mask.spacing, mask.origin)
         if mspec.get("with_volume"):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((int(spec.get("seed", 0)), i))))
+            rng = make_rng(spec.get("seed", 0), i)
             ramp = np.indices(mask.dims)[0] / mask.dims[0]
             data = (0.3 + 0.5 * ramp + 0.05 * rng.standard_normal(mask.dims))
             data = np.where(mask.labels > 0, data + 0.2, data)
@@ -406,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata")
     p.add_argument("--out", help="output directory")
     p.add_argument("--n-keep", dest="n_keep", type=int)
-    p.add_argument("--estimator", choices=["linear", "rfr", "gbr"])
+    p.add_argument("--estimator", choices=[
+        kind for kind, fam in FAMILIES.items() if fam.importance is not None])
     p.add_argument("--step", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
@@ -416,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features")
     p.add_argument("--metadata")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--predictor", choices=["linear", "rfr", "gbr", "mlp"])
+    p.add_argument("--predictor", choices=PREDICTOR_KINDS)
     p.add_argument("--params", help="JSON dict of hyperparameters")
     p.add_argument("--grid", help="JSON file with a list of parameter dicts, or 'default'")
     p.add_argument("--cv-folds", dest="cv_folds", type=int)

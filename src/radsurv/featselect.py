@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .regressors import (BoostModel, ForestModel, LinearModel, MlpModel,
-                         train_model)
-from .regressors.tree import tree_feature_gains
+from .regressors import family, model_kind, train_model
 from .util import write_csv
 
 
@@ -35,7 +33,7 @@ class ImportanceError(ValueError):
 class EstimatorSpec:
     """Which predictor drives RFE, with its parameters."""
 
-    kind: str = "rfr"           # linear | rfr | gbr
+    kind: str = "rfr"           # a predictor kind with an importance
     params: dict = field(default_factory=dict)
 
 
@@ -59,22 +57,19 @@ class FeatureRanking:
                   rows)
 
 
+def _scorer(kind: str):
+    scorer = family(kind).importance
+    if scorer is None:
+        raise ImportanceError(
+            f"importance undefined for this predictor ({kind})")
+    return scorer
+
+
 def importance(model) -> np.ndarray:
     """Per-feature non-negative importances; sums to 1 when any is positive."""
-    if isinstance(model, MlpModel):
-        raise ImportanceError("importance undefined for this predictor (mlp)")
-    p = model.n_features
-    if isinstance(model, (ForestModel, BoostModel)):
-        gains = np.zeros(p)
-        for tree in model.trees:
-            gains += tree_feature_gains(tree, p)
-        total = gains.sum()
-        return gains / total if total > 0 else gains
-    if isinstance(model, LinearModel):
-        std_coef = np.abs(model.coefficients * model.x_scale)
-        total = std_coef.sum()
-        return std_coef / total if total > 0 else std_coef
-    raise ImportanceError(f"importance undefined for {type(model).__name__}")
+    scores = _scorer(model_kind(model))(model)
+    total = scores.sum()
+    return scores / total if total > 0 else scores
 
 
 def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
@@ -88,8 +83,7 @@ def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
         raise ValueError(f"need 1 <= n_keep <= p, got n_keep={n_keep}, p={p}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if estimator.kind == "mlp":
-        raise ImportanceError("importance undefined for this predictor (mlp)")
+    _scorer(estimator.kind)   # rejects unknown kinds and the MLP up front
 
     remaining = list(feature_names)
     col_index = {name: i for i, name in enumerate(feature_names)}

@@ -32,7 +32,7 @@ import numpy as np
 from .cohort import Cohort
 from .featselect import EstimatorSpec, FeatureRanking, rfe
 from .imagefeat import IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES
-from .regressors import grid_search_cv, predict, save_model, train_model
+from .regressors import family, grid_search_cv, predict, save_model, train_model
 from .util import fmt_float, write_csv
 
 DAYS_PER_MONTH = 30.4375
@@ -83,8 +83,7 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
-        if self.predictor not in ("linear", "rfr", "gbr", "mlp"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
+        family(self.predictor)   # ValueError for an unknown predictor kind
         if self.eval_filter not in ("GTR", "all"):
             raise ValueError("eval_filter must be 'GTR' or 'all'")
 

@@ -8,6 +8,9 @@ Two binning rules are supported:
   maximum mapped to level k. A constant ROI degenerates to a single level
   (Ng = 1) regardless of k.
 
+A non-finite intensity inside the ROI is rejected, naming the first such
+voxel in index order.
+
 Levels are stored as a full 3D map (0 outside the ROI, 1..Ng inside), which
 is the natural shape for the texture-matrix builders.
 """
@@ -70,6 +73,12 @@ def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedR
     values = vol.data[member]
     if values.size == 0:
         raise DiscretizationError("empty ROI")
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        index = tuple(int(i) for i in np.argwhere(member)[first])
+        raise DiscretizationError(
+            f"non-finite ROI intensity {values[first]} at voxel {index}")
     vmin = float(values.min())
     vmax = float(values.max())
 

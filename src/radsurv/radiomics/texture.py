@@ -288,9 +288,9 @@ def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
 
 
 def _run_zone_values(p: np.ndarray, n_voxels: int) -> list[float]:
-    """Shared GLRLM/GLSZM formulas over a (level x size) count matrix.
+    """Shared GLRLM/GLSZM/GLDM formulas over a (level x size) count matrix.
 
-    Returns the 16 values in the canonical order shared by both families
+    Returns the 16 values in the canonical order of GLRLM and GLSZM
     (emphasis pairs, non-uniformities, percentage, variances, entropy,
     gray-level emphases and the four joint emphases).
     """
@@ -415,38 +415,12 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
 
 
 def gldm_features(disc: DiscretizedRoi, alpha: float = 0.0) -> dict[str, float]:
-    """The 14 GLDM features; formulas use dependence size d = count + 1."""
-    p = gldm_matrix(disc, alpha)
-    nz = p.sum()
-    ng = p.shape[0]
-    i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
-    d = np.arange(1, p.shape[1] + 1, dtype=np.float64)[None, :]
-    pn = p / nz
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    mu_i = float((i * pn).sum())
-    mu_d = float((d * pn).sum())
-    return {
-        "gldm.small_dependence_emphasis": float((p / d ** 2).sum() / nz),
-        "gldm.large_dependence_emphasis": float((p * d ** 2).sum() / nz),
-        "gldm.gray_level_non_uniformity": float((row ** 2).sum() / nz),
-        "gldm.dependence_non_uniformity": float((col ** 2).sum() / nz),
-        "gldm.dependence_non_uniformity_normalized":
-            float((col ** 2).sum() / nz ** 2),
-        "gldm.gray_level_variance": float(((i - mu_i) ** 2 * pn).sum()),
-        "gldm.dependence_variance": float(((d - mu_d) ** 2 * pn).sum()),
-        "gldm.dependence_entropy": _entropy(pn.ravel()),
-        "gldm.low_gray_level_emphasis": float((p / i ** 2).sum() / nz),
-        "gldm.high_gray_level_emphasis": float((p * i ** 2).sum() / nz),
-        "gldm.small_dependence_low_gray_level_emphasis":
-            float((p / (i ** 2 * d ** 2)).sum() / nz),
-        "gldm.small_dependence_high_gray_level_emphasis":
-            float((p * i ** 2 / d ** 2).sum() / nz),
-        "gldm.large_dependence_low_gray_level_emphasis":
-            float((p * d ** 2 / i ** 2).sum() / nz),
-        "gldm.large_dependence_high_gray_level_emphasis":
-            float((p * i ** 2 * d ** 2).sum() / nz),
-    }
+    """The 14 GLDM features: the run/zone formulas over the dependence matrix
+    (size d = count + 1), less its entries 3 (GLN normalized) and 6
+    (percentage)."""
+    values = _run_zone_values(gldm_matrix(disc, alpha), disc.roi.voxel_count)
+    del values[6], values[3]
+    return dict(zip(GLDM_FEATURE_NAMES, values))
 
 
 # ---------------------------------------------------------------------------

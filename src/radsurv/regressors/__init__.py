@@ -8,12 +8,14 @@ models never see NaN. A column that is entirely missing imputes to 0.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .linear import LinearModel, SingularSystemError, train_linear, predict_linear
-from .tree import ForestModel, TreeNode, train_forest, predict_forest
+from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
+                   tree_feature_gains)
 from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
 from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
@@ -24,10 +26,9 @@ __all__ = [
     "SingularSystemError", "MlpDivergenceError", "GridSearchReport",
     "train_linear", "train_forest", "train_gbr", "train_mlp", "train_model",
     "predict", "staged_predict", "grid_search_cv", "save_model", "load_model",
-    "prepare_training", "impute", "PREDICTOR_KINDS", "model_kind",
+    "prepare_training", "impute", "PREDICTOR_KINDS", "FAMILIES", "family",
+    "model_kind",
 ]
-
-PREDICTOR_KINDS = ("linear", "rfr", "gbr", "mlp")
 
 AnyModel = Union[LinearModel, ForestModel, BoostModel, MlpModel]
 
@@ -66,51 +67,105 @@ def impute(X: np.ndarray, imputation: np.ndarray) -> np.ndarray:
     return X
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one predictor family.
+
+    ``fields`` maps each learned attribute persisted under ``parameters`` in
+    model.json to the decoder that rebuilds it from its JSON value.
+    ``importance`` returns unnormalized non-negative per-feature scores; it
+    is None for a family with no defined importance, which RFE rejects.
+    """
+
+    model_class: type
+    train: Callable     # (X, y, params, seed, feature_names) -> model
+    predict: Callable   # (model, imputed X) -> predicted days
+    fields: dict[str, Callable]
+    importance: Optional[Callable]
+
+
+def _train_linear(X, y, params, seed, feature_names):
+    return train_linear(X, y,
+                        penalty=params.get("penalty", "none"),
+                        lam=float(params.get("lam", 0.0)),
+                        max_iter=int(params.get("max_iter", 10000)),
+                        tol=float(params.get("tol", 1e-8)),
+                        feature_names=feature_names)
+
+
+def _standardized_coefficients(model: LinearModel) -> np.ndarray:
+    return np.abs(model.coefficients * model.x_scale)
+
+
+def _split_gains(model) -> np.ndarray:
+    """Total variance reduction per feature over every tree's split nodes."""
+    gains = np.zeros(model.n_features)
+    for tree in model.trees:
+        gains += tree_feature_gains(tree, model.n_features)
+    return gains
+
+
+def _trees(docs) -> list[TreeNode]:
+    return [TreeNode.from_dict(d) for d in docs]
+
+
+def _arrays(docs) -> list[np.ndarray]:
+    return [np.asarray(d) for d in docs]
+
+
+FAMILIES: dict[str, Family] = {
+    "linear": Family(
+        LinearModel, _train_linear, predict_linear,
+        {"coefficients": np.asarray, "intercept": float, "penalty": str,
+         "lam": float, "x_mean": np.asarray, "x_scale": np.asarray},
+        _standardized_coefficients),
+    "rfr": Family(
+        ForestModel, train_forest, predict_forest,
+        {"trees": _trees, "bootstrap": bool, "max_features_rule": str},
+        _split_gains),
+    "gbr": Family(
+        BoostModel, train_gbr, predict_gbr,
+        {"init_value": float, "learning_rate": float, "trees": _trees,
+         "subsample": float},
+        _split_gains),
+    "mlp": Family(
+        MlpModel, train_mlp, predict_mlp,
+        {"widths": tuple, "weights": _arrays, "biases": _arrays,
+         "x_mean": np.asarray, "x_scale": np.asarray, "y_mean": float,
+         "y_scale": float},
+        None),
+}
+
+PREDICTOR_KINDS = tuple(FAMILIES)
+
+
+def family(kind: str) -> Family:
+    """The table entry of a predictor kind; ValueError for an unknown kind."""
+    if kind not in FAMILIES:
+        raise ValueError(
+            f"unknown predictor kind {kind!r}, expected {PREDICTOR_KINDS}")
+    return FAMILIES[kind]
+
+
 def model_kind(model: AnyModel) -> str:
-    if isinstance(model, LinearModel):
-        return "linear"
-    if isinstance(model, ForestModel):
-        return "rfr"
-    if isinstance(model, BoostModel):
-        return "gbr"
-    if isinstance(model, MlpModel):
-        return "mlp"
+    for kind, fam in FAMILIES.items():
+        if type(model) is fam.model_class:
+            return kind
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def train_model(kind: str, X: np.ndarray, y: np.ndarray, params: dict,
                 seed: int, feature_names: Optional[list[str]] = None) -> AnyModel:
     """Uniform training entry point over the four predictor kinds."""
-    if kind == "linear":
-        return train_linear(X, y,
-                            penalty=params.get("penalty", "none"),
-                            lam=float(params.get("lam", 0.0)),
-                            max_iter=int(params.get("max_iter", 10000)),
-                            tol=float(params.get("tol", 1e-8)),
-                            feature_names=feature_names)
-    if kind == "rfr":
-        return train_forest(X, y, params, seed, feature_names)
-    if kind == "gbr":
-        return train_gbr(X, y, params, seed, feature_names)
-    if kind == "mlp":
-        return train_mlp(X, y, params, seed, feature_names)
-    raise ValueError(f"unknown predictor kind {kind!r}, expected {PREDICTOR_KINDS}")
+    return family(kind).train(X, y, params, seed, feature_names)
 
 
 def predict(model: AnyModel, X: np.ndarray) -> np.ndarray:
     """Predict survival days; feature order must match training order."""
+    predictor = FAMILIES[model_kind(model)].predict
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"X shape {X.shape} does not match the model's "
             f"{model.n_features} features")
-    X = impute(X, model.imputation)
-    if isinstance(model, LinearModel):
-        return predict_linear(model, X)
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    if isinstance(model, BoostModel):
-        return predict_gbr(model, X)
-    if isinstance(model, MlpModel):
-        return predict_mlp(model, X)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return predictor(model, impute(X, model.imputation))

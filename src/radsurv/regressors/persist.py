@@ -16,121 +16,50 @@ import numpy as np
 SCHEMA = "radsurv-model/1"
 
 
-def _encode(model) -> dict:
-    from . import model_kind
-    from .linear import LinearModel
-    from .tree import ForestModel
-    from .boosting import BoostModel
-    from .mlp import MlpModel
+def _jsonable(value):
+    """json.dump fallback: arrays become nested lists, trees nested dicts."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.to_dict()
+
+
+def save_model(model, path: str) -> None:
+    from . import FAMILIES, model_kind
 
     kind = model_kind(model)
     doc = {
         "schema": SCHEMA,
         "model_type": kind,
         "feature_names": list(model.feature_names),
-        "imputation": model.imputation.tolist(),
+        "imputation": model.imputation,
+        "hyperparameters": model.params,
+        "seed": getattr(model, "seed", None),
+        "parameters": {name: getattr(model, name)
+                       for name in FAMILIES[kind].fields},
     }
-    if isinstance(model, LinearModel):
-        doc["hyperparameters"] = model.params
-        doc["seed"] = None
-        doc["parameters"] = {
-            "coefficients": model.coefficients.tolist(),
-            "intercept": model.intercept,
-            "penalty": model.penalty,
-            "lam": model.lam,
-            "x_mean": model.x_mean.tolist(),
-            "x_scale": model.x_scale.tolist(),
-        }
-    elif isinstance(model, ForestModel):
-        doc["hyperparameters"] = model.params
-        doc["seed"] = model.seed
-        doc["parameters"] = {
-            "trees": [t.to_dict() for t in model.trees],
-            "bootstrap": model.bootstrap,
-            "max_features_rule": model.max_features_rule,
-        }
-    elif isinstance(model, BoostModel):
-        doc["hyperparameters"] = model.params
-        doc["seed"] = model.seed
-        doc["parameters"] = {
-            "init_value": model.init_value,
-            "learning_rate": model.learning_rate,
-            "subsample": model.subsample,
-            "trees": [t.to_dict() for t in model.trees],
-        }
-    elif isinstance(model, MlpModel):
-        doc["hyperparameters"] = model.params
-        doc["seed"] = model.seed
-        doc["parameters"] = {
-            "widths": list(model.widths),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "x_mean": model.x_mean.tolist(),
-            "x_scale": model.x_scale.tolist(),
-            "y_mean": model.y_mean,
-            "y_scale": model.y_scale,
-        }
-    else:
-        raise TypeError(f"cannot persist {type(model).__name__}")
-    return doc
-
-
-def save_model(model, path: str) -> None:
-    doc = _encode(model)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=_jsonable)
         fh.write("\n")
 
 
 def load_model(path: str):
-    from .linear import LinearModel
-    from .tree import ForestModel, TreeNode
-    from .boosting import BoostModel
-    from .mlp import MlpModel
+    from . import FAMILIES
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
-    kind = doc["model_type"]
-    names = list(doc["feature_names"])
-    imputation = np.asarray(doc["imputation"], dtype=np.float64)
+    family = FAMILIES.get(doc["model_type"])
+    if family is None:
+        raise ValueError(f"{path}: unknown model type {doc['model_type']!r}")
     params = doc["parameters"]
-
-    if kind == "linear":
-        return LinearModel(
-            coefficients=np.asarray(params["coefficients"]),
-            intercept=float(params["intercept"]),
-            penalty=params["penalty"], lam=float(params["lam"]),
-            x_mean=np.asarray(params["x_mean"]),
-            x_scale=np.asarray(params["x_scale"]),
-            params=doc["hyperparameters"], feature_names=names,
-            imputation=imputation)
-    if kind == "rfr":
-        return ForestModel(
-            trees=[TreeNode.from_dict(t) for t in params["trees"]],
-            bootstrap=bool(params["bootstrap"]),
-            max_features_rule=params["max_features_rule"],
-            seed=doc["seed"], params=doc["hyperparameters"],
-            feature_names=names, imputation=imputation)
-    if kind == "gbr":
-        return BoostModel(
-            init_value=float(params["init_value"]),
-            learning_rate=float(params["learning_rate"]),
-            trees=[TreeNode.from_dict(t) for t in params["trees"]],
-            subsample=float(params["subsample"]),
-            seed=doc["seed"], params=doc["hyperparameters"],
-            feature_names=names, imputation=imputation)
-    if kind == "mlp":
-        return MlpModel(
-            widths=tuple(params["widths"]),
-            weights=[np.asarray(w) for w in params["weights"]],
-            biases=[np.asarray(b) for b in params["biases"]],
-            x_mean=np.asarray(params["x_mean"]),
-            x_scale=np.asarray(params["x_scale"]),
-            y_mean=float(params["y_mean"]), y_scale=float(params["y_scale"]),
-            seed=doc["seed"], params=doc["hyperparameters"],
-            feature_names=names, imputation=imputation)
-    raise ValueError(f"{path}: unknown model type {kind!r}")
+    kwargs = {name: decode(params[name])
+              for name, decode in family.fields.items()}
+    if "seed" in family.model_class.__dataclass_fields__:
+        kwargs["seed"] = doc["seed"]
+    return family.model_class(
+        params=doc["hyperparameters"],
+        feature_names=list(doc["feature_names"]),
+        imputation=np.asarray(doc["imputation"], dtype=np.float64), **kwargs)

@@ -312,8 +312,10 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 
     payload = arr.tobytes(order="F")
     blob = bytes(hdr) + b"\x00\x00\x00\x00" + payload
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "wb") as fh:
+    # mtime 0 keeps the wall clock out of the gzip header, so rewriting the
+    # same volume gives the same bytes
+    with (gzip.GzipFile(path, "wb", mtime=0) if path.endswith(".gz")
+          else open(path, "wb")) as fh:
         fh.write(blob)
 
 

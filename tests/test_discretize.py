@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from radsurv.radiomics import Binning, discretize
+from radsurv.radiomics import Binning, discretize, extract_radiomics
 from radsurv.radiomics.discretize import DiscretizationError
-from conftest import make_roi, make_volume
+from conftest import make_mask, make_roi, make_volume
 
 
 def disc_of(values, binning, shape=None):
@@ -88,3 +88,28 @@ class TestContracts:
         d1 = discretize(make_volume(data), make_roi(member), binning)
         d2 = discretize(make_volume(data + 123.25), make_roi(member), binning)
         assert np.array_equal(d1.level_map, d2.level_map)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("binning", [Binning("fixed_bin_count", 8),
+                                         Binning("fixed_bin_width", 2.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_roi_voxel_named(self, bad, binning):
+        data = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
+        data[0, 0, 0] = bad     # outside the ROI: allowed
+        data[2, 1, 0] = bad
+        data[2, 2, 2] = bad
+        member = np.ones((3, 3, 3), dtype=bool)
+        member[0, 0, 0] = False
+        with pytest.raises(DiscretizationError,
+                           match=rf"non-finite ROI intensity {bad} "
+                                 r"at voxel \(2, 1, 0\)"):
+            discretize(make_volume(data), make_roi(member), binning)
+
+    def test_extract_radiomics_rejects_nan_scan_voxel(self):
+        labels = np.zeros((6, 6, 6), dtype=np.int16)
+        labels[1:5, 1:5, 1:5] = 2
+        data = np.random.default_rng(3).random((6, 6, 6))
+        data[3, 2, 4] = np.nan
+        with pytest.raises(DiscretizationError, match=r"\(3, 2, 4\)"):
+            extract_radiomics(make_volume(data), make_mask(labels))

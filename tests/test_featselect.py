@@ -150,6 +150,8 @@ class TestRfe:
         x = np.random.default_rng(0).random((10, 3))
         with pytest.raises(ImportanceError):
             rfe(x, x[:, 0], self._names(3), EstimatorSpec("mlp"), n_keep=1)
+        with pytest.raises(ValueError, match="unknown predictor kind"):
+            rfe(x, x[:, 0], self._names(3), EstimatorSpec("svm"), n_keep=1)
 
     def test_ranking_csv_format(self, tmp_path):
         rng = np.random.default_rng(12)

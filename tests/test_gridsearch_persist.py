@@ -1,8 +1,12 @@
+import json
+import re
+import types
+
 import numpy as np
 import pytest
 
-from radsurv.regressors import (grid_search_cv, load_model, predict,
-                                save_model, train_model)
+from radsurv.regressors import (PREDICTOR_KINDS, grid_search_cv, load_model,
+                                predict, save_model, train_model)
 from radsurv.regressors.gridsearch import DEFAULT_GRIDS, kfold_indices
 
 
@@ -88,15 +92,19 @@ class TestGridSearch:
         assert np.array_equal(predict(model, x), predict(direct, x))
 
 
+PERSIST_CASES = [
+    ("linear", {"penalty": "l2", "lam": 0.5}),
+    ("rfr", {"n_trees": 4, "max_depth": 4}),
+    ("gbr", {"n_estimators": 6, "max_depth": 2, "learning_rate": 0.3,
+             "subsample": 0.8}),
+    ("mlp", {"epochs": 10}),
+]
+
+
 class TestPersistence:
-    @pytest.mark.parametrize("kind,params", [
-        ("linear", {"penalty": "l2", "lam": 0.5}),
-        ("rfr", {"n_trees": 4, "max_depth": 4}),
-        ("gbr", {"n_estimators": 6, "max_depth": 2, "learning_rate": 0.3,
-                 "subsample": 0.8}),
-        ("mlp", {"epochs": 10}),
-    ])
+    @pytest.mark.parametrize("kind,params", PERSIST_CASES)
     def test_save_load_predictions_bit_exact(self, tmp_path, kind, params):
+        assert tuple(k for k, _ in PERSIST_CASES) == PREDICTOR_KINDS
         rng = np.random.default_rng(5)
         x = rng.standard_normal((25, 3))
         y = rng.standard_normal(25) * 100
@@ -109,6 +117,22 @@ class TestPersistence:
         q = rng.standard_normal((40, 3))
         assert np.array_equal(predict(model, q), predict(loaded, q))
         assert loaded.feature_names == ["a", "b", "c"]
+        resaved = tmp_path / f"{kind}_again.json"
+        save_model(loaded, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes()
+
+        doc = json.loads(path.read_text())
+        doc["model_type"] = "svm"
+        bad = tmp_path / f"{kind}_svm.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))}.*svm"):
+            load_model(str(bad))
+        # the same attributes under an unregistered type are not a model
+        duck = types.SimpleNamespace(**vars(model), n_features=3)
+        with pytest.raises(TypeError):
+            predict(duck, q)
+        with pytest.raises(TypeError):
+            save_model(duck, str(tmp_path / "duck.json"))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestLoadNifti:
                 assert vol.spacing == (1.0, 2.0, 0.5)
                 assert vol.origin == (1.0, -2.0, 3.5)
                 assert np.array_equal(vol.data, data.astype(np.float64))
+
+    def test_gzip_rewrite_byte_identical(self, tmp_path, monkeypatch):
+        data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+        blobs = []
+        for clock, sub in ((1.0e9, "a"), (1.7e9, "b")):
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            path = tmp_path / sub / "vol.nii.gz"
+            path.parent.mkdir()
+            write_nifti(str(path), data)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0][4:8] == b"\x00\x00\x00\x00"       # gzip mtime
+        assert blobs[0][3] & 0x08 and blobs[0][10:18] == b"vol.nii\x00"
 
     def test_random_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
