@@ -24,17 +24,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .cohort import load_cohort
+from .cohort import load_cohort, read_features_csv
 from .featselect import EstimatorSpec, rfe
 from .imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
                         extract_image_features, mask_summary)
 from .phantoms import CohortSpec, PhantomSpec, gen_cohort, gen_mask
-from .prognosis import (DEFAULT_THRESHOLDS, METRICS_COLUMNS, evaluate,
-                        run_experiment_matrix)
-from .regressors import (FAMILIES, PREDICTOR_KINDS, grid_search_cv,
-                         load_model, predict, save_model, train_model)
+from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
+                        evaluate, fit, run_experiment_matrix)
+from .regressors import (FAMILIES, PREDICTOR_KINDS, load_model, predict,
+                         save_model)
 from .rng import make_rng
-from .util import parse_float_cell, read_csv, write_csv
+from .util import read_csv, reject_duplicate_ids, write_csv, write_json
 from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
 
 log = logging.getLogger("radsurv")
@@ -47,13 +47,9 @@ def _workers() -> int:
 
 
 def _write_config(resolved: dict, directory: str, command: str) -> None:
-    os.makedirs(directory, exist_ok=True)
     doc = {"schema": CONFIG_SCHEMA, "version": __version__, "command": command}
     doc.update(resolved)
-    path = os.path.join(directory, "resolved_config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
 def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
@@ -132,6 +128,7 @@ def cmd_extract(args) -> int:
     id_col = header.index("ID")
     mask_col = header.index("mask")
     scan_col = header.index("scan") if "scan" in header else None
+    reject_duplicate_ids((row[id_col] for row in rows), resolved["subjects"])
 
     ages = {r.subject_id: r.age
             for r in read_metadata_csv(resolved["metadata"])}
@@ -200,33 +197,21 @@ def cmd_train(args) -> int:
     resolved = _merge_config(
         {"features": None, "metadata": None, "out": None, "predictor": None,
          "params": {}, "grid": None, "cv_folds": 3, "seed": 0}, args)
+    if resolved["predictor"] is None:
+        raise SystemExit("train needs a predictor kind: pass --predictor or "
+                         "set the 'predictor' key of the --config file")
     if isinstance(resolved["params"], str):
         resolved["params"] = json.loads(resolved["params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     if np.isnan(cohort.survival_days).any():
         raise SystemExit("training needs survival days for every subject")
-    os.makedirs(resolved["out"], exist_ok=True)
-    if resolved["grid"]:
-        if resolved["grid"] == "default":
-            from .regressors.gridsearch import DEFAULT_GRIDS
-
-            grid = DEFAULT_GRIDS[resolved["predictor"]]
-        else:
-            with open(resolved["grid"], "r", encoding="utf-8") as fh:
-                grid = json.load(fh)
-        model, report = grid_search_cv(resolved["predictor"], cohort.X,
-                                       cohort.survival_days, grid,
-                                       int(resolved["cv_folds"]),
-                                       int(resolved["seed"]),
-                                       cohort.feature_names)
-        with open(os.path.join(resolved["out"], "grid_report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    else:
-        model = train_model(resolved["predictor"], cohort.X,
-                            cohort.survival_days, dict(resolved["params"]),
-                            int(resolved["seed"]), cohort.feature_names)
+    model, report = fit(resolved["predictor"], cohort.X, cohort.survival_days,
+                        dict(resolved["params"]), resolved["grid"],
+                        int(resolved["cv_folds"]), int(resolved["seed"]),
+                        cohort.feature_names)
+    if report is not None:
+        write_json(os.path.join(resolved["out"], "grid_report.json"),
+                   report.as_dict())
     save_model(model, os.path.join(resolved["out"], "model.json"))
     _write_config(resolved, resolved["out"], "train")
     return 0
@@ -236,16 +221,14 @@ def cmd_predict(args) -> int:
     resolved = _merge_config(
         {"model": None, "features": None, "out": None}, args)
     model = load_model(resolved["model"])
-    header, rows = read_csv(resolved["features"])
-    if header[0] != "subject_id":
-        raise SystemExit("features CSV must start with a subject_id column")
-    missing = [n for n in model.feature_names if n not in header]
+    ids, names, X = read_features_csv(resolved["features"])
+    missing = [n for n in model.feature_names if n not in names]
     if missing:
         raise SystemExit(f"features CSV lacks model columns {missing}")
-    cols = [header.index(n) for n in model.feature_names]
-    ids = [row[0] for row in rows]
-    X = np.array([[parse_float_cell(row[c]) for c in cols] for row in rows],
-                 dtype=np.float64).reshape(len(rows), len(cols))
+    # row-major like the table itself: a column gather alone would hand the
+    # model a column-major matrix, which can move a linear model's last bit
+    X = np.ascontiguousarray(X[:, [names.index(n)
+                                   for n in model.feature_names]])
     days = predict(model, X)
     write_csv(resolved["out"], ["subject_id", "predicted_days"],
               [[sid, float(d)] for sid, d in zip(ids, days)])
@@ -263,15 +246,18 @@ def cmd_evaluate(args) -> int:
     if header[:2] != ["subject_id", "predicted_days"]:
         raise SystemExit(
             "predictions CSV must have columns subject_id,predicted_days")
+    if resolved["eval_filter"] not in EVAL_STATUSES:
+        raise SystemExit(f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
+    reject_duplicate_ids((row[0] for row in rows), resolved["predictions"])
     pred_by_id = {row[0]: float(row[1]) for row in rows}
     records = read_metadata_csv(resolved["metadata"])
     thresholds = (float(resolved["t_lo"]), float(resolved["t_hi"]))
+    statuses = EVAL_STATUSES[resolved["eval_filter"]]
 
     pred, true = [], []
     for rec in records:
-        if rec.subject_id not in pred_by_id or rec.survival_days is None:
-            continue
-        if resolved["eval_filter"] == "GTR" and rec.resection_status != "GTR":
+        if (rec.subject_id not in pred_by_id or rec.survival_days is None
+                or rec.resection_status not in statuses):
             continue
         pred.append(pred_by_id[rec.subject_id])
         true.append(rec.survival_days)
@@ -303,15 +289,11 @@ def cmd_experiment(args) -> int:
     predictors = [s for s in str(resolved["predictors"]).split(",") if s]
     base_plan = {
         "params": dict(resolved["params"]),
+        "grid": resolved["grid"],
         "cv_folds": int(resolved["cv_folds"]),
         "eval_filter": resolved["eval_filter"],
         "thresholds": (float(resolved["t_lo"]), float(resolved["t_hi"])),
     }
-    if resolved["grid"] == "default":
-        base_plan["grid"] = "default"
-    elif resolved["grid"]:
-        with open(resolved["grid"], "r", encoding="utf-8") as fh:
-            base_plan["grid"] = json.load(fh)
     os.makedirs(resolved["out"], exist_ok=True)
     run_experiment_matrix(cohort, feature_sets, predictors,
                           int(resolved["seed"]), resolved["out"], base_plan)
@@ -359,10 +341,7 @@ def cmd_phantom(args) -> int:
             n_distractors=int(c.get("n_distractors", 0))))
         cohort.write_features_csv(os.path.join(outdir, "features.csv"))
         cohort.write_metadata_csv(os.path.join(outdir, "metadata.csv"))
-        with open(os.path.join(outdir, "cohort_report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(outdir, "cohort_report.json"), report)
 
     _write_config(resolved, outdir, "phantom")
     return 0
@@ -425,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions")
     p.add_argument("--metadata")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--eval-filter", dest="eval_filter", choices=["GTR", "all"])
+    p.add_argument("--eval-filter", dest="eval_filter", choices=list(EVAL_STATUSES))
     p.add_argument("--t-lo", dest="t_lo", type=float)
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--config")
@@ -442,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="JSON dict of shared hyperparameters")
     p.add_argument("--grid", help="JSON file with a list of parameter dicts, or 'default'")
     p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--eval-filter", dest="eval_filter", choices=["GTR", "all"])
+    p.add_argument("--eval-filter", dest="eval_filter", choices=list(EVAL_STATUSES))
     p.add_argument("--t-lo", dest="t_lo", type=float)
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--config")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import parse_float_cell, read_csv, write_csv
+from .util import parse_float_cell, read_csv, reject_duplicate_ids, write_csv
 from .volumeio import SubjectRecord, read_metadata_csv, write_metadata_csv
 
 
@@ -68,16 +68,22 @@ class Cohort:
         write_metadata_csv(path, self.records)
 
 
+def read_features_csv(path: str):
+    """Read a feature table: (subject ids, feature names, (n, p) float64 X
+    with NaN for empty or NA cells)."""
+    header, rows = read_csv(path)
+    if not header or header[0] != "subject_id":
+        raise ValueError(f"{path}: first column must be 'subject_id'")
+    ids = [row[0] for row in rows]
+    reject_duplicate_ids(ids, path)
+    X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
+                 dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return ids, header[1:], X
+
+
 def load_cohort(features_csv: str, metadata_csv: str) -> Cohort:
     """Join a feature CSV with a metadata CSV on subject id."""
-    header, rows = read_csv(features_csv)
-    if not header or header[0] != "subject_id":
-        raise ValueError(f"{features_csv}: first column must be 'subject_id'")
-    feature_names = header[1:]
-    ids = [row[0] for row in rows]
-    X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
-                 dtype=np.float64).reshape(len(rows), len(feature_names))
-
+    ids, feature_names, X = read_features_csv(features_csv)
     by_id = {rec.subject_id: rec for rec in read_metadata_csv(metadata_csv)}
     records = []
     for sid in ids:

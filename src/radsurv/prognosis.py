@@ -22,7 +22,6 @@ byte-identically under the same master seed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,7 +32,9 @@ from .cohort import Cohort
 from .featselect import EstimatorSpec, FeatureRanking, rfe
 from .imagefeat import IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES
 from .regressors import family, grid_search_cv, predict, save_model, train_model
-from .util import fmt_float, write_csv
+from .regressors.gridsearch import resolve_grid
+from .util import fmt_float, write_csv, write_json
+from .volumeio import RESECTION_STATUSES
 
 DAYS_PER_MONTH = 30.4375
 DEFAULT_THRESHOLDS = (10 * DAYS_PER_MONTH, 15 * DAYS_PER_MONTH)
@@ -41,6 +42,9 @@ DEFAULT_THRESHOLDS = (10 * DAYS_PER_MONTH, 15 * DAYS_PER_MONTH)
 SURVIVAL_CLASSES = ("short", "intermediate", "long")
 
 FEATURE_SETS = ("image7", "radiomics107", "rfe20", "shape")
+
+# resection statuses each evaluation filter keeps
+EVAL_STATUSES = {"GTR": ("GTR",), "all": RESECTION_STATUSES}
 
 METRICS_COLUMNS = ("dataset", "feature_set", "predictor", "accuracy", "mse",
                    "median_se", "std_se", "spearman_r", "n", "seed",
@@ -73,9 +77,9 @@ class ExperimentPlan:
     predictor: str
     seed: int = 0
     params: dict = field(default_factory=dict)
-    grid: Optional[list[dict]] = None
+    grid: Optional[str] = None          # grid spec, see resolve_grid
     cv_folds: int = 3
-    eval_filter: str = "GTR"            # "GTR" or "all"
+    eval_filter: str = "GTR"            # a key of EVAL_STATUSES
     thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
     rfe_estimator: EstimatorSpec = EstimatorSpec("rfr", {})
     rfe_step: int = 1
@@ -84,8 +88,9 @@ class ExperimentPlan:
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         family(self.predictor)   # ValueError for an unknown predictor kind
-        if self.eval_filter not in ("GTR", "all"):
-            raise ValueError("eval_filter must be 'GTR' or 'all'")
+        if self.eval_filter not in EVAL_STATUSES:
+            raise ValueError(
+                f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
 
 
 def bin_survival(days: float, thresholds=DEFAULT_THRESHOLDS) -> str:
@@ -185,6 +190,17 @@ def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan,
     return list(ranking.kept), ranking
 
 
+def fit(kind: str, X: np.ndarray, y: np.ndarray, params: dict, grid,
+        cv_folds: int, seed: int, names: list[str]):
+    """Train one model: on ``params``, or by CV grid search when the grid
+    spec resolves to a parameter list. Returns (model, GridSearchReport or
+    None)."""
+    grid = resolve_grid(grid, kind)
+    if grid is None:
+        return train_model(kind, X, y, params, seed, names), None
+    return grid_search_cv(kind, X, y, grid, cv_folds, seed, names)
+
+
 @dataclass
 class ExperimentResult:
     plan: ExperimentPlan
@@ -209,28 +225,21 @@ def run_experiment(cohort: Cohort, plan: ExperimentPlan,
     if np.isnan(y).any():
         raise MetricsError("cohort has subjects with unknown survival")
 
-    grid_report = None
-    if plan.grid:
-        model, grid_report = grid_search_cv(plan.predictor, X, y, plan.grid,
-                                            plan.cv_folds, plan.seed, names)
-    else:
-        model = train_model(plan.predictor, X, y, plan.params, plan.seed, names)
+    model, grid_report = fit(plan.predictor, X, y, plan.params, plan.grid,
+                             plan.cv_folds, plan.seed, names)
 
     train_metrics = evaluate(predict(model, X), y, plan.thresholds)
 
-    if plan.eval_filter == "GTR":
-        mask = cohort.resection_mask(("GTR",))
-        if not mask.any():
-            raise MetricsError("evaluation set is empty after GTR filtering")
-        eval_cohort = cohort.subset(mask)
-    else:
-        eval_cohort = cohort
+    mask = cohort.resection_mask(EVAL_STATUSES[plan.eval_filter])
+    if not mask.any():
+        raise MetricsError(
+            f"evaluation set is empty after {plan.eval_filter} filtering")
+    eval_cohort = cohort.subset(mask)
     eval_metrics = evaluate(predict(model, eval_cohort.select(names)),
                             eval_cohort.survival_days, plan.thresholds)
 
     artifacts: dict[str, str] = {}
     if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
         model_path = os.path.join(outdir, "model.json")
         save_model(model, model_path)
         artifacts["model"] = model_path
@@ -248,9 +257,7 @@ def run_experiment(cohort: Cohort, plan: ExperimentPlan,
             artifacts["ranking"] = ranking_path
         if grid_report is not None:
             grid_path = os.path.join(outdir, "grid_report.json")
-            with open(grid_path, "w", encoding="utf-8") as fh:
-                json.dump(grid_report.as_dict(), fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            write_json(grid_path, grid_report.as_dict())
             artifacts["grid_report"] = grid_path
 
     return ExperimentResult(plan=plan, train_metrics=train_metrics,
@@ -269,10 +276,7 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
     matrix-level metrics CSV paths (metrics_train.csv / metrics_eval.csv,
     one row per cell).
     """
-    base = dict(base_plan or {})
-    default_grids = base.get("grid") == "default"
-    if default_grids:
-        base.pop("grid")
+    base = base_plan or {}
     results = []
     train_rows = []
     eval_rows = []
@@ -283,13 +287,8 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
         _, shared_ranking = resolve_feature_set("rfe20", cohort, probe)
     for fs in feature_sets:
         for pred in predictors:
-            cell = dict(base)
-            if default_grids:
-                from .regressors.gridsearch import DEFAULT_GRIDS
-
-                cell["grid"] = DEFAULT_GRIDS[pred]
             plan = ExperimentPlan(feature_set=fs, predictor=pred, seed=seed,
-                                  **cell)
+                                  **base)
             cell_dir = os.path.join(outdir, f"{fs}__{pred}") if outdir else None
             result = run_experiment(cohort, plan, cell_dir,
                                     precomputed_ranking=shared_ranking

@@ -8,6 +8,7 @@ combination attaining the minimal mean, and it is retrained on all data.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,20 @@ DEFAULT_GRIDS: dict[str, list[dict]] = {
             for w in ((32, 24, 16, 12, 8), (64, 48, 32, 16, 8))
             for opt in ("adam", "sgd")],
 }
+
+
+def resolve_grid(spec, kind: str):
+    """Parameter list of a grid spec: None (or '') for no grid search,
+    'default' for the stock grid of ``kind``, else a JSON file path."""
+    if not spec:
+        return None
+    if spec == "default":
+        from . import family
+
+        family(kind)   # ValueError for an unknown predictor kind
+        return DEFAULT_GRIDS[kind]
+    with open(spec, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @dataclass

@@ -9,9 +9,10 @@ feature order, imputation vector and all learned parameters.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
+
+from ..util import write_json
 
 SCHEMA = "radsurv-model/1"
 
@@ -37,11 +38,7 @@ def save_model(model, path: str) -> None:
         "parameters": {name: getattr(model, name)
                        for name in FAMILIES[kind].fields},
     }
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, default=_jsonable)
-        fh.write("\n")
+    write_json(path, doc, default=_jsonable)
 
 
 def load_model(path: str):
@@ -55,6 +52,10 @@ def load_model(path: str):
     if family is None:
         raise ValueError(f"{path}: unknown model type {doc['model_type']!r}")
     params = doc["parameters"]
+    missing = [name for name in family.fields if name not in params]
+    if missing:
+        raise ValueError(f"{path}: {doc['model_type']} model lacks "
+                         f"parameters {missing}")
     kwargs = {name: decode(params[name])
               for name, decode in family.fields.items()}
     if "seed" in family.model_class.__dataclass_fields__:

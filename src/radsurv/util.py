@@ -1,13 +1,15 @@
-"""Shared helpers: reproducible CSV I/O and float formatting.
+"""Shared helpers: reproducible CSV and JSON I/O and float formatting.
 
 All CSV files written by this package use comma separators, a mandatory
 header row, UTF-8, '.' as the decimal separator and 12-significant-digit
-float formatting, so reruns with identical inputs produce identical bytes.
+float formatting; JSON files use sorted keys, a one-space indent and a
+trailing newline. Reruns with identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 from typing import Iterable, Sequence
@@ -40,6 +42,16 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
             writer.writerow([fmt_cell(v) for v in row])
 
 
+def write_json(path: str, doc, default=None) -> None:
+    """Write ``doc`` to ``path`` in the package JSON layout; ``default`` is
+    json.dump's hook for values it cannot encode itself."""
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1, default=default)
+        fh.write("\n")
+
+
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     """Read a CSV file, returning (header, rows of raw strings)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -58,3 +70,12 @@ def parse_float_cell(cell: str) -> float:
     if text == "" or text.upper() in ("NA", "NAN", "NONE"):
         return math.nan
     return float(text)
+
+
+def reject_duplicate_ids(ids: Iterable[str], path: str) -> None:
+    """ValueError naming ``path`` and the first subject ID seen twice."""
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise ValueError(f"{path}: duplicate subject ID {sid!r}")
+        seen.add(sid)

@@ -1,4 +1,4 @@
-"""NIfTI-1 volume and mask I/O, ROI derivation, and intensity normalization.
+"""NIfTI-1 volume and mask I/O, ROI derivation, and the metadata CSV.
 
 Scope and conventions:
 
@@ -11,21 +11,20 @@ Scope and conventions:
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
-* Percentiles use linear interpolation between closest ranks: the q-th
-  percentile of n sorted values sits at fractional rank ``q/100 * (n - 1)``.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .util import fmt_float, reject_duplicate_ids, write_csv
 
 HEADER_SIZE = 348
 
@@ -40,6 +39,8 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v).str[1:]: k for k, v in _DTYPES.items()}
 
 TUMOR_LABELS = (0, 1, 2, 4)
+
+RESECTION_STATUSES = ("GTR", "STR", "NA")
 
 ROI_KINDS = ("WT", "TC", "ET", "LABEL1", "LABEL2", "LABEL4")
 _ROI_LABEL_SETS = {
@@ -58,10 +59,6 @@ class NiftiError(ValueError):
 
 class MaskLabelError(NiftiError):
     """Mask voxel value outside the {0, 1, 2, 4} vocabulary."""
-
-
-class NormalizationError(ValueError):
-    """Intensity normalization is undefined for this volume."""
 
 
 @dataclass
@@ -159,7 +156,7 @@ class SubjectRecord:
         if self.survival_days is not None and self.survival_days < 0:
             raise ValueError(
                 f"{self.subject_id}: survival_days must be >= 0, got {self.survival_days}")
-        if self.resection_status not in ("GTR", "STR", "NA"):
+        if self.resection_status not in RESECTION_STATUSES:
             raise ValueError(
                 f"{self.subject_id}: resection_status {self.resection_status!r} "
                 "not one of GTR/STR/NA")
@@ -328,14 +325,11 @@ def load_mask(path: str) -> LabelMask:
         idx = tuple(int(c[0]) for c in np.nonzero(drift > 1e-6))
         raise MaskLabelError(
             f"{path}: voxel {idx} holds non-integer value {vol.data[idx]!r}")
-    labels = rounded.astype(np.int16)
-    bad = ~np.isin(labels, TUMOR_LABELS)
-    if bad.any():
-        idx = tuple(int(c[0]) for c in np.nonzero(bad))
-        raise MaskLabelError(
-            f"{path}: label {int(labels[idx])} at voxel {idx} is not in {{0,1,2,4}}")
-    return LabelMask(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
-                     labels=labels)
+    try:
+        return LabelMask(dims=vol.dims, spacing=vol.spacing,
+                         origin=vol.origin, labels=rounded.astype(np.int16))
+    except MaskLabelError as exc:
+        raise MaskLabelError(f"{path}: {exc}") from None
 
 
 def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
@@ -345,32 +339,6 @@ def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
     membership = np.isin(mask.labels, _ROI_LABEL_SETS[kind])
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
                    membership=membership, roi_kind=kind)
-
-
-def normalize_intensity(vol: VoxelVolume, clip_lo: float, clip_hi: float,
-                        brain_mask: Optional[np.ndarray] = None) -> VoxelVolume:
-    """Clip to a percentile band over brain voxels and rescale to [0, 1].
-
-    Brain voxels default to the nonzero voxels (inputs are skull-stripped
-    with the background set to 0); pass ``brain_mask`` explicitly to pin the
-    brain set, e.g. when re-normalizing an already normalized volume whose
-    dimmest brain voxel now sits at exactly 0. Background voxels stay 0.
-    """
-    if not (0 <= clip_lo < clip_hi <= 100):
-        raise ValueError(f"need 0 <= clip_lo < clip_hi <= 100, got ({clip_lo}, {clip_hi})")
-    mask = vol.data != 0 if brain_mask is None else np.asarray(brain_mask, dtype=bool)
-    values = vol.data[mask]
-    if values.size == 0:
-        raise NormalizationError("volume has no brain (nonzero) voxels")
-    lo = float(np.percentile(values, clip_lo))
-    hi = float(np.percentile(values, clip_hi))
-    if hi <= lo:
-        raise NormalizationError(
-            f"degenerate percentile band [{lo}, {hi}], rescale undefined")
-    out = np.zeros_like(vol.data)
-    out[mask] = (np.clip(values, lo, hi) - lo) / (hi - lo)
-    return VoxelVolume(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
-                       data=out)
 
 
 def read_metadata_csv(path: str) -> list[SubjectRecord]:
@@ -396,12 +364,11 @@ def read_metadata_csv(path: str) -> list[SubjectRecord]:
                 survival_days=survival,
                 resection_status=status,
             ))
+    reject_duplicate_ids((r.subject_id for r in records), path)
     return records
 
 
 def write_metadata_csv(path: str, records: list[SubjectRecord]) -> None:
-    from .util import write_csv, fmt_float
-
     rows = []
     for rec in records:
         surv = "" if rec.survival_days is None else fmt_float(float(rec.survival_days))

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from radsurv.cli import main
+from radsurv.imagefeat import IMAGE_FEATURE_NAMES
+from radsurv.regressors.gridsearch import DEFAULT_GRIDS
 from radsurv.util import read_csv
 from radsurv.volumeio import load_mask, write_nifti
 
@@ -121,6 +124,19 @@ class TestExtractCommand:
         header, rows = read_csv(str(features))
         assert [r[0] for r in rows] == ["GOOD"]
 
+    def test_duplicate_manifest_id_rejected(self, phantom_dir, tmp_path):
+        root, out = phantom_dir
+        subjects = self._manifest(tmp_path, out, [
+            ("P1", str(out / "sph_mask.nii.gz"), ""),
+            ("P1", str(out / "box_mask.nii.gz"), ""),
+        ])
+        meta = self._metadata(tmp_path, ["P1"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{subjects}: duplicate subject ID 'P1'")):
+            main(["extract", "--subjects", str(subjects),
+                  "--metadata", str(meta),
+                  "--out", str(tmp_path / "dup.csv"), "--features", "image7"])
+
     def test_no_subject_succeeds_nonzero_exit(self, phantom_dir, tmp_path):
         root, out = phantom_dir
         subjects = self._manifest(tmp_path, out,
@@ -217,6 +233,24 @@ class TestTrainPredictEvaluate:
         assert float(m["std_se"]) == pytest.approx(std, rel=1e-11)
         assert float(m["spearman_r"]) == pytest.approx(0.4, abs=1e-11)
 
+    def test_duplicate_prediction_id_rejected(self, tmp_path):
+        pred_csv = tmp_path / "predictions.csv"
+        pred_csv.write_text("subject_id,predicted_days\nA,90\nB,480\nA,300\n")
+        meta_csv = tmp_path / "meta.csv"
+        meta_csv.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                            "A,50,100,GTR\nB,55,350,GTR\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{pred_csv}: duplicate subject ID 'A'")):
+            main(["evaluate", "--predictions", str(pred_csv),
+                  "--metadata", str(meta_csv), "--out", str(tmp_path / "ev")])
+
+    def test_default_grid_needs_predictor(self, phantom_dir, tmp_path):
+        _, out = phantom_dir
+        with pytest.raises(SystemExit, match="--predictor.*'predictor'"):
+            main(["train", "--features", str(out / "features.csv"),
+                  "--metadata", str(out / "metadata.csv"),
+                  "--grid", "default", "--out", str(tmp_path / "t")])
+
     def test_grid_search_via_cli(self, phantom_dir, tmp_path):
         _, out = phantom_dir
         grid_path = tmp_path / "grid.json"
@@ -282,3 +316,95 @@ class TestExperimentCommand:
         assert len(rows) == 4
         assert (exp_dir / "image7__linear" / "model.json").exists()
         assert (exp_dir / "shape__gbr" / "metrics.csv").exists()
+
+
+RFR_GRID = [{"n_trees": 4, "max_depth": 2}, {"n_trees": 6, "max_depth": 4}]
+
+
+@pytest.fixture(scope="module")
+def experiments(phantom_dir):
+    """Experiment runs through the grid-search paths, one per way of naming
+    a grid: the stock grid, and a grid file under both evaluation filters."""
+    root, out = phantom_dir
+    grid_path = root / "rfr_grid.json"
+    grid_path.write_text(json.dumps(RFR_GRID))
+    runs = {
+        "default": ["--feature-sets", "image7", "--predictors", "linear",
+                    "--grid", "default"],
+        "file": ["--feature-sets", "image7,shape", "--predictors", "rfr",
+                 "--grid", str(grid_path)],
+        "file_all": ["--feature-sets", "image7", "--predictors", "rfr",
+                     "--grid", str(grid_path), "--eval-filter", "all"],
+    }
+    dirs = {}
+    for name, flags in runs.items():
+        dirs[name] = root / f"exp_{name}"
+        assert main(["experiment", "--features", str(out / "features.csv"),
+                     "--metadata", str(out / "metadata.csv"), "--seed", "0",
+                     "--out", str(dirs[name])] + flags) == 0
+    return grid_path, dirs
+
+
+class TestGridExperimentAgreesWithCommands:
+    """The experiment cells and the train/predict/evaluate commands share
+    one fit and one evaluation filter; these pin that they agree."""
+
+    def test_grid_report_per_cell(self, experiments):
+        _, dirs = experiments
+        cells = {"default": ["image7__linear"],
+                 "file": ["image7__rfr", "shape__rfr"],
+                 "file_all": ["image7__rfr"]}
+        for name, names in cells.items():
+            for cell in names:
+                report = json.loads(
+                    (dirs[name] / cell / "grid_report.json").read_text())
+                grid = (DEFAULT_GRIDS["linear"] if name == "default"
+                        else RFR_GRID)
+                assert len(report["mean_mse"]) == len(grid)
+                assert report["grid"] == json.loads(json.dumps(grid))
+
+    def test_train_matches_experiment_cell_bytes(self, phantom_dir,
+                                                 experiments, tmp_path):
+        _, out = phantom_dir
+        grid_path, dirs = experiments
+        header, rows = read_csv(str(out / "features.csv"))
+        cols = [0] + [header.index(n) for n in IMAGE_FEATURE_NAMES]
+        cell_csv = tmp_path / "image7.csv"
+        cell_csv.write_text("\n".join(
+            ",".join(r[c] for c in cols) for r in [header] + rows) + "\n")
+        train_dir = tmp_path / "train"
+        assert main(["train", "--features", str(cell_csv),
+                     "--metadata", str(out / "metadata.csv"),
+                     "--predictor", "rfr", "--grid", str(grid_path),
+                     "--seed", "0", "--out", str(train_dir)]) == 0
+        for name in ("model.json", "grid_report.json"):
+            assert (train_dir / name).read_bytes() == \
+                (dirs["file"] / "image7__rfr" / name).read_bytes()
+
+    @pytest.mark.parametrize("run,eval_filter,dataset",
+                             [("file", "GTR", "eval"),
+                              ("file_all", "all", "all")])
+    def test_predict_evaluate_reproduce_eval_row(self, phantom_dir,
+                                                 experiments, tmp_path, run,
+                                                 eval_filter, dataset):
+        _, out = phantom_dir
+        _, dirs = experiments
+        pred_csv = tmp_path / "predictions.csv"
+        assert main(["predict",
+                     "--model", str(dirs[run] / "image7__rfr" / "model.json"),
+                     "--features", str(out / "features.csv"),
+                     "--out", str(pred_csv)]) == 0
+        assert main(["evaluate", "--predictions", str(pred_csv),
+                     "--metadata", str(out / "metadata.csv"),
+                     "--eval-filter", eval_filter,
+                     "--out", str(tmp_path / "eval")]) == 0
+        header, rows = read_csv(str(tmp_path / "eval" / "metrics.csv"))
+        got = dict(zip(header, rows[0]))
+        header, rows = read_csv(str(dirs[run] / "metrics_eval.csv"))
+        want = dict(zip(header, next(r for r in rows if r[1] == "image7")))
+        assert got["dataset"] == dataset
+        assert got["n"] == want["n"]
+        assert got["accuracy"] == want["accuracy"]
+        for key in ("mse", "median_se", "std_se", "spearman_r"):
+            assert float(got[key]) == pytest.approx(float(want[key]),
+                                                    rel=1e-9)

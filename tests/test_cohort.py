@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestCohort:
         cohort.write_features_csv(str(f))
         cohort.subset(np.array([True, True, False])).write_metadata_csv(str(m))
         with pytest.raises(KeyError, match="S3"):
+            load_cohort(str(f), str(m))
+
+    def test_duplicate_feature_row_rejected(self, cohort, tmp_path):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        with open(f, "a", encoding="utf-8") as fh:
+            fh.write("S2,9,9\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: duplicate subject ID 'S2'")):
             load_cohort(str(f), str(m))
 
     def test_shape_validation(self):

@@ -149,3 +149,16 @@ class TestPersistence:
         path.write_text('{"schema": "other/9"}')
         with pytest.raises(ValueError, match="schema"):
             load_model(str(path))
+
+    def test_missing_parameters_field_rejected(self, tmp_path):
+        rng = np.random.default_rng(8)
+        model = train_model("linear", rng.random((12, 2)), rng.random(12),
+                            {}, seed=0)
+        path = tmp_path / "linear.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        del doc["parameters"]["x_scale"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                           "linear model lacks parameters.*x_scale"):
+            load_model(str(path))

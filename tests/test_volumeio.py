@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import time
 
@@ -6,12 +7,10 @@ import numpy as np
 import pytest
 
 from radsurv.volumeio import (LabelMask, MaskLabelError, NiftiError,
-                              NormalizationError, SubjectRecord, derive_roi,
-                              load_mask, load_nifti, normalize_intensity,
-                              read_metadata_csv, write_metadata_csv,
-                              write_nifti)
-from conftest import make_mask, make_volume
-from oracles import percentile_bf
+                              SubjectRecord, derive_roi, load_mask,
+                              load_nifti, read_metadata_csv,
+                              write_metadata_csv, write_nifti)
+from conftest import make_mask
 
 
 def handcrafted_header(dims=(2, 2, 2), datatype=16, bitpix=32,
@@ -164,7 +163,8 @@ class TestLoadMask:
         labels[1, 2, 0] = 3
         path = tmp_path / "bad.nii"
         self._write_mask(path, labels)
-        with pytest.raises(MaskLabelError, match=r"label 3 at voxel \(1, 2, 0\)"):
+        with pytest.raises(MaskLabelError, match=re.escape(
+                f"{path}: label 3 at voxel (1, 2, 0) is not in {{0,1,2,4}}")):
             load_mask(str(path))
 
     def test_non_integer_mask_value(self, tmp_path):
@@ -207,60 +207,6 @@ class TestDeriveRoi:
             assert c["LABEL4"] == c["ET"]
 
 
-class TestNormalizeIntensity:
-    def test_full_band_affine_map(self):
-        data = np.zeros((5, 5, 5))
-        data.ravel()[:100] = np.arange(1, 101)
-        data.ravel()[100] = 50.5
-        vol = make_volume(data)
-        out = normalize_intensity(vol, 0, 100)
-        flat = out.data.ravel()
-        assert flat[0] == 0.0          # min -> 0
-        assert flat[99] == 1.0         # max -> 1
-        assert flat[100] == pytest.approx(0.5, abs=1e-12)
-        assert np.all(out.data[data == 0] == 0.0)
-
-    def test_clipped_band_against_sort_oracle(self):
-        data = np.zeros((5, 5, 5))
-        values = np.arange(1.0, 101.0)
-        data.ravel()[:100] = values
-        vol = make_volume(data)
-        out = normalize_intensity(vol, 1, 99)
-        lo = percentile_bf(values, 1)
-        hi = percentile_bf(values, 99)
-        assert lo == pytest.approx(1.99, abs=1e-12)
-        assert hi == pytest.approx(99.01, abs=1e-12)
-        flat = out.data.ravel()
-        assert flat[0] == 0.0 and flat[99] == 1.0   # clipped to band edges
-        expected = (np.clip(values, lo, hi) - lo) / (hi - lo)
-        assert np.allclose(flat[:100], expected, atol=1e-12)
-
-    def test_all_background_errors(self):
-        with pytest.raises(NormalizationError):
-            normalize_intensity(make_volume(np.zeros((3, 3, 3))), 0, 100)
-
-    def test_constant_volume_errors(self):
-        data = np.zeros((3, 3, 3))
-        data[0, 0, 0] = data[0, 0, 1] = 5.0
-        with pytest.raises(NormalizationError):
-            normalize_intensity(make_volume(data), 0, 100)
-
-    def test_bad_percentile_band(self):
-        vol = make_volume(np.arange(27.0).reshape(3, 3, 3) + 1)
-        with pytest.raises(ValueError):
-            normalize_intensity(vol, 50, 50)
-
-    def test_idempotent_with_pinned_brain_mask(self):
-        rng = np.random.default_rng(5)
-        data = np.where(rng.random((6, 6, 6)) < 0.7,
-                        rng.random((6, 6, 6)) * 40 + 1, 0.0)
-        vol = make_volume(data)
-        brain = data != 0
-        once = normalize_intensity(vol, 0, 100, brain_mask=brain)
-        twice = normalize_intensity(once, 0, 100, brain_mask=brain)
-        assert np.max(np.abs(twice.data - once.data)) <= 1e-12
-
-
 class TestMetadataCsv:
     def test_round_trip(self, tmp_path):
         records = [
@@ -275,6 +221,14 @@ class TestMetadataCsv:
         assert loaded[0].survival_days == 321.0
         assert loaded[1].survival_days is None
         assert loaded[2].resection_status == "NA"
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        "A,50,100,GTR\nB,55,200,STR\nA,60,300,GTR\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: duplicate subject ID 'A'")):
+            read_metadata_csv(str(path))
 
     def test_invalid_age_rejected(self):
         with pytest.raises(ValueError):
