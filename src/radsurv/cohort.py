@@ -74,6 +74,7 @@ def read_features_csv(path: str):
     header, rows = read_csv(path)
     if not header or header[0] != "subject_id":
         raise ValueError(f"{path}: first column must be 'subject_id'")
+    reject_duplicate_ids(header, path, "column name")
     ids = [row[0] for row in rows]
     reject_duplicate_ids(ids, path)
     X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],

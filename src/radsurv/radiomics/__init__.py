@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..volumeio import LabelMask, VoxelVolume, derive_roi
+from ..volumeio import LabelMask, VoxelVolume, check_same_grid, derive_roi
 from .discretize import Binning, DiscretizedRoi, discretize
 from .firstorder import FIRSTORDER_FEATURE_NAMES, first_order_features
 from .shape import SHAPE_FEATURE_NAMES, ShapeDescriptors, shape_features
@@ -69,8 +69,7 @@ class RadiomicsVector:
 def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
                       config: RadiomicsConfig = RadiomicsConfig()) -> RadiomicsVector:
     """Compute the full 107-feature vector for one subject and ROI."""
-    if vol.dims != mask.dims:
-        raise ValueError(f"volume dims {vol.dims} != mask dims {mask.dims}")
+    check_same_grid(vol, mask)
     roi = derive_roi(mask, config.roi_kind)
     if roi.voxel_count == 0:
         raise TextureError(f"ROI {config.roi_kind} is empty")

@@ -20,7 +20,24 @@ elongation and flatness are ``sqrt(lambda_2 / lambda_1)`` and
 Diameters are largest pairwise distances between surface-voxel centers
 (ROI voxels with an exposed 6-neighborhood face): in 3D for the maximum
 diameter, and within each plane family for the 2D diameters (slice: fixed
-z index, row: fixed x, column: fixed y).
+z index, row: fixed x, column: fixed y). Only candidate voxels enter the
+pairwise maxima: in 3D the surface voxels that are the first or last
+surface voxel of their x-, y- and z-line, and for a plane family those
+that are the first or last of both in-plane lines. This is exact, not an
+approximation. Let voxel p of a pair (p, q) at the largest computed
+distance lie strictly between two others on one of those lines, and let e
+be the line end farther from q along the line's axis. The centers of p and
+e differ only on that axis, and e's coordinate is strictly farther from q's
+than p's is. Rounding is monotone, so the rounded difference to q does not
+shrink in magnitude, the other two axis terms keep their bits, and the
+rounded squared distance of (e, q) is at least that of (p, q), hence equal
+to the maximum. The exact distance grows with each such swap, so the swaps
+end at a pair of candidates with the same computed maximum.
+
+The mesh, the surface voxels and the coordinate gathers all run on the
+ROI's bounding box, not the full grid. The mesh's integer vertex keys are
+shifted back to full-grid units before any float is formed, so every float
+matches a full-grid computation (smoothing is not translation-exact).
 
 Degenerate ROIs (fewer than 4 voxels, or all voxel centers coplanar) skip
 the mesh: volume falls back to voxel counting and surface to exposed-face
@@ -43,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..volumeio import RoiMask
+from ..volumeio import RoiMask, bounding_box
 from ..imagefeat import roi_volume, roi_surface_area_facecount
 from ._mc_tables import TRI_TABLE, EDGE_CORNERS, CORNER_OFFSETS
 
@@ -111,9 +128,14 @@ def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(vertices, faces)``: vertex positions in (padded) voxel index
     units and integer triangles. Shared vertices are merged exactly, since
-    every vertex is an edge midpoint with half-integer coordinates.
+    every vertex is an edge midpoint with half-integer coordinates. Only the
+    mask's bounding box is triangulated; the cubes outside it are empty.
     """
-    m = np.pad(np.asarray(membership, dtype=np.uint8), 1)
+    membership = np.asarray(membership, dtype=bool)
+    box = bounding_box(membership)
+    if box is None:
+        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+    m = np.pad(membership[box].astype(np.uint8), 1)
     corners = [m[o[0]:m.shape[0] - 1 + o[0],
                  o[1]:m.shape[1] - 1 + o[1],
                  o[2]:m.shape[2] - 1 + o[2]] for o in CORNER_OFFSETS]
@@ -145,11 +167,15 @@ def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not key_blocks:
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
 
-    all_keys = np.concatenate(key_blocks, axis=0)          # (n_tri, 3, 3)
-    flat = all_keys.reshape(-1, 3)
-    unique_keys, inverse = np.unique(flat, axis=0, return_inverse=True)
+    # one int64 key per doubled vertex position, ordered like its rows
+    key_grid = tuple(2 * s + 1 for s in case.shape)
+    keys = np.ravel_multi_index(
+        np.concatenate(key_blocks, axis=0).reshape(-1, 3).T, key_grid)
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
     faces = inverse.reshape(-1, 3)
-    vertices = unique_keys.astype(np.float64) / 2.0
+    doubled = np.stack(np.unravel_index(unique_keys, key_grid), axis=1) \
+        + 2 * np.array([b.start for b in box])
+    vertices = doubled.astype(np.float64) / 2.0
     return vertices, faces
 
 
@@ -160,22 +186,20 @@ def taubin_smooth(vertices: np.ndarray, faces: np.ndarray,
     n = vertices.shape[0]
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                             faces[:, [2, 0]]], axis=0)
-    edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    edges = np.unique(edges, axis=0)
-    owner, neighbor = edges[:, 0], edges[:, 1]
+    # both directions of every edge, once each, sorted by (owner, neighbor)
+    keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                   edges[:, 1] * n + edges[:, 0]]))
+    owner, neighbor = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     degree = np.bincount(owner, minlength=n).astype(np.float64)
     degree[degree == 0] = 1.0
 
-    v = vertices.astype(np.float64).copy()
-    acc = np.empty_like(v)
+    v = vertices.T.astype(np.float64)       # one row per axis
     for _ in range(iterations):
         for factor in (lam, mu):
-            gathered = v[neighbor]
-            for axis in range(3):
-                acc[:, axis] = np.bincount(owner, weights=gathered[:, axis],
-                                           minlength=n)
-            v = v + factor * (acc / degree[:, None] - v)
-    return v
+            acc = np.stack([np.bincount(owner, weights=row[neighbor],
+                                        minlength=n) for row in v])
+            v = v + factor * (acc / degree - v)
+    return np.ascontiguousarray(v.T)
 
 
 def mesh_area_volume(vertices: np.ndarray, faces: np.ndarray,
@@ -204,16 +228,46 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
     return float(np.sqrt(best))
 
 
-def _surface_voxels(roi: RoiMask) -> np.ndarray:
-    """Index coordinates of ROI voxels with at least one exposed face."""
-    m = roi.membership
+def _surface_mask(m: np.ndarray) -> np.ndarray:
+    """ROI voxels with at least one exposed face (outside the array counts
+    as exposed)."""
     padded = np.pad(m, 1)
-    exposed = np.zeros_like(m)
+    interior = m.copy()
     for axis in range(3):
-        for step in (-1, 1):
-            neigh = np.roll(padded, step, axis=axis)[1:-1, 1:-1, 1:-1]
-            exposed |= m & ~neigh
-    return np.argwhere(exposed)
+        for start in (0, 2):
+            window = [slice(1, -1)] * 3
+            window[axis] = slice(start, start + m.shape[axis])
+            interior &= padded[tuple(window)]
+    return m & ~interior
+
+
+def _line_ends(surface: np.ndarray, axis: int) -> np.ndarray:
+    """Voxels of ``surface`` that are its first or last voxel on their line
+    along ``axis``."""
+    rank = np.cumsum(surface, axis=axis, dtype=np.int32)
+    count = np.take(rank, [-1], axis=axis)
+    return surface & ((rank == 1) | (rank == count))
+
+
+def _diameters(box: np.ndarray, offset: np.ndarray,
+               spacing: np.ndarray) -> tuple[float, dict[str, float]]:
+    """The 3D and the three per-plane maximum surface-voxel distances of the
+    ROI cropped to ``box``, whose first voxel has index ``offset``."""
+    surface = _surface_mask(box)
+    ends = [_line_ends(surface, axis) for axis in range(3)]
+
+    def points(candidates):
+        return (np.argwhere(candidates) + offset).astype(np.float64) * spacing
+
+    max3d = _max_pairwise_distance(points(ends[0] & ends[1] & ends[2]))
+    diam_plane = {}
+    for axis, name in ((2, "slice"), (1, "column"), (0, "row")):
+        a, b = (x for x in range(3) if x != axis)
+        pts = points(ends[a] & ends[b])
+        pts = pts[np.argsort(pts[:, axis])]
+        planes = np.split(pts, np.flatnonzero(np.diff(pts[:, axis])) + 1)
+        diam_plane[name] = max(_max_pairwise_distance(p) for p in planes)
+    return max3d, diam_plane
 
 
 def shape_features(roi: RoiMask) -> ShapeDescriptors:
@@ -222,8 +276,11 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
     if n < 1:
         raise ShapeError("shape features need a non-empty ROI")
 
+    box_slices = bounding_box(roi.membership)
+    box = roi.membership[box_slices]
+    offset = np.array([b.start for b in box_slices])
     spacing = np.asarray(roi.spacing, dtype=np.float64)
-    coords = np.argwhere(roi.membership).astype(np.float64)
+    coords = (np.argwhere(box) + offset).astype(np.float64)
     phys = coords * spacing + np.asarray(roi.origin)
 
     vox_vol = roi_volume(roi)
@@ -249,14 +306,7 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
     sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * mesh_volume) ** (2.0 / 3.0)
                        / surface_area)
 
-    surf = _surface_voxels(roi).astype(np.float64) * spacing
-    max3d = _max_pairwise_distance(surf)
-    diam_plane = {}
-    for axis, name in ((2, "slice"), (1, "column"), (0, "row")):
-        best = 0.0
-        for value in np.unique(surf[:, axis]):
-            best = max(best, _max_pairwise_distance(surf[surf[:, axis] == value]))
-        diam_plane[name] = best
+    max3d, diam_plane = _diameters(box, offset, spacing)
 
     return ShapeDescriptors(
         mesh_volume=mesh_volume,

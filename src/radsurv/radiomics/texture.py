@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..volumeio import bounding_box
 from .discretize import DiscretizedRoi
 
 COARSENESS_SENTINEL = 1e6
@@ -112,11 +113,10 @@ class TextureError(ValueError):
 
 def _cropped_levels(disc: DiscretizedRoi) -> np.ndarray:
     """Level map cropped to the ROI bounding box and padded by one voxel."""
-    idx = np.nonzero(disc.roi.membership)
-    if idx[0].size == 0:
+    box = bounding_box(disc.roi.membership)
+    if box is None:
         raise TextureError("empty ROI")
-    sl = tuple(slice(int(c.min()), int(c.max()) + 1) for c in idx)
-    return np.pad(disc.level_map[sl], 1)
+    return np.pad(disc.level_map[box], 1)
 
 
 def _shift(padded: np.ndarray, d) -> np.ndarray:
@@ -253,12 +253,19 @@ def glcm_features(disc: DiscretizedRoi) -> dict[str, float]:
 # GLRLM
 
 def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
-    """Run-length count matrices (level x run length), one per direction."""
-    ids = np.argwhere(disc.roi.membership).astype(np.int64)
-    lv = disc.level_map[disc.roi.membership].astype(np.int64)
-    n = ids.shape[0]
-    if n == 0:
+    """Run-length count matrices (level x run length), one per direction.
+
+    Per direction, ROI voxels are sorted by one int64 key: line number times
+    (t-span + step) plus the position t along the line. Two neighbors in
+    that order continue a run exactly when their keys differ by the step
+    and their levels agree; keys of different lines are farther apart.
+    """
+    box = bounding_box(disc.roi.membership)
+    if box is None:
         raise TextureError("empty ROI")
+    member = disc.roi.membership[box]
+    ids = np.argwhere(member)
+    lv = disc.level_map[box][member].astype(np.int64)
     ng = disc.n_levels
     max_len = max(disc.roi.dims)
     out = []
@@ -267,20 +274,18 @@ def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
         dd = int(dvec @ dvec)
         t = ids @ dvec
         line = ids * dd - t[:, None] * dvec
-        order = np.lexsort((t, line[:, 2], line[:, 1], line[:, 0]))
-        ts = t[order]
-        ls = line[order]
+        line -= line.min(axis=0)
+        t -= t.min()
+        line_id = np.ravel_multi_index(line.T, tuple(line.max(axis=0) + 1))
+        key = line_id * (int(t.max()) + 1 + dd) + t
+        order = np.argsort(key)
         vs = lv[order]
         # a new run starts at position 0 and wherever the line, the
         # step-continuity or the gray level breaks
-        new_run = np.ones(n, dtype=bool)
-        if n > 1:
-            same_line = (ls[1:] == ls[:-1]).all(axis=1)
-            contiguous = ts[1:] - ts[:-1] == dd
-            same_level = vs[1:] == vs[:-1]
-            new_run[1:] = ~(same_line & contiguous & same_level)
-        starts = np.nonzero(new_run)[0]
-        lengths = np.diff(np.append(starts, n))
+        new_run = np.ones(vs.size, dtype=bool)
+        new_run[1:] = (np.diff(key[order]) != dd) | (vs[1:] != vs[:-1])
+        starts = np.flatnonzero(new_run)
+        lengths = np.diff(np.append(starts, vs.size))
         p = np.zeros((ng, max_len), dtype=np.float64)
         np.add.at(p, (vs[starts] - 1, lengths - 1), 1.0)
         out.append(p)
@@ -342,49 +347,51 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 # GLSZM
 
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
-    """Zone count matrix (level x zone size), zones 26-connected."""
+    """Zone count matrix (level x zone size), zones 26-connected.
+
+    Zones are labelled without a per-voxel loop: each ROI voxel starts with
+    its own index as label, and the edges are the same-level neighbor pairs
+    along the 13 half-offsets. A round hooks every label root to the
+    smallest label across its edges (so a label never grows and always
+    names a voxel of its zone), then jumps pointers until every voxel holds
+    its root. Rounds repeat until no edge joins two labels; the labels are
+    then exactly the connected components.
+    """
     lp = _cropped_levels(disc)
-    core_shape = tuple(s - 2 for s in lp.shape)
-    flat = lp[1:-1, 1:-1, 1:-1].ravel()
-    n_core = flat.size
-    roi_idx = np.nonzero(flat > 0)[0]
-    if roi_idx.size == 0:
-        raise TextureError("empty ROI")
-
-    parent = np.arange(n_core, dtype=np.int64)
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
     core = lp[1:-1, 1:-1, 1:-1]
-    strides = np.array([core_shape[1] * core_shape[2], core_shape[2], 1])
+    flat = core.ravel()
+    roi_idx = np.flatnonzero(flat)
+    # compact voxel number of each core position (-1 outside the ROI)
+    number = np.full(flat.size, -1, dtype=np.int64)
+    number[roi_idx] = np.arange(roi_idx.size)
+
+    strides = np.array([core.shape[1] * core.shape[2], core.shape[2], 1])
+    src, dst = [], []
     for d in DIRECTIONS_13:
-        b = _shift(lp, d)
-        match = (core > 0) & (core == b)
-        if not match.any():
-            continue
-        src = np.argwhere(match)
-        flat_src = src @ strides
-        flat_dst = (src + np.array(d)) @ strides
-        for a, b2 in zip(flat_src.tolist(), flat_dst.tolist()):
-            ra, rb = find(a), find(b2)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        match = np.flatnonzero((core > 0) & (core == _shift(lp, d)))
+        src.append(number[match])
+        dst.append(number[match + int(strides @ d)])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
 
-    roots = np.fromiter((find(int(a)) for a in roi_idx), dtype=np.int64,
-                        count=roi_idx.size)
-    _, zone_ids, zone_sizes = np.unique(roots, return_inverse=True,
-                                        return_counts=True)
-    zone_levels = np.zeros(zone_sizes.size, dtype=np.int64)
-    zone_levels[zone_ids] = flat[roi_idx]
+    label = np.arange(roi_idx.size)
+    while True:
+        a, b = label[src], label[dst]
+        joined = a != b
+        if not joined.any():
+            break
+        np.minimum.at(label, np.maximum(a, b)[joined],
+                      np.minimum(a, b)[joined])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
+    zone_sizes = np.bincount(label)
+    roots = np.flatnonzero(zone_sizes)
     p = np.zeros((disc.n_levels, int(zone_sizes.max())), dtype=np.float64)
-    np.add.at(p, (zone_levels - 1, zone_sizes - 1), 1.0)
+    np.add.at(p, (flat[roi_idx[roots]] - 1, zone_sizes[roots] - 1), 1.0)
     return p
 
 

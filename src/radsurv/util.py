@@ -72,10 +72,11 @@ def parse_float_cell(cell: str) -> float:
     return float(text)
 
 
-def reject_duplicate_ids(ids: Iterable[str], path: str) -> None:
-    """ValueError naming ``path`` and the first subject ID seen twice."""
+def reject_duplicate_ids(ids: Iterable[str], path: str,
+                         what: str = "subject ID") -> None:
+    """ValueError naming ``path`` and the first ``what`` seen twice."""
     seen = set()
     for sid in ids:
         if sid in seen:
-            raise ValueError(f"{path}: duplicate subject ID {sid!r}")
+            raise ValueError(f"{path}: duplicate {what} {sid!r}")
         seen.add(sid)

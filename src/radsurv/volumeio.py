@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -59,6 +60,14 @@ class NiftiError(ValueError):
 
 class MaskLabelError(NiftiError):
     """Mask voxel value outside the {0, 1, 2, 4} vocabulary."""
+
+
+class GeometryError(ValueError):
+    """A scan and a mask that do not lie on the same voxel grid."""
+
+
+# NIfTI stores spacing and origin as float32 (relative round-off ~6e-8)
+GEOMETRY_RTOL = 1e-6
 
 
 @dataclass
@@ -330,6 +339,37 @@ def load_mask(path: str) -> LabelMask:
                          origin=vol.origin, labels=rounded.astype(np.int16))
     except MaskLabelError as exc:
         raise MaskLabelError(f"{path}: {exc}") from None
+
+
+def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:
+    """Index slices of the smallest box holding every set voxel of a 3D
+    mask, or None if none is set.
+
+    Each axis comes from an any-projection of the box found so far, so only
+    the first projection reads the whole grid.
+    """
+    box = [slice(None)] * 3
+    for axis in range(3):
+        other = tuple(a for a in range(3) if a != axis)
+        hits = np.flatnonzero(member[tuple(box)].any(axis=other))
+        if hits.size == 0:
+            return None
+        box[axis] = slice(int(hits[0]), int(hits[-1]) + 1)
+    return tuple(box)
+
+
+def check_same_grid(vol: VoxelVolume, mask: LabelMask) -> None:
+    """GeometryError unless the scan and the mask share dims, and spacing and
+    origin up to the relative tolerance ``GEOMETRY_RTOL``."""
+    if vol.dims != mask.dims:
+        raise GeometryError(f"volume dims {vol.dims} != mask dims {mask.dims}")
+    for field in ("spacing", "origin"):
+        a, b = getattr(vol, field), getattr(mask, field)
+        if not all(math.isclose(x, y, rel_tol=GEOMETRY_RTOL)
+                   for x, y in zip(a, b)):
+            raise GeometryError(
+                f"scan {field} {a} differs from mask {field} {b} beyond "
+                f"relative tolerance {GEOMETRY_RTOL:g}")
 
 
 def derive_roi(mask: LabelMask, kind: str) -> RoiMask:

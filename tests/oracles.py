@@ -216,6 +216,34 @@ def run_zone_features_bf(p, n_voxels):
 
 
 # ---------------------------------------------------------------------------
+# Shape diameters
+
+def max_diameters_bf(roi, spacing):
+    """Largest center distances over all pairs of surface voxels: in 3D and
+    within each plane family, as (3d, slice, column, row).
+
+    A surface voxel has at least one 6-neighbor outside the ROI (or outside
+    the grid). Centers are index * spacing: the origin cancels from every
+    difference. The squared distance sums the axis terms in x, y, z order.
+    """
+    surface = [v for v in np.ndindex(*roi.shape) if roi[v] and any(
+        not _in_roi(roi, (v[0] + d[0], v[1] + d[1], v[2] + d[2]))
+        for d in ALL_26 if sum(map(abs, d)) == 1)]
+    centers = [tuple(float(i) * s for i, s in zip(v, spacing))
+               for v in surface]
+    best = {"3d": 0.0, 2: 0.0, 1: 0.0, 0: 0.0}
+    for a in range(len(surface)):
+        for b in range(a + 1, len(surface)):
+            dx, dy, dz = (p - q for p, q in zip(centers[a], centers[b]))
+            d2 = dx * dx + dy * dy + dz * dz
+            best["3d"] = max(best["3d"], d2)
+            for axis in range(3):
+                if surface[a][axis] == surface[b][axis]:
+                    best[axis] = max(best[axis], d2)
+    return tuple(math.sqrt(best[k]) for k in ("3d", 2, 1, 0))
+
+
+# ---------------------------------------------------------------------------
 # GLSZM
 
 def glszm_matrix_bf(levels, roi, ng):

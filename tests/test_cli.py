@@ -9,7 +9,7 @@ from radsurv.cli import main
 from radsurv.imagefeat import IMAGE_FEATURE_NAMES
 from radsurv.regressors.gridsearch import DEFAULT_GRIDS
 from radsurv.util import read_csv
-from radsurv.volumeio import load_mask, write_nifti
+from radsurv.volumeio import load_mask, load_nifti, write_nifti
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,27 @@ class TestExtractCommand:
                      "--features", "radiomics107", "--roi", "WT"]) == 1
         header, rows = read_csv(str(features))
         assert [r[0] for r in rows] == ["GOOD"]
+
+    def test_scan_mask_spacing_mismatch_names_subject(self, phantom_dir,
+                                                      tmp_path, caplog):
+        root, out = phantom_dir
+        scan = load_nifti(str(out / "sph_vol.nii.gz"))
+        stretched = tmp_path / "stretched_vol.nii.gz"
+        write_nifti(str(stretched), scan.data, spacing=(1.0, 1.0, 2.0))
+        subjects = self._manifest(tmp_path, out, [
+            ("GOOD", str(out / "sph_mask.nii.gz"),
+             str(out / "sph_vol.nii.gz")),
+            ("BAD", str(out / "sph_mask.nii.gz"), str(stretched)),
+        ])
+        meta = self._metadata(tmp_path, ["GOOD", "BAD"])
+        features = tmp_path / "partial.csv"
+        assert main(["extract", "--subjects", str(subjects),
+                     "--metadata", str(meta), "--out", str(features),
+                     "--features", "radiomics107"]) == 1
+        header, rows = read_csv(str(features))
+        assert [r[0] for r in rows] == ["GOOD"]
+        assert ("subject BAD failed: scan spacing (1.0, 1.0, 2.0) differs "
+                "from mask spacing (1.0, 1.0, 1.0)") in caplog.text
 
     def test_duplicate_manifest_id_rejected(self, phantom_dir, tmp_path):
         root, out = phantom_dir

@@ -75,3 +75,15 @@ class TestCohort:
             Cohort(subject_ids=["a"], feature_names=["x", "y"],
                    X=np.zeros((1, 1)), survival_days=np.zeros(1),
                    records=[SubjectRecord("a", 50.0)])
+
+    def test_repeated_column_name_rejected(self, cohort, tmp_path):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",alpha"] + [line + ",0" for line in lines[1:]]
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: duplicate column name 'alpha'")):
+            load_cohort(str(f), str(m))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from radsurv.radiomics import (Binning, RadiomicsConfig,
 from radsurv.radiomics.manifest import (MANIFEST_VERSION,
                                         packaged_manifest_text)
 from radsurv.radiomics.shape import SHAPE_FEATURE_NAMES
-from radsurv.volumeio import derive_roi
+from radsurv.volumeio import GeometryError, derive_roi
 from conftest import make_mask, make_volume
 
 
@@ -84,3 +86,34 @@ class TestExtractRadiomics:
         vol = make_volume(np.ones((4, 4, 4)))
         with pytest.raises(ValueError, match="dims"):
             extract_radiomics(vol, mask)
+
+
+class TestScanMaskGeometry:
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", (1.0, 1.0, 1.5)),
+        ("origin", (0.0, -2.0, 0.0)),
+        ("origin", (0.0, 0.0, 1e-3)),
+    ])
+    def test_mismatch_rejected_naming_both(self, phantom, field, value):
+        vol, mask = phantom
+        moved = make_volume(vol.data, **{"spacing": mask.spacing,
+                                         "origin": mask.origin,
+                                         field: value})
+        with pytest.raises(GeometryError, match=re.escape(
+                f"scan {field} {value} differs from mask {field} "
+                f"{getattr(mask, field)}")):
+            extract_radiomics(moved, mask)
+
+    def test_float32_round_off_accepted(self):
+        spacing = (0.7, 1.3, 2.5)
+        origin = (-90.1, 12.3, 33.7)
+        mask = gen_mask(PhantomSpec(
+            shape="ellipsoid", params=(4.0, 5.0, 7.0), center=(-83.1, 24.0, 56.2),
+            label_fill=2, dims=(20, 18, 20), spacing=spacing, origin=origin))
+        data = 0.2 + np.random.default_rng(1).random(mask.dims)
+        as_float32 = tuple(tuple(float(np.float32(v)) for v in t)
+                           for t in (spacing, origin))
+        assert as_float32 != (spacing, origin)
+        exact = extract_radiomics(make_volume(data, spacing, origin), mask)
+        rounded = extract_radiomics(make_volume(data, *as_float32), mask)
+        assert exact.values.tobytes() == rounded.values.tobytes()

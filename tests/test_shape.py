@@ -7,6 +7,7 @@ from radsurv.radiomics import shape_features
 from radsurv.radiomics.shape import ShapeError, extract_mesh, mesh_area_volume
 from radsurv.volumeio import derive_roi
 from conftest import make_roi
+import oracles
 
 
 def sphere_roi(radius=10.0, dims=(25, 25, 25), center=(12, 12, 12)):
@@ -127,3 +128,58 @@ class TestAxisPermutation:
                             perm.max_2d_diameter_row,
                             perm.max_2d_diameter_column])
         assert np.allclose(diam_orig, diam_perm, rtol=1e-9)
+
+
+def _diameter_cases():
+    """Seeded masks: noise, lobulated ellipsoids, lines, planes and one- and
+    two-voxel ROIs."""
+    rng = np.random.default_rng(2017)
+    cases = []
+    for _ in range(6):
+        shape = tuple(int(s) for s in rng.integers(3, 10, size=3))
+        m = rng.random(shape) < rng.uniform(0.2, 0.8)
+        m.flat[int(rng.integers(m.size))] = True
+        cases.append(m)
+    grid = np.moveaxis(np.indices((14, 13, 12)), 0, -1)
+    for _ in range(4):
+        m = np.zeros(grid.shape[:3], dtype=bool)
+        for _ in range(int(rng.integers(2, 4))):
+            center = rng.uniform(4.0, 8.0, size=3)
+            axes = rng.uniform(1.5, 4.5, size=3)
+            m |= (((grid - center) / axes) ** 2).sum(axis=-1) <= 1.0
+        cases.append(m)
+    for line in ((slice(1, 7), 2, 3), (4, slice(0, 9), 1), (0, 0, slice(2, 5))):
+        m = np.zeros((8, 9, 6), dtype=bool)
+        m[line] = True
+        cases.append(m)
+    diagonal = np.zeros((6, 6, 6), dtype=bool)
+    diagonal[np.arange(6), np.arange(6), 5 - np.arange(6)] = True
+    cases.append(diagonal)
+    for axis in range(3):
+        m = np.zeros((10, 9, 8), dtype=bool)
+        window = [slice(1, -1)] * 3
+        window[axis] = 2
+        m[tuple(window)] = rng.random(m[tuple(window)].shape) < 0.7
+        m[1, 1, 1] = m[2, 2, 2] = m[3, 2, 2] = False
+        m[tuple(2 if a == axis else 1 for a in range(3))] = True
+        cases.append(m)
+    for voxels in (((2, 1, 3),), ((0, 0, 0), (1, 1, 1)),
+                   ((0, 4, 2), (3, 0, 2)), ((1, 2, 0), (1, 2, 4))):
+        m = np.zeros((4, 5, 5), dtype=bool)
+        for v in voxels:
+            m[v] = True
+        cases.append(m)
+    return cases
+
+
+class TestDiametersAgainstAllPairs:
+    @pytest.mark.parametrize("spacing, origin", [
+        ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((0.7, 1.3, 2.5), (-12.5, 3.25, 100.0)),
+    ])
+    def test_equal_to_all_pairs_oracle(self, spacing, origin):
+        for m in _diameter_cases():
+            sd = shape_features(make_roi(m, spacing=spacing, origin=origin))
+            got = (sd.max_3d_diameter, sd.max_2d_diameter_slice,
+                   sd.max_2d_diameter_column, sd.max_2d_diameter_row)
+            assert got == oracles.max_diameters_bf(m, spacing), m.shape

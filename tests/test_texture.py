@@ -175,6 +175,66 @@ class TestGlszm:
             assert float((mat * sizes).sum()) == float(disc.roi.voxel_count)
 
 
+
+def _snake(shape):
+    """A body-diagonal path that bounces off the box walls, one coordinate
+    at a time, until it has run 4 x the box's longest side."""
+    pos = np.zeros(3, dtype=int)
+    step = np.ones(3, dtype=int)
+    path = [tuple(pos)]
+    for _ in range(4 * max(shape)):
+        for a in range(3):
+            if not 0 <= pos[a] + step[a] < shape[a]:
+                step[a] = -step[a]
+        pos = pos + step
+        path.append(tuple(pos))
+    return path
+
+
+def _glszm_worst_cases():
+    """Level maps whose zones need the most label-propagation rounds."""
+    rng = np.random.default_rng(26)
+    cases = {}
+    snake = rng.integers(2, 4, size=(9, 7, 11))
+    snake[tuple(np.array(_snake(snake.shape)).T)] = 1
+    cases["snake"] = snake
+    lone = np.zeros((9, 7, 11), dtype=int)
+    lone[tuple(np.array(_snake(lone.shape)).T)] = 1
+    cases["snake_alone"] = lone
+    x, y, z = np.indices((6, 7, 5))
+    cases["checkerboard"] = 1 + x % 2 + 2 * (y % 2) + 4 * (z % 2)
+    cross = rng.integers(2, 4, size=(7, 8, 9))
+    cross[:, 4, 4] = cross[3, :, 4] = cross[3, 4, :] = 1
+    cases["six_faces"] = cross
+    for name, (a, b) in {
+            "corner": ((slice(0, 3),) * 3, (slice(3, 6),) * 3),
+            "corner_negative": ((slice(0, 3), slice(3, 6), slice(0, 3)),
+                                (slice(3, 6), slice(0, 3), slice(3, 6)))}.items():
+        level = np.zeros((6, 6, 6), dtype=int)
+        level[a] = level[b] = 1
+        cases[name] = level
+    return cases
+
+
+class TestGlszmWorstCases:
+    @pytest.mark.parametrize("name", sorted(_glszm_worst_cases()))
+    def test_matches_flood_fill_oracle(self, name):
+        disc = make_disc(_glszm_worst_cases()[name])
+        expected = oracles.glszm_matrix_bf(
+            disc.level_map, disc.roi.membership, disc.n_levels)
+        assert np.array_equal(glszm_matrix(disc), expected)
+
+    def test_shapes_are_as_described(self):
+        cases = _glszm_worst_cases()
+        assert glszm_matrix(make_disc(cases["checkerboard"])).sum() == 6 * 7 * 5
+        for name in ("snake", "snake_alone", "six_faces"):
+            ones = glszm_matrix(make_disc(cases[name]))[0]
+            assert ones.sum() == 1.0, name
+        for name in ("corner", "corner_negative"):
+            mat = glszm_matrix(make_disc(cases[name]))
+            assert mat.sum() == 1.0 and mat[0, 53] == 1.0, name
+
+
 class TestGldm:
     def test_single_voxel(self):
         level = np.zeros((3, 3, 3), dtype=int)
