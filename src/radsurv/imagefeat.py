@@ -12,6 +12,9 @@ WT / necrosis centroids. Extent is count-based: a 1-voxel-thick region has
 extent equal to one spacing step, not zero. Centroids are means of member
 voxel centers, where voxel (i, j, k) has center ``origin + index * spacing``;
 an empty label set yields a missing centroid (None), never a fake zero.
+
+Every region comes from ``volumeio.derive_roi``; which labels make up a
+region is decided there and nowhere else.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .volumeio import LabelMask, RoiMask, SubjectRecord, derive_roi
+from .volumeio import (LabelMask, RoiMask, SubjectRecord, bounding_box,
+                       derive_roi)
 
 IMAGE_FEATURE_NAMES = (
     "img.vol_wt", "img.vol_tc", "img.vol_et",
@@ -87,7 +91,6 @@ def roi_surface_area_facecount(roi: RoiMask) -> float:
     face_area = (sy * sz, sx * sz, sx * sy)
     total = 0.0
     for axis in range(3):
-        inside = np.zeros_like(m)
         # neighbor membership along +axis / -axis; grid boundary is exposed
         sl_lo = [slice(None)] * 3
         sl_hi = [slice(None)] * 3
@@ -99,12 +102,14 @@ def roi_surface_area_facecount(roi: RoiMask) -> float:
     return total
 
 
-def _centroid(mask: LabelMask, member: np.ndarray):
-    idx = np.nonzero(member)
-    if idx[0].size == 0:
+def _centroid(roi: RoiMask, box):
+    """Mean member voxel center, gathered inside the ROI's bounding box."""
+    if box is None:
         return None
+    idx = np.nonzero(roi.membership[box])
     return tuple(
-        float(np.mean(idx[a]) * mask.spacing[a] + mask.origin[a]) for a in range(3))
+        float(np.mean(idx[a] + box[a].start) * roi.spacing[a] + roi.origin[a])
+        for a in range(3))
 
 
 def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeatures:
@@ -124,26 +129,20 @@ def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeat
 
 def mask_summary(mask: LabelMask) -> MaskSummary:
     """Label amounts, WT extent and WT/necrosis centroids."""
-    amounts = {}
-    for label, kind in ((1, "LABEL1"), (2, "LABEL2"), (4, "LABEL4")):
-        amounts[label] = roi_volume(derive_roi(mask, kind))
-
-    wt = np.isin(mask.labels, (1, 2, 4))
-    idx = np.nonzero(wt)
-    if idx[0].size == 0:
+    wt = derive_roi(mask, "WT")
+    necrosis = derive_roi(mask, "LABEL1")
+    wt_box = bounding_box(wt.membership)
+    if wt_box is None:
         extent = (0.0, 0.0, 0.0)
-        centroid_wt = None
     else:
         extent = tuple(
-            float((int(idx[a].max()) - int(idx[a].min()) + 1) * mask.spacing[a])
+            float((wt_box[a].stop - wt_box[a].start) * mask.spacing[a])
             for a in range(3))
-        centroid_wt = _centroid(mask, wt)
-
     return MaskSummary(
-        amount_necrotic=amounts[1],
-        amount_edema=amounts[2],
-        amount_enhancing=amounts[4],
+        amount_necrotic=roi_volume(necrosis),
+        amount_edema=roi_volume(derive_roi(mask, "LABEL2")),
+        amount_enhancing=roi_volume(derive_roi(mask, "LABEL4")),
         extent=extent,
-        centroid_wt=centroid_wt,
-        centroid_necrosis=_centroid(mask, mask.labels == 1),
+        centroid_wt=_centroid(wt, wt_box),
+        centroid_necrosis=_centroid(necrosis, bounding_box(necrosis.membership)),
     )

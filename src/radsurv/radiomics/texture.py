@@ -5,7 +5,10 @@ Conventions, fixed across the package and mirrored by the test oracles:
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 unique axial+diagonal direction pairs (antipodal offsets merged)
-  for GLCM and GLRLM.
+  for GLCM and GLRLM. The 26-neighborhood is the 13 half-offsets taken
+  both ways: GLCM, GLSZM, GLDM and NGTDM all read one list of in-ROI
+  voxel pairs (v, v + d) over the 13 directions, which holds every pair
+  of 26-neighbors exactly once.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed direction order below.
   A GLCM direction with no co-occurring pair is excluded from the mean;
@@ -43,11 +46,6 @@ DIRECTIONS_13 = (
     (0, 1, 1), (0, 1, -1),
     (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
 )
-
-OFFSETS_26 = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0))
 
 GLCM_FEATURE_NAMES = (
     "glcm.autocorrelation", "glcm.joint_average", "glcm.cluster_prominence",
@@ -111,20 +109,35 @@ class TextureError(ValueError):
     pass
 
 
-def _cropped_levels(disc: DiscretizedRoi) -> np.ndarray:
-    """Level map cropped to the ROI bounding box and padded by one voxel."""
+def _neighbor_pairs(disc: DiscretizedRoi):
+    """ROI levels and, per direction, the pairs of ROI voxels it joins.
+
+    Returns (levels, pairs). ``levels`` holds the level of every ROI voxel
+    in C order of the bounding box; ``pairs[k]`` is a pair of index arrays
+    (a, b) into it with voxel b = voxel a + DIRECTIONS_13[k].
+    """
     box = bounding_box(disc.roi.membership)
     if box is None:
         raise TextureError("empty ROI")
-    return np.pad(disc.level_map[box], 1)
+    # the one-voxel pad keeps every neighbor index inside the array
+    padded = np.pad(disc.level_map[box], 1)
+    flat = padded.ravel()
+    pos = np.flatnonzero(flat)
+    number = np.full(flat.size, -1, dtype=np.int64)
+    number[pos] = np.arange(pos.size)
+    strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    pairs = []
+    for d in DIRECTIONS_13:
+        b = number[pos + int(strides @ d)]
+        a = np.flatnonzero(b >= 0)
+        pairs.append((a, b[a]))
+    return flat[pos], pairs
 
 
-def _shift(padded: np.ndarray, d) -> np.ndarray:
-    """View of the padded array shifted by offset d, core-sized."""
-    nx, ny, nz = (s - 2 for s in padded.shape)
-    return padded[1 + d[0]:1 + d[0] + nx,
-                  1 + d[1]:1 + d[1] + ny,
-                  1 + d[2]:1 + d[2] + nz]
+def _all_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The per-direction pairs of ``_neighbor_pairs`` as two flat arrays."""
+    a, b = zip(*pairs)
+    return np.concatenate(a), np.concatenate(b)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -137,18 +150,13 @@ def _entropy(p: np.ndarray) -> float:
 
 def glcm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
     """Symmetrized co-occurrence count matrices, one per direction."""
-    lp = _cropped_levels(disc)
-    core = _shift(lp, (0, 0, 0))
+    levels, pairs = _neighbor_pairs(disc)
     ng = disc.n_levels
     out = []
-    for d in DIRECTIONS_13:
-        b = _shift(lp, d)
-        valid = (core > 0) & (b > 0)
+    for a, b in pairs:
         p = np.zeros((ng, ng), dtype=np.float64)
-        if valid.any():
-            np.add.at(p, (core[valid] - 1, b[valid] - 1), 1.0)
-            p = p + p.T
-        out.append(p)
+        np.add.at(p, (levels[a] - 1, levels[b] - 1), 1.0)
+        out.append(p + p.T)
     return out
 
 
@@ -357,24 +365,12 @@ def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     its root. Rounds repeat until no edge joins two labels; the labels are
     then exactly the connected components.
     """
-    lp = _cropped_levels(disc)
-    core = lp[1:-1, 1:-1, 1:-1]
-    flat = core.ravel()
-    roi_idx = np.flatnonzero(flat)
-    # compact voxel number of each core position (-1 outside the ROI)
-    number = np.full(flat.size, -1, dtype=np.int64)
-    number[roi_idx] = np.arange(roi_idx.size)
+    levels, pairs = _neighbor_pairs(disc)
+    src, dst = _all_pairs(pairs)
+    same = levels[src] == levels[dst]
+    src, dst = src[same], dst[same]
 
-    strides = np.array([core.shape[1] * core.shape[2], core.shape[2], 1])
-    src, dst = [], []
-    for d in DIRECTIONS_13:
-        match = np.flatnonzero((core > 0) & (core == _shift(lp, d)))
-        src.append(number[match])
-        dst.append(number[match + int(strides @ d)])
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-
-    label = np.arange(roi_idx.size)
+    label = np.arange(levels.size)
     while True:
         a, b = label[src], label[dst]
         joined = a != b
@@ -391,7 +387,7 @@ def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     zone_sizes = np.bincount(label)
     roots = np.flatnonzero(zone_sizes)
     p = np.zeros((disc.n_levels, int(zone_sizes.max())), dtype=np.float64)
-    np.add.at(p, (flat[roi_idx[roots]] - 1, zone_sizes[roots] - 1), 1.0)
+    np.add.at(p, (levels[roots] - 1, zone_sizes[roots] - 1), 1.0)
     return p
 
 
@@ -406,18 +402,18 @@ def glszm_features(disc: DiscretizedRoi) -> dict[str, float]:
 # GLDM
 
 def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
-    """Dependence count matrix (level x dependence count 0..26)."""
-    lp = _cropped_levels(disc)
-    core = _shift(lp, (0, 0, 0))
-    member = core > 0
-    if not member.any():
-        raise TextureError("empty ROI")
-    dep = np.zeros(core.shape, dtype=np.int64)
-    for d in OFFSETS_26:
-        b = _shift(lp, d)
-        dep += (member & (b > 0) & (np.abs(core - b) <= alpha)).astype(np.int64)
+    """Dependence count matrix (level x dependence count 0..26).
+
+    Each neighbor pair whose levels differ by at most ``alpha`` adds one to
+    the dependence count of both its voxels.
+    """
+    levels, pairs = _neighbor_pairs(disc)
+    a, b = _all_pairs(pairs)
+    close = np.abs(levels[a] - levels[b]) <= alpha
+    n = levels.size
+    dep = np.bincount(a[close], minlength=n) + np.bincount(b[close], minlength=n)
     p = np.zeros((disc.n_levels, 27), dtype=np.float64)
-    np.add.at(p, (core[member] - 1, dep[member]), 1.0)
+    np.add.at(p, (levels - 1, dep), 1.0)
     return p
 
 
@@ -438,25 +434,21 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
 
     Returns (n, s, n_participating) where n and s are indexed by level-1
     over 1..Ng, n_i counts participating voxels of level i and s_i sums
-    |i - neighborhood mean| over them.
+    |i - neighborhood mean| over them. Each neighbor pair adds to the
+    neighbor sum and count of both its voxels.
     """
-    lp = _cropped_levels(disc)
-    core = _shift(lp, (0, 0, 0))
-    member = core > 0
-    if not member.any():
-        raise TextureError("empty ROI")
-    neigh_sum = np.zeros(core.shape, dtype=np.float64)
-    neigh_cnt = np.zeros(core.shape, dtype=np.int64)
-    for d in OFFSETS_26:
-        b = _shift(lp, d)
-        inside = b > 0
-        neigh_sum += np.where(inside, b, 0)
-        neigh_cnt += inside
-    part = member & (neigh_cnt > 0)
+    levels, pairs = _neighbor_pairs(disc)
+    a, b = _all_pairs(pairs)
+    nv = levels.size
+    neigh_cnt = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)
+    # integer levels, so these float sums are exact in any order
+    neigh_sum = (np.bincount(a, weights=levels[b], minlength=nv)
+                 + np.bincount(b, weights=levels[a], minlength=nv))
+    part = neigh_cnt > 0
     ng = disc.n_levels
     n = np.zeros(ng, dtype=np.float64)
     s = np.zeros(ng, dtype=np.float64)
-    lv = core[part]
+    lv = levels[part]
     diff = np.abs(lv - neigh_sum[part] / neigh_cnt[part])
     np.add.at(n, lv - 1, 1.0)
     np.add.at(s, lv - 1, diff)

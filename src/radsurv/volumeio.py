@@ -71,25 +71,24 @@ GEOMETRY_RTOL = 1e-6
 
 
 @dataclass
-class VoxelVolume:
-    """A 3D scalar grid with physical spacing (mm) and origin (mm)."""
+class VoxelGrid:
+    """Grid geometry: voxel counts, spacing (mm) and origin (mm) per axis."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float]
-    data: np.ndarray  # float64, shape == dims
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
-        if any(d <= 0 for d in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if tuple(self.data.shape) != self.dims:
+
+    def _check_shape(self, name: str, array: np.ndarray) -> None:
+        if tuple(array.shape) != self.dims:
             raise ValueError(
-                f"data shape {self.data.shape} does not match dims {self.dims}")
+                f"{name} shape {array.shape} does not match dims {self.dims}")
 
     @property
     def voxel_volume_mm3(self) -> float:
@@ -97,23 +96,27 @@ class VoxelVolume:
 
 
 @dataclass
-class LabelMask:
+class VoxelVolume(VoxelGrid):
+    """A 3D scalar grid with physical spacing (mm) and origin (mm)."""
+
+    data: np.ndarray  # float64, shape == dims
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(d <= 0 for d in self.dims):
+            raise ValueError(f"dims must be positive, got {self.dims}")
+        self._check_shape("data", self.data)
+
+
+@dataclass
+class LabelMask(VoxelGrid):
     """Integer-labeled grid; labels come from the {0, 1, 2, 4} vocabulary."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     labels: np.ndarray  # int16, shape == dims
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if tuple(self.labels.shape) != self.dims:
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not match dims {self.dims}")
+        super().__post_init__()
+        self._check_shape("labels", self.labels)
         bad = ~np.isin(self.labels, TUMOR_LABELS)
         if bad.any():
             idx = tuple(int(c[0]) for c in np.nonzero(bad))
@@ -125,29 +128,20 @@ class LabelMask:
 
 
 @dataclass
-class RoiMask:
+class RoiMask(VoxelGrid):
     """Binary region of interest derived from a LabelMask."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     membership: np.ndarray  # bool, shape == dims
     roi_kind: str
 
     def __post_init__(self):
         if self.roi_kind not in ROI_KINDS:
             raise ValueError(f"unknown roi_kind {self.roi_kind!r}")
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
+        super().__post_init__()
 
     @property
     def voxel_count(self) -> int:
         return int(np.count_nonzero(self.membership))
-
-    @property
-    def voxel_volume_mm3(self) -> float:
-        return self.spacing[0] * self.spacing[1] * self.spacing[2]
 
 
 @dataclass
@@ -326,7 +320,10 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 
 
 def load_mask(path: str) -> LabelMask:
-    """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}."""
+    """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
+
+    Labels are stored C-ordered: ``np.isin``, which derives every ROI, first
+    ravels a copy of a Fortran-ordered grid."""
     vol = load_nifti(path)
     rounded = np.rint(vol.data)
     drift = np.abs(vol.data - rounded)
@@ -335,8 +332,8 @@ def load_mask(path: str) -> LabelMask:
         raise MaskLabelError(
             f"{path}: voxel {idx} holds non-integer value {vol.data[idx]!r}")
     try:
-        return LabelMask(dims=vol.dims, spacing=vol.spacing,
-                         origin=vol.origin, labels=rounded.astype(np.int16))
+        return LabelMask(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
+                         labels=rounded.astype(np.int16, order="C"))
     except MaskLabelError as exc:
         raise MaskLabelError(f"{path}: {exc}") from None
 

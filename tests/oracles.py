@@ -7,7 +7,9 @@ feature formulas are transcribed directly from their definitions. The
 documented package conventions (13-direction set, per-direction averaging
 with empty GLCM directions skipped, dependence size = count + 1,
 degenerate-value substitutions) are reproduced here from the definitions,
-not imported.
+not imported. The image-feature oracles are the exception to the loops:
+they apply np.isin and np.nonzero to the whole grid, where the package
+gathers inside bounding boxes.
 """
 
 from __future__ import annotations
@@ -391,6 +393,54 @@ def ngtdm_features_bf(levels, roi, ng):
 
 # ---------------------------------------------------------------------------
 # First order
+
+# ---------------------------------------------------------------------------
+# Image features and mask summary: np.isin / np.nonzero over the whole grid,
+# with the region label sets written out here
+
+def _centroid_bf(member, spacing, origin):
+    idx = np.nonzero(member)
+    if idx[0].size == 0:
+        return [math.nan] * 3
+    return [float(np.mean(idx[a]) * spacing[a] + origin[a]) for a in range(3)]
+
+
+def image_features_bf(labels, spacing, age):
+    """Volumes and exposed-face areas of WT, TC and ET, then the age."""
+    voxel = spacing[0] * spacing[1] * spacing[2]
+    face_area = (spacing[1] * spacing[2], spacing[0] * spacing[2],
+                 spacing[0] * spacing[1])
+    vols, surfs = [], []
+    for region in ((1, 2, 4), (1, 4), (4,)):
+        member = np.isin(labels, region)
+        count = int(np.count_nonzero(member))
+        vols.append(count * voxel)
+        total = 0.0
+        for axis in range(3):
+            lo = [slice(None)] * 3
+            hi = [slice(None)] * 3
+            lo[axis] = slice(None, -1)
+            hi[axis] = slice(1, None)
+            shared = int(np.count_nonzero(member[tuple(lo)] & member[tuple(hi)]))
+            total += (2 * count - 2 * shared) * face_area[axis]
+        surfs.append(total)
+    return vols + surfs + [float(age)]
+
+
+def mask_summary_bf(labels, spacing, origin):
+    """Label amounts, WT extent, WT and necrosis centroids (NaN if absent)."""
+    voxel = spacing[0] * spacing[1] * spacing[2]
+    amounts = [int(np.count_nonzero(labels == v)) * voxel for v in (1, 2, 4)]
+    wt = np.isin(labels, (1, 2, 4))
+    idx = np.nonzero(wt)
+    if idx[0].size == 0:
+        extent = [0.0] * 3
+    else:
+        extent = [float((int(idx[a].max()) - int(idx[a].min()) + 1) * spacing[a])
+                  for a in range(3)]
+    return (amounts + extent + _centroid_bf(wt, spacing, origin)
+            + _centroid_bf(labels == 1, spacing, origin))
+
 
 def percentile_bf(values, q):
     """Linear interpolation between closest ranks."""

@@ -7,6 +7,7 @@ from radsurv.imagefeat import (ImageFeatures, extract_image_features,
 from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.volumeio import SubjectRecord, derive_roi
 from conftest import make_mask, make_roi
+import oracles
 
 
 class TestRoiVolume:
@@ -122,6 +123,47 @@ class TestMaskSummary:
         s = mask_summary(make_mask(np.zeros((3, 3, 3))))
         assert s.extent == (0.0, 0.0, 0.0)
         assert s.centroid_wt is None
+
+
+def _label_grids():
+    """30 seeded label grids, each in C and in Fortran order: anisotropic
+    spacing, non-zero origins, no label 1, empty WT, WT on grid faces."""
+    rng = np.random.default_rng(515)
+    vocabulary = np.array([0, 1, 2, 4], dtype=np.int16)
+    for case in range(30):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+        labels = rng.choice(vocabulary, size=shape, p=(0.55, 0.15, 0.15, 0.15))
+        kind = case % 4
+        if kind == 1:
+            labels[labels == 1] = 4
+        elif kind == 2:
+            labels[...] = 0
+        elif kind == 3:
+            labels[0] = 2
+            labels[:, -1] = 4
+            labels[:, :, 0] = 1
+        spacing = (tuple(rng.uniform(0.4, 2.6, 3)) if case % 3
+                   else (1.0, 1.0, 1.0))
+        origin = (tuple(rng.uniform(-120.0, 120.0, 3)) if case % 5
+                  else (0.0, 0.0, 0.0))
+        for order in "CF":
+            yield np.asarray(labels, order=order), spacing, origin
+
+
+class TestAgainstWholeGridFormulas:
+    def test_bits_match_isin_and_nonzero(self):
+        grids = list(_label_grids())
+        assert len(grids) == 60
+        for labels, spacing, origin in grids:
+            mask = make_mask(labels, spacing=spacing, origin=origin)
+            got = np.concatenate([
+                extract_image_features(mask, SubjectRecord("s", age=61.5))
+                .as_vector(), mask_summary(mask).as_vector()])
+            want = (oracles.image_features_bf(labels, mask.spacing, 61.5)
+                    + oracles.mask_summary_bf(labels, mask.spacing,
+                                              mask.origin))
+            assert [float(x).hex() for x in got] == \
+                [float(x).hex() for x in want], (labels.shape, spacing)
 
 
 class TestProperties:

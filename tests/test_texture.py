@@ -216,6 +216,13 @@ def _glszm_worst_cases():
     return cases
 
 
+def _worst_case_discs():
+    """The GLSZM worst cases as extra inputs for the other 26-neighborhood
+    families."""
+    return [make_disc(level) for _, level in
+            sorted(_glszm_worst_cases().items())]
+
+
 class TestGlszmWorstCases:
     @pytest.mark.parametrize("name", sorted(_glszm_worst_cases()))
     def test_matches_flood_fill_oracle(self, name):
@@ -252,15 +259,16 @@ class TestGldm:
     def test_matches_neighbor_count_oracle(self):
         rng = np.random.default_rng(12)
         for alpha in (0.0, 1.0):
-            disc = random_disc(rng, max_shape=(6, 6, 6), ng=5)
-            mat = gldm_matrix(disc, alpha)
-            expected = oracles.gldm_matrix_bf(
-                disc.level_map, disc.roi.membership, disc.n_levels, alpha)
-            assert np.array_equal(mat, expected)
-            got = gldm_features(disc, alpha)
-            want = oracles.gldm_features_bf(expected)
-            for name in GLDM_FEATURE_NAMES:
-                close(got[name], want[name], name)
+            random = random_disc(rng, max_shape=(6, 6, 6), ng=5)
+            for disc in [random] + _worst_case_discs():
+                mat = gldm_matrix(disc, alpha)
+                expected = oracles.gldm_matrix_bf(
+                    disc.level_map, disc.roi.membership, disc.n_levels, alpha)
+                assert np.array_equal(mat, expected)
+                got = gldm_features(disc, alpha)
+                want = oracles.gldm_features_bf(expected)
+                for name in GLDM_FEATURE_NAMES:
+                    close(got[name], want[name], name)
 
     def test_dependence_mass_conservation_exact(self):
         rng = np.random.default_rng(43)
@@ -289,8 +297,8 @@ class TestNgtdm:
 
     def test_random_roi_matches_oracle(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            disc = random_disc(rng, max_shape=(6, 6, 6), ng=5)
+        discs = [random_disc(rng, max_shape=(6, 6, 6), ng=5) for _ in range(10)]
+        for disc in discs + _worst_case_discs():
             got = ngtdm_features(disc)
             want = oracles.ngtdm_features_bf(
                 disc.level_map, disc.roi.membership, disc.n_levels)
@@ -301,8 +309,8 @@ class TestNgtdm:
 class TestCrossFamilyProperties:
     def test_all_families_match_oracles_on_random_rois(self):
         rng = np.random.default_rng(1234)
-        for _ in range(25):
-            disc = random_disc(rng)
+        discs = [random_disc(rng) for _ in range(25)] + _worst_case_discs()
+        for disc in discs:
             ng = disc.n_levels
             lm, roi = disc.level_map, disc.roi.membership
             n_vox = disc.roi.voxel_count
