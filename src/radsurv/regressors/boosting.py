@@ -16,14 +16,14 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from .tree import TreeNode, build_tree, predict_tree
+from .tree import TreeGrower, predict_tree
 
 
 @dataclass
 class BoostModel:
     init_value: float
     learning_rate: float
-    trees: list[TreeNode]
+    trees: list                       # TreeNode roots in stage order
     subsample: float
     seed: int
     params: dict
@@ -61,6 +61,7 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
 
     init_value = float(y.mean())
     residual = y - init_value
+    grower = TreeGrower(X)
     trees = []
     for k in range(n_estimators):
         if subsample < 1.0:
@@ -69,8 +70,8 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
             rows = np.sort(rng.choice(n, size=take, replace=False))
         else:
             rows = np.arange(n)
-        tree = build_tree(X[rows], residual[rows], max_depth, min_split,
-                          None, None)
+        tree, = grower.grow(residual, rows[None, :], max_depth, min_split,
+                            None, None)
         residual = residual - lr * predict_tree(tree, X)
         trees.append(tree)
     return BoostModel(init_value=init_value, learning_rate=lr, trees=trees,

@@ -9,16 +9,20 @@ order (never on the feature magnitudes), a strictly increasing transform
 of a feature column with all-distinct values leaves the fitted structure
 and every training prediction bit-identical.
 
-Forests average their trees in tree-index order (an exact identity, not an
-approximation); each tree draws its bootstrap resample and per-node feature
-subsets from a stream derived as (seed, tree_index), so training is
-deterministic regardless of any parallel schedule.
+Trees grow one depth at a time across an ensemble (the depth-wise exact
+search of XGBoost, KDD 2016, and LightGBM, NeurIPS 2017) with each node's
+float operations unchanged. Forests average trees in tree-index order (an
+exact identity). Tree t's stream (seed, t) draws its bootstrap, then, for
+max_features below the feature count, one (k, p) uniform block per depth:
+a row for each of its k nodes searched there, in level order (left child
+first). A node searches its row's max_features smallest draws, ascending,
+so no draw depends on other trees or on the visiting order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,71 +61,143 @@ class TreeNode:
         )
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray):
-    """Best (feature, threshold, gain, left_row_mask) over the given features.
-
-    Returns None when no feature admits a gain-positive split.
-    """
-    m = y.shape[0]
-    xs_all = X[:, feat_idx]
-    order = np.argsort(xs_all, axis=0, kind="stable")
-    xs = np.take_along_axis(xs_all, order, axis=0)
-    ys = y[order]
-
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys * ys, axis=0)
-    t1 = s1[-1, :]
-    t2 = s2[-1, :]
-    left_n = np.arange(1, m, dtype=np.float64)[:, None]
-    right_n = m - left_n
-    sse_left = s2[:-1] - s1[:-1] ** 2 / left_n
-    sse_right = (t2 - s2[:-1]) - (t1 - s1[:-1]) ** 2 / right_n
-    parent = t2 - t1 ** 2 / m
-    gain = parent[None, :] - sse_left - sse_right
-    gain[xs[1:] <= xs[:-1]] = -np.inf   # split must separate distinct values
-
-    flat_best_rows = np.argmax(gain, axis=0)        # lowest threshold on ties
-    best_gains = gain[flat_best_rows, np.arange(gain.shape[1])]
-    col = int(np.argmax(best_gains))                # lowest feature on ties
-    if not best_gains[col] > 0:
-        return None
-    row = int(flat_best_rows[col])
-    feature = int(feat_idx[col])
-    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
-    left_mask = X[:, feature] <= threshold
-    return feature, float(threshold), float(best_gains[col]), left_mask
+_BLOCK_ELEMENTS = 8192   # (row, node x feature) cells per scored block
 
 
-def build_tree(X: np.ndarray, y: np.ndarray, max_depth: Optional[int],
-               min_split: int, max_features: Optional[int],
-               rng: Optional[np.random.Generator]) -> TreeNode:
-    """Recursively grow a variance-reduction CART tree."""
-    p = X.shape[1]
+class TreeGrower:
+    """CART growth on one matrix whose columns are dense-ranked once: a
+    node's rows sorted by (rank, row) are a stable sort by value, and equal
+    ranks mark cuts that separate no distinct values."""
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        ysub = y[rows]
-        node = TreeNode(n_samples=rows.size, value=float(ysub.mean()))
-        if rows.size < min_split or (max_depth is not None and depth >= max_depth):
-            return node
-        sse = float(((ysub - node.value) ** 2).sum())
-        if sse <= 0.0:
-            return node
-        if max_features is not None and max_features < p:
-            feat_idx = np.sort(rng.choice(p, size=max_features, replace=False))
-        else:
-            feat_idx = np.arange(p)
-        found = _best_split(X[rows], ysub, feat_idx)
-        if found is None:
-            return node
-        feature, threshold, gain, left_mask = found
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        node.left = grow(rows[left_mask], depth + 1)
-        node.right = grow(rows[~left_mask], depth + 1)
-        return node
+    def __init__(self, X: np.ndarray):
+        n, p = X.shape
+        self.X = X
+        order = np.argsort(X, axis=0)
+        xs = np.take_along_axis(X, order, axis=0)
+        dense = np.zeros((n, p), dtype=np.int64)
+        dense[1:] = np.cumsum(xs[1:] != xs[:-1], axis=0)
+        self.ranks = np.full((n + 1, p), n)   # row n pads: above every rank
+        np.put_along_axis(self.ranks[:n], order, dense, axis=0)
 
-    return grow(np.arange(X.shape[0]), 0)
+    def grow(self, y: np.ndarray, rows: np.ndarray, max_depth: Optional[int],
+             min_split: int, max_features: Optional[int],
+             rngs: Optional[list[np.random.Generator]]) -> list[TreeNode]:
+        """One tree per row of ``rows``; tree t fits X[rows[t]], y[rows[t]]
+        and draws its feature subsets from ``rngs[t]``."""
+        X, (n_trees, n), p = self.X, rows.shape, self.X.shape[1]
+        # slot = (tree, position) of a training row; one more slot pads
+        src = np.append(rows.ravel(), X.shape[0])
+        ys = np.append(y[src[:-1]], 0.0)
+        shift = n.bit_length()
+        block_args = ((self.ranks << shift).ravel(), shift, src * p, ys,
+                      np.arange(p), np.arange(1.0, n + 1.0)[:, None])
+        pos = np.arange(n_trees * n)    # the level's slots, node by node
+        sizes, tree_of = np.full(n_trees, n), np.arange(n_trees)
+        parents, roots, depth = [], None, 0
+        while True:
+            starts = np.cumsum(sizes) - sizes
+            values, sse = _node_stats(ys[pos], starts, sizes)
+            nodes = [TreeNode(m, v) for m, v in zip(sizes.tolist(), values)]
+            for i, parent in enumerate(parents):
+                parent.left, parent.right = nodes[2 * i], nodes[2 * i + 1]
+            roots = roots or nodes
+            cand = np.flatnonzero((sizes >= min_split) & (sse > 0.0))
+            if (max_depth is not None and depth >= max_depth) or not cand.size:
+                return roots
+            feats = None
+            if max_features is not None and max_features < p:
+                counts = np.bincount(tree_of[cand], minlength=n_trees)
+                u = np.concatenate([rngs[t].random((c, p))
+                                    for t, c in enumerate(counts.tolist())])
+                feats = np.sort(np.argsort(u, axis=1, kind="stable")
+                                [:, :max_features], axis=1)
+            feature, cut, gain = self._best_splits(
+                *block_args, pos, starts[cand], sizes[cand], feats)
+            ok = gain > 0
+            if not ok.any():
+                return roots
+            split, feature, gain = cand[ok], feature[ok], gain[ok]
+            lo, hi = src[cut[:, ok]]
+            threshold = (X[lo, feature] + X[hi, feature]) / 2.0
+            parents = [nodes[i] for i in split.tolist()]
+            for node, f, t, g in zip(parents, feature.tolist(),
+                                     threshold.tolist(), gain.tolist()):
+                node.feature, node.threshold, node.gain = f, t, g
+            # children in level order: left then right of each split node
+            m = sizes[split]
+            if split.size < sizes.size:
+                offsets = np.cumsum(m) - m
+                pos = pos[np.repeat(starts[split] - offsets, m)
+                          + np.arange(m.sum())]
+            right = (X[src[pos], np.repeat(feature, m)]
+                     > np.repeat(threshold, m))
+            key = np.repeat(np.arange(0, 2 * split.size, 2), m) + right
+            pos = pos[np.argsort(key, kind="stable")]
+            sizes = np.bincount(key, minlength=2 * split.size)
+            tree_of = np.repeat(tree_of[split], 2)
+            depth += 1
+
+    def _best_splits(self, keys, shift, srcp, ys, all_feats, lefts, pos,
+                     starts, sizes, feats):
+        """(feature, slots around the cut, gain <= 0 if none) of each node's
+        best split, scored largest first in blocks of ``_BLOCK_ELEMENTS``
+        cells, shorter nodes padded with the padding slot."""
+        k = all_feats.size if feats is None else feats.shape[1]
+        best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
+        gain = np.empty(sizes.size)
+        order = np.argsort(-sizes, kind="stable")
+        i = 0
+        while i < order.size:
+            size = int(sizes[order[i]])
+            at = order[i:i + max(1, _BLOCK_ELEMENTS // (k * size))]
+            i += at.size
+            m, nb, col = sizes[at], at.size, np.arange(size)
+            slots = pos.take(starts[at, None] + col, mode="clip")
+            slots[col >= m[:, None]] = srcp.size - 1
+            f = all_feats if feats is None else feats[at]
+            # one column per (node, feature), sorted by (rank, row in node)
+            rk = keys.take(srcp[slots].T[:, :, None] + f).reshape(size, -1)
+            rk |= col[:, None]
+            rk.sort(axis=0)
+            local = rk & ((1 << shift) - 1)
+            local += np.repeat(np.arange(0, nb * size, size), k)
+            srt = slots.ravel().take(local)
+            yo = ys.take(srt)
+            s1, s2 = np.cumsum(yo, axis=0), np.cumsum(yo * yo, axis=0)
+            t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
+            n_left, n_node = lefts[:size - 1], np.repeat(m, k).astype(float)
+            n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
+            g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
+                 - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
+            # cuts in ties or padding: -inf; before a node's padding: exactly 0
+            dense = rk >> shift
+            np.putmask(g, dense[1:] == dense[:-1], -np.inf)
+            # lowest cut per column, then lowest feature per node
+            best = g.argmax(axis=0)
+            col_gain = g[best, np.arange(best.size)]
+            fi = col_gain.reshape(nb, k).argmax(axis=1)
+            c = np.arange(0, nb * k, k) + fi
+            gain[at] = col_gain[c]
+            best_at[0, at] = fi if feats is None else f[np.arange(nb), fi]
+            best_at[1:, at] = srt[best[c] + [[0], [1]], c]
+        return best_at[0], best_at[1:], gain
+
+
+def _node_stats(yv, starts, sizes):
+    """Per-node mean (a list) and SSE of the node-major targets ``yv``;
+    a block of equal-size rows gives each row numpy's 1D ``sum()`` bits."""
+    if sizes.size <= 8:   # few nodes: one slice each
+        segs = [yv[s:s + m] for s, m in zip(starts.tolist(), sizes.tolist())]
+        means = [np.add.reduce(seg) / seg.size for seg in segs]
+        return [float(v) for v in means], np.array(
+            [np.add.reduce((seg - v) ** 2) for seg, v in zip(segs, means)])
+    values, sse = np.empty(sizes.size), np.empty(sizes.size)
+    for m in set(sizes.tolist()):
+        idx = np.flatnonzero(sizes == m)
+        block = yv[starts[idx, None] + np.arange(m)]
+        values[idx] = mean = np.add.reduce(block, axis=1) / m
+        sse[idx] = np.add.reduce((block - mean[:, None]) ** 2, axis=1)
+    return values.tolist(), sse
 
 
 def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -182,11 +258,12 @@ def resolve_max_features(rule, p: int) -> Optional[int]:
 
 def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
                  feature_names: Optional[list[str]] = None) -> ForestModel:
-    """Fit a random forest; see module docstring for the determinism contract.
+    """Fit a random forest; tree t's stream draws its bootstrap, then one
+    uniform block per depth for its searched nodes (see module docstring).
 
-    params: n_trees (default 50), max_depth (None = unlimited), min_split
-    (default 2), max_features ('third' by default, 'all', or an int),
-    bootstrap (default True).
+    params: n_trees (default 50, at least 1), max_depth (None = unlimited),
+    min_split (default 2), max_features ('third' by default, 'all', or an
+    int), bootstrap (default True).
     """
     from . import prepare_training   # shared imputation helper
 
@@ -195,18 +272,20 @@ def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     if n < 2:
         raise ValueError("forest training needs at least 2 samples")
     n_trees = int(params.get("n_trees", 50))
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     max_depth = params.get("max_depth", None)
     min_split = int(params.get("min_split", 2))
     rule = params.get("max_features", "third")
     bootstrap = bool(params.get("bootstrap", True))
     mf = resolve_max_features(rule, p)
 
-    trees = []
-    for t in range(n_trees):
-        rng = make_rng(seed, t)
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(build_tree(X[rows], y[rows], max_depth, min_split, mf, rng))
-    return ForestModel(trees=trees, bootstrap=bootstrap,
+    rngs = [make_rng(seed, t) for t in range(n_trees)]
+    rows = np.array([rng.integers(0, n, size=n) if bootstrap
+                     else np.arange(n) for rng in rngs])
+    return ForestModel(trees=TreeGrower(X).grow(y, rows, max_depth, min_split,
+                                                mf, rngs),
+                       bootstrap=bootstrap,
                        max_features_rule=str(rule), seed=seed,
                        params=dict(params), feature_names=feature_names,
                        imputation=imputation)

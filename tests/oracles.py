@@ -9,7 +9,8 @@ with empty GLCM directions skipped, dependence size = count + 1,
 degenerate-value substitutions) are reproduced here from the definitions,
 not imported. The image-feature oracles are the exception to the loops:
 they apply np.isin and np.nonzero to the whole grid, where the package
-gathers inside bounding boxes.
+gathers inside bounding boxes. The tree oracles are the package's former
+node-by-node CART growth: one split search per node, on that node's rows.
 """
 
 from __future__ import annotations
@@ -500,3 +501,106 @@ def first_order_bf(values, levels, ng, voxel_volume):
         "firstorder.variance": m2,
         "firstorder.uniformity": sum(p ** 2 for p in ps),
     }
+
+
+def best_split_bf(X, y, feat_idx):
+    """Best (feature, threshold, gain, left_row_mask) of one node's rows.
+
+    Scans the given features with cumulative sums over each one's stable
+    sort order; ties in gain go to the lowest feature, then the lowest
+    threshold. None when no feature admits a gain-positive split.
+    """
+    m = y.shape[0]
+    xs_all = X[:, feat_idx]
+    order = np.argsort(xs_all, axis=0, kind="stable")
+    xs = np.take_along_axis(xs_all, order, axis=0)
+    ys = y[order]
+
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys * ys, axis=0)
+    t1 = s1[-1, :]
+    t2 = s2[-1, :]
+    left_n = np.arange(1, m, dtype=np.float64)[:, None]
+    right_n = m - left_n
+    sse_left = s2[:-1] - s1[:-1] ** 2 / left_n
+    sse_right = (t2 - s2[:-1]) - (t1 - s1[:-1]) ** 2 / right_n
+    parent = t2 - t1 ** 2 / m
+    gain = parent[None, :] - sse_left - sse_right
+    gain[xs[1:] <= xs[:-1]] = -np.inf   # split must separate distinct values
+
+    flat_best_rows = np.argmax(gain, axis=0)        # lowest threshold on ties
+    best_gains = gain[flat_best_rows, np.arange(gain.shape[1])]
+    col = int(np.argmax(best_gains))                # lowest feature on ties
+    if not best_gains[col] > 0:
+        return None
+    row = int(flat_best_rows[col])
+    feature = int(feat_idx[col])
+    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
+    left_mask = X[:, feature] <= threshold
+    return feature, float(threshold), float(best_gains[col]), left_mask
+
+
+def _leaf_bf(rows, y):
+    ysub = y[rows]
+    return {"n": rows.size, "value": float(ysub.mean())}, ysub
+
+
+def grow_tree_bf(X, y, max_depth, min_split):
+    """Recursive CART growth over every feature, as a model.json tree dict."""
+    p = X.shape[1]
+
+    def grow(rows, depth):
+        node, ysub = _leaf_bf(rows, y)
+        if rows.size < min_split or (max_depth is not None
+                                     and depth >= max_depth):
+            return node
+        if float(((ysub - node["value"]) ** 2).sum()) <= 0.0:
+            return node
+        found = best_split_bf(X[rows], ysub, np.arange(p))
+        if found is None:
+            return node
+        feature, threshold, gain, left_mask = found
+        node.update(feature=feature, threshold=threshold, gain=gain,
+                    left=grow(rows[left_mask], depth + 1),
+                    right=grow(rows[~left_mask], depth + 1))
+        return node
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def grow_tree_levels_bf(X, y, max_depth, min_split, max_features, rng):
+    """CART growth one depth at a time with per-depth feature-subset draws.
+
+    At each depth the nodes searched for a split (enough rows, below
+    max_depth, positive SSE) take one row each, in level order, of a
+    ``rng.random((searched, p))`` block, and search the features of their
+    row's ``max_features`` smallest draws. Returns a nested model.json dict.
+    """
+    p = X.shape[1]
+    root = {"rows": np.arange(X.shape[0])}
+    level, depth = [root], 0
+    while level:
+        searched = []
+        for node in level:
+            rows = node.pop("rows")
+            leaf, ysub = _leaf_bf(rows, y)
+            node.update(leaf)
+            if rows.size < min_split or (max_depth is not None
+                                         and depth >= max_depth):
+                continue
+            if float(((ysub - node["value"]) ** 2).sum()) > 0.0:
+                searched.append((node, rows))
+        draws = rng.random((len(searched), p))
+        level = []
+        for (node, rows), u in zip(searched, draws):
+            subset = np.sort(np.argsort(u, kind="stable")[:max_features])
+            found = best_split_bf(X[rows], y[rows], subset)
+            if found is None:
+                continue
+            feature, threshold, gain, left_mask = found
+            node.update(feature=feature, threshold=threshold, gain=gain,
+                        left={"rows": rows[left_mask]},
+                        right={"rows": rows[~left_mask]})
+            level += [node["left"], node["right"]]
+        depth += 1
+    return root

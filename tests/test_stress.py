@@ -6,7 +6,7 @@ import pytest
 from radsurv.radiomics.texture import (DIRECTIONS_13, glrlm_matrices,
                                        glszm_matrix)
 from radsurv.radiomics.shape import extract_mesh, mesh_area_volume
-from radsurv.regressors.tree import _best_split
+from radsurv.regressors.tree import TreeGrower
 from conftest import make_disc
 import oracles
 
@@ -81,6 +81,17 @@ class TestMeshWatertight:
             assert set(counts.tolist()) == {2}
 
 
+def _root_split(x, y):
+    """(feature, threshold, gain, left row mask) of the grower's root split
+    over every feature, or None when the root stays a leaf."""
+    root, = TreeGrower(x).grow(y, np.arange(y.size)[None, :], 1, 2, None,
+                               None)
+    if root.feature is None:
+        return None
+    return (root.feature, root.threshold, root.gain,
+            x[:, root.feature] <= root.threshold)
+
+
 class TestSplitOracle:
     def test_best_split_matches_exhaustive_scan_multifeature(self):
         rng = np.random.default_rng(424)
@@ -89,7 +100,7 @@ class TestSplitOracle:
             p = int(rng.integers(2, 5))
             x = rng.random((n, p))
             y = rng.random(n)
-            found = _best_split(x, y, np.arange(p))
+            found = _root_split(x, y)
             best = None
             for j in range(p):
                 values = np.unique(x[:, j])
