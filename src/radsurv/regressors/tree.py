@@ -95,13 +95,13 @@ class TreeGrower:
         sizes, tree_of = np.full(n_trees, n), np.arange(n_trees)
         parents, roots, depth = [], None, 0
         while True:
-            starts = np.cumsum(sizes) - sizes
+            starts = sizes.cumsum() - sizes
             values, sse = _node_stats(ys[pos], starts, sizes)
             nodes = [TreeNode(m, v) for m, v in zip(sizes.tolist(), values)]
             for i, parent in enumerate(parents):
                 parent.left, parent.right = nodes[2 * i], nodes[2 * i + 1]
             roots = roots or nodes
-            cand = np.flatnonzero((sizes >= min_split) & (sse > 0.0))
+            cand = ((sizes >= min_split) & (sse > 0.0)).nonzero()[0]
             if (max_depth is not None and depth >= max_depth) or not cand.size:
                 return roots
             feats = None
@@ -109,7 +109,7 @@ class TreeGrower:
                 counts = np.bincount(tree_of[cand], minlength=n_trees)
                 u = np.concatenate([rngs[t].random((c, p))
                                     for t, c in enumerate(counts.tolist())])
-                feats = np.sort(np.argsort(u, axis=1, kind="stable")
+                feats = np.sort(u.argsort(axis=1, kind="stable")
                                 [:, :max_features], axis=1)
             feature, cut, gain = self._best_splits(
                 *block_args, pos, starts[cand], sizes[cand], feats)
@@ -126,15 +126,14 @@ class TreeGrower:
             # children in level order: left then right of each split node
             m = sizes[split]
             if split.size < sizes.size:
-                offsets = np.cumsum(m) - m
-                pos = pos[np.repeat(starts[split] - offsets, m)
+                offsets = m.cumsum() - m
+                pos = pos[(starts[split] - offsets).repeat(m)
                           + np.arange(m.sum())]
-            right = (X[src[pos], np.repeat(feature, m)]
-                     > np.repeat(threshold, m))
-            key = np.repeat(np.arange(0, 2 * split.size, 2), m) + right
-            pos = pos[np.argsort(key, kind="stable")]
+            right = X[src[pos], feature.repeat(m)] > threshold.repeat(m)
+            key = np.arange(0, 2 * split.size, 2).repeat(m) + right
+            pos = pos[key.argsort(kind="stable")]
             sizes = np.bincount(key, minlength=2 * split.size)
-            tree_of = np.repeat(tree_of[split], 2)
+            tree_of = tree_of[split].repeat(2)
             depth += 1
 
     def _best_splits(self, keys, shift, srcp, ys, all_feats, lefts, pos,
@@ -145,7 +144,7 @@ class TreeGrower:
         k = all_feats.size if feats is None else feats.shape[1]
         best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
         gain = np.empty(sizes.size)
-        order = np.argsort(-sizes, kind="stable")
+        order = (-sizes).argsort(kind="stable")
         i = 0
         while i < order.size:
             size = int(sizes[order[i]])
@@ -160,12 +159,12 @@ class TreeGrower:
             rk |= col[:, None]
             rk.sort(axis=0)
             local = rk & ((1 << shift) - 1)
-            local += np.repeat(np.arange(0, nb * size, size), k)
+            local += np.arange(0, nb * size, size).repeat(k)
             srt = slots.ravel().take(local)
             yo = ys.take(srt)
-            s1, s2 = np.cumsum(yo, axis=0), np.cumsum(yo * yo, axis=0)
+            s1, s2 = yo.cumsum(axis=0), (yo * yo).cumsum(axis=0)
             t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
-            n_left, n_node = lefts[:size - 1], np.repeat(m, k).astype(float)
+            n_left, n_node = lefts[:size - 1], m.repeat(k).astype(float)
             n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
             g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
                  - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
@@ -193,7 +192,7 @@ def _node_stats(yv, starts, sizes):
             [np.add.reduce((seg - v) ** 2) for seg, v in zip(segs, means)])
     values, sse = np.empty(sizes.size), np.empty(sizes.size)
     for m in set(sizes.tolist()):
-        idx = np.flatnonzero(sizes == m)
+        idx = (sizes == m).nonzero()[0]
         block = yv[starts[idx, None] + np.arange(m)]
         values[idx] = mean = np.add.reduce(block, axis=1) / m
         sse[idx] = np.add.reduce((block - mean[:, None]) ** 2, axis=1)

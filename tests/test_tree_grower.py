@@ -39,7 +39,7 @@ def _column(rng, n, kind):
 
 def _problem(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.choice([2, 3, 5, 9, 17, 40]))
+    n = int(rng.choice([2, 3, 5, 9, 17, 40, 80]))
     p = int(rng.integers(1, 6))
     kinds = rng.choice(["continuous", "coarse", "binary", "constant"], p)
     x = np.column_stack([_column(rng, n, kind) for kind in kinds])
