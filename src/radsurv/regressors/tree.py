@@ -111,8 +111,8 @@ class TreeGrower:
                                     for t, c in enumerate(counts.tolist())])
                 feats = np.sort(u.argsort(axis=1, kind="stable")
                                 [:, :max_features], axis=1)
-            feature, cut, gain = self._best_splits(
-                *block_args, pos, starts[cand], sizes[cand], feats)
+            feature, cut, gain = _best_splits(*block_args, pos, starts[cand],
+                                              sizes[cand], feats)
             ok = gain > 0
             if not ok.any():
                 return roots
@@ -136,50 +136,51 @@ class TreeGrower:
             tree_of = tree_of[split].repeat(2)
             depth += 1
 
-    def _best_splits(self, keys, shift, srcp, ys, all_feats, lefts, pos,
-                     starts, sizes, feats):
-        """(feature, slots around the cut, gain <= 0 if none) of each node's
-        best split, scored largest first in blocks of ``_BLOCK_ELEMENTS``
-        cells, shorter nodes padded with the padding slot."""
-        k = all_feats.size if feats is None else feats.shape[1]
-        best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
-        gain = np.empty(sizes.size)
-        order = (-sizes).argsort(kind="stable")
-        i = 0
-        while i < order.size:
-            size = int(sizes[order[i]])
-            at = order[i:i + max(1, _BLOCK_ELEMENTS // (k * size))]
-            i += at.size
-            m, nb, col = sizes[at], at.size, np.arange(size)
-            slots = pos.take(starts[at, None] + col, mode="clip")
-            slots[col >= m[:, None]] = srcp.size - 1
-            f = all_feats if feats is None else feats[at]
-            # one column per (node, feature), sorted by (rank, row in node)
-            rk = keys.take(srcp[slots].T[:, :, None] + f).reshape(size, -1)
-            rk |= col[:, None]
-            rk.sort(axis=0)
-            local = rk & ((1 << shift) - 1)
-            local += np.arange(0, nb * size, size).repeat(k)
-            srt = slots.ravel().take(local)
-            yo = ys.take(srt)
-            s1, s2 = yo.cumsum(axis=0), (yo * yo).cumsum(axis=0)
-            t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
-            n_left, n_node = lefts[:size - 1], m.repeat(k).astype(float)
-            n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
-            g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
-                 - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
-            # cuts in ties or padding: -inf; before a node's padding: exactly 0
-            dense = rk >> shift
-            np.putmask(g, dense[1:] == dense[:-1], -np.inf)
-            # lowest cut per column, then lowest feature per node
-            best = g.argmax(axis=0)
-            col_gain = g[best, np.arange(best.size)]
-            fi = col_gain.reshape(nb, k).argmax(axis=1)
-            c = np.arange(0, nb * k, k) + fi
-            gain[at] = col_gain[c]
-            best_at[0, at] = fi if feats is None else f[np.arange(nb), fi]
-            best_at[1:, at] = srt[best[c] + [[0], [1]], c]
-        return best_at[0], best_at[1:], gain
+
+def _best_splits(keys, shift, srcp, ys, all_feats, lefts, pos, starts, sizes,
+                 feats):
+    """(feature, slots around the cut, gain <= 0 if none) of each node's
+    best split, scored largest first in blocks of ``_BLOCK_ELEMENTS``
+    cells, shorter nodes padded with the padding slot."""
+    k = all_feats.size if feats is None else feats.shape[1]
+    best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
+    gain = np.empty(sizes.size)
+    order = (-sizes).argsort(kind="stable")
+    i = 0
+    while i < order.size:
+        size = int(sizes[order[i]])
+        at = order[i:i + max(1, _BLOCK_ELEMENTS // (k * size))]
+        i += at.size
+        m, nb, col = sizes[at], at.size, np.arange(size)
+        slots = pos.take(starts[at, None] + col, mode="clip")
+        slots[col >= m[:, None]] = srcp.size - 1
+        f = all_feats if feats is None else feats[at]
+        # one column per (node, feature), sorted by (rank, row in node)
+        rk = keys.take(srcp[slots].T[:, :, None] + f).reshape(size, -1)
+        rk |= col[:, None]
+        rk.sort(axis=0)
+        local = rk & ((1 << shift) - 1)
+        local += np.arange(0, nb * size, size).repeat(k)
+        srt = slots.ravel().take(local)
+        yo = ys.take(srt)
+        s1, s2 = yo.cumsum(axis=0), (yo * yo).cumsum(axis=0)
+        t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
+        n_left, n_node = lefts[:size - 1], m.repeat(k).astype(float)
+        n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
+        g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
+             - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
+        # cuts in ties or padding: -inf; before a node's padding: exactly 0
+        dense = rk >> shift
+        np.putmask(g, dense[1:] == dense[:-1], -np.inf)
+        # lowest cut per column, then lowest feature per node
+        best = g.argmax(axis=0)
+        col_gain = g[best, np.arange(best.size)]
+        fi = col_gain.reshape(nb, k).argmax(axis=1)
+        c = np.arange(0, nb * k, k) + fi
+        gain[at] = col_gain[c]
+        best_at[0, at] = fi if feats is None else f[np.arange(nb), fi]
+        best_at[1:, at] = srt[best[c] + [[0], [1]], c]
+    return best_at[0], best_at[1:], gain
 
 
 def _node_stats(yv, starts, sizes):

@@ -158,14 +158,14 @@ def test_every_split_subset_has_mf_ascending_indices(monkeypatch):
     x, y = _wide_problem()
     p = x.shape[1]
     seen = []
-    original = tree_mod.TreeGrower._best_splits
+    original = tree_mod._best_splits
 
-    def recording(self, *args):
-        feature, cut, gain = original(self, *args)
+    def recording(*args):
+        feature, cut, gain = original(*args)
         seen.append((args[-1], feature, gain))
         return feature, cut, gain
 
-    monkeypatch.setattr(tree_mod.TreeGrower, "_best_splits", recording)
+    monkeypatch.setattr(tree_mod, "_best_splits", recording)
     for rule, mf in [("third", 4), (5, 5), (1, 1)]:
         seen.clear()
         model = train_forest(x, y, {"n_trees": 5, "max_features": rule}, 2)
