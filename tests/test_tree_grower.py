@@ -93,13 +93,14 @@ def test_subset_draws_match_level_order_oracle(seed):
     params = _forest_params(seed, p)
     model = train_forest(x, y, params, seed)
     mf = resolve_max_features(params["max_features"], p)
+    assert mf < p
     for t, root in enumerate(model.trees):
         rng = make_rng(seed, t)
         rows = (rng.integers(0, n, size=n) if params["bootstrap"]
                 else np.arange(n))
         expected = oracles.grow_tree_levels_bf(
-            x[rows], y[rows], params["max_depth"], params["min_split"],
-            mf if mf < p else p, rng)
+            x[rows], y[rows], params["max_depth"], params["min_split"], mf,
+            rng)
         assert _text(root.to_dict()) == _text(expected), t
 
 
