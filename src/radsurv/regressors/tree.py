@@ -71,26 +71,30 @@ class TreeGrower:
 
     def __init__(self, X: np.ndarray):
         n, p = X.shape
+        if p == 0:
+            raise ValueError("tree growth needs at least 1 feature, got 0")
         self.X = X
         order = np.argsort(X, axis=0)
         xs = np.take_along_axis(X, order, axis=0)
         dense = np.zeros((n, p), dtype=np.int64)
         dense[1:] = np.cumsum(xs[1:] != xs[:-1], axis=0)
-        self.ranks = np.full((n + 1, p), n)   # row n pads: above every rank
-        np.put_along_axis(self.ranks[:n], order, dense, axis=0)
+        ranks = np.full((n + 1, p), n)   # row n pads: above every rank
+        np.put_along_axis(ranks[:n], order, dense, axis=0)
+        # (row, feature) key: rank << shift | its node position (< n)
+        self.shift = n.bit_length()
+        self.keys = (ranks << self.shift).ravel()
 
     def grow(self, y: np.ndarray, rows: np.ndarray, max_depth: Optional[int],
              min_split: int, max_features: Optional[int],
              rngs: Optional[list[np.random.Generator]]) -> list[TreeNode]:
-        """One tree per row of ``rows``; tree t fits X[rows[t]], y[rows[t]]
-        and draws its feature subsets from ``rngs[t]``."""
-        X, (n_trees, n), p = self.X, rows.shape, self.X.shape[1]
+        """One tree per row of ``rows`` (at most X.shape[0] entries); tree t
+        fits X[rows[t]], y[rows[t]] and draws its subsets from ``rngs[t]``."""
+        X = self.X
+        n_trees, n = rows.shape
+        p = X.shape[1]
         # slot = (tree, position) of a training row; one more slot pads
         src = np.append(rows.ravel(), X.shape[0])
         ys = np.append(y[src[:-1]], 0.0)
-        shift = n.bit_length()
-        block_args = ((self.ranks << shift).ravel(), shift, src * p, ys,
-                      np.arange(p), np.arange(1.0, n + 1.0)[:, None])
         pos = np.arange(n_trees * n)    # the level's slots, node by node
         sizes, tree_of = np.full(n_trees, n), np.arange(n_trees)
         parents, roots, depth = [], None, 0
@@ -111,8 +115,8 @@ class TreeGrower:
                                     for t, c in enumerate(counts.tolist())])
                 feats = np.sort(u.argsort(axis=1, kind="stable")
                                 [:, :max_features], axis=1)
-            feature, cut, gain = _best_splits(*block_args, pos, starts[cand],
-                                              sizes[cand], feats)
+            feature, cut, gain = self._best_splits(
+                src, ys, pos, starts[cand], sizes[cand], feats)
             ok = gain > 0
             if not ok.any():
                 return roots
@@ -125,7 +129,7 @@ class TreeGrower:
                 node.feature, node.threshold, node.gain = f, t, g
             # children in level order: left then right of each split node
             m = sizes[split]
-            if split.size < sizes.size:
+            if split.size < sizes.size:   # else the gather is the identity
                 offsets = m.cumsum() - m
                 pos = pos[(starts[split] - offsets).repeat(m)
                           + np.arange(m.sum())]
@@ -136,51 +140,53 @@ class TreeGrower:
             tree_of = tree_of[split].repeat(2)
             depth += 1
 
-
-def _best_splits(keys, shift, srcp, ys, all_feats, lefts, pos, starts, sizes,
-                 feats):
-    """(feature, slots around the cut, gain <= 0 if none) of each node's
-    best split, scored largest first in blocks of ``_BLOCK_ELEMENTS``
-    cells, shorter nodes padded with the padding slot."""
-    k = all_feats.size if feats is None else feats.shape[1]
-    best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
-    gain = np.empty(sizes.size)
-    order = (-sizes).argsort(kind="stable")
-    i = 0
-    while i < order.size:
-        size = int(sizes[order[i]])
-        at = order[i:i + max(1, _BLOCK_ELEMENTS // (k * size))]
-        i += at.size
-        m, nb, col = sizes[at], at.size, np.arange(size)
-        slots = pos.take(starts[at, None] + col, mode="clip")
-        slots[col >= m[:, None]] = srcp.size - 1
-        f = all_feats if feats is None else feats[at]
-        # one column per (node, feature), sorted by (rank, row in node)
-        rk = keys.take(srcp[slots].T[:, :, None] + f).reshape(size, -1)
-        rk |= col[:, None]
-        rk.sort(axis=0)
-        local = rk & ((1 << shift) - 1)
-        local += np.arange(0, nb * size, size).repeat(k)
-        srt = slots.ravel().take(local)
-        yo = ys.take(srt)
-        s1, s2 = yo.cumsum(axis=0), (yo * yo).cumsum(axis=0)
-        t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
-        n_left, n_node = lefts[:size - 1], m.repeat(k).astype(float)
-        n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
-        g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
-             - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
-        # cuts in ties or padding: -inf; before a node's padding: exactly 0
-        dense = rk >> shift
-        np.putmask(g, dense[1:] == dense[:-1], -np.inf)
-        # lowest cut per column, then lowest feature per node
-        best = g.argmax(axis=0)
-        col_gain = g[best, np.arange(best.size)]
-        fi = col_gain.reshape(nb, k).argmax(axis=1)
-        c = np.arange(0, nb * k, k) + fi
-        gain[at] = col_gain[c]
-        best_at[0, at] = fi if feats is None else f[np.arange(nb), fi]
-        best_at[1:, at] = srt[best[c] + [[0], [1]], c]
-    return best_at[0], best_at[1:], gain
+    def _best_splits(self, src, ys, pos, starts, sizes, feats):
+        """(feature, slots around the cut, gain <= 0 if none) of each node's
+        best split among all features or its row of ``feats``, scored
+        largest first in blocks of ``_BLOCK_ELEMENTS`` cells, shorter nodes
+        padded with the padding slot."""
+        p = self.X.shape[1]
+        k = p if feats is None else feats.shape[1]
+        best_at = np.empty((3, sizes.size), dtype=np.int64)   # feature, cut
+        gain = np.empty(sizes.size)
+        order = (-sizes).argsort(kind="stable")
+        i = 0
+        while i < order.size:
+            size = int(sizes[order[i]])
+            at = order[i:i + max(1, _BLOCK_ELEMENTS // (k * size))]
+            i += at.size
+            m, nb, col = sizes[at], at.size, np.arange(size)
+            slots = pos.take(starts[at, None] + col, mode="clip")
+            slots[col >= m[:, None]] = src.size - 1
+            f = np.arange(p) if feats is None else feats[at]
+            # one column per (node, feature), sorted by (rank, row in node)
+            rk = self.keys.take(src[slots].T[:, :, None] * p + f)
+            rk = rk.reshape(size, -1)
+            rk |= col[:, None]
+            rk.sort(axis=0)
+            local = rk & ((1 << self.shift) - 1)
+            local += np.arange(0, nb * size, size).repeat(k)
+            srt = slots.ravel().take(local)
+            yo = ys.take(srt)
+            s1, s2 = yo.cumsum(axis=0), (yo * yo).cumsum(axis=0)
+            t1, t2, a1, a2 = s1[-1], s2[-1], s1[:-1], s2[:-1]
+            n_left = np.arange(1.0, size)[:, None]
+            n_node = m.repeat(k).astype(float)
+            n_right = np.maximum(n_node - n_left, 1.0)   # padding: any >= 1
+            g = ((t2 - t1 ** 2 / n_node) - (a2 - a1 ** 2 / n_left)
+                 - ((t2 - a2) - (t1 - a1) ** 2 / n_right))
+            # cuts in ties or padding: -inf; before a node's padding: exactly 0
+            dense = rk >> self.shift
+            np.putmask(g, dense[1:] == dense[:-1], -np.inf)
+            # lowest cut per column, then lowest feature per node
+            best = g.argmax(axis=0)
+            col_gain = g[best, np.arange(best.size)]
+            fi = col_gain.reshape(nb, k).argmax(axis=1)
+            c = np.arange(0, nb * k, k) + fi
+            gain[at] = col_gain[c]
+            best_at[0, at] = fi if feats is None else f[np.arange(nb), fi]
+            best_at[1:, at] = srt[best[c] + [[0], [1]], c]
+        return best_at[0], best_at[1:], gain
 
 
 def _node_stats(yv, starts, sizes):

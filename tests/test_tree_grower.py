@@ -159,14 +159,15 @@ def test_every_split_subset_has_mf_ascending_indices(monkeypatch):
     x, y = _wide_problem()
     p = x.shape[1]
     seen = []
-    original = tree_mod._best_splits
+    original = TreeGrower._best_splits
 
-    def recording(*args):
-        feature, cut, gain = original(*args)
-        seen.append((args[-1], feature, gain))
+    def recording(grower, src, ys, pos, starts, sizes, feats):
+        feature, cut, gain = original(grower, src, ys, pos, starts, sizes,
+                                      feats)
+        seen.append((feats, feature, gain))
         return feature, cut, gain
 
-    monkeypatch.setattr(tree_mod, "_best_splits", recording)
+    monkeypatch.setattr(TreeGrower, "_best_splits", recording)
     for rule, mf in [("third", 4), (5, 5), (1, 1)]:
         seen.clear()
         model = train_forest(x, y, {"n_trees": 5, "max_features": rule}, 2)
@@ -195,3 +196,10 @@ def test_forest_without_trees_rejected(n_trees):
     x, y = _wide_problem()
     with pytest.raises(ValueError, match="n_trees"):
         train_model("rfr", x, y, {"n_trees": n_trees}, 0)
+
+
+@pytest.mark.parametrize("kind", ["rfr", "gbr"])
+def test_matrix_without_columns_rejected(kind):
+    y = np.arange(6.0)
+    with pytest.raises(ValueError, match="at least 1 feature, got 0"):
+        train_model(kind, np.zeros((6, 0)), y, {}, 0)
