@@ -192,7 +192,7 @@ class TreeGrower:
 def _node_stats(yv, starts, sizes):
     """Per-node mean (a list) and SSE of the node-major targets ``yv``;
     a block of equal-size rows gives each row numpy's 1D ``sum()`` bits."""
-    if sizes.size <= 8:   # few nodes: one slice each
+    if sizes.size <= 8:   # few nodes: a slice each beats a gather per size
         segs = [yv[s:s + m] for s, m in zip(starts.tolist(), sizes.tolist())]
         means = [np.add.reduce(seg) / seg.size for seg in segs]
         return [float(v) for v in means], np.array(
