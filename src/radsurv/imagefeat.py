@@ -14,7 +14,8 @@ voxel centers, where voxel (i, j, k) has center ``origin + index * spacing``;
 an empty label set yields a missing centroid (None), never a fake zero.
 
 Every region comes from ``volumeio.derive_roi``; which labels make up a
-region is decided there and nowhere else.
+region is decided there and nowhere else, on the label grid cropped to the
+box of its labelled voxels.
 """
 
 from __future__ import annotations
@@ -102,22 +103,36 @@ def roi_surface_area_facecount(roi: RoiMask) -> float:
     return total
 
 
-def _centroid(roi: RoiMask, box):
-    """Mean member voxel center, gathered inside the ROI's bounding box."""
+def _tumor_crop(mask: LabelMask):
+    """``mask`` cropped to the box of its labelled voxels (empty if none is),
+    and the box's first corner. Outside the box every voxel is background, so
+    region volumes, shared faces and member indices are the whole grid's."""
+    box = bounding_box(mask.labels > 0) or (slice(0, 0),) * 3
+    corner = [b.start for b in box]
+    labels = mask.labels[box]
+    origin = np.add(mask.origin, np.multiply(corner, mask.spacing))
+    return LabelMask(labels.shape, mask.spacing, origin, labels), corner
+
+
+def _centroid(roi: RoiMask, box, mask: LabelMask, corner):
+    """Mean member voxel center in ``mask``, whose index ``corner`` is the
+    ROI grid's first voxel, gathered inside the ROI's bounding box."""
     if box is None:
         return None
     idx = np.nonzero(roi.membership[box])
     return tuple(
-        float(np.mean(idx[a] + box[a].start) * roi.spacing[a] + roi.origin[a])
+        float(np.mean(idx[a] + (box[a].start + corner[a])) * mask.spacing[a]
+              + mask.origin[a])
         for a in range(3))
 
 
 def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeatures:
     """The seven image-based features, in the IMAGE_FEATURE_NAMES order."""
+    crop, _ = _tumor_crop(mask)
     vols = {}
     surfs = {}
     for kind in ("WT", "TC", "ET"):
-        roi = derive_roi(mask, kind)
+        roi = derive_roi(crop, kind)
         vols[kind] = roi_volume(roi)
         surfs[kind] = roi_surface_area_facecount(roi)
     return ImageFeatures(
@@ -129,8 +144,9 @@ def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeat
 
 def mask_summary(mask: LabelMask) -> MaskSummary:
     """Label amounts, WT extent and WT/necrosis centroids."""
-    wt = derive_roi(mask, "WT")
-    necrosis = derive_roi(mask, "LABEL1")
+    crop, corner = _tumor_crop(mask)
+    wt = derive_roi(crop, "WT")
+    necrosis = derive_roi(crop, "LABEL1")
     wt_box = bounding_box(wt.membership)
     if wt_box is None:
         extent = (0.0, 0.0, 0.0)
@@ -140,9 +156,10 @@ def mask_summary(mask: LabelMask) -> MaskSummary:
             for a in range(3))
     return MaskSummary(
         amount_necrotic=roi_volume(necrosis),
-        amount_edema=roi_volume(derive_roi(mask, "LABEL2")),
-        amount_enhancing=roi_volume(derive_roi(mask, "LABEL4")),
+        amount_edema=roi_volume(derive_roi(crop, "LABEL2")),
+        amount_enhancing=roi_volume(derive_roi(crop, "LABEL4")),
         extent=extent,
-        centroid_wt=_centroid(wt, wt_box),
-        centroid_necrosis=_centroid(necrosis, bounding_box(necrosis.membership)),
+        centroid_wt=_centroid(wt, wt_box, mask, corner),
+        centroid_necrosis=_centroid(necrosis, bounding_box(necrosis.membership),
+                                    mask, corner),
     )

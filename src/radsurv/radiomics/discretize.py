@@ -12,16 +12,27 @@ A non-finite intensity inside the ROI is rejected, naming the first such
 voxel in index order.
 
 Levels are stored as a full 3D map (0 outside the ROI, 1..Ng inside), which
-is the natural shape for the texture-matrix builders.
+is the natural shape for the texture-matrix builders. The ROI's box and its
+neighbor pairs are built once, on first use; a DiscretizedRoi never changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..volumeio import RoiMask, VoxelVolume
+from ..volumeio import RoiMask, VoxelVolume, bounding_box
+
+# The 13 canonical direction offsets: the lexicographically positive half
+# of the 26-neighborhood (first nonzero component positive).
+DIRECTIONS_13 = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+    (0, 1, 1), (0, 1, -1),
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+)
 
 
 class DiscretizationError(ValueError):
@@ -65,6 +76,36 @@ class DiscretizedRoi:
     def levels(self) -> np.ndarray:
         """Flat 1..Ng level array over ROI voxels (argwhere order)."""
         return self.level_map[self.roi.membership]
+
+    @cached_property
+    def box(self) -> tuple[slice, slice, slice]:
+        """Index slices of the ROI's bounding box."""
+        box = bounding_box(self.roi.membership)
+        if box is None:
+            raise DiscretizationError("empty ROI")
+        return box
+
+    @cached_property
+    def neighbor_pairs(self) -> tuple[np.ndarray, list]:
+        """ROI levels and, per direction, the pairs of ROI voxels it joins.
+
+        Returns (levels, pairs). ``levels`` holds the level of every ROI voxel
+        in C order of the bounding box; ``pairs[k]`` is a pair of index arrays
+        (a, b) into it with voxel b = voxel a + DIRECTIONS_13[k].
+        """
+        # the one-voxel pad keeps every neighbor index inside the array
+        padded = np.pad(self.level_map[self.box], 1)
+        flat = padded.ravel()
+        pos = np.flatnonzero(flat)
+        number = np.full(flat.size, -1, dtype=np.int64)
+        number[pos] = np.arange(pos.size)
+        strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+        pairs = []
+        for d in DIRECTIONS_13:
+            b = number[pos + int(strides @ d)]
+            a = np.flatnonzero(b >= 0)
+            pairs.append((a, b[a]))
+        return flat[pos], pairs
 
 
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:

@@ -8,9 +8,9 @@ Conventions, fixed across the package and mirrored by the test oracles:
   for GLCM and GLRLM. The 26-neighborhood is the 13 half-offsets taken
   both ways: GLCM, GLSZM, GLDM and NGTDM all read one list of in-ROI
   voxel pairs (v, v + d) over the 13 directions, which holds every pair
-  of 26-neighbors exactly once.
+  of 26-neighbors exactly once; it is built once per ``DiscretizedRoi``.
 * Directional families compute features per direction and then take the
-  arithmetic mean over directions, in the fixed direction order below.
+  arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   A GLCM direction with no co-occurring pair is excluded from the mean;
   if every direction is empty the family raises ("no co-occurrences").
   GLRLM directions are never empty for a non-empty ROI.
@@ -33,19 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..volumeio import bounding_box
-from .discretize import DiscretizedRoi
+from .discretize import DIRECTIONS_13, DiscretizedRoi
 
 COARSENESS_SENTINEL = 1e6
-
-# The 13 canonical direction offsets: the lexicographically positive half
-# of the 26-neighborhood (first nonzero component positive).
-DIRECTIONS_13 = (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
-    (0, 1, 1), (0, 1, -1),
-    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-)
 
 GLCM_FEATURE_NAMES = (
     "glcm.autocorrelation", "glcm.joint_average", "glcm.cluster_prominence",
@@ -109,33 +99,8 @@ class TextureError(ValueError):
     pass
 
 
-def _neighbor_pairs(disc: DiscretizedRoi):
-    """ROI levels and, per direction, the pairs of ROI voxels it joins.
-
-    Returns (levels, pairs). ``levels`` holds the level of every ROI voxel
-    in C order of the bounding box; ``pairs[k]`` is a pair of index arrays
-    (a, b) into it with voxel b = voxel a + DIRECTIONS_13[k].
-    """
-    box = bounding_box(disc.roi.membership)
-    if box is None:
-        raise TextureError("empty ROI")
-    # the one-voxel pad keeps every neighbor index inside the array
-    padded = np.pad(disc.level_map[box], 1)
-    flat = padded.ravel()
-    pos = np.flatnonzero(flat)
-    number = np.full(flat.size, -1, dtype=np.int64)
-    number[pos] = np.arange(pos.size)
-    strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-    pairs = []
-    for d in DIRECTIONS_13:
-        b = number[pos + int(strides @ d)]
-        a = np.flatnonzero(b >= 0)
-        pairs.append((a, b[a]))
-    return flat[pos], pairs
-
-
 def _all_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The per-direction pairs of ``_neighbor_pairs`` as two flat arrays."""
+    """The per-direction neighbor pairs as two flat arrays."""
     a, b = zip(*pairs)
     return np.concatenate(a), np.concatenate(b)
 
@@ -150,7 +115,7 @@ def _entropy(p: np.ndarray) -> float:
 
 def glcm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
     """Symmetrized co-occurrence count matrices, one per direction."""
-    levels, pairs = _neighbor_pairs(disc)
+    levels, pairs = disc.neighbor_pairs
     ng = disc.n_levels
     out = []
     for a, b in pairs:
@@ -268,9 +233,7 @@ def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
     that order continue a run exactly when their keys differ by the step
     and their levels agree; keys of different lines are farther apart.
     """
-    box = bounding_box(disc.roi.membership)
-    if box is None:
-        raise TextureError("empty ROI")
+    box = disc.box
     member = disc.roi.membership[box]
     ids = np.argwhere(member)
     lv = disc.level_map[box][member].astype(np.int64)
@@ -365,7 +328,7 @@ def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     its root. Rounds repeat until no edge joins two labels; the labels are
     then exactly the connected components.
     """
-    levels, pairs = _neighbor_pairs(disc)
+    levels, pairs = disc.neighbor_pairs
     src, dst = _all_pairs(pairs)
     same = levels[src] == levels[dst]
     src, dst = src[same], dst[same]
@@ -407,7 +370,7 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     Each neighbor pair whose levels differ by at most ``alpha`` adds one to
     the dependence count of both its voxels.
     """
-    levels, pairs = _neighbor_pairs(disc)
+    levels, pairs = disc.neighbor_pairs
     a, b = _all_pairs(pairs)
     close = np.abs(levels[a] - levels[b]) <= alpha
     n = levels.size
@@ -437,7 +400,7 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
     |i - neighborhood mean| over them. Each neighbor pair adds to the
     neighbor sum and count of both its voxels.
     """
-    levels, pairs = _neighbor_pairs(disc)
+    levels, pairs = disc.neighbor_pairs
     a, b = _all_pairs(pairs)
     nv = levels.size
     neigh_cnt = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)

@@ -20,6 +20,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +39,6 @@ _DTYPES = {
     64: "f8",  # float64
 }
 _DTYPE_CODES = {np.dtype(v).str[1:]: k for k, v in _DTYPES.items()}
-
-TUMOR_LABELS = (0, 1, 2, 4)
 
 RESECTION_STATUSES = ("GTR", "STR", "NA")
 
@@ -68,6 +67,17 @@ class GeometryError(ValueError):
 
 # NIfTI stores spacing and origin as float32 (relative round-off ~6e-8)
 GEOMETRY_RTOL = 1e-6
+
+
+def _check_vocabulary(labels: np.ndarray, where: str = "") -> None:
+    """MaskLabelError naming the first voxel whose integer value is not in
+    {0, 1, 2, 4}; the grid is only compared voxel by voxel to find it."""
+    if labels.size and (labels.min() < 0 or labels.max() > 4
+                        or (labels == 3).any()):
+        bad = (labels < 0) | (labels > 4) | (labels == 3)
+        idx = tuple(int(c[0]) for c in np.nonzero(bad))
+        raise MaskLabelError(
+            f"{where}label {int(labels[idx])} at voxel {idx} is not in {{0,1,2,4}}")
 
 
 @dataclass
@@ -117,11 +127,7 @@ class LabelMask(VoxelGrid):
     def __post_init__(self):
         super().__post_init__()
         self._check_shape("labels", self.labels)
-        bad = ~np.isin(self.labels, TUMOR_LABELS)
-        if bad.any():
-            idx = tuple(int(c[0]) for c in np.nonzero(bad))
-            raise MaskLabelError(
-                f"label {int(self.labels[idx])} at voxel {idx} is not in {{0,1,2,4}}")
+        _check_vocabulary(self.labels)
 
     def label_count(self, label: int) -> int:
         return int(np.count_nonzero(self.labels == label))
@@ -165,16 +171,26 @@ class SubjectRecord:
                 "not one of GTR/STR/NA")
 
 
-def _open_maybe_gzip(path: str):
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes, decompressed if they start with the gzip magic."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        raw = fh.read()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
 
 
-def _read_header(raw: bytes, path: str):
-    """Decode the 348-byte header; returns a dict of the fields we use."""
+def _decode(path: str):
+    """Read and check a single-file NIfTI-1 file. Returns the payload as
+    stored (a read-only Fortran-ordered view in the file's dtype), the
+    (scl_slope, scl_inter) pair or None if the values are stored unscaled,
+    and the dims/spacing/origin keywords of the grid."""
+    raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
         raise NiftiError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
 
@@ -201,40 +217,18 @@ def _read_header(raw: bytes, path: str):
         raise NiftiError(f"{path}: missing NIfTI-1 magic, got {magic!r}")
 
     dim = struct.unpack_from(bo + "8h", raw, 40)
-    datatype = struct.unpack_from(bo + "h", raw, 70)[0]
-    bitpix = struct.unpack_from(bo + "h", raw, 72)[0]
-    pixdim = struct.unpack_from(bo + "8f", raw, 76)
-    vox_offset = struct.unpack_from(bo + "f", raw, 108)[0]
-    scl_slope = struct.unpack_from(bo + "f", raw, 112)[0]
-    scl_inter = struct.unpack_from(bo + "f", raw, 116)[0]
-    qoffset = struct.unpack_from(bo + "3f", raw, 268)
-    return {
-        "byteorder": bo,
-        "dim": dim,
-        "datatype": datatype,
-        "bitpix": bitpix,
-        "pixdim": pixdim,
-        "vox_offset": vox_offset,
-        "scl_slope": scl_slope,
-        "scl_inter": scl_inter,
-        "qoffset": qoffset,
+    datatype, bitpix = struct.unpack_from(bo + "2h", raw, 70)
+    floats = {
+        "pixdim[1..3]": struct.unpack_from(bo + "8f", raw, 76)[1:4],
+        "vox_offset": struct.unpack_from(bo + "f", raw, 108)[0],
+        "scl_slope": struct.unpack_from(bo + "f", raw, 112)[0],
+        "scl_inter": struct.unpack_from(bo + "f", raw, 116)[0],
+        "qoffset": struct.unpack_from(bo + "3f", raw, 268),
     }
+    for name, value in floats.items():
+        if not np.isfinite(value).all():
+            raise NiftiError(f"{path}: non-finite {name}={value}")
 
-
-def load_nifti(path: str) -> VoxelVolume:
-    """Load a single-file NIfTI-1 volume as float64 scalars.
-
-    Data scaling (scl_slope/scl_inter) is applied when scl_slope != 0.
-    Raises NiftiError with a distinct diagnostic for malformed headers,
-    unsupported datatypes, unexpected dimensionality and truncated payloads.
-    """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with _open_maybe_gzip(path) as fh:
-        raw = fh.read()
-    hdr = _read_header(raw, path)
-
-    dim = hdr["dim"]
     if dim[0] not in (3, 4):
         raise NiftiError(f"{path}: dim[0]={dim[0]}, only 3D (or 4D single-frame) supported")
     if dim[0] == 4 and dim[4] > 1:
@@ -243,15 +237,15 @@ def load_nifti(path: str) -> VoxelVolume:
     if any(d <= 0 for d in dims):
         raise NiftiError(f"{path}: non-positive dimension in dim[1..3]={dims}")
 
-    if hdr["datatype"] not in _DTYPES:
-        raise NiftiError(f"{path}: unsupported datatype code {hdr['datatype']}")
-    dtype = np.dtype(hdr["byteorder"] + _DTYPES[hdr["datatype"]])
-    if hdr["bitpix"] != dtype.itemsize * 8:
+    if datatype not in _DTYPES:
+        raise NiftiError(f"{path}: unsupported datatype code {datatype}")
+    dtype = np.dtype(bo + _DTYPES[datatype])
+    if bitpix != dtype.itemsize * 8:
         raise NiftiError(
-            f"{path}: bitpix={hdr['bitpix']} inconsistent with datatype "
+            f"{path}: bitpix={bitpix} inconsistent with datatype "
             f"({dtype.itemsize * 8} expected)")
 
-    offset = int(round(hdr["vox_offset"]))
+    offset = int(round(floats["vox_offset"]))
     if offset == 0:
         offset = 352
     if offset < HEADER_SIZE:
@@ -263,19 +257,35 @@ def load_nifti(path: str) -> VoxelVolume:
         raise NiftiError(
             f"{path}: truncated payload, need {nbytes} bytes at offset {offset}, "
             f"file holds {max(0, len(raw) - offset)}")
+    stored = np.frombuffer(raw, dtype=dtype, count=count,
+                           offset=offset).reshape(dims, order="F")
 
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    data = flat.reshape(dims, order="F").astype(np.float64)
-
-    slope, inter = hdr["scl_slope"], hdr["scl_inter"]
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        data = data * np.float64(slope) + np.float64(inter)
-
-    spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
+    slope, inter = floats["scl_slope"], floats["scl_inter"]
+    scaling = None if slope == 0.0 or (slope, inter) == (1.0, 0.0) else (slope, inter)
+    spacing = tuple(float(p) for p in floats["pixdim[1..3]"])
     if any(s <= 0 for s in spacing):
         raise NiftiError(f"{path}: non-positive pixdim[1..3]={spacing}")
-    origin = tuple(float(q) for q in hdr["qoffset"])
-    return VoxelVolume(dims=dims, spacing=spacing, origin=origin, data=data)
+    origin = tuple(float(q) for q in floats["qoffset"])
+    return stored, scaling, dict(dims=dims, spacing=spacing, origin=origin)
+
+
+def _to_float(stored: np.ndarray, scaling) -> np.ndarray:
+    data = stored.astype(np.float64)
+    if scaling is not None:
+        data = data * np.float64(scaling[0]) + np.float64(scaling[1])
+    return data
+
+
+def load_nifti(path: str) -> VoxelVolume:
+    """Load a single-file NIfTI-1 volume as float64 scalars.
+
+    Data scaling (scl_slope/scl_inter) is applied when scl_slope != 0.
+    Raises NiftiError with a distinct diagnostic for malformed headers,
+    non-finite header fields, unsupported datatypes, unexpected
+    dimensionality, corrupt gzip streams and truncated payloads.
+    """
+    stored, scaling, grid = _decode(path)
+    return VoxelVolume(**grid, data=_to_float(stored, scaling))
 
 
 def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
@@ -322,20 +332,29 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
-    Labels are stored C-ordered: ``np.isin``, which derives every ROI, first
-    ravels a copy of a Fortran-ordered grid."""
-    vol = load_nifti(path)
-    rounded = np.rint(vol.data)
-    drift = np.abs(vol.data - rounded)
-    if drift.max(initial=0.0) > 1e-6:
-        idx = tuple(int(c[0]) for c in np.nonzero(drift > 1e-6))
-        raise MaskLabelError(
-            f"{path}: voxel {idx} holds non-integer value {vol.data[idx]!r}")
-    try:
-        return LabelMask(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
-                         labels=rounded.astype(np.int16, order="C"))
-    except MaskLabelError as exc:
-        raise MaskLabelError(f"{path}: {exc}") from None
+    An unscaled integer payload is checked as stored; any other must hold
+    finite integers once scaled to float64. Labels are checked before they
+    are narrowed to C-ordered int16, so no value wraps into a valid label.
+    """
+    values, scaling, grid = _decode(path)
+    if scaling is not None or values.dtype.kind == "f":
+        values = _to_float(values, scaling)
+        rounded = np.rint(values)
+        with np.errstate(invalid="ignore"):     # inf - inf: NaN, flagged
+            off = ~(np.abs(values - rounded) <= 1e-6)
+        if off.any():
+            idx = tuple(int(c[0]) for c in np.nonzero(off))
+            kind = "non-integer" if np.isfinite(values[idx]) else "non-finite"
+            raise MaskLabelError(
+                f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
+        values = rounded
+    _check_vocabulary(values, f"{path}: ")
+    # copied in slabs along axis 1: one whole-grid transposing copy strides
+    # through memory and takes about 3x as long on a BraTS grid
+    labels = np.empty(values.shape, dtype=np.int16)
+    for j in range(0, values.shape[1], 16):
+        labels[:, j:j + 16] = values[:, j:j + 16]
+    return LabelMask(**grid, labels=labels)
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:

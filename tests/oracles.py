@@ -11,6 +11,9 @@ not imported. The image-feature oracles are the exception to the loops:
 they apply np.isin and np.nonzero to the whole grid, where the package
 gathers inside bounding boxes. The tree oracles are the package's former
 node-by-node CART growth: one split search per node, on that node's rows.
+The last section keeps two more former package paths: the mask decode that
+took every datatype through float64, and the image features and mask
+summary computed on the whole label grid.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from radsurv.imagefeat import (ImageFeatures, MaskSummary, roi_volume,
+                               roi_surface_area_facecount)
+from radsurv.volumeio import (MaskLabelError, bounding_box, derive_roi,
+                              load_nifti)
 
 DIRS = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -604,3 +612,65 @@ def grow_tree_levels_bf(X, y, max_depth, min_split, max_features, rng):
             level += [node["left"], node["right"]]
         depth += 1
     return root
+
+
+# ---------------------------------------------------------------------------
+# Former package paths: the float64 mask decode and whole-grid image features
+
+def load_mask_via_float(path):
+    """Labels of a mask decoded as float64 (scaled), rounded, drift-checked,
+    cast to C-ordered int16 and checked with np.isin; raises the same
+    MaskLabelError texts as the package for non-integer and bad labels."""
+    vol = load_nifti(path)
+    rounded = np.rint(vol.data)
+    drift = np.abs(vol.data - rounded)
+    if drift.max(initial=0.0) > 1e-6:
+        idx = tuple(int(c[0]) for c in np.nonzero(drift > 1e-6))
+        raise MaskLabelError(
+            f"{path}: voxel {idx} holds non-integer value {vol.data[idx]!r}")
+    labels = rounded.astype(np.int16, order="C")
+    bad = ~np.isin(labels, (0, 1, 2, 4))
+    if bad.any():
+        idx = tuple(int(c[0]) for c in np.nonzero(bad))
+        raise MaskLabelError(
+            f"{path}: label {int(labels[idx])} at voxel {idx} is not in "
+            "{0,1,2,4}")
+    return labels
+
+
+def extract_image_features_full(mask, age):
+    """ImageFeatures from regions derived on the whole label grid."""
+    vols, surfs = [], []
+    for kind in ("WT", "TC", "ET"):
+        roi = derive_roi(mask, kind)
+        vols.append(roi_volume(roi))
+        surfs.append(roi_surface_area_facecount(roi))
+    return ImageFeatures(*vols, *surfs, age=float(age))
+
+
+def _centroid_in_box(roi, box):
+    if box is None:
+        return None
+    idx = np.nonzero(roi.membership[box])
+    return tuple(
+        float(np.mean(idx[a] + box[a].start) * roi.spacing[a] + roi.origin[a])
+        for a in range(3))
+
+
+def mask_summary_full(mask):
+    """MaskSummary from regions derived on the whole label grid."""
+    wt = derive_roi(mask, "WT")
+    necrosis = derive_roi(mask, "LABEL1")
+    wt_box = bounding_box(wt.membership)
+    extent = ((0.0, 0.0, 0.0) if wt_box is None else tuple(
+        float((wt_box[a].stop - wt_box[a].start) * mask.spacing[a])
+        for a in range(3)))
+    return MaskSummary(
+        amount_necrotic=roi_volume(necrosis),
+        amount_edema=roi_volume(derive_roi(mask, "LABEL2")),
+        amount_enhancing=roi_volume(derive_roi(mask, "LABEL4")),
+        extent=extent,
+        centroid_wt=_centroid_in_box(wt, wt_box),
+        centroid_necrosis=_centroid_in_box(
+            necrosis, bounding_box(necrosis.membership)),
+    )

@@ -166,6 +166,62 @@ class TestAgainstWholeGridFormulas:
                 [float(x).hex() for x in want], (labels.shape, spacing)
 
 
+def _crop_cases():
+    """Seeded label grids for the tumor crop: a random labelled sub-box that
+    touches each of the six grid faces in turn, grids without TC (so no ET
+    and no necrosis), without ET, without necrosis, an all-background grid
+    and the 1x1x1 grids."""
+    rng = np.random.default_rng(707)
+    vocabulary = np.array([0, 1, 2, 4], dtype=np.int16)
+    for case in range(54):
+        shape = tuple(int(n) for n in rng.integers(2, 10, size=3))
+        labels = np.zeros(shape, dtype=np.int16)
+        lo = [int(rng.integers(0, n)) for n in shape]
+        hi = [int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, shape)]
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        labels[box] = rng.choice(vocabulary, size=labels[box].shape,
+                                 p=(0.3, 0.2, 0.3, 0.2))
+        variant = case % 9
+        if variant < 6:                      # a voxel on one grid face
+            face = [int(rng.integers(0, n)) for n in shape]
+            face[variant // 2] = -(variant % 2)
+            labels[tuple(face)] = 2
+        elif variant == 6:
+            labels[labels > 0] = 2
+        elif variant == 7:
+            labels[labels == 4] = 1
+        else:
+            labels[labels == 1] = 4
+        yield labels, tuple(rng.uniform(0.3, 3.0, 3)), \
+            tuple(rng.uniform(-150.0, 150.0, 3))
+    yield np.zeros((6, 5, 4), dtype=np.int16), (1.0, 2.0, 0.5), (3.0, 0.0, -1.0)
+    for label in (0, 1, 2, 4):
+        yield np.full((1, 1, 1), label, dtype=np.int16), (0.7, 1.1, 2.3), \
+            (-4.0, 12.5, 0.1)
+
+
+class TestCropAgainstWholeGrid:
+    def test_vectors_byte_identical(self):
+        faces = set()
+        for labels, spacing, origin in _crop_cases():
+            occupied = np.argwhere(labels > 0)
+            for axis in range(3):
+                if occupied.size and occupied[:, axis].min() == 0:
+                    faces.add((axis, 0))
+                if occupied.size and \
+                        occupied[:, axis].max() == labels.shape[axis] - 1:
+                    faces.add((axis, 1))
+            mask = make_mask(labels, spacing=spacing, origin=origin)
+            got = extract_image_features(mask, SubjectRecord("s", age=47.25))
+            want = oracles.extract_image_features_full(mask, 47.25)
+            assert got.as_vector().tobytes() == want.as_vector().tobytes()
+            got = mask_summary(mask)
+            want = oracles.mask_summary_full(mask)
+            assert got.as_vector().tobytes() == want.as_vector().tobytes(), \
+                (labels.shape, spacing, origin)
+        assert len(faces) == 6
+
+
 class TestProperties:
     def test_spacing_scaling_exact(self):
         rng = np.random.default_rng(4)

@@ -1,0 +1,233 @@
+"""Mask decoding: the integer fast path against the former float64 decode,
+the rejections of out-of-range and non-finite values, a seeded byte-mutation
+fuzz test over hand-built NIfTI files and a memory guard on ``load_mask``."""
+
+import gzip
+import re
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from radsurv.volumeio import (MaskLabelError, NiftiError, load_mask,
+                              load_nifti)
+import oracles
+
+_CODES = {"u1": (2, 8), "i2": (4, 16), "i4": (8, 32), "f4": (16, 32),
+          "f8": (64, 64)}
+
+
+def nifti_blob(stored, byteorder="<", slope=0.0, inter=0.0,
+               spacing=(1.0, 1.5, 2.0), origin=(-3.0, 4.5, 0.25)):
+    """A single-file NIfTI-1 image of ``stored`` written field by field in
+    ``byteorder``, with the payload in the array's own dtype kind and size."""
+    stored = np.asarray(stored)
+    key = stored.dtype.str[1:]
+    code, bitpix = _CODES[key]
+    hdr = bytearray(348)
+    struct.pack_into(byteorder + "i", hdr, 0, 348)
+    struct.pack_into(byteorder + "8h", hdr, 40, 3, *stored.shape, 1, 1, 1, 1)
+    struct.pack_into(byteorder + "2h", hdr, 70, code, bitpix)
+    struct.pack_into(byteorder + "8f", hdr, 76, 1.0, *spacing, 0, 0, 0, 0)
+    struct.pack_into(byteorder + "3f", hdr, 108, 352.0, slope, inter)
+    struct.pack_into(byteorder + "3f", hdr, 268, *origin)
+    hdr[344:348] = b"n+1\x00"
+    payload = stored.astype(byteorder + key).tobytes(order="F")
+    return bytes(hdr) + b"\x00" * 4 + payload
+
+
+def write_blob(path, blob):
+    path.write_bytes(gzip.compress(blob, mtime=0)
+                     if path.name.endswith(".gz") else blob)
+    return str(path)
+
+
+def random_labels(rng, shape=(7, 37, 6)):
+    return rng.choice(np.array([0, 1, 2, 4]), size=shape,
+                      p=(0.4, 0.2, 0.2, 0.2))
+
+
+class TestFastPathEquivalence:
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("key", ["u1", "i2", "i4", "f4", "f8"])
+    def test_labels_equal_float_decode(self, tmp_path, key, byteorder,
+                                       suffix):
+        rng = np.random.default_rng(2020)
+        labels = random_labels(rng)
+        halves = rng.choice(np.array([0, 1, 2]), size=labels.shape)
+        cases = ((0.0, 0.0, labels, labels), (1.0, 0.0, labels, labels),
+                 (2.0, 0.0, halves, 2 * halves))
+        for n, (slope, inter, stored, expected) in enumerate(cases):
+            path = write_blob(tmp_path / f"m{n}{suffix}",
+                              nifti_blob(stored.astype(key), byteorder,
+                                         slope, inter))
+            mask = load_mask(path)
+            want = oracles.load_mask_via_float(path)
+            assert mask.labels.dtype == np.int16
+            assert mask.labels.flags.c_contiguous
+            assert np.array_equal(mask.labels, want)
+            assert np.array_equal(mask.labels, expected)
+            vol = load_nifti(path)
+            assert (mask.dims, mask.spacing, mask.origin) == \
+                (vol.dims, vol.spacing, vol.origin)
+
+    @pytest.mark.parametrize("key", ["u1", "i2", "i4", "f4"])
+    def test_bad_label_message_unchanged(self, tmp_path, key):
+        labels = np.zeros((3, 4, 2), dtype=key)
+        labels[2, 1, 0] = 3
+        labels[2, 3, 1] = 5
+        for byteorder in "<>":
+            path = write_blob(tmp_path / f"bad{byteorder == '>'}.nii.gz",
+                              nifti_blob(labels, byteorder))
+            with pytest.raises(MaskLabelError) as want:
+                oracles.load_mask_via_float(path)
+            with pytest.raises(MaskLabelError) as got:
+                load_mask(path)
+            assert str(got.value) == str(want.value)
+            assert "label 3 at voxel (2, 1, 0)" in str(got.value)
+
+    def test_non_integer_message_unchanged(self, tmp_path):
+        stored = np.zeros((3, 3, 3), dtype=np.int16)
+        stored[1, 0, 2] = 3
+        cases = (("f4", np.where(stored, 1.5, 0.0), 0.0),
+                 ("i2", stored, 0.5))       # 3 * 0.5 = 1.5 after scaling
+        for key, values, slope in cases:
+            path = write_blob(tmp_path / f"frac_{key}.nii",
+                              nifti_blob(values.astype(key), slope=slope))
+            with pytest.raises(MaskLabelError) as want:
+                oracles.load_mask_via_float(path)
+            with pytest.raises(MaskLabelError) as got:
+                load_mask(path)
+            assert str(got.value) == str(want.value)
+            assert "voxel (1, 0, 2) holds non-integer value" in str(got.value)
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("key,value", [("i4", 65537), ("i4", 65540),
+                                           ("i4", -65535), ("f4", 65537.0),
+                                           ("f8", 65540.0)])
+    def test_out_of_range_value_does_not_wrap(self, tmp_path, key, value):
+        # the int16 image of each value is a valid label (1, 4 or 1)
+        stored = np.zeros((3, 3, 3), dtype=key)
+        stored[0, 1, 2] = value
+        stored[2, 2, 2] = 1
+        path = write_blob(tmp_path / "wrap.nii.gz", nifti_blob(stored))
+        with pytest.raises(MaskLabelError, match=re.escape(
+                f"{path}: label {int(value)} at voxel (0, 1, 2) is not in "
+                "{0,1,2,4}")):
+            load_mask(path)
+
+    @pytest.mark.parametrize("key", ["f4", "f8"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_rejected(self, tmp_path, key, value):
+        stored = np.zeros((2, 3, 4), dtype=key)
+        stored[1, 2, 0] = 2
+        stored[1, 1, 3] = value
+        path = write_blob(tmp_path / "nf.nii", nifti_blob(stored))
+        with pytest.raises(MaskLabelError, match=re.escape(
+                f"{path}: voxel (1, 1, 3) holds non-finite value")):
+            load_mask(path)
+
+    @pytest.mark.parametrize("slope,inter", [(np.nan, 0.0), (np.inf, 0.0),
+                                             (1.0, np.nan), (2.0, -np.inf)])
+    def test_non_finite_scaling_rejected(self, tmp_path, slope, inter):
+        stored = np.ones((2, 2, 2), dtype=np.uint8)
+        path = write_blob(tmp_path / "scl.nii.gz",
+                          nifti_blob(stored, slope=slope, inter=inter))
+        for load in (load_nifti, load_mask):
+            with pytest.raises(NiftiError, match=re.escape(path)) as err:
+                load(path)
+            assert "non-finite scl_" in str(err.value)
+
+
+class TestMutationFuzz:
+    """Seeded byte mutations of hand-built files: the loaders may only raise
+    NiftiError (MaskLabelError included) or FileNotFoundError."""
+
+    def _bases(self):
+        rng = np.random.default_rng(31)
+        labels = random_labels(rng, (4, 3, 5))
+        for byteorder in "<>":
+            for key in ("u1", "i2", "f4"):
+                yield nifti_blob(labels.astype(key), byteorder)
+            yield nifti_blob((labels // 2).astype("i2"), byteorder, slope=2.0)
+
+    def _load_all(self, path, note):
+        for load in (load_nifti, load_mask):
+            try:
+                load(path)
+            except (NiftiError, FileNotFoundError):
+                pass
+            except Exception as exc:       # anything else is a failure
+                pytest.fail(f"{note}: {load.__name__} raised "
+                            f"{type(exc).__name__}: {exc}")
+
+    def test_mutated_files_raise_only_named_errors(self, tmp_path):
+        rng = np.random.default_rng(1155)
+        bases = list(self._bases())
+        with np.errstate(all="ignore"):
+            for trial in range(600):
+                blob = bytearray(bases[trial % len(bases)])
+                zipped = trial % 3 == 2
+                if zipped:                  # mutate the gzip stream itself
+                    blob = bytearray(gzip.compress(bytes(blob), mtime=0))
+                for _ in range(int(rng.integers(1, 9))):
+                    # most mutations land in the header, where parsing is
+                    at = int(rng.integers(0, 352 if rng.random() < 0.8
+                                          else len(blob)))
+                    blob[min(at, len(blob) - 1)] = int(rng.integers(0, 256))
+                if rng.random() < 0.1:
+                    blob = blob[:int(rng.integers(0, len(blob)))]
+                path = tmp_path / f"t{trial}.nii{'.gz' if trial % 3 else ''}"
+                if zipped:
+                    path.write_bytes(bytes(blob))
+                else:
+                    write_blob(path, bytes(blob))
+                path = str(path)
+                self._load_all(path, f"trial {trial}")
+        self._load_all(str(tmp_path / "missing.nii"), "missing file")
+
+    def test_header_fields_set_to_extremes(self, tmp_path):
+        """Every float32 and int16 header field the reader uses, set to
+        NaN/inf/huge or to the int16 extremes, in both byte orders."""
+        stored = np.zeros((3, 3, 3), dtype=np.uint8)
+        floats = [76 + 4 * k for k in range(1, 4)] + [108, 112, 116, 268,
+                                                      272, 276]
+        shorts = [40 + 2 * k for k in range(8)] + [70, 72]
+        n = 0
+        with np.errstate(all="ignore"):
+            for byteorder in "<>":
+                base = nifti_blob(stored, byteorder)
+                for offset in floats:
+                    for value in (np.nan, np.inf, -np.inf, 3.4e38, -1.0,
+                                  0.0):
+                        blob = bytearray(base)
+                        struct.pack_into(byteorder + "f", blob, offset, value)
+                        self._load_all(write_blob(tmp_path / f"f{n}.nii",
+                                                  bytes(blob)), f"f{offset}")
+                        n += 1
+                for offset in shorts:
+                    for value in (-32768, -1, 0, 32767):
+                        blob = bytearray(base)
+                        struct.pack_into(byteorder + "h", blob, offset, value)
+                        self._load_all(write_blob(tmp_path / f"h{n}.nii.gz",
+                                                  bytes(blob)), f"h{offset}")
+                        n += 1
+
+
+def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
+    """The decoded mask's peak traced allocation stays within 4x the int16
+    labels; the float64 round trip took about 18x."""
+    rng = np.random.default_rng(96)
+    labels = random_labels(rng, (96, 96, 96)).astype(np.uint8)
+    path = write_blob(tmp_path / "m96.nii.gz", nifti_blob(labels))
+    load_mask(path)                          # warm imports and caches
+    tracemalloc.start()
+    try:
+        mask = load_mask(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)

@@ -5,8 +5,11 @@ import pytest
 
 from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.radiomics import (Binning, RadiomicsConfig,
-                               RADIOMICS_FEATURE_NAMES, extract_radiomics,
-                               manifest_text, shape_features)
+                               RADIOMICS_FEATURE_NAMES, discretize,
+                               extract_radiomics, first_order_features,
+                               glcm_features, gldm_features, glrlm_features,
+                               glszm_features, manifest_text, ngtdm_features,
+                               shape_features)
 from radsurv.radiomics.manifest import (MANIFEST_VERSION,
                                         packaged_manifest_text)
 from radsurv.radiomics.shape import SHAPE_FEATURE_NAMES
@@ -61,6 +64,30 @@ class TestExtractRadiomics:
         direct = shape_features(derive_roi(mask, "WT")).as_vector()
         assert np.array_equal(vec.values[:14], direct)
         assert vec.names[:14] == SHAPE_FEATURE_NAMES
+
+    def test_standalone_families_equal_their_slices(self, phantom):
+        """Each texture family called on its own, with its own box and
+        neighbor pairs, gives the bytes of its slice of the full vector,
+        whose families share one DiscretizedRoi."""
+        vol, mask = phantom
+        vec = extract_radiomics(vol, mask, RadiomicsConfig(gldm_alpha=1.0))
+        families = {
+            "glcm": glcm_features, "glrlm": glrlm_features,
+            "glszm": glszm_features, "ngtdm": ngtdm_features,
+            "gldm": lambda disc: gldm_features(disc, 1.0),
+            "firstorder": lambda disc: first_order_features(vol, disc.roi,
+                                                            disc),
+        }
+        for family, compute in families.items():
+            disc = discretize(vol, derive_roi(mask, "WT"),
+                              RadiomicsConfig().binning)
+            alone = compute(disc)
+            names = [n for n in RADIOMICS_FEATURE_NAMES
+                     if n.startswith(family + ".")]
+            assert sorted(alone) == sorted(names)
+            slots = [RADIOMICS_FEATURE_NAMES.index(n) for n in names]
+            assert np.array([alone[n] for n in names]).tobytes() == \
+                vec.values[slots].tobytes(), family
 
     def test_bit_identical_reruns(self, phantom):
         vol, mask = phantom
