@@ -10,6 +10,7 @@ A non-finite epoch loss aborts training with the epoch index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,8 +70,21 @@ def forward(weights, biases, x: np.ndarray) -> np.ndarray:
     return (h @ weights[-1] + biases[-1])[:, 0]
 
 
-def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
-    """MSE loss and its gradients w.r.t. every weight and bias (backprop)."""
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views = []
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _backprop(weights, biases, x: np.ndarray, y: np.ndarray,
+              grad_w, grad_b) -> np.ndarray:
+    """Write the MSE gradients w.r.t. every weight and bias into ``grad_w``
+    and ``grad_b`` (arrays shaped like them); return the residuals."""
     h = x
     activations = [x]
     pre = []
@@ -82,21 +96,26 @@ def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
     out = (h @ weights[-1] + biases[-1])[:, 0]
     err = out - y
     n = y.shape[0]
-    loss = float(np.mean(err ** 2))
 
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(biases)
     delta = (2.0 * err / n)[:, None]                   # d loss / d out
-    grad_w[-1] = activations[-1].T @ delta
-    grad_b[-1] = delta.sum(axis=0)
+    np.matmul(activations[-1].T, delta, out=grad_w[-1])
+    np.add.reduce(delta, axis=0, out=grad_b[-1])
     back = delta @ weights[-1].T
     for layer in range(len(weights) - 2, -1, -1):
         back = back * (pre[layer] > 0.0)
-        grad_w[layer] = activations[layer].T @ back
-        grad_b[layer] = back.sum(axis=0)
+        np.matmul(activations[layer].T, back, out=grad_w[layer])
+        np.add.reduce(back, axis=0, out=grad_b[layer])
         if layer > 0:
             back = back @ weights[layer].T
-    return loss, grad_w, grad_b
+    return err
+
+
+def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
+    """MSE loss and its gradients w.r.t. every weight and bias (backprop)."""
+    grad_w = [np.empty_like(w) for w in weights]
+    grad_b = [np.empty_like(b) for b in biases]
+    err = _backprop(weights, biases, x, y, grad_w, grad_b)
+    return float(np.mean(err ** 2)), grad_w, grad_b
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
@@ -129,15 +148,23 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     y_scale = float(y.std()) or 1.0
     ys = (y - y_mean) / y_scale
 
+    # every weight and bias is a view into one vector, and so is every
+    # gradient, so an optimizer step is one set of elementwise operations
     weights, biases = init_parameters(p, widths, seed)
+    shapes = [a.shape for a in weights + biases]
+    theta = np.concatenate([a.ravel() for a in weights + biases])
+    grad = np.empty_like(theta)
+    layers = len(weights)
+    views = _views(theta, shapes)
+    weights, biases = views[:layers], views[layers:]
+    views = _views(grad, shapes)
+    grad_w, grad_b = views[:layers], views[layers:]
     batch_rng = make_rng(seed, 1)
 
     if optimizer == "adam":
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         step = 0
 
     # divergence shows up as inf/nan in the epoch loss; let the arithmetic
@@ -147,24 +174,17 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
             perm = batch_rng.permutation(n)
             for start in range(0, n, batch_size):
                 batch = perm[start:start + batch_size]
-                _, gw, gb = loss_and_grads(weights, biases, xs[batch], ys[batch])
+                _backprop(weights, biases, xs[batch], ys[batch],
+                          grad_w, grad_b)
                 if optimizer == "sgd":
-                    for i in range(len(weights)):
-                        weights[i] -= lr * gw[i]
-                        biases[i] -= lr * gb[i]
+                    theta -= lr * grad
                 else:
                     step += 1
                     corr1 = 1.0 - beta1 ** step
                     corr2 = 1.0 - beta2 ** step
-                    for i in range(len(weights)):
-                        m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                        v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                        weights[i] -= lr * (m_w[i] / corr1) \
-                            / (np.sqrt(v_w[i] / corr2) + eps)
-                        m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                        v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                        biases[i] -= lr * (m_b[i] / corr1) \
-                            / (np.sqrt(v_b[i] / corr2) + eps)
+                    m = beta1 * m + (1 - beta1) * grad
+                    v = beta2 * v + (1 - beta2) * grad ** 2
+                    theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
             epoch_loss = float(np.mean((forward(weights, biases, xs) - ys) ** 2))
             if not np.isfinite(epoch_loss):
                 raise MlpDivergenceError(epoch)

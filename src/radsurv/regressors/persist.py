@@ -1,9 +1,21 @@
 """Model persistence as self-describing JSON (schema radsurv-model/1).
 
-Floats are serialized through Python's repr-based JSON encoder, which
-round-trips every finite float64 bit-exactly, so load(save(m)) reproduces
-predictions to the bit. Files record the model type, hyperparameters, seed,
-feature order, imputation vector and all learned parameters.
+Floats are serialized through Python's float repr, which round-trips every
+finite float64 bit-exactly, so load(save(m)) reproduces predictions to the
+bit. Files record the model type, hyperparameters, seed, feature order,
+imputation vector and all learned parameters.
+
+``save_model`` writes through ``util.write_json``, which encodes trees
+straight from their TreeNode roots and arrays as nested lists:
+
+* the bytes are the ones ``json.dump(doc, sort_keys=True, indent=1)``
+  wrote for the same model before the package had its own encoder;
+* the write is all-or-nothing: the whole text is encoded before the file
+  is opened and then moved into place, so a failed save leaves no file
+  behind and an existing file unchanged;
+* a value that cannot be encoded, such as a numpy integer among the
+  hyperparameters, is rejected with an UnencodableValueError (a TypeError)
+  that names its key path and type.
 """
 
 from __future__ import annotations
@@ -15,13 +27,6 @@ import numpy as np
 from ..util import write_json
 
 SCHEMA = "radsurv-model/1"
-
-
-def _jsonable(value):
-    """json.dump fallback: arrays become nested lists, trees nested dicts."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value.to_dict()
 
 
 def save_model(model, path: str) -> None:
@@ -38,7 +43,7 @@ def save_model(model, path: str) -> None:
         "parameters": {name: getattr(model, name)
                        for name in FAMILIES[kind].fields},
     }
-    write_json(path, doc, default=_jsonable)
+    write_json(path, doc)
 
 
 def load_model(path: str):

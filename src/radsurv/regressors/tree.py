@@ -40,13 +40,15 @@ class TreeNode:
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
 
-    def to_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The node's model.json object; a split node's holds its children
+        as TreeNodes (util.encode_json writes them without recursion)."""
         if self.feature is None:
             return {"n": self.n_samples, "value": self.value}
         return {
             "n": self.n_samples, "value": self.value, "feature": self.feature,
             "threshold": self.threshold, "gain": self.gain,
-            "left": self.left.to_dict(), "right": self.right.to_dict(),
+            "left": self.left, "right": self.right,
         }
 
     @staticmethod

@@ -9,10 +9,12 @@ trailing newline. Reruns with identical inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -42,14 +44,202 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
             writer.writerow([fmt_cell(v) for v in row])
 
 
-def write_json(path: str, doc, default=None) -> None:
-    """Write ``doc`` to ``path`` in the package JSON layout; ``default`` is
-    json.dump's hook for values it cannot encode itself."""
+class UnencodableValueError(TypeError):
+    """A value in a JSON document that the package encoder cannot write."""
+
+    def __init__(self, path: str, value, what: str = "a value"):
+        kind = type(value)
+        name = kind.__qualname__ if kind.__module__ == "builtins" \
+            else f"{kind.__module__}.{kind.__qualname__}"
+        super().__init__(f"{path or 'the document'}: cannot encode {what} "
+                         f"of type {name} as JSON")
+        self.path = path
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(value):
+    """JSON text of a scalar as json.dumps writes it; None for any other
+    value."""
+    kind = type(value)
+    if kind is float:
+        return _float_text(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):      # np.float64 and other subclasses
+        return _float_text(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    return None
+
+
+def _key_text(key, path) -> str:
+    """A dict key and its colon as json.dumps writes them: keys of the
+    scalar kinds become strings."""
+    if isinstance(key, str):
+        return _quote(key) + ": "
+    text = _scalar_text(key)
+    if text is None:
+        raise UnencodableValueError(_path_text(path), key, "a key")
+    return '"' + text + '": '
+
+
+def _path_text(path) -> str:
+    """``a.b[2].c`` from the linked (parent, key) pairs the encoder keeps."""
+    parts = []
+    while path is not None:
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return "".join(reversed(parts)).lstrip(".")
+
+
+def encode_json(doc) -> str:
+    """The text ``json.dumps(doc, sort_keys=True, indent=1)`` gives, built
+    without recursion, so depth is bounded only by memory.
+
+    Beyond json's own kinds it encodes numpy arrays as (nested) lists and
+    any object with a ``json_fields()`` method as the dict that returns.
+    Any other value raises UnencodableValueError naming its key path; a
+    container that holds itself raises ValueError.
+    """
+    text = _scalar_text(doc)
+    if text is not None:
+        return text
+    out = []
+    pads = ["\n"]
+    orders = {}     # str keys in insertion order -> sorted keys, labels
+    active = {}     # id -> object, of the containers enclosing the current one
+    nested = {dict, list, tuple, np.ndarray}    # and json_fields types seen
+    inf = math.inf
+    float_repr = float.__repr__
+    int_repr = int.__repr__
+    # a str is literal text, an int closes the container with that id, a
+    # tuple is a (container, depth, path) still to encode
+    stack = [(doc, 0, None)]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+            continue
+        if kind is int:
+            del active[item]
+            continue
+        value, depth, path = item
+        source = value
+        kind = type(value)
+        while len(pads) <= depth + 1:
+            pads.append(pads[-1] + " ")
+        inner = pads[depth + 1]
+        if isinstance(value, np.ndarray):
+            if value.dtype == np.float64 and value.ndim == 1 \
+                    and value.size and np.isfinite(value).all():
+                out.append("[" + inner + ("," + inner).join(
+                    map(float_repr, value.tolist())) + pads[depth] + "]")
+                continue
+            # a float64 matrix goes row by row through the line above
+            value = list(value) if value.dtype == np.float64 \
+                and value.ndim > 1 else value.tolist()
+            text = _scalar_text(value)          # from a 0-d array
+            if text is not None:
+                out.append(text)
+                continue
+        elif hasattr(value, "json_fields"):
+            nested.add(kind)
+            value = value.json_fields()
+        if isinstance(value, dict):
+            shape = tuple(value)
+            order = orders.get(shape)
+            if order is None:
+                keys = sorted(value)
+                order = keys, [_key_text(key, path) for key in keys]
+                # 1, 1.0 and True are equal keys with different texts
+                if all(type(key) is str for key in keys):
+                    orders[shape] = order
+            keys, labels = order
+            children = list(map(value.__getitem__, keys))
+            text = "{"
+            close_text = "}"
+        elif isinstance(value, (list, tuple)):
+            children = value
+            keys = range(len(value))
+            labels = [""] * len(value)
+            text = "["
+            close_text = "]"
+        else:
+            raise UnencodableValueError(_path_text(path), source)
+        if not children:
+            out.append(text + close_text)
+            continue
+        ident = id(source)
+        if ident in active:
+            raise ValueError(f"{_path_text(path) or 'the document'}: "
+                             "circular reference")
+        active[ident] = source
+        separator = "," + inner
+        # the container's text in order: literal runs between the children
+        # that still need encoding
+        pieces = []
+        text += inner
+        for label, child, key in zip(labels, children, keys):
+            kind = type(child)
+            if kind is float and -inf < child < inf:
+                text += label + float_repr(child) + separator
+            elif kind is int:
+                text += label + int_repr(child) + separator
+            elif kind in nested:
+                pieces.append(text + label)
+                pieces.append((child, depth + 1, (path, key)))
+                text = separator
+            else:
+                scalar = _scalar_text(child)
+                if scalar is None:
+                    pieces.append(text + label)
+                    pieces.append((child, depth + 1, (path, key)))
+                    text = separator
+                else:
+                    text += label + scalar + separator
+        pieces.append(text[:-len(separator)] + pads[depth] + close_text)
+        pieces.append(ident)
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` in the package JSON layout (encode_json and
+    a trailing newline). The whole text is encoded before any file is
+    opened, and the file is replaced in one step: a failed write leaves no
+    file behind and an existing file unchanged."""
+    text = encode_json(doc) + "\n"
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, default=default)
-        fh.write("\n")
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

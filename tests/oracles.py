@@ -11,9 +11,10 @@ not imported. The image-feature oracles are the exception to the loops:
 they apply np.isin and np.nonzero to the whole grid, where the package
 gathers inside bounding boxes. The tree oracles are the package's former
 node-by-node CART growth: one split search per node, on that node's rows.
-The last section keeps two more former package paths: the mask decode that
-took every datatype through float64, and the image features and mask
-summary computed on the whole label grid.
+The last sections keep more former package paths: the mask decode that
+took every datatype through float64, the image features and mask summary
+computed on the whole label grid, and the perceptron's optimizer loop that
+updated each weight and bias array on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 
 from radsurv.imagefeat import (ImageFeatures, MaskSummary, roi_volume,
                                roi_surface_area_facecount)
+from radsurv.regressors.mlp import (MlpDivergenceError, forward,
+                                    init_parameters, loss_and_grads)
+from radsurv.rng import make_rng
 from radsurv.volumeio import (MaskLabelError, bounding_box, derive_roi,
                               load_nifti)
 
@@ -674,3 +678,55 @@ def mask_summary_full(mask):
         centroid_necrosis=_centroid_in_box(
             necrosis, bounding_box(necrosis.membership)),
     )
+
+
+def train_mlp_per_array(X, y, seed, widths=(32, 24, 16, 12, 8), epochs=200,
+                        lr=1e-3, optimizer="adam", batch_size=32):
+    """(weights, biases) of the perceptron on a complete matrix, each array
+    updated by its own optimizer step; MlpDivergenceError as the package
+    raises it."""
+    n, p = X.shape
+    x_mean = X.mean(axis=0)
+    x_scale = X.std(axis=0)
+    x_scale[x_scale == 0] = 1.0
+    xs = (X - x_mean) / x_scale
+    y_mean = float(y.mean())
+    y_scale = float(y.std()) or 1.0
+    ys = (y - y_mean) / y_scale
+
+    weights, biases = init_parameters(p, tuple(widths), seed)
+    batch_rng = make_rng(seed, 1)
+    if optimizer == "adam":
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        m_w = [np.zeros_like(w) for w in weights]
+        v_w = [np.zeros_like(w) for w in weights]
+        m_b = [np.zeros_like(b) for b in biases]
+        v_b = [np.zeros_like(b) for b in biases]
+        step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            perm = batch_rng.permutation(n)
+            for start in range(0, n, batch_size):
+                batch = perm[start:start + batch_size]
+                _, gw, gb = loss_and_grads(weights, biases, xs[batch], ys[batch])
+                if optimizer == "sgd":
+                    for i in range(len(weights)):
+                        weights[i] -= lr * gw[i]
+                        biases[i] -= lr * gb[i]
+                else:
+                    step += 1
+                    corr1 = 1.0 - beta1 ** step
+                    corr2 = 1.0 - beta2 ** step
+                    for i in range(len(weights)):
+                        m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                        v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                        weights[i] -= lr * (m_w[i] / corr1) \
+                            / (np.sqrt(v_w[i] / corr2) + eps)
+                        m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                        v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                        biases[i] -= lr * (m_b[i] / corr1) \
+                            / (np.sqrt(v_b[i] / corr2) + eps)
+            epoch_loss = float(np.mean((forward(weights, biases, xs) - ys) ** 2))
+            if not np.isfinite(epoch_loss):
+                raise MlpDivergenceError(epoch)
+    return weights, biases

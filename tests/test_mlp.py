@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from radsurv.regressors import MlpDivergenceError, predict, train_mlp
 from radsurv.regressors.mlp import (forward, init_parameters, loss_and_grads,
                                     predict_mlp)
@@ -98,3 +99,39 @@ class TestTraining:
         x = np.random.default_rng(0).random((10, 2))
         with pytest.raises(ValueError, match="widths"):
             train_mlp(x, x[:, 0], {"widths": (4, 4)}, seed=0)
+
+
+class TestOptimizerOracle:
+    """The one-vector optimizer step against the former per-array loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_bit_equal(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(5, 60))
+        p = int(rng.integers(1, 40))
+        x = rng.standard_normal((n, p)) * rng.uniform(0.1, 50.0, p)
+        y = rng.gamma(2.0, 150.0, n)
+        params = {
+            "widths": [int(w) for w in rng.integers(1, 12, 5)],
+            "epochs": int(rng.integers(1, 25)),
+            "lr": float(10.0 ** rng.uniform(-4, -1)),
+            "optimizer": ("adam", "sgd")[seed % 2],
+            "batch_size": int(rng.choice([1, 7, 32, n, n + 5])),
+        }
+        model = train_mlp(x, y, params, seed=seed)
+        weights, biases = oracles.train_mlp_per_array(x, y, seed, **params)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), params
+
+    @pytest.mark.parametrize("lr", [1e6, 10.0, 0.3])
+    def test_divergence_at_the_same_epoch(self, lr):
+        rng = np.random.default_rng(5)
+        x = rng.random((20, 2)) * 10
+        y = rng.random(20) * 100
+        params = {"epochs": 200, "lr": lr, "optimizer": "sgd"}
+        with pytest.raises(MlpDivergenceError) as want:
+            oracles.train_mlp_per_array(x, y, 0, **params)
+        with pytest.raises(MlpDivergenceError) as got:
+            train_mlp(x, y, params, seed=0)
+        assert got.value.epoch == want.value.epoch

@@ -21,10 +21,12 @@ from radsurv.regressors import (save_model, train_forest, train_gbr,
 from radsurv.regressors import tree as tree_mod
 from radsurv.regressors.tree import TreeGrower, resolve_max_features
 from radsurv.rng import make_rng
+from radsurv.util import encode_json
 
 
-def _text(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
+def _text(tree) -> str:
+    """Compact sorted JSON of a TreeNode or of an oracle's tree dict."""
+    return json.dumps(json.loads(encode_json(tree)), sort_keys=True)
 
 
 def _column(rng, n, kind):
@@ -72,7 +74,7 @@ def test_all_features_match_recursive_oracle(block):
         for t, root in enumerate(trees):
             expected = oracles.grow_tree_bf(x[rows[t]], y[rows[t]],
                                             max_depth, min_split)
-            assert _text(root.to_dict()) == _text(expected), (seed, t)
+            assert _text(root) == _text(expected), (seed, t)
             models += 1
     assert models >= 40
 
@@ -101,7 +103,7 @@ def test_subset_draws_match_level_order_oracle(seed):
         expected = oracles.grow_tree_levels_bf(
             x[rows], y[rows], params["max_depth"], params["min_split"], mf,
             rng)
-        assert _text(root.to_dict()) == _text(expected), t
+        assert _text(root) == _text(expected), t
 
 
 def _wide_problem(seed=3, n=60, p=12):
@@ -127,7 +129,7 @@ def test_trees_grown_together_equal_trees_grown_alone():
     for t in range(6):
         root, = TreeGrower(x).grow(y, alone_rows[t:t + 1], None, 2, 4,
                                    [alone_rngs[t]])
-        assert _text(root.to_dict()) == _text(together[t].to_dict())
+        assert _text(root) == _text(together[t])
 
 
 def _model_bytes(model, tmp_path) -> bytes:
