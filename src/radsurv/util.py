@@ -91,17 +91,6 @@ def _scalar_text(value):
     return None
 
 
-def _key_text(key, path) -> str:
-    """A dict key and its colon as json.dumps writes them: keys of the
-    scalar kinds become strings."""
-    if isinstance(key, str):
-        return _quote(key) + ": "
-    text = _scalar_text(key)
-    if text is None:
-        raise UnencodableValueError(_path_text(path), key, "a key")
-    return '"' + text + '": '
-
-
 def _path_text(path) -> str:
     """``a.b[2].c`` from the linked (parent, key) pairs the encoder keeps."""
     parts = []
@@ -116,16 +105,17 @@ def encode_json(doc) -> str:
     without recursion, so depth is bounded only by memory.
 
     Beyond json's own kinds it encodes numpy arrays as (nested) lists and
-    any object with a ``json_fields()`` method as the dict that returns.
-    Any other value raises UnencodableValueError naming its key path; a
-    container that holds itself raises ValueError.
+    any object with a ``json_fields()`` method as the dict that returns;
+    dict keys must be strings. Any other value or key raises
+    UnencodableValueError naming its key path; a container that holds
+    itself raises ValueError.
     """
     text = _scalar_text(doc)
     if text is not None:
         return text
     out = []
     pads = ["\n"]
-    orders = {}     # str keys in insertion order -> sorted keys, labels
+    orders = {}     # keys in insertion order -> sorted keys, their labels
     active = {}     # id -> object, of the containers enclosing the current one
     nested = {dict, list, tuple, np.ndarray}    # and json_fields types seen
     inf = math.inf
@@ -169,11 +159,13 @@ def encode_json(doc) -> str:
             shape = tuple(value)
             order = orders.get(shape)
             if order is None:
-                keys = sorted(value)
-                order = keys, [_key_text(key, path) for key in keys]
-                # 1, 1.0 and True are equal keys with different texts
-                if all(type(key) is str for key in keys):
-                    orders[shape] = order
+                for key in shape:
+                    if not isinstance(key, str):
+                        raise UnencodableValueError(_path_text(path), key,
+                                                    "a key")
+                keys = sorted(shape)
+                order = orders[shape] = (
+                    keys, [_quote(key) + ": " for key in keys])
             keys, labels = order
             children = list(map(value.__getitem__, keys))
             text = "{"

@@ -84,8 +84,6 @@ def test_random_documents_match_json_dumps(seed):
     "é☃\U0001f600", None, True, False, 0, -1, 10**30, -0.0, 5e-324,
     1e16, float("nan"), float("inf"), float("-inf"), np.float64(0.1),
     {"z": 1, "a": 2, "m": {"y": None, "b": False}},
-    {2: "int key", 1.5: "float key"}, {True: 1, False: 0}, {None: "n"},
-    [{1: "a"}, {1.0: "b"}, {True: "c"}, {"1": "d"}],
     np.zeros((2, 0)), np.array(3.5), np.array([[1.0, np.nan], [2.0, 3.0]]),
     np.arange(4), np.array([True, False]),
 ], ids=repr)
@@ -114,8 +112,8 @@ def test_unencodable_value_names_its_path_and_type():
     assert err.value.path == "a[1].b"
     assert isinstance(err.value, TypeError)
     with pytest.raises(UnencodableValueError,
-                       match=r"^x: cannot encode a key of type tuple"):
-        encode_json({"x": {(1, 2): 0}})
+                       match=r"^x\[0\]: cannot encode a key of type int"):
+        encode_json({"x": [{"a": 1, 2: 0}]})
 
 
 def test_circular_reference_rejected():
