@@ -8,8 +8,8 @@ the artifacts alone. Outputs are byte-identical across reruns with the same
 inputs and seed. Exit status is 0 only when every requested subject or
 experiment cell succeeded.
 
-Environment: RADSURV_WORKERS caps the extract thread pool (default 1; the
-output order never depends on it), RADSURV_LOG sets the log level.
+Environment: RADSURV_WORKERS (a positive integer, default 1) caps the
+extract thread pool, not the output order; RADSURV_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ CONFIG_SCHEMA = "radsurv-config/1"
 
 
 def _workers() -> int:
-    return max(1, int(os.environ.get("RADSURV_WORKERS", "1")))
+    value = os.environ.get("RADSURV_WORKERS", "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise SystemExit(f"RADSURV_WORKERS={value!r} is not a positive integer")
+    return int(value)
 
 
 def _write_config(resolved: dict, directory: str, command: str) -> None:
@@ -117,6 +120,7 @@ def _extract_columns(feature_mode: str) -> list[str]:
 
 
 def cmd_extract(args) -> int:
+    workers = _workers()
     resolved = _merge_config(
         {"subjects": None, "metadata": None, "out": None, "features": "all",
          "roi": "WT", "bins": 32, "bin_width": None,
@@ -142,7 +146,7 @@ def cmd_extract(args) -> int:
 
     results = []
     failures = 0
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(row[id_col], pool.submit(work, row)) for row in rows]
         for sid, fut in futures:
             try:

@@ -39,8 +39,6 @@ from .volumeio import RESECTION_STATUSES
 DAYS_PER_MONTH = 30.4375
 DEFAULT_THRESHOLDS = (10 * DAYS_PER_MONTH, 15 * DAYS_PER_MONTH)
 
-SURVIVAL_CLASSES = ("short", "intermediate", "long")
-
 FEATURE_SETS = ("image7", "radiomics107", "rfe20", "shape")
 
 # resection statuses each evaluation filter keeps

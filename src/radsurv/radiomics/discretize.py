@@ -12,8 +12,8 @@ A non-finite intensity inside the ROI is rejected, naming the first such
 voxel in index order.
 
 Levels are stored as a full 3D map (0 outside the ROI, 1..Ng inside), which
-is the natural shape for the texture-matrix builders. The ROI's box and its
-neighbor pairs are built once, on first use; a DiscretizedRoi never changes.
+is the natural shape for the texture-matrix builders. The ROI's neighbor
+pairs are built once, on first use; a DiscretizedRoi never changes.
 """
 
 from __future__ import annotations
@@ -78,14 +78,6 @@ class DiscretizedRoi:
         return self.level_map[self.roi.membership]
 
     @cached_property
-    def box(self) -> tuple[slice, slice, slice]:
-        """Index slices of the ROI's bounding box."""
-        box = bounding_box(self.roi.membership)
-        if box is None:
-            raise DiscretizationError("empty ROI")
-        return box
-
-    @cached_property
     def neighbor_pairs(self) -> tuple[np.ndarray, list]:
         """ROI levels and, per direction, the pairs of ROI voxels it joins.
 
@@ -93,8 +85,11 @@ class DiscretizedRoi:
         in C order of the bounding box; ``pairs[k]`` is a pair of index arrays
         (a, b) into it with voxel b = voxel a + DIRECTIONS_13[k].
         """
+        box = bounding_box(self.roi.membership)
+        if box is None:
+            raise DiscretizationError("empty ROI")
         # the one-voxel pad keeps every neighbor index inside the array
-        padded = np.pad(self.level_map[self.box], 1)
+        padded = np.pad(self.level_map[box], 1)
         flat = padded.ravel()
         pos = np.flatnonzero(flat)
         number = np.full(flat.size, -1, dtype=np.int64)

@@ -4,11 +4,11 @@ Conventions, fixed across the package and mirrored by the test oracles:
 
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
-  the 13 unique axial+diagonal direction pairs (antipodal offsets merged)
-  for GLCM and GLRLM. The 26-neighborhood is the 13 half-offsets taken
-  both ways: GLCM, GLSZM, GLDM and NGTDM all read one list of in-ROI
-  voxel pairs (v, v + d) over the 13 directions, which holds every pair
-  of 26-neighbors exactly once; it is built once per ``DiscretizedRoi``.
+  the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
+  and GLRLM. All five families read one list of in-ROI voxel pairs
+  (v, v + d) over the 13 half-offsets (every 26-neighbor pair once),
+  built once per ``DiscretizedRoi``. GLRLM runs along d are the connected
+  components of d's equal-level pairs, GLSZM zones those of all 13.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   A GLCM direction with no co-occurring pair is excluded from the mean;
@@ -108,6 +108,42 @@ def _all_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
 def _entropy(p: np.ndarray) -> float:
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def _zone_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of n nodes joined by the edges (src, dst).
+
+    Labelling runs without a per-node loop: each node starts with its own
+    index as label. A round hooks every label root to the smallest label
+    across its edges (so a label never grows and always names a node of its
+    component), then jumps pointers until every node holds its root. Rounds
+    repeat until no edge joins two labels; each node's label is then the
+    smallest node of its component.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[src], label[dst]
+        joined = a != b
+        if not joined.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[joined],
+                      np.minimum(a, b)[joined])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
+def _size_matrix(levels: np.ndarray, labels: np.ndarray, ng: int,
+                 width: int | None = None) -> np.ndarray:
+    """Component count matrix (level x size) of ``_zone_labels`` output,
+    as wide as the largest component unless ``width`` is given."""
+    sizes = np.bincount(labels)
+    roots = np.flatnonzero(sizes)
+    if width is None:
+        width = int(sizes.max())
+    p = np.zeros((ng, width), dtype=np.float64)
+    np.add.at(p, (levels[roots] - 1, sizes[roots] - 1), 1.0)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +264,16 @@ def glcm_features(disc: DiscretizedRoi) -> dict[str, float]:
 def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
     """Run-length count matrices (level x run length), one per direction.
 
-    Per direction, ROI voxels are sorted by one int64 key: line number times
-    (t-span + step) plus the position t along the line. Two neighbors in
-    that order continue a run exactly when their keys differ by the step
-    and their levels agree; keys of different lines are farther apart.
+    A run along d is a connected component of d's equal-level neighbor
+    pairs. Every matrix is max(dims) wide, which bounds any run.
     """
-    box = disc.box
-    member = disc.roi.membership[box]
-    ids = np.argwhere(member)
-    lv = disc.level_map[box][member].astype(np.int64)
-    ng = disc.n_levels
-    max_len = max(disc.roi.dims)
+    levels, pairs = disc.neighbor_pairs
+    width = max(disc.roi.dims)
     out = []
-    for d in DIRECTIONS_13:
-        dvec = np.array(d, dtype=np.int64)
-        dd = int(dvec @ dvec)
-        t = ids @ dvec
-        line = ids * dd - t[:, None] * dvec
-        line -= line.min(axis=0)
-        t -= t.min()
-        line_id = np.ravel_multi_index(line.T, tuple(line.max(axis=0) + 1))
-        key = line_id * (int(t.max()) + 1 + dd) + t
-        order = np.argsort(key)
-        vs = lv[order]
-        # a new run starts at position 0 and wherever the line, the
-        # step-continuity or the gray level breaks
-        new_run = np.ones(vs.size, dtype=bool)
-        new_run[1:] = (np.diff(key[order]) != dd) | (vs[1:] != vs[:-1])
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(np.append(starts, vs.size))
-        p = np.zeros((ng, max_len), dtype=np.float64)
-        np.add.at(p, (vs[starts] - 1, lengths - 1), 1.0)
-        out.append(p)
+    for a, b in pairs:
+        same = levels[a] == levels[b]
+        labels = _zone_labels(levels.size, a[same], b[same])
+        out.append(_size_matrix(levels, labels, disc.n_levels, width))
     return out
 
 
@@ -318,40 +332,14 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 # GLSZM
 
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
-    """Zone count matrix (level x zone size), zones 26-connected.
-
-    Zones are labelled without a per-voxel loop: each ROI voxel starts with
-    its own index as label, and the edges are the same-level neighbor pairs
-    along the 13 half-offsets. A round hooks every label root to the
-    smallest label across its edges (so a label never grows and always
-    names a voxel of its zone), then jumps pointers until every voxel holds
-    its root. Rounds repeat until no edge joins two labels; the labels are
-    then exactly the connected components.
-    """
+    """Zone count matrix (level x zone size), zones 26-connected: the
+    components of the equal-level pairs of all 13 directions."""
     levels, pairs = disc.neighbor_pairs
     src, dst = _all_pairs(pairs)
     same = levels[src] == levels[dst]
-    src, dst = src[same], dst[same]
-
-    label = np.arange(levels.size)
-    while True:
-        a, b = label[src], label[dst]
-        joined = a != b
-        if not joined.any():
-            break
-        np.minimum.at(label, np.maximum(a, b)[joined],
-                      np.minimum(a, b)[joined])
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-    zone_sizes = np.bincount(label)
-    roots = np.flatnonzero(zone_sizes)
-    p = np.zeros((disc.n_levels, int(zone_sizes.max())), dtype=np.float64)
-    np.add.at(p, (levels[roots] - 1, zone_sizes[roots] - 1), 1.0)
-    return p
+    src, dst = src[same], dst[same]     # frees the unfiltered pair arrays
+    return _size_matrix(levels, _zone_labels(levels.size, src, dst),
+                        disc.n_levels)
 
 
 def glszm_features(disc: DiscretizedRoi) -> dict[str, float]:

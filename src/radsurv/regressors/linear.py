@@ -5,12 +5,14 @@ scale); penalties act on the standardized coefficients, with the intercept
 never penalized. The solver is exact normal equations for none/l2 (the l2
 penalty adds lambda * I to the standardized normal matrix) and cyclic
 coordinate descent with soft thresholding for l1, iterated to a 1e-8
-max-update tolerance. The stored coefficients are back-transformed to
-original units, so ``prediction = intercept + coef . x`` exactly.
+max-update tolerance (or ``max_iter`` sweeps, with a warning). The stored
+coefficients are back-transformed to original units, so
+``prediction = intercept + coef . x`` exactly.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,6 +81,7 @@ def train_linear(X: np.ndarray, y: np.ndarray, penalty: str = "none",
         beta = np.zeros(p)
         residual = yc.copy()
         col_sq = (z ** 2).sum(axis=0) / n
+        max_delta = float("inf")     # what a max_iter of 0 reports
         for _ in range(max_iter):
             max_delta = 0.0
             for j in range(p):
@@ -93,6 +96,10 @@ def train_linear(X: np.ndarray, y: np.ndarray, penalty: str = "none",
                     max_delta = max(max_delta, abs(delta))
             if max_delta < tol:
                 break
+        else:
+            logging.getLogger("radsurv").warning(
+                "l1 fit did not converge: lam=%g, max_iter=%d, last max "
+                "update %g", lam, max_iter, max_delta)
 
     coefficients = beta / x_scale
     intercept = y_mean - float(coefficients @ x_mean)

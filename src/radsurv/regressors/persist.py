@@ -47,6 +47,13 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
+    try:
+        return _read_model(path)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read") from None
+
+
+def _read_model(path: str):
     from . import FAMILIES
 
     with open(path, "r", encoding="utf-8") as fh:

@@ -201,6 +201,18 @@ class TestExtractCommand:
             outputs[workers] = path.read_bytes()
         assert outputs["1"] == outputs["4"]
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
+    def test_worker_count_must_be_a_positive_integer(self, tmp_path,
+                                                     monkeypatch, workers):
+        # rejected before any input is read, so no file needs to exist
+        monkeypatch.setenv("RADSURV_WORKERS", workers)
+        with pytest.raises(SystemExit, match=re.escape(
+                f"RADSURV_WORKERS={workers!r} is not a positive integer")):
+            main(["extract", "--subjects", str(tmp_path / "subjects.csv"),
+                  "--metadata", str(tmp_path / "metadata.csv"),
+                  "--out", str(tmp_path / "features.csv")])
+        assert os.listdir(tmp_path) == []
+
 
 class TestTrainPredictEvaluate:
     def test_pipeline_round_trip(self, phantom_dir, tmp_path):

@@ -11,13 +11,15 @@ digests recorded with json.dump as the writer.
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from radsurv.cli import main
-from radsurv.regressors import TreeNode, save_model, train_model
+from radsurv.regressors import (TreeNode, load_model, save_model,
+                                train_model)
 from radsurv.util import UnencodableValueError, encode_json, write_json
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
@@ -150,9 +152,8 @@ def test_failed_save_leaves_an_existing_file_unchanged(tmp_path):
     assert os.listdir(tmp_path) == ["model.json"]
 
 
-def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
-    limit = sys.getrecursionlimit()
-    depth = limit + 500
+def _deep_tree(depth):
+    """A chain of ``depth`` splits and the plain dict it saves as."""
     node = TreeNode(n_samples=1, value=0.5)
     expected = {"n": 1, "value": 0.5}
     for level in range(depth):
@@ -162,6 +163,13 @@ def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
         expected = {"n": level + 2, "value": float(level), "feature": 0,
                     "threshold": -float(level), "gain": 1.0,
                     "left": {"n": 1, "value": -1.0}, "right": expected}
+    return node, expected
+
+
+def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
+    limit = sys.getrecursionlimit()
+    depth = limit + 500
+    node, expected = _deep_tree(depth)
     model = _gbr({"n_estimators": 1})
     model.trees = [node]
     path = tmp_path / "model.json"
@@ -177,6 +185,16 @@ def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert text == encode_json(doc) + "\n"
+
+
+def test_tree_deeper_than_the_recursion_limit_is_rejected_on_load(tmp_path):
+    model = _gbr({"n_estimators": 1})
+    model.trees = [_deep_tree(sys.getrecursionlimit() + 500)[0]]
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: nested too deeply to read")):
+        load_model(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,24 @@ class TestLinear:
                                                 abs=1e-6)
             else:
                 assert abs(grad[j]) <= lam + 1e-6
+
+    @pytest.mark.parametrize("lam, max_iter, warns",
+                             [(0.01, 3, True), (0.5, 10000, False)])
+    def test_l1_fit_warns_only_when_out_of_sweeps(self, caplog, lam,
+                                                  max_iter, warns):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((10, 30))     # more columns than rows
+        y = x[:, :3] @ [3.0, -2.0, 1.0] + rng.standard_normal(10)
+        with caplog.at_level(logging.WARNING, logger="radsurv"):
+            train_linear(x, y, penalty="l1", lam=lam, max_iter=max_iter)
+        records = [r for r in caplog.records if r.name == "radsurv"]
+        if not warns:
+            assert records == []
+            return
+        [record] = records
+        assert record.levelno == logging.WARNING
+        assert (f"lam={lam:g}, max_iter={max_iter}, last max update"
+                in record.getMessage())
 
     def test_singular_design_suggests_l2(self):
         x = np.ones((10, 2))
