@@ -62,6 +62,9 @@ def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise SystemExit(f"{config_path}: config file must hold a JSON "
+                             f"object, not {type(file_values).__name__}")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise SystemExit(f"config file has unknown keys: {sorted(unknown)}")

@@ -70,7 +70,7 @@ class Cohort:
 
 def read_features_csv(path: str):
     """Read a feature table: (subject ids, feature names, (n, p) float64 X
-    with NaN for empty or NA cells)."""
+    with NaN for empty, NA or NaN cells). An infinite cell is rejected."""
     header, rows = read_csv(path)
     if not header or header[0] != "subject_id":
         raise ValueError(f"{path}: first column must be 'subject_id'")
@@ -79,6 +79,11 @@ def read_features_csv(path: str):
     reject_duplicate_ids(ids, path)
     X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
                  dtype=np.float64).reshape(len(rows), len(header) - 1)
+    infinite = np.argwhere(np.isinf(X))
+    if infinite.size:
+        i, j = infinite[0]
+        raise ValueError(f"{path}: subject {ids[i]!r} column {header[j + 1]!r} "
+                         f"holds a non-finite value {X[i, j]}")
     return ids, header[1:], X
 
 

@@ -14,8 +14,8 @@ voxel centers, where voxel (i, j, k) has center ``origin + index * spacing``;
 an empty label set yields a missing centroid (None), never a fake zero.
 
 Every region comes from ``volumeio.derive_roi``; which labels make up a
-region is decided there and nowhere else, on the label grid cropped to the
-box of its labelled voxels.
+region is decided there and nowhere else, as the crop of the box of the
+mask's labelled voxels. WT is all of them, so its crop is the extent.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .volumeio import (LabelMask, RoiMask, SubjectRecord, bounding_box,
-                       derive_roi)
+from .volumeio import LabelMask, RoiMask, SubjectRecord, derive_roi
 
 IMAGE_FEATURE_NAMES = (
     "img.vol_wt", "img.vol_tc", "img.vol_et",
@@ -103,36 +102,22 @@ def roi_surface_area_facecount(roi: RoiMask) -> float:
     return total
 
 
-def _tumor_crop(mask: LabelMask):
-    """``mask`` cropped to the box of its labelled voxels (empty if none is),
-    and the box's first corner. Outside the box every voxel is background, so
-    region volumes, shared faces and member indices are the whole grid's."""
-    box = bounding_box(mask.labels > 0) or (slice(0, 0),) * 3
-    corner = [b.start for b in box]
-    labels = mask.labels[box]
-    origin = np.add(mask.origin, np.multiply(corner, mask.spacing))
-    return LabelMask(labels.shape, mask.spacing, origin, labels), corner
-
-
-def _centroid(roi: RoiMask, box, mask: LabelMask, corner):
-    """Mean member voxel center in ``mask``, whose index ``corner`` is the
-    ROI grid's first voxel, gathered inside the ROI's bounding box."""
-    if box is None:
+def _centroid(roi: RoiMask):
+    """Mean member voxel center, or None for an empty region."""
+    idx = np.nonzero(roi.membership)
+    if idx[0].size == 0:
         return None
-    idx = np.nonzero(roi.membership[box])
     return tuple(
-        float(np.mean(idx[a] + (box[a].start + corner[a])) * mask.spacing[a]
-              + mask.origin[a])
+        float(np.mean(idx[a] + roi.corner[a]) * roi.spacing[a] + roi.origin[a])
         for a in range(3))
 
 
 def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeatures:
     """The seven image-based features, in the IMAGE_FEATURE_NAMES order."""
-    crop, _ = _tumor_crop(mask)
     vols = {}
     surfs = {}
     for kind in ("WT", "TC", "ET"):
-        roi = derive_roi(crop, kind)
+        roi = derive_roi(mask, kind)
         vols[kind] = roi_volume(roi)
         surfs[kind] = roi_surface_area_facecount(roi)
     return ImageFeatures(
@@ -144,22 +129,14 @@ def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeat
 
 def mask_summary(mask: LabelMask) -> MaskSummary:
     """Label amounts, WT extent and WT/necrosis centroids."""
-    crop, corner = _tumor_crop(mask)
-    wt = derive_roi(crop, "WT")
-    necrosis = derive_roi(crop, "LABEL1")
-    wt_box = bounding_box(wt.membership)
-    if wt_box is None:
-        extent = (0.0, 0.0, 0.0)
-    else:
-        extent = tuple(
-            float((wt_box[a].stop - wt_box[a].start) * mask.spacing[a])
-            for a in range(3))
+    wt = derive_roi(mask, "WT")
+    necrosis = derive_roi(mask, "LABEL1")
     return MaskSummary(
         amount_necrotic=roi_volume(necrosis),
-        amount_edema=roi_volume(derive_roi(crop, "LABEL2")),
-        amount_enhancing=roi_volume(derive_roi(crop, "LABEL4")),
-        extent=extent,
-        centroid_wt=_centroid(wt, wt_box, mask, corner),
-        centroid_necrosis=_centroid(necrosis, bounding_box(necrosis.membership),
-                                    mask, corner),
+        amount_edema=roi_volume(derive_roi(mask, "LABEL2")),
+        amount_enhancing=roi_volume(derive_roi(mask, "LABEL4")),
+        extent=tuple(float(n * s)
+                     for n, s in zip(wt.membership.shape, mask.spacing)),
+        centroid_wt=_centroid(wt),
+        centroid_necrosis=_centroid(necrosis),
     )

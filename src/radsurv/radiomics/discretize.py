@@ -11,9 +11,10 @@ Two binning rules are supported:
 A non-finite intensity inside the ROI is rejected, naming the first such
 voxel in index order.
 
-Levels are stored as a full 3D map (0 outside the ROI, 1..Ng inside), which
-is the natural shape for the texture-matrix builders. The ROI's neighbor
-pairs are built once, on first use; a DiscretizedRoi never changes.
+Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
+the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
+builders. The ROI's neighbor pairs are built once, on first use; a
+DiscretizedRoi never changes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..volumeio import RoiMask, VoxelVolume, bounding_box
+from ..volumeio import RoiMask, VoxelVolume
 
 # The 13 canonical direction offsets: the lexicographically positive half
 # of the 26-neighborhood (first nonzero component positive).
@@ -66,7 +67,7 @@ class Binning:
 class DiscretizedRoi:
     """Gray levels per ROI voxel plus the provenance of the binning."""
 
-    level_map: np.ndarray    # int32 3D map, 0 outside ROI, 1..n_levels inside
+    level_map: np.ndarray    # int32 map of roi.box, 0 outside ROI, 1..Ng inside
     roi: RoiMask
     n_levels: int
     binning: Binning
@@ -82,16 +83,15 @@ class DiscretizedRoi:
         """ROI levels and, per direction, the pairs of ROI voxels it joins.
 
         Returns (levels, pairs). ``levels`` holds the level of every ROI voxel
-        in C order of the bounding box; ``pairs[k]`` is a pair of index arrays
-        (a, b) into it with voxel b = voxel a + DIRECTIONS_13[k].
+        in C order; ``pairs[k]`` is a pair of index arrays (a, b) into it with
+        voxel b = voxel a + DIRECTIONS_13[k].
         """
-        box = bounding_box(self.roi.membership)
-        if box is None:
-            raise DiscretizationError("empty ROI")
         # the one-voxel pad keeps every neighbor index inside the array
-        padded = np.pad(self.level_map[box], 1)
+        padded = np.pad(self.level_map, 1)
         flat = padded.ravel()
         pos = np.flatnonzero(flat)
+        if pos.size == 0:
+            raise DiscretizationError("empty ROI")
         number = np.full(flat.size, -1, dtype=np.int64)
         number[pos] = np.arange(pos.size)
         strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
@@ -106,13 +106,14 @@ class DiscretizedRoi:
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:
     """Discretize ROI intensities to integer gray levels 1..Ng."""
     member = roi.membership
-    values = vol.data[member]
+    roi._check_shape("scan data", vol.data)
+    values = vol.data[roi.box][member]
     if values.size == 0:
         raise DiscretizationError("empty ROI")
     finite = np.isfinite(values)
     if not finite.all():
         first = int(np.argmin(finite))
-        index = tuple(int(i) for i in np.argwhere(member)[first])
+        index = tuple(int(i) for i in np.argwhere(member)[first] + roi.corner)
         raise DiscretizationError(
             f"non-finite ROI intensity {values[first]} at voxel {index}")
     vmin = float(values.min())
@@ -129,7 +130,7 @@ def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedR
             levels = np.minimum(
                 np.floor((values - vmin) / width).astype(np.int64) + 1, k)
 
-    level_map = np.zeros(vol.dims, dtype=np.int32)
+    level_map = np.zeros(member.shape, dtype=np.int32)
     level_map[member] = levels
     return DiscretizedRoi(
         level_map=level_map,

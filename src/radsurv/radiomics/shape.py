@@ -35,9 +35,10 @@ to the maximum. The exact distance grows with each such swap, so the swaps
 end at a pair of candidates with the same computed maximum.
 
 The mesh, the surface voxels and the coordinate gathers all run on the
-ROI's bounding box, not the full grid. The mesh's integer vertex keys are
-shifted back to full-grid units before any float is formed, so every float
-matches a full-grid computation (smoothing is not translation-exact).
+ROI's crop (``RoiMask.membership``), not the full grid. The mesh vertices
+are shifted to full-grid units by the crop's ``corner`` before smoothing;
+they are half-integers, so the shift is exact and every float matches a
+full-grid computation (smoothing is not translation-exact).
 
 Degenerate ROIs (fewer than 4 voxels, or all voxel centers coplanar) skip
 the mesh: volume falls back to voxel counting and surface to exposed-face
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..volumeio import RoiMask, bounding_box
+from ..volumeio import RoiMask
 from ..imagefeat import roi_volume, roi_surface_area_facecount
 from ._mc_tables import TRI_TABLE, EDGE_CORNERS, CORNER_OFFSETS
 
@@ -126,16 +127,12 @@ class ShapeDescriptors:
 def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate the 0.5-isosurface of a binary mask.
 
-    Returns ``(vertices, faces)``: vertex positions in (padded) voxel index
-    units and integer triangles. Shared vertices are merged exactly, since
-    every vertex is an edge midpoint with half-integer coordinates. Only the
-    mask's bounding box is triangulated; the cubes outside it are empty.
+    Returns ``(vertices, faces)``: vertex positions in voxel index units of
+    the mask padded by one voxel, and integer triangles. Shared vertices are
+    merged exactly, since every vertex is an edge midpoint with half-integer
+    coordinates. The whole array is triangulated, so pass a region's crop.
     """
-    membership = np.asarray(membership, dtype=bool)
-    box = bounding_box(membership)
-    if box is None:
-        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
-    m = np.pad(membership[box].astype(np.uint8), 1)
+    m = np.pad(np.asarray(membership, dtype=bool).astype(np.uint8), 1)
     corners = [m[o[0]:m.shape[0] - 1 + o[0],
                  o[1]:m.shape[1] - 1 + o[1],
                  o[2]:m.shape[2] - 1 + o[2]] for o in CORNER_OFFSETS]
@@ -173,8 +170,7 @@ def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate(key_blocks, axis=0).reshape(-1, 3).T, key_grid)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     faces = inverse.reshape(-1, 3)
-    doubled = np.stack(np.unravel_index(unique_keys, key_grid), axis=1) \
-        + 2 * np.array([b.start for b in box])
+    doubled = np.stack(np.unravel_index(unique_keys, key_grid), axis=1)
     vertices = doubled.astype(np.float64) / 2.0
     return vertices, faces
 
@@ -249,11 +245,11 @@ def _line_ends(surface: np.ndarray, axis: int) -> np.ndarray:
     return surface & ((rank == 1) | (rank == count))
 
 
-def _diameters(box: np.ndarray, offset: np.ndarray,
+def _diameters(member: np.ndarray, offset: np.ndarray,
                spacing: np.ndarray) -> tuple[float, dict[str, float]]:
     """The 3D and the three per-plane maximum surface-voxel distances of the
-    ROI cropped to ``box``, whose first voxel has index ``offset``."""
-    surface = _surface_mask(box)
+    ROI crop ``member``, whose first voxel has index ``offset``."""
+    surface = _surface_mask(member)
     ends = [_line_ends(surface, axis) for axis in range(3)]
 
     def points(candidates):
@@ -276,11 +272,10 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
     if n < 1:
         raise ShapeError("shape features need a non-empty ROI")
 
-    box_slices = bounding_box(roi.membership)
-    box = roi.membership[box_slices]
-    offset = np.array([b.start for b in box_slices])
+    member = roi.membership
+    offset = np.array(roi.corner)
     spacing = np.asarray(roi.spacing, dtype=np.float64)
-    coords = (np.argwhere(box) + offset).astype(np.float64)
+    coords = (np.argwhere(member) + offset).astype(np.float64)
     phys = coords * spacing + np.asarray(roi.origin)
 
     vox_vol = roi_volume(roi)
@@ -300,13 +295,13 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
         mesh_volume = vox_vol
         surface_area = roi_surface_area_facecount(roi)
     else:
-        vertices, faces = extract_mesh(roi.membership)
-        smoothed = taubin_smooth(vertices, faces)
+        vertices, faces = extract_mesh(member)
+        smoothed = taubin_smooth(vertices + offset, faces)
         surface_area, mesh_volume = mesh_area_volume(smoothed, faces, spacing)
     sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * mesh_volume) ** (2.0 / 3.0)
                        / surface_area)
 
-    max3d, diam_plane = _diameters(box, offset, spacing)
+    max3d, diam_plane = _diameters(member, offset, spacing)
 
     return ShapeDescriptors(
         mesh_volume=mesh_volume,

@@ -11,6 +11,9 @@ Scope and conventions:
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
+* A region (``RoiMask``) is the crop of its mask to the box of the
+  labelled voxels (``LabelMask.box``, found once per mask) at ``corner``;
+  its dims, spacing and origin stay the whole grid's.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -132,18 +136,37 @@ class LabelMask(VoxelGrid):
     def label_count(self, label: int) -> int:
         return int(np.count_nonzero(self.labels == label))
 
+    @cached_property
+    def box(self) -> tuple[slice, slice, slice]:
+        """The box of the labelled voxels; empty if no voxel is labelled."""
+        return bounding_box(self.labels > 0) or (slice(0, 0),) * 3
+
 
 @dataclass
 class RoiMask(VoxelGrid):
-    """Binary region of interest derived from a LabelMask."""
+    """Binary region of interest: ``membership`` is the box of the grid
+    whose first voxel has index ``corner``; no voxel outside it is a member."""
 
-    membership: np.ndarray  # bool, shape == dims
+    membership: np.ndarray  # bool, 3D, fits inside dims at corner
     roi_kind: str
+    corner: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         if self.roi_kind not in ROI_KINDS:
             raise ValueError(f"unknown roi_kind {self.roi_kind!r}")
         super().__post_init__()
+        self.corner = tuple(int(c) for c in self.corner)
+        shape = self.membership.shape
+        if len(shape) != 3 or len(self.corner) != 3 or not all(
+                0 <= c <= d - n for c, n, d in zip(self.corner, shape, self.dims)):
+            raise ValueError(f"membership shape {shape} at corner {self.corner} "
+                             f"does not fit dims {self.dims}")
+
+    @property
+    def box(self) -> tuple[slice, slice, slice]:
+        """Index slices of the grid that ``membership`` covers."""
+        return tuple(slice(c, c + n)
+                     for c, n in zip(self.corner, self.membership.shape))
 
     @property
     def voxel_count(self) -> int:
@@ -160,11 +183,14 @@ class SubjectRecord:
     resection_status: str = "NA"
 
     def __post_init__(self):
-        if not self.age > 0:
-            raise ValueError(f"{self.subject_id}: age must be > 0, got {self.age}")
-        if self.survival_days is not None and self.survival_days < 0:
+        if not (math.isfinite(self.age) and self.age > 0):
             raise ValueError(
-                f"{self.subject_id}: survival_days must be >= 0, got {self.survival_days}")
+                f"{self.subject_id}: age must be finite and > 0, got {self.age}")
+        if self.survival_days is not None and not (
+                math.isfinite(self.survival_days) and self.survival_days >= 0):
+            raise ValueError(
+                f"{self.subject_id}: survival_days must be finite and >= 0, "
+                f"got {self.survival_days}")
         if self.resection_status not in RESECTION_STATUSES:
             raise ValueError(
                 f"{self.subject_id}: resection_status {self.resection_status!r} "
@@ -389,12 +415,14 @@ def check_same_grid(vol: VoxelVolume, mask: LabelMask) -> None:
 
 
 def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
-    """Derive a binary ROI (WT/TC/ET or a single label) from a label mask."""
+    """Derive a binary ROI (WT/TC/ET or a single label) from a label mask,
+    as the crop of the mask's box: every region lies inside it."""
     if kind not in _ROI_LABEL_SETS:
         raise ValueError(f"unknown roi_kind {kind!r}, expected one of {ROI_KINDS}")
-    membership = np.isin(mask.labels, _ROI_LABEL_SETS[kind])
+    box = mask.box
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
-                   membership=membership, roi_kind=kind)
+                   membership=np.isin(mask.labels[box], _ROI_LABEL_SETS[kind]),
+                   roi_kind=kind, corner=tuple(b.start for b in box))
 
 
 def read_metadata_csv(path: str) -> list[SubjectRecord]:

@@ -28,8 +28,7 @@ from radsurv.imagefeat import (ImageFeatures, MaskSummary, roi_volume,
 from radsurv.regressors.mlp import (MlpDivergenceError, forward,
                                     init_parameters, loss_and_grads)
 from radsurv.rng import make_rng
-from radsurv.volumeio import (MaskLabelError, bounding_box, derive_roi,
-                              load_nifti)
+from radsurv.volumeio import MaskLabelError, RoiMask, bounding_box, load_nifti
 
 DIRS = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -642,11 +641,23 @@ def load_mask_via_float(path):
     return labels
 
 
+_LABEL_SETS = {"WT": (1, 2, 4), "TC": (1, 4), "ET": (4,), "LABEL1": (1,),
+               "LABEL2": (2,), "LABEL4": (4,)}
+
+
+def _full_roi(mask, kind):
+    """The region as the package derived it before regions were cropped:
+    np.isin over the whole label grid."""
+    return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
+                   membership=np.isin(mask.labels, _LABEL_SETS[kind]),
+                   roi_kind=kind)
+
+
 def extract_image_features_full(mask, age):
     """ImageFeatures from regions derived on the whole label grid."""
     vols, surfs = [], []
     for kind in ("WT", "TC", "ET"):
-        roi = derive_roi(mask, kind)
+        roi = _full_roi(mask, kind)
         vols.append(roi_volume(roi))
         surfs.append(roi_surface_area_facecount(roi))
     return ImageFeatures(*vols, *surfs, age=float(age))
@@ -663,16 +674,16 @@ def _centroid_in_box(roi, box):
 
 def mask_summary_full(mask):
     """MaskSummary from regions derived on the whole label grid."""
-    wt = derive_roi(mask, "WT")
-    necrosis = derive_roi(mask, "LABEL1")
+    wt = _full_roi(mask, "WT")
+    necrosis = _full_roi(mask, "LABEL1")
     wt_box = bounding_box(wt.membership)
     extent = ((0.0, 0.0, 0.0) if wt_box is None else tuple(
         float((wt_box[a].stop - wt_box[a].start) * mask.spacing[a])
         for a in range(3)))
     return MaskSummary(
         amount_necrotic=roi_volume(necrosis),
-        amount_edema=roi_volume(derive_roi(mask, "LABEL2")),
-        amount_enhancing=roi_volume(derive_roi(mask, "LABEL4")),
+        amount_edema=roi_volume(_full_roi(mask, "LABEL2")),
+        amount_enhancing=roi_volume(_full_roi(mask, "LABEL4")),
         extent=extent,
         centroid_wt=_centroid_in_box(wt, wt_box),
         centroid_necrosis=_centroid_in_box(

@@ -316,6 +316,18 @@ class TestTrainPredictEvaluate:
         assert resolved["seed"] == 9               # flag overrides file
         assert resolved["schema"] == "radsurv-config/1"
 
+    @pytest.mark.parametrize("top", ["[]", '"abc"', "5", "null"])
+    def test_config_file_must_hold_an_object(self, tmp_path, top):
+        # main() resolves the config before it reads any input file
+        config = tmp_path / "cfg.json"
+        config.write_text(top)
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{config}: config file must hold a JSON object")):
+            main(["train", "--features", str(tmp_path / "f.csv"),
+                  "--metadata", str(tmp_path / "m.csv"),
+                  "--predictor", "linear", "--config", str(config),
+                  "--out", str(tmp_path / "t")])
+
 
 class TestRfeCommand:
     def test_rfe_outputs(self, phantom_dir, tmp_path):

@@ -87,3 +87,28 @@ class TestCohort:
         with pytest.raises(ValueError, match=re.escape(
                 f"{f}: duplicate column name 'alpha'")):
             load_cohort(str(f), str(m))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", " +INF "])
+    def test_infinite_cell_rejected(self, cohort, tmp_path, cell):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        lines[2] = f"S2,2,{cell}"
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: subject 'S2' column 'beta' holds a non-finite value")):
+            load_cohort(str(f), str(m))
+
+    @pytest.mark.parametrize("cell", ["", "NA", "NaN", "nan"])
+    def test_missing_cells_stay_missing(self, cohort, tmp_path, cell):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        lines[1] = f"S1,{cell},10"
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_cohort(str(f), str(m))
+        assert np.isnan(loaded.X[0, 0]) and np.isnan(loaded.X[1, 1])

@@ -3,6 +3,7 @@ import pytest
 
 from radsurv.radiomics import Binning, discretize, extract_radiomics
 from radsurv.radiomics.discretize import DiscretizationError
+from radsurv.volumeio import derive_roi
 from conftest import make_mask, make_roi, make_volume
 
 
@@ -88,6 +89,27 @@ class TestContracts:
         d1 = discretize(make_volume(data), make_roi(member), binning)
         d2 = discretize(make_volume(data + 123.25), make_roi(member), binning)
         assert np.array_equal(d1.level_map, d2.level_map)
+
+    def test_level_map_covers_the_roi_box(self):
+        labels = np.zeros((7, 6, 5), dtype=np.int16)
+        labels[1:4, 2:5, 1:3] = 2
+        labels[2, 3:5, 1] = 4
+        labels[1:3, 2, 2] = 1
+        data = np.random.default_rng(5).random((7, 6, 5))
+        roi = derive_roi(make_mask(labels), "TC")
+        disc = discretize(make_volume(np.asfortranarray(data)), roi,
+                          Binning("fixed_bin_count", 8))
+        assert disc.level_map.shape == (3, 3, 2)
+        whole = discretize(make_volume(data),
+                           make_roi(np.isin(labels, (1, 4)), kind="TC"),
+                           Binning("fixed_bin_count", 8))
+        assert np.array_equal(disc.level_map, whole.level_map[roi.box])
+
+    def test_scan_of_another_grid_rejected(self):
+        roi = make_roi(np.ones((3, 3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="does not match dims"):
+            discretize(make_volume(np.ones((4, 3, 3))), roi,
+                       Binning("fixed_bin_count", 8))
 
 
 class TestNonFinite:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from radsurv.volumeio import (LabelMask, MaskLabelError, NiftiError,
-                              SubjectRecord, derive_roi, load_mask,
+                              RoiMask, SubjectRecord, derive_roi, load_mask,
                               load_nifti, read_metadata_csv,
                               write_metadata_csv, write_nifti)
 from conftest import make_mask
@@ -195,6 +195,33 @@ class TestDeriveRoi:
         mask = make_mask(np.zeros((3, 3, 3)))
         assert derive_roi(mask, "WT").voxel_count == 0
 
+    def test_region_is_the_crop_of_the_labelled_box(self):
+        labels = np.zeros((7, 6, 5), dtype=np.int16)
+        labels[2, 1, 3] = 2
+        labels[4, 3, 1] = 4
+        mask = make_mask(labels)
+        assert mask.box == (slice(2, 5), slice(1, 4), slice(1, 4))
+        for kind in ("WT", "ET", "LABEL1"):
+            roi = derive_roi(mask, kind)
+            assert roi.dims == (7, 6, 5) and roi.corner == (2, 1, 1)
+            assert roi.box == mask.box
+            assert np.array_equal(roi.membership, np.isin(
+                labels, {"WT": (1, 2, 4), "ET": (4,), "LABEL1": (1,)}[kind]
+            )[mask.box])
+        empty = derive_roi(make_mask(np.zeros((3, 3, 3))), "WT")
+        assert empty.membership.shape == (0, 0, 0)
+
+    @pytest.mark.parametrize("shape,corner", [
+        ((3, 3, 3), (2, 0, 0)), ((2, 2, 2), (0, 0, 4)),
+        ((2, 2, 2), (-1, 0, 0)), ((5, 5), (0, 0, 0)),
+        ((2, 2, 2), (0, 0))])
+    def test_membership_that_does_not_fit_is_rejected(self, shape, corner):
+        with pytest.raises(ValueError, match="does not fit dims"):
+            RoiMask(dims=(4, 5, 5), spacing=(1.0, 1.0, 1.0),
+                    origin=(0.0, 0.0, 0.0),
+                    membership=np.zeros(shape, dtype=bool), roi_kind="WT",
+                    corner=corner)
+
     def test_partition_property(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -237,3 +264,22 @@ class TestMetadataCsv:
     def test_negative_survival_rejected(self):
         with pytest.raises(ValueError):
             SubjectRecord("X", age=50.0, survival_days=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("age", "inf"), ("age", "-inf"), ("age", "nan"),
+        ("survival_days", "inf"), ("survival_days", "nan")])
+    def test_non_finite_value_rejected(self, field, value):
+        values = {"age": 50.0, "survival_days": 300.0, field: float(value)}
+        with pytest.raises(ValueError, match=f"^X-7: {field} must be finite"):
+            SubjectRecord("X-7", **values)
+
+    def test_non_finite_csv_value_names_the_subject(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        "A,50,100,GTR\nB,inf,200,STR\n")
+        with pytest.raises(ValueError, match="^B: age must be finite"):
+            read_metadata_csv(str(path))
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        "A,50,inf,GTR\n")
+        with pytest.raises(ValueError, match="^A: survival_days must be finite"):
+            read_metadata_csv(str(path))
