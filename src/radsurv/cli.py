@@ -1,8 +1,9 @@
 """Command-line surface: extract, rfe, train, predict, evaluate, experiment,
 phantom.
 
-Every command resolves its configuration as defaults < --config file <
-explicit flags, then echoes the fully resolved configuration (schema
+Each command's settings are declared once, in ``COMMANDS``: a default and
+the keywords of its flag. Every command resolves them as defaults < --config
+file < explicit flags, then echoes the fully resolved configuration (schema
 ``radsurv-config/1``) next to its outputs, so reruns are reproducible from
 the artifacts alone. Outputs are byte-identical across reruns with the same
 inputs and seed. Exit status is 0 only when every requested subject or
@@ -34,7 +35,8 @@ from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
 from .regressors import (FAMILIES, PREDICTOR_KINDS, load_model, predict,
                          save_model)
 from .rng import make_rng
-from .util import read_csv, reject_duplicate_ids, write_csv, write_json
+from .util import (parse_cell, read_csv, reject_duplicate_ids, write_csv,
+                   write_json)
 from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
 
 log = logging.getLogger("radsurv")
@@ -55,25 +57,44 @@ def _write_config(resolved: dict, directory: str, command: str) -> None:
     write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
-def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags (one per key of defaults)."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, over the keys of a
+    command's ``settings`` table."""
+    resolved = {key: default for key, (default, _) in settings.items()}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                file_values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SystemExit(f"{args.config}: config file is not valid "
+                                 f"JSON: {exc}") from None
         if not isinstance(file_values, dict):
-            raise SystemExit(f"{config_path}: config file must hold a JSON "
+            raise SystemExit(f"{args.config}: config file must hold a JSON "
                              f"object, not {type(file_values).__name__}")
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(settings)
         if unknown:
             raise SystemExit(f"config file has unknown keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            if isinstance(resolved[key], dict) and not isinstance(value, dict):
+                raise SystemExit(f"{args.config}: {key} must be a JSON object")
         resolved.update(file_values)
-    for key in defaults:
+    for key in settings:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
     return resolved
+
+
+def _json_object(text: str) -> dict:
+    """argparse type of a flag that takes a JSON object."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError(
+            f"must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def _binning_from(resolved: dict):
@@ -122,12 +143,8 @@ def _extract_columns(feature_mode: str) -> list[str]:
             + list(RADIOMICS_FEATURE_NAMES))
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(resolved: dict) -> int:
     workers = _workers()
-    resolved = _merge_config(
-        {"subjects": None, "metadata": None, "out": None, "features": "all",
-         "roi": "WT", "bins": 32, "bin_width": None,
-         "channel": "unspecified"}, args)
     header, rows = read_csv(resolved["subjects"])
     required = {"ID", "mask"}
     if not required.issubset(header):
@@ -173,11 +190,7 @@ def cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # rfe
 
-def cmd_rfe(args) -> int:
-    resolved = _merge_config(
-        {"features": None, "metadata": None, "out": None, "n_keep": 20,
-         "estimator": "rfr", "estimator_params": {}, "step": 1, "seed": 0},
-        args)
+def cmd_rfe(resolved: dict) -> int:
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     if np.isnan(cohort.survival_days).any():
         raise SystemExit("RFE needs survival days for every subject")
@@ -200,15 +213,10 @@ def cmd_rfe(args) -> int:
 # ---------------------------------------------------------------------------
 # train / predict / evaluate
 
-def cmd_train(args) -> int:
-    resolved = _merge_config(
-        {"features": None, "metadata": None, "out": None, "predictor": None,
-         "params": {}, "grid": None, "cv_folds": 3, "seed": 0}, args)
+def cmd_train(resolved: dict) -> int:
     if resolved["predictor"] is None:
         raise SystemExit("train needs a predictor kind: pass --predictor or "
                          "set the 'predictor' key of the --config file")
-    if isinstance(resolved["params"], str):
-        resolved["params"] = json.loads(resolved["params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     if np.isnan(cohort.survival_days).any():
         raise SystemExit("training needs survival days for every subject")
@@ -224,9 +232,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    resolved = _merge_config(
-        {"model": None, "features": None, "out": None}, args)
+def cmd_predict(resolved: dict) -> int:
     model = load_model(resolved["model"])
     ids, names, X = read_features_csv(resolved["features"])
     missing = [n for n in model.feature_names if n not in names]
@@ -244,19 +250,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    resolved = _merge_config(
-        {"predictions": None, "metadata": None, "out": None,
-         "eval_filter": "GTR", "t_lo": DEFAULT_THRESHOLDS[0],
-         "t_hi": DEFAULT_THRESHOLDS[1]}, args)
-    header, rows = read_csv(resolved["predictions"])
+def cmd_evaluate(resolved: dict) -> int:
+    path = resolved["predictions"]
+    header, rows = read_csv(path)
     if header[:2] != ["subject_id", "predicted_days"]:
         raise SystemExit(
             "predictions CSV must have columns subject_id,predicted_days")
     if resolved["eval_filter"] not in EVAL_STATUSES:
         raise SystemExit(f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
-    reject_duplicate_ids((row[0] for row in rows), resolved["predictions"])
-    pred_by_id = {row[0]: float(row[1]) for row in rows}
+    for row in rows:
+        if len(row) < 2:
+            raise ValueError(f"{path}: subject {(row or [''])[0]!r} has no "
+                             "predicted_days cell")
+    reject_duplicate_ids((row[0] for row in rows), path)
+    pred_by_id = {row[0]: parse_cell(path, row[0], "predicted_days", row[1])
+                  for row in rows}
     records = read_metadata_csv(resolved["metadata"])
     thresholds = (float(resolved["t_lo"]), float(resolved["t_hi"]))
     statuses = EVAL_STATUSES[resolved["eval_filter"]]
@@ -282,15 +290,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-def cmd_experiment(args) -> int:
-    resolved = _merge_config(
-        {"features": None, "metadata": None, "out": None,
-         "feature_sets": "image7,radiomics107,rfe20,shape",
-         "predictors": "mlp,linear,gbr,rfr", "seed": 0, "params": {},
-         "grid": None, "cv_folds": 3, "eval_filter": "GTR",
-         "t_lo": DEFAULT_THRESHOLDS[0], "t_hi": DEFAULT_THRESHOLDS[1]}, args)
-    if isinstance(resolved["params"], str):
-        resolved["params"] = json.loads(resolved["params"])
+def cmd_experiment(resolved: dict) -> int:
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     feature_sets = [s for s in str(resolved["feature_sets"]).split(",") if s]
     predictors = [s for s in str(resolved["predictors"]).split(",") if s]
@@ -311,22 +311,45 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 # phantom
 
-def cmd_phantom(args) -> int:
-    resolved = _merge_config({"spec": None, "out": None}, args)
+# a phantom spec's keys, each with the conversion its value takes; None marks
+# a key that is not a PhantomSpec / CohortSpec field
+_MASK_KEYS = {"name": None, "with_volume": None, "shape": str,
+              "params": tuple, "center": tuple, "label_fill": int,
+              "dims": tuple, "spacing": tuple, "origin": tuple}
+_COHORT_KEYS = {"n_subjects": int, "seed": int, "intercept": float,
+                "link": lambda v: {k: float(x) for k, x in v.items()},
+                "noise_std": float, "n_distractors": int,
+                "class_mix": lambda v: tuple(v) if v else None,
+                "resection_mix": tuple, "thresholds": tuple}
+
+
+def _spec_fields(entry, keys: dict, where: str, spec_path: str) -> dict:
+    """The spec fields ``entry`` sets, converted; SystemExit naming the key
+    path of anything ``keys`` does not accept."""
+    if not isinstance(entry, dict):
+        raise SystemExit(f"{spec_path}: {where or 'the spec'} must be a JSON "
+                         f"object, not {type(entry).__name__}")
+    for key in entry:
+        if key not in keys:
+            raise SystemExit(f"{spec_path}: unknown phantom spec key "
+                             f"{where + '.' if where else ''}{key}")
+    return {key: keys[key](value) for key, value in entry.items()
+            if keys[key] is not None}
+
+
+def cmd_phantom(resolved: dict) -> int:
     with open(resolved["spec"], "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    _spec_fields(spec, {"seed": None, "masks": None, "cohort": None}, "",
+                 resolved["spec"])
     outdir = resolved["out"]
     os.makedirs(outdir, exist_ok=True)
 
     for i, mspec in enumerate(spec.get("masks", [])):
+        fields = _spec_fields(mspec, _MASK_KEYS, f"masks[{i}]",
+                              resolved["spec"])
         name = mspec.get("name", f"phantom{i:03d}")
-        phantom = PhantomSpec(
-            shape=mspec["shape"], params=tuple(mspec.get("params", ())),
-            center=tuple(mspec["center"]),
-            label_fill=int(mspec.get("label_fill", 1)),
-            dims=tuple(mspec.get("dims", (32, 32, 32))),
-            spacing=tuple(mspec.get("spacing", (1.0, 1.0, 1.0))))
-        mask = gen_mask(phantom)
+        mask = gen_mask(PhantomSpec(**{"params": (), **fields}))
         write_nifti(os.path.join(outdir, f"{name}_mask.nii.gz"),
                     mask.labels.astype(np.int16), mask.spacing, mask.origin)
         if mspec.get("with_volume"):
@@ -338,14 +361,8 @@ def cmd_phantom(args) -> int:
                         data.astype(np.float64), mask.spacing, mask.origin)
 
     if "cohort" in spec:
-        c = spec["cohort"]
-        cohort, report = gen_cohort(CohortSpec(
-            n_subjects=int(c["n_subjects"]), seed=int(c["seed"]),
-            link={k: float(v) for k, v in c.get("link", {}).items()},
-            intercept=float(c.get("intercept", 0.0)),
-            noise_std=float(c.get("noise_std", 0.0)),
-            class_mix=tuple(c["class_mix"]) if c.get("class_mix") else None,
-            n_distractors=int(c.get("n_distractors", 0))))
+        cohort, report = gen_cohort(CohortSpec(**_spec_fields(
+            spec["cohort"], _COHORT_KEYS, "cohort", resolved["spec"])))
         cohort.write_features_csv(os.path.join(outdir, "features.csv"))
         cohort.write_metadata_csv(os.path.join(outdir, "metadata.csv"))
         write_json(os.path.join(outdir, "cohort_report.json"), report)
@@ -355,6 +372,71 @@ def cmd_phantom(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The only declaration of each command's settings. A setting is
+# key -> (default, add_argument keywords of its --key flag), or keywords
+# None for a key that only a --config file sets. Flags are added in this
+# order, so the order is that of --help.
+
+_OUT_DIR = {"help": "output directory"}
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_GRID = {"help": "JSON file with a list of parameter dicts, or 'default'"}
+_EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
+
+COMMANDS = {
+    "extract": (cmd_extract, "extract feature table from volumes", {
+        "subjects": (None, {"help": "manifest CSV: ID,mask[,scan]"}),
+        "metadata": (None, {"help": "metadata CSV (ID,Age,...)"}),
+        "out": (None, {"help": "output features CSV"}),
+        "features": ("all", {"choices": ["all", "image7", "radiomics107"]}),
+        "roi": ("WT", {"choices": ["WT", "TC", "ET", "LABEL1", "LABEL2",
+                                   "LABEL4"]}),
+        "bins": (32, {"type": int, "help": "fixed bin count (default 32)"}),
+        "bin_width": (None, _FLOAT),
+        "channel": ("unspecified",
+                    {"help": "intensity channel label for provenance"})}),
+    "rfe": (cmd_rfe, "recursive feature elimination", {
+        "features": (None, {}), "metadata": (None, {}),
+        "out": (None, _OUT_DIR), "n_keep": (20, _INT),
+        "estimator": ("rfr", {"choices": [
+            kind for kind, fam in FAMILIES.items()
+            if fam.importance is not None]}),
+        "estimator_params": ({}, None), "step": (1, _INT),
+        "seed": (0, _INT)}),
+    "train": (cmd_train, "train one predictor on a feature CSV", {
+        "features": (None, {}), "metadata": (None, {}),
+        "out": (None, _OUT_DIR),
+        "predictor": (None, {"choices": PREDICTOR_KINDS}),
+        "params": ({}, {"type": _json_object,
+                        "help": "JSON dict of hyperparameters"}),
+        "grid": (None, _GRID), "cv_folds": (3, _INT), "seed": (0, _INT)}),
+    "predict": (cmd_predict, "predict survival days", {
+        "model": (None, {}), "features": (None, {}),
+        "out": (None, {"help": "output predictions CSV"})}),
+    "evaluate": (cmd_evaluate, "score predictions against metadata", {
+        "predictions": (None, {}), "metadata": (None, {}),
+        "out": (None, _OUT_DIR), "eval_filter": ("GTR", _EVAL_FILTER),
+        "t_lo": (DEFAULT_THRESHOLDS[0], _FLOAT),
+        "t_hi": (DEFAULT_THRESHOLDS[1], _FLOAT)}),
+    "experiment": (cmd_experiment, "run the feature-set x predictor matrix", {
+        "features": (None, {}), "metadata": (None, {}),
+        "out": (None, _OUT_DIR),
+        "feature_sets": ("image7,radiomics107,rfe20,shape", {
+            "help": "comma list from image7,radiomics107,rfe20,shape"}),
+        "predictors": ("mlp,linear,gbr,rfr",
+                       {"help": "comma list from mlp,linear,gbr,rfr"}),
+        "seed": (0, _INT),
+        "params": ({}, {"type": _json_object,
+                        "help": "JSON dict of shared hyperparameters"}),
+        "grid": (None, _GRID), "cv_folds": (3, _INT),
+        "eval_filter": ("GTR", _EVAL_FILTER),
+        "t_lo": (DEFAULT_THRESHOLDS[0], _FLOAT),
+        "t_hi": (DEFAULT_THRESHOLDS[1], _FLOAT)}),
+    "phantom": (cmd_phantom, "generate phantom masks and cohorts", {
+        "spec": (None, {"help": "phantom spec JSON"}),
+        "out": (None, _OUT_DIR)}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -362,84 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survival prognosis pipeline over segmentation masks")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="extract feature table from volumes")
-    p.add_argument("--subjects", help="manifest CSV: ID,mask[,scan]")
-    p.add_argument("--metadata", help="metadata CSV (ID,Age,...)")
-    p.add_argument("--out", help="output features CSV")
-    p.add_argument("--features", choices=["all", "image7", "radiomics107"])
-    p.add_argument("--roi", choices=["WT", "TC", "ET", "LABEL1", "LABEL2",
-                                     "LABEL4"])
-    p.add_argument("--bins", type=int, help="fixed bin count (default 32)")
-    p.add_argument("--bin-width", dest="bin_width", type=float)
-    p.add_argument("--channel", help="intensity channel label for provenance")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("rfe", help="recursive feature elimination")
-    p.add_argument("--features")
-    p.add_argument("--metadata")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n-keep", dest="n_keep", type=int)
-    p.add_argument("--estimator", choices=[
-        kind for kind, fam in FAMILIES.items() if fam.importance is not None])
-    p.add_argument("--step", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_rfe)
-
-    p = sub.add_parser("train", help="train one predictor on a feature CSV")
-    p.add_argument("--features")
-    p.add_argument("--metadata")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--predictor", choices=PREDICTOR_KINDS)
-    p.add_argument("--params", help="JSON dict of hyperparameters")
-    p.add_argument("--grid", help="JSON file with a list of parameter dicts, or 'default'")
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="predict survival days")
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--out", help="output predictions CSV")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="score predictions against metadata")
-    p.add_argument("--predictions")
-    p.add_argument("--metadata")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--eval-filter", dest="eval_filter", choices=list(EVAL_STATUSES))
-    p.add_argument("--t-lo", dest="t_lo", type=float)
-    p.add_argument("--t-hi", dest="t_hi", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("experiment", help="run the feature-set x predictor matrix")
-    p.add_argument("--features")
-    p.add_argument("--metadata")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--feature-sets", dest="feature_sets",
-                   help="comma list from image7,radiomics107,rfe20,shape")
-    p.add_argument("--predictors", help="comma list from mlp,linear,gbr,rfr")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params", help="JSON dict of shared hyperparameters")
-    p.add_argument("--grid", help="JSON file with a list of parameter dicts, or 'default'")
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--eval-filter", dest="eval_filter", choices=list(EVAL_STATUSES))
-    p.add_argument("--t-lo", dest="t_lo", type=float)
-    p.add_argument("--t-hi", dest="t_hi", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("phantom", help="generate phantom masks and cohorts")
-    p.add_argument("--spec", help="phantom spec JSON")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_phantom)
-
+    for name, (_, help_text, settings) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, (_, flag) in settings.items():
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
+        p.add_argument("--config")
     return parser
 
 
@@ -448,7 +458,8 @@ def main(argv=None) -> int:
         level=os.environ.get("RADSURV_LOG", "INFO").upper(),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    func, _, settings = COMMANDS[args.command]
+    return func(_merge_config(settings, args))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import parse_float_cell, read_csv, reject_duplicate_ids, write_csv
+from .util import (parse_cell, parse_float_cell, read_csv,
+                   reject_duplicate_ids, write_csv)
 from .volumeio import SubjectRecord, read_metadata_csv, write_metadata_csv
 
 
@@ -77,8 +78,14 @@ def read_features_csv(path: str):
     reject_duplicate_ids(header, path, "column name")
     ids = [row[0] for row in rows]
     reject_duplicate_ids(ids, path)
-    X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
-                 dtype=np.float64).reshape(len(rows), len(header) - 1)
+    try:
+        X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
+                     dtype=np.float64).reshape(len(rows), len(header) - 1)
+    except ValueError:
+        for row in rows:    # name the first cell that is not a number
+            for name, cell in zip(header[1:], row[1:]):
+                parse_cell(path, row[0], name, cell, parse_float_cell)
+        raise
     infinite = np.argwhere(np.isinf(X))
     if infinite.size:
         i, j = infinite[0]

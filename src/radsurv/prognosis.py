@@ -275,27 +275,27 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
     one row per cell).
     """
     base = base_plan or {}
+    # every plan is built, and so every name checked, before any cell runs
+    plans = [ExperimentPlan(feature_set=fs, predictor=pred, seed=seed, **base)
+             for fs in feature_sets for pred in predictors]
     results = []
     train_rows = []
     eval_rows = []
     shared_ranking = None
-    if "rfe20" in feature_sets:
-        probe = ExperimentPlan(feature_set="rfe20",
-                               predictor=predictors[0], seed=seed, **base)
+    probe = next((plan for plan in plans if plan.feature_set == "rfe20"), None)
+    if probe is not None:
         _, shared_ranking = resolve_feature_set("rfe20", cohort, probe)
-    for fs in feature_sets:
-        for pred in predictors:
-            plan = ExperimentPlan(feature_set=fs, predictor=pred, seed=seed,
-                                  **base)
-            cell_dir = os.path.join(outdir, f"{fs}__{pred}") if outdir else None
-            result = run_experiment(cohort, plan, cell_dir,
-                                    precomputed_ranking=shared_ranking
-                                    if fs == "rfe20" else None)
-            results.append(result)
-            train_rows.append(result.train_metrics.row(
-                "train", fs, pred, seed, plan.thresholds))
-            eval_rows.append(result.eval_metrics.row(
-                "eval", fs, pred, seed, plan.thresholds))
+    for plan in plans:
+        fs, pred = plan.feature_set, plan.predictor
+        cell_dir = os.path.join(outdir, f"{fs}__{pred}") if outdir else None
+        result = run_experiment(cohort, plan, cell_dir,
+                                precomputed_ranking=shared_ranking
+                                if fs == "rfe20" else None)
+        results.append(result)
+        train_rows.append(result.train_metrics.row(
+            "train", fs, pred, seed, plan.thresholds))
+        eval_rows.append(result.eval_metrics.row(
+            "eval", fs, pred, seed, plan.thresholds))
     paths = {}
     if outdir is not None:
         paths["metrics_train"] = os.path.join(outdir, "metrics_train.csv")

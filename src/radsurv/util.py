@@ -254,6 +254,17 @@ def parse_float_cell(cell: str) -> float:
     return float(text)
 
 
+def parse_cell(path: str, subject: str, column: str, text: str,
+               parse=float) -> float:
+    """``parse(text)``, or a ValueError naming the file, the subject and the
+    column of a cell that does not hold a number."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{path}: subject {subject!r} column {column!r} "
+                         f"holds a non-numeric value {text!r}") from None
+
+
 def reject_duplicate_ids(ids: Iterable[str], path: str,
                          what: str = "subject ID") -> None:
     """ValueError naming ``path`` and the first ``what`` seen twice."""

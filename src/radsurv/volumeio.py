@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import fmt_float, reject_duplicate_ids, write_csv
+from .util import fmt_float, parse_cell, reject_duplicate_ids, write_csv
 
 HEADER_SIZE = 348
 
@@ -435,16 +435,17 @@ def read_metadata_csv(path: str) -> list[SubjectRecord]:
             raise ValueError(f"{path}: missing metadata columns {sorted(missing)}")
         records = []
         for row in reader:
+            sid = row["ID"].strip()
             surv_raw = (row["Survival_days"] or "").strip()
             survival = None
             if surv_raw and surv_raw.upper() != "NA":
-                survival = float(surv_raw)
+                survival = parse_cell(path, sid, "Survival_days", surv_raw)
             status = (row["Extent_of_Resection"] or "").strip() or "NA"
             if status.upper() == "NA":
                 status = "NA"
             records.append(SubjectRecord(
-                subject_id=row["ID"].strip(),
-                age=float(row["Age"]),
+                subject_id=sid,
+                age=parse_cell(path, sid, "Age", row["Age"]),
                 survival_days=survival,
                 resection_status=status,
             ))

@@ -1,0 +1,245 @@
+"""The CLI's settings table and the boundary checks of its commands.
+
+The ``--help`` texts and the ``resolved_config.json`` files of all seven
+commands are pinned by digests recorded before the settings moved into one
+table, so the table must give the same flags, help and defaults byte for
+byte.
+"""
+
+import argparse
+import hashlib
+import json
+import re
+import sys
+
+import pytest
+
+from radsurv.cli import COMMANDS, build_parser, main
+from radsurv.util import read_csv
+from radsurv.volumeio import load_mask
+
+# sha256 of the --help text at COLUMNS=80; argparse lays help out a little
+# differently across Python versions, so these hold for the recorded one
+HELP_PYTHON = (3, 11)
+HELP_DIGESTS = {
+    "":
+        "208346da9ad4d3e8ab61faac2c1a7781e4c183e035d70710caf9ace0fbc00ddb",
+    "extract":
+        "5b835e5b89fe01ed73e2ea106acf430caa869ccebe66c8c5fc37c62f5130bc74",
+    "rfe":
+        "b3fe1ed0f30edf63c5c63cd30027ae28306d6bb6ecc3c0abc8b0d749cc90bed0",
+    "train":
+        "66ce6265480ab7f1fb54c20a66655f8b91c220d8db4207b50ed4c50ba3218a15",
+    "predict":
+        "e3a855d798ea990028bcf0753b92119720d4546dff7b35c3f015b12d2f31f4ad",
+    "evaluate":
+        "61be07d4b5b459dbf252009555bfdfd356fd180ff2117f765604d205dd36534a",
+    "experiment":
+        "0cb5de33eb790b4a4ce2ca685268bb3927272865c324b6b1a9c63b2af4eb3c32",
+    "phantom":
+        "55a442780956647c22750fc0fc534e6c7ada70fef5c88c9480494744c26fa0f3",
+}
+
+# sha256 of each command's resolved_config.json in the run below
+CONFIG_DIGESTS = {
+    "ph":
+        "67ac6f3e1c079716b561f9856eebe3150568714fbc7045fbe1a28b1abbc10e8d",
+    "ext":
+        "5833e45bcc50892626ba1c4997ae17f66bff311618676a17cedb1daca1572999",
+    "rfe":
+        "836f6b6297d6e64e694c971a3bbff60647abe79689c14ed1734b13f56b03b4bc",
+    "train":
+        "36c24b6f51c4735cf7ea0ca7eb6a9bc42140ea8625436d6bb68f205984a48c5c",
+    "pred":
+        "960bc14974a14d6d1aa3f39541c2bc054994f2f67809cfadbfc6f8229e17fab2",
+    "eval":
+        "270b0ff59566beab14198bbc2db994cbd8be61b13eeda23a6cf2a571db47fe56",
+    "exp":
+        "5631b0862b0d2ddff7caf408de5f6cd36d3cd8eb5293c8b4c25b5ee4c4e47df3",
+}
+
+SPEC = {"seed": 1,
+        "masks": [{"name": "sph", "shape": "sphere", "params": [5.0],
+                   "center": [8, 8, 8], "label_fill": 2, "dims": [18, 18, 18]}],
+        "cohort": {"n_subjects": 8, "seed": 5,
+                   "link": {"shape.mesh_volume": 0.1, "meta.age": 2.0},
+                   "noise_std": 5.0}}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def help_text(command, capsys, monkeypatch) -> str:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def run_pipeline(root) -> dict:
+    """All seven commands on a small phantom cohort, run from ``root`` with
+    relative paths; each output directory's resolved_config.json bytes."""
+    (root / "spec.json").write_text(json.dumps(SPEC))
+    (root / "subjects.csv").write_text("ID,mask\nsph,ph/sph_mask.nii.gz\n")
+    (root / "meta.csv").write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                                   "sph,50,300,GTR\n")
+    # a config-only key, and a key that the flag then overrides
+    (root / "rfe.json").write_text(json.dumps(
+        {"estimator_params": {"penalty": "l2", "lam": 2.0}, "n_keep": 9}))
+    data = ["--features", "ph/features.csv", "--metadata", "ph/metadata.csv"]
+    for argv in (
+            ["phantom", "--spec", "spec.json", "--out", "ph"],
+            ["extract", "--subjects", "subjects.csv", "--metadata",
+             "meta.csv", "--features", "image7", "--out", "ext/img.csv"],
+            ["rfe", "--config", "rfe.json", *data, "--estimator", "linear",
+             "--n-keep", "4", "--step", "50", "--out", "rfe"],
+            ["train", *data, "--predictor", "linear", "--params",
+             '{"penalty": "l2", "lam": 1.0}', "--out", "train"],
+            ["predict", "--model", "train/model.json", "--features",
+             "ph/features.csv", "--out", "pred/p.csv"],
+            ["evaluate", "--predictions", "pred/p.csv", "--metadata",
+             "ph/metadata.csv", "--eval-filter", "all", "--out", "eval"],
+            ["experiment", *data, "--feature-sets", "image7",
+             "--predictors", "linear", "--params", '{"penalty": "l2", "lam": 1.0}',
+             "--eval-filter", "all", "--t-hi", "480", "--out", "exp"]):
+        assert main(argv) == 0, argv
+    return {name: (root / name / "resolved_config.json").read_bytes()
+            for name in CONFIG_DIGESTS}
+
+
+class TestSettingsTable:
+    @pytest.mark.skipif(sys.version_info[:2] != HELP_PYTHON,
+                        reason="help layout recorded on another Python")
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS),
+                             ids=lambda c: c or "radsurv")
+    def test_help_text_is_unchanged(self, command, capsys, monkeypatch):
+        text = help_text(command, capsys, monkeypatch)
+        assert _sha(text.encode()) == HELP_DIGESTS[command], text
+
+    def test_resolved_configs_are_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        configs = run_pipeline(tmp_path)
+        assert {name: _sha(data) for name, data in configs.items()} == \
+            CONFIG_DIGESTS, configs
+        rfe = json.loads(configs["rfe"])
+        assert rfe["estimator_params"]["lam"] == 2.0     # config file only
+        assert rfe["n_keep"] == 4                        # flag over file
+
+    def test_every_flag_is_a_setting_of_its_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMANDS)
+        for name, parser in sub.choices.items():
+            settings = COMMANDS[name][2]
+            dests = [a.dest for a in parser._actions
+                     if a.dest not in ("help", "config")]
+            assert set(dests) <= set(settings), name
+            flagged = [key for key, (_, flag) in settings.items()
+                       if flag is not None]
+            assert dests == flagged, name
+
+
+class TestPhantomSpec:
+    def test_origin_resection_mix_and_thresholds_are_used(self, tmp_path):
+        spec = {"masks": [{"name": "m", "shape": "cuboid", "params": [2, 2, 2],
+                           "center": [8, 4, 4], "dims": [8, 8, 8],
+                           "origin": [5, 0, 0]}],
+                "cohort": {"n_subjects": 6, "seed": 2,
+                           "resection_mix": [1.0, 0.0, 0.0],
+                           "thresholds": [100, 200]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["phantom", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(out)]) == 0
+        assert load_mask(str(out / "m_mask.nii.gz")).origin == (5.0, 0.0, 0.0)
+        report = json.loads((out / "cohort_report.json").read_text())
+        assert report["thresholds"] == [100, 200]
+        header, rows = read_csv(str(out / "metadata.csv"))
+        status = header.index("Extent_of_Resection")
+        assert {row[status] for row in rows} == {"GTR"}
+
+    @pytest.mark.parametrize("spec,key", [
+        ({"masks": [{"shape": "sphere", "params": [2], "center": [4, 4, 4],
+                     "bogus": 1}]}, "masks[0].bogus"),
+        ({"cohort": {"n_subjects": 4, "seed": 0, "noise": 1.0}},
+         "cohort.noise"),
+        ({"mask": []}, "mask")])
+    def test_unknown_key_is_rejected_by_its_path(self, tmp_path, spec, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{path}: unknown phantom spec key {key}")):
+            main(["phantom", "--spec", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("params,why", [
+        ("{bad", "not valid JSON"), ("[1]", "must be a JSON object, not list")])
+    def test_bad_params_flag_is_a_usage_error(self, tmp_path, capsys,
+                                              command, params, why):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--features", "f.csv", "--metadata", "m.csv",
+                  "--params", params, "--out", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+        assert f"argument --params: {why}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "params"), ("experiment", "params"),
+        ("rfe", "estimator_params")])
+    def test_config_object_setting_must_be_an_object(self, tmp_path, command,
+                                                     key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: '{"lam": 1.0}'}))
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{config}: {key} must be a JSON object")):
+            main([command, "--config", str(config), "--features", "f.csv",
+                  "--metadata", "m.csv", "--out", str(tmp_path / "o")])
+
+    def test_config_file_that_is_not_json_names_the_file(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": 1,')
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{config}: config file is not valid JSON")):
+            main(["rfe", "--config", str(config), "--features", "f.csv",
+                  "--metadata", "m.csv", "--out", str(tmp_path / "o")])
+
+
+class TestBoundaryChecks:
+    @pytest.fixture()
+    def cohort_dir(self, tmp_path):
+        spec = {"cohort": {"n_subjects": 6, "seed": 4}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["phantom", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "ph")]) == 0
+        return tmp_path / "ph"
+
+    @pytest.mark.parametrize("flag,names,bad", [
+        ("--feature-sets", "image7,bogus", "unknown feature_set 'bogus'"),
+        ("--predictors", "linear,bogus", "unknown predictor kind 'bogus'")])
+    def test_experiment_checks_every_name_before_any_cell(
+            self, cohort_dir, tmp_path, flag, names, bad):
+        out = tmp_path / "exp"
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            main(["experiment", "--features", str(cohort_dir / "features.csv"),
+                  "--metadata", str(cohort_dir / "metadata.csv"),
+                  "--feature-sets", "image7", "--predictors", "linear",
+                  flag, names, "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("row,message", [
+        ("SYN-0001,abc", "subject 'SYN-0001' column 'predicted_days' holds "
+                         "a non-numeric value 'abc'"),
+        ("SYN-0001", "subject 'SYN-0001' has no predicted_days cell")])
+    def test_evaluate_names_a_bad_prediction_row(self, cohort_dir, tmp_path,
+                                                 row, message):
+        preds = tmp_path / "p.csv"
+        preds.write_text(f"subject_id,predicted_days\nSYN-0000,300\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{preds}: {message}")):
+            main(["evaluate", "--predictions", str(preds), "--metadata",
+                  str(cohort_dir / "metadata.csv"), "--out",
+                  str(tmp_path / "ev")])

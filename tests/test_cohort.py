@@ -101,6 +101,21 @@ class TestCohort:
                 f"{f}: subject 'S2' column 'beta' holds a non-finite value")):
             load_cohort(str(f), str(m))
 
+    @pytest.mark.parametrize("cell", ["abc", "1,5", "--2"])
+    def test_non_numeric_cell_names_file_subject_and_column(self, cohort,
+                                                            tmp_path, cell):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        lines[3] = f'S3,3,"{cell}"'
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: subject 'S3' column 'beta' holds a non-numeric value "
+                f"{cell!r}")):
+            load_cohort(str(f), str(m))
+
     @pytest.mark.parametrize("cell", ["", "NA", "NaN", "nan"])
     def test_missing_cells_stay_missing(self, cohort, tmp_path, cell):
         f = tmp_path / "features.csv"

@@ -283,3 +283,17 @@ class TestMetadataCsv:
                         "A,50,inf,GTR\n")
         with pytest.raises(ValueError, match="^A: survival_days must be finite"):
             read_metadata_csv(str(path))
+
+    @pytest.mark.parametrize("column,row", [
+        ("Age", "B,abc,200,STR"), ("Survival_days", "B,55,abc,STR"),
+        ("Age", "B,,200,STR")])
+    def test_non_numeric_cell_names_file_subject_and_column(self, tmp_path,
+                                                            column, row):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        f"A,50,100,GTR\n{row}\n")
+        cell = "abc" if "abc" in row else ""
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: subject 'B' column {column!r} holds a non-numeric "
+                f"value {cell!r}")):
+            read_metadata_csv(str(path))
