@@ -57,23 +57,30 @@ def _write_config(resolved: dict, directory: str, command: str) -> None:
     write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; SystemExit naming the file if it is
+    not valid JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{path}: {what} is not valid JSON: "
+                             f"{exc}") from None
+
+
 def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, over the keys of a
     command's ``settings`` table."""
     resolved = {key: default for key, (default, _) in settings.items()}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"{args.config}: config file is not valid "
-                                 f"JSON: {exc}") from None
+        file_values = _read_json(args.config, "config file")
         if not isinstance(file_values, dict):
             raise SystemExit(f"{args.config}: config file must hold a JSON "
                              f"object, not {type(file_values).__name__}")
         unknown = set(file_values) - set(settings)
         if unknown:
-            raise SystemExit(f"config file has unknown keys: {sorted(unknown)}")
+            raise SystemExit(f"{args.config}: config file has unknown keys: "
+                             f"{sorted(unknown)}")
         for key, value in file_values.items():
             if isinstance(resolved[key], dict) and not isinstance(value, dict):
                 raise SystemExit(f"{args.config}: {key} must be a JSON object")
@@ -338,8 +345,7 @@ def _spec_fields(entry, keys: dict, where: str, spec_path: str) -> dict:
 
 
 def cmd_phantom(resolved: dict) -> int:
-    with open(resolved["spec"], "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _read_json(resolved["spec"], "spec file")
     _spec_fields(spec, {"seed": None, "masks": None, "cohort": None}, "",
                  resolved["spec"])
     outdir = resolved["out"]

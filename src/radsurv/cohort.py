@@ -76,6 +76,10 @@ def read_features_csv(path: str):
     if not header or header[0] != "subject_id":
         raise ValueError(f"{path}: first column must be 'subject_id'")
     reject_duplicate_ids(header, path, "column name")
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: subject {row[0] if row else ''!r} has "
+                             f"{len(row)} cells, the header has {len(header)}")
     ids = [row[0] for row in rows]
     reject_duplicate_ids(ids, path)
     try:

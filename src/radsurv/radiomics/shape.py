@@ -90,6 +90,10 @@ TAUBIN_ITERATIONS = 20
 _EDGE_MID2 = np.array(
     [np.array(CORNER_OFFSETS[a], int) + np.array(CORNER_OFFSETS[b], int)
      for a, b in EDGE_CORNERS])
+# Triangles per cube case, and each triangle's three edges (rows padded to 5)
+_N_TRIS = np.array([len(t) // 3 for t in TRI_TABLE])
+_TRI_EDGES = np.array([np.reshape(t + (0,) * (15 - len(t)), (5, 3))
+                       for t in TRI_TABLE])
 
 
 class ShapeError(ValueError):
@@ -140,34 +144,26 @@ def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for bit, corner in enumerate(corners):
         case |= corner.astype(np.uint16) << bit
 
-    # group boundary cubes by case value in one pass over the grid
+    # one row per (boundary cube, triangle), ordered by case value, then
+    # triangle, then cube index
     flat = case.ravel()
-    active = np.nonzero((flat != 0) & (flat != 255))[0]
-    order = np.argsort(flat[active], kind="stable")
-    sorted_cases = flat[active][order]
-    sorted_coords = np.stack(np.unravel_index(active[order], case.shape),
-                             axis=1)
-    group_starts = np.nonzero(np.diff(sorted_cases, prepend=-1))[0]
-
-    key_blocks = []  # (n, 3, 3) doubled vertex coordinates per triangle
-    for gi, start in enumerate(group_starts):
-        stop = group_starts[gi + 1] if gi + 1 < group_starts.size \
-            else sorted_cases.size
-        tris = TRI_TABLE[int(sorted_cases[start])]
-        if not tris:
-            continue
-        origins2 = sorted_coords[start:stop] * 2
-        for t in range(0, len(tris), 3):
-            tri_keys = np.stack(
-                [origins2 + _EDGE_MID2[tris[t + v]] for v in range(3)], axis=1)
-            key_blocks.append(tri_keys)
-    if not key_blocks:
+    active = np.flatnonzero(_N_TRIS[flat])
+    if not active.size:
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+    n_tris = _N_TRIS[flat[active]]
+    cube = np.repeat(np.arange(active.size), n_tris)
+    tri = np.arange(cube.size) - np.repeat(np.cumsum(n_tris) - n_tris, n_tris)
+    row_case = flat[active][cube]
+    order = np.argsort(row_case * 5 + tri, kind="stable")
+    origins2 = np.stack(np.unravel_index(active[cube[order]], case.shape),
+                        axis=1) * 2
+    # (rows, 3, 3) doubled vertex coordinates per triangle
+    tri_keys = origins2[:, None, :] + _EDGE_MID2[
+        _TRI_EDGES[row_case[order], tri[order]]]
 
     # one int64 key per doubled vertex position, ordered like its rows
     key_grid = tuple(2 * s + 1 for s in case.shape)
-    keys = np.ravel_multi_index(
-        np.concatenate(key_blocks, axis=0).reshape(-1, 3).T, key_grid)
+    keys = np.ravel_multi_index(tri_keys.reshape(-1, 3).T, key_grid)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     faces = inverse.reshape(-1, 3)
     doubled = np.stack(np.unravel_index(unique_keys, key_grid), axis=1)

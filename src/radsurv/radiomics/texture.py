@@ -11,6 +11,8 @@ Conventions, fixed across the package and mirrored by the test oracles:
   components of d's equal-level pairs, GLSZM zones those of all 13.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
+  GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
+  once over a stack and reduces every matrix as it would reduce it alone.
   A GLCM direction with no co-occurring pair is excluded from the mean;
   if every direction is empty the family raises ("no co-occurrences").
   GLRLM directions are never empty for a non-empty ROI.
@@ -105,9 +107,34 @@ def _all_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(a), np.concatenate(b)
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _neg_plog2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row of two (k, n) arrays, -sum(p * log2(q)) over the row's entries
+    with p > 0; each row is one reduction over just those entries (with
+    q = p, the row's entropy)."""
+    m = p > 0
+    t = p[m] * np.log2(q[m])
+    ends = np.cumsum(m.sum(axis=1)).tolist()
+    return -np.array([np.add.reduce(t[a:b]) for a, b in zip([0] + ends, ends)])
+
+
+def _total(x: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the sum of all its entries as one reduction."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
+
+
+def _direction_means(values: np.ndarray, names) -> dict[str, float]:
+    """Column means of a (directions x features) table, by feature name.
+
+    Each column is copied contiguous first, so its sum adds in the order
+    ``np.mean`` of that column alone would use."""
+    means = np.ascontiguousarray(values.T).mean(axis=1)
+    return dict(zip(names, means.tolist()))
+
+
+def _counts(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Exact float64 count matrix of ``shape`` from flat cell indices."""
+    return np.bincount(cells, minlength=int(np.prod(shape))).reshape(
+        shape).astype(np.float64)
 
 
 def _zone_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -133,199 +160,214 @@ def _zone_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             label, jumped = jumped, jumped[jumped]
 
 
-def _size_matrix(levels: np.ndarray, labels: np.ndarray, ng: int,
-                 width: int | None = None) -> np.ndarray:
-    """Component count matrix (level x size) of ``_zone_labels`` output,
-    as wide as the largest component unless ``width`` is given."""
+def _zone_cells(levels: np.ndarray, labels: np.ndarray):
+    """(level - 1, size - 1) of every component of ``_zone_labels`` output."""
     sizes = np.bincount(labels)
     roots = np.flatnonzero(sizes)
-    if width is None:
-        width = int(sizes.max())
-    p = np.zeros((ng, width), dtype=np.float64)
-    np.add.at(p, (levels[roots] - 1, sizes[roots] - 1), 1.0)
-    return p
+    return levels[roots].astype(np.int64) - 1, sizes[roots] - 1
 
 
 # ---------------------------------------------------------------------------
 # GLCM
 
-def glcm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
-    """Symmetrized co-occurrence count matrices, one per direction."""
+def glcm_matrices(disc: DiscretizedRoi) -> np.ndarray:
+    """Symmetrized co-occurrence counts as a (13, Ng, Ng) stack, one matrix
+    per direction in ``DIRECTIONS_13`` order."""
     levels, pairs = disc.neighbor_pairs
     ng = disc.n_levels
-    out = []
-    for a, b in pairs:
-        p = np.zeros((ng, ng), dtype=np.float64)
-        np.add.at(p, (levels[a] - 1, levels[b] - 1), 1.0)
-        out.append(p + p.T)
-    return out
+    lv = levels.astype(np.int64) - 1
+    cells = [(d * ng + lv[a]) * ng + lv[b] for d, (a, b) in enumerate(pairs)]
+    p = _counts(np.concatenate(cells), (len(pairs), ng, ng))
+    return p + p.transpose(0, 2, 1)
+
+
+def _glcm_values(counts: np.ndarray, ng: int) -> np.ndarray:
+    """The 24 GLCM features (``GLCM_FEATURE_NAMES`` order) of every matrix of
+    a (k, Ng, Ng) count (or probability) stack, as a (k, 24) array.
+
+    Each formula runs once over the stack, with every matrix reduced exactly
+    as it would be alone, so each row carries the bits of a one-matrix
+    evaluation.
+    """
+    total = _total(counts)
+    if not (total > 0).all():
+        raise TextureError("no co-occurrences")
+    k = counts.shape[0]
+    p = counts / total[:, None, None]
+    levels = np.arange(1, ng + 1, dtype=np.float64)
+    i = levels[:, None]
+    j = levels[None, :]
+    px = p.sum(axis=2)
+    py = p.sum(axis=1)
+    mu_x = (levels * px).sum(axis=1)
+    mu_y = (levels * py).sum(axis=1)
+    sig_x2 = ((levels - mu_x[:, None]) ** 2 * px).sum(axis=1)
+    sig_y2 = ((levels - mu_y[:, None]) ** 2 * py).sum(axis=1)
+
+    ks = np.arange(2, 2 * ng + 1, dtype=np.float64)
+    kd = np.arange(0, ng, dtype=np.float64)
+    # bincount adds each matrix's entries in C order, like np.add.at
+    base = np.arange(k)[:, None]
+    sum_idx = (base * ks.size + ((i + j).astype(int) - 2).ravel()).ravel()
+    diff_idx = (base * kd.size + np.abs(i - j).astype(int).ravel()).ravel()
+    p_sum = np.bincount(sum_idx, p.ravel(), k * ks.size).reshape(k, -1)
+    p_diff = np.bincount(diff_idx, p.ravel(), k * kd.size).reshape(k, -1)
+
+    flat = p.reshape(k, -1)
+    outer = (px[:, :, None] * py[:, None, :]).reshape(k, -1)
+    hx = _neg_plog2(px, px)
+    hy = _neg_plog2(py, py)
+    hxy = _neg_plog2(flat, flat)
+    hxy1 = _neg_plog2(flat, outer)
+    hxy2 = _neg_plog2(outer, outer)
+
+    autocorr = _total(i * j * p)
+    spread = (sig_x2 > 0) & (sig_y2 > 0)
+    correlation = np.where(spread, (autocorr - mu_x * mu_y)
+                           / np.sqrt(np.where(spread, sig_x2 * sig_y2, 1.0)),
+                           1.0)
+
+    hmax = np.maximum(hx, hy)
+    imc1 = np.where(hmax > 0, (hxy - hxy1) / np.where(hmax > 0, hmax, 1.0), 0.0)
+    imc2 = np.sqrt(np.maximum(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy))))
+
+    diff_avg = (kd * p_diff).sum(axis=1)
+
+    # MCC = 1 on a single-level direction; otherwise one batched eigvals per
+    # group of directions with the same present levels
+    mcc = np.ones(k)
+    groups = {}
+    for d, row in enumerate(px > 0):
+        groups.setdefault(row.tobytes(), []).append(d)
+    for ds in groups.values():
+        present = np.flatnonzero(px[ds[0]] > 0)
+        if present.size <= 1:
+            continue
+        sub = p[np.ix_(ds, present, present)]
+        pxp = px[np.ix_(ds, present)]
+        pyp = py[np.ix_(ds, present)]
+        # Q[a, b] = sum_c sub[a, c] * sub[b, c] / (px[a] * py[c])
+        q = (sub / pxp[:, :, None]) @ (sub / pyp[:, None, :]).transpose(0, 2, 1)
+        eig = np.sort(np.linalg.eigvals(q).real, axis=1)
+        mcc[ds] = np.sqrt(np.maximum(0.0, eig[:, -2]))
+
+    shift = i + j - mu_x[:, None, None] - mu_y[:, None, None]
+    return np.stack([
+        autocorr,
+        mu_x,
+        _total(shift ** 4 * p),
+        _total(shift ** 3 * p),
+        _total(shift ** 2 * p),
+        _total((i - j) ** 2 * p),
+        correlation,
+        diff_avg,
+        _neg_plog2(p_diff, p_diff),
+        ((kd - diff_avg[:, None]) ** 2 * p_diff).sum(axis=1),
+        _total(p ** 2),
+        hxy,
+        imc1,
+        imc2,
+        (p_diff / (1.0 + kd ** 2)).sum(axis=1),
+        (p_diff / (1.0 + kd ** 2 / ng ** 2)).sum(axis=1),
+        (p_diff / (1.0 + kd)).sum(axis=1),
+        (p_diff / (1.0 + kd / ng)).sum(axis=1),
+        (p_diff[:, 1:] / kd[1:] ** 2).sum(axis=1),
+        flat.max(axis=1),
+        (ks * p_sum).sum(axis=1),
+        _neg_plog2(p_sum, p_sum),
+        _total((i - mu_x[:, None, None]) ** 2 * p),
+        mcc,
+    ], axis=1)
 
 
 def glcm_features_single(counts: np.ndarray, ng: int) -> dict[str, float]:
     """The 24 GLCM features of one direction's count (or probability) matrix."""
-    total = counts.sum()
-    if total <= 0:
-        raise TextureError("no co-occurrences")
-    p = counts / total
-    levels = np.arange(1, ng + 1, dtype=np.float64)
-    i = levels[:, None]
-    j = levels[None, :]
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mu_x = float((levels * px).sum())
-    mu_y = float((levels * py).sum())
-    sig_x2 = float(((levels - mu_x) ** 2 * px).sum())
-    sig_y2 = float(((levels - mu_y) ** 2 * py).sum())
-
-    ks = np.arange(2, 2 * ng + 1, dtype=np.float64)
-    p_sum = np.zeros(ks.size)
-    kd = np.arange(0, ng, dtype=np.float64)
-    p_diff = np.zeros(kd.size)
-    sum_idx = (i + j).astype(int) - 2
-    diff_idx = np.abs(i - j).astype(int)
-    np.add.at(p_sum, sum_idx.ravel(), p.ravel())
-    np.add.at(p_diff, diff_idx.ravel(), p.ravel())
-
-    hx = _entropy(px)
-    hy = _entropy(py)
-    hxy = _entropy(p.ravel())
-    nz = p > 0
-    outer = px[:, None] * py[None, :]
-    hxy1 = float(-(p[nz] * np.log2(outer[nz])).sum())
-    nz_outer = outer > 0
-    hxy2 = float(-(outer[nz_outer] * np.log2(outer[nz_outer])).sum())
-
-    autocorr = float((i * j * p).sum())
-    if sig_x2 > 0 and sig_y2 > 0:
-        correlation = (autocorr - mu_x * mu_y) / np.sqrt(sig_x2 * sig_y2)
-    else:
-        correlation = 1.0
-
-    hmax = max(hx, hy)
-    imc1 = (hxy - hxy1) / hmax if hmax > 0 else 0.0
-    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy)))))
-
-    diff_avg = float((kd * p_diff).sum())
-
-    present = np.nonzero(px > 0)[0]
-    if present.size <= 1:
-        mcc = 1.0
-    else:
-        sub = p[np.ix_(present, present)]
-        pxp = px[present]
-        pyp = py[present]
-        # Q[a, b] = sum_c sub[a, c] * sub[b, c] / (px[a] * py[c])
-        q = (sub / pxp[:, None]) @ (sub / pyp[None, :]).T
-        eig = np.sort(np.linalg.eigvals(q).real)[::-1]
-        mcc = float(np.sqrt(max(0.0, eig[1])))
-
-    return {
-        "glcm.autocorrelation": autocorr,
-        "glcm.joint_average": mu_x,
-        "glcm.cluster_prominence": float(((i + j - mu_x - mu_y) ** 4 * p).sum()),
-        "glcm.cluster_shade": float(((i + j - mu_x - mu_y) ** 3 * p).sum()),
-        "glcm.cluster_tendency": float(((i + j - mu_x - mu_y) ** 2 * p).sum()),
-        "glcm.contrast": float(((i - j) ** 2 * p).sum()),
-        "glcm.correlation": float(correlation),
-        "glcm.difference_average": diff_avg,
-        "glcm.difference_entropy": _entropy(p_diff),
-        "glcm.difference_variance": float(((kd - diff_avg) ** 2 * p_diff).sum()),
-        "glcm.joint_energy": float((p ** 2).sum()),
-        "glcm.joint_entropy": hxy,
-        "glcm.imc1": float(imc1),
-        "glcm.imc2": imc2,
-        "glcm.idm": float((p_diff / (1.0 + kd ** 2)).sum()),
-        "glcm.idmn": float((p_diff / (1.0 + kd ** 2 / ng ** 2)).sum()),
-        "glcm.id": float((p_diff / (1.0 + kd)).sum()),
-        "glcm.idn": float((p_diff / (1.0 + kd / ng)).sum()),
-        "glcm.inverse_variance": float((p_diff[1:] / kd[1:] ** 2).sum()),
-        "glcm.maximum_probability": float(p.max()),
-        "glcm.sum_average": float((ks * p_sum).sum()),
-        "glcm.sum_entropy": _entropy(p_sum),
-        "glcm.sum_squares": float(((i - mu_x) ** 2 * p).sum()),
-        "glcm.mcc": mcc,
-    }
+    values = _glcm_values(counts[None], ng)[0]
+    return dict(zip(GLCM_FEATURE_NAMES, values.tolist()))
 
 
 def glcm_features(disc: DiscretizedRoi) -> dict[str, float]:
     """Per-direction GLCM features averaged over non-empty directions."""
     mats = glcm_matrices(disc)
-    per_dir = [glcm_features_single(m, disc.n_levels) for m in mats
-               if m.sum() > 0]
-    if not per_dir:
+    mats = mats[_total(mats) > 0]
+    if not mats.size:
         raise TextureError("no co-occurrences in any direction")
-    return {name: float(np.mean([d[name] for d in per_dir]))
-            for name in GLCM_FEATURE_NAMES}
+    return _direction_means(_glcm_values(mats, disc.n_levels),
+                            GLCM_FEATURE_NAMES)
 
 
 # ---------------------------------------------------------------------------
 # GLRLM
 
-def glrlm_matrices(disc: DiscretizedRoi) -> list[np.ndarray]:
-    """Run-length count matrices (level x run length), one per direction.
+def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
+    """Run-length counts (level x run length) as a (13, Ng, W) stack, one
+    matrix per direction in ``DIRECTIONS_13`` order.
 
     A run along d is a connected component of d's equal-level neighbor
-    pairs. Every matrix is max(dims) wide, which bounds any run.
+    pairs. W = max(dims), which bounds any run.
     """
     levels, pairs = disc.neighbor_pairs
-    width = max(disc.roi.dims)
-    out = []
-    for a, b in pairs:
+    ng, width = disc.n_levels, max(disc.roi.dims)
+    cells = []
+    for d, (a, b) in enumerate(pairs):
         same = levels[a] == levels[b]
         labels = _zone_labels(levels.size, a[same], b[same])
-        out.append(_size_matrix(levels, labels, disc.n_levels, width))
-    return out
+        lv, size = _zone_cells(levels, labels)
+        cells.append((d * ng + lv) * width + size)
+    return _counts(np.concatenate(cells), (len(pairs), ng, width))
 
 
-def _run_zone_values(p: np.ndarray, n_voxels: int) -> list[float]:
-    """Shared GLRLM/GLSZM/GLDM formulas over a (level x size) count matrix.
+def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
+    """Shared GLRLM/GLSZM/GLDM formulas over a (k, Ng, S) stack of
+    (level x size) count matrices, as a (k, 16) array.
 
-    Returns the 16 values in the canonical order of GLRLM and GLSZM
-    (emphasis pairs, non-uniformities, percentage, variances, entropy,
-    gray-level emphases and the four joint emphases).
+    The 16 values come in the canonical order of GLRLM and GLSZM (emphasis
+    pairs, non-uniformities, percentage, variances, entropy, gray-level
+    emphases and the four joint emphases). Each row carries the bits of a
+    one-matrix evaluation.
     """
-    nr = p.sum()
-    if nr <= 0:
+    nr = _total(p)
+    if not (nr > 0).all():
         raise TextureError("empty run/zone matrix")
-    ng, smax = p.shape
+    k, ng, smax = p.shape
     i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
     s = np.arange(1, smax + 1, dtype=np.float64)[None, :]
-    pn = p / nr
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    mu_i = float((i * pn).sum())
-    mu_s = float((s * pn).sum())
-    return [
-        float((p / s ** 2).sum() / nr),            # short/small emphasis
-        float((p * s ** 2).sum() / nr),            # long/large emphasis
-        float((row ** 2).sum() / nr),              # gray level non-uniformity
-        float((row ** 2).sum() / nr ** 2),         # ... normalized
-        float((col ** 2).sum() / nr),              # size non-uniformity
-        float((col ** 2).sum() / nr ** 2),         # ... normalized
-        float(nr / n_voxels),                      # run/zone percentage
-        float(((i - mu_i) ** 2 * pn).sum()),       # gray level variance
-        float(((s - mu_s) ** 2 * pn).sum()),       # size variance
-        _entropy(pn.ravel()),                      # entropy
-        float((p / i ** 2).sum() / nr),            # low gray level emphasis
-        float((p * i ** 2).sum() / nr),            # high gray level emphasis
-        float((p / (i ** 2 * s ** 2)).sum() / nr),
-        float((p * i ** 2 / s ** 2).sum() / nr),
-        float((p * s ** 2 / i ** 2).sum() / nr),
-        float((p * i ** 2 * s ** 2).sum() / nr),
-    ]
+    pn = p / nr[:, None, None]
+    row = p.sum(axis=2)
+    col = p.sum(axis=1)
+    mu_i = _total(i * pn)[:, None, None]
+    mu_s = _total(s * pn)[:, None, None]
+    return np.stack([
+        _total(p / s ** 2) / nr,                   # short/small emphasis
+        _total(p * s ** 2) / nr,                   # long/large emphasis
+        (row ** 2).sum(axis=1) / nr,               # gray level non-uniformity
+        (row ** 2).sum(axis=1) / nr ** 2,          # ... normalized
+        (col ** 2).sum(axis=1) / nr,               # size non-uniformity
+        (col ** 2).sum(axis=1) / nr ** 2,          # ... normalized
+        nr / n_voxels,                             # run/zone percentage
+        _total((i - mu_i) ** 2 * pn),              # gray level variance
+        _total((s - mu_s) ** 2 * pn),              # size variance
+        _neg_plog2(pn.reshape(k, -1), pn.reshape(k, -1)),  # entropy
+        _total(p / i ** 2) / nr,                   # low gray level emphasis
+        _total(p * i ** 2) / nr,                   # high gray level emphasis
+        _total(p / (i ** 2 * s ** 2)) / nr,
+        _total(p * i ** 2 / s ** 2) / nr,
+        _total(p * s ** 2 / i ** 2) / nr,
+        _total(p * i ** 2 * s ** 2) / nr,
+    ], axis=1)
 
 
 def glrlm_features_single(p: np.ndarray, n_voxels: int) -> dict[str, float]:
     """The 16 GLRLM features for one direction's run matrix."""
-    return dict(zip(GLRLM_FEATURE_NAMES, _run_zone_values(p, n_voxels)))
+    return dict(zip(GLRLM_FEATURE_NAMES,
+                    _run_zone_values(p[None], n_voxels)[0].tolist()))
 
 
 def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
     """Per-direction GLRLM features averaged over the 13 directions."""
-    n_vox = disc.roi.voxel_count
-    per_dir = [glrlm_features_single(p, n_vox) for p in glrlm_matrices(disc)]
-    return {name: float(np.mean([d[name] for d in per_dir]))
-            for name in GLRLM_FEATURE_NAMES}
+    return _direction_means(
+        _run_zone_values(glrlm_matrices(disc), disc.roi.voxel_count),
+        GLRLM_FEATURE_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +380,16 @@ def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     src, dst = _all_pairs(pairs)
     same = levels[src] == levels[dst]
     src, dst = src[same], dst[same]     # frees the unfiltered pair arrays
-    return _size_matrix(levels, _zone_labels(levels.size, src, dst),
-                        disc.n_levels)
+    lv, size = _zone_cells(levels, _zone_labels(levels.size, src, dst))
+    width = int(size.max()) + 1
+    return _counts(lv * width + size, (disc.n_levels, width))
 
 
 def glszm_features(disc: DiscretizedRoi) -> dict[str, float]:
     """The 16 GLSZM features (single matrix, no directionality)."""
-    p = glszm_matrix(disc)
+    p = glszm_matrix(disc)[None]
     return dict(zip(GLSZM_FEATURE_NAMES,
-                    _run_zone_values(p, disc.roi.voxel_count)))
+                    _run_zone_values(p, disc.roi.voxel_count)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +406,15 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     close = np.abs(levels[a] - levels[b]) <= alpha
     n = levels.size
     dep = np.bincount(a[close], minlength=n) + np.bincount(b[close], minlength=n)
-    p = np.zeros((disc.n_levels, 27), dtype=np.float64)
-    np.add.at(p, (levels - 1, dep), 1.0)
-    return p
+    return _counts((levels - 1) * 27 + dep, (disc.n_levels, 27))
 
 
 def gldm_features(disc: DiscretizedRoi, alpha: float = 0.0) -> dict[str, float]:
     """The 14 GLDM features: the run/zone formulas over the dependence matrix
     (size d = count + 1), less its entries 3 (GLN normalized) and 6
     (percentage)."""
-    values = _run_zone_values(gldm_matrix(disc, alpha), disc.roi.voxel_count)
+    values = _run_zone_values(gldm_matrix(disc, alpha)[None],
+                              disc.roi.voxel_count)[0].tolist()
     del values[6], values[3]
     return dict(zip(GLDM_FEATURE_NAMES, values))
 

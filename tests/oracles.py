@@ -13,8 +13,9 @@ gathers inside bounding boxes. The tree oracles are the package's former
 node-by-node CART growth: one split search per node, on that node's rows.
 The last sections keep more former package paths: the mask decode that
 took every datatype through float64, the image features and mask summary
-computed on the whole label grid, and the perceptron's optimizer loop that
-updated each weight and bias array on its own.
+computed on the whole label grid, the perceptron's optimizer loop that
+updated each weight and bias array on its own, and the GLCM and run/zone
+formulas evaluated on one direction's matrix at a time.
 """
 
 from __future__ import annotations
@@ -741,3 +742,132 @@ def train_mlp_per_array(X, y, seed, widths=(32, 24, 16, 12, 8), epochs=200,
             if not np.isfinite(epoch_loss):
                 raise MlpDivergenceError(epoch)
     return weights, biases
+
+
+# ---------------------------------------------------------------------------
+# Former per-matrix texture formulas: one direction's matrix per call, the
+# evaluation the (directions x levels x levels) stacks must match bit for bit
+
+GLCM_NAMES_FORMER = (
+    "glcm.autocorrelation", "glcm.joint_average", "glcm.cluster_prominence",
+    "glcm.cluster_shade", "glcm.cluster_tendency", "glcm.contrast",
+    "glcm.correlation", "glcm.difference_average", "glcm.difference_entropy",
+    "glcm.difference_variance", "glcm.joint_energy", "glcm.joint_entropy",
+    "glcm.imc1", "glcm.imc2", "glcm.idm", "glcm.idmn", "glcm.id", "glcm.idn",
+    "glcm.inverse_variance", "glcm.maximum_probability", "glcm.sum_average",
+    "glcm.sum_entropy", "glcm.sum_squares", "glcm.mcc",
+)
+
+
+def _entropy_per_matrix(p):
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def glcm_features_per_matrix(counts, ng):
+    """The 24 GLCM features of one count matrix (GLCM_NAMES_FORMER order)."""
+    total = counts.sum()
+    assert total > 0
+    p = counts / total
+    levels = np.arange(1, ng + 1, dtype=np.float64)
+    i = levels[:, None]
+    j = levels[None, :]
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    mu_x = float((levels * px).sum())
+    mu_y = float((levels * py).sum())
+    sig_x2 = float(((levels - mu_x) ** 2 * px).sum())
+    sig_y2 = float(((levels - mu_y) ** 2 * py).sum())
+
+    ks = np.arange(2, 2 * ng + 1, dtype=np.float64)
+    p_sum = np.zeros(ks.size)
+    kd = np.arange(0, ng, dtype=np.float64)
+    p_diff = np.zeros(kd.size)
+    np.add.at(p_sum, ((i + j).astype(int) - 2).ravel(), p.ravel())
+    np.add.at(p_diff, np.abs(i - j).astype(int).ravel(), p.ravel())
+
+    hx = _entropy_per_matrix(px)
+    hy = _entropy_per_matrix(py)
+    hxy = _entropy_per_matrix(p.ravel())
+    nz = p > 0
+    outer = px[:, None] * py[None, :]
+    hxy1 = float(-(p[nz] * np.log2(outer[nz])).sum())
+    nz_outer = outer > 0
+    hxy2 = float(-(outer[nz_outer] * np.log2(outer[nz_outer])).sum())
+
+    autocorr = float((i * j * p).sum())
+    if sig_x2 > 0 and sig_y2 > 0:
+        correlation = (autocorr - mu_x * mu_y) / np.sqrt(sig_x2 * sig_y2)
+    else:
+        correlation = 1.0
+    hmax = max(hx, hy)
+    imc1 = (hxy - hxy1) / hmax if hmax > 0 else 0.0
+    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy)))))
+    diff_avg = float((kd * p_diff).sum())
+
+    present = np.nonzero(px > 0)[0]
+    if present.size <= 1:
+        mcc = 1.0
+    else:
+        sub = p[np.ix_(present, present)]
+        q = (sub / px[present][:, None]) @ (sub / py[present][None, :]).T
+        eig = np.sort(np.linalg.eigvals(q).real)[::-1]
+        mcc = float(np.sqrt(max(0.0, eig[1])))
+
+    values = [
+        autocorr, mu_x,
+        float(((i + j - mu_x - mu_y) ** 4 * p).sum()),
+        float(((i + j - mu_x - mu_y) ** 3 * p).sum()),
+        float(((i + j - mu_x - mu_y) ** 2 * p).sum()),
+        float(((i - j) ** 2 * p).sum()),
+        float(correlation), diff_avg, _entropy_per_matrix(p_diff),
+        float(((kd - diff_avg) ** 2 * p_diff).sum()),
+        float((p ** 2).sum()), hxy, float(imc1), imc2,
+        float((p_diff / (1.0 + kd ** 2)).sum()),
+        float((p_diff / (1.0 + kd ** 2 / ng ** 2)).sum()),
+        float((p_diff / (1.0 + kd)).sum()),
+        float((p_diff / (1.0 + kd / ng)).sum()),
+        float((p_diff[1:] / kd[1:] ** 2).sum()),
+        float(p.max()), float((ks * p_sum).sum()),
+        _entropy_per_matrix(p_sum),
+        float(((i - mu_x) ** 2 * p).sum()), mcc,
+    ]
+    return dict(zip(GLCM_NAMES_FORMER, values))
+
+
+def run_zone_values_per_matrix(p, n_voxels):
+    """The 16 run/zone values of one (level x size) count matrix."""
+    nr = p.sum()
+    assert nr > 0
+    ng, smax = p.shape
+    i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
+    s = np.arange(1, smax + 1, dtype=np.float64)[None, :]
+    pn = p / nr
+    row = p.sum(axis=1)
+    col = p.sum(axis=0)
+    mu_i = float((i * pn).sum())
+    mu_s = float((s * pn).sum())
+    return [
+        float((p / s ** 2).sum() / nr),
+        float((p * s ** 2).sum() / nr),
+        float((row ** 2).sum() / nr),
+        float((row ** 2).sum() / nr ** 2),
+        float((col ** 2).sum() / nr),
+        float((col ** 2).sum() / nr ** 2),
+        float(nr / n_voxels),
+        float(((i - mu_i) ** 2 * pn).sum()),
+        float(((s - mu_s) ** 2 * pn).sum()),
+        _entropy_per_matrix(pn.ravel()),
+        float((p / i ** 2).sum() / nr),
+        float((p * i ** 2).sum() / nr),
+        float((p / (i ** 2 * s ** 2)).sum() / nr),
+        float((p * i ** 2 / s ** 2).sum() / nr),
+        float((p * s ** 2 / i ** 2).sum() / nr),
+        float((p * i ** 2 * s ** 2).sum() / nr),
+    ]
+
+
+def direction_means_per_matrix(per_dir):
+    """Each value's mean over a list of per-direction value dicts."""
+    return {name: float(np.mean([d[name] for d in per_dir]))
+            for name in per_dir[0]}

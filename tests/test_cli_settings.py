@@ -209,6 +209,24 @@ class TestJsonInputs:
                   "--metadata", "m.csv", "--out", str(tmp_path / "o")])
 
 
+    def test_spec_file_that_is_not_json_names_the_file(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": ')
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{spec}: spec file is not valid JSON")):
+            main(["phantom", "--spec", str(spec),
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_key_names_the_file(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"bogus": 1, "seed": 2}))
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{config}: config file has unknown keys: ['bogus']")):
+            main(["rfe", "--config", str(config), "--features", "f.csv",
+                  "--metadata", "m.csv", "--out", str(tmp_path / "o")])
+
+
 class TestBoundaryChecks:
     @pytest.fixture()
     def cohort_dir(self, tmp_path):

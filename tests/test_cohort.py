@@ -116,6 +116,27 @@ class TestCohort:
                 f"{cell!r}")):
             load_cohort(str(f), str(m))
 
+    @pytest.mark.parametrize("rows,subject,count", [
+        ({2: "S2,2"}, "S2", 2),
+        ({3: "S3,3,30,4"}, "S3", 4),
+        # a short row and a long row whose cell total still fills the table
+        ({1: "S1,1", 2: "S2,2,,0"}, "S1", 2),
+        ({2: ""}, "", 0)])
+    def test_row_cell_count_must_match_the_header(self, cohort, tmp_path,
+                                                  rows, subject, count):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        for i, line in rows.items():
+            lines[i] = line
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: subject {subject!r} has {count} cells, the header "
+                f"has 3")):
+            load_cohort(str(f), str(m))
+
     @pytest.mark.parametrize("cell", ["", "NA", "NaN", "nan"])
     def test_missing_cells_stay_missing(self, cohort, tmp_path, cell):
         f = tmp_path / "features.csv"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,55 @@ class TestMeshInternals:
                 continue
             sd = shape_features(make_roi(m))
             assert 0.0 < sd.sphericity <= 1.0 + 0.01
+
+
+def _mesh_fixtures():
+    yield "sphere", sphere_roi().membership
+    m = np.zeros((44, 24, 14), dtype=bool)
+    m[2:42, 2:22, 2:12] = True
+    yield "cuboid", m
+    yield "noise_7", np.random.default_rng(31).random((7, 7, 7)) < 0.4
+    m = np.random.default_rng(13).random((9, 9, 9)) < 0.45
+    m[4, 4, 4] = True
+    yield "noise_9", m
+    yield "noise_9_permuted", np.transpose(m, (2, 0, 1))
+    m = np.zeros((3, 3, 3), dtype=bool)
+    m[1, 1, 1] = True
+    yield "single_voxel", m
+    yield "empty", np.zeros((3, 3, 3), dtype=bool)
+
+
+# sha256 of the dtype, shape and bytes of extract_mesh's vertices and faces,
+# recorded while the triangles were still built one cube case at a time; the
+# face order (case, then triangle, then cube) sets the bits of the area and
+# volume sums
+MESH_DIGESTS = {
+    "sphere":
+        "1520c8aa4e63f266164e7f15ace4577214e3001986db5fee6d91fc00bcea7c8e",
+    "cuboid":
+        "ad6e7a1686a0ecf0148f03f8dc0e839f1f429bedd116dee9c8e744eeed7ae402",
+    "noise_7":
+        "00dbce8f12d27009cf8ac4158cb09f93f2ed9f57a4da53649d39bdf629ffda52",
+    "noise_9":
+        "c920323338c86b6f5859d6a21074759f44b22771518e5d0fc094eaa645339a40",
+    "noise_9_permuted":
+        "a3fd90bab26b03420ef32834f168d881d79a04cdf3fb758c8f9c5435338b0d10",
+    "single_voxel":
+        "9edf4e7998482cdcd1fc986e9fd7305df34e8bb32afcc3929157e79f991459ee",
+    "empty":
+        "3d19bc513aade80bb9cf30a6f33614135c418541a0d867fdd8f2bcd66a938822",
+}
+
+
+def test_mesh_digests():
+    got = {}
+    for name, m in _mesh_fixtures():
+        h = hashlib.sha256()
+        for a in extract_mesh(m):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        got[name] = h.hexdigest()
+    assert got == MESH_DIGESTS
 
 
 class TestAxisPermutation:
