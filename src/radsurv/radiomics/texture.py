@@ -243,6 +243,7 @@ def _glcm_values(counts: np.ndarray, ng: int) -> np.ndarray:
         present = np.flatnonzero(px[ds[0]] > 0)
         if present.size <= 1:
             continue
+        # C-ordered slices, as alone: BLAS gives F-ordered ones other q bits
         sub = p[np.ix_(ds, present, present)]
         pxp = px[np.ix_(ds, present)]
         pyp = py[np.ix_(ds, present)]
