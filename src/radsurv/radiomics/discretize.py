@@ -79,12 +79,14 @@ class DiscretizedRoi:
         return self.level_map[self.roi.membership]
 
     @cached_property
-    def neighbor_pairs(self) -> tuple[np.ndarray, list]:
-        """ROI levels and, per direction, the pairs of ROI voxels it joins.
+    def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """ROI levels and the pairs of ROI voxels that the 13 directions join.
 
-        Returns (levels, pairs). ``levels`` holds the level of every ROI voxel
-        in C order; ``pairs[k]`` is a pair of index arrays (a, b) into it with
-        voxel b = voxel a + DIRECTIONS_13[k].
+        Returns (levels, a, b, pairs). ``levels`` holds the level of every ROI
+        voxel in C order. ``a`` and ``b`` are flat int64 index arrays into it,
+        grouped by direction in ``DIRECTIONS_13`` order; ``pairs[k]`` is the
+        (a, b) group of direction k, as views, with voxel b = voxel a +
+        DIRECTIONS_13[k].
         """
         # the one-voxel pad keeps every neighbor index inside the array
         padded = np.pad(self.level_map, 1)
@@ -95,19 +97,19 @@ class DiscretizedRoi:
         number = np.full(flat.size, -1, dtype=np.int64)
         number[pos] = np.arange(pos.size)
         strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-        pairs = []
-        for d in DIRECTIONS_13:
-            b = number[pos + int(strides @ d)]
-            a = np.flatnonzero(b >= 0)
-            pairs.append((a, b[a]))
-        return flat[pos], pairs
+        neighbor = number[pos + (np.array(DIRECTIONS_13) @ strides)[:, None]]
+        joined = neighbor >= 0
+        a = np.broadcast_to(np.arange(pos.size), joined.shape)[joined]
+        b = neighbor[joined]
+        ends = np.cumsum(joined.sum(axis=1))[:-1]
+        return flat[pos], a, b, list(zip(np.split(a, ends), np.split(b, ends)))
 
 
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:
     """Discretize ROI intensities to integer gray levels 1..Ng."""
     member = roi.membership
-    roi._check_shape("scan data", vol.data)
-    values = vol.data[roi.box][member]
+    roi._check_shape("scan data", vol.stored)
+    values = vol.region(roi.box)[member]
     if values.size == 0:
         raise DiscretizationError("empty ROI")
     finite = np.isfinite(values)

@@ -40,7 +40,7 @@ FIRSTORDER_FEATURE_NAMES = (
 def first_order_features(vol: VoxelVolume, roi: RoiMask,
                          disc: DiscretizedRoi) -> dict[str, float]:
     """The 18 first-order features, keyed by canonical name."""
-    x = vol.data[roi.box][roi.membership].astype(np.float64)
+    x = vol.region(roi.box)[roi.membership]
     if x.size == 0:
         raise ValueError("empty ROI")
     n = x.size

@@ -212,7 +212,7 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
     if n < 2:
         return 0.0
     best = 0.0
-    block = 512
+    block = max(1, 65536 // n)     # a block's differences stay under 1.6 MB
     for i in range(0, n, block):
         chunk = points[i:i + block]
         d2 = np.sum((chunk[:, None, :] - points[None, :, :]) ** 2, axis=2)

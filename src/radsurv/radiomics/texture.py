@@ -101,12 +101,6 @@ class TextureError(ValueError):
     pass
 
 
-def _all_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The per-direction neighbor pairs as two flat arrays."""
-    a, b = zip(*pairs)
-    return np.concatenate(a), np.concatenate(b)
-
-
 def _neg_plog2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per row of two (k, n) arrays, -sum(p * log2(q)) over the row's entries
     with p > 0; each row is one reduction over just those entries (with
@@ -173,7 +167,7 @@ def _zone_cells(levels: np.ndarray, labels: np.ndarray):
 def glcm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Symmetrized co-occurrence counts as a (13, Ng, Ng) stack, one matrix
     per direction in ``DIRECTIONS_13`` order."""
-    levels, pairs = disc.neighbor_pairs
+    levels, _, _, pairs = disc.neighbor_pairs
     ng = disc.n_levels
     lv = levels.astype(np.int64) - 1
     cells = [(d * ng + lv[a]) * ng + lv[b] for d, (a, b) in enumerate(pairs)]
@@ -307,7 +301,7 @@ def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     A run along d is a connected component of d's equal-level neighbor
     pairs. W = max(dims), which bounds any run.
     """
-    levels, pairs = disc.neighbor_pairs
+    levels, _, _, pairs = disc.neighbor_pairs
     ng, width = disc.n_levels, max(disc.roi.dims)
     cells = []
     for d, (a, b) in enumerate(pairs):
@@ -377,11 +371,9 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     """Zone count matrix (level x zone size), zones 26-connected: the
     components of the equal-level pairs of all 13 directions."""
-    levels, pairs = disc.neighbor_pairs
-    src, dst = _all_pairs(pairs)
-    same = levels[src] == levels[dst]
-    src, dst = src[same], dst[same]     # frees the unfiltered pair arrays
-    lv, size = _zone_cells(levels, _zone_labels(levels.size, src, dst))
+    levels, a, b, _ = disc.neighbor_pairs
+    same = levels[a] == levels[b]
+    lv, size = _zone_cells(levels, _zone_labels(levels.size, a[same], b[same]))
     width = int(size.max()) + 1
     return _counts(lv * width + size, (disc.n_levels, width))
 
@@ -402,8 +394,7 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     Each neighbor pair whose levels differ by at most ``alpha`` adds one to
     the dependence count of both its voxels.
     """
-    levels, pairs = disc.neighbor_pairs
-    a, b = _all_pairs(pairs)
+    levels, a, b, _ = disc.neighbor_pairs
     close = np.abs(levels[a] - levels[b]) <= alpha
     n = levels.size
     dep = np.bincount(a[close], minlength=n) + np.bincount(b[close], minlength=n)
@@ -431,8 +422,7 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
     |i - neighborhood mean| over them. Each neighbor pair adds to the
     neighbor sum and count of both its voxels.
     """
-    levels, pairs = disc.neighbor_pairs
-    a, b = _all_pairs(pairs)
+    levels, a, b, _ = disc.neighbor_pairs
     nv = levels.size
     neigh_cnt = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)
     # integer levels, so these float sums are exact in any order

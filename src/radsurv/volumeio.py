@@ -10,6 +10,11 @@ Scope and conventions:
   are ignored beyond spacing and offset; the features computed downstream
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
+* A loaded scan keeps its samples as stored (``VoxelVolume.stored``: the
+  file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
+  samples become float64, one index box at a time, so extraction holds no
+  whole-grid float copy; ``VoxelVolume.data``, the whole float64 grid, is
+  built only when asked for.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * A region (``RoiMask``) is the crop of its mask to the box of the
   labelled voxels (``LabelMask.box``, found once per mask) at ``corner``;
@@ -111,15 +116,37 @@ class VoxelGrid:
 
 @dataclass
 class VoxelVolume(VoxelGrid):
-    """A 3D scalar grid with physical spacing (mm) and origin (mm)."""
+    """A 3D scalar grid with physical spacing (mm) and origin (mm).
 
-    data: np.ndarray  # float64, shape == dims
+    Built from a float64 grid (``data=``) or from samples as stored with
+    their scaling (``stored=``, ``scaling=``, as ``load_nifti`` does).
+    """
+
+    stored: np.ndarray  # samples as stored (any numeric dtype), shape == dims
+    scaling: Optional[tuple[float, float]]  # (scl_slope, scl_inter) or None
+
+    def __init__(self, dims, spacing, origin, data=None, *, stored=None,
+                 scaling=None):
+        self.dims, self.spacing, self.origin = dims, spacing, origin
+        self.stored = data if stored is None else stored
+        self.scaling = scaling
+        self.__post_init__()
 
     def __post_init__(self):
         super().__post_init__()
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"dims must be positive, got {self.dims}")
-        self._check_shape("data", self.data)
+        self._check_shape("data", self.stored)
+
+    def region(self, box) -> np.ndarray:
+        """The float64 (scaled) samples of the index box ``box``: the bits
+        of ``data[box]``, as conversion and scaling are elementwise."""
+        return _to_float(self.stored[box], self.scaling)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The whole grid as float64, built on first use."""
+        return self.region(...)
 
 
 @dataclass
@@ -303,7 +330,8 @@ def _to_float(stored: np.ndarray, scaling) -> np.ndarray:
 
 
 def load_nifti(path: str) -> VoxelVolume:
-    """Load a single-file NIfTI-1 volume as float64 scalars.
+    """Load a single-file NIfTI-1 volume; its samples stay as stored, and
+    ``region`` and ``data`` give them as float64.
 
     Data scaling (scl_slope/scl_inter) is applied when scl_slope != 0.
     Raises NiftiError with a distinct diagnostic for malformed headers,
@@ -311,7 +339,7 @@ def load_nifti(path: str) -> VoxelVolume:
     dimensionality, corrupt gzip streams and truncated payloads.
     """
     stored, scaling, grid = _decode(path)
-    return VoxelVolume(**grid, data=_to_float(stored, scaling))
+    return VoxelVolume(**grid, stored=stored, scaling=scaling)
 
 
 def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
@@ -428,19 +456,24 @@ def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
 def read_metadata_csv(path: str) -> list[SubjectRecord]:
     """Read the subject metadata CSV (ID, Age, Survival_days, Extent_of_Resection)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = {"ID", "Age", "Survival_days", "Extent_of_Resection"}
-        missing = required - set(reader.fieldnames or ())
+        missing = required - set(header)
         if missing:
             raise ValueError(f"{path}: missing metadata columns {sorted(missing)}")
         records = []
-        for row in reader:
+        for cells in filter(None, reader):      # blank lines are skipped
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: subject {cells[0]!r} has "
+                                 f"{len(cells)} cells, the header has {len(header)}")
+            row = dict(zip(header, cells))
             sid = row["ID"].strip()
-            surv_raw = (row["Survival_days"] or "").strip()
+            surv_raw = row["Survival_days"].strip()
             survival = None
             if surv_raw and surv_raw.upper() != "NA":
                 survival = parse_cell(path, sid, "Survival_days", surv_raw)
-            status = (row["Extent_of_Resection"] or "").strip() or "NA"
+            status = row["Extent_of_Resection"].strip() or "NA"
             if status.upper() == "NA":
                 status = "NA"
             records.append(SubjectRecord(

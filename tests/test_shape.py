@@ -6,7 +6,8 @@ import pytest
 from radsurv.imagefeat import roi_volume
 from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.radiomics import shape_features
-from radsurv.radiomics.shape import ShapeError, extract_mesh, mesh_area_volume
+from radsurv.radiomics.shape import (ShapeError, _line_ends, _surface_mask,
+                                    extract_mesh, mesh_area_volume)
 from radsurv.volumeio import derive_roi
 from conftest import make_roi
 import oracles
@@ -234,3 +235,24 @@ class TestDiametersAgainstAllPairs:
             got = (sd.max_3d_diameter, sd.max_2d_diameter_slice,
                    sd.max_2d_diameter_column, sd.max_2d_diameter_row)
             assert got == oracles.max_diameters_bf(m, spacing), m.shape
+
+
+class TestDiameterBlocks:
+    @pytest.mark.parametrize("spacing, origin", [
+        ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((0.7, 1.3, 2.5), (-12.5, 3.25, 100.0)),
+    ])
+    def test_many_extremal_points_take_several_blocks(self, spacing, origin):
+        # every voxel of the plane i + j + k = 30 is alone on each of its
+        # axis lines, so all 412 are 3D diameter candidates: more than one
+        # block of 65536 // 412 = 159 rows
+        i, j, k = np.indices((24, 24, 24))
+        m = i + j + k == 30
+        surface = _surface_mask(m)
+        candidates = np.logical_and.reduce(
+            [_line_ends(surface, axis) for axis in range(3)])
+        assert np.count_nonzero(candidates) == 412
+        sd = shape_features(make_roi(m, spacing=spacing, origin=origin))
+        got = (sd.max_3d_diameter, sd.max_2d_diameter_slice,
+               sd.max_2d_diameter_column, sd.max_2d_diameter_row)
+        assert got == oracles.max_diameters_bf(m, spacing)

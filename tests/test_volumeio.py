@@ -6,9 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from radsurv.volumeio import (LabelMask, MaskLabelError, NiftiError,
-                              RoiMask, SubjectRecord, derive_roi, load_mask,
-                              load_nifti, read_metadata_csv,
+from radsurv.radiomics import Binning, discretize, extract_radiomics
+from radsurv.radiomics.discretize import DiscretizationError
+from radsurv.volumeio import (GeometryError, LabelMask, MaskLabelError,
+                              NiftiError, RoiMask, SubjectRecord, derive_roi,
+                              load_mask, load_nifti, read_metadata_csv,
                               write_metadata_csv, write_nifti)
 from conftest import make_mask
 
@@ -134,6 +136,76 @@ class TestLoadNifti:
         path.write_bytes(handcrafted_header(magic=b"ni1\x00") + b"\x00" * 32)
         with pytest.raises(NiftiError, match="ni1"):
             load_nifti(str(path))
+
+
+class TestRegion:
+    """``region(box)`` is where a loaded scan's samples become float64; it
+    gives the bits of ``data[box]``, and ``data`` those of the whole file."""
+
+    BOXES = ((slice(1, 5), slice(0, 6), slice(2, 3)), (slice(None),) * 3,
+             (slice(6, 7), slice(5, 6), slice(4, 5)), (slice(2, 2),) * 3)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("code, slope, inter", [
+        ("u1", 0.0, 0.0), ("i2", 0.0, 0.0), ("i4", 0.0, 0.0),
+        ("f4", 0.0, 0.0), ("f8", 0.0, 0.0), ("i2", 0.37, -12.5)])
+    def test_region_is_the_box_of_data(self, tmp_path, suffix, byteorder,
+                                       code, slope, inter):
+        rng = np.random.default_rng(5)
+        dims = (7, 6, 5)
+        dtype = np.dtype(byteorder + code)
+        if dtype.kind == "f":
+            stored = (rng.standard_normal(dims) * 300).astype(dtype)
+        else:
+            low = 0 if dtype.kind == "u" else -300
+            stored = rng.integers(low, 255, dims).astype(dtype)
+        codes = {"u1": 2, "i2": 4, "i4": 8, "f4": 16, "f8": 64}
+        blob = handcrafted_header(
+            dims, datatype=codes[code], bitpix=dtype.itemsize * 8,
+            scl_slope=slope, scl_inter=inter,
+            byteorder=byteorder) + stored.tobytes(order="F")
+        path = tmp_path / f"scan{suffix}"
+        path.write_bytes(gzip.compress(blob) if suffix == ".nii.gz" else blob)
+
+        expected = stored.astype(np.float64)
+        if slope:
+            expected = (expected * np.float64(np.float32(slope))
+                        + np.float64(np.float32(inter)))
+        for box in self.BOXES:
+            region = load_nifti(str(path)).region(box)
+            assert region.dtype == np.float64
+            assert region.tobytes() == load_nifti(str(path)).data[box].tobytes()
+        assert load_nifti(str(path)).data.tobytes() == expected.tobytes()
+
+    def test_loaded_scan_of_another_grid_rejected(self, tmp_path):
+        path = tmp_path / "scan.nii.gz"
+        write_nifti(str(path), np.ones((4, 5, 6), dtype=np.int16))
+        labels = np.zeros((4, 5, 7), dtype=np.int16)
+        labels[1:3, 1:3, 1:3] = 2
+        mask = make_mask(labels)
+        with pytest.raises(GeometryError, match=re.escape(
+                "volume dims (4, 5, 6) != mask dims (4, 5, 7)")):
+            extract_radiomics(load_nifti(str(path)), mask)
+        with pytest.raises(ValueError, match=re.escape(
+                "scan data shape (4, 5, 6) does not match dims (4, 5, 7)")):
+            discretize(load_nifti(str(path)), derive_roi(mask, "WT"),
+                       Binning("fixed_bin_count", 8))
+
+    def test_non_finite_voxel_of_a_loaded_scan(self, tmp_path):
+        data = np.random.default_rng(2).random((8, 7, 6)).astype(np.float32)
+        data[0, 0, 0] = np.nan      # outside the mask's box: accepted
+        labels = np.zeros(data.shape, dtype=np.int16)
+        labels[2:6, 3:7, 1:5] = 2
+        mask = make_mask(labels)
+        path = tmp_path / "scan.nii"
+        write_nifti(str(path), data)
+        extract_radiomics(load_nifti(str(path)), mask)
+        data[4, 5, 2] = np.inf
+        write_nifti(str(path), data)
+        with pytest.raises(DiscretizationError, match=re.escape(
+                "non-finite ROI intensity inf at voxel (4, 5, 2)")):
+            extract_radiomics(load_nifti(str(path)), mask)
 
 
 class TestLoadMask:
@@ -283,6 +355,22 @@ class TestMetadataCsv:
                         "A,50,inf,GTR\n")
         with pytest.raises(ValueError, match="^A: survival_days must be finite"):
             read_metadata_csv(str(path))
+
+    @pytest.mark.parametrize("row,cells", [
+        ("S2,60", 2), ("S2,60,200", 3), ("S2,60,200,GTR,extra", 5)])
+    def test_row_length_differs_from_header(self, tmp_path, row, cells):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        f"S1,50,200,GTR\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: subject 'S2' has {cells} cells, the header has 4")):
+            read_metadata_csv(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n\n"
+                        "S1,50,200,GTR\n\n")
+        assert [r.subject_id for r in read_metadata_csv(str(path))] == ["S1"]
 
     @pytest.mark.parametrize("column,row", [
         ("Age", "B,abc,200,STR"), ("Survival_days", "B,55,abc,STR"),
