@@ -128,7 +128,7 @@ class VoxelVolume(VoxelGrid):
     def __init__(self, dims, spacing, origin, data=None, *, stored=None,
                  scaling=None):
         self.dims, self.spacing, self.origin = dims, spacing, origin
-        self.stored = data if stored is None else stored
+        self.stored = np.asarray(data if stored is None else stored)
         self.scaling = scaling
         self.__post_init__()
 
