@@ -120,6 +120,8 @@ class VoxelVolume(VoxelGrid):
 
     Built from a float64 grid (``data=``) or from samples as stored with
     their scaling (``stored=``, ``scaling=``, as ``load_nifti`` does).
+    ``region(box)`` gives one index box as float64; ``data``, the whole
+    float64 grid, is built only when asked for.
     """
 
     stored: np.ndarray  # samples as stored (any numeric dtype), shape == dims
