@@ -35,8 +35,7 @@ from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
 from .regressors import (FAMILIES, PREDICTOR_KINDS, load_model, predict,
                          save_model)
 from .rng import make_rng
-from .util import (parse_cell, read_csv, reject_duplicate_ids, write_csv,
-                   write_json)
+from .util import parse_cell, read_csv, read_json, write_csv, write_json
 from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
 
 log = logging.getLogger("radsurv")
@@ -57,15 +56,12 @@ def _write_config(resolved: dict, directory: str, command: str) -> None:
     write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
-def _read_json(path: str, what: str):
-    """The JSON document in ``path``; SystemExit naming the file if it is
-    not valid JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"{path}: {what} is not valid JSON: "
-                             f"{exc}") from None
+def _read_json(path: str, what: str) -> dict:
+    """``util.read_json(path, what)``, its ValueError as a SystemExit."""
+    try:
+        return read_json(path, what)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
@@ -74,9 +70,6 @@ def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
     resolved = {key: default for key, (default, _) in settings.items()}
     if args.config:
         file_values = _read_json(args.config, "config file")
-        if not isinstance(file_values, dict):
-            raise SystemExit(f"{args.config}: config file must hold a JSON "
-                             f"object, not {type(file_values).__name__}")
         unknown = set(file_values) - set(settings)
         if unknown:
             raise SystemExit(f"{args.config}: config file has unknown keys: "
@@ -152,29 +145,24 @@ def _extract_columns(feature_mode: str) -> list[str]:
 
 def cmd_extract(resolved: dict) -> int:
     workers = _workers()
-    header, rows = read_csv(resolved["subjects"])
-    required = {"ID", "mask"}
-    if not required.issubset(header):
-        raise SystemExit(f"subjects manifest needs columns {sorted(required)}")
-    id_col = header.index("ID")
-    mask_col = header.index("mask")
-    scan_col = header.index("scan") if "scan" in header else None
-    reject_duplicate_ids((row[id_col] for row in rows), resolved["subjects"])
-
+    header, rows = read_csv(resolved["subjects"], key="ID",
+                            required=("mask",))
+    rows = [dict(zip(header, row)) for row in rows]
     ages = {r.subject_id: r.age
             for r in read_metadata_csv(resolved["metadata"])}
 
     def work(row):
-        sid = row[id_col]
-        scan = row[scan_col] if scan_col is not None else ""
+        sid = row["ID"]
         if sid not in ages:
-            raise KeyError(f"no metadata row for subject {sid!r}")
-        return _extract_one(sid, scan, row[mask_col], ages[sid], resolved)
+            raise KeyError(f"{resolved['metadata']}: no metadata row for "
+                           f"subject {sid!r}")
+        return _extract_one(sid, row.get("scan", ""), row["mask"], ages[sid],
+                            resolved)
 
     results = []
     failures = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(row[id_col], pool.submit(work, row)) for row in rows]
+        futures = [(row["ID"], pool.submit(work, row)) for row in rows]
         for sid, fut in futures:
             try:
                 results.append([sid] + fut.result())
@@ -259,20 +247,19 @@ def cmd_predict(resolved: dict) -> int:
 
 def cmd_evaluate(resolved: dict) -> int:
     path = resolved["predictions"]
-    header, rows = read_csv(path)
-    if header[:2] != ["subject_id", "predicted_days"]:
-        raise SystemExit(
-            "predictions CSV must have columns subject_id,predicted_days")
+    header, rows = read_csv(path, key="subject_id",
+                            required=("predicted_days",))
     if resolved["eval_filter"] not in EVAL_STATUSES:
         raise SystemExit(f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
-    for row in rows:
-        if len(row) < 2:
-            raise ValueError(f"{path}: subject {(row or [''])[0]!r} has no "
-                             "predicted_days cell")
-    reject_duplicate_ids((row[0] for row in rows), path)
-    pred_by_id = {row[0]: parse_cell(path, row[0], "predicted_days", row[1])
-                  for row in rows}
+    id_col = header.index("subject_id")
+    pred_col = header.index("predicted_days")
+    pred_by_id = {row[id_col]: parse_cell(path, row[id_col], "predicted_days",
+                                          row[pred_col]) for row in rows}
     records = read_metadata_csv(resolved["metadata"])
+    unmatched = pred_by_id.keys() - {rec.subject_id for rec in records}
+    if unmatched:
+        raise ValueError(f"{path}: subject {min(unmatched)!r} has no metadata "
+                         f"row in {resolved['metadata']}")
     thresholds = (float(resolved["t_lo"]), float(resolved["t_hi"]))
     statuses = EVAL_STATUSES[resolved["eval_filter"]]
 
@@ -334,8 +321,8 @@ def _spec_fields(entry, keys: dict, where: str, spec_path: str) -> dict:
     """The spec fields ``entry`` sets, converted; SystemExit naming the key
     path of anything ``keys`` does not accept."""
     if not isinstance(entry, dict):
-        raise SystemExit(f"{spec_path}: {where or 'the spec'} must be a JSON "
-                         f"object, not {type(entry).__name__}")
+        raise SystemExit(f"{spec_path}: {where} must be a JSON object, not "
+                         f"{type(entry).__name__}")
     for key in entry:
         if key not in keys:
             raise SystemExit(f"{spec_path}: unknown phantom spec key "

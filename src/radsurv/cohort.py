@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import (parse_cell, parse_float_cell, read_csv,
-                   reject_duplicate_ids, write_csv)
+from .util import parse_cell, parse_float_cell, read_csv, write_csv
 from .volumeio import SubjectRecord, read_metadata_csv, write_metadata_csv
 
 
@@ -72,16 +71,10 @@ class Cohort:
 def read_features_csv(path: str):
     """Read a feature table: (subject ids, feature names, (n, p) float64 X
     with NaN for empty, NA or NaN cells). An infinite cell is rejected."""
-    header, rows = read_csv(path)
-    if not header or header[0] != "subject_id":
+    header, rows = read_csv(path, key="subject_id")
+    if header[0] != "subject_id":
         raise ValueError(f"{path}: first column must be 'subject_id'")
-    reject_duplicate_ids(header, path, "column name")
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: subject {row[0] if row else ''!r} has "
-                             f"{len(row)} cells, the header has {len(header)}")
     ids = [row[0] for row in rows]
-    reject_duplicate_ids(ids, path)
     try:
         X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
                      dtype=np.float64).reshape(len(rows), len(header) - 1)

@@ -8,12 +8,12 @@ combination attaining the minimal mean, and it is retrained on all data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..rng import make_rng
+from ..util import read_json
 
 # Stock grids over the hyperparameters each family tunes. These are
 # configuration defaults, deliberately small enough for desk-scale runs;
@@ -45,8 +45,11 @@ def resolve_grid(spec, kind: str):
 
         family(kind)   # ValueError for an unknown predictor kind
         return DEFAULT_GRIDS[kind]
-    with open(spec, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    grid = read_json(spec, "grid file", kind=list)
+    if not grid or not all(isinstance(combo, dict) for combo in grid):
+        raise ValueError(f"{spec}: grid file must hold a non-empty array of "
+                         "JSON objects")
+    return grid
 
 
 @dataclass

@@ -20,11 +20,9 @@ straight from their TreeNode roots and arrays as nested lists:
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from ..util import write_json
+from ..util import read_json, write_json
 
 SCHEMA = "radsurv-model/1"
 
@@ -47,17 +45,9 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    try:
-        return _read_model(path)
-    except RecursionError:
-        raise ValueError(f"{path}: nested too deeply to read") from None
-
-
-def _read_model(path: str):
     from . import FAMILIES
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "model file")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
     family = FAMILIES.get(doc["model_type"])

@@ -9,10 +9,11 @@ trailing newline. Reruns with identical inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -234,16 +235,51 @@ def write_json(path: str, doc) -> None:
         raise
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV file, returning (header, rows of raw strings)."""
+def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
+             ) -> tuple[list[str], list[list[str]]]:
+    """(header, rows of raw strings) of a CSV table. A ValueError naming
+    ``path`` rejects an empty file, a repeated column name, a missing
+    ``required`` or ``key`` column, a row whose cell count is not the
+    header's (a blank line has 0 cells), naming it by its ``key`` cell (or
+    first cell), and a ``key`` value that appears twice once stripped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV, header row is mandatory")
-        rows = [row for row in reader]
+        header = next(reader, [])
+        rows = list(reader)
+    if not header:
+        raise ValueError(f"{path}: empty CSV, header row is mandatory")
+    reject_duplicate_ids(header, path, "column name")
+    missing = [c for c in (key, *required) if c and c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    at = 0 if key is None else header.index(key)
+    for row in rows:
+        if len(row) != len(header):
+            name = row[at] if at < len(row) else ""
+            raise ValueError(f"{path}: subject {name!r} has {len(row)} "
+                             f"cells, the header has {len(header)}")
+    if key is not None:
+        reject_duplicate_ids((row[at].strip() for row in rows), path)
     return header, rows
+
+
+def read_json(path: str, what: str, kind: type = dict):
+    """The JSON document in ``path``, whose role ``what`` names. A ValueError
+    naming the file rejects text that is not valid JSON, nesting too deep
+    for ``json.load`` and a top level that is not a ``kind`` (dict or list)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {what} is not valid JSON: "
+                             f"{exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: nested too deeply to read") from None
+    if not isinstance(doc, kind):
+        raise ValueError(f"{path}: {what} must hold a JSON "
+                         f"{'object' if kind is dict else 'array'}, "
+                         f"not {type(doc).__name__}")
+    return doc
 
 
 def parse_float_cell(cell: str) -> float:

@@ -23,7 +23,6 @@ Scope and conventions:
 
 from __future__ import annotations
 
-import csv
 import gzip
 import math
 import os
@@ -35,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import fmt_float, parse_cell, reject_duplicate_ids, write_csv
+from .util import fmt_float, parse_cell, read_csv, write_csv
 
 HEADER_SIZE = 348
 
@@ -50,6 +49,7 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v).str[1:]: k for k, v in _DTYPES.items()}
 
 RESECTION_STATUSES = ("GTR", "STR", "NA")
+METADATA_COLUMNS = ("ID", "Age", "Survival_days", "Extent_of_Resection")
 
 ROI_KINDS = ("WT", "TC", "ET", "LABEL1", "LABEL2", "LABEL4")
 _ROI_LABEL_SETS = {
@@ -457,34 +457,24 @@ def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
 
 def read_metadata_csv(path: str) -> list[SubjectRecord]:
     """Read the subject metadata CSV (ID, Age, Survival_days, Extent_of_Resection)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        required = {"ID", "Age", "Survival_days", "Extent_of_Resection"}
-        missing = required - set(header)
-        if missing:
-            raise ValueError(f"{path}: missing metadata columns {sorted(missing)}")
-        records = []
-        for cells in filter(None, reader):      # blank lines are skipped
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: subject {cells[0]!r} has "
-                                 f"{len(cells)} cells, the header has {len(header)}")
-            row = dict(zip(header, cells))
-            sid = row["ID"].strip()
-            surv_raw = row["Survival_days"].strip()
-            survival = None
-            if surv_raw and surv_raw.upper() != "NA":
-                survival = parse_cell(path, sid, "Survival_days", surv_raw)
-            status = row["Extent_of_Resection"].strip() or "NA"
-            if status.upper() == "NA":
-                status = "NA"
-            records.append(SubjectRecord(
-                subject_id=sid,
-                age=parse_cell(path, sid, "Age", row["Age"]),
-                survival_days=survival,
-                resection_status=status,
-            ))
-    reject_duplicate_ids((r.subject_id for r in records), path)
+    header, rows = read_csv(path, key="ID", required=METADATA_COLUMNS)
+    records = []
+    for cells in rows:
+        row = dict(zip(header, cells))
+        sid = row["ID"].strip()
+        surv_raw = row["Survival_days"].strip()
+        survival = None
+        if surv_raw and surv_raw.upper() != "NA":
+            survival = parse_cell(path, sid, "Survival_days", surv_raw)
+        status = row["Extent_of_Resection"].strip() or "NA"
+        if status.upper() == "NA":
+            status = "NA"
+        records.append(SubjectRecord(
+            subject_id=sid,
+            age=parse_cell(path, sid, "Age", row["Age"]),
+            survival_days=survival,
+            resection_status=status,
+        ))
     return records
 
 
@@ -494,4 +484,4 @@ def write_metadata_csv(path: str, records: list[SubjectRecord]) -> None:
         surv = "" if rec.survival_days is None else fmt_float(float(rec.survival_days))
         rows.append([rec.subject_id, fmt_float(float(rec.age)), surv,
                      rec.resection_status])
-    write_csv(path, ["ID", "Age", "Survival_days", "Extent_of_Resection"], rows)
+    write_csv(path, METADATA_COLUMNS, rows)

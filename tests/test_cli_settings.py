@@ -9,12 +9,14 @@ byte.
 import argparse
 import hashlib
 import json
+import pathlib
 import re
 import sys
 
 import pytest
 
 from radsurv.cli import COMMANDS, build_parser, main
+from radsurv.regressors.gridsearch import resolve_grid
 from radsurv.util import read_csv
 from radsurv.volumeio import load_mask
 
@@ -64,6 +66,10 @@ SPEC = {"seed": 1,
         "cohort": {"n_subjects": 8, "seed": 5,
                    "link": {"shape.mesh_volume": 0.1, "meta.age": 2.0},
                    "noise_std": 5.0}}
+
+
+# valid JSON nested deeper than json.load can read
+NESTED = "[" * 100_000 + "]" * 100_000
 
 
 def _sha(data: bytes) -> str:
@@ -218,6 +224,30 @@ class TestJsonInputs:
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("rfe", "--config"), ("phantom", "--spec")])
+    def test_file_nested_too_deeply_names_the_file(self, tmp_path, command,
+                                                   flag):
+        path = tmp_path / "deep.json"
+        path.write_text(NESTED)
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{path}: nested too deeply to read")):
+            main([command, flag, str(path), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("text,message", [
+        ('[{"n_trees": ', "grid file is not valid JSON"),
+        ('{"n_trees": 3}', "grid file must hold a JSON array, not dict"),
+        (NESTED, "nested too deeply to read"),
+        ("[]", "grid file must hold a non-empty array of JSON objects"),
+        ('[{"n_trees": 3}, "n_trees"]',
+         "grid file must hold a non-empty array of JSON objects")],
+        ids=["invalid", "object", "nested", "empty", "not-objects"])
+    def test_bad_grid_file_names_the_file(self, tmp_path, text, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{grid}: {message}")):
+            resolve_grid(str(grid), "rfr")
+
     def test_unknown_config_key_names_the_file(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"bogus": 1, "seed": 2}))
@@ -252,7 +282,8 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("row,message", [
         ("SYN-0001,abc", "subject 'SYN-0001' column 'predicted_days' holds "
                          "a non-numeric value 'abc'"),
-        ("SYN-0001", "subject 'SYN-0001' has no predicted_days cell")])
+        ("SYN-0001", "subject 'SYN-0001' has 1 cells, the header has 2"),
+        ("TYPO-9999,300", "subject 'TYPO-9999' has no metadata row in ")])
     def test_evaluate_names_a_bad_prediction_row(self, cohort_dir, tmp_path,
                                                  row, message):
         preds = tmp_path / "p.csv"
@@ -261,3 +292,39 @@ class TestBoundaryChecks:
             main(["evaluate", "--predictions", str(preds), "--metadata",
                   str(cohort_dir / "metadata.csv"), "--out",
                   str(tmp_path / "ev")])
+
+    @pytest.mark.parametrize("manifest,message", [
+        ("ID,mask\nS1,m.nii.gz\n\n", "subject '' has 0 cells, the header "
+                                     "has 2"),
+        ("ID,mask\nS1\n", "subject 'S1' has 1 cells, the header has 2")],
+        ids=["blank-line", "short-row"])
+    def test_extract_names_a_bad_manifest_row(self, tmp_path, manifest,
+                                              message):
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text(manifest)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{subjects}: {message}")):
+            main(["extract", "--subjects", str(subjects), "--metadata",
+                  str(tmp_path / "meta.csv"), "--out",
+                  str(tmp_path / "f.csv")])
+
+    def test_extract_names_the_metadata_file_of_a_missing_row(self, tmp_path,
+                                                              caplog):
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("ID,mask\nS9,m.nii.gz\n")
+        meta = tmp_path / "meta.csv"
+        meta.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        "S1,50,200,GTR\n")
+        assert main(["extract", "--subjects", str(subjects), "--metadata",
+                     str(meta), "--out", str(tmp_path / "f.csv")]) == 1
+        assert f"{meta}: no metadata row for subject 'S9'" in caplog.text
+
+
+def test_input_files_are_read_only_through_util():
+    """Every CSV table and JSON file goes through util.read_csv / read_json,
+    so no reader can bypass their checks."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for call in ("json.load(", "csv.reader(", "reject_duplicate_ids("):
+            assert path.name == "util.py" or call not in text, (path, call)

@@ -150,6 +150,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="schema"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "model file must hold a JSON object, not list"),
+        ('{"schema": ', "model file is not valid JSON"),
+        ('{"schema": "\xe9"}', "model file is not valid JSON")],
+        ids=["array", "truncated", "latin-1"])
+    def test_unreadable_model_file_names_the_file(self, tmp_path, text,
+                                                  message):
+        path = tmp_path / "model.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_model(str(path))
+
     def test_missing_parameters_field_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
         model = train_model("linear", rng.random((12, 2)), rng.random(12),

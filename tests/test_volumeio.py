@@ -366,11 +366,21 @@ class TestMetadataCsv:
                 f"{path}: subject 'S2' has {cells} cells, the header has 4")):
             read_metadata_csv(str(path))
 
-    def test_blank_lines_skipped(self, tmp_path):
+    def test_blank_line_rejected(self, tmp_path):
         path = tmp_path / "meta.csv"
         path.write_text("ID,Age,Survival_days,Extent_of_Resection\n\n"
                         "S1,50,200,GTR\n\n")
-        assert [r.subject_id for r in read_metadata_csv(str(path))] == ["S1"]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: subject '' has 0 cells, the header has 4")):
+            read_metadata_csv(str(path))
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection,Age\n"
+                        "S1,50,200,GTR,70\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: duplicate column name 'Age'")):
+            read_metadata_csv(str(path))
 
     @pytest.mark.parametrize("column,row", [
         ("Age", "B,abc,200,STR"), ("Survival_days", "B,55,abc,STR"),
