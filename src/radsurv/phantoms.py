@@ -7,6 +7,12 @@ measurable digitization bias (a radius-10 sphere at 1 mm spacing holds 4169
 voxels against the analytic 4188.79 mm^3). Ellipsoid parameters are
 semi-axes; cuboid parameters are full edge lengths.
 
+The inclusion test builds no grid of voxel centres: one coordinate vector
+per axis broadcasts over the grid, and a shape combines per-axis terms as
+``(x + y) + z`` of squared (scaled) offsets, or ``&`` of three per-axis
+bounds for the cuboid. That is the order in which ``np.sum`` adds over a
+length-3 coordinate axis, so the bits equal those of a full-grid test.
+
 Cohorts pair per-subject tumor phantoms (three nested ellipsoids carrying
 labels 2 / 1 / 4 inside a fixed brain ellipsoid) with the full extracted
 feature catalog: the seven image features, the mask summary, the 107
@@ -80,24 +86,26 @@ class CohortSpec:
     thresholds: tuple[float, float] = (304.375, 456.5625)
 
 
-def _inside(shape: str, params, center, points: np.ndarray) -> np.ndarray:
-    d = points - np.asarray(center, dtype=np.float64)
+def _inside(shape: str, params, center, axes) -> np.ndarray:
+    """Membership of the voxel centres at per-axis coordinates ``axes``."""
+    d = [x - float(c) for x, c in zip(axes, center)]
     if shape == "sphere":
-        return np.sum(d ** 2, axis=-1) <= float(params[0]) ** 2
+        x, y, z = (v ** 2 for v in d)
+        return x + y + z <= float(params[0]) ** 2
     if shape == "ellipsoid":
-        axes = np.asarray(params, dtype=np.float64)
-        return np.sum((d / axes) ** 2, axis=-1) <= 1.0
+        x, y, z = ((v / float(a)) ** 2 for v, a in zip(d, params))
+        return x + y + z <= 1.0
     if shape == "cuboid":
-        half = np.asarray(params, dtype=np.float64) / 2.0
-        return np.all(np.abs(d) <= half, axis=-1)
+        x, y, z = (np.abs(v) <= float(p) / 2.0 for v, p in zip(d, params))
+        return x & y & z
     raise PhantomError(f"unknown shape {shape!r}")
 
 
-def _voxel_centers(dims, spacing, origin) -> np.ndarray:
-    grids = np.indices(dims).astype(np.float64)
-    for a in range(3):
-        grids[a] = grids[a] * spacing[a] + origin[a]
-    return np.stack(grids, axis=-1)
+def _axis_centers(dims, spacing, origin) -> list[np.ndarray]:
+    """Voxel-centre coordinates per axis, shaped to broadcast over ``dims``."""
+    return np.meshgrid(*(np.arange(n, dtype=np.float64) * s + o
+                         for n, s, o in zip(dims, spacing, origin)),
+                       indexing="ij", sparse=True)
 
 
 def gen_mask(spec: PhantomSpec) -> LabelMask:
@@ -126,7 +134,7 @@ def gen_mask(spec: PhantomSpec) -> LabelMask:
             for a in range(3))
         labels[idx] = spec.label_fill
     else:
-        centers = _voxel_centers(spec.dims, spec.spacing, spec.origin)
+        centers = _axis_centers(spec.dims, spec.spacing, spec.origin)
         labels[_inside(spec.shape, spec.params, spec.center, centers)] = \
             spec.label_fill
     return LabelMask(dims=spec.dims, spacing=spec.spacing, origin=spec.origin,
@@ -141,15 +149,15 @@ _BRAIN_AXES = (18.0, 17.0, 16.0)
 _TUMOR_SCALES = {"TC": 0.7, "ET": 0.45}
 
 
-def _synth_subject(seed: int, index: int):
-    """One subject's mask, intensity volume, age and resection draw."""
+def _synth_subject(seed: int, index: int, centers, brain, ramp):
+    """One subject's mask, intensity volume, age and resection draw, on the
+    cohort's voxel centres, brain ellipsoid and intensity ramp."""
     rng = make_rng(seed, index)
     dims = _COHORT_DIMS
     grid_center = tuple((d - 1) / 2.0 for d in dims)
 
     axes = rng.uniform(4.0, 10.0, size=3)
     center = np.asarray(grid_center) + rng.uniform(-2.0, 2.0, size=3)
-    centers = _voxel_centers(dims, (1, 1, 1), (0, 0, 0))
 
     wt = _inside("ellipsoid", axes, center, centers)
     tc = _inside("ellipsoid", axes * _TUMOR_SCALES["TC"], center, centers)
@@ -161,8 +169,6 @@ def _synth_subject(seed: int, index: int):
     mask = LabelMask(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0),
                      labels=labels)
 
-    brain = _inside("ellipsoid", _BRAIN_AXES, grid_center, centers)
-    ramp = centers[..., 0] / dims[0]
     data = 0.3 + 0.4 * ramp + 0.1 * (labels == 2) + 0.2 * (labels == 1) \
         + 0.3 * (labels == 4) + 0.05 * rng.standard_normal(dims)
     data = np.where(brain, np.clip(data, 0.01, None), 0.0)
@@ -199,12 +205,18 @@ def gen_cohort(spec: CohortSpec):
     feature_names = (list(IMAGE_FEATURE_NAMES) + list(MASK_SUMMARY_NAMES)
                      + list(RADIOMICS_FEATURE_NAMES) + noise_names)
 
+    dims = _COHORT_DIMS
+    centers = _axis_centers(dims, (1, 1, 1), (0, 0, 0))
+    brain = _inside("ellipsoid", _BRAIN_AXES,
+                    tuple((d - 1) / 2.0 for d in dims), centers)
+    ramp = centers[0] / dims[0]
     rows = []
     ages = []
     resection_u = []
     noise_z = []
     for i in range(spec.n_subjects):
-        mask, vol, age, res_u, nz, rng = _synth_subject(spec.seed, i)
+        mask, vol, age, res_u, nz, rng = _synth_subject(spec.seed, i, centers,
+                                                       brain, ramp)
         subject = SubjectRecord(subject_id=f"SYN-{i:04d}", age=age)
         img = extract_image_features(mask, subject).as_vector()
         summ = mask_summary(mask).as_vector()

@@ -49,11 +49,15 @@ def prepare_training(X: np.ndarray, y: np.ndarray,
     elif len(feature_names) != X.shape[1]:
         raise ValueError("feature_names length does not match X columns")
 
+    # one call for the NaN-free columns; a column with NaN needs its own mask
+    missing = np.isnan(X)
+    clean = ~missing.any(axis=0)
     imputation = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        good = ~np.isnan(col)
-        imputation[j] = float(np.median(col[good])) if good.any() else 0.0
+    if X.shape[0]:
+        imputation[clean] = np.median(X[:, clean], axis=0)
+    for j in np.flatnonzero(~clean):
+        good = ~missing[:, j]
+        imputation[j] = float(np.median(X[good, j])) if good.any() else 0.0
     X = impute(X, imputation)
     return X, y, list(feature_names), imputation
 

@@ -9,6 +9,7 @@ trailing newline. Reruns with identical inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -237,15 +238,22 @@ def write_json(path: str, doc) -> None:
 
 def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
              ) -> tuple[list[str], list[list[str]]]:
-    """(header, rows of raw strings) of a CSV table. A ValueError naming
-    ``path`` rejects an empty file, a repeated column name, a missing
-    ``required`` or ``key`` column, a row whose cell count is not the
-    header's (a blank line has 0 cells), naming it by its ``key`` cell (or
-    first cell), and a ``key`` value that appears twice once stripped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
+    """(header, rows of raw strings) of a CSV table, each ``key`` cell
+    stripped of surrounding whitespace. A ValueError naming ``path`` rejects
+    bytes that are not UTF-8 (by offset), an empty file, a repeated column
+    name, a missing ``required`` or ``key`` column, a row whose cell count
+    is not the header's (a blank line has 0 cells), naming it by its ``key``
+    cell (or first cell), and a ``key`` value that appears twice."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} "
+                         f"({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    rows = list(reader)
     if not header:
         raise ValueError(f"{path}: empty CSV, header row is mandatory")
     reject_duplicate_ids(header, path, "column name")
@@ -259,7 +267,9 @@ def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
             raise ValueError(f"{path}: subject {name!r} has {len(row)} "
                              f"cells, the header has {len(header)}")
     if key is not None:
-        reject_duplicate_ids((row[at].strip() for row in rows), path)
+        for row in rows:
+            row[at] = row[at].strip()
+        reject_duplicate_ids((row[at] for row in rows), path)
     return header, rows
 
 

@@ -461,7 +461,7 @@ def read_metadata_csv(path: str) -> list[SubjectRecord]:
     records = []
     for cells in rows:
         row = dict(zip(header, cells))
-        sid = row["ID"].strip()
+        sid = row["ID"]
         surv_raw = row["Survival_days"].strip()
         survival = None
         if surv_raw and surv_raw.upper() != "NA":

@@ -59,6 +59,19 @@ class TestCohort:
         with pytest.raises(KeyError, match="S3"):
             load_cohort(str(f), str(m))
 
+    def test_feature_id_whitespace_joins_metadata(self, cohort, tmp_path):
+        f = tmp_path / "features.csv"
+        m = tmp_path / "meta.csv"
+        cohort.write_features_csv(str(f))
+        cohort.write_metadata_csv(str(m))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace("S1,", "S1 ,", 1)
+        lines[2] = lines[2].replace("S2,", " S2,", 1)
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_cohort(str(f), str(m))
+        assert loaded.subject_ids == ["S1", "S2", "S3"]
+        assert [r.subject_id for r in loaded.records] == ["S1", "S2", "S3"]
+
     def test_duplicate_feature_row_rejected(self, cohort, tmp_path):
         f = tmp_path / "features.csv"
         m = tmp_path / "meta.csv"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -109,3 +112,106 @@ class TestGenCohort:
         cohort, _ = gen_cohort(self._spec(
             link={"meta.age": 1.0}, intercept=-1000.0))
         assert np.all(cohort.survival_days >= 1.0)
+
+
+# Golden digests, recorded before the voxel-centre grid was replaced by
+# per-axis coordinate vectors: any change of a phantom bit fails here.
+ODD_SPACING = (0.9, 1.3, 0.5)
+ODD_ORIGIN = (-20.25, 3.5, 11.0)
+
+GOLDEN_MASKS = {
+    "sphere": (
+        PhantomSpec(shape="sphere", params=(7.3,), center=(12.2, 11.7, 13.1),
+                    dims=(26, 25, 27)),
+        "22f355b3d2f009ed53bf7b7c465b1b9d8b7b49c65d6b80d807da21c9655969c4"),
+    "sphere_odd": (
+        PhantomSpec(shape="sphere", params=(5.2,), center=(-9.1, 18.4, 18.3),
+                    label_fill=2, dims=(27, 24, 30), spacing=ODD_SPACING,
+                    origin=ODD_ORIGIN),
+        "95d360d48f7ff511ef53d5dc472cd049f04ed89e0748b00a371c531a18872529"),
+    "ellipsoid": (
+        PhantomSpec(shape="ellipsoid", params=(9.5, 6.25, 4.8),
+                    center=(14.3, 12.9, 11.6), label_fill=4,
+                    dims=(30, 28, 26)),
+        "69415f630a2421c11f54c9aba9a4eef6a4244cb932f4d8cdb8fa576b2ae4926c"),
+    "ellipsoid_odd": (
+        PhantomSpec(shape="ellipsoid", params=(8.4, 5.1, 3.7),
+                    center=(-7.6, 17.2, 17.9), dims=(28, 22, 28),
+                    spacing=ODD_SPACING, origin=ODD_ORIGIN),
+        "1f367e4a8ea597651f7b4a95cabc6fc86ffa485499369d515a0a56b5a0959ee5"),
+    "cuboid": (
+        PhantomSpec(shape="cuboid", params=(7.3, 5.5, 9.1),
+                    center=(10.4, 9.8, 11.2), label_fill=2, dims=(22, 20, 24)),
+        "3d30195e5b2c79562c75d51e51bceaaefd7331e0b1bd238c45f7ef74e85bb347"),
+    "cuboid_odd": (
+        PhantomSpec(shape="cuboid", params=(9.7, 8.3, 5.9),
+                    center=(-8.8, 16.9, 18.6), label_fill=4, dims=(26, 22, 30),
+                    spacing=ODD_SPACING, origin=ODD_ORIGIN),
+        "b9fdfbc34730f29eb907a96199c566a4a761237ddedeb2183ca39f24eb5c815b"),
+    "single_voxel": (
+        PhantomSpec(shape="single_voxel", params=(), center=(6, 7, 8),
+                    dims=(12, 13, 14)),
+        "a5868b75b7ae3c7ec2b7f9323488ac0d953e908de37adf7f0a111d45ffd6faea"),
+    "single_voxel_odd": (
+        PhantomSpec(shape="single_voxel", params=(),
+                    center=(-13.95, 9.0, 14.5), label_fill=2,
+                    dims=(12, 10, 16), spacing=ODD_SPACING, origin=ODD_ORIGIN),
+        "77e974fdeb1c5a3644368b67e3c61fd5facff962161c4c7874d0ed9c53519c3e"),
+    # surfaces through voxel centres: (15, 10, 10) and (13, 14, 10) on the
+    # sphere, (14, 10, 10) on the ellipsoid and the cuboid faces at 8 / 12,
+    # 7 / 13 and 6 / 14 all lie exactly on the boundary, which is inclusive
+    "sphere_on_centres": (
+        PhantomSpec(shape="sphere", params=(5.0,), center=(10, 10, 10),
+                    dims=(21, 21, 21)),
+        "39cd3eee0b2b6219ad0641a4e71e926f861c863537669a7799430468060e3f52"),
+    "ellipsoid_on_centres": (
+        PhantomSpec(shape="ellipsoid", params=(4.0, 3.0, 5.0),
+                    center=(10, 10, 10), dims=(21, 21, 21)),
+        "a63806e5117ad1e6304ebaafa2889169a738c62b793bc9d7a3bcaf1cd5b29299"),
+    "cuboid_on_centres": (
+        PhantomSpec(shape="cuboid", params=(4.0, 6.0, 8.0),
+                    center=(10, 10, 10), dims=(21, 21, 21)),
+        "984ccae1d3dc456d7ee67a23697aab817e792af5d9932196a332c33ba6d2ee56"),
+}
+
+GOLDEN_COHORT = {
+    "X": "53cedb7f4c66603e20a47698a953cbcbe5cde3d06eccddaa1ff668352bc22206",
+    "survival_days":
+        "61626652c4a052631922f7113eddd1e1c87e77994f8a16117f55a32d0467cc7d",
+    "report":
+        "1ad8a7346f5b7044a702af30ac93119c081da34b20962902061514a81f4cf166",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MASKS))
+def test_gen_mask_golden_digest(name):
+    spec, digest = GOLDEN_MASKS[name]
+    labels = gen_mask(spec).labels
+    assert labels.dtype == np.int16 and labels.shape == spec.dims
+    assert _sha(np.ascontiguousarray(labels).tobytes()) == digest
+
+
+def test_surface_through_voxel_centres_is_inside():
+    for name, point in (("sphere_on_centres", (15, 10, 10)),
+                        ("sphere_on_centres", (13, 14, 10)),
+                        ("ellipsoid_on_centres", (14, 10, 10)),
+                        ("cuboid_on_centres", (8, 13, 14))):
+        spec = GOLDEN_MASKS[name][0]
+        assert gen_mask(spec).labels[point] == spec.label_fill, name
+
+
+def test_gen_cohort_golden_digest():
+    spec = CohortSpec(n_subjects=12, seed=31,
+                      link={"shape.mesh_volume": 0.1, "meta.age": 3.0,
+                            "mask.amount_edema": 0.02},
+                      noise_std=25.0, class_mix=(0.3, 0.4, 0.3),
+                      n_distractors=3)
+    cohort, report = gen_cohort(spec)
+    got = {"X": _sha(cohort.X.tobytes()),
+           "survival_days": _sha(cohort.survival_days.tobytes()),
+           "report": _sha(json.dumps(report, sort_keys=True).encode())}
+    assert got == GOLDEN_COHORT

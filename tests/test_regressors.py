@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from radsurv.regressors import (SingularSystemError, predict, staged_predict,
+from radsurv.regressors import (SingularSystemError, predict,
+                                prepare_training, staged_predict,
                                 train_forest, train_gbr, train_linear,
                                 train_model)
 from radsurv.regressors.tree import predict_tree
@@ -247,6 +248,20 @@ class TestSharedContracts:
         q = np.array([[2.5, np.nan]])
         filled = np.array([[2.5, 30.0]])
         assert predict(m, q) == pytest.approx(predict(m, filled))
+
+    def test_imputation_bits_match_per_column_median(self):
+        def per_column(rows):
+            return np.array([float(np.median(c[~np.isnan(c)]))
+                             if (~np.isnan(c)).any() else 0.0
+                             for c in rows.T])
+
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((24, 40)) * rng.uniform(0.1, 1e4, 40)
+        x[:, :20][rng.random((24, 20)) < 0.15] = np.nan   # gaps in half
+        x[:, 7] = np.nan
+        for rows in (x, x[:23], x[:0]):   # even, odd and no rows
+            got = prepare_training(rows, np.zeros(len(rows)), None)[3]
+            assert got.tobytes() == per_column(rows).tobytes()
 
     def test_nan_target_rejected(self):
         x = np.arange(6.0).reshape(-1, 1)

@@ -374,6 +374,22 @@ class TestMetadataCsv:
                 f"{path}: subject '' has 0 cells, the header has 4")):
             read_metadata_csv(str(path))
 
+    def test_latin1_file_named_with_byte_offset(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_bytes("ID,Age,Survival_days,Extent_of_Resection\n"
+                         "Jos\u00e9,50,200,GTR\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not UTF-8 text at byte 44 (invalid continuation "
+                "byte)")):
+            read_metadata_csv(str(path))
+
+    def test_id_whitespace_stripped(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
+                        " S1 ,50,200,GTR\nS2\t,60,300,STR\n")
+        assert [r.subject_id for r in read_metadata_csv(str(path))] == \
+            ["S1", "S2"]
+
     def test_repeated_column_name_rejected(self, tmp_path):
         path = tmp_path / "meta.csv"
         path.write_text("ID,Age,Survival_days,Extent_of_Resection,Age\n"
