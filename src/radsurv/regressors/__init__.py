@@ -19,7 +19,8 @@ from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
 from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
 from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
-from .persist import save_model, load_model
+from .persist import (save_model, load_model, as_array, as_arrays,
+                      as_counts, as_forest, as_instance, as_real, as_trees)
 
 __all__ = [
     "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
@@ -76,7 +77,8 @@ class Family:
     """Everything the package knows about one predictor family.
 
     ``fields`` maps each learned attribute persisted under ``parameters`` in
-    model.json to the decoder that rebuilds it from its JSON value.
+    model.json to the decoder ``(JSON value, key path, feature count)`` that
+    checks it and rebuilds it, raising a ValueError that names the path.
     ``importance`` returns unnormalized non-negative per-feature scores; it
     is None for a family with no defined importance, which RFE rejects.
     """
@@ -109,34 +111,27 @@ def _split_gains(model) -> np.ndarray:
     return gains
 
 
-def _trees(docs) -> list[TreeNode]:
-    return [TreeNode.from_dict(d) for d in docs]
-
-
-def _arrays(docs) -> list[np.ndarray]:
-    return [np.asarray(d) for d in docs]
-
-
 FAMILIES: dict[str, Family] = {
     "linear": Family(
         LinearModel, _train_linear, predict_linear,
-        {"coefficients": np.asarray, "intercept": float, "penalty": str,
-         "lam": float, "x_mean": np.asarray, "x_scale": np.asarray},
+        {"coefficients": as_array, "intercept": as_real, "lam": as_real,
+         "penalty": as_instance(str), "x_mean": as_array, "x_scale": as_array},
         _standardized_coefficients),
     "rfr": Family(
         ForestModel, train_forest, predict_forest,
-        {"trees": _trees, "bootstrap": bool, "max_features_rule": str},
+        {"trees": as_forest, "bootstrap": as_instance(bool),
+         "max_features_rule": as_instance(str)},
         _split_gains),
     "gbr": Family(
         BoostModel, train_gbr, predict_gbr,
-        {"init_value": float, "learning_rate": float, "trees": _trees,
-         "subsample": float},
+        {"init_value": as_real, "learning_rate": as_real, "trees": as_trees,
+         "subsample": as_real},
         _split_gains),
     "mlp": Family(
         MlpModel, train_mlp, predict_mlp,
-        {"widths": tuple, "weights": _arrays, "biases": _arrays,
-         "x_mean": np.asarray, "x_scale": np.asarray, "y_mean": float,
-         "y_scale": float},
+        {"widths": as_counts, "weights": as_arrays, "biases": as_arrays,
+         "x_mean": as_array, "x_scale": as_array, "y_mean": as_real,
+         "y_scale": as_real},
         None),
 }
 

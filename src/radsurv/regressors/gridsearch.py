@@ -62,10 +62,6 @@ class GridSearchReport:
     seed: int
     errors: list = None   # per-combination failure message or None
 
-    @property
-    def best_params(self) -> dict:
-        return self.grid[self.best_index]
-
     def as_dict(self) -> dict:
         return {"grid": self.grid, "mean_mse": self.mean_mse,
                 "std_mse": self.std_mse, "best_index": self.best_index,

@@ -45,9 +45,6 @@ class MlpModel:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_parameters(n_inputs: int, widths: tuple[int, ...], seed: int):
     """He-normal hidden layers, smaller-variance linear output layer."""

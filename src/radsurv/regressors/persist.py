@@ -1,68 +1,229 @@
-"""Model persistence as self-describing JSON (schema radsurv-model/1).
+"""Model persistence as self-describing JSON (schema radsurv-model/2).
 
-Floats are serialized through Python's float repr, which round-trips every
-finite float64 bit-exactly, so load(save(m)) reproduces predictions to the
-bit. Files record the model type, hyperparameters, seed, feature order,
-imputation vector and all learned parameters.
-
-``save_model`` writes through ``util.write_json``, which encodes trees
-straight from their TreeNode roots and arrays as nested lists:
-
-* the bytes are the ones ``json.dump(doc, sort_keys=True, indent=1)``
-  wrote for the same model before the package had its own encoder;
-* the write is all-or-nothing: the whole text is encoded before the file
-  is opened and then moved into place, so a failed save leaves no file
-  behind and an existing file unchanged;
-* a value that cannot be encoded, such as a numpy integer among the
-  hyperparameters, is rejected with an UnencodableValueError (a TypeError)
-  that names its key path and type.
+A file records the model type, hyperparameters, seed, feature order,
+imputation vector and learned parameters, written by ``util.write_json``
+through float repr, so load(save(m)) predicts bit for bit. A tree is one
+object of equal-length arrays over its nodes in level order (as
+``TreeGrower.grow`` makes them): ``feature`` (-1 for a leaf),
+``threshold``, ``gain``, ``left`` and ``right`` (child indices, -1 for a
+leaf), ``value`` and ``n``; no depth limits save or load. A
+radsurv-model/1 tree, nested one object per level, is flattened into the
+same arrays and checks. Linear and MLP files, the same in both schemas,
+keep the name radsurv-model/1. ``load_model`` rejects a file that lacks a
+key, holds a non-finite number or a malformed tree with a ValueError
+naming the file and key path, e.g. ``parameters.trees[3].threshold[17]``.
 """
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
 from ..util import read_json, write_json
+from .tree import TreeNode
 
-SCHEMA = "radsurv-model/1"
+SCHEMA_V1 = "radsurv-model/1"
+SCHEMA = "radsurv-model/2"
+TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value", "n")
+_TOP_KEYS = ("model_type", "feature_names", "imputation", "hyperparameters",
+             "seed", "parameters")
+
+
+def tree_arrays(root: TreeNode) -> dict[str, list]:
+    """The node arrays of the tree at ``root``, nodes in level order."""
+    nodes = [root]
+    for node in nodes:              # the loop reaches the children it queues
+        if node.feature is not None:
+            nodes += (node.left, node.right)
+    children = count(1, 2)          # the k-th split node's left child
+    left = [-1 if node.feature is None else next(children) for node in nodes]
+    return {"feature": [-1 if node.feature is None else node.feature
+                        for node in nodes],
+            "threshold": [node.threshold for node in nodes],
+            "gain": [node.gain for node in nodes], "left": left,
+            "right": [-1 if i < 0 else i + 1 for i in left],
+            "value": [node.value for node in nodes],
+            "n": [node.n_samples for node in nodes]}
+
+
+def _v1_tree_arrays(root, where: str) -> dict[str, list]:
+    """The node arrays of a radsurv-model/1 tree, whose split nodes nest
+    their children, in level order."""
+    rows, nodes = [], [root]
+    for i, node in enumerate(nodes):
+        try:
+            split = "feature" in node
+            head = ((node["feature"], node["threshold"], node["gain"],
+                     len(nodes), len(nodes) + 1) if split
+                    else (-1, 0.0, 0.0, -1, -1))
+            rows.append(head + (node["value"], node["n"]))
+            nodes += (node["left"], node["right"]) if split else ()
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{where}: node {i} in level order is not a "
+                             f"tree node ({exc!r})") from None
+    return {key: list(column) for key, column in zip(TREE_ARRAYS, zip(*rows))}
+
+
+def _numbers(value, where: str, kinds: str = "if",
+             ndim: int | None = None) -> np.ndarray:
+    """``value``, a JSON number or a rectangular nest of lists of them, as
+    an array of a numpy kind in ``kinds`` (and of ``ndim`` dimensions); a
+    ValueError naming ``where`` rejects anything else, and names the index
+    of a non-finite entry."""
+    try:
+        array = np.array(value)
+    except (ValueError, OverflowError):     # ragged or out of int64 range
+        array = None
+    if array is None or array.dtype.kind not in kinds or \
+            ndim not in (None, array.ndim):
+        raise ValueError(f"{where}: expected "
+                         f"{'integers' if kinds == 'i' else 'numbers'}"
+                         f"{'' if ndim is None else f' ({ndim}-d)'}")
+    bad = ~np.isfinite(array)
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), array.shape)
+        raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: "
+                         f"{float(array[at])} is not a finite number")
+    return array
+
+
+def as_array(value, where: str, n_features: int) -> np.ndarray:
+    return np.asarray(_numbers(value, where), dtype=np.float64)
+
+
+def as_real(value, where: str, n_features: int) -> float:
+    return float(_numbers(value, where, ndim=0))
+
+
+def as_arrays(value, where: str, n_features: int) -> list[np.ndarray]:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of arrays")
+    return [as_array(item, f"{where}[{i}]", n_features)
+            for i, item in enumerate(value)]
+
+
+def as_counts(value, where: str, n_features: int) -> tuple[int, ...]:
+    return tuple(_numbers(value, where, "i", 1).tolist())
+
+
+def as_instance(kind: type):
+    """The decoder of a JSON value that Python reads as a ``kind``."""
+    def decode(value, where: str, n_features: int):
+        if not isinstance(value, kind):
+            raise ValueError(f"{where}: expected a {kind.__name__}")
+        return value
+    return decode
+
+
+def as_trees(docs, where: str, n_features: int) -> list[TreeNode]:
+    if not isinstance(docs, list):
+        raise ValueError(f"{where}: expected a list of trees")
+    return [_tree(doc, f"{where}[{t}]", n_features)
+            for t, doc in enumerate(docs)]
+
+
+def as_forest(docs, where: str, n_features: int) -> list[TreeNode]:
+    if docs == []:
+        raise ValueError(f"{where}: a forest holds at least one tree")
+    return as_trees(docs, where, n_features)
+
+
+def _tree(doc, where: str, n_features: int) -> TreeNode:
+    """The root of the tree whose node arrays ``doc`` holds, once each node
+    but the first is checked to be the child of one earlier split node."""
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(key), list)
+                                          for key in TREE_ARRAYS)
+            and len({len(doc[key]) for key in TREE_ARRAYS}) == 1
+            and doc["n"]):
+        raise ValueError(f"{where}: expected an object of the non-empty, "
+                         f"equal-length arrays {', '.join(TREE_ARRAYS)}")
+    columns = {key: _numbers(doc[key], f"{where}.{key}", "if" if key in (
+        "threshold", "gain", "value") else "i", 1) for key in TREE_ARRAYS}
+    feature, left, right = map(columns.get, ("feature", "left", "right"))
+    index, split = np.arange(feature.size), feature >= 0
+
+    def reject(key: str, bad: np.ndarray, why: str) -> None:
+        if bad.any():
+            raise ValueError(f"{where}.{key}[{bad.argmax()}]: {why}")
+
+    reject("feature", (feature < -1) | (feature >= n_features),
+           f"outside -1..{n_features - 1}")
+    for key, child in (("left", left), ("right", right)):
+        reject(key, np.where(split, (child <= index) | (child >= index.size),
+                             child != -1),
+               "a split node's child is a later node, a leaf's is -1")
+    parents = np.bincount(np.concatenate([left[split], right[split]]),
+                          minlength=index.size)
+    reject("n", parents != (index > 0),
+           "this node is not the child of one split node")
+    nodes = [TreeNode(k, v) for k, v in zip(columns["n"].tolist(),
+                                            columns["value"].tolist())]
+    feature, threshold, gain, left, right = (
+        columns[key].tolist() for key in TREE_ARRAYS[:5])
+    for i in np.flatnonzero(split).tolist():
+        node = nodes[i]
+        node.feature, node.threshold, node.gain = (feature[i], threshold[i],
+                                                   gain[i])
+        node.left, node.right = nodes[left[i]], nodes[right[i]]
+    return nodes[0]
 
 
 def save_model(model, path: str) -> None:
     from . import FAMILIES, model_kind
 
     kind = model_kind(model)
-    doc = {
-        "schema": SCHEMA,
+    parameters = {name: getattr(model, name)
+                  for name in FAMILIES[kind].fields}
+    if "trees" in parameters:
+        parameters["trees"] = [tree_arrays(t) for t in parameters["trees"]]
+    write_json(path, {
+        "schema": SCHEMA if "trees" in parameters else SCHEMA_V1,
         "model_type": kind,
         "feature_names": list(model.feature_names),
         "imputation": model.imputation,
         "hyperparameters": model.params,
         "seed": getattr(model, "seed", None),
-        "parameters": {name: getattr(model, name)
-                       for name in FAMILIES[kind].fields},
-    }
-    write_json(path, doc)
+        "parameters": parameters,
+    })
 
 
 def load_model(path: str):
     from . import FAMILIES
 
     doc = read_json(path, "model file")
-    if doc.get("schema") != SCHEMA:
+    if doc.get("schema") not in (SCHEMA, SCHEMA_V1):
         raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
-    family = FAMILIES.get(doc["model_type"])
+    for key in _TOP_KEYS:
+        if key not in doc:
+            raise ValueError(f"{path}: model file lacks the key {key!r}")
+    kind, params, names = (doc["model_type"], doc["parameters"],
+                           doc["feature_names"])
+    family = FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
-        raise ValueError(f"{path}: unknown model type {doc['model_type']!r}")
-    params = doc["parameters"]
+        raise ValueError(f"{path}: unknown model type {kind!r}")
+    if not isinstance(params, dict) or not isinstance(names, list) or \
+            not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{path}: parameters must be an object and "
+                         "feature_names a list of strings")
     missing = [name for name in family.fields if name not in params]
     if missing:
-        raise ValueError(f"{path}: {doc['model_type']} model lacks "
-                         f"parameters {missing}")
-    kwargs = {name: decode(params[name])
-              for name, decode in family.fields.items()}
+        raise ValueError(f"{path}: {kind} model lacks parameters {missing}")
+    try:
+        imputation = as_array(doc["imputation"], "imputation", len(names))
+        if imputation.shape != (len(names),):
+            raise ValueError(f"imputation: holds {imputation.size} values "
+                             f"for {len(names)} features")
+        if doc["schema"] == SCHEMA_V1 and isinstance(params.get("trees"),
+                                                     list):
+            params["trees"] = [_v1_tree_arrays(tree, f"parameters.trees[{t}]")
+                               for t, tree in enumerate(params["trees"])]
+        kwargs = {name: decode(params[name], f"parameters.{name}", len(names))
+                  for name, decode in family.fields.items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if "seed" in family.model_class.__dataclass_fields__:
         kwargs["seed"] = doc["seed"]
-    return family.model_class(
-        params=doc["hyperparameters"],
-        feature_names=list(doc["feature_names"]),
-        imputation=np.asarray(doc["imputation"], dtype=np.float64), **kwargs)
+    return family.model_class(params=doc["hyperparameters"],
+                              feature_names=names, imputation=imputation,
+                              **kwargs)

@@ -40,28 +40,6 @@ class TreeNode:
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
 
-    def json_fields(self) -> dict:
-        """The node's model.json object; a split node's holds its children
-        as TreeNodes (util.encode_json writes them without recursion)."""
-        if self.feature is None:
-            return {"n": self.n_samples, "value": self.value}
-        return {
-            "n": self.n_samples, "value": self.value, "feature": self.feature,
-            "threshold": self.threshold, "gain": self.gain,
-            "left": self.left, "right": self.right,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        if "feature" not in d:
-            return TreeNode(n_samples=d["n"], value=d["value"])
-        return TreeNode(
-            n_samples=d["n"], value=d["value"], feature=d["feature"],
-            threshold=d["threshold"], gain=d["gain"],
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
-        )
-
 
 _BLOCK_ELEMENTS = 8192   # (row, node x feature) cells per scored block
 

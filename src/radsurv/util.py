@@ -2,8 +2,9 @@
 
 All CSV files written by this package use comma separators, a mandatory
 header row, UTF-8, '.' as the decimal separator and 12-significant-digit
-float formatting; JSON files use sorted keys, a one-space indent and a
-trailing newline. Reruns with identical inputs produce identical bytes.
+float formatting; JSON files are json.dumps text with sorted keys, a
+one-space indent and a trailing newline, written all at once. Reruns with
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import json
 import math
 import os
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 class UnencodableValueError(TypeError):
-    """A value in a JSON document that the package encoder cannot write."""
+    """A value in a JSON document that the package writer cannot write."""
 
     def __init__(self, path: str, value, what: str = "a value"):
         kind = type(value)
@@ -58,171 +58,45 @@ class UnencodableValueError(TypeError):
         self.path = path
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _scalar_text(value):
-    """JSON text of a scalar as json.dumps writes it; None for any other
-    value."""
-    kind = type(value)
-    if kind is float:
-        return _float_text(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):      # np.float64 and other subclasses
-        return _float_text(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _quote(value)
+def _fault(doc) -> Optional[Exception]:
+    """The error naming the key path of a non-string key, value json cannot
+    write or container holding itself in ``doc``, found with an explicit
+    stack of (value, key path, ids of the enclosing containers)."""
+    stack = [(doc, "", frozenset())]
+    while stack:
+        value, path, enclosing = stack.pop()
+        if isinstance(value, dict):
+            bad = [key for key in value if not isinstance(key, str)]
+            if bad:
+                return UnencodableValueError(path, bad[0], "a key")
+            children = [(f"{path}.{key}".lstrip("."), child)
+                        for key, child in value.items()]
+        elif isinstance(value, (list, tuple)):
+            children = [(f"{path}[{i}]", child)
+                        for i, child in enumerate(value)]
+        elif value is None or isinstance(value, (str, int, float,
+                                                 np.ndarray)):
+            continue
+        else:
+            return UnencodableValueError(path, value)
+        if id(value) in enclosing:
+            return ValueError(f"{path or 'the document'}: circular reference")
+        stack += [(child, key, enclosing | {id(value)})
+                  for key, child in reversed(children)]
     return None
 
 
-def _path_text(path) -> str:
-    """``a.b[2].c`` from the linked (parent, key) pairs the encoder keeps."""
-    parts = []
-    while path is not None:
-        path, key = path
-        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
-    return "".join(reversed(parts)).lstrip(".")
-
-
-def encode_json(doc) -> str:
-    """The text ``json.dumps(doc, sort_keys=True, indent=1)`` gives, built
-    without recursion, so depth is bounded only by memory.
-
-    Beyond json's own kinds it encodes numpy arrays as (nested) lists and
-    any object with a ``json_fields()`` method as the dict that returns;
-    dict keys must be strings. Any other value or key raises
-    UnencodableValueError naming its key path; a container that holds
-    itself raises ValueError.
-    """
-    text = _scalar_text(doc)
-    if text is not None:
-        return text
-    out = []
-    pads = ["\n"]
-    orders = {}     # keys in insertion order -> sorted keys, their labels
-    active = {}     # id -> object, of the containers enclosing the current one
-    nested = {dict, list, tuple, np.ndarray}    # and json_fields types seen
-    inf = math.inf
-    float_repr = float.__repr__
-    int_repr = int.__repr__
-    # a str is literal text, an int closes the container with that id, a
-    # tuple is a (container, depth, path) still to encode
-    stack = [(doc, 0, None)]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            out.append(item)
-            continue
-        if kind is int:
-            del active[item]
-            continue
-        value, depth, path = item
-        source = value
-        kind = type(value)
-        while len(pads) <= depth + 1:
-            pads.append(pads[-1] + " ")
-        inner = pads[depth + 1]
-        if isinstance(value, np.ndarray):
-            if value.dtype == np.float64 and value.ndim == 1 \
-                    and value.size and np.isfinite(value).all():
-                out.append("[" + inner + ("," + inner).join(
-                    map(float_repr, value.tolist())) + pads[depth] + "]")
-                continue
-            # a float64 matrix goes row by row through the line above
-            value = list(value) if value.dtype == np.float64 \
-                and value.ndim > 1 else value.tolist()
-            text = _scalar_text(value)          # from a 0-d array
-            if text is not None:
-                out.append(text)
-                continue
-        elif hasattr(value, "json_fields"):
-            nested.add(kind)
-            value = value.json_fields()
-        if isinstance(value, dict):
-            shape = tuple(value)
-            order = orders.get(shape)
-            if order is None:
-                for key in shape:
-                    if not isinstance(key, str):
-                        raise UnencodableValueError(_path_text(path), key,
-                                                    "a key")
-                keys = sorted(shape)
-                order = orders[shape] = (
-                    keys, [_quote(key) + ": " for key in keys])
-            keys, labels = order
-            children = list(map(value.__getitem__, keys))
-            text = "{"
-            close_text = "}"
-        elif isinstance(value, (list, tuple)):
-            children = value
-            keys = range(len(value))
-            labels = [""] * len(value)
-            text = "["
-            close_text = "]"
-        else:
-            raise UnencodableValueError(_path_text(path), source)
-        if not children:
-            out.append(text + close_text)
-            continue
-        ident = id(source)
-        if ident in active:
-            raise ValueError(f"{_path_text(path) or 'the document'}: "
-                             "circular reference")
-        active[ident] = source
-        separator = "," + inner
-        # the container's text in order: literal runs between the children
-        # that still need encoding
-        pieces = []
-        text += inner
-        for label, child, key in zip(labels, children, keys):
-            kind = type(child)
-            if kind is float and -inf < child < inf:
-                text += label + float_repr(child) + separator
-            elif kind is int:
-                text += label + int_repr(child) + separator
-            elif kind in nested:
-                pieces.append(text + label)
-                pieces.append((child, depth + 1, (path, key)))
-                text = separator
-            else:
-                scalar = _scalar_text(child)
-                if scalar is None:
-                    pieces.append(text + label)
-                    pieces.append((child, depth + 1, (path, key)))
-                    text = separator
-                else:
-                    text += label + scalar + separator
-        pieces.append(text[:-len(separator)] + pads[depth] + close_text)
-        pieces.append(ident)
-        stack.extend(reversed(pieces))
-    return "".join(out)
-
-
 def write_json(path: str, doc) -> None:
-    """Write ``doc`` to ``path`` in the package JSON layout (encode_json and
-    a trailing newline). The whole text is encoded before any file is
-    opened, and the file is replaced in one step: a failed write leaves no
-    file behind and an existing file unchanged."""
-    text = encode_json(doc) + "\n"
+    """Write ``doc`` to ``path`` as ``json.dumps(doc, sort_keys=True,
+    indent=1)`` (arrays as lists) and a newline, replacing the file in one
+    step once all is encoded, so a failed write changes no file. A value or
+    key json cannot write raises UnencodableValueError naming its key path;
+    a container that holds itself raises ValueError."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1,
+                          default=np.ndarray.tolist) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise _fault(doc) or exc from None
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     partial = f"{path}.{os.getpid()}.partial"

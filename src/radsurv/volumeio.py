@@ -162,9 +162,6 @@ class LabelMask(VoxelGrid):
         self._check_shape("labels", self.labels)
         _check_vocabulary(self.labels)
 
-    def label_count(self, label: int) -> int:
-        return int(np.count_nonzero(self.labels == label))
-
     @cached_property
     def box(self) -> tuple[slice, slice, slice]:
         """The box of the labelled voxels; empty if no voxel is labelled."""

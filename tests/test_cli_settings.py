@@ -322,9 +322,11 @@ class TestBoundaryChecks:
 
 def test_input_files_are_read_only_through_util():
     """Every CSV table and JSON file goes through util.read_csv / read_json,
-    so no reader can bypass their checks."""
+    so no reader can bypass their checks, and every JSON file is written by
+    util.write_json, so none bypasses its all-or-nothing write."""
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
     for path in package.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
-        for call in ("json.load(", "csv.reader(", "reject_duplicate_ids("):
+        for call in ("json.load(", "csv.reader(", "reject_duplicate_ids(",
+                     "json.dump(", "json.dumps("):
             assert path.name == "util.py" or call not in text, (path, call)

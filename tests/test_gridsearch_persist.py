@@ -18,7 +18,7 @@ class TestGridSearch:
         model, report = grid_search_cv("rfr", x, y, [{"n_trees": 3}],
                                        k=3, seed=0)
         assert report.best_index == 0
-        assert report.best_params == {"n_trees": 3}
+        assert report.grid[report.best_index] == {"n_trees": 3}
 
     def test_duplicate_combinations_keep_first(self):
         rng = np.random.default_rng(1)

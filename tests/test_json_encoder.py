@@ -1,26 +1,37 @@
-"""The package JSON encoder against ``json.dumps(sort_keys=True, indent=1)``,
-and the all-or-nothing write.
+"""``util.write_json`` against ``json.dumps(sort_keys=True, indent=1)``,
+its errors and the all-or-nothing write, and tree files of any depth.
 
 Random documents cover every kind json writes plus numpy arrays; the files
 the commands write (every family's model.json and grid_report.json, the
-resolved configs and the cohort report) must equal what json.dump wrote
+resolved configs and the cohort report) must equal what json.dump writes
 for the same document, and the ones without paths in them are pinned by
-digests recorded with json.dump as the writer.
+digests: those of the gbr and rfr model.json recorded when trees were
+first saved as node arrays (radsurv-model/2), the others with json.dump as
+the writer.
 """
 
 import hashlib
 import json
 import os
-import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 from radsurv.cli import main
-from radsurv.regressors import (TreeNode, load_model, save_model,
+from radsurv.regressors import (TreeNode, load_model, predict, save_model,
                                 train_model)
-from radsurv.util import UnencodableValueError, encode_json, write_json
+from radsurv.util import UnencodableValueError, write_json
+
+
+def encode_json(doc) -> str:
+    """The text write_json writes for ``doc``, without its final newline."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "doc.json")
+        write_json(path, doc)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()[:-1]
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
                   0.1, 123456789.125, float("nan"), float("inf"),
@@ -94,16 +105,25 @@ def test_edge_documents_match_json_dumps(doc):
     assert encode_json([doc]) == _reference([doc])
 
 
-def test_tree_nodes_encode_as_their_dicts():
+def test_tree_nodes_save_as_level_order_arrays(tmp_path):
     leaf = TreeNode(n_samples=2, value=1.5)
-    split = TreeNode(n_samples=5, value=-0.0, feature=3, threshold=0.25,
+    split = TreeNode(n_samples=5, value=-0.0, feature=1, threshold=0.25,
                      gain=7.0, left=leaf, right=TreeNode(3, 1e16))
-    leaf_dict = {"n": 2, "value": 1.5}
-    split_dict = {"n": 5, "value": -0.0, "feature": 3, "threshold": 0.25,
-                  "gain": 7.0, "left": leaf_dict,
-                  "right": {"n": 3, "value": 1e16}}
-    assert encode_json({"trees": [split, leaf]}) == \
-        _reference({"trees": [split_dict, leaf_dict]})
+    root = TreeNode(n_samples=9, value=2.0, feature=0, threshold=-1.0,
+                    gain=3.0, left=split, right=TreeNode(4, -3.0))
+    model = _gbr({"n_estimators": 2})
+    model.trees = [root, leaf]
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "radsurv-model/2"
+    assert doc["parameters"]["trees"] == [
+        {"feature": [0, 1, -1, -1, -1], "threshold": [-1.0, 0.25, 0.0, 0.0, 0.0],
+         "gain": [3.0, 7.0, 0.0, 0.0, 0.0], "left": [1, 3, -1, -1, -1],
+         "right": [2, 4, -1, -1, -1], "value": [2.0, -0.0, -3.0, 1.5, 1e16],
+         "n": [9, 5, 4, 2, 3]},
+        {"feature": [-1], "threshold": [0.0], "gain": [0.0], "left": [-1],
+         "right": [-1], "value": [1.5], "n": [2]}]
 
 
 def test_unencodable_value_names_its_path_and_type():
@@ -153,48 +173,52 @@ def test_failed_save_leaves_an_existing_file_unchanged(tmp_path):
 
 
 def _deep_tree(depth):
-    """A chain of ``depth`` splits and the plain dict it saves as."""
+    """A chain of ``depth`` splits, each with a leaf on its left, and the
+    node arrays it saves as."""
     node = TreeNode(n_samples=1, value=0.5)
-    expected = {"n": 1, "value": 0.5}
     for level in range(depth):
         node = TreeNode(n_samples=level + 2, value=float(level), feature=0,
                         threshold=-float(level), gain=1.0,
                         left=TreeNode(n_samples=1, value=-1.0), right=node)
-        expected = {"n": level + 2, "value": float(level), "feature": 0,
-                    "threshold": -float(level), "gain": 1.0,
-                    "left": {"n": 1, "value": -1.0}, "right": expected}
-    return node, expected
+    levels = range(depth - 1, -1, -1)
+    pairs = {
+        "feature": [(0, -1) for _ in levels],
+        "threshold": [(-float(level), 0.0) for level in levels],
+        "gain": [(1.0, 0.0) for _ in levels],
+        "left": [(2 * j + 1, -1) for j in range(depth)],
+        "right": [(2 * j + 2, -1) for j in range(depth)],
+        "value": [(float(level), -1.0) for level in levels],
+        "n": [(level + 2, 1) for level in levels]}
+    last = {"feature": -1, "threshold": 0.0, "gain": 0.0, "left": -1,
+            "right": -1, "value": 0.5, "n": 1}
+    return node, {key: [x for pair in column for x in pair] + [last[key]]
+                  for key, column in pairs.items()}
 
 
 def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
-    limit = sys.getrecursionlimit()
-    depth = limit + 500
-    node, expected = _deep_tree(depth)
+    node, expected = _deep_tree(sys.getrecursionlimit() + 500)
     model = _gbr({"n_estimators": 1})
     model.trees = [node]
     path = tmp_path / "model.json"
     save_model(model, str(path))
-    # only reading the file back needs a deeper stack; json.dumps would take
-    # time quadratic in the depth, so the plain dicts read back are encoded
-    # again instead
-    sys.setrecursionlimit(4 * depth)
-    try:
-        text = path.read_text()
-        doc = json.loads(text)
-        assert doc["parameters"]["trees"] == [expected]
-    finally:
-        sys.setrecursionlimit(limit)
-    assert text == encode_json(doc) + "\n"
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["parameters"]["trees"] == [expected]
+    assert text == _reference(doc) + "\n"
 
 
-def test_tree_deeper_than_the_recursion_limit_is_rejected_on_load(tmp_path):
+def test_tree_deeper_than_the_recursion_limit_round_trips(tmp_path):
+    depth = sys.getrecursionlimit() + 500
     model = _gbr({"n_estimators": 1})
-    model.trees = [_deep_tree(sys.getrecursionlimit() + 500)[0]]
+    model.trees = [_deep_tree(depth)[0]]
     path = tmp_path / "model.json"
     save_model(model, str(path))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: nested too deeply to read")):
-        load_model(str(path))
+    loaded = load_model(str(path))
+    x = np.random.default_rng(2).uniform(-depth - 2.0, 1.0, (200, 3))
+    assert np.array_equal(predict(loaded, x), predict(model, x))
+    again = tmp_path / "again.json"
+    save_model(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +231,15 @@ GRIDS = {
     "mlp": [{"epochs": 4}, {"epochs": 3, "optimizer": "sgd", "lr": 0.01}],
 }
 
-# sha256 of the files as json.dump wrote them
+# sha256 of the files: gbr and rfr model.json as first written with trees
+# as node arrays, the others as json.dump wrote them
 DIGESTS = {
     "cohort/cohort_report.json":
         "a47afe55f5b38c1b71bf6316851b3f79ed8238f6048dac6a770dfadff0e904c9",
     "gbr/grid_report.json":
         "6f8f0a2a483491c8c5d47d7cba40c8dc087ee977a16171839bd1be777f320bec",
     "gbr/model.json":
-        "a022ba2c2fd735b2af44a9f7ce9aace3ffca1b819ec4781854ae3cb101979cba",
+        "7d3363831e0f70084a9ee46b1b87122dc9f4edcef9ecc662f377b3879a8cfe27",
     "linear/grid_report.json":
         "a4db86caa5ac514287466c2e5696113ba91be2a969408e045fa2983174c7fce3",
     "linear/model.json":
@@ -226,7 +251,7 @@ DIGESTS = {
     "rfr/grid_report.json":
         "351034bc0b35284cf44923a04fd46a5bc35a8c04fbe880d573febc12dc748186",
     "rfr/model.json":
-        "1ab1679de3d888cbfa2ecb92ebed1be7d893a010c557ee3ab609dc6c6b82e115",
+        "88a5b6a70e601d7db5b15aef134373361de36a554711d4b2ceb1314affb617a8",
 }
 
 

@@ -87,14 +87,6 @@ class TestTraining:
             train_mlp(x, y, {"epochs": 200, "lr": 1e6, "optimizer": "sgd"},
                       seed=0)
 
-    def test_parameter_count_identity(self):
-        x = np.random.default_rng(0).random((10, 3))
-        y = x[:, 0]
-        m = train_mlp(x, y, {"epochs": 0, "widths": (4, 4, 4, 4, 4)}, seed=0)
-        sizes = [3, 4, 4, 4, 4, 4, 1]
-        expected = sum((sizes[i] + 1) * sizes[i + 1] for i in range(6))
-        assert m.parameter_count() == expected
-
     def test_width_validation(self):
         x = np.random.default_rng(0).random((10, 2))
         with pytest.raises(ValueError, match="widths"):

@@ -1,0 +1,202 @@
+"""The checks ``load_model`` makes on a model.json, and radsurv-model/1 files.
+
+``tests/data/{gbr,rfr}_v1.json`` were written, before trees were saved as
+node arrays, for the models ``_v1_problem`` trains; they must predict what
+those models predicted then and save as the arrays the same models save as
+today. Every other file here is a saved model edited by hand or by seeded
+byte mutations: loading it either raises a ValueError that names the file
+or gives a model whose predictions are finite.
+"""
+
+import hashlib
+import json
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from radsurv.regressors import load_model, predict, save_model, train_model
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# sha256 of the predictions of the radsurv-model/1 files, recorded when
+# they were written
+V1_PREDICTIONS = {
+    "gbr": "c1becb6fbae5c657c49b9c6cd47978673dc03ac9c7ce618ef90d44b5a3a840c2",
+    "rfr": "b2af12566eb9914b9be7fd96d35e4f8f0c5a33ec92dcbdf28ac8ba0df64ee6cc",
+}
+V1_PARAMS = {"gbr": {"n_estimators": 5, "max_depth": 3, "subsample": 0.8},
+             "rfr": {"n_trees": 3, "max_depth": 4}}
+
+
+def _v1_problem():
+    rng = np.random.default_rng(1601)
+    x = rng.standard_normal((40, 4))
+    x[:, 1] = rng.integers(0, 3, 40)
+    y = (300.0 + 50.0 * x[:, 0] - 20.0 * x[:, 1] ** 2
+         + 10.0 * rng.standard_normal(40))
+    x[7, 2] = np.nan
+    return x, y, rng.standard_normal((25, 4))
+
+
+@pytest.mark.parametrize("kind", sorted(V1_PARAMS))
+def test_v1_tree_files_load_as_they_predicted(kind, tmp_path):
+    x, y, q = _v1_problem()
+    loaded = load_model(str(DATA / f"{kind}_v1.json"))
+    got = predict(loaded, q)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == V1_PREDICTIONS[kind]
+    model = train_model(kind, x, y, V1_PARAMS[kind], 11,
+                        [f"c{j}" for j in range(4)])
+    assert np.array_equal(got, predict(model, q))
+    for name, saved in (("loaded", loaded), ("trained", model)):
+        save_model(saved, str(tmp_path / f"{name}.json"))
+    assert (tmp_path / "loaded.json").read_bytes() == \
+        (tmp_path / "trained.json").read_bytes()
+
+
+def _saved(kind, tmp_path, params=None) -> pathlib.Path:
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((30, 3))
+    y = 200.0 + 40.0 * x[:, 0] + rng.standard_normal(30)
+    params = params or {"linear": {}, "mlp": {"epochs": 2},
+                        "gbr": {"n_estimators": 3, "max_depth": 2},
+                        "rfr": {"n_trees": 3, "max_depth": 3}}[kind]
+    path = tmp_path / f"{kind}.json"
+    save_model(train_model(kind, x, y, params, 0, ["a", "b", "c"]), str(path))
+    return path
+
+
+def _edit(path: pathlib.Path, keys, value) -> None:
+    """Set the entry at ``keys`` of the file's document to ``value``, a
+    JSON text written in place as it is."""
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@@"
+    path.write_text(json.dumps(doc).replace('"@@"', value))
+
+
+@pytest.mark.parametrize("token", ["1e999", "NaN", "-Infinity"])
+@pytest.mark.parametrize("kind,keys,shown", [
+    ("linear", ["parameters", "coefficients", 0], "parameters.coefficients[0]"),
+    ("linear", ["parameters", "intercept"], "parameters.intercept"),
+    ("mlp", ["parameters", "weights", 0, 1, 2], "parameters.weights[0][1][2]"),
+    ("mlp", ["parameters", "y_scale"], "parameters.y_scale"),
+    ("gbr", ["parameters", "trees", 1, "threshold", 0],
+     "parameters.trees[1].threshold[0]"),
+    ("gbr", ["imputation", 1], "imputation[1]"),
+    ("rfr", ["parameters", "trees", 2, "value", 3],
+     "parameters.trees[2].value[3]"),
+])
+def test_non_finite_parameter_rejected(kind, keys, shown, token, tmp_path):
+    path = _saved(kind, tmp_path)
+    _edit(path, keys, token)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {shown}: ")
+                       + ".* is not a finite number"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", sorted(V1_PARAMS))
+def test_non_finite_v1_tree_entry_rejected(kind, tmp_path):
+    """A radsurv-model/1 tree is checked as its level-order arrays: the
+    root's left child is node 1."""
+    path = tmp_path / f"{kind}_v1.json"
+    path.write_bytes((DATA / f"{kind}_v1.json").read_bytes())
+    _edit(path, ["parameters", "trees", 0, "left", "value"], "1e999")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameters.trees[0].value[1]: inf is not a finite")):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("key", ["model_type", "feature_names", "parameters",
+                                 "hyperparameters", "imputation", "seed"])
+def test_missing_top_level_key_named(key, tmp_path):
+    path = _saved("linear", tmp_path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: model file lacks the key {key!r}")):
+        load_model(str(path))
+
+
+def test_imputation_of_the_wrong_length_named(tmp_path):
+    path = _saved("mlp", tmp_path)
+    doc = json.loads(path.read_text())
+    doc["imputation"].append(0.0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: imputation: holds 4 values for 3 features")):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("keys,value,message", [
+    (["feature", 0], "3", r"trees\[1\]\.feature\[0\]: outside -1\.\.2"),
+    (["feature", 0], "1.0", r"trees\[1\]\.feature: expected integers"),
+    (["left", 0], "0", r"trees\[1\]\.left\[0\]: a split node's child"),
+    (["right", 0], "99", r"trees\[1\]\.right\[0\]: a split node's child"),
+    (["left", 0], "2", r"trees\[1\]\.n\[1\]: this node is not the child "
+                       "of one split node"),
+    (["n"], "[1]", r"trees\[1\]: expected an object of the non-empty, "
+                   "equal-length arrays"),
+    (["gain"], '"x"', r"trees\[1\]: expected an object"),
+])
+def test_malformed_tree_named(keys, value, message, tmp_path):
+    path = _saved("gbr", tmp_path)
+    _edit(path, ["parameters", "trees", 1] + keys, value)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameters.")
+                       + message):
+        load_model(str(path))
+
+
+def test_empty_forest_rejected(tmp_path):
+    path = _saved("rfr", tmp_path)
+    _edit(path, ["parameters", "trees"], "[]")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameters.trees: a forest holds at least one tree")):
+        load_model(str(path))
+
+
+INSERTS = [b",", b"]", b"-1", b"1e999"]
+
+
+def _mutate(rng, blob: bytes) -> bytes:
+    """1 or 2 seeded byte flips, deletions or insertions of INSERTS, three
+    in four of them at a digit, where most mutations leave valid JSON."""
+    blob = bytearray(blob)
+    for _ in range(int(rng.integers(1, 3))):
+        digits = [i for i, b in enumerate(blob) if 48 <= b <= 57]
+        at = int(digits[int(rng.integers(0, len(digits)))]
+                 if rng.random() < 0.75 else rng.integers(0, len(blob)))
+        how = int(rng.integers(0, 3))
+        if how == 0:
+            blob[at] ^= 1 << int(rng.integers(0, 8))
+        elif how == 1:
+            del blob[at]
+        else:
+            blob[at:at] = INSERTS[int(rng.integers(0, len(INSERTS)))]
+    return bytes(blob)
+
+
+def test_mutated_tree_files_raise_named_errors_or_predict_finite(tmp_path):
+    bases = [_saved("gbr", tmp_path, {"n_estimators": 4, "max_depth": 3}),
+             _saved("rfr", tmp_path, {"n_trees": 3, "max_depth": 3})]
+    blobs = [path.read_bytes() for path in bases]
+    rng = np.random.default_rng(1642)
+    outcomes = {"loaded": 0, "not JSON": 0, "rejected": 0}
+    for trial in range(800):
+        path = tmp_path / f"t{trial}.json"
+        path.write_bytes(_mutate(rng, blobs[trial % 2]))
+        try:
+            model = load_model(str(path))
+        except ValueError as exc:
+            assert str(path) in str(exc), (trial, str(exc))
+            outcomes["not JSON" if "is not valid JSON" in str(exc)
+                     else "rejected"] += 1
+            continue
+        x = np.random.default_rng(3).standard_normal((20, model.n_features))
+        assert np.isfinite(predict(model, x * 3.0)).all(), trial
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] >= 150 and outcomes["rejected"] >= 80, outcomes

@@ -2,10 +2,12 @@
 
 Gradient boosting and ``max_features="all"`` forests draw no feature
 subsets, so their fitted trees depend only on the split search. For each
-case below, the sha256 of the saved ``model.json`` bytes, of the
-predictions on held-out rows and of the normalized importances is compared
-with a digest recorded before the tree grower was rewritten for speed; an
-RFE ranking driven by boosting is pinned the same way.
+case below, the sha256 of the predictions on held-out rows and of the
+normalized importances is compared with a digest recorded before the tree
+grower was rewritten for speed, and that of the saved ``model.json`` bytes
+with one recorded when trees were first saved as node arrays
+(radsurv-model/2); an RFE ranking driven by boosting is pinned the same
+way.
 """
 
 import hashlib
@@ -48,7 +50,7 @@ CASES = {
 DIGESTS = {
     "gbr_defaults": {
         "model":
-            "e6412566656114effaece04797ab2e590cb80734b457e58add5cc6c30b9cdbf2",
+            "d431a6ee623cc1812416d96bdeba63ee8fc4f41b4251e07e86b86c1cd1d10ce3",
         "predictions":
             "2c3839c55c82fc488bb3e4541391d5624b68d57e4d8e57bb523f513e80f2c8b8",
         "importances":
@@ -56,7 +58,7 @@ DIGESTS = {
     },
     "gbr_subsample": {
         "model":
-            "e360c6734f2d30c8a21cda754a7db474d17a14c0a5ec26f614f97366d15ab706",
+            "216e88c788b516bdc42e98043d29e6a2f3072d95a21510d217a305636854810e",
         "predictions":
             "dbad3242df695349d7740b90cb1971a863cb1e84fa74c80db57eea7de35632e4",
         "importances":
@@ -64,7 +66,7 @@ DIGESTS = {
     },
     "rfr_all_bootstrap": {
         "model":
-            "bd0ec3a7658c54218835d2849ff5a39f2c65fe33a1b2fcede6fc4c62b10d541d",
+            "e2f2efab224bee77af36cd6c02a5e724f43adb47db5590f3a53e1630c403eb12",
         "predictions":
             "2640a34beda757988131e3d3544af27cded1255de8dc87cda89e16f4a15fd277",
         "importances":
@@ -72,7 +74,7 @@ DIGESTS = {
     },
     "rfr_all_no_bootstrap": {
         "model":
-            "ea4150fd8998f162b501dee77fb01709aecfd9c45a7853b6f1fdb38b5ae83b54",
+            "d9fa1b4df9e4e4eed10c769dec977d6ab95648dc8936cb43f07c6297bba07ae0",
         "predictions":
             "a3be46da696b5e8958674ae98eadf0b8514bfea972a940a6eb85c70f107a6551",
         "importances":

@@ -21,12 +21,21 @@ from radsurv.regressors import (save_model, train_forest, train_gbr,
 from radsurv.regressors import tree as tree_mod
 from radsurv.regressors.tree import TreeGrower, resolve_max_features
 from radsurv.rng import make_rng
-from radsurv.util import encode_json
+
+
+def _as_dict(node) -> dict:
+    """A TreeNode as the nested dict the oracles build."""
+    if node.feature is None:
+        return {"n": node.n_samples, "value": node.value}
+    return {"n": node.n_samples, "value": node.value, "feature": node.feature,
+            "threshold": node.threshold, "gain": node.gain,
+            "left": _as_dict(node.left), "right": _as_dict(node.right)}
 
 
 def _text(tree) -> str:
     """Compact sorted JSON of a TreeNode or of an oracle's tree dict."""
-    return json.dumps(json.loads(encode_json(tree)), sort_keys=True)
+    return json.dumps(tree if isinstance(tree, dict) else _as_dict(tree),
+                      sort_keys=True)
 
 
 def _column(rng, n, kind):
