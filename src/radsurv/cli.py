@@ -31,9 +31,8 @@ from .imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
                         extract_image_features, mask_summary)
 from .phantoms import CohortSpec, PhantomSpec, gen_cohort, gen_mask
 from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
-                        evaluate, fit, run_experiment_matrix)
-from .regressors import (FAMILIES, PREDICTOR_KINDS, load_model, predict,
-                         save_model)
+                        evaluate, fit, run_experiment_matrix, save_fit)
+from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
 from .util import parse_cell, read_csv, read_json, write_csv, write_json
 from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
@@ -219,10 +218,7 @@ def cmd_train(resolved: dict) -> int:
                         dict(resolved["params"]), resolved["grid"],
                         int(resolved["cv_folds"]), int(resolved["seed"]),
                         cohort.feature_names)
-    if report is not None:
-        write_json(os.path.join(resolved["out"], "grid_report.json"),
-                   report.as_dict())
-    save_model(model, os.path.join(resolved["out"], "model.json"))
+    save_fit(resolved["out"], model, report)
     _write_config(resolved, resolved["out"], "train")
     return 0
 
@@ -347,11 +343,11 @@ def cmd_phantom(resolved: dict) -> int:
                     mask.labels.astype(np.int16), mask.spacing, mask.origin)
         if mspec.get("with_volume"):
             rng = make_rng(spec.get("seed", 0), i)
-            ramp = np.indices(mask.dims)[0] / mask.dims[0]
+            ramp = np.arange(mask.dims[0])[:, None, None] / mask.dims[0]
             data = (0.3 + 0.5 * ramp + 0.05 * rng.standard_normal(mask.dims))
             data = np.where(mask.labels > 0, data + 0.2, data)
             write_nifti(os.path.join(outdir, f"{name}_vol.nii.gz"),
-                        data.astype(np.float64), mask.spacing, mask.origin)
+                        data, mask.spacing, mask.origin)
 
     if "cohort" in spec:
         cohort, report = gen_cohort(CohortSpec(**_spec_fields(

@@ -42,17 +42,13 @@ class FeatureRanking:
     ranks: dict[str, int]               # 1 = kept longest
     kept: list[str]                     # size n_keep, canonical name order
     trace: list[tuple[str, int, float]]  # (feature, iteration, importance)
-    estimator: str
-    step: int
-    seed: int
 
     def write_csv(self, path: str) -> None:
         eliminated_at = {name: it for name, it, _ in self.trace}
-        rows = []
-        for name in sorted(self.ranks, key=lambda n: self.ranks[n]):
-            rows.append([name, self.ranks[name],
-                         "true" if name in set(self.kept) else "false",
-                         eliminated_at.get(name, "")])
+        kept = set(self.kept)
+        rows = [[name, self.ranks[name], "true" if name in kept else "false",
+                 eliminated_at.get(name, "")]
+                for name in sorted(self.ranks, key=self.ranks.get)]
         write_csv(path, ["feature", "rank", "kept", "eliminated_at_iteration"],
                   rows)
 
@@ -111,13 +107,8 @@ def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
 
     # ranks: eliminated features count down from p in elimination order;
     # kept features take 1..n_keep by descending final importance
-    ranks: dict[str, int] = {}
-    for pos, (name, _, _) in enumerate(trace):
-        ranks[name] = p - pos
-    kept_sorted = sorted(remaining,
-                         key=lambda name: (-final_importance[name], name))
-    for pos, name in enumerate(kept_sorted):
-        ranks[name] = pos + 1
+    ranks = {name: p - pos for pos, (name, _, _) in enumerate(trace)}
+    ranks.update((name, pos + 1) for pos, name in enumerate(sorted(
+        remaining, key=lambda name: (-final_importance[name], name))))
     kept = [name for name in feature_names if name in set(remaining)]
-    return FeatureRanking(ranks=ranks, kept=kept, trace=trace,
-                          estimator=estimator.kind, step=step, seed=seed)
+    return FeatureRanking(ranks=ranks, kept=kept, trace=trace)

@@ -8,10 +8,11 @@ voxels against the analytic 4188.79 mm^3). Ellipsoid parameters are
 semi-axes; cuboid parameters are full edge lengths.
 
 The inclusion test builds no grid of voxel centres: one coordinate vector
-per axis broadcasts over the grid, and a shape combines per-axis terms as
-``(x + y) + z`` of squared (scaled) offsets, or ``&`` of three per-axis
-bounds for the cuboid. That is the order in which ``np.sum`` adds over a
-length-3 coordinate axis, so the bits equal those of a full-grid test.
+per axis broadcasts over the shape's index box, and a shape combines
+per-axis terms as ``(x + y) + z`` of squared (scaled) offsets, or ``&`` of
+three per-axis bounds for the cuboid. That is the order in which ``np.sum``
+adds over a length-3 coordinate axis, so the bits equal those of a
+full-grid test.
 
 Cohorts pair per-subject tumor phantoms (three nested ellipsoids carrying
 labels 2 / 1 / 4 inside a fixed brain ellipsoid) with the full extracted
@@ -101,11 +102,24 @@ def _inside(shape: str, params, center, axes) -> np.ndarray:
     raise PhantomError(f"unknown shape {shape!r}")
 
 
-def _axis_centers(dims, spacing, origin) -> list[np.ndarray]:
-    """Voxel-centre coordinates per axis, shaped to broadcast over ``dims``."""
-    return np.meshgrid(*(np.arange(n, dtype=np.float64) * s + o
-                         for n, s, o in zip(dims, spacing, origin)),
+def _axis_centers(box, spacing, origin) -> list[np.ndarray]:
+    """Voxel-centre coordinates per axis, shaped to broadcast over ``box``."""
+    return np.meshgrid(*(np.arange(b.start, b.stop, dtype=np.float64) * s + o
+                         for b, s, o in zip(box, spacing, origin)),
                        indexing="ij", sparse=True)
+
+
+def _index_box(spec: PhantomSpec) -> tuple[slice, ...]:
+    """The index slices of ``center ± half_extents``, widened by one voxel
+    and clipped to the grid: no voxel centre outside them is inside the
+    shape. A NaN bound leaves its axis empty, as no centre passes it."""
+    c, h, s, o = (np.array(v, dtype=np.float64) for v in (
+        spec.center, spec.half_extents(), spec.spacing, spec.origin))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.sort([(c - h - o) / s, (c + h - o) / s], axis=0)
+    lo, hi = (np.nan_to_num(np.clip(e, 0, spec.dims)).astype(int)
+              for e in (np.floor(ends[0]) - 1, np.ceil(ends[1]) + 2))
+    return tuple(map(slice, lo.tolist(), hi.tolist()))
 
 
 def gen_mask(spec: PhantomSpec) -> LabelMask:
@@ -134,8 +148,9 @@ def gen_mask(spec: PhantomSpec) -> LabelMask:
             for a in range(3))
         labels[idx] = spec.label_fill
     else:
-        centers = _axis_centers(spec.dims, spec.spacing, spec.origin)
-        labels[_inside(spec.shape, spec.params, spec.center, centers)] = \
+        box = _index_box(spec)
+        centers = _axis_centers(box, spec.spacing, spec.origin)
+        labels[box][_inside(spec.shape, spec.params, spec.center, centers)] = \
             spec.label_fill
     return LabelMask(dims=spec.dims, spacing=spec.spacing, origin=spec.origin,
                      labels=labels)
@@ -204,9 +219,12 @@ def gen_cohort(spec: CohortSpec):
     noise_names = [f"noise.{k:03d}" for k in range(spec.n_distractors)]
     feature_names = (list(IMAGE_FEATURE_NAMES) + list(MASK_SUMMARY_NAMES)
                      + list(RADIOMICS_FEATURE_NAMES) + noise_names)
+    for name in spec.link:
+        if name not in feature_names:
+            raise PhantomError(f"link references unknown feature {name!r}")
 
     dims = _COHORT_DIMS
-    centers = _axis_centers(dims, (1, 1, 1), (0, 0, 0))
+    centers = _axis_centers([slice(0, n) for n in dims], (1, 1, 1), (0, 0, 0))
     brain = _inside("ellipsoid", _BRAIN_AXES,
                     tuple((d - 1) / 2.0 for d in dims), centers)
     ramp = centers[0] / dims[0]
@@ -228,10 +246,6 @@ def gen_cohort(spec: CohortSpec):
         noise_z.append(nz)
 
     X = np.vstack(rows)
-    for name in spec.link:
-        if name not in feature_names:
-            raise PhantomError(f"link references unknown feature {name!r}")
-
     raw = np.full(spec.n_subjects, spec.intercept, dtype=np.float64)
     for name, coef in spec.link.items():
         col = X[:, feature_names.index(name)]

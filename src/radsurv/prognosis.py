@@ -16,20 +16,22 @@ evaluate on the GTR subset by default (an ``all`` filter mirrors the
 training-side usage). Feature sets: the seven image features, the 107
 radiomics features, the RFE top 20, and the shape set (mask amounts,
 extent, WT and necrosis centroids, the 14 radiomics shape descriptors and
-age). Runs are pure functions of (cohort, plan): artifacts rewrite
+age). The matrix resolves each set once, so rfe20 runs RFE once, and
+``save_fit`` writes model.json and grid_report.json for ``train`` and
+every cell. Runs are pure functions of (cohort, plan): artifacts rewrite
 byte-identically under the same master seed.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .cohort import Cohort
-from .featselect import EstimatorSpec, FeatureRanking, rfe
+from .featselect import EstimatorSpec, rfe
 from .imagefeat import IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES
 from .regressors import family, grid_search_cv, predict, save_model, train_model
 from .regressors.gridsearch import resolve_grid
@@ -105,17 +107,11 @@ def bin_survival(days: float, thresholds=DEFAULT_THRESHOLDS) -> str:
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the mean rank."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    # a group of c equal values from sorted position i has mean rank
+    # i + (c + 1) / 2, a half-integer and so exact
+    return (np.cumsum(counts) - counts + (counts + 1) / 2.0)[group]
 
 
 def spearman(x, y) -> float:
@@ -164,27 +160,22 @@ def shape_feature_set() -> list[str]:
     return list(MASK_SUMMARY_NAMES) + list(SHAPE_FEATURE_NAMES) + ["meta.age"]
 
 
-def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan,
-                        precomputed_ranking: Optional[FeatureRanking] = None):
-    """Feature names for a set; rfe20 also returns the ranking artifact.
-
-    ``precomputed_ranking`` lets the matrix runner share one RFE pass across
-    predictors; the ranking depends only on (cohort, rfe estimator, seed).
-    """
+def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan):
+    """(feature names, RFE ranking) of a set; the ranking is None but for
+    rfe20, whose RFE pass depends on the plan only through its seed and
+    RFE settings."""
     from .radiomics import RADIOMICS_FEATURE_NAMES
 
+    radiomics = list(RADIOMICS_FEATURE_NAMES)
     if name == "image7":
         return list(IMAGE_FEATURE_NAMES), None
     if name == "radiomics107":
-        return list(RADIOMICS_FEATURE_NAMES), None
+        return radiomics, None
     if name == "shape":
         return shape_feature_set(), None
-    ranking = precomputed_ranking
-    if ranking is None:
-        ranking = rfe(cohort.select(list(RADIOMICS_FEATURE_NAMES)),
-                      cohort.survival_days, list(RADIOMICS_FEATURE_NAMES),
-                      plan.rfe_estimator, n_keep=20, step=plan.rfe_step,
-                      seed=plan.seed)
+    ranking = rfe(cohort.select(radiomics), cohort.survival_days, radiomics,
+                  plan.rfe_estimator, n_keep=20, step=plan.rfe_step,
+                  seed=plan.seed)
     return list(ranking.kept), ranking
 
 
@@ -199,69 +190,57 @@ def fit(kind: str, X: np.ndarray, y: np.ndarray, params: dict, grid,
     return grid_search_cv(kind, X, y, grid, cv_folds, seed, names)
 
 
+def save_fit(outdir: str, model, grid_report) -> None:
+    """Write what ``fit`` returned: model.json and, after a grid search,
+    grid_report.json, the one writer of both for train and every cell."""
+    save_model(model, os.path.join(outdir, "model.json"))
+    if grid_report is not None:
+        write_json(os.path.join(outdir, "grid_report.json"),
+                   asdict(grid_report))
+
+
 @dataclass
 class ExperimentResult:
     plan: ExperimentPlan
     train_metrics: Metrics
     eval_metrics: Metrics
     feature_names: list[str]
-    model: object
-    ranking: Optional[FeatureRanking]
-    grid_report: Optional[object]
-    artifacts: dict[str, str]
+    rows: list[list]                # the train and eval rows of metrics.csv
 
 
 def run_experiment(cohort: Cohort, plan: ExperimentPlan,
                    outdir: Optional[str] = None,
-                   precomputed_ranking: Optional[FeatureRanking] = None
-                   ) -> ExperimentResult:
-    """Train one (feature set, predictor) cell and evaluate it."""
-    names, ranking = resolve_feature_set(plan.feature_set, cohort, plan,
-                                         precomputed_ranking)
-    X = cohort.select(names)
+                   selection: Optional[tuple] = None) -> ExperimentResult:
+    """Train one (feature set, predictor) cell and evaluate it, writing its
+    files once both evaluations succeed. ``selection`` is the set's
+    ``resolve_feature_set`` pair, if the caller has resolved it."""
     y = cohort.survival_days
     if np.isnan(y).any():
         raise MetricsError("cohort has subjects with unknown survival")
-
-    model, grid_report = fit(plan.predictor, X, y, plan.params, plan.grid,
-                             plan.cv_folds, plan.seed, names)
-
-    train_metrics = evaluate(predict(model, X), y, plan.thresholds)
-
     mask = cohort.resection_mask(EVAL_STATUSES[plan.eval_filter])
     if not mask.any():
         raise MetricsError(
             f"evaluation set is empty after {plan.eval_filter} filtering")
+    names, ranking = selection or resolve_feature_set(plan.feature_set,
+                                                      cohort, plan)
+    X = cohort.select(names)
     eval_cohort = cohort.subset(mask)
+    model, grid_report = fit(plan.predictor, X, y, plan.params, plan.grid,
+                             plan.cv_folds, plan.seed, names)
+    train_metrics = evaluate(predict(model, X), y, plan.thresholds)
     eval_metrics = evaluate(predict(model, eval_cohort.select(names)),
                             eval_cohort.survival_days, plan.thresholds)
-
-    artifacts: dict[str, str] = {}
+    rows = [metrics.row(dataset, plan.feature_set, plan.predictor, plan.seed,
+                        plan.thresholds) for dataset, metrics in
+            (("train", train_metrics), ("eval", eval_metrics))]
     if outdir is not None:
-        model_path = os.path.join(outdir, "model.json")
-        save_model(model, model_path)
-        artifacts["model"] = model_path
-        metrics_path = os.path.join(outdir, "metrics.csv")
-        write_csv(metrics_path, METRICS_COLUMNS, [
-            train_metrics.row("train", plan.feature_set, plan.predictor,
-                              plan.seed, plan.thresholds),
-            eval_metrics.row("eval", plan.feature_set, plan.predictor,
-                             plan.seed, plan.thresholds),
-        ])
-        artifacts["metrics"] = metrics_path
+        save_fit(outdir, model, grid_report)
+        write_csv(os.path.join(outdir, "metrics.csv"), METRICS_COLUMNS, rows)
         if ranking is not None:
-            ranking_path = os.path.join(outdir, "ranking.csv")
-            ranking.write_csv(ranking_path)
-            artifacts["ranking"] = ranking_path
-        if grid_report is not None:
-            grid_path = os.path.join(outdir, "grid_report.json")
-            write_json(grid_path, grid_report.as_dict())
-            artifacts["grid_report"] = grid_path
-
+            ranking.write_csv(os.path.join(outdir, "ranking.csv"))
     return ExperimentResult(plan=plan, train_metrics=train_metrics,
                             eval_metrics=eval_metrics, feature_names=names,
-                            model=model, ranking=ranking,
-                            grid_report=grid_report, artifacts=artifacts)
+                            rows=rows)
 
 
 def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
@@ -278,28 +257,17 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
     # every plan is built, and so every name checked, before any cell runs
     plans = [ExperimentPlan(feature_set=fs, predictor=pred, seed=seed, **base)
              for fs in feature_sets for pred in predictors]
-    results = []
-    train_rows = []
-    eval_rows = []
-    shared_ranking = None
-    probe = next((plan for plan in plans if plan.feature_set == "rfe20"), None)
-    if probe is not None:
-        _, shared_ranking = resolve_feature_set("rfe20", cohort, probe)
-    for plan in plans:
-        fs, pred = plan.feature_set, plan.predictor
-        cell_dir = os.path.join(outdir, f"{fs}__{pred}") if outdir else None
-        result = run_experiment(cohort, plan, cell_dir,
-                                precomputed_ranking=shared_ranking
-                                if fs == "rfe20" else None)
-        results.append(result)
-        train_rows.append(result.train_metrics.row(
-            "train", fs, pred, seed, plan.thresholds))
-        eval_rows.append(result.eval_metrics.row(
-            "eval", fs, pred, seed, plan.thresholds))
-    paths = {}
-    if outdir is not None:
-        paths["metrics_train"] = os.path.join(outdir, "metrics_train.csv")
-        paths["metrics_eval"] = os.path.join(outdir, "metrics_eval.csv")
-        write_csv(paths["metrics_train"], METRICS_COLUMNS, train_rows)
-        write_csv(paths["metrics_eval"], METRICS_COLUMNS, eval_rows)
+    # the plans of a set differ only in predictor: one resolution each
+    last = {plan.feature_set: plan for plan in plans}
+    selections = {fs: resolve_feature_set(fs, cohort, plan)
+                  for fs, plan in last.items()}
+    results = [run_experiment(cohort, plan, os.path.join(
+                   outdir, f"{plan.feature_set}__{plan.predictor}")
+                   if outdir else None, selections[plan.feature_set])
+               for plan in plans]
+    paths = {} if outdir is None else {
+        f"metrics_{dataset}": os.path.join(outdir, f"metrics_{dataset}.csv")
+        for dataset in ("train", "eval")}
+    for i, path in enumerate(paths.values()):   # the train, then eval rows
+        write_csv(path, METRICS_COLUMNS, [r.rows[i] for r in results])
     return results, paths

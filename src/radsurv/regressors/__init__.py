@@ -19,8 +19,9 @@ from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
 from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
 from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
-from .persist import (save_model, load_model, as_array, as_arrays,
-                      as_counts, as_forest, as_instance, as_real, as_trees)
+from .persist import (save_model, load_model, as_arrays, as_counts,
+                      as_forest, as_instance, as_real, as_scales, as_trees,
+                      as_vector)
 
 __all__ = [
     "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
@@ -114,8 +115,9 @@ def _split_gains(model) -> np.ndarray:
 FAMILIES: dict[str, Family] = {
     "linear": Family(
         LinearModel, _train_linear, predict_linear,
-        {"coefficients": as_array, "intercept": as_real, "lam": as_real,
-         "penalty": as_instance(str), "x_mean": as_array, "x_scale": as_array},
+        {"coefficients": as_vector, "intercept": as_real, "lam": as_real,
+         "penalty": as_instance(str), "x_mean": as_vector,
+         "x_scale": as_scales},
         _standardized_coefficients),
     "rfr": Family(
         ForestModel, train_forest, predict_forest,
@@ -130,7 +132,7 @@ FAMILIES: dict[str, Family] = {
     "mlp": Family(
         MlpModel, train_mlp, predict_mlp,
         {"widths": as_counts, "weights": as_arrays, "biases": as_arrays,
-         "x_mean": as_array, "x_scale": as_array, "y_mean": as_real,
+         "x_mean": as_vector, "x_scale": as_scales, "y_mean": as_real,
          "y_scale": as_real},
         None),
 }

@@ -62,11 +62,6 @@ class GridSearchReport:
     seed: int
     errors: list = None   # per-combination failure message or None
 
-    def as_dict(self) -> dict:
-        return {"grid": self.grid, "mean_mse": self.mean_mse,
-                "std_mse": self.std_mse, "best_index": self.best_index,
-                "k": self.k, "seed": self.seed, "errors": self.errors}
-
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     perm = make_rng(seed, 0).permutation(n)

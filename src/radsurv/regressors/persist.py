@@ -10,8 +10,9 @@ leaf), ``value`` and ``n``; no depth limits save or load. A
 radsurv-model/1 tree, nested one object per level, is flattened into the
 same arrays and checks. Linear and MLP files, the same in both schemas,
 keep the name radsurv-model/1. ``load_model`` rejects a file that lacks a
-key, holds a non-finite number or a malformed tree with a ValueError
-naming the file and key path, e.g. ``parameters.trees[3].threshold[17]``.
+key, holds a non-finite number, a malformed tree or a linear or MLP
+array of the wrong shape with a ValueError naming the file and key path,
+e.g. ``parameters.trees[3].threshold[17]``.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ def _v1_tree_arrays(root, where: str) -> dict[str, list]:
     return {key: list(column) for key, column in zip(TREE_ARRAYS, zip(*rows))}
 
 
-def _numbers(value, where: str, kinds: str = "if",
-             ndim: int | None = None) -> np.ndarray:
+def _numbers(value, where: str, kinds: str = "if", ndim: int | None = None,
+             positive: bool = False) -> np.ndarray:
     """``value``, a JSON number or a rectangular nest of lists of them, as
     an array of a numpy kind in ``kinds`` (and of ``ndim`` dimensions); a
     ValueError naming ``where`` rejects anything else, and names the index
-    of a non-finite entry."""
+    of a non-finite entry (or, if ``positive``, of one not above 0)."""
     try:
         array = np.array(value)
     except (ValueError, OverflowError):     # ragged or out of int64 range
@@ -80,16 +81,30 @@ def _numbers(value, where: str, kinds: str = "if",
         raise ValueError(f"{where}: expected "
                          f"{'integers' if kinds == 'i' else 'numbers'}"
                          f"{'' if ndim is None else f' ({ndim}-d)'}")
-    bad = ~np.isfinite(array)
+    bad = ~np.isfinite(array) | (positive & (array <= 0))
     if bad.any():
         at = np.unravel_index(bad.argmax(), array.shape)
         raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: "
-                         f"{float(array[at])} is not a finite number")
+                         f"{float(array[at])} is not a finite"
+                         f"{' positive' if positive else ''} number")
     return array
 
 
-def as_array(value, where: str, n_features: int) -> np.ndarray:
-    return np.asarray(_numbers(value, where), dtype=np.float64)
+def as_vector(value, where: str, n_features: int,
+              positive: bool = False) -> np.ndarray:
+    """One number per feature (each above 0 if ``positive``)."""
+    vector = np.asarray(_numbers(value, where, ndim=1, positive=positive),
+                        dtype=np.float64)
+    if vector.size != n_features:
+        raise ValueError(f"{where}: holds {vector.size} values for "
+                         f"{n_features} features")
+    return vector
+
+
+def as_scales(value, where: str, n_features: int) -> np.ndarray:
+    """Standardization scales: training stores none at or below 0, and a 0
+    would predict NaN."""
+    return as_vector(value, where, n_features, positive=True)
 
 
 def as_real(value, where: str, n_features: int) -> float:
@@ -99,12 +114,30 @@ def as_real(value, where: str, n_features: int) -> float:
 def as_arrays(value, where: str, n_features: int) -> list[np.ndarray]:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list of arrays")
-    return [as_array(item, f"{where}[{i}]", n_features)
+    return [np.asarray(_numbers(item, f"{where}[{i}]"), dtype=np.float64)
             for i, item in enumerate(value)]
 
 
 def as_counts(value, where: str, n_features: int) -> tuple[int, ...]:
     return tuple(_numbers(value, where, "i", 1).tolist())
+
+
+def _check_layers(kwargs: dict, n_features: int) -> None:
+    """MLP weights that chain the features through five positive widths to
+    one output, and biases as wide as the output of their layer."""
+    widths = kwargs["widths"]
+    if len(widths) != 5 or min(widths) < 1:
+        raise ValueError("parameters.widths: expected five positive integers")
+    sizes = [n_features, *widths, 1]
+    for key, shapes in (("weights", list(zip(sizes, sizes[1:]))),
+                        ("biases", [(width,) for width in sizes[1:]])):
+        if len(kwargs[key]) != len(shapes):
+            raise ValueError(f"parameters.{key}: expected {len(shapes)} "
+                             f"layers, got {len(kwargs[key])}")
+        for i, (array, shape) in enumerate(zip(kwargs[key], shapes)):
+            if array.shape != shape:
+                raise ValueError(f"parameters.{key}[{i}]: expected shape "
+                                 f"{shape}, got {array.shape}")
 
 
 def as_instance(kind: type):
@@ -210,16 +243,15 @@ def load_model(path: str):
     if missing:
         raise ValueError(f"{path}: {kind} model lacks parameters {missing}")
     try:
-        imputation = as_array(doc["imputation"], "imputation", len(names))
-        if imputation.shape != (len(names),):
-            raise ValueError(f"imputation: holds {imputation.size} values "
-                             f"for {len(names)} features")
+        imputation = as_vector(doc["imputation"], "imputation", len(names))
         if doc["schema"] == SCHEMA_V1 and isinstance(params.get("trees"),
                                                      list):
             params["trees"] = [_v1_tree_arrays(tree, f"parameters.trees[{t}]")
                                for t, tree in enumerate(params["trees"])]
         kwargs = {name: decode(params[name], f"parameters.{name}", len(names))
                   for name, decode in family.fields.items()}
+        if "weights" in kwargs:
+            _check_layers(kwargs, len(names))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if "seed" in family.model_class.__dataclass_fields__:

@@ -330,3 +330,18 @@ def test_input_files_are_read_only_through_util():
         for call in ("json.load(", "csv.reader(", "reject_duplicate_ids(",
                      "json.dump(", "json.dumps("):
             assert path.name == "util.py" or call not in text, (path, call)
+
+
+def test_fits_are_written_only_through_prognosis():
+    """``train`` and every experiment cell write model.json and
+    grid_report.json through ``prognosis.save_fit``, so the two cannot
+    drift apart."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    allowed = {"save_model(": {"prognosis.py", "persist.py"},
+               '"grid_report.json"': {"prognosis.py"}}
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for token, files in allowed.items():
+            assert path.name in files or token not in text, (path, token)
+    persist = package / "regressors" / "persist.py"
+    assert persist.read_text(encoding="utf-8").count("save_model(") == 1

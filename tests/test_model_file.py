@@ -132,6 +132,43 @@ def test_imputation_of_the_wrong_length_named(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("kind,keys,change,shown", [
+    ("linear", ["coefficients"], lambda v: v + [1.0],
+     "coefficients: holds 4 values for 3 features"),
+    ("linear", ["x_mean"], lambda v: v[:2],
+     "x_mean: holds 2 values for 3 features"),
+    ("linear", ["x_scale", 1], lambda v: 0.0,
+     "x_scale[1]: 0.0 is not a finite positive number"),
+    ("mlp", ["widths"], lambda v: v[:4], "widths: expected five positive"),
+    ("mlp", ["widths", 2], lambda v: 0, "widths: expected five positive"),
+    ("mlp", ["widths", 4], lambda v: v + 1,
+     "weights[4]: expected shape (12, 9), got (12, 8)"),
+    ("mlp", ["weights", 0], lambda v: v + v[:1],
+     "weights[0]: expected shape (3, 32), got (4, 32)"),
+    ("mlp", ["weights"], lambda v: v[:5], "weights: expected 6 layers, got 5"),
+    ("mlp", ["biases", 0], lambda v: v[:1],
+     "biases[0]: expected shape (32,), got (1,)"),
+    ("mlp", ["x_mean"], lambda v: v[:2],
+     "x_mean: holds 2 values for 3 features"),
+    ("mlp", ["x_scale", 0], lambda v: 0.0,
+     "x_scale[0]: 0.0 is not a finite positive number"),
+])
+def test_parameter_of_the_wrong_shape_named(kind, keys, change, shown,
+                                            tmp_path):
+    """Such a file used to load and then predict wrong numbers, NaN or a
+    bare numpy error."""
+    path = _saved(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    target = doc["parameters"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = change(target[keys[-1]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameters.{shown}")):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("keys,value,message", [
     (["feature", 0], "3", r"trees\[1\]\.feature\[0\]: outside -1\.\.2"),
     (["feature", 0], "1.0", r"trees\[1\]\.feature: expected integers"),

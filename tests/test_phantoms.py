@@ -100,9 +100,16 @@ class TestGenCohort:
         assert len(noise) == 17
         assert len(cohort.feature_names) == 7 + 12 + 107 + 17
 
-    def test_unknown_link_feature_rejected(self):
+    def test_unknown_link_feature_rejected(self, monkeypatch):
+        """before any subject is extracted"""
+        import radsurv.radiomics
+
+        calls = []
+        monkeypatch.setattr(radsurv.radiomics, "extract_radiomics",
+                            lambda *args: calls.append(args))
         with pytest.raises(PhantomError, match="unknown feature"):
             gen_cohort(self._spec(link={"does.not.exist": 1.0}))
+        assert calls == []
 
     def test_bad_class_mix_rejected(self):
         with pytest.raises(PhantomError, match="class_mix"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radsurv import prognosis
 from radsurv.featselect import EstimatorSpec
 from radsurv.phantoms import CohortSpec, gen_cohort
 from radsurv.prognosis import (DEFAULT_THRESHOLDS, ExperimentPlan, Metrics,
@@ -169,14 +170,36 @@ class TestRunExperiment:
         assert r_gtr.eval_metrics.n == n_gtr
         assert r_all.eval_metrics.n == small_cohort.n_subjects
 
-    def test_empty_gtr_evaluation_set_rejected(self):
+    def test_empty_gtr_evaluation_set_rejected(self, monkeypatch):
+        """before any model is trained"""
         spec = CohortSpec(n_subjects=8, seed=12,
                           link={"meta.age": 6.0}, noise_std=0.0,
                           resection_mix=(0.0, 0.0, 1.0))   # every subject NA
         cohort, _ = gen_cohort(spec)
+        calls = []
+        monkeypatch.setattr(prognosis, "train_model",
+                            lambda *args: calls.append(args))
         plan = ExperimentPlan(feature_set="image7", predictor="linear", seed=0)
         with pytest.raises(MetricsError, match="GTR"):
             run_experiment(cohort, plan)
+        assert calls == []
+
+    def test_failed_evaluation_writes_nothing(self, small_cohort, tmp_path,
+                                              monkeypatch):
+        calls = []
+
+        def failing(*args):     # the second call scores the GTR subset
+            calls.append(args)
+            if len(calls) == 2:
+                raise MetricsError("undefined correlation")
+            return evaluate(*args)
+
+        monkeypatch.setattr(prognosis, "evaluate", failing)
+        plan = ExperimentPlan(feature_set="image7", predictor="linear", seed=0)
+        with pytest.raises(MetricsError, match="undefined correlation"):
+            run_experiment(small_cohort, plan, str(tmp_path / "cell"))
+        assert len(calls) == 2
+        assert list((tmp_path / "cell").glob("*")) == []
 
     def test_missing_feature_rejected(self, small_cohort):
         cohort = small_cohort.subset(np.ones(small_cohort.n_subjects, bool))
