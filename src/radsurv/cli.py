@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,15 +28,15 @@ import numpy as np
 from . import __version__
 from .cohort import load_cohort, read_features_csv
 from .featselect import EstimatorSpec, rfe
-from .imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
-                        extract_image_features, mask_summary)
-from .phantoms import CohortSpec, PhantomSpec, gen_cohort, gen_mask
+from .phantoms import (PHANTOM_SHAPES, CohortSpec, PhantomSpec, gen_cohort,
+                       gen_mask)
 from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
                         evaluate, fit, run_experiment_matrix, save_fit)
 from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
 from .util import parse_cell, read_csv, read_json, write_csv, write_json
-from .volumeio import load_mask, load_nifti, read_metadata_csv, write_nifti
+from .volumeio import (SubjectRecord, load_mask, load_nifti,
+                       read_metadata_csv, write_nifti)
 
 log = logging.getLogger("radsurv")
 
@@ -109,37 +110,18 @@ def _binning_from(resolved: dict):
 
 def _extract_one(subject_id: str, scan_path: str, mask_path: str,
                  age: float, resolved: dict):
-    from .radiomics import RadiomicsConfig, extract_radiomics
-    from .volumeio import SubjectRecord
+    from .radiomics import RadiomicsConfig, extract_row
 
+    mode = resolved["features"]
     mask = load_mask(mask_path)
     record = SubjectRecord(subject_id=subject_id, age=age)
-    feature_mode = resolved["features"]
-    values: list[float] = []
-    if feature_mode in ("image7", "all"):
-        values += extract_image_features(mask, record).as_vector().tolist()
-    if feature_mode == "all":
-        values += mask_summary(mask).as_vector().tolist()
-    if feature_mode in ("radiomics107", "all"):
-        if not scan_path:
-            raise ValueError("radiomics features need a scan path")
-        vol = load_nifti(scan_path)
-        config = RadiomicsConfig(roi_kind=resolved["roi"],
-                                 binning=_binning_from(resolved),
-                                 channel=resolved["channel"])
-        values += extract_radiomics(vol, mask, config).values.tolist()
-    return values
-
-
-def _extract_columns(feature_mode: str) -> list[str]:
-    from .radiomics import RADIOMICS_FEATURE_NAMES
-
-    if feature_mode == "image7":
-        return list(IMAGE_FEATURE_NAMES)
-    if feature_mode == "radiomics107":
-        return list(RADIOMICS_FEATURE_NAMES)
-    return (list(IMAGE_FEATURE_NAMES) + list(MASK_SUMMARY_NAMES)
-            + list(RADIOMICS_FEATURE_NAMES))
+    if mode == "image7":    # reads no scan, so no binning either
+        return extract_row(mask, record, mode=mode).tolist()
+    config = RadiomicsConfig(roi_kind=resolved["roi"],
+                             binning=_binning_from(resolved),
+                             channel=resolved["channel"])
+    vol = load_nifti(scan_path) if scan_path else None
+    return extract_row(mask, record, vol, config, mode).tolist()
 
 
 def cmd_extract(resolved: dict) -> int:
@@ -169,9 +151,12 @@ def cmd_extract(resolved: dict) -> int:
                 failures += 1
                 log.error("subject %s failed: %s", sid, exc)
 
-    columns = _extract_columns(resolved["features"])
     if results:
-        write_csv(resolved["out"], ["subject_id"] + columns, results)
+        from .radiomics import FEATURE_COLUMNS
+
+        write_csv(resolved["out"],
+                  ["subject_id", *FEATURE_COLUMNS[resolved["features"]]],
+                  results)
     out_dir = os.path.dirname(os.path.abspath(resolved["out"])) or "."
     _write_config(resolved, out_dir, "extract")
     log.info("extract: %d subjects written, %d failed", len(results), failures)
@@ -214,10 +199,11 @@ def cmd_train(resolved: dict) -> int:
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     if np.isnan(cohort.survival_days).any():
         raise SystemExit("training needs survival days for every subject")
-    model, report = fit(resolved["predictor"], cohort.X, cohort.survival_days,
-                        dict(resolved["params"]), resolved["grid"],
-                        int(resolved["cv_folds"]), int(resolved["seed"]),
-                        cohort.feature_names)
+    model, report = fit(resolved["predictor"],
+                        cohort.select(cohort.feature_names),
+                        cohort.survival_days, dict(resolved["params"]),
+                        resolved["grid"], int(resolved["cv_folds"]),
+                        int(resolved["seed"]), cohort.feature_names)
     save_fit(resolved["out"], model, report)
     _write_config(resolved, resolved["out"], "train")
     return 0
@@ -229,11 +215,7 @@ def cmd_predict(resolved: dict) -> int:
     missing = [n for n in model.feature_names if n not in names]
     if missing:
         raise SystemExit(f"features CSV lacks model columns {missing}")
-    # row-major like the table itself: a column gather alone would hand the
-    # model a column-major matrix, which can move a linear model's last bit
-    X = np.ascontiguousarray(X[:, [names.index(n)
-                                   for n in model.feature_names]])
-    days = predict(model, X)
+    days = predict(model, X[:, [names.index(n) for n in model.feature_names]])
     write_csv(resolved["out"], ["subject_id", "predicted_days"],
               [[sid, float(d)] for sid, d in zip(ids, days)])
     out_dir = os.path.dirname(os.path.abspath(resolved["out"])) or "."
@@ -301,47 +283,135 @@ def cmd_experiment(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 # phantom
 
-# a phantom spec's keys, each with the conversion its value takes; None marks
-# a key that is not a PhantomSpec / CohortSpec field
-_MASK_KEYS = {"name": None, "with_volume": None, "shape": str,
-              "params": tuple, "center": tuple, "label_fill": int,
-              "dims": tuple, "spacing": tuple, "origin": tuple}
-_COHORT_KEYS = {"n_subjects": int, "seed": int, "intercept": float,
-                "link": lambda v: {k: float(x) for k, x in v.items()},
-                "noise_std": float, "n_distractors": int,
-                "class_mix": lambda v: tuple(v) if v else None,
-                "resection_mix": tuple, "thresholds": tuple}
+def _is_number(value) -> bool:
+    """A finite JSON number; JSON true and false are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _spec_fields(entry, keys: dict, where: str, spec_path: str) -> dict:
-    """The spec fields ``entry`` sets, converted; SystemExit naming the key
-    path of anything ``keys`` does not accept."""
+def _is_int(value) -> bool:
+    return _is_number(value) and value == int(value)
+
+
+def _numbers(count, test=_is_number):
+    """The test of a list of ``count`` (any number if None) values that
+    pass ``test``."""
+    return lambda v: isinstance(v, list) and count in (None, len(v)) and \
+        all(map(test, v))
+
+
+def _checked(description: str, test, convert=lambda v: v):
+    """A spec value's conversion: ``convert(value)`` of a value that passes
+    ``test``, else a ValueError naming what the value must be."""
+    def conversion(value):
+        try:
+            ok = test(value)
+        except OverflowError:       # an integer beyond the float range
+            ok = False
+        if not ok:
+            raise ValueError(f"must be {description}, not {value!r}")
+        return convert(value)
+    return conversion
+
+
+# the NIfTI header holds spacing and origin as float32, and its dim field
+# as int16
+_FLOAT32 = np.finfo(np.float32)
+_IN_HEADER = _numbers(3, lambda v: _is_number(v) and abs(v) <= _FLOAT32.max)
+_COUNT = _checked("an integer >= 0", lambda v: _is_int(v) and v >= 0, int)
+_FLOAT = _checked("a finite number", _is_number, float)
+
+# a phantom spec's keys, each with the conversion its value takes
+_SPEC_KEYS = {"seed": _COUNT,
+              "masks": _checked("an array", lambda v: isinstance(v, list)),
+              "cohort": lambda v: v}
+_MASK_KEYS = {
+    "name": _checked("a plain file name", lambda v: isinstance(v, str) and (
+        v not in ("", ".", "..") and "\0" not in v
+        and os.path.basename(v) == v)),
+    "with_volume": _checked("true or false", lambda v: isinstance(v, bool)),
+    "shape": _checked(f"one of {', '.join(PHANTOM_SHAPES)}",
+                      lambda v: isinstance(v, str) and v in PHANTOM_SHAPES),
+    "params": _checked("finite positive numbers",
+                       _numbers(None, lambda v: _is_number(v) and v > 0),
+                       tuple),
+    "center": _checked("three finite numbers", _numbers(3), tuple),
+    "label_fill": _checked("an integer", _is_int, int),
+    "dims": _checked("three integers in 1..32767", _numbers(
+        3, lambda v: _is_int(v) and 1 <= v <= 32767),
+        lambda v: tuple(map(int, v))),
+    "spacing": _checked("three positive numbers within the float32 range",
+                        lambda v: _IN_HEADER(v) and
+                        min(v) >= _FLOAT32.smallest_subnormal, tuple),
+    "origin": _checked("three numbers within the float32 range", _IN_HEADER,
+                       tuple)}
+_COHORT_KEYS = {
+    "n_subjects": _checked("an integer >= 1",
+                           lambda v: _is_int(v) and v >= 1, int),
+    "seed": _COUNT, "intercept": _FLOAT, "noise_std": _FLOAT,
+    "link": _checked("an object of finite numbers", lambda v: isinstance(
+        v, dict) and all(map(_is_number, v.values())),
+        lambda v: {k: float(x) for k, x in v.items()}),
+    "n_distractors": _COUNT,
+    "class_mix": _checked("null or three finite numbers",
+                          lambda v: v is None or _numbers(3)(v),
+                          lambda v: None if v is None else tuple(v)),
+    "resection_mix": _checked("three finite numbers", _numbers(3), tuple),
+    "thresholds": _checked("two finite numbers", _numbers(2), tuple)}
+
+
+def _spec_fields(entry, keys: dict, where: str, spec_path: str,
+                 required=()) -> dict:
+    """The values ``entry`` sets, each converted by its key's conversion in
+    ``keys``; SystemExit naming the key path of an unknown or missing key,
+    or of a value its conversion rejects."""
     if not isinstance(entry, dict):
         raise SystemExit(f"{spec_path}: {where} must be a JSON object, not "
                          f"{type(entry).__name__}")
+    prefix = where + "." if where else ""
     for key in entry:
         if key not in keys:
             raise SystemExit(f"{spec_path}: unknown phantom spec key "
-                             f"{where + '.' if where else ''}{key}")
-    return {key: keys[key](value) for key, value in entry.items()
-            if keys[key] is not None}
+                             f"{prefix}{key}")
+    for key in required:
+        if key not in entry:
+            raise SystemExit(f"{spec_path}: {prefix}{key} is required")
+    fields = {}
+    for key, value in entry.items():
+        try:
+            fields[key] = keys[key](value)
+        except ValueError as exc:
+            raise SystemExit(f"{spec_path}: {prefix}{key}: {exc}") from None
+    return fields
+
+
+def _generate(make, spec, where: str, spec_path: str):
+    """``make(spec)``, a ValueError (a spec's values that do not fit one
+    another) as a SystemExit naming the spec file and entry."""
+    try:
+        return make(spec)
+    except ValueError as exc:
+        raise SystemExit(f"{spec_path}: {where}: {exc}") from None
 
 
 def cmd_phantom(resolved: dict) -> int:
-    spec = _read_json(resolved["spec"], "spec file")
-    _spec_fields(spec, {"seed": None, "masks": None, "cohort": None}, "",
-                 resolved["spec"])
+    spec_path = resolved["spec"]
+    spec = _spec_fields(_read_json(spec_path, "spec file"), _SPEC_KEYS, "",
+                        spec_path)
     outdir = resolved["out"]
     os.makedirs(outdir, exist_ok=True)
 
-    for i, mspec in enumerate(spec.get("masks", [])):
-        fields = _spec_fields(mspec, _MASK_KEYS, f"masks[{i}]",
-                              resolved["spec"])
-        name = mspec.get("name", f"phantom{i:03d}")
-        mask = gen_mask(PhantomSpec(**{"params": (), **fields}))
+    for i, entry in enumerate(spec.get("masks", [])):
+        where = f"masks[{i}]"
+        fields = _spec_fields(entry, _MASK_KEYS, where, spec_path,
+                              required=("shape", "center"))
+        name = fields.pop("name", f"phantom{i:03d}")
+        with_volume = fields.pop("with_volume", False)
+        mask = _generate(gen_mask, PhantomSpec(**{"params": (), **fields}),
+                         where, spec_path)
         write_nifti(os.path.join(outdir, f"{name}_mask.nii.gz"),
                     mask.labels.astype(np.int16), mask.spacing, mask.origin)
-        if mspec.get("with_volume"):
+        if with_volume:
             rng = make_rng(spec.get("seed", 0), i)
             ramp = np.arange(mask.dims[0])[:, None, None] / mask.dims[0]
             data = (0.3 + 0.5 * ramp + 0.05 * rng.standard_normal(mask.dims))
@@ -350,8 +420,10 @@ def cmd_phantom(resolved: dict) -> int:
                         data, mask.spacing, mask.origin)
 
     if "cohort" in spec:
-        cohort, report = gen_cohort(CohortSpec(**_spec_fields(
-            spec["cohort"], _COHORT_KEYS, "cohort", resolved["spec"])))
+        fields = _spec_fields(spec["cohort"], _COHORT_KEYS, "cohort",
+                              spec_path, required=("n_subjects", "seed"))
+        cohort, report = _generate(gen_cohort, CohortSpec(**fields), "cohort",
+                                   spec_path)
         cohort.write_features_csv(os.path.join(outdir, "features.csv"))
         cohort.write_metadata_csv(os.path.join(outdir, "metadata.csv"))
         write_json(os.path.join(outdir, "cohort_report.json"), report)

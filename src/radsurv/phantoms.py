@@ -36,11 +36,10 @@ import numpy as np
 
 from .rng import make_rng
 from .volumeio import LabelMask, SubjectRecord, VoxelVolume
-from .imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
-                        extract_image_features, mask_summary)
 from .cohort import Cohort
 
-PHANTOM_SHAPES = ("sphere", "ellipsoid", "cuboid", "single_voxel")
+# each shape with the number of params it takes
+PHANTOM_SHAPES = {"sphere": 1, "ellipsoid": 3, "cuboid": 3, "single_voxel": 0}
 
 DEFAULT_RESECTION_MIX = (0.504, 0.042, 0.454)  # GTR, STR, NA
 
@@ -128,6 +127,9 @@ def gen_mask(spec: PhantomSpec) -> LabelMask:
         raise PhantomError(f"unknown shape {spec.shape!r}")
     if spec.label_fill not in (1, 2, 4):
         raise PhantomError(f"label_fill must be a tumor label, got {spec.label_fill}")
+    if len(spec.params) != PHANTOM_SHAPES[spec.shape]:
+        raise PhantomError(f"{spec.shape} takes {PHANTOM_SHAPES[spec.shape]} "
+                           f"params, got {len(spec.params)}")
 
     lo_corner = tuple(spec.origin[a] - 0.5 * spec.spacing[a] for a in range(3))
     hi_corner = tuple(spec.origin[a] + (spec.dims[a] - 0.5) * spec.spacing[a]
@@ -143,9 +145,12 @@ def gen_mask(spec: PhantomSpec) -> LabelMask:
 
     labels = np.zeros(spec.dims, dtype=np.int16)
     if spec.shape == "single_voxel":
-        idx = tuple(
-            int(round((spec.center[a] - spec.origin[a]) / spec.spacing[a]))
-            for a in range(3))
+        # the nearest voxel centre; a centre on the grid's outer face can
+        # round to one past the edge, so the index is clipped to the grid
+        c, s, o = (np.array(v, dtype=np.float64)
+                   for v in (spec.center, spec.spacing, spec.origin))
+        idx = tuple(np.clip(np.rint((c - o) / s).astype(int), 0,
+                            np.array(spec.dims) - 1))
         labels[idx] = spec.label_fill
     else:
         box = _index_box(spec)
@@ -165,8 +170,9 @@ _TUMOR_SCALES = {"TC": 0.7, "ET": 0.45}
 
 
 def _synth_subject(seed: int, index: int, centers, brain, ramp):
-    """One subject's mask, intensity volume, age and resection draw, on the
-    cohort's voxel centres, brain ellipsoid and intensity ramp."""
+    """One subject's mask, intensity volume, its stream and its draws of
+    age, resection and survival noise, on the cohort's voxel centres, brain
+    ellipsoid and intensity ramp."""
     rng = make_rng(seed, index)
     dims = _COHORT_DIMS
     grid_center = tuple((d - 1) / 2.0 for d in dims)
@@ -192,7 +198,7 @@ def _synth_subject(seed: int, index: int, centers, brain, ramp):
     age = float(rng.uniform(35.0, 80.0))
     resection_u = float(rng.uniform())
     noise_z = float(rng.standard_normal())
-    return mask, vol, age, resection_u, noise_z, rng
+    return mask, vol, rng, (age, resection_u, noise_z)
 
 
 def gen_cohort(spec: CohortSpec):
@@ -212,13 +218,11 @@ def gen_cohort(spec: CohortSpec):
     if abs(sum(spec.resection_mix) - 1.0) > 1e-9:
         raise PhantomError("resection_mix must sum to 1")
 
-    from .radiomics import (RADIOMICS_FEATURE_NAMES, RadiomicsConfig,
-                            extract_radiomics)
+    from .radiomics import FEATURE_COLUMNS, RadiomicsConfig, extract_row
 
     config = RadiomicsConfig(roi_kind="WT", channel="synthetic")
-    noise_names = [f"noise.{k:03d}" for k in range(spec.n_distractors)]
-    feature_names = (list(IMAGE_FEATURE_NAMES) + list(MASK_SUMMARY_NAMES)
-                     + list(RADIOMICS_FEATURE_NAMES) + noise_names)
+    feature_names = list(FEATURE_COLUMNS["all"]) + [
+        f"noise.{k:03d}" for k in range(spec.n_distractors)]
     for name in spec.link:
         if name not in feature_names:
             raise PhantomError(f"link references unknown feature {name!r}")
@@ -229,21 +233,14 @@ def gen_cohort(spec: CohortSpec):
                     tuple((d - 1) / 2.0 for d in dims), centers)
     ramp = centers[0] / dims[0]
     rows = []
-    ages = []
-    resection_u = []
-    noise_z = []
+    draws = []
     for i in range(spec.n_subjects):
-        mask, vol, age, res_u, nz, rng = _synth_subject(spec.seed, i, centers,
-                                                       brain, ramp)
-        subject = SubjectRecord(subject_id=f"SYN-{i:04d}", age=age)
-        img = extract_image_features(mask, subject).as_vector()
-        summ = mask_summary(mask).as_vector()
-        rad = extract_radiomics(vol, mask, config).values
-        noise = rng.standard_normal(spec.n_distractors)
-        rows.append(np.concatenate([img, summ, rad, noise]))
-        ages.append(age)
-        resection_u.append(res_u)
-        noise_z.append(nz)
+        mask, vol, rng, draw = _synth_subject(spec.seed, i, centers, brain,
+                                              ramp)
+        subject = SubjectRecord(subject_id=f"SYN-{i:04d}", age=draw[0])
+        rows.append(np.concatenate([extract_row(mask, subject, vol, config),
+                                    rng.standard_normal(spec.n_distractors)]))
+        draws.append(draw)
 
     X = np.vstack(rows)
     raw = np.full(spec.n_subjects, spec.intercept, dtype=np.float64)
@@ -265,19 +262,15 @@ def gen_cohort(spec: CohortSpec):
         scale = (t_hi - t_lo) / (q2 - q1)
         offset = t_lo - scale * q1
 
-    survival = scale * raw + offset \
-        + spec.noise_std * np.asarray(noise_z, dtype=np.float64)
-    survival = np.maximum(survival, 1.0)
+    noise_z = np.array([nz for _, _, nz in draws])
+    survival = np.maximum(scale * raw + offset + spec.noise_std * noise_z, 1.0)
 
-    statuses = []
     gtr, stri, _ = spec.resection_mix
-    for u in resection_u:
-        statuses.append("GTR" if u < gtr else "STR" if u < gtr + stri else "NA")
-
-    records = [SubjectRecord(subject_id=f"SYN-{i:04d}", age=ages[i],
-                             survival_days=float(survival[i]),
-                             resection_status=statuses[i])
-               for i in range(spec.n_subjects)]
+    records = [SubjectRecord(subject_id=f"SYN-{i:04d}", age=age,
+                             survival_days=float(days),
+                             resection_status="GTR" if u < gtr else
+                             "STR" if u < gtr + stri else "NA")
+               for i, ((age, u, _), days) in enumerate(zip(draws, survival))]
     cohort = Cohort(
         subject_ids=[r.subject_id for r in records],
         feature_names=feature_names,

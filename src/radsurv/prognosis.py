@@ -32,7 +32,6 @@ import numpy as np
 
 from .cohort import Cohort
 from .featselect import EstimatorSpec, rfe
-from .imagefeat import IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES
 from .regressors import family, grid_search_cv, predict, save_model, train_model
 from .regressors.gridsearch import resolve_grid
 from .util import fmt_float, write_csv, write_json
@@ -153,26 +152,15 @@ def evaluate(pred_days, true_days, thresholds=DEFAULT_THRESHOLDS) -> Metrics:
     )
 
 
-def shape_feature_set() -> list[str]:
-    """The shape experiment set: mask summary + 14 shape descriptors + age."""
-    from .radiomics.shape import SHAPE_FEATURE_NAMES
-
-    return list(MASK_SUMMARY_NAMES) + list(SHAPE_FEATURE_NAMES) + ["meta.age"]
-
-
 def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan):
     """(feature names, RFE ranking) of a set; the ranking is None but for
-    rfe20, whose RFE pass depends on the plan only through its seed and
-    RFE settings."""
-    from .radiomics import RADIOMICS_FEATURE_NAMES
+    rfe20, whose RFE pass over the radiomics107 columns depends on the plan
+    only through its seed and RFE settings."""
+    from .radiomics import FEATURE_COLUMNS
 
-    radiomics = list(RADIOMICS_FEATURE_NAMES)
-    if name == "image7":
-        return list(IMAGE_FEATURE_NAMES), None
-    if name == "radiomics107":
-        return radiomics, None
-    if name == "shape":
-        return shape_feature_set(), None
+    if name != "rfe20":
+        return list(FEATURE_COLUMNS[name]), None
+    radiomics = list(FEATURE_COLUMNS["radiomics107"])
     ranking = rfe(cohort.select(radiomics), cohort.survival_days, radiomics,
                   plan.rfe_estimator, n_keep=20, step=plan.rfe_step,
                   seed=plan.seed)

@@ -4,15 +4,22 @@ The vector concatenates 14 shape, 18 first-order, 24 GLCM, 16 GLRLM,
 16 GLSZM, 14 GLDM and 5 NGTDM features in the fixed manifest order. Texture
 families run on a discretized ROI; the binning rule, ROI kind and intensity
 channel are configuration, carried along as provenance in every vector.
+
+``FEATURE_COLUMNS`` is the one catalog of feature groups, and
+``extract_row`` the one composer of a subject's row for an extract mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ..volumeio import LabelMask, VoxelVolume, check_same_grid, derive_roi
+from ..imagefeat import (IMAGE_FEATURE_NAMES, MASK_SUMMARY_NAMES,
+                         extract_image_features, mask_summary)
+from ..volumeio import (LabelMask, SubjectRecord, VoxelVolume,
+                        check_same_grid, derive_roi)
 from .discretize import Binning, DiscretizedRoi, discretize
 from .firstorder import FIRSTORDER_FEATURE_NAMES, first_order_features
 from .shape import SHAPE_FEATURE_NAMES, ShapeDescriptors, shape_features
@@ -24,8 +31,9 @@ from .texture import (GLCM_FEATURE_NAMES, GLRLM_FEATURE_NAMES,
 from .manifest import MANIFEST_VERSION, RADIOMICS_FEATURE_NAMES, manifest_text
 
 __all__ = [
-    "Binning", "DiscretizedRoi", "RadiomicsConfig", "RadiomicsVector",
-    "ShapeDescriptors", "discretize", "extract_radiomics",
+    "Binning", "DiscretizedRoi", "FEATURE_COLUMNS", "RadiomicsConfig",
+    "RadiomicsVector", "ShapeDescriptors", "discretize", "extract_radiomics",
+    "extract_row",
     "first_order_features", "shape_features",
     "glcm_features", "glrlm_features", "glszm_features", "gldm_features",
     "ngtdm_features", "RADIOMICS_FEATURE_NAMES", "MANIFEST_VERSION",
@@ -33,6 +41,14 @@ __all__ = [
 ]
 
 DEFAULT_BINNING = Binning("fixed_bin_count", 32)
+
+# the columns of each extract mode and of the shape experiment set
+FEATURE_COLUMNS: dict[str, tuple[str, ...]] = {
+    "image7": IMAGE_FEATURE_NAMES,
+    "radiomics107": RADIOMICS_FEATURE_NAMES,
+    "all": IMAGE_FEATURE_NAMES + MASK_SUMMARY_NAMES + RADIOMICS_FEATURE_NAMES,
+    "shape": MASK_SUMMARY_NAMES + SHAPE_FEATURE_NAMES + ("meta.age",),
+}
 
 
 @dataclass(frozen=True)
@@ -55,15 +71,6 @@ class RadiomicsVector:
     channel: str
     binning: str
     aggregation: str = "per-direction features, arithmetic mean over 13 directions"
-
-    def __post_init__(self):
-        if len(self.names) != 107 or self.values.shape != (107,):
-            raise ValueError("radiomics vector must hold exactly 107 features")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("radiomics feature names must be unique")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values.tolist()))
 
 
 def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
@@ -100,3 +107,23 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
         channel=config.channel,
         binning=config.binning.describe(),
     )
+
+
+def extract_row(mask: LabelMask, record: SubjectRecord,
+                vol: Optional[VoxelVolume] = None,
+                config: RadiomicsConfig = RadiomicsConfig(),
+                mode: str = "all") -> np.ndarray:
+    """A subject's values for the ``FEATURE_COLUMNS[mode]`` columns of an
+    extract mode; ``vol`` is read only by modes with radiomics columns."""
+    if mode not in ("image7", "radiomics107", "all"):
+        raise ValueError(f"unknown extract mode {mode!r}")
+    parts = []
+    if mode != "radiomics107":
+        parts.append(extract_image_features(mask, record).as_vector())
+    if mode == "all":
+        parts.append(mask_summary(mask).as_vector())
+    if mode != "image7":
+        if vol is None:
+            raise ValueError("radiomics features need a scan")
+        parts.append(extract_radiomics(vol, mask, config).values)
+    return np.concatenate(parts)

@@ -101,8 +101,11 @@ class VoxelGrid:
         self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not all(0 < s < math.inf for s in self.spacing):
+            raise ValueError(
+                f"spacing must be finite and positive, got {self.spacing}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     def _check_shape(self, name: str, array: np.ndarray) -> None:
         if tuple(array.shape) != self.dims:
@@ -357,7 +360,6 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
     if key not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype} for NIfTI output")
     code = _DTYPE_CODES[key]
-    arr = arr.astype("<" + key)
 
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
@@ -373,13 +375,15 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
     struct.pack_into("<3f", hdr, 268, origin[0], origin[1], origin[2])
     hdr[344:348] = b"n+1\x00"
 
-    payload = arr.tobytes(order="F")
-    blob = bytes(hdr) + b"\x00\x00\x00\x00" + payload
     # mtime 0 keeps the wall clock out of the gzip header, so rewriting the
     # same volume gives the same bytes
     with (gzip.GzipFile(path, "wb", mtime=0) if path.endswith(".gz")
           else open(path, "wb")) as fh:
-        fh.write(blob)
+        fh.write(hdr + b"\x00\x00\x00\x00")
+        # the payload in file (Fortran) order, one k-slab at a time, so no
+        # copy of the whole grid is made
+        for k in range(arr.shape[2]):
+            fh.write(arr[:, :, k].astype("<" + key).tobytes(order="F"))
 
 
 def load_mask(path: str) -> LabelMask:

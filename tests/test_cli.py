@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radsurv.cli import main
-from radsurv.imagefeat import IMAGE_FEATURE_NAMES
+from radsurv.radiomics import FEATURE_COLUMNS
 from radsurv.regressors.gridsearch import DEFAULT_GRIDS
 from radsurv.util import read_csv
 from radsurv.volumeio import load_mask, load_nifti, write_nifti
@@ -364,12 +364,14 @@ class TestExperimentCommand:
 
 
 RFR_GRID = [{"n_trees": 4, "max_depth": 2}, {"n_trees": 6, "max_depth": 4}]
+FIXED_PARAMS = {"penalty": "l2", "lam": 1.0, "epochs": 20}
 
 
 @pytest.fixture(scope="module")
 def experiments(phantom_dir):
     """Experiment runs through the grid-search paths, one per way of naming
-    a grid: the stock grid, and a grid file under both evaluation filters."""
+    a grid: the stock grid, and a grid file under both evaluation filters;
+    and one run of fixed parameters."""
     root, out = phantom_dir
     grid_path = root / "rfr_grid.json"
     grid_path.write_text(json.dumps(RFR_GRID))
@@ -380,6 +382,8 @@ def experiments(phantom_dir):
                  "--grid", str(grid_path)],
         "file_all": ["--feature-sets", "image7", "--predictors", "rfr",
                      "--grid", str(grid_path), "--eval-filter", "all"],
+        "fixed": ["--feature-sets", "image7,shape", "--predictors",
+                  "linear,mlp", "--params", json.dumps(FIXED_PARAMS)],
     }
     dirs = {}
     for name, flags in runs.items():
@@ -410,21 +414,32 @@ class TestGridExperimentAgreesWithCommands:
 
     def test_train_matches_experiment_cell_bytes(self, phantom_dir,
                                                  experiments, tmp_path):
+        """``train`` on a CSV of exactly a cell's columns gathers them as
+        the cell does, so it writes the cell's files for every family."""
         _, out = phantom_dir
         grid_path, dirs = experiments
         header, rows = read_csv(str(out / "features.csv"))
-        cols = [0] + [header.index(n) for n in IMAGE_FEATURE_NAMES]
-        cell_csv = tmp_path / "image7.csv"
-        cell_csv.write_text("\n".join(
-            ",".join(r[c] for c in cols) for r in [header] + rows) + "\n")
-        train_dir = tmp_path / "train"
-        assert main(["train", "--features", str(cell_csv),
-                     "--metadata", str(out / "metadata.csv"),
-                     "--predictor", "rfr", "--grid", str(grid_path),
-                     "--seed", "0", "--out", str(train_dir)]) == 0
-        for name in ("model.json", "grid_report.json"):
-            assert (train_dir / name).read_bytes() == \
-                (dirs["file"] / "image7__rfr" / name).read_bytes()
+        cases = [("file", "image7", "rfr", ["--grid", str(grid_path)])] + [
+            ("fixed", fs, kind, ["--params", json.dumps(FIXED_PARAMS)])
+            for fs in ("image7", "shape") for kind in ("linear", "mlp")]
+        for run, feature_set, kind, flags in cases:
+            cols = [0] + [header.index(n)
+                          for n in FEATURE_COLUMNS[feature_set]]
+            cell_csv = tmp_path / f"{feature_set}.csv"
+            cell_csv.write_text("\n".join(
+                ",".join(r[c] for c in cols) for r in [header] + rows) + "\n")
+            train_dir = tmp_path / f"train_{feature_set}_{kind}"
+            assert main(["train", "--features", str(cell_csv),
+                         "--metadata", str(out / "metadata.csv"),
+                         "--predictor", kind, "--seed", "0",
+                         "--out", str(train_dir)] + flags) == 0
+            cell_dir = dirs[run] / f"{feature_set}__{kind}"
+            for name in ("model.json", "grid_report.json"):
+                want = cell_dir / name
+                got = train_dir / name
+                assert got.exists() == want.exists(), got
+                if want.exists():
+                    assert got.read_bytes() == want.read_bytes(), want
 
     @pytest.mark.parametrize("run,eval_filter,dataset",
                              [("file", "GTR", "eval"),

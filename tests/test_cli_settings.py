@@ -7,18 +7,23 @@ byte.
 """
 
 import argparse
+import ast
+import copy
 import hashlib
 import json
+import os
 import pathlib
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from radsurv.cli import COMMANDS, build_parser, main
+from radsurv.cohort import load_cohort
 from radsurv.regressors.gridsearch import resolve_grid
-from radsurv.util import read_csv
-from radsurv.volumeio import load_mask
+from radsurv.util import read_csv, read_json
+from radsurv.volumeio import load_mask, load_nifti
 
 # sha256 of the --help text at COLUMNS=80; argparse lays help out a little
 # differently across Python versions, so these hold for the recorded one
@@ -180,6 +185,93 @@ class TestPhantomSpec:
             main(["phantom", "--spec", str(path),
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+    def test_mutated_specs_write_loadable_files_or_name_the_spec(
+            self, tmp_path):
+        """A seeded fuzz of spec values, missing keys and whole entries:
+        each case exits 0 with every file it wrote loadable and inside
+        --out, or exits with a message that names the spec file (and, for
+        a value, the key path)."""
+        rng = np.random.default_rng(1818)
+        for case in range(300):
+            part = "cohort" if case % 3 == 0 else "masks"
+            spec = copy.deepcopy(FUZZ_BASES[part])
+            entry = spec["cohort"] if part == "cohort" else spec["masks"][0]
+            if rng.random() < 0.1:
+                entry = spec
+            keys = sorted({"seed", "masks", "cohort"} if entry is spec else
+                          FUZZ_KEYS[part])
+            for _ in range(int(rng.integers(1, 3))):
+                key = keys[int(rng.integers(len(keys)))]
+                pool = FUZZ_COUNTS if key in ("n_subjects", "n_distractors") \
+                    else FUZZ_VALUES
+                if rng.random() < 0.15:
+                    entry.pop(key, None)
+                else:
+                    entry[key] = copy.deepcopy(
+                        pool[int(rng.integers(len(pool)))])
+            root = tmp_path / f"case{case}"
+            root.mkdir()
+            path, out = root / "spec.json", root / "out"
+            path.write_text(json.dumps(spec))
+            try:
+                assert main(["phantom", "--spec", str(path),
+                             "--out", str(out)]) == 0, spec
+            except SystemExit as exc:
+                assert str(path) in str(exc), (spec, str(exc))
+                continue
+            except Exception as exc:
+                pytest.fail(f"{spec}: {type(exc).__name__}: {exc}")
+            assert sorted(os.listdir(root)) == ["out", "spec.json"], spec
+            _load_phantom_outputs(out)
+
+
+def _load_phantom_outputs(out):
+    for name in os.listdir(out):
+        if name.endswith("_mask.nii.gz"):
+            load_mask(str(out / name))
+        elif name.endswith("_vol.nii.gz"):
+            assert np.isfinite(load_nifti(str(out / name)).data).all()
+        elif name.endswith(".json"):
+            read_json(str(out / name), "output")
+        else:
+            assert name in ("features.csv", "metadata.csv"), name
+    if (out / "features.csv").exists():
+        load_cohort(str(out / "features.csv"), str(out / "metadata.csv"))
+
+
+FUZZ_BASES = {
+    "masks": {"seed": 1, "masks": [{
+        "name": "m", "shape": "ellipsoid", "params": [3, 2.5, 2],
+        "center": [5, 5, 5], "label_fill": 2, "dims": [11, 11, 11],
+        "spacing": [1, 1, 1], "origin": [0, 0, 0], "with_volume": True}]},
+    "cohort": {"seed": 1, "cohort": {
+        "n_subjects": 1, "seed": 3, "link": {"meta.age": 2.0},
+        "intercept": 10.0, "noise_std": 5.0, "n_distractors": 1,
+        "class_mix": None, "resection_mix": [0.5, 0.25, 0.25],
+        "thresholds": [100, 200]}},
+}
+FUZZ_KEYS = {
+    "masks": ("name", "shape", "params", "center", "label_fill", "dims",
+              "spacing", "origin", "with_volume"),
+    "cohort": ("n_subjects", "seed", "link", "intercept", "noise_std",
+               "n_distractors", "class_mix", "resection_mix", "thresholds"),
+}
+FUZZ_VALUES = [
+    None, True, False, 0, 1, 2, -1, 2.5, float("inf"), float("nan"), -1e300,
+    1e300, 10**400, 32767, 32768, "", "x", "sphere", "single_voxel", "../x",
+    "a/b", "..", "m2", [], [2], [3, 2, 2], [2, 1], [1, 1, 1], [0.5, 1, 2],
+    [4, 4, 4], [12, 12, 12], [5, 5.5, 5], [None, 7, 6], [1, float("inf"), 0.9],
+    [1, 1, 1e300], [1e-50, 1, 1], [-1, 1, 1], [0, 1, 1], [1, "a", 1],
+    [True, 1, 1], [32767, 2, 2], [1.5, 2, 2], [0.3, 0.3, 0.4], [1.0, 0.0, 0.0],
+    [0.2, 0.2, 0.2], {}, {"meta.age": 1.0}, {"meta.age": "x"},
+    {"meta.age": float("inf")}, {"img.vol_wt": 1e308}, {"nope": 1.0},
+    {"a": [1]}, [{"shape": "sphere"}], ["x"],
+]
+# the subject and distractor counts draw no large valid count, so every
+# generated cohort stays small
+FUZZ_COUNTS = [None, True, -1, 0, 1, 2, 2.5, "1", float("inf"), 10**400,
+               [1]]
 
 
 class TestJsonInputs:
@@ -345,3 +437,30 @@ def test_fits_are_written_only_through_prognosis():
             assert path.name in files or token not in text, (path, token)
     persist = package / "regressors" / "persist.py"
     assert persist.read_text(encoding="utf-8").count("save_model(") == 1
+
+
+def _calls_by_function(node, scope="<module>"):
+    """(enclosing function name, called name) of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, getattr(child.func, "id",
+                                 getattr(child.func, "attr", None))
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _calls_by_function(child, inner)
+
+
+def test_feature_rows_are_composed_only_by_extract_row():
+    """``radsurv extract`` and the synthetic cohorts build a subject's row
+    through ``radiomics.extract_row``, so the columns of a feature group
+    and the values under them cannot drift apart."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    extractors = {"extract_image_features", "mask_summary",
+                  "extract_radiomics"}
+    callers = {(path.name, scope, name)
+               for path in package.rglob("*.py")
+               for scope, name in _calls_by_function(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if name in extractors}
+    assert callers == {("__init__.py", "extract_row", name)
+                       for name in extractors}

@@ -6,8 +6,9 @@ the commands write (every family's model.json and grid_report.json, the
 resolved configs and the cohort report) must equal what json.dump writes
 for the same document, and the ones without paths in them are pinned by
 digests: those of the gbr and rfr model.json recorded when trees were
-first saved as node arrays (radsurv-model/2), the others with json.dump as
-the writer.
+first saved as node arrays (radsurv-model/2), those of the linear and mlp
+model.json when ``train`` began to gather its columns as the experiment
+cells do, the others with json.dump as the writer.
 """
 
 import hashlib
@@ -243,11 +244,11 @@ DIGESTS = {
     "linear/grid_report.json":
         "a4db86caa5ac514287466c2e5696113ba91be2a969408e045fa2983174c7fce3",
     "linear/model.json":
-        "57cc8ff2cb7ba9d1a44c82c052ca87093fe1e9c9d908cc8e7d2039a29d7a7e3f",
+        "1a274241e1053e647c591d9656e52b395e62d2a6dc00833a4053c4ea1dfc96a2",
     "mlp/grid_report.json":
         "3b254e73e9cc1f03ed5c44f399dde3a5444b88c43b4270cb34e2849deabc689b",
     "mlp/model.json":
-        "cf968f6278f544c108960eb9029ff9e2557d61d5b9a141a48db27028e8fe282d",
+        "5d148432e9b72208360f1b9c393ba26898834d58498480efe05c4cd170fb4c6c",
     "rfr/grid_report.json":
         "351034bc0b35284cf44923a04fd46a5bc35a8c04fbe880d573febc12dc748186",
     "rfr/model.json":

@@ -30,6 +30,35 @@ class TestGenMask:
         assert np.count_nonzero(mask.labels == 4) == 1
         assert mask.labels[5, 5, 5] == 4
 
+    @pytest.mark.parametrize("center,voxel", [((11.5, 0, 0), (11, 0, 0)),
+                                              ((-0.5, 0, 0), (0, 0, 0))])
+    def test_single_voxel_on_the_grid_face(self, center, voxel):
+        """A centre on the grid's outer face rounds (half to even) past the
+        edge; the voxel is the one on that face."""
+        spec = PhantomSpec(shape="single_voxel", params=(), center=center,
+                           label_fill=4, dims=(12, 12, 12))
+        assert np.argwhere(gen_mask(spec).labels == 4).tolist() == [
+            list(voxel)]
+
+    @pytest.mark.parametrize("shape,params", [("sphere", ()),
+                                              ("ellipsoid", (3, 2)),
+                                              ("cuboid", (1, 2, 3, 4)),
+                                              ("single_voxel", (1,))])
+    def test_wrong_param_count(self, shape, params):
+        spec = PhantomSpec(shape=shape, params=params, center=(6, 6, 6),
+                           dims=(12, 12, 12))
+        with pytest.raises(PhantomError, match="takes"):
+            gen_mask(spec)
+
+    @pytest.mark.parametrize("grid", [dict(spacing=(1, np.inf, 1)),
+                                      dict(spacing=(1, np.nan, 1)),
+                                      dict(origin=(0, 0, -np.inf))])
+    def test_non_finite_geometry(self, grid):
+        spec = PhantomSpec(shape="sphere", params=(2,), center=(6, 6, 6),
+                           dims=(12, 12, 12), **grid)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            gen_mask(spec)
+
     def test_ellipsoid_between_bounding_shapes(self):
         spec = PhantomSpec(shape="ellipsoid", params=(8, 6, 4),
                            center=(15, 15, 15), label_fill=1,

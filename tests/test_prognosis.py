@@ -9,7 +9,8 @@ from radsurv.phantoms import CohortSpec, gen_cohort
 from radsurv.prognosis import (DEFAULT_THRESHOLDS, ExperimentPlan, Metrics,
                                MetricsError, bin_survival, evaluate,
                                run_experiment, run_experiment_matrix,
-                               shape_feature_set, spearman)
+                               spearman)
+from radsurv.radiomics import FEATURE_COLUMNS
 from radsurv.util import read_csv
 
 
@@ -144,7 +145,7 @@ class TestRunExperiment:
         assert result.train_metrics.accuracy == 1.0
 
     def test_shape_set_has_27_features(self, small_cohort):
-        assert len(shape_feature_set()) == 27
+        assert len(FEATURE_COLUMNS["shape"]) == 27
         plan = ExperimentPlan(feature_set="shape", predictor="gbr", seed=0,
                               params={"n_estimators": 10})
         result = run_experiment(small_cohort, plan)

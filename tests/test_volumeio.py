@@ -2,6 +2,7 @@ import gzip
 import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ class TestLoadNifti:
             path = tmp_path / f"r{trial}.nii"
             write_nifti(str(path), data)
             assert np.array_equal(load_nifti(str(path)).data, data)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_write_holds_no_copy_of_the_grid(self, tmp_path, suffix):
+        """The payload is written one k-slab at a time: one write of an
+        8 MiB grid traces less than a quarter of its bytes."""
+        data = np.full((128, 128, 64), 0.25)
+        path = tmp_path / f"big{suffix}"
+        tracemalloc.start()
+        try:
+            write_nifti(str(path), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4, f"{peak / 2**20:.1f} MiB traced"
+        assert np.array_equal(load_nifti(str(path)).data, data)
 
     def test_malformed_sizeof_hdr(self, tmp_path):
         path = tmp_path / "bad.nii"
