@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +33,10 @@ from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
                         evaluate, fit, run_experiment_matrix, save_fit)
 from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
-from .util import parse_cell, read_csv, read_json, write_csv, write_json
-from .volumeio import (SubjectRecord, load_mask, load_nifti,
+from .util import (POSITIVE, fields, numbers, of_type, one_of, parse_cell,
+                   read_csv, read_json, write_csv, write_json)
+from .volumeio import (NIFTI_MAX_DIM, NIFTI_MAX_FLOAT, NIFTI_MIN_SPACING,
+                       SubjectRecord, load_mask, load_nifti,
                        read_metadata_csv, write_nifti)
 
 log = logging.getLogger("radsurv")
@@ -56,12 +57,13 @@ def _write_config(resolved: dict, directory: str, command: str) -> None:
     write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
-def _read_json(path: str, what: str) -> dict:
-    """``util.read_json(path, what)``, its ValueError as a SystemExit."""
+def _or_exit(prefix: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its ValueError as a SystemExit whose
+    message is ``prefix`` and the error's."""
     try:
-        return read_json(path, what)
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise SystemExit(f"{prefix}{exc}") from None
 
 
 def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
@@ -69,20 +71,34 @@ def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
     command's ``settings`` table."""
     resolved = {key: default for key, (default, _) in settings.items()}
     if args.config:
-        file_values = _read_json(args.config, "config file")
-        unknown = set(file_values) - set(settings)
-        if unknown:
-            raise SystemExit(f"{args.config}: config file has unknown keys: "
-                             f"{sorted(unknown)}")
-        for key, value in file_values.items():
-            if isinstance(resolved[key], dict) and not isinstance(value, dict):
-                raise SystemExit(f"{args.config}: {key} must be a JSON object")
-        resolved.update(file_values)
+        resolved.update(_or_exit(
+            f"{args.config}: ", fields,
+            _or_exit("", read_json, args.config, "config file"),
+            {key: _setting(*setting) for key, setting in settings.items()},
+            unknown="config file has unknown keys: {keys}"))
     for key in settings:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
     return resolved
+
+
+def _setting(default, flag: dict | None):
+    """The decoder of a setting's config-file value, by its flag: an
+    integer for ``type=int``, a number for ``type=float``, one of the
+    ``choices``, an object where the default or ``type`` is one, else a
+    string; null only where the default is null. It returns the value."""
+    flag = flag or {}
+    if flag.get("type") in (int, float):
+        check = _numbers_as(lambda value: value, shape=(),
+                            kinds="i" if flag["type"] is int else "if")
+    elif "choices" in flag:
+        check = one_of(flag["choices"])
+    else:
+        check = of_type(dict if isinstance(default, dict)
+                        or flag.get("type") is _json_object else str)
+    return lambda value, where: (value if value is None and default is None
+                                 else check(value, where))
 
 
 def _json_object(text: str) -> dict:
@@ -227,8 +243,6 @@ def cmd_evaluate(resolved: dict) -> int:
     path = resolved["predictions"]
     header, rows = read_csv(path, key="subject_id",
                             required=("predicted_days",))
-    if resolved["eval_filter"] not in EVAL_STATUSES:
-        raise SystemExit(f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
     id_col = header.index("subject_id")
     pred_col = header.index("predicted_days")
     pred_by_id = {row[id_col]: parse_cell(path, row[id_col], "predicted_days",
@@ -283,132 +297,78 @@ def cmd_experiment(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 # phantom
 
-def _is_number(value) -> bool:
-    """A finite JSON number; JSON true and false are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_int(value) -> bool:
-    return _is_number(value) and value == int(value)
-
-
-def _numbers(count, test=_is_number):
-    """The test of a list of ``count`` (any number if None) values that
-    pass ``test``."""
-    return lambda v: isinstance(v, list) and count in (None, len(v)) and \
-        all(map(test, v))
-
-
-def _checked(description: str, test, convert=lambda v: v):
-    """A spec value's conversion: ``convert(value)`` of a value that passes
-    ``test``, else a ValueError naming what the value must be."""
-    def conversion(value):
-        try:
-            ok = test(value)
-        except OverflowError:       # an integer beyond the float range
-            ok = False
-        if not ok:
-            raise ValueError(f"must be {description}, not {value!r}")
+def _numbers_as(convert, **check):
+    """A decoder: ``convert(value)`` of a value ``util.numbers`` accepts."""
+    def decode(value, where: str):
+        numbers(value, where, **check)
         return convert(value)
-    return conversion
+    return decode
 
 
-# the NIfTI header holds spacing and origin as float32, and its dim field
-# as int16
-_FLOAT32 = np.finfo(np.float32)
-_IN_HEADER = _numbers(3, lambda v: _is_number(v) and abs(v) <= _FLOAT32.max)
-_COUNT = _checked("an integer >= 0", lambda v: _is_int(v) and v >= 0, int)
-_FLOAT = _checked("a finite number", _is_number, float)
+def _file_name(value, where: str) -> str:
+    """A plain file name, so no output lands outside --out."""
+    if not (isinstance(value, str) and value not in ("", ".", "..")
+            and "\0" not in value and os.path.basename(value) == value):
+        raise ValueError(f"{where} must be a plain file name, not {value!r}")
+    return value
 
-# a phantom spec's keys, each with the conversion its value takes
-_SPEC_KEYS = {"seed": _COUNT,
-              "masks": _checked("an array", lambda v: isinstance(v, list)),
-              "cohort": lambda v: v}
+
+_COUNT = _numbers_as(int, kinds="i", shape=(), low=0)
+_REAL = _numbers_as(float, shape=())
+_TRIPLE = _numbers_as(tuple, shape=(3,))
+
+
+def _link(value, where: str) -> dict:
+    """An object of finite numbers, each as a float."""
+    return fields(value, dict.fromkeys(of_type(dict)(value, where), _REAL),
+                  where)
+
+
+def _entry(keys: dict, *required: str):
+    """The decoder of a spec object, each key's value decoded by ``keys``."""
+    return lambda value, where: fields(
+        value, keys, where, required=required,
+        unknown="unknown phantom spec key {key}")
+
+
+# a phantom spec's keys, each with its decoder; dims, spacing and origin
+# must fit the NIfTI-1 header they are written to
 _MASK_KEYS = {
-    "name": _checked("a plain file name", lambda v: isinstance(v, str) and (
-        v not in ("", ".", "..") and "\0" not in v
-        and os.path.basename(v) == v)),
-    "with_volume": _checked("true or false", lambda v: isinstance(v, bool)),
-    "shape": _checked(f"one of {', '.join(PHANTOM_SHAPES)}",
-                      lambda v: isinstance(v, str) and v in PHANTOM_SHAPES),
-    "params": _checked("finite positive numbers",
-                       _numbers(None, lambda v: _is_number(v) and v > 0),
-                       tuple),
-    "center": _checked("three finite numbers", _numbers(3), tuple),
-    "label_fill": _checked("an integer", _is_int, int),
-    "dims": _checked("three integers in 1..32767", _numbers(
-        3, lambda v: _is_int(v) and 1 <= v <= 32767),
-        lambda v: tuple(map(int, v))),
-    "spacing": _checked("three positive numbers within the float32 range",
-                        lambda v: _IN_HEADER(v) and
-                        min(v) >= _FLOAT32.smallest_subnormal, tuple),
-    "origin": _checked("three numbers within the float32 range", _IN_HEADER,
-                       tuple)}
+    "name": _file_name, "with_volume": of_type(bool),
+    "shape": one_of(PHANTOM_SHAPES),
+    "params": _numbers_as(tuple, shape=(None,), low=POSITIVE),
+    "center": _TRIPLE, "label_fill": _numbers_as(int, kinds="i", shape=()),
+    "dims": _numbers_as(tuple, kinds="i", shape=(3,), low=1,
+                        high=NIFTI_MAX_DIM),
+    "spacing": _numbers_as(tuple, shape=(3,), low=NIFTI_MIN_SPACING,
+                           high=NIFTI_MAX_FLOAT),
+    "origin": _numbers_as(tuple, shape=(3,), low=-NIFTI_MAX_FLOAT,
+                          high=NIFTI_MAX_FLOAT)}
 _COHORT_KEYS = {
-    "n_subjects": _checked("an integer >= 1",
-                           lambda v: _is_int(v) and v >= 1, int),
-    "seed": _COUNT, "intercept": _FLOAT, "noise_std": _FLOAT,
-    "link": _checked("an object of finite numbers", lambda v: isinstance(
-        v, dict) and all(map(_is_number, v.values())),
-        lambda v: {k: float(x) for k, x in v.items()}),
+    "n_subjects": _numbers_as(int, kinds="i", shape=(), low=1),
+    "seed": _COUNT, "intercept": _REAL, "noise_std": _REAL, "link": _link,
     "n_distractors": _COUNT,
-    "class_mix": _checked("null or three finite numbers",
-                          lambda v: v is None or _numbers(3)(v),
-                          lambda v: None if v is None else tuple(v)),
-    "resection_mix": _checked("three finite numbers", _numbers(3), tuple),
-    "thresholds": _checked("two finite numbers", _numbers(2), tuple)}
-
-
-def _spec_fields(entry, keys: dict, where: str, spec_path: str,
-                 required=()) -> dict:
-    """The values ``entry`` sets, each converted by its key's conversion in
-    ``keys``; SystemExit naming the key path of an unknown or missing key,
-    or of a value its conversion rejects."""
-    if not isinstance(entry, dict):
-        raise SystemExit(f"{spec_path}: {where} must be a JSON object, not "
-                         f"{type(entry).__name__}")
-    prefix = where + "." if where else ""
-    for key in entry:
-        if key not in keys:
-            raise SystemExit(f"{spec_path}: unknown phantom spec key "
-                             f"{prefix}{key}")
-    for key in required:
-        if key not in entry:
-            raise SystemExit(f"{spec_path}: {prefix}{key} is required")
-    fields = {}
-    for key, value in entry.items():
-        try:
-            fields[key] = keys[key](value)
-        except ValueError as exc:
-            raise SystemExit(f"{spec_path}: {prefix}{key}: {exc}") from None
-    return fields
-
-
-def _generate(make, spec, where: str, spec_path: str):
-    """``make(spec)``, a ValueError (a spec's values that do not fit one
-    another) as a SystemExit naming the spec file and entry."""
-    try:
-        return make(spec)
-    except ValueError as exc:
-        raise SystemExit(f"{spec_path}: {where}: {exc}") from None
+    "class_mix": lambda value, where: None if value is None
+    else _TRIPLE(value, where),
+    "resection_mix": _TRIPLE, "thresholds": _numbers_as(tuple, shape=(2,))}
+_MASK = _entry(_MASK_KEYS, "shape", "center")
+_SPEC = _entry({
+    "seed": _COUNT, "cohort": _entry(_COHORT_KEYS, "n_subjects", "seed"),
+    "masks": lambda value, where: [_MASK(entry, f"{where}[{i}]") for i, entry
+                                   in enumerate(of_type(list)(value, where))]})
 
 
 def cmd_phantom(resolved: dict) -> int:
-    spec_path = resolved["spec"]
-    spec = _spec_fields(_read_json(spec_path, "spec file"), _SPEC_KEYS, "",
-                        spec_path)
-    outdir = resolved["out"]
+    spec_path, outdir = resolved["spec"], resolved["out"]
+    spec = _or_exit(f"{spec_path}: ", _SPEC,
+                    _or_exit("", read_json, spec_path, "spec file"), "")
     os.makedirs(outdir, exist_ok=True)
 
     for i, entry in enumerate(spec.get("masks", [])):
-        where = f"masks[{i}]"
-        fields = _spec_fields(entry, _MASK_KEYS, where, spec_path,
-                              required=("shape", "center"))
-        name = fields.pop("name", f"phantom{i:03d}")
-        with_volume = fields.pop("with_volume", False)
-        mask = _generate(gen_mask, PhantomSpec(**{"params": (), **fields}),
-                         where, spec_path)
+        name = entry.pop("name", f"phantom{i:03d}")
+        with_volume = entry.pop("with_volume", False)
+        mask = _or_exit(f"{spec_path}: masks[{i}]: ", gen_mask,
+                        PhantomSpec(**{"params": (), **entry}))
         write_nifti(os.path.join(outdir, f"{name}_mask.nii.gz"),
                     mask.labels.astype(np.int16), mask.spacing, mask.origin)
         if with_volume:
@@ -420,10 +380,8 @@ def cmd_phantom(resolved: dict) -> int:
                         data, mask.spacing, mask.origin)
 
     if "cohort" in spec:
-        fields = _spec_fields(spec["cohort"], _COHORT_KEYS, "cohort",
-                              spec_path, required=("n_subjects", "seed"))
-        cohort, report = _generate(gen_cohort, CohortSpec(**fields), "cohort",
-                                   spec_path)
+        cohort, report = _or_exit(f"{spec_path}: cohort: ", gen_cohort,
+                                  CohortSpec(**spec["cohort"]))
         cohort.write_features_csv(os.path.join(outdir, "features.csv"))
         cohort.write_metadata_csv(os.path.join(outdir, "metadata.csv"))
         write_json(os.path.join(outdir, "cohort_report.json"), report)

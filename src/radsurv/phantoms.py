@@ -193,7 +193,8 @@ def _synth_subject(seed: int, index: int, centers, brain, ramp):
     data = 0.3 + 0.4 * ramp + 0.1 * (labels == 2) + 0.2 * (labels == 1) \
         + 0.3 * (labels == 4) + 0.05 * rng.standard_normal(dims)
     data = np.where(brain, np.clip(data, 0.01, None), 0.0)
-    vol = VoxelVolume(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0), data=data)
+    vol = VoxelVolume(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0),
+                      stored=data)
 
     age = float(rng.uniform(35.0, 80.0))
     resection_u = float(rng.uniform())

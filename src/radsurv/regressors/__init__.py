@@ -20,8 +20,8 @@ from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
 from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
 from .persist import (save_model, load_model, as_arrays, as_counts,
-                      as_forest, as_instance, as_real, as_scales, as_trees,
-                      as_vector)
+                      as_forest, as_real, as_scales, as_trees, as_vector)
+from ..util import of_type
 
 __all__ = [
     "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
@@ -116,13 +116,13 @@ FAMILIES: dict[str, Family] = {
     "linear": Family(
         LinearModel, _train_linear, predict_linear,
         {"coefficients": as_vector, "intercept": as_real, "lam": as_real,
-         "penalty": as_instance(str), "x_mean": as_vector,
+         "penalty": of_type(str), "x_mean": as_vector,
          "x_scale": as_scales},
         _standardized_coefficients),
     "rfr": Family(
         ForestModel, train_forest, predict_forest,
-        {"trees": as_forest, "bootstrap": as_instance(bool),
-         "max_features_rule": as_instance(str)},
+        {"trees": as_forest, "bootstrap": of_type(bool),
+         "max_features_rule": of_type(str)},
         _split_gains),
     "gbr": Family(
         BoostModel, train_gbr, predict_gbr,

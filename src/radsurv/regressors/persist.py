@@ -9,10 +9,13 @@ object of equal-length arrays over its nodes in level order (as
 leaf), ``value`` and ``n``; no depth limits save or load. A
 radsurv-model/1 tree, nested one object per level, is flattened into the
 same arrays and checks. Linear and MLP files, the same in both schemas,
-keep the name radsurv-model/1. ``load_model`` rejects a file that lacks a
-key, holds a non-finite number, a malformed tree or a linear or MLP
-array of the wrong shape with a ValueError naming the file and key path,
-e.g. ``parameters.trees[3].threshold[17]``.
+keep the name radsurv-model/1. ``load_model`` walks the file's keys and
+its family's ``parameters`` with ``util.fields`` and checks every number
+with ``util.numbers``: a file that lacks a key or holds an unknown one, a
+value of the wrong JSON type (true is not a number, 1.0 not an index), a
+non-finite number, a malformed tree or a linear or MLP array of the wrong
+shape is a ValueError naming the file and key path, e.g.
+``parameters.trees[3].threshold[17]``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from itertools import count
 
 import numpy as np
 
-from ..util import read_json, write_json
+from ..util import (POSITIVE, fields, numbers, of_type, one_of, read_json,
+                    write_json)
 from .tree import TreeNode
 
 SCHEMA_V1 = "radsurv-model/1"
 SCHEMA = "radsurv-model/2"
 TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value", "n")
-_TOP_KEYS = ("model_type", "feature_names", "imputation", "hyperparameters",
-             "seed", "parameters")
 
 
 def tree_arrays(root: TreeNode) -> dict[str, list]:
@@ -66,35 +68,9 @@ def _v1_tree_arrays(root, where: str) -> dict[str, list]:
     return {key: list(column) for key, column in zip(TREE_ARRAYS, zip(*rows))}
 
 
-def _numbers(value, where: str, kinds: str = "if", ndim: int | None = None,
-             positive: bool = False) -> np.ndarray:
-    """``value``, a JSON number or a rectangular nest of lists of them, as
-    an array of a numpy kind in ``kinds`` (and of ``ndim`` dimensions); a
-    ValueError naming ``where`` rejects anything else, and names the index
-    of a non-finite entry (or, if ``positive``, of one not above 0)."""
-    try:
-        array = np.array(value)
-    except (ValueError, OverflowError):     # ragged or out of int64 range
-        array = None
-    if array is None or array.dtype.kind not in kinds or \
-            ndim not in (None, array.ndim):
-        raise ValueError(f"{where}: expected "
-                         f"{'integers' if kinds == 'i' else 'numbers'}"
-                         f"{'' if ndim is None else f' ({ndim}-d)'}")
-    bad = ~np.isfinite(array) | (positive & (array <= 0))
-    if bad.any():
-        at = np.unravel_index(bad.argmax(), array.shape)
-        raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: "
-                         f"{float(array[at])} is not a finite"
-                         f"{' positive' if positive else ''} number")
-    return array
-
-
-def as_vector(value, where: str, n_features: int,
-              positive: bool = False) -> np.ndarray:
-    """One number per feature (each above 0 if ``positive``)."""
-    vector = np.asarray(_numbers(value, where, ndim=1, positive=positive),
-                        dtype=np.float64)
+def as_vector(value, where: str, n_features: int, low=None) -> np.ndarray:
+    """One number per feature (each at least ``low``)."""
+    vector = np.asarray(numbers(value, where, shape=(None,), low=low), float)
     if vector.size != n_features:
         raise ValueError(f"{where}: holds {vector.size} values for "
                          f"{n_features} features")
@@ -104,22 +80,20 @@ def as_vector(value, where: str, n_features: int,
 def as_scales(value, where: str, n_features: int) -> np.ndarray:
     """Standardization scales: training stores none at or below 0, and a 0
     would predict NaN."""
-    return as_vector(value, where, n_features, positive=True)
+    return as_vector(value, where, n_features, POSITIVE)
 
 
 def as_real(value, where: str, n_features: int) -> float:
-    return float(_numbers(value, where, ndim=0))
+    return float(numbers(value, where, shape=()))
 
 
 def as_arrays(value, where: str, n_features: int) -> list[np.ndarray]:
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list of arrays")
-    return [np.asarray(_numbers(item, f"{where}[{i}]"), dtype=np.float64)
-            for i, item in enumerate(value)]
+    return [np.asarray(numbers(item, f"{where}[{i}]"), dtype=np.float64)
+            for i, item in enumerate(of_type(list)(value, where))]
 
 
 def as_counts(value, where: str, n_features: int) -> tuple[int, ...]:
-    return tuple(_numbers(value, where, "i", 1).tolist())
+    return tuple(numbers(value, where, "i", (None,)).tolist())
 
 
 def _check_layers(kwargs: dict, n_features: int) -> None:
@@ -140,20 +114,9 @@ def _check_layers(kwargs: dict, n_features: int) -> None:
                                  f"{shape}, got {array.shape}")
 
 
-def as_instance(kind: type):
-    """The decoder of a JSON value that Python reads as a ``kind``."""
-    def decode(value, where: str, n_features: int):
-        if not isinstance(value, kind):
-            raise ValueError(f"{where}: expected a {kind.__name__}")
-        return value
-    return decode
-
-
 def as_trees(docs, where: str, n_features: int) -> list[TreeNode]:
-    if not isinstance(docs, list):
-        raise ValueError(f"{where}: expected a list of trees")
     return [_tree(doc, f"{where}[{t}]", n_features)
-            for t, doc in enumerate(docs)]
+            for t, doc in enumerate(of_type(list)(docs, where))]
 
 
 def as_forest(docs, where: str, n_features: int) -> list[TreeNode]:
@@ -171,8 +134,9 @@ def _tree(doc, where: str, n_features: int) -> TreeNode:
             and doc["n"]):
         raise ValueError(f"{where}: expected an object of the non-empty, "
                          f"equal-length arrays {', '.join(TREE_ARRAYS)}")
-    columns = {key: _numbers(doc[key], f"{where}.{key}", "if" if key in (
-        "threshold", "gain", "value") else "i", 1) for key in TREE_ARRAYS}
+    columns = {key: numbers(doc[key], f"{where}.{key}", "if" if key in (
+        "threshold", "gain", "value") else "i", (None,))
+        for key in TREE_ARRAYS}
     feature, left, right = map(columns.get, ("feature", "left", "right"))
     index, split = np.arange(feature.size), feature >= 0
 
@@ -221,35 +185,36 @@ def save_model(model, path: str) -> None:
     })
 
 
+def _names(value, where: str) -> list:
+    if not all(isinstance(name, str) for name in of_type(list)(value, where)):
+        raise ValueError(f"{where}: expected a list of strings")
+    return value
+
+
 def load_model(path: str):
     from . import FAMILIES
 
     doc = read_json(path, "model file")
-    if doc.get("schema") not in (SCHEMA, SCHEMA_V1):
-        raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
-    for key in _TOP_KEYS:
-        if key not in doc:
-            raise ValueError(f"{path}: model file lacks the key {key!r}")
-    kind, params, names = (doc["model_type"], doc["parameters"],
-                           doc["feature_names"])
-    family = FAMILIES.get(kind) if isinstance(kind, str) else None
-    if family is None:
-        raise ValueError(f"{path}: unknown model type {kind!r}")
-    if not isinstance(params, dict) or not isinstance(names, list) or \
-            not all(isinstance(name, str) for name in names):
-        raise ValueError(f"{path}: parameters must be an object and "
-                         "feature_names a list of strings")
-    missing = [name for name in family.fields if name not in params]
-    if missing:
-        raise ValueError(f"{path}: {kind} model lacks parameters {missing}")
+    top = {"schema": one_of((SCHEMA, SCHEMA_V1)),
+           "model_type": one_of(FAMILIES), "feature_names": _names,
+           "imputation": lambda value, where: value,   # checked below
+           "hyperparameters": of_type(dict), "parameters": of_type(dict),
+           "seed": lambda value, where: value if value is None
+           else numbers(value, where, "i", ()).item()}
     try:
+        doc = fields(doc, top, required=top,
+                     missing="model file lacks the key {key!r}")
+        kind, params, names = (doc["model_type"], doc["parameters"],
+                               doc["feature_names"])
+        family = FAMILIES[kind]
         imputation = as_vector(doc["imputation"], "imputation", len(names))
         if doc["schema"] == SCHEMA_V1 and isinstance(params.get("trees"),
                                                      list):
             params["trees"] = [_v1_tree_arrays(tree, f"parameters.trees[{t}]")
                                for t, tree in enumerate(params["trees"])]
-        kwargs = {name: decode(params[name], f"parameters.{name}", len(names))
-                  for name, decode in family.fields.items()}
+        kwargs = fields(params, family.fields, "parameters", len(names),
+                        required=family.fields,
+                        missing=f"{kind} model lacks parameters {{keys}}")
         if "weights" in kwargs:
             _check_layers(kwargs, len(names))
     except ValueError as exc:

@@ -166,6 +166,88 @@ def read_json(path: str, what: str, kind: type = dict):
     return doc
 
 
+POSITIVE = math.ulp(0.0)    # as ``low``: accept the numbers above 0
+
+
+def numbers(value, where: str, kinds: str = "if", shape=None, low=None,
+            high=None) -> np.ndarray:
+    """``value``, a JSON number or a rectangular nest of lists of them, as
+    an array of a numpy kind in ``kinds`` ("i": JSON integers, not 10.0) and
+    of ``shape`` (None: any shape or length). A ValueError naming ``where``
+    rejects anything else (true or false anywhere, an integer beyond int64)
+    and names the index of an entry not finite or outside ``low``..``high``."""
+    try:
+        array = np.array(value)
+    except (ValueError, OverflowError):     # ragged
+        array = None
+    ok = array is not None and array.dtype.kind in kinds and (
+        shape is None or len(shape) == array.ndim and all(
+            n in (None, m) for n, m in zip(shape, array.shape)))
+    if ok and array.ndim:           # numpy reads [true, 2] as [1, 2]
+        rows = [value]
+        for _ in range(array.ndim - 1):
+            rows = [item for row in rows for item in row]
+        ok = not any(bool in map(type, row) for row in rows)
+    if not ok:
+        noun = "integer" if kinds == "i" else "number"
+        raise ValueError(f"{where}: expected " + (
+            ("an integer" if kinds == "i" else "a number") if shape == ()
+            else f"{noun}s" + ("" if shape is None else f" ({len(shape)}-d)"
+                               if None in shape else f" of shape {shape}")))
+    bad = (~np.isfinite(array) | (array < (-math.inf if low is None else low))
+           | (array > (math.inf if high is None else high)))
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), array.shape)
+        lo, hi = ("" if b is None else f"{b:g}" for b in (low, high))
+        what = "a finite positive number" if low == POSITIVE else (
+            "an integer" if kinds == "i" else "a finite number") + (
+            f" in {lo}..{hi}" if lo and hi else f" >= {lo}" if lo else
+            f" <= {hi}" if hi else "")
+        raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: "
+                         f"{array[at].item()} is not {what}")
+    return array
+
+
+def of_type(kind: type):
+    """The decoder ``(value, key path, *unused)`` of a ``kind``, as given."""
+    def decode(value, where: str, *unused):
+        if not isinstance(value, kind):
+            name = {dict: "object", list: "array", str: "string",
+                    bool: "boolean"}[kind]
+            raise ValueError(f"{where} must be a JSON {name}, "
+                             f"not {type(value).__name__}")
+        return value
+    return decode
+
+
+def one_of(choices):
+    """The decoder ``(value, key path, *unused)`` of one of ``choices``."""
+    def decode(value, where: str, *unused):
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"{where} must be one of {list(choices)}, "
+                             f"not {value!r}")
+        return value
+    return decode
+
+
+def fields(doc, decoders: dict, where: str = "", *args, required=(),
+           unknown: str = "unknown key {key}",
+           missing: str = "{key} is required") -> dict:
+    """``{key: decoders[key](value, key path, *args)}`` over the JSON object
+    ``doc`` at key path ``where``. A ValueError rejects a ``doc`` that is not
+    an object, and a key ``decoders`` lacks or a ``required`` key ``doc``
+    lacks, worded by ``unknown`` or ``missing``: ``{key}`` is the first such
+    key's path, ``{keys}`` the list of them (unknown ones sorted)."""
+    of_type(dict)(doc, where or "the document")
+    prefix = where + "." if where else ""
+    for words, keys in ((unknown, sorted(set(doc) - set(decoders))),
+                        (missing, [k for k in required if k not in doc])):
+        if keys:
+            raise ValueError(words.format(key=prefix + keys[0], keys=keys))
+    return {key: decoders[key](value, prefix + key, *args)
+            for key, value in doc.items()}
+
+
 def parse_float_cell(cell: str) -> float:
     """Parse a CSV cell to float; empty or NA-like cells become NaN."""
     text = cell.strip()

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import fmt_float, parse_cell, read_csv, write_csv
+from .util import fmt_float, numbers, parse_cell, read_csv, write_csv
 
 HEADER_SIZE = 348
 
@@ -76,6 +76,13 @@ class GeometryError(ValueError):
 
 # NIfTI stores spacing and origin as float32 (relative round-off ~6e-8)
 GEOMETRY_RTOL = 1e-6
+
+# what a NIfTI-1 header holds: int16 grid axes (dim[1..3]), and float32
+# spacing (pixdim[1..3]) and origin (qoffset); a spacing below the least
+# float32 above 0 is stored as 0
+NIFTI_MAX_DIM = 32767
+NIFTI_MAX_FLOAT = float(np.finfo(np.float32).max)
+NIFTI_MIN_SPACING = float(np.finfo(np.float32).smallest_subnormal)
 
 
 def _check_vocabulary(labels: np.ndarray, where: str = "") -> None:
@@ -121,23 +128,17 @@ class VoxelGrid:
 class VoxelVolume(VoxelGrid):
     """A 3D scalar grid with physical spacing (mm) and origin (mm).
 
-    Built from a float64 grid (``data=``) or from samples as stored with
-    their scaling (``stored=``, ``scaling=``, as ``load_nifti`` does).
-    ``region(box)`` gives one index box as float64; ``data``, the whole
-    float64 grid, is built only when asked for.
+    Built from samples as stored, with their scaling (``scaling=``, as
+    ``load_nifti`` does) or unscaled. ``region(box)`` gives one index box
+    as float64; ``data``, the whole float64 grid, is built only when asked
+    for.
     """
 
     stored: np.ndarray  # samples as stored (any numeric dtype), shape == dims
-    scaling: Optional[tuple[float, float]]  # (scl_slope, scl_inter) or None
-
-    def __init__(self, dims, spacing, origin, data=None, *, stored=None,
-                 scaling=None):
-        self.dims, self.spacing, self.origin = dims, spacing, origin
-        self.stored = np.asarray(data if stored is None else stored)
-        self.scaling = scaling
-        self.__post_init__()
+    scaling: Optional[tuple[float, float]] = None  # (scl_slope, scl_inter)
 
     def __post_init__(self):
+        self.stored = np.asarray(self.stored)
         super().__post_init__()
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"dims must be positive, got {self.dims}")
@@ -350,11 +351,18 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 
     ``dtype`` must be one of uint8/int16/int32/float32/float64 (default: the
     array's dtype). Gzip compression is chosen by a ``.gz`` suffix. No data
-    scaling is written, so load(write(v)) reproduces values bit-exactly.
+    scaling is written, so load(write(v)) reproduces values bit-exactly. A
+    grid, spacing or origin the header cannot hold is a ValueError naming
+    the file and the field, raised before the file is opened.
     """
     arr = np.asarray(data)
     if arr.ndim != 3:
         raise ValueError(f"expected a 3D array, got shape {arr.shape}")
+    numbers(arr.shape, f"{path}: dims", "i", high=NIFTI_MAX_DIM)
+    numbers(spacing, f"{path}: spacing", shape=(3,), low=NIFTI_MIN_SPACING,
+            high=NIFTI_MAX_FLOAT)
+    numbers(origin, f"{path}: origin", shape=(3,), low=-NIFTI_MAX_FLOAT,
+            high=NIFTI_MAX_FLOAT)
     dtype = np.dtype(dtype) if dtype is not None else arr.dtype
     key = dtype.str[1:]
     if key not in _DTYPE_CODES:

@@ -37,7 +37,7 @@ def random_disc(rng, max_shape=(8, 8, 8), ng=8, density=0.6):
 def make_volume(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     data = np.asarray(data, dtype=np.float64)
     return VoxelVolume(dims=data.shape, spacing=spacing, origin=origin,
-                       data=data)
+                       stored=data)
 
 
 def make_mask(labels, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):

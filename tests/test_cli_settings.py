@@ -21,6 +21,7 @@ import pytest
 
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
+from radsurv.regressors import load_model, save_model, train_model
 from radsurv.regressors.gridsearch import resolve_grid
 from radsurv.util import read_csv, read_json
 from radsurv.volumeio import load_mask, load_nifti
@@ -340,6 +341,56 @@ class TestJsonInputs:
         with pytest.raises(ValueError, match=re.escape(f"{grid}: {message}")):
             resolve_grid(str(grid), "rfr")
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("rfe", "seed", "true"), ("rfe", "n_keep", "120.7"),
+        ("rfe", "seed", '"abc"'), ("rfe", "step", "[1]"),
+        ("rfe", "estimator", '"mlp"'), ("rfe", "features", "1"),
+        ("evaluate", "eval_filter", '"x"'), ("evaluate", "t_lo", "true"),
+        ("extract", "roi", "null")])
+    def test_config_value_is_checked_as_its_flag(self, tmp_path, command,
+                                                 key, value):
+        """Such values used to run (a seed of true as 1, 120.7 features
+        as 120, an estimator the flag's choices refuse) or to fail with a
+        bare ValueError or TypeError."""
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"{key}": {value}}}')
+        with pytest.raises(SystemExit, match=re.escape(f"{config}: {key}")):
+            main([command, "--config", str(config),
+                  "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("token", [
+        "true", "false", '"1"', "null", "[]", "{}", "NaN", "Infinity",
+        "1e999", pytest.param(str(10 ** 400), id="10**400")])
+    @pytest.mark.parametrize("document", ["spec", "config", "model"])
+    def test_bad_number_is_rejected_by_file_and_key(self, tmp_path, token,
+                                                    document):
+        """The same values at a spec number key, a config integer key and
+        a model.json number key, each checked by ``util.numbers``."""
+        path = tmp_path / f"{document}.json"
+        if document == "model":
+            rng = np.random.default_rng(3)
+            x = rng.standard_normal((8, 2))
+            save_model(train_model("linear", x, x[:, 0] + 100.0, {}, 0),
+                       str(path))
+            doc, key = json.loads(path.read_text()), "parameters.intercept"
+            doc["parameters"]["intercept"] = "@@"
+        elif document == "spec":
+            doc = {"cohort": {"n_subjects": 2, "seed": 0, "noise_std": "@@"}}
+            key = "cohort.noise_std"
+        else:
+            doc, key = {"seed": "@@"}, "seed"
+        path.write_text(json.dumps(doc).replace('"@@"', token))
+        out = str(tmp_path / "out")
+        with pytest.raises((ValueError, SystemExit), match=re.escape(
+                f"{path}: {key}")):
+            if document == "model":
+                load_model(str(path))
+            else:
+                main(["phantom", "--spec", str(path), "--out", out]
+                     if document == "spec" else
+                     ["rfe", "--config", str(path), "--out", out])
+
     def test_unknown_config_key_names_the_file(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"bogus": 1, "seed": 2}))
@@ -464,3 +515,28 @@ def test_feature_rows_are_composed_only_by_extract_row():
                if name in extractors}
     assert callers == {("__init__.py", "extract_row", name)
                        for name in extractors}
+
+
+def test_no_module_level_name_is_bound_twice():
+    """A second top-level binding of a name replaces the first for every
+    later use, as when cli's phantom spec table and its flag keywords both
+    bound ``_FLOAT`` and only the code between them saw the first."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    for path in package.rglob("*.py"):
+        names = []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [(alias.asname or alias.name).split(".")[0]
+                          for alias in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names += [name.id for target in targets
+                          for name in ast.walk(target)
+                          if isinstance(name, ast.Name)
+                          and isinstance(name.ctx, ast.Store)]
+        assert len(set(names)) == len(names), (path.name, sorted(
+            {name for name in names if names.count(name) > 1}))

@@ -73,7 +73,7 @@ def _phantom(name):
             + 20.0 * np.sin(grid[2] / 3.0) + rng.normal(0.0, 4.0, DIMS)
     mask = LabelMask(dims=DIMS, spacing=spacing, origin=origin, labels=labels)
     vol = VoxelVolume(dims=DIMS, spacing=spacing, origin=origin,
-                      data=np.rint(data))
+                      stored=np.rint(data))
     return mask, vol
 
 

@@ -169,6 +169,32 @@ def test_parameter_of_the_wrong_shape_named(kind, keys, change, shown,
         load_model(str(path))
 
 
+@pytest.mark.parametrize("kind,keys,value,shown", [
+    ("linear", ["parameters", "coefficients", 0], "true",
+     "parameters.coefficients: expected numbers"),
+    ("mlp", ["parameters", "weights", 0, 0, 0], "true",
+     "parameters.weights[0]: expected numbers"),
+    ("gbr", ["parameters", "trees", 0, "feature", 0], "true",
+     "parameters.trees[0].feature: expected integers"),
+    ("linear", ["bogus"], "1", "unknown key bogus"),
+    ("rfr", ["parameters", "bogus"], "1", "unknown key parameters.bogus"),
+    ("gbr", ["seed"], '"x"', "seed: expected an integer"),
+    ("gbr", ["seed"], "1.0", "seed: expected an integer"),
+    ("mlp", ["hyperparameters"], "[]",
+     "hyperparameters must be a JSON object, not list"),
+    ("linear", ["feature_names", 1], "2",
+     "feature_names: expected a list of strings"),
+])
+def test_value_of_the_wrong_json_type_or_key_named(kind, keys, value, shown,
+                                                   tmp_path):
+    """Each such file used to load (true as 1, and the unknown keys, seed
+    and hyperparameters written back by save_model)."""
+    path = _saved(kind, tmp_path)
+    _edit(path, keys, value)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {shown}")):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("keys,value,message", [
     (["feature", 0], "3", r"trees\[1\]\.feature\[0\]: outside -1\.\.2"),
     (["feature", 0], "1.0", r"trees\[1\]\.feature: expected integers"),

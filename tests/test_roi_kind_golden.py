@@ -74,7 +74,7 @@ def _case(name):
     data = vol.data[window]
     data = np.asfortranarray(data) if fortran else np.ascontiguousarray(data)
     grid = dict(dims=labels.shape, spacing=mask.spacing, origin=mask.origin)
-    return LabelMask(**grid, labels=labels), VoxelVolume(**grid, data=data)
+    return LabelMask(**grid, labels=labels), VoxelVolume(**grid, stored=data)
 
 
 def roi_kind_digest(name, binning):

@@ -115,6 +115,20 @@ class TestLoadNifti:
         assert peak < data.nbytes / 4, f"{peak / 2**20:.1f} MiB traced"
         assert np.array_equal(load_nifti(str(path)).data, data)
 
+    @pytest.mark.parametrize("shape,geometry,shown", [
+        ((40000, 1, 1), {}, "dims[0]: 40000 is not an integer"),
+        ((2, 2, 2), {"spacing": (1e300, 1, 1)}, "spacing[0]: 1e+300 is not"),
+        ((2, 2, 2), {"spacing": (1, 1e-50, 1)}, "spacing[1]: 1e-50 is not"),
+        ((2, 2, 2), {"origin": (0, -1e39, 0)}, "origin[1]: -1e+39 is not")])
+    def test_write_rejects_what_the_header_cannot_hold(self, tmp_path, shape,
+                                                       geometry, shown):
+        """These raised a bare struct.error or OverflowError naming no
+        file; no file is left behind."""
+        path = tmp_path / "big.nii.gz"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {shown}")):
+            write_nifti(str(path), np.zeros(shape, dtype=np.uint8), **geometry)
+        assert not path.exists()
+
     def test_malformed_sizeof_hdr(self, tmp_path):
         path = tmp_path / "bad.nii"
         path.write_bytes(handcrafted_header(sizeof_hdr=400) + b"\x00" * 32)
