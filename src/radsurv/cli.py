@@ -1,9 +1,11 @@
 """Command-line surface: extract, rfe, train, predict, evaluate, experiment,
 phantom.
 
-Each command's settings are declared once, in ``COMMANDS``: a default and
-the keywords of its flag. Every command resolves them as defaults < --config
-file < explicit flags, then echoes the fully resolved configuration (schema
+Each command's settings are declared once, in ``COMMANDS``: a default
+(``REQUIRED`` for a setting the command cannot run without) and the
+keywords of its flag. ``main`` resolves them as defaults < --config file <
+explicit flags, rejects a missing required one before any input is read,
+runs the command and echoes the fully resolved configuration (schema
 ``radsurv-config/1``) next to its outputs, so reruns are reproducible from
 the artifacts alone. Outputs are byte-identical across reruns with the same
 inputs and seed. Exit status is 0 only when every requested subject or
@@ -42,6 +44,7 @@ from .volumeio import (NIFTI_MAX_DIM, NIFTI_MAX_FLOAT, NIFTI_MIN_SPACING,
 log = logging.getLogger("radsurv")
 
 CONFIG_SCHEMA = "radsurv-config/1"
+REQUIRED = object()     # the default of a setting a command cannot run without
 
 
 def _workers() -> int:
@@ -49,12 +52,6 @@ def _workers() -> int:
     if not value.isdecimal() or int(value) < 1:
         raise SystemExit(f"RADSURV_WORKERS={value!r} is not a positive integer")
     return int(value)
-
-
-def _write_config(resolved: dict, directory: str, command: str) -> None:
-    doc = {"schema": CONFIG_SCHEMA, "version": __version__, "command": command}
-    doc.update(resolved)
-    write_json(os.path.join(directory, "resolved_config.json"), doc)
 
 
 def _or_exit(prefix: str, call, *args, **kwargs):
@@ -66,9 +63,11 @@ def _or_exit(prefix: str, call, *args, **kwargs):
         raise SystemExit(f"{prefix}{exc}") from None
 
 
-def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
+def _merge_config(command: str, settings: dict,
+                  args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, over the keys of a
-    command's ``settings`` table."""
+    command's ``settings`` table; a SystemExit names a REQUIRED setting
+    that neither the file nor a flag sets."""
     resolved = {key: default for key, (default, _) in settings.items()}
     if args.config:
         resolved.update(_or_exit(
@@ -80,6 +79,10 @@ def _merge_config(settings: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+        elif resolved[key] is REQUIRED:
+            raise SystemExit(f"radsurv {command} needs --"
+                             f"{key.replace('_', '-')} or the config key "
+                             f"{key!r}")
     return resolved
 
 
@@ -173,8 +176,6 @@ def cmd_extract(resolved: dict) -> int:
         write_csv(resolved["out"],
                   ["subject_id", *FEATURE_COLUMNS[resolved["features"]]],
                   results)
-    out_dir = os.path.dirname(os.path.abspath(resolved["out"])) or "."
-    _write_config(resolved, out_dir, "extract")
     log.info("extract: %d subjects written, %d failed", len(results), failures)
     if not results:
         log.error("no subjects succeeded")
@@ -187,13 +188,11 @@ def cmd_extract(resolved: dict) -> int:
 
 def cmd_rfe(resolved: dict) -> int:
     cohort = load_cohort(resolved["features"], resolved["metadata"])
-    if np.isnan(cohort.survival_days).any():
-        raise SystemExit("RFE needs survival days for every subject")
     spec = EstimatorSpec(resolved["estimator"],
                          dict(resolved["estimator_params"]))
-    ranking = rfe(cohort.X, cohort.survival_days, cohort.feature_names, spec,
-                  n_keep=int(resolved["n_keep"]), step=int(resolved["step"]),
-                  seed=int(resolved["seed"]))
+    ranking = rfe(cohort.X, cohort.known_survival(), cohort.feature_names,
+                  spec, n_keep=int(resolved["n_keep"]),
+                  step=int(resolved["step"]), seed=int(resolved["seed"]))
     os.makedirs(resolved["out"], exist_ok=True)
     ranking.write_csv(os.path.join(resolved["out"], "ranking.csv"))
     reduced = cohort.select(ranking.kept)
@@ -201,7 +200,6 @@ def cmd_rfe(resolved: dict) -> int:
             for sid, row in zip(cohort.subject_ids, reduced)]
     write_csv(os.path.join(resolved["out"], "reduced_features.csv"),
               ["subject_id"] + ranking.kept, rows)
-    _write_config(resolved, resolved["out"], "rfe")
     return 0
 
 
@@ -209,19 +207,13 @@ def cmd_rfe(resolved: dict) -> int:
 # train / predict / evaluate
 
 def cmd_train(resolved: dict) -> int:
-    if resolved["predictor"] is None:
-        raise SystemExit("train needs a predictor kind: pass --predictor or "
-                         "set the 'predictor' key of the --config file")
     cohort = load_cohort(resolved["features"], resolved["metadata"])
-    if np.isnan(cohort.survival_days).any():
-        raise SystemExit("training needs survival days for every subject")
     model, report = fit(resolved["predictor"],
                         cohort.select(cohort.feature_names),
-                        cohort.survival_days, dict(resolved["params"]),
+                        cohort.known_survival(), dict(resolved["params"]),
                         resolved["grid"], int(resolved["cv_folds"]),
                         int(resolved["seed"]), cohort.feature_names)
     save_fit(resolved["out"], model, report)
-    _write_config(resolved, resolved["out"], "train")
     return 0
 
 
@@ -234,8 +226,6 @@ def cmd_predict(resolved: dict) -> int:
     days = predict(model, X[:, [names.index(n) for n in model.feature_names]])
     write_csv(resolved["out"], ["subject_id", "predicted_days"],
               [[sid, float(d)] for sid, d in zip(ids, days)])
-    out_dir = os.path.dirname(os.path.abspath(resolved["out"])) or "."
-    _write_config(resolved, out_dir, "predict")
     return 0
 
 
@@ -269,7 +259,6 @@ def cmd_evaluate(resolved: dict) -> int:
     dataset = "all" if resolved["eval_filter"] == "all" else "eval"
     write_csv(os.path.join(resolved["out"], "metrics.csv"), METRICS_COLUMNS,
               [metrics.row(dataset, "-", "-", 0, thresholds)])
-    _write_config(resolved, resolved["out"], "evaluate")
     return 0
 
 
@@ -290,7 +279,6 @@ def cmd_experiment(resolved: dict) -> int:
     os.makedirs(resolved["out"], exist_ok=True)
     run_experiment_matrix(cohort, feature_sets, predictors,
                           int(resolved["seed"]), resolved["out"], base_plan)
-    _write_config(resolved, resolved["out"], "experiment")
     return 0
 
 
@@ -385,8 +373,6 @@ def cmd_phantom(resolved: dict) -> int:
         cohort.write_features_csv(os.path.join(outdir, "features.csv"))
         cohort.write_metadata_csv(os.path.join(outdir, "metadata.csv"))
         write_json(os.path.join(outdir, "cohort_report.json"), report)
-
-    _write_config(resolved, outdir, "phantom")
     return 0
 
 
@@ -394,7 +380,8 @@ def cmd_phantom(resolved: dict) -> int:
 # The only declaration of each command's settings. A setting is
 # key -> (default, add_argument keywords of its --key flag), or keywords
 # None for a key that only a --config file sets. Flags are added in this
-# order, so the order is that of --help.
+# order, so the order is that of --help. resolved_config.json goes in
+# --out where its flag is _OUT_DIR, else beside the --out file.
 
 _OUT_DIR = {"help": "output directory"}
 _INT = {"type": int}
@@ -404,9 +391,9 @@ _EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
 
 COMMANDS = {
     "extract": (cmd_extract, "extract feature table from volumes", {
-        "subjects": (None, {"help": "manifest CSV: ID,mask[,scan]"}),
-        "metadata": (None, {"help": "metadata CSV (ID,Age,...)"}),
-        "out": (None, {"help": "output features CSV"}),
+        "subjects": (REQUIRED, {"help": "manifest CSV: ID,mask[,scan]"}),
+        "metadata": (REQUIRED, {"help": "metadata CSV (ID,Age,...)"}),
+        "out": (REQUIRED, {"help": "output features CSV"}),
         "features": ("all", {"choices": ["all", "image7", "radiomics107"]}),
         "roi": ("WT", {"choices": ["WT", "TC", "ET", "LABEL1", "LABEL2",
                                    "LABEL4"]}),
@@ -415,31 +402,31 @@ COMMANDS = {
         "channel": ("unspecified",
                     {"help": "intensity channel label for provenance"})}),
     "rfe": (cmd_rfe, "recursive feature elimination", {
-        "features": (None, {}), "metadata": (None, {}),
-        "out": (None, _OUT_DIR), "n_keep": (20, _INT),
+        "features": (REQUIRED, {}), "metadata": (REQUIRED, {}),
+        "out": (REQUIRED, _OUT_DIR), "n_keep": (20, _INT),
         "estimator": ("rfr", {"choices": [
             kind for kind, fam in FAMILIES.items()
             if fam.importance is not None]}),
         "estimator_params": ({}, None), "step": (1, _INT),
         "seed": (0, _INT)}),
     "train": (cmd_train, "train one predictor on a feature CSV", {
-        "features": (None, {}), "metadata": (None, {}),
-        "out": (None, _OUT_DIR),
-        "predictor": (None, {"choices": PREDICTOR_KINDS}),
+        "features": (REQUIRED, {}), "metadata": (REQUIRED, {}),
+        "out": (REQUIRED, _OUT_DIR),
+        "predictor": (REQUIRED, {"choices": PREDICTOR_KINDS}),
         "params": ({}, {"type": _json_object,
                         "help": "JSON dict of hyperparameters"}),
         "grid": (None, _GRID), "cv_folds": (3, _INT), "seed": (0, _INT)}),
     "predict": (cmd_predict, "predict survival days", {
-        "model": (None, {}), "features": (None, {}),
-        "out": (None, {"help": "output predictions CSV"})}),
+        "model": (REQUIRED, {}), "features": (REQUIRED, {}),
+        "out": (REQUIRED, {"help": "output predictions CSV"})}),
     "evaluate": (cmd_evaluate, "score predictions against metadata", {
-        "predictions": (None, {}), "metadata": (None, {}),
-        "out": (None, _OUT_DIR), "eval_filter": ("GTR", _EVAL_FILTER),
+        "predictions": (REQUIRED, {}), "metadata": (REQUIRED, {}),
+        "out": (REQUIRED, _OUT_DIR), "eval_filter": ("GTR", _EVAL_FILTER),
         "t_lo": (DEFAULT_THRESHOLDS[0], _FLOAT),
         "t_hi": (DEFAULT_THRESHOLDS[1], _FLOAT)}),
     "experiment": (cmd_experiment, "run the feature-set x predictor matrix", {
-        "features": (None, {}), "metadata": (None, {}),
-        "out": (None, _OUT_DIR),
+        "features": (REQUIRED, {}), "metadata": (REQUIRED, {}),
+        "out": (REQUIRED, _OUT_DIR),
         "feature_sets": ("image7,radiomics107,rfe20,shape", {
             "help": "comma list from image7,radiomics107,rfe20,shape"}),
         "predictors": ("mlp,linear,gbr,rfr",
@@ -452,8 +439,8 @@ COMMANDS = {
         "t_lo": (DEFAULT_THRESHOLDS[0], _FLOAT),
         "t_hi": (DEFAULT_THRESHOLDS[1], _FLOAT)}),
     "phantom": (cmd_phantom, "generate phantom masks and cohorts", {
-        "spec": (None, {"help": "phantom spec JSON"}),
-        "out": (None, _OUT_DIR)}),
+        "spec": (REQUIRED, {"help": "phantom spec JSON"}),
+        "out": (REQUIRED, _OUT_DIR)}),
 }
 
 
@@ -478,7 +465,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     func, _, settings = COMMANDS[args.command]
-    return func(_merge_config(settings, args))
+    resolved = _merge_config(args.command, settings, args)
+    status = func(resolved)
+    out = resolved["out"]
+    if settings["out"][1] is not _OUT_DIR:
+        out = os.path.dirname(os.path.abspath(out))
+    write_json(os.path.join(out, "resolved_config.json"),
+               {"schema": CONFIG_SCHEMA, "version": __version__,
+                "command": args.command, **resolved})
+    return status
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ class Cohort:
     X: np.ndarray                 # (n, p) float64, NaN for missing
     survival_days: np.ndarray     # (n,) float64, NaN when unknown
     records: list[SubjectRecord]
+    source: str = "cohort"        # the metadata CSV of a loaded cohort
 
     def __post_init__(self):
         n, p = self.X.shape
@@ -45,15 +46,20 @@ class Cohort:
         idx = [self.feature_names.index(n) for n in names]
         return self.X[:, idx]
 
+    def known_survival(self) -> np.ndarray:
+        """``survival_days``, or a ValueError naming the first unknown."""
+        for sid, days in zip(self.subject_ids, self.survival_days):
+            if np.isnan(days):
+                raise ValueError(f"{self.source}: subject {sid!r} has no "
+                                 "Survival_days")
+        return self.survival_days
+
     def subset(self, row_mask: np.ndarray) -> "Cohort":
         rows = np.nonzero(np.asarray(row_mask, dtype=bool))[0]
-        return Cohort(
-            subject_ids=[self.subject_ids[i] for i in rows],
-            feature_names=list(self.feature_names),
-            X=self.X[rows],
-            survival_days=self.survival_days[rows],
-            records=[self.records[i] for i in rows],
-        )
+        return replace(
+            self, subject_ids=[self.subject_ids[i] for i in rows],
+            X=self.X[rows], survival_days=self.survival_days[rows],
+            records=[self.records[i] for i in rows])
 
     def resection_mask(self, statuses: tuple[str, ...]) -> np.ndarray:
         return np.array([r.resection_status in statuses for r in self.records])
@@ -104,4 +110,4 @@ def load_cohort(features_csv: str, metadata_csv: str) -> Cohort:
         [math.nan if r.survival_days is None else float(r.survival_days)
          for r in records], dtype=np.float64)
     return Cohort(subject_ids=ids, feature_names=feature_names, X=X,
-                  survival_days=survival, records=records)
+                  survival_days=survival, records=records, source=metadata_csv)

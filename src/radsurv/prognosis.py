@@ -161,7 +161,7 @@ def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan):
     if name != "rfe20":
         return list(FEATURE_COLUMNS[name]), None
     radiomics = list(FEATURE_COLUMNS["radiomics107"])
-    ranking = rfe(cohort.select(radiomics), cohort.survival_days, radiomics,
+    ranking = rfe(cohort.select(radiomics), cohort.known_survival(), radiomics,
                   plan.rfe_estimator, n_keep=20, step=plan.rfe_step,
                   seed=plan.seed)
     return list(ranking.kept), ranking
@@ -202,9 +202,7 @@ def run_experiment(cohort: Cohort, plan: ExperimentPlan,
     """Train one (feature set, predictor) cell and evaluate it, writing its
     files once both evaluations succeed. ``selection`` is the set's
     ``resolve_feature_set`` pair, if the caller has resolved it."""
-    y = cohort.survival_days
-    if np.isnan(y).any():
-        raise MetricsError("cohort has subjects with unknown survival")
+    y = cohort.known_survival()
     mask = cohort.resection_mask(EVAL_STATUSES[plan.eval_filter])
     if not mask.any():
         raise MetricsError(

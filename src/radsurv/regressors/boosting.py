@@ -80,10 +80,7 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
 
 
 def predict_gbr(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    acc = np.full(X.shape[0], model.init_value, dtype=np.float64)
-    for tree in model.trees:
-        acc += model.learning_rate * predict_tree(tree, X)
-    return acc
+    return staged_predict(model, X)[-1]
 
 
 def staged_predict(model: BoostModel, X: np.ndarray) -> list[np.ndarray]:

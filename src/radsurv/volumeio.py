@@ -13,8 +13,7 @@ Scope and conventions:
 * A loaded scan keeps its samples as stored (``VoxelVolume.stored``: the
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
-  whole-grid float copy; ``VoxelVolume.data``, the whole float64 grid, is
-  built only when asked for.
+  whole-grid float copy.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * A region (``RoiMask``) is the crop of its mask to the box of the
   labelled voxels (``LabelMask.box``, found once per mask) at ``corner``;
@@ -130,8 +129,7 @@ class VoxelVolume(VoxelGrid):
 
     Built from samples as stored, with their scaling (``scaling=``, as
     ``load_nifti`` does) or unscaled. ``region(box)`` gives one index box
-    as float64; ``data``, the whole float64 grid, is built only when asked
-    for.
+    as float64.
     """
 
     stored: np.ndarray  # samples as stored (any numeric dtype), shape == dims
@@ -145,14 +143,10 @@ class VoxelVolume(VoxelGrid):
         self._check_shape("data", self.stored)
 
     def region(self, box) -> np.ndarray:
-        """The float64 (scaled) samples of the index box ``box``: the bits
-        of ``data[box]``, as conversion and scaling are elementwise."""
+        """The float64 (scaled) samples of the index box ``box``, each
+        voxel's bits the same whatever the box, as conversion and scaling
+        are elementwise."""
         return _to_float(self.stored[box], self.scaling)
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        """The whole grid as float64, built on first use."""
-        return self.region(...)
 
 
 @dataclass
@@ -334,7 +328,7 @@ def _to_float(stored: np.ndarray, scaling) -> np.ndarray:
 
 def load_nifti(path: str) -> VoxelVolume:
     """Load a single-file NIfTI-1 volume; its samples stay as stored, and
-    ``region`` and ``data`` give them as float64.
+    ``region`` gives them as float64.
 
     Data scaling (scl_slope/scl_inter) is applied when scl_slope != 0.
     Raises NiftiError with a distinct diagnostic for malformed headers,

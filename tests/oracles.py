@@ -625,13 +625,13 @@ def load_mask_via_float(path):
     """Labels of a mask decoded as float64 (scaled), rounded, drift-checked,
     cast to C-ordered int16 and checked with np.isin; raises the same
     MaskLabelError texts as the package for non-integer and bad labels."""
-    vol = load_nifti(path)
-    rounded = np.rint(vol.data)
-    drift = np.abs(vol.data - rounded)
+    data = load_nifti(path).region(...)
+    rounded = np.rint(data)
+    drift = np.abs(data - rounded)
     if drift.max(initial=0.0) > 1e-6:
         idx = tuple(int(c[0]) for c in np.nonzero(drift > 1e-6))
         raise MaskLabelError(
-            f"{path}: voxel {idx} holds non-integer value {vol.data[idx]!r}")
+            f"{path}: voxel {idx} holds non-integer value {data[idx]!r}")
     labels = rounded.astype(np.int16, order="C")
     bad = ~np.isin(labels, (0, 1, 2, 4))
     if bad.any():

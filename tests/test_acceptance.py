@@ -389,7 +389,7 @@ def test_criterion_9_format_round_trips(tmp_path):
         path = tmp_path / f"{np.dtype(dtype).name}.nii.gz"
         write_nifti(str(path), data, spacing=(0.5, 1.0, 2.0))
         loaded = load_nifti(str(path))
-        assert np.array_equal(loaded.data, data.astype(np.float64))
+        assert np.array_equal(loaded.region(...), data.astype(np.float64))
 
     x = rng.standard_normal((30, 4))
     y = rng.standard_normal(30) * 200

@@ -129,7 +129,7 @@ class TestExtractCommand:
         root, out = phantom_dir
         scan = load_nifti(str(out / "sph_vol.nii.gz"))
         stretched = tmp_path / "stretched_vol.nii.gz"
-        write_nifti(str(stretched), scan.data, spacing=(1.0, 1.0, 2.0))
+        write_nifti(str(stretched), scan.region(...), spacing=(1.0, 1.0, 2.0))
         subjects = self._manifest(tmp_path, out, [
             ("GOOD", str(out / "sph_mask.nii.gz"),
              str(out / "sph_vol.nii.gz")),

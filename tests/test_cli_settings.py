@@ -19,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+from radsurv import cli
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
 from radsurv.regressors import load_model, save_model, train_model
@@ -153,6 +154,66 @@ class TestSettingsTable:
             assert dests == flagged, name
 
 
+# each command's required settings, with values that complete its command
+# line; none of the files exists, so a command that read one would fail
+COMPLETE = {
+    "phantom": {"spec": "spec.json", "out": "ph"},
+    "extract": {"subjects": "subjects.csv", "metadata": "meta.csv",
+                "out": "ext/f.csv"},
+    "rfe": {"features": "f.csv", "metadata": "m.csv", "out": "o"},
+    "train": {"features": "f.csv", "metadata": "m.csv", "out": "o",
+              "predictor": "linear"},
+    "predict": {"model": "model.json", "features": "f.csv", "out": "p/p.csv"},
+    "evaluate": {"predictions": "p.csv", "metadata": "m.csv", "out": "o"},
+    "experiment": {"features": "f.csv", "metadata": "m.csv", "out": "o"},
+}
+REQUIRED_CASES = [(command, key) for command, given in COMPLETE.items()
+                  for key in given]
+
+
+def _flags(given: dict) -> list:
+    return [token for key, value in given.items()
+            for token in ("--" + key, value)]
+
+
+class TestRequiredSettings:
+    def test_required_settings_are_marked_in_the_table(self):
+        assert {name: [key for key, (default, _) in settings.items()
+                       if default is cli.REQUIRED]
+                for name, (_, _, settings) in COMMANDS.items()} == \
+            {name: list(given) for name, given in COMPLETE.items()}
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("command,key", REQUIRED_CASES)
+    def test_missing_setting_is_named_before_any_file_is_read(
+            self, tmp_path, monkeypatch, command, key, via):
+        """A setting missing from both the flags and the config file stops
+        the command before it reads, makes or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        given = {k: v for k, v in COMPLETE[command].items() if k != key}
+        argv = [command, *_flags(given)]
+        if via == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps(given))
+            argv = [command, "--config", "cfg.json"]
+        with pytest.raises(SystemExit, match=re.escape(
+                f"radsurv {command} needs --{key} or the config key "
+                f"'{key}'")):
+            main(argv)
+        assert os.listdir(tmp_path) == ([] if via == "flags"
+                                        else ["cfg.json"])
+
+    @pytest.mark.parametrize("command,key", REQUIRED_CASES)
+    def test_config_null_for_a_required_setting_is_rejected(
+            self, tmp_path, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
+        given = {k: v for k, v in COMPLETE[command].items() if k != key}
+        with pytest.raises(SystemExit, match=re.escape(
+                f"cfg.json: {key} must be ")):
+            main([command, "--config", "cfg.json", *_flags(given)])
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 class TestPhantomSpec:
     def test_origin_resection_mix_and_thresholds_are_used(self, tmp_path):
         spec = {"masks": [{"name": "m", "shape": "cuboid", "params": [2, 2, 2],
@@ -232,7 +293,7 @@ def _load_phantom_outputs(out):
         if name.endswith("_mask.nii.gz"):
             load_mask(str(out / name))
         elif name.endswith("_vol.nii.gz"):
-            assert np.isfinite(load_nifti(str(out / name)).data).all()
+            assert np.isfinite(load_nifti(str(out / name)).region(...)).all()
         elif name.endswith(".json"):
             read_json(str(out / name), "output")
         else:
@@ -422,6 +483,29 @@ class TestBoundaryChecks:
                   flag, names, "--out", str(out)])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["rfe", "--n-keep", "4", "--step", "50"],
+        ["train", "--predictor", "linear"],
+        ["experiment", "--feature-sets", "image7", "--predictors", "linear"],
+        ["experiment", "--feature-sets", "rfe20", "--predictors", "linear"]],
+        ids=["rfe", "train", "experiment", "experiment-rfe20"])
+    def test_unknown_survival_names_the_subject_and_file(self, cohort_dir,
+                                                         tmp_path, argv):
+        """Every command that fits to survival rejects a blank one through
+        ``Cohort.known_survival``; rfe20 does so before its RFE runs."""
+        meta = cohort_dir / "metadata.csv"
+        lines = meta.read_text().splitlines()
+        row = lines[5].split(",")
+        assert row[0] == "SYN-0004"
+        lines[5] = ",".join([*row[:2], "", *row[3:]])
+        meta.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{meta}: subject 'SYN-0004' has no Survival_days")):
+            main([*argv, "--features", str(cohort_dir / "features.csv"),
+                  "--metadata", str(meta), "--out", str(out)])
+        assert not (out / "resolved_config.json").exists()
+
     @pytest.mark.parametrize("row,message", [
         ("SYN-0001,abc", "subject 'SYN-0001' column 'predicted_days' holds "
                          "a non-numeric value 'abc'"),
@@ -490,15 +574,34 @@ def test_fits_are_written_only_through_prognosis():
     assert persist.read_text(encoding="utf-8").count("save_model(") == 1
 
 
-def _calls_by_function(node, scope="<module>"):
-    """(enclosing function name, called name) of every call under ``node``."""
+def test_resolved_config_is_written_only_by_main():
+    """Every command's resolved_config.json is written by ``cli.main``
+    after the command returns, so no command can skip or misplace it."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    writers = {(path.name, scope)
+               for path in package.rglob("*.py")
+               for scope, node in _nodes_by_function(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant)
+               and node.value == "resolved_config.json"}
+    assert writers == {("cli.py", "main")}
+
+
+def _nodes_by_function(node, scope="<module>"):
+    """(enclosing function name, node) of every node under ``node``."""
     for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _nodes_by_function(child, inner)
+
+
+def _calls_by_function(node):
+    """(enclosing function name, called name) of every call under ``node``."""
+    for scope, child in _nodes_by_function(node):
         if isinstance(child, ast.Call):
             yield scope, getattr(child.func, "id",
                                  getattr(child.func, "attr", None))
-        inner = child.name if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _calls_by_function(child, inner)
 
 
 def test_feature_rows_are_composed_only_by_extract_row():

@@ -123,9 +123,9 @@ class TestScanMaskGeometry:
     ])
     def test_mismatch_rejected_naming_both(self, phantom, field, value):
         vol, mask = phantom
-        moved = make_volume(vol.data, **{"spacing": mask.spacing,
-                                         "origin": mask.origin,
-                                         field: value})
+        moved = make_volume(vol.region(...), **{"spacing": mask.spacing,
+                                                "origin": mask.origin,
+                                                field: value})
         with pytest.raises(GeometryError, match=re.escape(
                 f"scan {field} {value} differs from mask {field} "
                 f"{getattr(mask, field)}")):

@@ -71,7 +71,7 @@ def _case(name):
     phantom, window, fortran = CASES[name]
     mask, vol = _phantom(phantom)
     labels = np.ascontiguousarray(mask.labels[window])
-    data = vol.data[window]
+    data = vol.region(window)
     data = np.asfortranarray(data) if fortran else np.ascontiguousarray(data)
     grid = dict(dims=labels.shape, spacing=mask.spacing, origin=mask.origin)
     return LabelMask(**grid, labels=labels), VoxelVolume(**grid, stored=data)

@@ -42,7 +42,7 @@ class TestLoadNifti:
         path.write_bytes(handcrafted_header() + payload)
         vol = load_nifti(str(path))
         assert vol.dims == (2, 2, 2)
-        assert np.all(vol.data == 1.0)
+        assert np.all(vol.region(...) == 1.0)
 
     def test_scl_slope_intercept_applied(self, tmp_path):
         payload = np.full(8, 3, dtype="<i2").tobytes()
@@ -51,7 +51,7 @@ class TestLoadNifti:
                                             scl_slope=2.0, scl_inter=1.0)
                          + payload)
         vol = load_nifti(str(path))
-        assert np.all(vol.data == 7.0)
+        assert np.all(vol.region(...) == 7.0)
 
     def test_big_endian_header(self, tmp_path):
         payload = np.arange(8, dtype=">i2").tobytes()
@@ -59,7 +59,7 @@ class TestLoadNifti:
         path.write_bytes(handcrafted_header(datatype=4, bitpix=16,
                                             byteorder=">") + payload)
         vol = load_nifti(str(path))
-        assert np.array_equal(np.sort(vol.data.ravel()), np.arange(8))
+        assert np.array_equal(np.sort(vol.region(...).ravel()), np.arange(8))
 
     def test_round_trip_all_datatypes(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -76,7 +76,7 @@ class TestLoadNifti:
                 assert vol.dims == (4, 4, 4)
                 assert vol.spacing == (1.0, 2.0, 0.5)
                 assert vol.origin == (1.0, -2.0, 3.5)
-                assert np.array_equal(vol.data, data.astype(np.float64))
+                assert np.array_equal(vol.region(...), data.astype(np.float64))
 
     def test_gzip_rewrite_byte_identical(self, tmp_path, monkeypatch):
         data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
@@ -98,7 +98,7 @@ class TestLoadNifti:
             data = rng.standard_normal(dims)
             path = tmp_path / f"r{trial}.nii"
             write_nifti(str(path), data)
-            assert np.array_equal(load_nifti(str(path)).data, data)
+            assert np.array_equal(load_nifti(str(path)).region(...), data)
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_write_holds_no_copy_of_the_grid(self, tmp_path, suffix):
@@ -113,7 +113,7 @@ class TestLoadNifti:
         finally:
             tracemalloc.stop()
         assert peak < data.nbytes / 4, f"{peak / 2**20:.1f} MiB traced"
-        assert np.array_equal(load_nifti(str(path)).data, data)
+        assert np.array_equal(load_nifti(str(path)).region(...), data)
 
     @pytest.mark.parametrize("shape,geometry,shown", [
         ((40000, 1, 1), {}, "dims[0]: 40000 is not an integer"),
@@ -202,11 +202,12 @@ class TestRegion:
         if slope:
             expected = (expected * np.float64(np.float32(slope))
                         + np.float64(np.float32(inter)))
+        whole = load_nifti(str(path)).region(...)
         for box in self.BOXES:
             region = load_nifti(str(path)).region(box)
             assert region.dtype == np.float64
-            assert region.tobytes() == load_nifti(str(path)).data[box].tobytes()
-        assert load_nifti(str(path)).data.tobytes() == expected.tobytes()
+            assert region.tobytes() == whole[box].tobytes()
+        assert whole.tobytes() == expected.tobytes()
 
     def test_loaded_scan_of_another_grid_rejected(self, tmp_path):
         path = tmp_path / "scan.nii.gz"
