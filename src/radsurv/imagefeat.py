@@ -20,7 +20,7 @@ mask's labelled voxels. WT is all of them, so its crop is the extent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -58,8 +58,7 @@ class ImageFeatures:
                 f"vol_tc={self.vol_tc}, vol_et={self.vol_et}")
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.vol_wt, self.vol_tc, self.vol_et,
-                         self.surf_wt, self.surf_tc, self.surf_et, self.age])
+        return np.array([getattr(self, f.name) for f in fields(self)])
 
 
 @dataclass

@@ -47,7 +47,9 @@ FEATURE_COLUMNS: dict[str, tuple[str, ...]] = {
     "image7": IMAGE_FEATURE_NAMES,
     "radiomics107": RADIOMICS_FEATURE_NAMES,
     "all": IMAGE_FEATURE_NAMES + MASK_SUMMARY_NAMES + RADIOMICS_FEATURE_NAMES,
-    "shape": MASK_SUMMARY_NAMES + SHAPE_FEATURE_NAMES + ("meta.age",),
+    # the shape set ends with age, the last image feature
+    "shape": (MASK_SUMMARY_NAMES + SHAPE_FEATURE_NAMES
+              + IMAGE_FEATURE_NAMES[-1:]),
 }
 
 
@@ -65,12 +67,10 @@ class RadiomicsConfig:
 class RadiomicsVector:
     """The 107 named feature values plus extraction provenance."""
 
-    names: tuple[str, ...]
     values: np.ndarray
     roi_kind: str
     channel: str
     binning: str
-    aggregation: str = "per-direction features, arithmetic mean over 13 directions"
 
 
 def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
@@ -101,7 +101,6 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
 
     vector = np.array([values[name] for name in RADIOMICS_FEATURE_NAMES])
     return RadiomicsVector(
-        names=RADIOMICS_FEATURE_NAMES,
         values=vector,
         roi_kind=config.roi_kind,
         channel=config.channel,

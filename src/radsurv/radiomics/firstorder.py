@@ -6,6 +6,9 @@ the population convention (divide by N); kurtosis is not excess-corrected.
 Percentiles interpolate linearly between closest ranks. Degenerate
 conventions for a constant ROI: variance 0, skewness 0, kurtosis 0,
 entropy 0, uniformity 1 (no NaN ever leaves this module).
+
+``FIRSTORDER_FEATURE_NAMES`` is the one declaration of the family's column
+names and order; ``first_order_features`` returns its values through it.
 """
 
 from __future__ import annotations
@@ -63,23 +66,9 @@ def first_order_features(vol: VoxelVolume, roi: RoiMask,
     uniformity = float((p ** 2).sum())
 
     energy = float((x ** 2).sum())
-    return {
-        "firstorder.energy": energy,
-        "firstorder.total_energy": energy * roi.voxel_volume_mm3,
-        "firstorder.entropy": entropy,
-        "firstorder.minimum": float(x.min()),
-        "firstorder.percentile_10": p10,
-        "firstorder.percentile_90": p90,
-        "firstorder.maximum": float(x.max()),
-        "firstorder.mean": mean,
-        "firstorder.median": float(np.median(x)),
-        "firstorder.interquartile_range": p75 - p25,
-        "firstorder.range": float(x.max() - x.min()),
-        "firstorder.mean_absolute_deviation": float(np.mean(np.abs(dev))),
-        "firstorder.robust_mean_absolute_deviation": rmad,
-        "firstorder.root_mean_squared": float(np.sqrt(np.mean(x ** 2))),
-        "firstorder.skewness": skewness,
-        "firstorder.kurtosis": kurtosis,
-        "firstorder.variance": m2,
-        "firstorder.uniformity": uniformity,
-    }
+    return dict(zip(FIRSTORDER_FEATURE_NAMES, (
+        energy, energy * roi.voxel_volume_mm3, entropy,
+        float(x.min()), p10, p90, float(x.max()),
+        mean, float(np.median(x)), p75 - p25, float(x.max() - x.min()),
+        float(np.mean(np.abs(dev))), rmad, float(np.sqrt(np.mean(x ** 2))),
+        skewness, kurtosis, m2, uniformity)))

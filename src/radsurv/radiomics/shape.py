@@ -53,34 +53,20 @@ vary slightly across axis permutations: around 0.05% relative on smooth
 digitized shapes and up to about 1% on noise-like masks full of ambiguous
 corners. The ten remaining descriptors are permutation-exact to float
 precision.
+
+``ShapeDescriptors`` is the one declaration of the family's columns: its
+field order is the column order, and ``shape.<field>`` each column's name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..volumeio import RoiMask
 from ..imagefeat import roi_volume, roi_surface_area_facecount
 from ._mc_tables import TRI_TABLE, EDGE_CORNERS, CORNER_OFFSETS
-
-SHAPE_FEATURE_NAMES = (
-    "shape.mesh_volume",
-    "shape.voxel_volume",
-    "shape.surface_area",
-    "shape.surface_volume_ratio",
-    "shape.sphericity",
-    "shape.major_axis_length",
-    "shape.minor_axis_length",
-    "shape.least_axis_length",
-    "shape.elongation",
-    "shape.flatness",
-    "shape.max_2d_diameter_slice",
-    "shape.max_2d_diameter_column",
-    "shape.max_2d_diameter_row",
-    "shape.max_3d_diameter",
-)
 
 TAUBIN_LAMBDA = 0.5
 TAUBIN_MU = -0.53
@@ -118,14 +104,11 @@ class ShapeDescriptors:
     max_3d_diameter: float
 
     def as_vector(self) -> np.ndarray:
-        return np.array([
-            self.mesh_volume, self.voxel_volume, self.surface_area,
-            self.surface_volume_ratio, self.sphericity,
-            self.major_axis_length, self.minor_axis_length,
-            self.least_axis_length, self.elongation, self.flatness,
-            self.max_2d_diameter_slice, self.max_2d_diameter_column,
-            self.max_2d_diameter_row, self.max_3d_diameter,
-        ])
+        return np.array([getattr(self, f.name) for f in fields(self)])
+
+
+SHAPE_FEATURE_NAMES = tuple(f"shape.{f.name}"
+                            for f in fields(ShapeDescriptors))
 
 
 def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

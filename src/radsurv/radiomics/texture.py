@@ -29,6 +29,9 @@ Conventions, fixed across the package and mirrored by the test oracles:
   when both marginal entropies vanish, IMC2 clamped at 0; NGTDM coarseness
   -> 1e6 sentinel when its denominator vanishes, busyness/strength -> 0,
   contrast -> 0 for a single present level.
+
+Each ``*_FEATURE_NAMES`` tuple is the one declaration of its family's column
+names and order; every family returns its values through its tuple.
 """
 
 from __future__ import annotations
@@ -442,51 +445,39 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
 def ngtdm_features(disc: DiscretizedRoi) -> dict[str, float]:
     """Coarseness, contrast, busyness, complexity and strength."""
     n, s, nvp = ngtdm_table(disc)
-    if nvp == 0:
-        # isolated voxels only: no valid neighborhoods anywhere
-        return {
-            "ngtdm.coarseness": COARSENESS_SENTINEL,
-            "ngtdm.contrast": 0.0,
-            "ngtdm.busyness": 0.0,
-            "ngtdm.complexity": 0.0,
-            "ngtdm.strength": 0.0,
-        }
-    ng = n.size
-    levels = np.arange(1, ng + 1, dtype=np.float64)
-    p = n / nvp
-    present = p > 0
-    ngp = int(present.sum())
+    # isolated voxels only (nvp == 0): no valid neighborhoods anywhere
+    coarseness = COARSENESS_SENTINEL
+    contrast = busyness = complexity = strength = 0.0
+    if nvp:
+        ng = n.size
+        levels = np.arange(1, ng + 1, dtype=np.float64)
+        p = n / nvp
+        present = p > 0
+        ngp = int(present.sum())
 
-    ps_dot = float((p * s).sum())
-    coarseness = 1.0 / ps_dot if ps_dot > 0 else COARSENESS_SENTINEL
+        ps_dot = float((p * s).sum())
+        if ps_dot > 0:
+            coarseness = 1.0 / ps_dot
 
-    li = levels[present]
-    pi = p[present]
-    si = s[present]
-    if ngp > 1:
-        diff2 = (li[:, None] - li[None, :]) ** 2
-        contrast = float((pi[:, None] * pi[None, :] * diff2).sum()
-                         / (ngp * (ngp - 1)) * s.sum() / nvp)
-        busy_den = float(np.abs(li[:, None] * pi[:, None]
-                                - li[None, :] * pi[None, :]).sum())
-        busyness = ps_dot / busy_den if busy_den > 0 else 0.0
-        absdiff = np.abs(li[:, None] - li[None, :])
-        pair_num = pi[:, None] * si[:, None] + pi[None, :] * si[None, :]
-        pair_den = pi[:, None] + pi[None, :]
-        complexity = float((absdiff * pair_num / pair_den).sum() / nvp)
-        s_total = float(s.sum())
-        strength = (float((pair_den * diff2).sum()) / s_total
-                    if s_total > 0 else 0.0)
-    else:
-        contrast = 0.0
-        busyness = 0.0
-        complexity = 0.0
-        strength = 0.0
+        li = levels[present]
+        pi = p[present]
+        si = s[present]
+        if ngp > 1:
+            diff2 = (li[:, None] - li[None, :]) ** 2
+            contrast = float((pi[:, None] * pi[None, :] * diff2).sum()
+                             / (ngp * (ngp - 1)) * s.sum() / nvp)
+            busy_den = float(np.abs(li[:, None] * pi[:, None]
+                                    - li[None, :] * pi[None, :]).sum())
+            if busy_den > 0:
+                busyness = ps_dot / busy_den
+            absdiff = np.abs(li[:, None] - li[None, :])
+            pair_num = pi[:, None] * si[:, None] + pi[None, :] * si[None, :]
+            pair_den = pi[:, None] + pi[None, :]
+            complexity = float((absdiff * pair_num / pair_den).sum() / nvp)
+            s_total = float(s.sum())
+            if s_total > 0:
+                strength = float((pair_den * diff2).sum()) / s_total
 
-    return {
-        "ngtdm.coarseness": float(coarseness),
-        "ngtdm.contrast": contrast,
-        "ngtdm.busyness": float(busyness),
-        "ngtdm.complexity": complexity,
-        "ngtdm.strength": float(strength),
-    }
+    return dict(zip(NGTDM_FEATURE_NAMES, (
+        float(coarseness), contrast, float(busyness), complexity,
+        float(strength))))

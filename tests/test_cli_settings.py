@@ -22,6 +22,7 @@ import pytest
 from radsurv import cli
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
+from radsurv.radiomics import FEATURE_COLUMNS
 from radsurv.regressors import load_model, save_model, train_model
 from radsurv.regressors.gridsearch import resolve_grid
 from radsurv.util import read_csv, read_json
@@ -643,3 +644,18 @@ def test_no_module_level_name_is_bound_twice():
                           and isinstance(name.ctx, ast.Store)]
         assert len(set(names)) == len(names), (path.name, sorted(
             {name for name in names if names.count(name) > 1}))
+
+
+def test_each_feature_column_name_is_declared_once():
+    """Every feature column name is typed once in the package, in its
+    family's name tuple or dataclass, so a family's values, CSV headers
+    and model feature lists cannot drift apart."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    columns = set(FEATURE_COLUMNS["all"])
+    typed = [(node.value, path.name)
+             for path in package.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value in columns]
+    names = [name for name, _ in typed]
+    assert sorted({(name, file) for name, file in typed
+                   if names.count(name) > 1}) == []

@@ -51,7 +51,6 @@ class TestExtractRadiomics:
         vec = extract_radiomics(vol, mask, RadiomicsConfig(
             roi_kind="WT", binning=Binning("fixed_bin_count", 16),
             channel="t1ce"))
-        assert vec.names == RADIOMICS_FEATURE_NAMES
         assert vec.values.shape == (107,)
         assert not np.isnan(vec.values).any()
         assert vec.roi_kind == "WT"
@@ -63,7 +62,7 @@ class TestExtractRadiomics:
         vec = extract_radiomics(vol, mask)
         direct = shape_features(derive_roi(mask, "WT")).as_vector()
         assert np.array_equal(vec.values[:14], direct)
-        assert vec.names[:14] == SHAPE_FEATURE_NAMES
+        assert RADIOMICS_FEATURE_NAMES[:14] == SHAPE_FEATURE_NAMES
 
     def test_standalone_families_equal_their_slices(self, phantom):
         """Each texture family called on its own, with its own box and
