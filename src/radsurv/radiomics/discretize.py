@@ -65,13 +65,11 @@ class Binning:
 
 @dataclass
 class DiscretizedRoi:
-    """Gray levels per ROI voxel plus the provenance of the binning."""
+    """Gray levels per ROI voxel."""
 
     level_map: np.ndarray    # int32 map of roi.box, 0 outside ROI, 1..Ng inside
     roi: RoiMask
     n_levels: int
-    binning: Binning
-    value_range: tuple[float, float]
 
     @property
     def levels(self) -> np.ndarray:
@@ -138,6 +136,4 @@ def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedR
         level_map=level_map,
         roi=roi,
         n_levels=int(levels.max()),
-        binning=binning,
-        value_range=(vmin, vmax),
     )

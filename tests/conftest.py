@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radsurv.radiomics import Binning, DiscretizedRoi
+from radsurv.radiomics import DiscretizedRoi
 from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume
 
 
@@ -16,10 +16,8 @@ def make_disc(level_map, spacing=(1.0, 1.0, 1.0)):
     """DiscretizedRoi straight from an integer level map (0 = outside)."""
     level_map = np.asarray(level_map, dtype=np.int32)
     roi = make_roi(level_map > 0, spacing=spacing)
-    ng = int(level_map.max())
-    return DiscretizedRoi(level_map=level_map, roi=roi, n_levels=ng,
-                          binning=Binning("fixed_bin_count", max(ng, 2)),
-                          value_range=(1.0, float(max(ng, 1))))
+    return DiscretizedRoi(level_map=level_map, roi=roi,
+                          n_levels=int(level_map.max()))
 
 
 def random_disc(rng, max_shape=(8, 8, 8), ng=8, density=0.6):
