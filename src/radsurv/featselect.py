@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .regressors import family, model_kind, train_model
-from .util import write_csv
+from .util import numbers, write_csv
 
 
 class ImportanceError(ValueError):
@@ -71,7 +71,8 @@ def importance(model) -> np.ndarray:
 def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
         estimator: EstimatorSpec, n_keep: int, step: int = 1,
         seed: int = 0) -> FeatureRanking:
-    """Recursive feature elimination down to exactly ``n_keep`` features."""
+    """Recursive feature elimination down to exactly ``n_keep`` features;
+    a ValueError names the first row of ``y`` that is not a finite number."""
     p = len(feature_names)
     if X.shape[1] != p:
         raise ValueError("feature_names length does not match X columns")
@@ -80,6 +81,7 @@ def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     _scorer(estimator.kind)   # rejects unknown kinds and the MLP up front
+    numbers(y, "targets", shape=(None,))
 
     remaining = list(feature_names)
     col_index = {name: i for i, name in enumerate(feature_names)}

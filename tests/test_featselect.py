@@ -59,6 +59,17 @@ class TestRfe:
     def _names(self, p):
         return [f"f{i:02d}" for i in range(p)]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_is_named_by_row_before_any_fit(self, bad):
+        """It used to fail inside the first fit, naming no row."""
+        rng = np.random.default_rng(2)
+        y = rng.random(12)
+        y[4] = bad
+        with pytest.raises(ValueError,
+                           match=rf"^targets\[4\]: {bad} is not a finite"):
+            rfe(rng.random((12, 3)), y, self._names(3),
+                EstimatorSpec("linear"), n_keep=2)
+
     def test_identity_when_keeping_everything(self):
         rng = np.random.default_rng(3)
         x = rng.random((30, 5))
