@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,8 +36,8 @@ from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
                         evaluate, fit, run_experiment_matrix, save_fit)
 from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
-from .util import (POSITIVE, fields, numbers, of_type, one_of, parse_cell,
-                   read_csv, read_json, write_csv, write_json)
+from .util import (POSITIVE, fields, finite, numbers, of_type, one_of,
+                   parse_cell, read_csv, read_json, write_csv, write_json)
 from .volumeio import (NIFTI_MAX_DIM, NIFTI_MAX_FLOAT, NIFTI_MIN_SPACING,
                        SubjectRecord, load_mask, load_nifti,
                        read_metadata_csv, write_nifti)
@@ -92,14 +93,15 @@ def _setting(default, flag: dict | None):
     ``choices``, an object where the default or ``type`` is one, else a
     string; null only where the default is null. It returns the value."""
     flag = flag or {}
-    if flag.get("type") in (int, float):
+    if flag.get("type") in (int, _finite):
         check = _numbers_as(lambda value: value, shape=(),
                             kinds="i" if flag["type"] is int else "if")
     elif "choices" in flag:
         check = one_of(flag["choices"])
     else:
-        check = of_type(dict if isinstance(default, dict)
-                        or flag.get("type") is _json_object else str)
+        kind = of_type(dict if isinstance(default, dict)
+                       or flag.get("type") is _json_object else str)
+        check = lambda value, where: finite(kind(value, where), where)
     return lambda value, where: (value if value is None and default is None
                                  else check(value, where))
 
@@ -113,6 +115,21 @@ def _json_object(text: str) -> dict:
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError(
             f"must be a JSON object, not {type(value).__name__}")
+    try:
+        return finite(value, "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _finite(text: str) -> float:
+    """argparse type of a flag that takes a number, finite as in a config
+    file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
 
@@ -385,7 +402,7 @@ def cmd_phantom(resolved: dict) -> int:
 
 _OUT_DIR = {"help": "output directory"}
 _INT = {"type": int}
-_FLOAT = {"type": float}
+_FLOAT = {"type": _finite}
 _GRID = {"help": "JSON file with a list of parameter dicts, or 'default'"}
 _EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
 

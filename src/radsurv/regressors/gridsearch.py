@@ -2,8 +2,9 @@
 
 Fold assignment is a seeded permutation split into k nearly equal parts.
 Every grid combination is scored by the mean validation MSE over the folds
-(population standard deviation reported alongside); the winner is the first
-combination attaining the minimal mean, and it is retrained on all data.
+(population standard deviation reported alongside); a combination that fails
+to train scores None for both. The winner is the first combination attaining
+the minimal mean among those that trained, and it is retrained on all data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_rng
-from ..util import read_json
+from ..util import finite, read_json
 
 # Stock grids over the hyperparameters each family tunes. These are
 # configuration defaults, deliberately small enough for desk-scale runs;
@@ -49,14 +50,14 @@ def resolve_grid(spec, kind: str):
     if not grid or not all(isinstance(combo, dict) for combo in grid):
         raise ValueError(f"{spec}: grid file must hold a non-empty array of "
                          "JSON objects")
-    return grid
+    return finite(grid, f"{spec}: ")
 
 
 @dataclass
 class GridSearchReport:
     grid: list[dict]
-    mean_mse: list[float]
-    std_mse: list[float]
+    mean_mse: list[float | None]    # None where training failed
+    std_mse: list[float | None]
     best_index: int
     k: int
     seed: int
@@ -102,20 +103,18 @@ def grid_search_cv(kind: str, X: np.ndarray, y: np.ndarray, grid: list[dict],
             err = predict(model, X[fold]) - y[fold]
             fold_mse.append(float(np.mean(err ** 2)))
         if failure is not None:
-            means.append(np.inf)
-            stds.append(np.inf)
+            means.append(None)
+            stds.append(None)
             errors.append(failure)
         else:
             means.append(float(np.mean(fold_mse)))
             stds.append(float(np.std(fold_mse)))
             errors.append(None)
 
-    if all(e is not None for e in errors):
+    succeeded = [i for i, e in enumerate(errors) if e is None]
+    if not succeeded:
         raise RuntimeError(f"every grid combination failed; last: {errors[-1]}")
-    best = 0
-    for i in range(1, len(grid)):
-        if means[i] < means[best]:
-            best = i
+    best = min(succeeded, key=means.__getitem__)   # the first minimal mean
     report = GridSearchReport(grid=[dict(g) for g in grid], mean_mse=means,
                               std_mse=stds, best_index=best, k=k, seed=seed,
                               errors=errors)

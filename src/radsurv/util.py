@@ -58,13 +58,16 @@ class UnencodableValueError(TypeError):
         self.path = path
 
 
-def _fault(doc) -> Optional[Exception]:
-    """The error naming the key path of a non-string key, value json cannot
-    write or container holding itself in ``doc``, found with an explicit
-    stack of (value, key path, ids of the enclosing containers)."""
-    stack = [(doc, "", frozenset())]
+def _fault(doc, path: str = "") -> Optional[Exception]:
+    """The error naming the key path, from ``path``, of a non-string key,
+    number that is not finite, value json cannot write or container holding
+    itself in ``doc``, found with an explicit stack of (value, key path, ids
+    of the enclosing containers)."""
+    stack = [(doc, path, frozenset())]
     while stack:
         value, path, enclosing = stack.pop()
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         if isinstance(value, dict):
             bad = [key for key in value if not isinstance(key, str)]
             if bad:
@@ -74,8 +77,10 @@ def _fault(doc) -> Optional[Exception]:
         elif isinstance(value, (list, tuple)):
             children = [(f"{path}[{i}]", child)
                         for i, child in enumerate(value)]
-        elif value is None or isinstance(value, (str, int, float,
-                                                 np.ndarray)):
+        elif isinstance(value, float) and not math.isfinite(value):
+            return ValueError(f"{path or 'the document'}: {value} is not a "
+                              "finite number")
+        elif value is None or isinstance(value, (str, int, float)):
             continue
         else:
             return UnencodableValueError(path, value)
@@ -86,14 +91,25 @@ def _fault(doc) -> Optional[Exception]:
     return None
 
 
+def finite(doc, where: str, *unused):
+    """The decoder ``(value, key path, *unused)`` of a JSON value whose
+    numbers are all finite, as given; a ValueError names the key path of
+    the first number that is not."""
+    fault = _fault(doc, where)
+    if fault is not None:
+        raise fault
+    return doc
+
+
 def write_json(path: str, doc) -> None:
     """Write ``doc`` to ``path`` as ``json.dumps(doc, sort_keys=True,
     indent=1)`` (arrays as lists) and a newline, replacing the file in one
     step once all is encoded, so a failed write changes no file. A value or
     key json cannot write raises UnencodableValueError naming its key path;
-    a container that holds itself raises ValueError."""
+    a number that is not finite, or a container that holds itself, raises
+    ValueError."""
     try:
-        text = json.dumps(doc, sort_keys=True, indent=1,
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
                           default=np.ndarray.tolist) + "\n"
     except (TypeError, ValueError) as exc:
         raise _fault(doc) or exc from None

@@ -340,7 +340,9 @@ FUZZ_COUNTS = [None, True, -1, 0, 1, 2, 2.5, "1", float("inf"), 10**400,
 class TestJsonInputs:
     @pytest.mark.parametrize("command", ["train", "experiment"])
     @pytest.mark.parametrize("params,why", [
-        ("{bad", "not valid JSON"), ("[1]", "must be a JSON object, not list")])
+        ("{bad", "not valid JSON"), ("[1]", "must be a JSON object, not list"),
+        ('{"lam": NaN}', "lam: nan is not a finite number"),
+        ('{"w": [1, -Infinity]}', "w[1]: -inf is not a finite number")])
     def test_bad_params_flag_is_a_usage_error(self, tmp_path, capsys,
                                               command, params, why):
         with pytest.raises(SystemExit) as exit_info:
@@ -348,6 +350,24 @@ class TestJsonInputs:
                   "--params", params, "--out", str(tmp_path / "o")])
         assert exit_info.value.code == 2
         assert f"argument --params: {why}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("extract", "--bin-width"), ("evaluate", "--t-lo"),
+        ("evaluate", "--t-hi"), ("experiment", "--t-lo"),
+        ("experiment", "--t-hi")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_float_flag_must_be_finite(self, tmp_path, monkeypatch, capsys,
+                                       command, flag, value):
+        """As in a config file. Such values used to run: ``evaluate --t-lo
+        nan`` to an accuracy of 1, ``extract --bin-width inf`` to a single
+        gray level."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *_flags(COMPLETE[command]), f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert (f"argument {flag}: '{value}' is not a finite number"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command,key", [
         ("train", "params"), ("experiment", "params"),
@@ -395,8 +415,11 @@ class TestJsonInputs:
         (NESTED, "nested too deeply to read"),
         ("[]", "grid file must hold a non-empty array of JSON objects"),
         ('[{"n_trees": 3}, "n_trees"]',
-         "grid file must hold a non-empty array of JSON objects")],
-        ids=["invalid", "object", "nested", "empty", "not-objects"])
+         "grid file must hold a non-empty array of JSON objects"),
+        ('[{"n_trees": 3}, {"max_depth": NaN}]',
+         "[1].max_depth: nan is not a finite number")],
+        ids=["invalid", "object", "nested", "empty", "not-objects",
+             "non-finite"])
     def test_bad_grid_file_names_the_file(self, tmp_path, text, message):
         grid = tmp_path / "grid.json"
         grid.write_text(text)
@@ -408,7 +431,8 @@ class TestJsonInputs:
         ("rfe", "seed", '"abc"'), ("rfe", "step", "[1]"),
         ("rfe", "estimator", '"mlp"'), ("rfe", "features", "1"),
         ("evaluate", "eval_filter", '"x"'), ("evaluate", "t_lo", "true"),
-        ("extract", "roi", "null")])
+        ("extract", "roi", "null"), ("rfe", "estimator_params", '{"a": NaN}'),
+        ("train", "params", '{"w": [1, Infinity]}')])
     def test_config_value_is_checked_as_its_flag(self, tmp_path, command,
                                                  key, value):
         """Such values used to run (a seed of true as 1, 120.7 features

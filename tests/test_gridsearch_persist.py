@@ -61,7 +61,7 @@ class TestGridSearch:
         grid = [{"penalty": "none"}, {"penalty": "l2", "lam": 1.0}]
         model, report = grid_search_cv("linear", x, y, grid, k=3, seed=0)
         assert report.best_index == 1
-        assert report.mean_mse[0] == np.inf
+        assert report.mean_mse[0] is None and report.std_mse[0] is None
         assert report.errors[0] is not None
         assert report.errors[1] is None
 

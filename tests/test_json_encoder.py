@@ -40,9 +40,21 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
 
 
 def _reference(doc) -> str:
-    """The package's former writer: json.dumps with arrays as lists."""
-    return json.dumps(doc, sort_keys=True, indent=1,
+    """json.dumps with arrays as lists and no NaN or infinity."""
+    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
                       default=lambda value: value.tolist())
+
+
+def assert_written_as_reference(doc):
+    """write_json writes ``_reference(doc)``, or, where that rejects a
+    number that is not finite, raises a ValueError naming it."""
+    try:
+        expected = _reference(doc)
+    except ValueError:
+        with pytest.raises(ValueError, match=r"is not a finite number$"):
+            encode_json(doc)
+    else:
+        assert encode_json(doc) == expected
 
 
 def _random_text(rng) -> str:
@@ -88,9 +100,8 @@ def _random_document(rng, depth=0):
 def test_random_documents_match_json_dumps(seed):
     rng = np.random.default_rng(seed)
     doc = _random_document(rng)
-    assert encode_json(doc) == _reference(doc)
-    assert encode_json({"top": doc, "": [doc, {}]}) == \
-        _reference({"top": doc, "": [doc, {}]})
+    assert_written_as_reference(doc)
+    assert_written_as_reference({"top": doc, "": [doc, {}]})
 
 
 @pytest.mark.parametrize("doc", [
@@ -102,8 +113,22 @@ def test_random_documents_match_json_dumps(seed):
     np.arange(4), np.array([True, False]),
 ], ids=repr)
 def test_edge_documents_match_json_dumps(doc):
-    assert encode_json(doc) == _reference(doc)
-    assert encode_json([doc]) == _reference([doc])
+    assert_written_as_reference(doc)
+    assert_written_as_reference([doc])
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"a": [1, {"b": np.array([[1.0, 2.0], [np.nan, 0.0]])}]},
+     r"^a\[1\]\.b\[1\]\[0\]: nan"),
+    ({"x": {"y": -np.inf}}, r"^x\.y: -inf"), ([0.5, np.inf], r"^\[1\]: inf"),
+    (np.float64("nan"), r"^the document: nan")], ids=repr)
+def test_non_finite_number_names_its_path_and_writes_nothing(tmp_path, doc,
+                                                              where):
+    """A strict JSON reader rejects NaN and infinity, which json.dumps
+    writes by default."""
+    with pytest.raises(ValueError, match=where + " is not a finite number"):
+        write_json(str(tmp_path / "doc.json"), doc)
+    assert os.listdir(tmp_path) == []
 
 
 def test_tree_nodes_save_as_level_order_arrays(tmp_path):
