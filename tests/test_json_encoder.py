@@ -258,7 +258,8 @@ GRIDS = {
 }
 
 # sha256 of the files: gbr and rfr model.json as first written with trees
-# as node arrays, the others as json.dump wrote them
+# as node arrays, linear/grid_report.json as first written with null for
+# the failed combination's mean and std, the others as json.dump wrote them
 DIGESTS = {
     "cohort/cohort_report.json":
         "a47afe55f5b38c1b71bf6316851b3f79ed8238f6048dac6a770dfadff0e904c9",
@@ -267,7 +268,7 @@ DIGESTS = {
     "gbr/model.json":
         "7d3363831e0f70084a9ee46b1b87122dc9f4edcef9ecc662f377b3879a8cfe27",
     "linear/grid_report.json":
-        "a4db86caa5ac514287466c2e5696113ba91be2a969408e045fa2983174c7fce3",
+        "38954764a5c2252d110f50b622eca7d31850ab5ff331d181709c878b3d3b3ce0",
     "linear/model.json":
         "1a274241e1053e647c591d9656e52b395e62d2a6dc00833a4053c4ea1dfc96a2",
     "mlp/grid_report.json":
