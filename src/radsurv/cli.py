@@ -89,9 +89,10 @@ def _merge_config(command: str, settings: dict,
 
 def _setting(default, flag: dict | None):
     """The decoder of a setting's config-file value, by its flag: an
-    integer for ``type=int``, a number for ``type=float``, one of the
-    ``choices``, an object where the default or ``type`` is one, else a
-    string; null only where the default is null. It returns the value."""
+    integer for ``type=int``, a number for ``type=_finite``, one of the
+    ``choices``, an object whose numbers are finite where the default or
+    ``type`` is one, else a string; null only where the default is null.
+    It returns the value."""
     flag = flag or {}
     if flag.get("type") in (int, _finite):
         check = _numbers_as(lambda value: value, shape=(),
@@ -99,15 +100,16 @@ def _setting(default, flag: dict | None):
     elif "choices" in flag:
         check = one_of(flag["choices"])
     else:
-        kind = of_type(dict if isinstance(default, dict)
-                       or flag.get("type") is _json_object else str)
-        check = lambda value, where: finite(kind(value, where), where)
+        is_kind = of_type(dict if isinstance(default, dict)
+                          or flag.get("type") is _json_object else str)
+        check = lambda value, where: finite(is_kind(value, where), where)
     return lambda value, where: (value if value is None and default is None
                                  else check(value, where))
 
 
 def _json_object(text: str) -> dict:
-    """argparse type of a flag that takes a JSON object."""
+    """argparse type of a flag that takes a JSON object whose numbers are
+    finite."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -91,10 +91,9 @@ def _fault(doc, path: str = "") -> Optional[Exception]:
     return None
 
 
-def finite(doc, where: str, *unused):
-    """The decoder ``(value, key path, *unused)`` of a JSON value whose
-    numbers are all finite, as given; a ValueError names the key path of
-    the first number that is not."""
+def finite(doc, where: str):
+    """``doc``, a JSON value at key path ``where`` whose numbers are all
+    finite; a ValueError names the key path of the first that is not."""
     fault = _fault(doc, where)
     if fault is not None:
         raise fault
