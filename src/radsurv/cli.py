@@ -33,13 +33,16 @@ from .featselect import EstimatorSpec, rfe
 from .phantoms import (PHANTOM_SHAPES, CohortSpec, PhantomSpec, gen_cohort,
                        gen_mask)
 from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
-                        evaluate, fit, run_experiment_matrix, save_fit)
+                        check_thresholds, evaluate, fit, run_experiment_matrix,
+                        save_fit)
+from .radiomics import (EXTRACT_MODES, FEATURE_COLUMNS, Binning,
+                        RadiomicsConfig, extract_row)
 from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
 from .util import (POSITIVE, fields, finite, numbers, of_type, one_of,
                    parse_cell, read_csv, read_json, write_csv, write_json)
 from .volumeio import (NIFTI_MAX_DIM, NIFTI_MAX_FLOAT, NIFTI_MIN_SPACING,
-                       SubjectRecord, load_mask, load_nifti,
+                       ROI_KINDS, SubjectRecord, load_mask, load_nifti,
                        read_metadata_csv, write_nifti)
 
 log = logging.getLogger("radsurv")
@@ -136,8 +139,6 @@ def _finite(text: str) -> float:
 
 
 def _binning_from(resolved: dict):
-    from .radiomics import Binning
-
     if resolved.get("bin_width") is not None:
         return Binning("fixed_bin_width", float(resolved["bin_width"]))
     return Binning("fixed_bin_count", int(resolved["bins"]))
@@ -148,8 +149,6 @@ def _binning_from(resolved: dict):
 
 def _extract_one(subject_id: str, scan_path: str, mask_path: str,
                  age: float, resolved: dict):
-    from .radiomics import RadiomicsConfig, extract_row
-
     mode = resolved["features"]
     mask = load_mask(mask_path)
     record = SubjectRecord(subject_id=subject_id, age=age)
@@ -190,8 +189,6 @@ def cmd_extract(resolved: dict) -> int:
                 log.error("subject %s failed: %s", sid, exc)
 
     if results:
-        from .radiomics import FEATURE_COLUMNS
-
         write_csv(resolved["out"],
                   ["subject_id", *FEATURE_COLUMNS[resolved["features"]]],
                   results)
@@ -357,7 +354,10 @@ _COHORT_KEYS = {
     "n_distractors": _COUNT,
     "class_mix": lambda value, where: None if value is None
     else _TRIPLE(value, where),
-    "resection_mix": _TRIPLE, "thresholds": _numbers_as(tuple, shape=(2,))}
+    "resection_mix": _TRIPLE,
+    "thresholds": lambda value, where: check_thresholds(
+        _numbers_as(tuple, shape=(2,))(value, where),
+        (f"{where}[0]", f"{where}[1]"))}
 _MASK = _entry(_MASK_KEYS, "shape", "center")
 _SPEC = _entry({
     "seed": _COUNT, "cohort": _entry(_COHORT_KEYS, "n_subjects", "seed"),
@@ -413,9 +413,8 @@ COMMANDS = {
         "subjects": (REQUIRED, {"help": "manifest CSV: ID,mask[,scan]"}),
         "metadata": (REQUIRED, {"help": "metadata CSV (ID,Age,...)"}),
         "out": (REQUIRED, {"help": "output features CSV"}),
-        "features": ("all", {"choices": ["all", "image7", "radiomics107"]}),
-        "roi": ("WT", {"choices": ["WT", "TC", "ET", "LABEL1", "LABEL2",
-                                   "LABEL4"]}),
+        "features": ("all", {"choices": EXTRACT_MODES}),
+        "roi": ("WT", {"choices": ROI_KINDS}),
         "bins": (32, {"type": int, "help": "fixed bin count (default 32)"}),
         "bin_width": (None, _FLOAT),
         "channel": ("unspecified",
@@ -485,6 +484,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, _, settings = COMMANDS[args.command]
     resolved = _merge_config(args.command, settings, args)
+    if "t_lo" in resolved:   # before any input is read
+        _or_exit("", check_thresholds, (resolved["t_lo"], resolved["t_hi"]))
     status = func(resolved)
     out = resolved["out"]
     if settings["out"][1] is not _OUT_DIR:

@@ -37,6 +37,7 @@ import numpy as np
 from .rng import make_rng
 from .volumeio import LabelMask, SubjectRecord, VoxelVolume
 from .cohort import Cohort
+from .prognosis import DEFAULT_THRESHOLDS, check_thresholds
 
 # each shape with the number of params it takes
 PHANTOM_SHAPES = {"sphere": 1, "ellipsoid": 3, "cuboid": 3, "single_voxel": 0}
@@ -83,7 +84,7 @@ class CohortSpec:
     class_mix: Optional[tuple[float, float, float]] = None
     n_distractors: int = 0
     resection_mix: tuple[float, float, float] = DEFAULT_RESECTION_MIX
-    thresholds: tuple[float, float] = (304.375, 456.5625)
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
 
 
 def _inside(shape: str, params, center, axes) -> np.ndarray:
@@ -211,13 +212,13 @@ def gen_cohort(spec: CohortSpec):
     """
     if spec.n_subjects < 1:
         raise PhantomError("n_subjects must be >= 1")
-    if spec.class_mix is not None:
-        mix = tuple(float(p) for p in spec.class_mix)
-        if len(mix) != 3 or any(p < 0 for p in mix) or \
-                abs(sum(mix) - 1.0) > 1e-9:
-            raise PhantomError(f"class_mix must be 3 proportions summing to 1, got {mix}")
-    if abs(sum(spec.resection_mix) - 1.0) > 1e-9:
-        raise PhantomError("resection_mix must sum to 1")
+    for name in ("class_mix", "resection_mix"):
+        mix = getattr(spec, name)
+        if mix is not None and (len(mix) != 3 or min(mix) < 0
+                                or abs(sum(mix) - 1.0) > 1e-9):
+            raise PhantomError(f"{name} must be 3 proportions summing to 1, "
+                               f"got {tuple(float(p) for p in mix)}")
+    check_thresholds(spec.thresholds)
 
     from .radiomics import FEATURE_COLUMNS, RadiomicsConfig, extract_row
 
@@ -254,7 +255,7 @@ def gen_cohort(spec: CohortSpec):
     scale, offset = 1.0, 0.0
     if spec.class_mix is not None:
         t_lo, t_hi = spec.thresholds
-        p_short, p_mid, _ = mix
+        p_short, p_mid, _ = spec.class_mix
         q1 = float(np.quantile(raw, p_short))
         q2 = float(np.quantile(raw, p_short + p_mid))
         if q2 <= q1:

@@ -4,7 +4,7 @@ Survival classes use 1 month = 30.4375 days (Julian year / 12), so the
 default thresholds are t_lo = 304.375 and t_hi = 456.5625 days: short below
 t_lo, long above t_hi, intermediate in between with both boundaries
 inclusive. The convention is configurable and recorded in every metrics
-file.
+file; t_lo above t_hi, which leaves no day intermediate, is rejected.
 
 Metrics over paired (predicted, true) day vectors: class accuracy, mean
 squared error, median squared error (mean of the two central values for
@@ -90,6 +90,17 @@ class ExperimentPlan:
         if self.eval_filter not in EVAL_STATUSES:
             raise ValueError(
                 f"eval_filter must be one of {tuple(EVAL_STATUSES)}")
+        check_thresholds(self.thresholds)
+
+
+def check_thresholds(thresholds, names=("t_lo", "t_hi")):
+    """``thresholds`` as given, or a ValueError naming both settings when
+    t_lo is above t_hi, which leaves no survival intermediate."""
+    (t_lo, t_hi), (lo, hi) = thresholds, names
+    if t_lo > t_hi:
+        raise ValueError(f"{lo} {t_lo} is above {hi} {t_hi}, which leaves "
+                         "no survival intermediate")
+    return thresholds
 
 
 def bin_survival(days: float, thresholds=DEFAULT_THRESHOLDS) -> str:

@@ -31,7 +31,7 @@ from .texture import (GLCM_FEATURE_NAMES, GLRLM_FEATURE_NAMES,
 from .manifest import MANIFEST_VERSION, RADIOMICS_FEATURE_NAMES, manifest_text
 
 __all__ = [
-    "Binning", "DiscretizedRoi", "FEATURE_COLUMNS", "RadiomicsConfig",
+    "Binning", "DiscretizedRoi", "EXTRACT_MODES", "FEATURE_COLUMNS", "RadiomicsConfig",
     "RadiomicsVector", "ShapeDescriptors", "discretize", "extract_radiomics",
     "extract_row",
     "first_order_features", "shape_features",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_BINNING = Binning("fixed_bin_count", 32)
+EXTRACT_MODES = ("all", "image7", "radiomics107")
 
 # the columns of each extract mode and of the shape experiment set
 FEATURE_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -114,7 +115,7 @@ def extract_row(mask: LabelMask, record: SubjectRecord,
                 mode: str = "all") -> np.ndarray:
     """A subject's values for the ``FEATURE_COLUMNS[mode]`` columns of an
     extract mode; ``vol`` is read only by modes with radiomics columns."""
-    if mode not in ("image7", "radiomics107", "all"):
+    if mode not in EXTRACT_MODES:
         raise ValueError(f"unknown extract mode {mode!r}")
     parts = []
     if mode != "radiomics107":

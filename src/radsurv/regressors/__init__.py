@@ -1,5 +1,9 @@
 """The four predictor families plus grid search and model persistence.
 
+``FAMILIES`` is the one per-family table. An entry holds the model class
+(a ``Model``), the trainer, the predictor, the decoders of the persisted
+parameters, the feature importance and the stock grid of the family.
+
 Missing feature values (NaN, e.g. an absent necrosis centroid) are imputed
 at training time with the per-feature training median; the imputation
 vector is stored on every model and re-applied at prediction, so trained
@@ -9,22 +13,14 @@ models never see NaN. A column that is entirely missing imputes to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .linear import LinearModel, SingularSystemError, train_linear, predict_linear
-from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
-                   tree_feature_gains)
-from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
-from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
-from .gridsearch import GridSearchReport, grid_search_cv
-from .persist import (save_model, load_model, as_arrays, as_counts,
-                      as_forest, as_real, as_scales, as_trees, as_vector)
 from ..util import of_type
 
 __all__ = [
-    "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
+    "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
     "SingularSystemError", "MlpDivergenceError", "GridSearchReport",
     "train_linear", "train_forest", "train_gbr", "train_mlp", "train_model",
     "predict", "staged_predict", "grid_search_cv", "save_model", "load_model",
@@ -32,7 +28,18 @@ __all__ = [
     "model_kind",
 ]
 
-AnyModel = Union[LinearModel, ForestModel, BoostModel, MlpModel]
+
+@dataclass
+class Model:
+    """What every family's model holds besides its learned parameters."""
+
+    params: dict                # the hyperparameters it was trained with
+    feature_names: list[str]    # training column order
+    imputation: np.ndarray      # per-feature training median
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
 
 
 def prepare_training(X: np.ndarray, y: np.ndarray,
@@ -73,6 +80,25 @@ def impute(X: np.ndarray, imputation: np.ndarray) -> np.ndarray:
     return X
 
 
+def standardize(X: np.ndarray):
+    """Column means, scales (1 for a constant column) and standardized X."""
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0] = 1.0
+    return mean, scale, (X - mean) / scale
+
+
+# each family's module imports the definitions above
+from .linear import LinearModel, SingularSystemError, train_linear, predict_linear
+from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
+                   tree_feature_gains)
+from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
+from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
+from .gridsearch import GridSearchReport, grid_search_cv
+from .persist import (save_model, load_model, as_arrays, as_counts,
+                      as_forest, as_real, as_scales, as_trees, as_vector)
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one predictor family.
@@ -82,22 +108,15 @@ class Family:
     checks it and rebuilds it, raising a ValueError that names the path.
     ``importance`` returns unnormalized non-negative per-feature scores; it
     is None for a family with no defined importance, which RFE rejects.
+    ``grid`` is the small desk-scale grid that ``--grid default`` searches.
     """
 
-    model_class: type
+    model_class: type   # a Model subclass
     train: Callable     # (X, y, params, seed, feature_names) -> model
     predict: Callable   # (model, imputed X) -> predicted days
     fields: dict[str, Callable]
     importance: Optional[Callable]
-
-
-def _train_linear(X, y, params, seed, feature_names):
-    return train_linear(X, y,
-                        penalty=params.get("penalty", "none"),
-                        lam=float(params.get("lam", 0.0)),
-                        max_iter=int(params.get("max_iter", 10000)),
-                        tol=float(params.get("tol", 1e-8)),
-                        feature_names=feature_names)
+    grid: list[dict]
 
 
 def _standardized_coefficients(model: LinearModel) -> np.ndarray:
@@ -114,27 +133,40 @@ def _split_gains(model) -> np.ndarray:
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
-        LinearModel, _train_linear, predict_linear,
+        LinearModel, train_linear, predict_linear,
         {"coefficients": as_vector, "intercept": as_real, "lam": as_real,
          "penalty": of_type(str), "x_mean": as_vector,
          "x_scale": as_scales},
-        _standardized_coefficients),
+        _standardized_coefficients,
+        [{"penalty": "none"}]
+        + [{"penalty": p, "lam": lam, "max_iter": 10000}
+           for p in ("l1", "l2") for lam in (0.01, 0.1, 1.0, 10.0)]),
     "rfr": Family(
         ForestModel, train_forest, predict_forest,
         {"trees": as_forest, "bootstrap": of_type(bool),
          "max_features_rule": of_type(str)},
-        _split_gains),
+        _split_gains,
+        [{"n_trees": n, "max_depth": d}
+         for n in (25, 50, 100) for d in (4, 8, None)]),
     "gbr": Family(
         BoostModel, train_gbr, predict_gbr,
         {"init_value": as_real, "learning_rate": as_real, "trees": as_trees,
          "subsample": as_real},
-        _split_gains),
+        _split_gains,
+        [{"n_estimators": n, "max_depth": d, "min_split": s,
+          "learning_rate": lr}
+         for n in (50, 100) for d in (2, 3) for s in (2, 8)
+         for lr in (0.05, 0.1)]),
     "mlp": Family(
         MlpModel, train_mlp, predict_mlp,
         {"widths": as_counts, "weights": as_arrays, "biases": as_arrays,
          "x_mean": as_vector, "x_scale": as_scales, "y_mean": as_real,
          "y_scale": as_real},
-        None),
+        None,
+        [{"epochs": e, "lr": lr, "widths": w, "optimizer": opt}
+         for e in (100, 300) for lr in (1e-3, 3e-3)
+         for w in ((32, 24, 16, 12, 8), (64, 48, 32, 16, 8))
+         for opt in ("adam", "sgd")]),
 }
 
 PREDICTOR_KINDS = tuple(FAMILIES)
@@ -148,7 +180,7 @@ def family(kind: str) -> Family:
     return FAMILIES[kind]
 
 
-def model_kind(model: AnyModel) -> str:
+def model_kind(model: Model) -> str:
     for kind, fam in FAMILIES.items():
         if type(model) is fam.model_class:
             return kind
@@ -156,12 +188,12 @@ def model_kind(model: AnyModel) -> str:
 
 
 def train_model(kind: str, X: np.ndarray, y: np.ndarray, params: dict,
-                seed: int, feature_names: Optional[list[str]] = None) -> AnyModel:
+                seed: int, feature_names: Optional[list[str]] = None) -> Model:
     """Uniform training entry point over the four predictor kinds."""
     return family(kind).train(X, y, params, seed, feature_names)
 
 
-def predict(model: AnyModel, X: np.ndarray) -> np.ndarray:
+def predict(model: Model, X: np.ndarray) -> np.ndarray:
     """Predict survival days; feature order must match training order."""
     predictor = FAMILIES[model_kind(model)].predict
     X = np.asarray(X, dtype=np.float64)

@@ -16,23 +16,17 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
+from . import Model, prepare_training
 from .tree import TreeGrower, predict_tree
 
 
 @dataclass
-class BoostModel:
+class BoostModel(Model):
     init_value: float
     learning_rate: float
     trees: list                       # TreeNode roots in stage order
     subsample: float
     seed: int
-    params: dict
-    feature_names: list[str]
-    imputation: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
@@ -43,8 +37,6 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     (default 2), learning_rate in (0, 1] (default 0.1), subsample in (0, 1]
     (default 1.0).
     """
-    from . import prepare_training
-
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n = X.shape[0]
     if n < 2:

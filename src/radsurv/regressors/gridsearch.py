@@ -16,25 +16,6 @@ import numpy as np
 from ..rng import make_rng
 from ..util import finite, read_json
 
-# Stock grids over the hyperparameters each family tunes. These are
-# configuration defaults, deliberately small enough for desk-scale runs;
-# pass an explicit grid for anything serious.
-DEFAULT_GRIDS: dict[str, list[dict]] = {
-    "rfr": [{"n_trees": n, "max_depth": d}
-            for n in (25, 50, 100) for d in (4, 8, None)],
-    "gbr": [{"n_estimators": n, "max_depth": d, "min_split": s,
-             "learning_rate": lr}
-            for n in (50, 100) for d in (2, 3) for s in (2, 8)
-            for lr in (0.05, 0.1)],
-    "linear": [{"penalty": "none"}]
-    + [{"penalty": p, "lam": lam, "max_iter": 10000}
-       for p in ("l1", "l2") for lam in (0.01, 0.1, 1.0, 10.0)],
-    "mlp": [{"epochs": e, "lr": lr, "widths": w, "optimizer": opt}
-            for e in (100, 300) for lr in (1e-3, 3e-3)
-            for w in ((32, 24, 16, 12, 8), (64, 48, 32, 16, 8))
-            for opt in ("adam", "sgd")],
-}
-
 
 def resolve_grid(spec, kind: str):
     """Parameter list of a grid spec: None (or '') for no grid search,
@@ -44,8 +25,7 @@ def resolve_grid(spec, kind: str):
     if spec == "default":
         from . import family
 
-        family(kind)   # ValueError for an unknown predictor kind
-        return DEFAULT_GRIDS[kind]
+        return family(kind).grid   # ValueError for an unknown kind
     grid = read_json(spec, "grid file", kind=list)
     if not grid or not all(isinstance(combo, dict) for combo in grid):
         raise ValueError(f"{spec}: grid file must hold a non-empty array of "

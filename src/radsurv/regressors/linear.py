@@ -18,26 +18,21 @@ from typing import Optional
 
 import numpy as np
 
+from . import Model, prepare_training, standardize
+
 
 class SingularSystemError(ValueError):
     """Unpenalized least squares on a rank-deficient design."""
 
 
 @dataclass
-class LinearModel:
+class LinearModel(Model):
     coefficients: np.ndarray      # original units
     intercept: float
     penalty: str                  # none | l1 | l2
     lam: float
     x_mean: np.ndarray
     x_scale: np.ndarray           # internal standardization parameters
-    params: dict
-    feature_names: list[str]
-    imputation: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 def _soft_threshold(value: float, lam: float) -> float:
@@ -48,12 +43,16 @@ def _soft_threshold(value: float, lam: float) -> float:
     return 0.0
 
 
-def train_linear(X: np.ndarray, y: np.ndarray, penalty: str = "none",
-                 lam: float = 0.0, max_iter: int = 10000, tol: float = 1e-8,
+def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
+                 seed: int = 0,
                  feature_names: Optional[list[str]] = None) -> LinearModel:
-    """Fit a linear model; penalty is 'none', 'l1' or 'l2' with weight lam."""
-    from . import prepare_training
-
+    """Fit a linear model with params penalty ('none', 'l1' or 'l2'), lam,
+    max_iter and tol; the fit draws nothing, so ``seed`` is unused."""
+    params = params or {}
+    penalty = params.get("penalty", "none")
+    lam = float(params.get("lam", 0.0))
+    max_iter = int(params.get("max_iter", 10000))
+    tol = float(params.get("tol", 1e-8))
     if penalty not in ("none", "l1", "l2"):
         raise ValueError(f"penalty must be none/l1/l2, got {penalty!r}")
     if penalty != "none" and lam < 0:
@@ -61,10 +60,7 @@ def train_linear(X: np.ndarray, y: np.ndarray, penalty: str = "none",
 
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
-    x_mean = X.mean(axis=0)
-    x_scale = X.std(axis=0)
-    x_scale[x_scale == 0] = 1.0     # constant columns get coefficient 0
-    z = (X - x_mean) / x_scale
+    x_mean, x_scale, z = standardize(X)   # constant columns: coefficient 0
     y_mean = float(y.mean())
     yc = y - y_mean
 
@@ -104,9 +100,9 @@ def train_linear(X: np.ndarray, y: np.ndarray, penalty: str = "none",
     coefficients = beta / x_scale
     intercept = y_mean - float(coefficients @ x_mean)
     return LinearModel(coefficients=coefficients, intercept=intercept,
-                       penalty=penalty, lam=float(lam),
+                       penalty=penalty, lam=lam,
                        x_mean=x_mean, x_scale=x_scale,
-                       params={"penalty": penalty, "lam": float(lam),
+                       params={"penalty": penalty, "lam": lam,
                                "max_iter": max_iter, "tol": tol},
                        feature_names=feature_names, imputation=imputation)
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
+from . import Model, prepare_training, standardize
 
 DEFAULT_WIDTHS = (32, 24, 16, 12, 8)
 
@@ -28,7 +29,7 @@ class MlpDivergenceError(RuntimeError):
 
 
 @dataclass
-class MlpModel:
+class MlpModel(Model):
     widths: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -37,13 +38,6 @@ class MlpModel:
     y_mean: float
     y_scale: float
     seed: int
-    params: dict
-    feature_names: list[str]
-    imputation: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 def init_parameters(n_inputs: int, widths: tuple[int, ...], seed: int):
@@ -123,8 +117,6 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     lr (default 1e-3), optimizer ('adam' default, or 'sgd'), batch_size
     (default 32).
     """
-    from . import prepare_training
-
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     widths = tuple(int(w) for w in params.get("widths", DEFAULT_WIDTHS))
     if len(widths) != 5 or any(w < 1 for w in widths):
@@ -137,10 +129,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     batch_size = int(params.get("batch_size", 32))
 
     n, p = X.shape
-    x_mean = X.mean(axis=0)
-    x_scale = X.std(axis=0)
-    x_scale[x_scale == 0] = 1.0
-    xs = (X - x_mean) / x_scale
+    x_mean, x_scale, xs = standardize(X)
     y_mean = float(y.mean())
     y_scale = float(y.std()) or 1.0
     ys = (y - y_mean) / y_scale

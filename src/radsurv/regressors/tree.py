@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
+from . import Model, prepare_training
 
 
 @dataclass
@@ -216,18 +217,11 @@ def tree_feature_gains(root: TreeNode, p: int) -> np.ndarray:
 
 
 @dataclass
-class ForestModel:
+class ForestModel(Model):
     trees: list[TreeNode]
     bootstrap: bool
     max_features_rule: str            # "all" or "third" or an explicit count
     seed: int
-    params: dict
-    feature_names: list[str]
-    imputation: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 def resolve_max_features(rule, p: int) -> Optional[int]:
@@ -251,8 +245,6 @@ def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     min_split (default 2), max_features ('third' by default, 'all', or an
     int), bootstrap (default True).
     """
-    from . import prepare_training   # shared imputation helper
-
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
     if n < 2:

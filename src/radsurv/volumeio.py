@@ -50,7 +50,6 @@ _DTYPE_CODES = {np.dtype(v).str[1:]: k for k, v in _DTYPES.items()}
 RESECTION_STATUSES = ("GTR", "STR", "NA")
 METADATA_COLUMNS = ("ID", "Age", "Survival_days", "Extent_of_Resection")
 
-ROI_KINDS = ("WT", "TC", "ET", "LABEL1", "LABEL2", "LABEL4")
 _ROI_LABEL_SETS = {
     "WT": (1, 2, 4),
     "TC": (1, 4),
@@ -59,6 +58,7 @@ _ROI_LABEL_SETS = {
     "LABEL2": (2,),
     "LABEL4": (4,),
 }
+ROI_KINDS = tuple(_ROI_LABEL_SETS)
 
 
 class NiftiError(ValueError):

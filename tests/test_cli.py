@@ -7,7 +7,7 @@ import pytest
 
 from radsurv.cli import main
 from radsurv.radiomics import FEATURE_COLUMNS
-from radsurv.regressors.gridsearch import DEFAULT_GRIDS
+from radsurv.regressors import FAMILIES
 from radsurv.util import read_csv
 from radsurv.volumeio import load_mask, load_nifti, write_nifti
 
@@ -407,7 +407,7 @@ class TestGridExperimentAgreesWithCommands:
             for cell in names:
                 report = json.loads(
                     (dirs[name] / cell / "grid_report.json").read_text())
-                grid = (DEFAULT_GRIDS["linear"] if name == "default"
+                grid = (FAMILIES["linear"].grid if name == "default"
                         else RFR_GRID)
                 assert len(report["mean_mse"]) == len(grid)
                 assert report["grid"] == json.loads(json.dumps(grid))

@@ -351,6 +351,39 @@ class TestJsonInputs:
         assert exit_info.value.code == 2
         assert f"argument --params: {why}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "experiment"])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_reversed_thresholds_are_rejected_before_any_input(
+            self, tmp_path, monkeypatch, command, via):
+        """``evaluate --t-lo 500 --t-hi 300`` used to exit 0 with every
+        subject short or long, none intermediate."""
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *_flags(COMPLETE[command])]
+        if via == "flags":
+            argv += ["--t-lo", "500", "--t-hi", "300"]
+        else:
+            (tmp_path / "cfg.json").write_text('{"t_lo": 500, "t_hi": 300}')
+            argv += ["--config", "cfg.json"]
+        with pytest.raises(SystemExit, match=re.escape(
+                "t_lo 500") + ".* is above " + re.escape("t_hi 300")):
+            main(argv)
+        assert os.listdir(tmp_path) == ([] if via == "flags" else
+                                        ["cfg.json"])
+
+    def test_reversed_spec_thresholds_are_rejected_before_any_mask(
+            self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"masks": [{"shape": "sphere", "params": [2], "center": [4, 4, 4]}],
+             "cohort": {"n_subjects": 2, "seed": 0,
+                        "thresholds": [500, 300]}}))
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{spec}: cohort.thresholds[0] 500 is above "
+                "cohort.thresholds[1] 300")):
+            main(["phantom", "--spec", str(spec),
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flag", [
         ("extract", "--bin-width"), ("evaluate", "--t-lo"),
         ("evaluate", "--t-hi"), ("experiment", "--t-lo"),

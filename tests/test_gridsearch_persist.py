@@ -5,9 +5,9 @@ import types
 import numpy as np
 import pytest
 
-from radsurv.regressors import (PREDICTOR_KINDS, grid_search_cv, load_model,
-                                predict, save_model, train_model)
-from radsurv.regressors.gridsearch import DEFAULT_GRIDS, kfold_indices
+from radsurv.regressors import (FAMILIES, PREDICTOR_KINDS, grid_search_cv,
+                                load_model, predict, save_model, train_model)
+from radsurv.regressors.gridsearch import kfold_indices
 
 
 class TestGridSearch:
@@ -73,14 +73,14 @@ class TestGridSearch:
             grid_search_cv("linear", x, y, [{"penalty": "none"}], k=3, seed=0)
 
     def test_default_grids_cover_the_tuned_parameters(self):
-        assert set(DEFAULT_GRIDS) == {"rfr", "gbr", "linear", "mlp"}
+        assert set(FAMILIES) == {"rfr", "gbr", "linear", "mlp"}
         assert all(set(c) == {"n_trees", "max_depth"}
-                   for c in DEFAULT_GRIDS["rfr"])
+                   for c in FAMILIES["rfr"].grid)
         assert all({"n_estimators", "max_depth", "min_split",
-                    "learning_rate"} == set(c) for c in DEFAULT_GRIDS["gbr"])
-        assert any(c.get("penalty") == "l1" for c in DEFAULT_GRIDS["linear"])
+                    "learning_rate"} == set(c) for c in FAMILIES["gbr"].grid)
+        assert any(c.get("penalty") == "l1" for c in FAMILIES["linear"].grid)
         assert all({"epochs", "lr", "widths", "optimizer"} == set(c)
-                   for c in DEFAULT_GRIDS["mlp"])
+                   for c in FAMILIES["mlp"].grid)
 
     def test_winner_retrained_on_all_data(self):
         rng = np.random.default_rng(2)

@@ -144,6 +144,19 @@ class TestGenCohort:
         with pytest.raises(PhantomError, match="class_mix"):
             gen_cohort(self._spec(class_mix=(0.5, 0.4, 0.4)))
 
+    def test_negative_resection_mix_rejected(self):
+        """(-0.5, 1.5, 0) sums to 1 and used to make every subject STR."""
+        with pytest.raises(PhantomError, match="resection_mix must be 3 "
+                           "proportions summing to 1, got \\(-0.5, 1.5"):
+            gen_cohort(self._spec(resection_mix=(-0.5, 1.5, 0.0)))
+
+    def test_reversed_thresholds_rejected(self):
+        """With a class mix they used to give a negative calibration scale,
+        which inverts the link."""
+        with pytest.raises(ValueError, match="t_lo 500.0 is above t_hi 300.0"):
+            gen_cohort(self._spec(class_mix=(0.3, 0.3, 0.4),
+                                  thresholds=(500.0, 300.0)))
+
     def test_survival_floored_at_one_day(self):
         cohort, _ = gen_cohort(self._spec(
             link={"meta.age": 1.0}, intercept=-1000.0))

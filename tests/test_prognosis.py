@@ -33,6 +33,11 @@ class TestBinSurvival:
     def test_default_thresholds_from_month_convention(self):
         assert DEFAULT_THRESHOLDS == (304.375, 456.5625)
 
+    def test_reversed_thresholds_fail_the_plan_before_any_cell(self):
+        with pytest.raises(ValueError, match="t_lo 500.0 is above t_hi 300.0"):
+            ExperimentPlan(feature_set="image7", predictor="linear",
+                           thresholds=(500.0, 300.0))
+
 
 class TestSpearman:
     def test_monotone_transform_gives_one(self):

@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from radsurv.regressors import (SingularSystemError, predict,
-                                prepare_training, staged_predict,
+from radsurv.regressors import (FAMILIES, Model, SingularSystemError,
+                                predict, prepare_training, staged_predict,
                                 train_forest, train_gbr, train_linear,
                                 train_model)
 from radsurv.regressors.tree import predict_tree
@@ -23,7 +23,7 @@ class TestLinear:
         rng = np.random.default_rng(0)
         x = rng.random((40, 3))
         y = rng.random(40) * 10
-        m = train_linear(x, y, penalty="l2", lam=1e12)
+        m = train_linear(x, y, {"penalty": "l2", "lam": 1e12})
         assert np.all(np.abs(m.coefficients) < 1e-6)
         assert m.intercept == pytest.approx(y.mean(), rel=1e-6)
 
@@ -34,7 +34,7 @@ class TestLinear:
         y = 4.0 * x[:, 1] - 2.5 * x[:, 3]
         best = None
         for lam in (0.01, 0.05, 0.1, 0.3):
-            m = train_linear(x, y, penalty="l1", lam=lam)
+            m = train_linear(x, y, {"penalty": "l1", "lam": lam})
             nz = np.abs(m.coefficients) > 1e-8
             if nz.tolist() == [False, True, False, True, False]:
                 best = (m, lam)
@@ -61,7 +61,8 @@ class TestLinear:
         x = rng.standard_normal((10, 30))     # more columns than rows
         y = x[:, :3] @ [3.0, -2.0, 1.0] + rng.standard_normal(10)
         with caplog.at_level(logging.WARNING, logger="radsurv"):
-            train_linear(x, y, penalty="l1", lam=lam, max_iter=max_iter)
+            train_linear(x, y, {"penalty": "l1", "lam": lam,
+                             "max_iter": max_iter})
         records = [r for r in caplog.records if r.name == "radsurv"]
         if not warns:
             assert records == []
@@ -228,6 +229,16 @@ class TestBoosting:
 
 
 class TestSharedContracts:
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_family_follows_the_one_contract(self, kind):
+        """Every model holds the shared fields through one base class, and
+        every trainer is its family module's own, with no adapter between
+        the table and it."""
+        fam = FAMILIES[kind]
+        assert issubclass(fam.model_class, Model)
+        assert fam.train.__module__ == fam.model_class.__module__
+        assert fam.train.__name__.startswith("train_")
+
     def test_predict_arity_and_dim_check(self):
         rng = np.random.default_rng(0)
         x = rng.random((15, 3))
