@@ -31,9 +31,9 @@ from .texture import (GLCM_FEATURE_NAMES, GLRLM_FEATURE_NAMES,
 from .manifest import MANIFEST_VERSION, RADIOMICS_FEATURE_NAMES, manifest_text
 
 __all__ = [
-    "Binning", "DiscretizedRoi", "EXTRACT_MODES", "FEATURE_COLUMNS", "RadiomicsConfig",
-    "RadiomicsVector", "ShapeDescriptors", "discretize", "extract_radiomics",
-    "extract_row",
+    "Binning", "DiscretizedRoi", "EXTRACT_MODES", "FEATURE_COLUMNS",
+    "RadiomicsConfig", "RadiomicsVector", "ShapeDescriptors", "discretize",
+    "extract_radiomics", "extract_row",
     "first_order_features", "shape_features",
     "glcm_features", "glrlm_features", "glszm_features", "gldm_features",
     "ngtdm_features", "RADIOMICS_FEATURE_NAMES", "MANIFEST_VERSION",

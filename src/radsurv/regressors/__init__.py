@@ -20,12 +20,12 @@ import numpy as np
 from ..util import of_type
 
 __all__ = [
-    "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel", "TreeNode",
-    "SingularSystemError", "MlpDivergenceError", "GridSearchReport",
-    "train_linear", "train_forest", "train_gbr", "train_mlp", "train_model",
-    "predict", "staged_predict", "grid_search_cv", "save_model", "load_model",
-    "prepare_training", "impute", "PREDICTOR_KINDS", "FAMILIES", "family",
-    "model_kind",
+    "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel",
+    "TreeNode", "SingularSystemError", "MlpDivergenceError",
+    "GridSearchReport", "train_linear", "train_forest", "train_gbr",
+    "train_mlp", "train_model", "predict", "staged_predict", "grid_search_cv",
+    "save_model", "load_model", "prepare_training", "impute", "standardize",
+    "PREDICTOR_KINDS", "FAMILIES", "family", "model_kind",
 ]
 
 
@@ -89,7 +89,8 @@ def standardize(X: np.ndarray):
 
 
 # each family's module imports the definitions above
-from .linear import LinearModel, SingularSystemError, train_linear, predict_linear
+from .linear import (LinearModel, SingularSystemError, train_linear,
+                     predict_linear)
 from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
                    tree_feature_gains)
 from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
