@@ -17,7 +17,7 @@ import numpy as np
 
 from ..rng import make_rng
 from . import Model, prepare_training
-from .tree import TreeGrower, predict_tree
+from .tree import TreeGrower, int_param, leaf_values
 
 
 @dataclass
@@ -33,17 +33,18 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
               feature_names: Optional[list[str]] = None) -> BoostModel:
     """Fit a boosting ensemble.
 
-    params: n_estimators (default 100), max_depth (default 3), min_split
-    (default 2), learning_rate in (0, 1] (default 0.1), subsample in (0, 1]
-    (default 1.0).
+    params: n_estimators (default 100, at least 0), max_depth (default 3;
+    None = unlimited, else at least 0), min_split (default 2, at least 2),
+    learning_rate in (0, 1] (default 0.1), subsample in (0, 1] (default
+    1.0).
     """
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n = X.shape[0]
     if n < 2:
         raise ValueError("boosting needs at least 2 samples")
-    n_estimators = int(params.get("n_estimators", 100))
-    max_depth = params.get("max_depth", 3)
-    min_split = int(params.get("min_split", 2))
+    n_estimators = int_param(params, "n_estimators", 100, 0)
+    max_depth = int_param(params, "max_depth", 3, 0, none=True)
+    min_split = int_param(params, "min_split", 2, 2)
     lr = float(params.get("learning_rate", 0.1))
     subsample = float(params.get("subsample", 1.0))
     if not 0.0 < lr <= 1.0:
@@ -64,7 +65,7 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
             rows = np.arange(n)
         tree, = grower.grow(residual, rows[None, :], max_depth, min_split,
                             None, None)
-        residual = residual - lr * predict_tree(tree, X)
+        residual = residual - lr * leaf_values([tree], X)[0]
         trees.append(tree)
     return BoostModel(init_value=init_value, learning_rate=lr, trees=trees,
                       subsample=subsample, seed=seed, params=dict(params),
@@ -79,7 +80,7 @@ def staged_predict(model: BoostModel, X: np.ndarray) -> list[np.ndarray]:
     """Predictions after 0, 1, ..., n_estimators stages (exact prefixes)."""
     acc = np.full(X.shape[0], model.init_value, dtype=np.float64)
     stages = [acc.copy()]
-    for tree in model.trees:
-        acc += model.learning_rate * predict_tree(tree, X)
+    for row in leaf_values(model.trees, X):
+        acc += model.learning_rate * row
         stages.append(acc.copy())
     return stages

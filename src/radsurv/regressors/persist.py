@@ -2,9 +2,11 @@
 
 A file records the model type, hyperparameters, seed, feature order,
 imputation vector and learned parameters, written by ``util.write_json``
-through float repr, so load(save(m)) predicts bit for bit. A tree is one
-object of equal-length arrays over its nodes in level order (as
-``TreeGrower.grow`` makes them): ``feature`` (-1 for a leaf),
+through float repr as compact text (no indent: json's C encoder), so
+load(save(m)) predicts bit for bit; files written with the one-space
+indent of other JSON outputs hold the same document and load the same. A
+tree is one object of the equal-length node arrays of
+``tree.tree_arrays``, nodes in level order: ``feature`` (-1 for a leaf),
 ``threshold``, ``gain``, ``left`` and ``right`` (child indices, -1 for a
 leaf), ``value`` and ``n``; no depth limits save or load. A
 radsurv-model/1 tree, nested one object per level, is flattened into the
@@ -20,34 +22,15 @@ shape is a ValueError naming the file and key path, e.g.
 
 from __future__ import annotations
 
-from itertools import count
-
 import numpy as np
 
 from ..util import (POSITIVE, fields, numbers, of_type, one_of, read_json,
                     write_json)
-from .tree import TreeNode
+from .tree import TreeNode, tree_arrays
 
 SCHEMA_V1 = "radsurv-model/1"
 SCHEMA = "radsurv-model/2"
 TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value", "n")
-
-
-def tree_arrays(root: TreeNode) -> dict[str, list]:
-    """The node arrays of the tree at ``root``, nodes in level order."""
-    nodes = [root]
-    for node in nodes:              # the loop reaches the children it queues
-        if node.feature is not None:
-            nodes += (node.left, node.right)
-    children = count(1, 2)          # the k-th split node's left child
-    left = [-1 if node.feature is None else next(children) for node in nodes]
-    return {"feature": [-1 if node.feature is None else node.feature
-                        for node in nodes],
-            "threshold": [node.threshold for node in nodes],
-            "gain": [node.gain for node in nodes], "left": left,
-            "right": [-1 if i < 0 else i + 1 for i in left],
-            "value": [node.value for node in nodes],
-            "n": [node.n_samples for node in nodes]}
 
 
 def _v1_tree_arrays(root, where: str) -> dict[str, list]:
@@ -173,7 +156,11 @@ def save_model(model, path: str) -> None:
     parameters = {name: getattr(model, name)
                   for name in FAMILIES[kind].fields}
     if "trees" in parameters:
-        parameters["trees"] = [tree_arrays(t) for t in parameters["trees"]]
+        arrays, sizes = tree_arrays(parameters["trees"])
+        ends = sizes.cumsum().tolist()
+        parameters["trees"] = [
+            {key: column[end - size:end] for key, column in arrays.items()}
+            for size, end in zip(sizes.tolist(), ends)]
     write_json(path, {
         "schema": SCHEMA if "trees" in parameters else SCHEMA_V1,
         "model_type": kind,
@@ -182,7 +169,7 @@ def save_model(model, path: str) -> None:
         "hyperparameters": model.params,
         "seed": getattr(model, "seed", None),
         "parameters": parameters,
-    })
+    }, indent=None)
 
 
 def _names(value, where: str) -> list:

@@ -187,20 +187,60 @@ def _node_stats(yv, starts, sizes):
     return values.tolist(), sse
 
 
-def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.feature is None:
-            out[idx] = node.value
-        else:
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-    return out
+def tree_arrays(trees: list[TreeNode]) -> tuple[dict[str, np.ndarray],
+                                                np.ndarray]:
+    """The node arrays of ``trees`` and each tree's node count: tree after
+    tree, each tree's nodes in level order (as ``TreeGrower.grow`` makes
+    them), ``feature`` (-1 for a leaf), ``threshold``, ``gain``, ``left``
+    and ``right`` (child indices within the tree, -1 for a leaf), ``value``
+    and ``n``. A tree's k-th split node, counting from 1, has the children
+    2k - 1 and 2k."""
+    nodes, sizes = [], []
+    for root in trees:
+        level = [root]
+        for node in level:          # the loop reaches the children it queues
+            if node.feature is not None:
+                level += (node.left, node.right)
+        nodes += level
+        sizes.append(len(level))
+    sizes = np.array(sizes, dtype=np.int64)
+    feature = np.array([-1 if node.feature is None else node.feature
+                        for node in nodes], dtype=np.int64)
+    split = feature >= 0
+    count = split.cumsum()          # split nodes up to each node, all trees
+    k = count - (count - split)[sizes.cumsum() - sizes].repeat(sizes)
+    left = np.where(split, 2 * k - 1, -1)     # k: rank within its tree
+    return {"feature": feature,
+            "threshold": np.array([node.threshold for node in nodes], float),
+            "gain": np.array([node.gain for node in nodes], float),
+            "left": left, "right": left + split,
+            "value": np.array([node.value for node in nodes], float),
+            "n": np.array([node.n_samples for node in nodes], np.int64)}, sizes
+
+
+def leaf_values(trees: list[TreeNode], X: np.ndarray) -> np.ndarray:
+    """(len(trees), rows of X) array: the value of the leaf each row of X
+    reaches in each tree, going left where x <= threshold. With each leaf
+    its own two children, every (tree, row) pair advances one depth per
+    step through the trees' node arrays until all sit at leaves (the tree
+    traversal of Hummingbird, OSDI 2020)."""
+    arrays, sizes = tree_arrays(trees)
+    feature, threshold, value = (arrays[key] for key in
+                                 ("feature", "threshold", "value"))
+    starts = sizes.cumsum() - sizes
+    leaf = feature < 0
+    left = np.where(leaf, np.arange(feature.size),
+                    arrays["left"] + starts.repeat(sizes))
+    right = left + ~leaf            # a right child follows its left
+    feature[leaf] = 0
+    n, p = X.shape
+    node = starts.repeat(n).reshape(len(trees), n)
+    row_at, flat = np.arange(0, n * p, p), X.ravel()
+    while not leaf.take(node).all():
+        x = flat.take(row_at + feature.take(node))
+        go_left = x <= threshold.take(node)
+        node = np.where(go_left, left.take(node), right.take(node))
+    return value.take(node)
 
 
 def tree_feature_gains(root: TreeNode, p: int) -> np.ndarray:
@@ -236,24 +276,37 @@ def resolve_max_features(rule, p: int) -> Optional[int]:
     return count
 
 
+def int_param(params: dict, key: str, default, low: int,
+              none: bool = False) -> Optional[int]:
+    """``params[key]`` (``default`` where absent): an integer of at least
+    ``low``, or None where ``none`` allows it. A bool, or a float such as
+    50.0, is not an integer; a ValueError names the parameter and value."""
+    value = params.get(key, default)
+    if none and value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{key} must be {'null or ' if none else ''}an "
+                         f"integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
                  feature_names: Optional[list[str]] = None) -> ForestModel:
     """Fit a random forest; tree t's stream draws its bootstrap, then one
     uniform block per depth for its searched nodes (see module docstring).
 
-    params: n_trees (default 50, at least 1), max_depth (None = unlimited),
-    min_split (default 2), max_features ('third' by default, 'all', or an
-    int), bootstrap (default True).
+    params: n_trees (default 50, at least 1), max_depth (None = unlimited,
+    else at least 0), min_split (default 2, at least 2), max_features
+    ('third' by default, 'all', or an int), bootstrap (default True).
     """
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
     if n < 2:
         raise ValueError("forest training needs at least 2 samples")
-    n_trees = int(params.get("n_trees", 50))
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
-    max_depth = params.get("max_depth", None)
-    min_split = int(params.get("min_split", 2))
+    n_trees = int_param(params, "n_trees", 50, 1)
+    max_depth = int_param(params, "max_depth", None, 0, none=True)
+    min_split = int_param(params, "min_split", 2, 2)
     rule = params.get("max_features", "third")
     bootstrap = bool(params.get("bootstrap", True))
     mf = resolve_max_features(rule, p)
@@ -271,6 +324,6 @@ def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
 
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
     acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += predict_tree(tree, X)
+    for row in leaf_values(model.trees, X):   # in tree-index order
+        acc += row
     return acc / len(model.trees)

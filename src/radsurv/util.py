@@ -3,8 +3,9 @@
 All CSV files written by this package use comma separators, a mandatory
 header row, UTF-8, '.' as the decimal separator and 12-significant-digit
 float formatting; JSON files are json.dumps text with sorted keys, a
-one-space indent and a trailing newline, written all at once. Reruns with
-identical inputs produce identical bytes.
+one-space indent (none in model.json, which is for machines) and a
+trailing newline, written all at once. Reruns with identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -100,15 +101,16 @@ def finite(doc, where: str):
     return doc
 
 
-def write_json(path: str, doc) -> None:
+def write_json(path: str, doc, indent: Optional[int] = 1) -> None:
     """Write ``doc`` to ``path`` as ``json.dumps(doc, sort_keys=True,
-    indent=1)`` (arrays as lists) and a newline, replacing the file in one
-    step once all is encoded, so a failed write changes no file. A value or
-    key json cannot write raises UnencodableValueError naming its key path;
-    a number that is not finite, or a container that holds itself, raises
-    ValueError."""
+    indent=indent)`` (arrays as lists) and a newline, replacing the file in
+    one step once all is encoded, so a failed write changes no file.
+    ``indent=None`` writes compact text, which json encodes in C; any
+    indent selects its pure-Python encoder. A value or key json cannot
+    write raises UnencodableValueError naming its key path; a number that
+    is not finite, or a container that holds itself, raises ValueError."""
     try:
-        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
+        text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False,
                           default=np.ndarray.tolist) + "\n"
     except (TypeError, ValueError) as exc:
         raise _fault(doc) or exc from None

@@ -10,7 +10,8 @@ degenerate-value substitutions) are reproduced here from the definitions,
 not imported. The image-feature oracles are the exception to the loops:
 they apply np.isin and np.nonzero to the whole grid, where the package
 gathers inside bounding boxes. The tree oracles are the package's former
-node-by-node CART growth: one split search per node, on that node's rows.
+node-by-node CART growth (one split search per node, on that node's rows)
+and its former prediction, which walked one tree node by node.
 The last sections keep more former package paths: the mask decode that
 took every datatype through float64, the image features and mask summary
 computed on the whole label grid, the perceptron's optimizer loop that
@@ -616,6 +617,24 @@ def grow_tree_levels_bf(X, y, max_depth, min_split, max_features, rng):
             level += [node["left"], node["right"]]
         depth += 1
     return root
+
+
+def predict_tree_bf(root, X):
+    """The value of the leaf of the TreeNode tree at ``root`` that each row
+    of X reaches, going left where x <= threshold, one node at a time."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.feature is None:
+            out[idx] = node.value
+        else:
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[go_left]))
+            stack.append((node.right, idx[~go_left]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from radsurv.regressors import (load_model, predict, save_model,
                                 staged_predict, train_forest, train_gbr,
                                 train_linear, train_mlp, train_model)
 from radsurv.regressors.mlp import init_parameters, loss_and_grads
-from radsurv.regressors.tree import predict_tree
 from radsurv.volumeio import derive_roi, load_nifti, write_nifti
 from conftest import make_roi, make_volume, random_disc
 import oracles
+from oracles import predict_tree_bf
 
 
 def report(criterion: int, detail: str) -> None:
@@ -186,7 +186,7 @@ def test_criterion_4_regressor_identities():
     forest = train_forest(x, y, {"n_trees": 11}, seed=2)
     acc = np.zeros(100)
     for tree in forest.trees:
-        acc += predict_tree(tree, q)
+        acc += predict_tree_bf(tree, q)
     assert np.array_equal(acc / 11, predict(forest, q))
 
     boost = train_gbr(x, y, {"n_estimators": 12, "max_depth": 2,
@@ -194,7 +194,7 @@ def test_criterion_4_regressor_identities():
     stages = staged_predict(boost, q)
     manual = np.full(100, boost.init_value)
     for k, tree in enumerate(boost.trees, start=1):
-        manual = manual + boost.learning_rate * predict_tree(tree, q)
+        manual = manual + boost.learning_rate * predict_tree_bf(tree, q)
         assert np.array_equal(manual, stages[k])
     assert np.array_equal(stages[-1], predict(boost, q))
 

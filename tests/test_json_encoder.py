@@ -1,14 +1,16 @@
-"""``util.write_json`` against ``json.dumps(sort_keys=True, indent=1)``,
-its errors and the all-or-nothing write, and tree files of any depth.
+"""``util.write_json`` against ``json.dumps(sort_keys=True, indent=1)``
+(``indent=None`` for model.json), its errors and the all-or-nothing write,
+and tree files of any depth.
 
 Random documents cover every kind json writes plus numpy arrays; the files
 the commands write (every family's model.json and grid_report.json, the
 resolved configs and the cohort report) must equal what json.dump writes
-for the same document, and the ones without paths in them are pinned by
-digests: those of the gbr and rfr model.json recorded when trees were
-first saved as node arrays (radsurv-model/2), those of the linear and mlp
-model.json when ``train`` began to gather its columns as the experiment
-cells do, the others with json.dump as the writer.
+for the same document, compact for model.json and with a one-space indent
+for the others, and the ones without paths in them are pinned by digests:
+those of model.json recorded when it became compact text (each document
+unchanged since its digest was first recorded), the others with json.dump
+as the writer. A model.json written with the one-space indent, as before,
+loads and predicts the same bits.
 """
 
 import hashlib
@@ -39,9 +41,9 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
                   float("-inf"), np.float64(-3.5e-310), np.float64(2.0 / 3.0)]
 
 
-def _reference(doc) -> str:
+def _reference(doc, indent=1) -> str:
     """json.dumps with arrays as lists and no NaN or infinity."""
-    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
+    return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False,
                       default=lambda value: value.tolist())
 
 
@@ -230,7 +232,7 @@ def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
     text = path.read_text()
     doc = json.loads(text)
     assert doc["parameters"]["trees"] == [expected]
-    assert text == _reference(doc) + "\n"
+    assert text == _reference(doc, indent=None) + "\n"
 
 
 def test_tree_deeper_than_the_recursion_limit_round_trips(tmp_path):
@@ -257,28 +259,28 @@ GRIDS = {
     "mlp": [{"epochs": 4}, {"epochs": 3, "optimizer": "sgd", "lr": 0.01}],
 }
 
-# sha256 of the files: gbr and rfr model.json as first written with trees
-# as node arrays, linear/grid_report.json as first written with null for
-# the failed combination's mean and std, the others as json.dump wrote them
+# sha256 of the files: model.json as first written as compact text,
+# linear/grid_report.json as first written with null for the failed
+# combination's mean and std, the others as json.dump wrote them
 DIGESTS = {
     "cohort/cohort_report.json":
         "a47afe55f5b38c1b71bf6316851b3f79ed8238f6048dac6a770dfadff0e904c9",
     "gbr/grid_report.json":
         "6f8f0a2a483491c8c5d47d7cba40c8dc087ee977a16171839bd1be777f320bec",
     "gbr/model.json":
-        "7d3363831e0f70084a9ee46b1b87122dc9f4edcef9ecc662f377b3879a8cfe27",
+        "59ea3f9cfe74e29228e8552678208138dc8c70072d7e0532742a23b6fbb82421",
     "linear/grid_report.json":
         "38954764a5c2252d110f50b622eca7d31850ab5ff331d181709c878b3d3b3ce0",
     "linear/model.json":
-        "1a274241e1053e647c591d9656e52b395e62d2a6dc00833a4053c4ea1dfc96a2",
+        "be0ab96a9bd9916574fbc61f171cd1d3bd34a99be0c744ed48937de83cb9cec8",
     "mlp/grid_report.json":
         "3b254e73e9cc1f03ed5c44f399dde3a5444b88c43b4270cb34e2849deabc689b",
     "mlp/model.json":
-        "5d148432e9b72208360f1b9c393ba26898834d58498480efe05c4cd170fb4c6c",
+        "f759265006a3a197b49d8749edd84ba6423a8388f1319a94f0faf770a7b11ea2",
     "rfr/grid_report.json":
         "351034bc0b35284cf44923a04fd46a5bc35a8c04fbe880d573febc12dc748186",
     "rfr/model.json":
-        "88a5b6a70e601d7db5b15aef134373361de36a554711d4b2ceb1314affb617a8",
+        "5d9bf55b95a5b900cff246fd83b78e271e6c3aa8f9d176a18296a3586177a233",
 }
 
 
@@ -315,9 +317,23 @@ def _written(command_outputs):
 
 
 def test_command_files_match_json_dump(command_outputs):
-    for _, path in _written(command_outputs):
+    for name, path in _written(command_outputs):
         text = path.read_text(encoding="utf-8")
-        assert text == _reference(json.loads(text)) + "\n", path
+        indent = None if name.endswith("model.json") else 1
+        assert text == _reference(json.loads(text), indent) + "\n", path
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_indented_model_file_loads_and_predicts_the_same(
+        command_outputs, kind, tmp_path):
+    """model.json as written before it became compact: one-space indent."""
+    path = command_outputs[kind] / "model.json"
+    indented = tmp_path / "model.json"
+    indented.write_text(_reference(json.loads(path.read_text())) + "\n")
+    x = np.random.default_rng(6).standard_normal(
+        (40, load_model(str(path)).n_features))
+    assert predict(load_model(str(indented)), x).tobytes() == \
+        predict(load_model(str(path)), x).tobytes()
 
 
 def test_command_files_match_recorded_digests(command_outputs):

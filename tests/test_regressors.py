@@ -7,7 +7,7 @@ from radsurv.regressors import (FAMILIES, Model, SingularSystemError,
                                 predict, prepare_training, staged_predict,
                                 train_forest, train_gbr, train_linear,
                                 train_model)
-from radsurv.regressors.tree import predict_tree
+from oracles import predict_tree_bf
 
 
 class TestLinear:
@@ -109,7 +109,7 @@ class TestForest:
         q = rng.random((100, 3))
         acc = np.zeros(100)
         for tree in m.trees:
-            acc += predict_tree(tree, q)
+            acc += predict_tree_bf(tree, q)
         assert np.array_equal(acc / 9, predict(m, q))
 
     def test_step_function_split_threshold(self):

@@ -5,9 +5,9 @@ subsets, so their fitted trees depend only on the split search. For each
 case below, the sha256 of the predictions on held-out rows and of the
 normalized importances is compared with a digest recorded before the tree
 grower was rewritten for speed, and that of the saved ``model.json`` bytes
-with one recorded when trees were first saved as node arrays
-(radsurv-model/2); an RFE ranking driven by boosting is pinned the same
-way.
+with one recorded when model.json became compact text (its document the
+same as when trees were first saved as node arrays, radsurv-model/2); an
+RFE ranking driven by boosting is pinned the same way.
 """
 
 import hashlib
@@ -50,7 +50,7 @@ CASES = {
 DIGESTS = {
     "gbr_defaults": {
         "model":
-            "d431a6ee623cc1812416d96bdeba63ee8fc4f41b4251e07e86b86c1cd1d10ce3",
+            "299fb0bc0a536e7b9614124ec685b1b2afb76a14cf71257b3fed0cda485bf2ba",
         "predictions":
             "2c3839c55c82fc488bb3e4541391d5624b68d57e4d8e57bb523f513e80f2c8b8",
         "importances":
@@ -58,7 +58,7 @@ DIGESTS = {
     },
     "gbr_subsample": {
         "model":
-            "216e88c788b516bdc42e98043d29e6a2f3072d95a21510d217a305636854810e",
+            "35fe20b4ccc392809b0998eb16a67714e784c4cf6513758ff619eb99ac2c2b7c",
         "predictions":
             "dbad3242df695349d7740b90cb1971a863cb1e84fa74c80db57eea7de35632e4",
         "importances":
@@ -66,7 +66,7 @@ DIGESTS = {
     },
     "rfr_all_bootstrap": {
         "model":
-            "e2f2efab224bee77af36cd6c02a5e724f43adb47db5590f3a53e1630c403eb12",
+            "711334fc23fa9336255e3eb394072a87137e247d6a46a126e8d2eb00a1f47911",
         "predictions":
             "2640a34beda757988131e3d3544af27cded1255de8dc87cda89e16f4a15fd277",
         "importances":
@@ -74,7 +74,7 @@ DIGESTS = {
     },
     "rfr_all_no_bootstrap": {
         "model":
-            "d9fa1b4df9e4e4eed10c769dec977d6ab95648dc8936cb43f07c6297bba07ae0",
+            "92d6efdd58f26608afc0487b5d8a14a874825626de3c11b170772c28fd8bca76",
         "predictions":
             "a3be46da696b5e8958674ae98eadf0b8514bfea972a940a6eb85c70f107a6551",
         "importances":

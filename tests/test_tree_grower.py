@@ -6,8 +6,9 @@ feature subsets, each tree must equal ``oracles.grow_tree_levels_bf``,
 which draws one uniform row per searched node and depth from the tree's
 own stream. The remaining tests pin properties of that contract: trees
 grown together equal trees grown alone, the block size never changes a
-bit, every subset is ascending and of the requested size, and reruns give
-identical bytes.
+bit, every subset is ascending and of the requested size, reruns give
+identical bytes, and the count hyperparameters are checked before any tree
+grows.
 """
 
 import json
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 import oracles
-from radsurv.regressors import (save_model, train_forest, train_gbr,
-                                train_model)
+from radsurv.featselect import EstimatorSpec, rfe
+from radsurv.regressors import (grid_search_cv, predict, save_model,
+                                train_forest, train_gbr, train_model)
 from radsurv.regressors import tree as tree_mod
 from radsurv.regressors.tree import TreeGrower, resolve_max_features
 from radsurv.rng import make_rng
@@ -207,6 +209,55 @@ def test_forest_without_trees_rejected(n_trees):
     x, y = _wide_problem()
     with pytest.raises(ValueError, match="n_trees"):
         train_model("rfr", x, y, {"n_trees": n_trees}, 0)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("gbr", {"n_estimators": -3}, "n_estimators must be an integer >= 0, "
+                                  "got -3"),
+    ("gbr", {"n_estimators": 2.7}, "n_estimators .* got 2.7"),
+    ("gbr", {"n_estimators": 50.0}, "n_estimators .* got 50.0"),
+    ("rfr", {"n_trees": 2.5}, "n_trees must be an integer >= 1, got 2.5"),
+    ("rfr", {"n_trees": True}, "n_trees .* got True"),
+    ("rfr", {"max_depth": -2}, "max_depth must be null or an integer >= 0, "
+                               "got -2"),
+    ("gbr", {"max_depth": -2}, "max_depth .* got -2"),
+    ("gbr", {"max_depth": 3.0}, "max_depth .* got 3.0"),
+    ("rfr", {"min_split": -4}, "min_split must be an integer >= 2, got -4"),
+    ("rfr", {"min_split": 0}, "min_split .* got 0"),
+    ("gbr", {"min_split": 1}, "min_split .* got 1"),
+    ("gbr", {"min_split": False}, "min_split .* got False"),
+])
+def test_tree_hyperparameters_checked_before_growth(kind, params, message):
+    """Out-of-contract counts once truncated, fitted a constant model or
+    acted as the smallest valid value; they now name the parameter."""
+    x, y = _wide_problem()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_model(kind, x, y, params, 0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gbr", {"n_estimators": 0, "max_depth": None, "min_split": 2}),
+    ("gbr", {"n_estimators": np.int64(2), "max_depth": 0}),
+    ("rfr", {"n_trees": 1, "max_depth": 0, "min_split": 2}),
+    ("rfr", {"n_trees": 25, "max_depth": None}),
+])
+def test_tree_hyperparameters_at_their_bounds_accepted(kind, params):
+    x, y = _wide_problem()
+    assert predict(train_model(kind, x, y, params, 0), x).shape == y.shape
+
+
+def test_bad_tree_hyperparameters_reach_every_entry_point():
+    """A grid combination records the failure as its errors entry, and an
+    RFE estimator fails at its first fit."""
+    x, y = _wide_problem()
+    _, report = grid_search_cv("gbr", x, y, [{"n_estimators": -3},
+                                             {"n_estimators": 3}], 3, 0)
+    assert report.errors == ["n_estimators must be an integer >= 0, got -3",
+                             None]
+    assert report.best_index == 1
+    with pytest.raises(RuntimeError, match="iteration 1: n_trees .* 2.5$"):
+        rfe(x, y, [f"f{j}" for j in range(x.shape[1])],
+            EstimatorSpec("rfr", {"n_trees": 2.5}), n_keep=2)
 
 
 @pytest.mark.parametrize("kind", ["rfr", "gbr"])
