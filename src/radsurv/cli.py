@@ -67,6 +67,16 @@ def _or_exit(prefix: str, call, *args, **kwargs):
         raise SystemExit(f"{prefix}{exc}") from None
 
 
+def _check_params(command: str, setting: str, kinds, params: dict) -> None:
+    """A SystemExit naming the command and the setting where ``params``
+    holds a hyperparameter that a fit of one of the predictor ``kinds``
+    would reject; unknown kinds are left to the command."""
+    for kind in kinds:
+        if kind in FAMILIES:
+            _or_exit(f"radsurv {command}: {setting}: ",
+                     FAMILIES[kind].settings, params)
+
+
 def _merge_config(command: str, settings: dict,
                   args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, over the keys of a
@@ -203,6 +213,8 @@ def cmd_extract(resolved: dict) -> int:
 # rfe
 
 def cmd_rfe(resolved: dict) -> int:
+    _check_params("rfe", "estimator_params", [resolved["estimator"]],
+                  resolved["estimator_params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     spec = EstimatorSpec(resolved["estimator"],
                          dict(resolved["estimator_params"]))
@@ -223,6 +235,9 @@ def cmd_rfe(resolved: dict) -> int:
 # train / predict / evaluate
 
 def cmd_train(resolved: dict) -> int:
+    if not resolved["grid"]:     # a grid search reads no params
+        _check_params("train", "params", [resolved["predictor"]],
+                      resolved["params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     model, report = fit(resolved["predictor"],
                         cohort.select(cohort.feature_names),
@@ -282,9 +297,11 @@ def cmd_evaluate(resolved: dict) -> int:
 # experiment
 
 def cmd_experiment(resolved: dict) -> int:
-    cohort = load_cohort(resolved["features"], resolved["metadata"])
     feature_sets = [s for s in str(resolved["feature_sets"]).split(",") if s]
     predictors = [s for s in str(resolved["predictors"]).split(",") if s]
+    if not resolved["grid"]:
+        _check_params("experiment", "params", predictors, resolved["params"])
+    cohort = load_cohort(resolved["features"], resolved["metadata"])
     base_plan = {
         "params": dict(resolved["params"]),
         "grid": resolved["grid"],

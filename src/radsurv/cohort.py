@@ -98,8 +98,11 @@ def read_features_csv(path: str):
 
 
 def load_cohort(features_csv: str, metadata_csv: str) -> Cohort:
-    """Join a feature CSV with a metadata CSV on subject id."""
+    """Join a feature CSV with a metadata CSV on subject id; a feature CSV
+    without subject rows is rejected."""
     ids, feature_names, X = read_features_csv(features_csv)
+    if not ids:
+        raise ValueError(f"{features_csv}: no subject rows")
     by_id = {rec.subject_id: rec for rec in read_metadata_csv(metadata_csv)}
     records = []
     for sid in ids:

@@ -34,6 +34,21 @@ rounded squared distance of (e, q) is at least that of (p, q), hence equal
 to the maximum. The exact distance grows with each such swap, so the swaps
 end at a pair of candidates with the same computed maximum.
 
+Most candidates never reach the all-pairs kernel either, again with the
+same bits. A segment is the whole candidate set in 3D, or one plane of a
+family. With c a segment's centroid, r_i = |p_i - c| and r_max the largest
+r_i, every pair of the segment has d <= r_i + r_j <= r_i + r_max, and so
+d <= 2 r_max. Let L be the longest pair through a segment's point farthest
+from its centre, longest over the segments: the maximum is at least L. A
+point with r_i + r_max < L (1 - 1e-9) is in no pair that long and is
+dropped. The segments are visited in decreasing r_max, and the visit stops
+once 2 r_max (1 + 1e-9) is at most the best so far. The kept points still
+go through ``_max_pairwise_distance``, so each kept pair's squared distance
+is the same expression with the same bits, and a maximum does not depend
+on the order it is taken in. r, L and the bounds carry rounding errors of
+a few units in the last place (about 1e-15 relative), which the 1e-9
+margin covers: every point and segment the exact bounds keep is kept.
+
 The mesh, the surface voxels and the coordinate gathers all run on the
 ROI's crop (``RoiMask.membership``), not the full grid. The mesh vertices
 are shifted to full-grid units by the crop's ``corner`` before smoothing;
@@ -71,6 +86,9 @@ from ._mc_tables import TRI_TABLE, EDGE_CORNERS, CORNER_OFFSETS
 TAUBIN_LAMBDA = 0.5
 TAUBIN_MU = -0.53
 TAUBIN_ITERATIONS = 20
+
+# relative slack of the diameter bounds, far above their rounding error
+_MARGIN = 1e-9
 
 # Edge midpoints doubled, so vertex keys are exact integers.
 _EDGE_MID2 = np.array(
@@ -224,24 +242,58 @@ def _line_ends(surface: np.ndarray, axis: int) -> np.ndarray:
     return surface & ((rank == 1) | (rank == count))
 
 
+def _max_distance_within(points: np.ndarray, counts: np.ndarray) -> float:
+    """The largest distance between two points of one segment, the
+    segments being consecutive runs of ``counts`` points. Only the points
+    the bounds of the module docstring keep reach
+    ``_max_pairwise_distance``."""
+    p = points.T
+    starts = np.cumsum(counts) - counts
+    centre = np.add.reduceat(p, starts, axis=1) / counts
+    d = p - np.repeat(centre, counts, axis=1)
+    r = np.sqrt(np.sum(d * d, axis=0))
+    r_max = np.maximum.reduceat(r, starts)
+    bound = np.repeat(r_max, counts)
+    # L: the longest pair through a segment's first point farthest from its
+    # centre, longest over the segments; the maximum is at least L
+    far = np.minimum.reduceat(np.where(r == bound, np.arange(r.size), r.size),
+                              starts)
+    d = p - np.repeat(p[:, far], counts, axis=1)
+    length = np.sqrt(np.max(np.sum(d * d, axis=0)))
+    keep = r + bound >= length * (1.0 - _MARGIN)
+    best = 0.0
+    for k in np.argsort(-r_max, kind="stable"):
+        if 2.0 * r_max[k] * (1.0 + _MARGIN) <= best:
+            break   # no pair of this or a later segment is longer than best
+        rows = slice(starts[k], starts[k] + counts[k])
+        best = max(best, _max_pairwise_distance(points[rows][keep[rows]]))
+    return best
+
+
 def _diameters(member: np.ndarray, offset: np.ndarray,
                spacing: np.ndarray) -> tuple[float, dict[str, float]]:
     """The 3D and the three per-plane maximum surface-voxel distances of the
     ROI crop ``member``, whose first voxel has index ``offset``."""
     surface = _surface_mask(member)
-    ends = [_line_ends(surface, axis) for axis in range(3)]
+    index = np.argwhere(surface)
+    ends = [_line_ends(surface, axis)[tuple(index.T)] for axis in range(3)]
 
-    def points(candidates):
-        return (np.argwhere(candidates) + offset).astype(np.float64) * spacing
+    def max_distance(index, axis=None):
+        """Over all of ``index``, or within each plane of fixed ``axis``."""
+        if axis is None:
+            counts = np.array([len(index)])
+        else:
+            index = index[np.argsort(index[:, axis], kind="stable")]
+            counts = np.bincount(index[:, axis])
+            counts = counts[counts > 0]
+        points = (index + offset).astype(np.float64) * spacing
+        return _max_distance_within(points, counts)
 
-    max3d = _max_pairwise_distance(points(ends[0] & ends[1] & ends[2]))
+    max3d = max_distance(index[ends[0] & ends[1] & ends[2]])
     diam_plane = {}
     for axis, name in ((2, "slice"), (1, "column"), (0, "row")):
         a, b = (x for x in range(3) if x != axis)
-        pts = points(ends[a] & ends[b])
-        pts = pts[np.argsort(pts[:, axis])]
-        planes = np.split(pts, np.flatnonzero(np.diff(pts[:, axis])) + 1)
-        diam_plane[name] = max(_max_pairwise_distance(p) for p in planes)
+        diam_plane[name] = max_distance(index[ends[a] & ends[b]], axis)
     return max3d, diam_plane
 
 

@@ -89,12 +89,14 @@ def standardize(X: np.ndarray):
 
 
 # each family's module imports the definitions above
-from .linear import (LinearModel, SingularSystemError, train_linear,
-                     predict_linear)
-from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
-                   tree_feature_gains)
-from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
-from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
+from .linear import (LinearModel, SingularSystemError, linear_settings,
+                     train_linear, predict_linear)
+from .tree import (ForestModel, TreeNode, forest_settings, train_forest,
+                   predict_forest, tree_feature_gains)
+from .boosting import (BoostModel, gbr_settings, train_gbr, predict_gbr,
+                       staged_predict)
+from .mlp import (MlpModel, MlpDivergenceError, mlp_settings, train_mlp,
+                  predict_mlp)
 from .gridsearch import GridSearchReport, grid_search_cv
 from .persist import (save_model, load_model, as_arrays, as_counts,
                       as_forest, as_real, as_scales, as_trees, as_vector)
@@ -110,10 +112,14 @@ class Family:
     ``importance`` returns unnormalized non-negative per-feature scores; it
     is None for a family with no defined importance, which RFE rejects.
     ``grid`` is the small desk-scale grid that ``--grid default`` searches.
+    ``settings`` decodes the hyperparameters ``train`` reads from
+    ``params``, raising a ValueError that names a bad one, so they can be
+    checked before any data is read.
     """
 
     model_class: type   # a Model subclass
     train: Callable     # (X, y, params, seed, feature_names) -> model
+    settings: Callable  # params -> decoded hyperparameters
     predict: Callable   # (model, imputed X) -> predicted days
     fields: dict[str, Callable]
     importance: Optional[Callable]
@@ -134,7 +140,7 @@ def _split_gains(model) -> np.ndarray:
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
-        LinearModel, train_linear, predict_linear,
+        LinearModel, train_linear, linear_settings, predict_linear,
         {"coefficients": as_vector, "intercept": as_real, "lam": as_real,
          "penalty": of_type(str), "x_mean": as_vector,
          "x_scale": as_scales},
@@ -143,14 +149,14 @@ FAMILIES: dict[str, Family] = {
         + [{"penalty": p, "lam": lam, "max_iter": 10000}
            for p in ("l1", "l2") for lam in (0.01, 0.1, 1.0, 10.0)]),
     "rfr": Family(
-        ForestModel, train_forest, predict_forest,
+        ForestModel, train_forest, forest_settings, predict_forest,
         {"trees": as_forest, "bootstrap": of_type(bool),
          "max_features_rule": of_type(str)},
         _split_gains,
         [{"n_trees": n, "max_depth": d}
          for n in (25, 50, 100) for d in (4, 8, None)]),
     "gbr": Family(
-        BoostModel, train_gbr, predict_gbr,
+        BoostModel, train_gbr, gbr_settings, predict_gbr,
         {"init_value": as_real, "learning_rate": as_real, "trees": as_trees,
          "subsample": as_real},
         _split_gains,
@@ -159,7 +165,7 @@ FAMILIES: dict[str, Family] = {
          for n in (50, 100) for d in (2, 3) for s in (2, 8)
          for lr in (0.05, 0.1)]),
     "mlp": Family(
-        MlpModel, train_mlp, predict_mlp,
+        MlpModel, train_mlp, mlp_settings, predict_mlp,
         {"widths": as_counts, "weights": as_arrays, "biases": as_arrays,
          "x_mean": as_vector, "x_scale": as_scales, "y_mean": as_real,
          "y_scale": as_real},

@@ -29,19 +29,12 @@ class BoostModel(Model):
     seed: int
 
 
-def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
-              feature_names: Optional[list[str]] = None) -> BoostModel:
-    """Fit a boosting ensemble.
-
-    params: n_estimators (default 100, at least 0), max_depth (default 3;
-    None = unlimited, else at least 0), min_split (default 2, at least 2),
-    learning_rate in (0, 1] (default 0.1), subsample in (0, 1] (default
-    1.0).
-    """
-    X, y, feature_names, imputation = prepare_training(X, y, feature_names)
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("boosting needs at least 2 samples")
+def gbr_settings(params: dict) -> tuple:
+    """(n_estimators, max_depth, min_split, learning_rate, subsample) of
+    ``params``: n_estimators (default 100, at least 0), max_depth (default
+    3; None = unlimited, else at least 0), min_split (default 2, at least
+    2), learning_rate in (0, 1] (default 0.1), subsample in (0, 1]
+    (default 1.0)."""
     n_estimators = int_param(params, "n_estimators", 100, 0)
     max_depth = int_param(params, "max_depth", 3, 0, none=True)
     min_split = int_param(params, "min_split", 2, 2)
@@ -51,6 +44,17 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
         raise ValueError(f"learning_rate must be in (0, 1], got {lr}")
     if not 0.0 < subsample <= 1.0:
         raise ValueError(f"subsample must be in (0, 1], got {subsample}")
+    return n_estimators, max_depth, min_split, lr, subsample
+
+
+def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
+              feature_names: Optional[list[str]] = None) -> BoostModel:
+    """Fit a boosting ensemble on ``gbr_settings(params)``."""
+    X, y, feature_names, imputation = prepare_training(X, y, feature_names)
+    n = X.shape[0]
+    if n < 2:
+        raise ValueError("boosting needs at least 2 samples")
+    n_estimators, max_depth, min_split, lr, subsample = gbr_settings(params)
 
     init_value = float(y.mean())
     residual = y - init_value

@@ -43,12 +43,9 @@ def _soft_threshold(value: float, lam: float) -> float:
     return 0.0
 
 
-def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
-                 seed: int = 0,
-                 feature_names: Optional[list[str]] = None) -> LinearModel:
-    """Fit a linear model with params penalty ('none', 'l1' or 'l2'), lam,
-    max_iter and tol; the fit draws nothing, so ``seed`` is unused."""
-    params = params or {}
+def linear_settings(params: dict) -> tuple:
+    """(penalty, lam, max_iter, tol) of ``params``: penalty ('none', 'l1'
+    or 'l2'), lam (>= 0 under a penalty), max_iter and tol."""
     penalty = params.get("penalty", "none")
     lam = float(params.get("lam", 0.0))
     max_iter = int(params.get("max_iter", 10000))
@@ -57,6 +54,15 @@ def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
         raise ValueError(f"penalty must be none/l1/l2, got {penalty!r}")
     if penalty != "none" and lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    return penalty, lam, max_iter, tol
+
+
+def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
+                 seed: int = 0,
+                 feature_names: Optional[list[str]] = None) -> LinearModel:
+    """Fit a linear model on ``linear_settings(params)``; the fit draws
+    nothing, so ``seed`` is unused."""
+    penalty, lam, max_iter, tol = linear_settings(params or {})
 
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape

@@ -109,15 +109,10 @@ def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
     return float(np.mean(err ** 2)), grad_w, grad_b
 
 
-def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
-              feature_names: Optional[list[str]] = None) -> MlpModel:
-    """Fit the network.
-
-    params: widths (5-tuple, default DEFAULT_WIDTHS), epochs (default 200),
-    lr (default 1e-3), optimizer ('adam' default, or 'sgd'), batch_size
-    (default 32).
-    """
-    X, y, feature_names, imputation = prepare_training(X, y, feature_names)
+def mlp_settings(params: dict) -> tuple:
+    """(widths, epochs, lr, optimizer, batch_size) of ``params``: widths
+    (5-tuple, default DEFAULT_WIDTHS), epochs (default 200), lr (default
+    1e-3), optimizer ('adam' default, or 'sgd'), batch_size (default 32)."""
     widths = tuple(int(w) for w in params.get("widths", DEFAULT_WIDTHS))
     if len(widths) != 5 or any(w < 1 for w in widths):
         raise ValueError(f"widths must be five positive integers, got {widths}")
@@ -126,7 +121,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     optimizer = params.get("optimizer", "adam")
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
-    batch_size = int(params.get("batch_size", 32))
+    return widths, epochs, lr, optimizer, int(params.get("batch_size", 32))
+
+
+def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
+              feature_names: Optional[list[str]] = None) -> MlpModel:
+    """Fit the network on ``mlp_settings(params)``."""
+    X, y, feature_names, imputation = prepare_training(X, y, feature_names)
+    widths, epochs, lr, optimizer, batch_size = mlp_settings(params)
 
     n, p = X.shape
     x_mean, x_scale, xs = standardize(X)

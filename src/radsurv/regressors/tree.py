@@ -291,24 +291,29 @@ def int_param(params: dict, key: str, default, low: int,
     return int(value)
 
 
+def forest_settings(params: dict) -> tuple:
+    """(n_trees, max_depth, min_split, max_features, bootstrap) of
+    ``params``: n_trees (default 50, at least 1), max_depth (None =
+    unlimited, else at least 0), min_split (default 2, at least 2),
+    max_features ('third' by default, 'all', or an int, checked against
+    the feature count at training), bootstrap (default True)."""
+    return (int_param(params, "n_trees", 50, 1),
+            int_param(params, "max_depth", None, 0, none=True),
+            int_param(params, "min_split", 2, 2),
+            params.get("max_features", "third"),
+            bool(params.get("bootstrap", True)))
+
+
 def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
                  feature_names: Optional[list[str]] = None) -> ForestModel:
-    """Fit a random forest; tree t's stream draws its bootstrap, then one
-    uniform block per depth for its searched nodes (see module docstring).
-
-    params: n_trees (default 50, at least 1), max_depth (None = unlimited,
-    else at least 0), min_split (default 2, at least 2), max_features
-    ('third' by default, 'all', or an int), bootstrap (default True).
-    """
+    """Fit a random forest on ``forest_settings(params)``; tree t's stream
+    draws its bootstrap, then one uniform block per depth for its searched
+    nodes (see module docstring)."""
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
     if n < 2:
         raise ValueError("forest training needs at least 2 samples")
-    n_trees = int_param(params, "n_trees", 50, 1)
-    max_depth = int_param(params, "max_depth", None, 0, none=True)
-    min_split = int_param(params, "min_split", 2, 2)
-    rule = params.get("max_features", "third")
-    bootstrap = bool(params.get("bootstrap", True))
+    n_trees, max_depth, min_split, rule, bootstrap = forest_settings(params)
     mf = resolve_max_features(rule, p)
 
     rngs = [make_rng(seed, t) for t in range(n_trees)]

@@ -131,10 +131,11 @@ def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
              ) -> tuple[list[str], list[list[str]]]:
     """(header, rows of raw strings) of a CSV table, each ``key`` cell
     stripped of surrounding whitespace. A ValueError naming ``path`` rejects
-    bytes that are not UTF-8 (by offset), an empty file, a repeated column
-    name, a missing ``required`` or ``key`` column, a row whose cell count
-    is not the header's (a blank line has 0 cells), naming it by its ``key``
-    cell (or first cell), and a ``key`` value that appears twice."""
+    bytes that are not UTF-8 (by offset), a stray or unclosed quote (by
+    line), an empty file, a repeated column name, a missing ``required`` or
+    ``key`` column, a row whose cell count is not the header's (a blank line
+    has 0 cells), naming it by its ``key`` cell (or first cell), and a
+    ``key`` value that appears twice."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -142,9 +143,13 @@ def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} "
                          f"({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
-    rows = list(reader)
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        header = next(reader, [])
+        rows = list(reader)
+    except csv.Error as exc:    # a stray or unclosed quote
+        raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: "
+                         f"{exc}") from None
     if not header:
         raise ValueError(f"{path}: empty CSV, header row is mandatory")
     reject_duplicate_ids(header, path, "column name")

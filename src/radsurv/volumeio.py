@@ -394,6 +394,8 @@ def load_mask(path: str) -> LabelMask:
     An unscaled integer payload is checked as stored; any other must hold
     finite integers once scaled to float64. Labels are checked before they
     are narrowed to C-ordered int16, so no value wraps into a valid label.
+    A payload int16 holds exactly (u1, i1, i2) is checked once, after the
+    cast, by ``LabelMask``.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
@@ -407,13 +409,17 @@ def load_mask(path: str) -> LabelMask:
             raise MaskLabelError(
                 f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
         values = rounded
-    _check_vocabulary(values, f"{path}: ")
+    if not np.can_cast(values.dtype, np.int16):
+        _check_vocabulary(values, f"{path}: ")
     # copied in slabs along axis 1: one whole-grid transposing copy strides
     # through memory and takes about 3x as long on a BraTS grid
     labels = np.empty(values.shape, dtype=np.int16)
     for j in range(0, values.shape[1], 16):
         labels[:, j:j + 16] = values[:, j:j + 16]
-    return LabelMask(**grid, labels=labels)
+    try:
+        return LabelMask(**grid, labels=labels)
+    except MaskLabelError as exc:
+        raise MaskLabelError(f"{path}: {exc}") from None
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:

@@ -541,6 +541,29 @@ class TestBoundaryChecks:
                   flag, names, "--out", str(out)])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["train", "--predictor", "gbr", "--params", '{"n_estimators": -3}'],
+         {}, "radsurv train: params: n_estimators must be an integer >= 0, "
+         "got -3"),
+        (["experiment", "--predictors", "linear,gbr", "--params",
+          '{"n_estimators": -3}'], {},
+         "radsurv experiment: params: n_estimators must be an integer "
+         ">= 0, got -3"),
+        (["rfe"], {"estimator_params": {"n_trees": 2.5}},
+         "radsurv rfe: estimator_params: n_trees must be an integer >= 1, "
+         "got 2.5")], ids=["train", "experiment", "rfe"])
+    def test_bad_hyperparameter_names_the_command_and_setting(
+            self, cohort_dir, tmp_path, argv, config, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--features", str(cohort_dir / "features.csv"),
+                         "--metadata", str(cohort_dir / "metadata.csv"),
+                         "--config", str(config_path), "--out", str(out)])
+        assert str(exc.value) == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["rfe", "--n-keep", "4", "--step", "50"],
         ["train", "--predictor", "linear"],

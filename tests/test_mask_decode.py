@@ -103,6 +103,19 @@ class TestFastPathEquivalence:
             assert str(got.value) == str(want.value)
             assert "voxel (1, 0, 2) holds non-integer value" in str(got.value)
 
+    @pytest.mark.parametrize("key", ["u1", "i2"])
+    def test_int16_payload_scanned_once(self, tmp_path, key, monkeypatch):
+        import radsurv.volumeio as volumeio
+
+        scans = []
+        check = volumeio._check_vocabulary
+        monkeypatch.setattr(volumeio, "_check_vocabulary",
+                            lambda *args: scans.append(args) or check(*args))
+        labels = random_labels(np.random.default_rng(4)).astype(key)
+        path = write_blob(tmp_path / "once.nii", nifti_blob(labels))
+        assert np.array_equal(load_mask(path).labels, labels)
+        assert len(scans) == 1
+
 
 class TestRejectedValues:
     @pytest.mark.parametrize("key,value", [("i4", 65537), ("i4", 65540),

@@ -238,6 +238,7 @@ class TestSharedContracts:
         assert issubclass(fam.model_class, Model)
         assert fam.train.__module__ == fam.model_class.__module__
         assert fam.train.__name__.startswith("train_")
+        assert fam.settings.__module__ == fam.model_class.__module__
 
     def test_predict_arity_and_dim_check(self):
         rng = np.random.default_rng(0)

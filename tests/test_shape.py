@@ -6,7 +6,9 @@ import pytest
 from radsurv.imagefeat import roi_volume
 from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.radiomics import shape_features
-from radsurv.radiomics.shape import (ShapeError, _line_ends, _surface_mask,
+from radsurv.radiomics.shape import (ShapeError, _diameters, _line_ends,
+                                    _max_distance_within,
+                                    _max_pairwise_distance, _surface_mask,
                                     extract_mesh, mesh_area_volume)
 from radsurv.volumeio import derive_roi
 from conftest import make_roi
@@ -256,3 +258,84 @@ class TestDiameterBlocks:
         got = (sd.max_3d_diameter, sd.max_2d_diameter_slice,
                sd.max_2d_diameter_column, sd.max_2d_diameter_row)
         assert got == oracles.max_diameters_bf(m, spacing)
+
+
+def _ellipsoids(shape, lobes):
+    """Union of the ellipsoids ``(center, semi-axes)`` on a voxel grid."""
+    grid = np.moveaxis(np.indices(shape), 0, -1)
+    m = np.zeros(shape, dtype=bool)
+    for center, axes in lobes:
+        m |= (((grid - center) / axes) ** 2).sum(axis=-1) <= 1.0
+    return m
+
+
+def _pruning_cases():
+    """Large candidate sets: BraTS-sized lobulated ROIs, smooth and eroded,
+    digitized spheres full of near-ties, thin slabs along each axis and the
+    412-candidate plane."""
+    lobes = [((32.0, 28.0, 24.0), (24.0, 21.0, 18.0)),
+             ((52.0, 37.0, 28.0), (9.0, 13.0, 11.0)),
+             ((19.0, 44.0, 17.0), (13.0, 11.0, 9.0))]
+    lobulated = _ellipsoids((64, 58, 46), lobes)
+    yield "lobulated", lobulated
+    eroded = lobulated & (np.random.default_rng(5).random(lobulated.shape)
+                          < 0.9)
+    yield "lobulated_eroded", eroded
+    yield "sphere_r20", _ellipsoids((43, 43, 43), [((21.0,) * 3, (20.0,) * 3)])
+    yield "sphere_r15_half", _ellipsoids((33, 33, 33),
+                                         [((15.5,) * 3, (15.0,) * 3)])
+    disc = _ellipsoids((60, 50, 1), [((29.0, 24.0, 0.0), (27.0, 20.0, 1.0)),
+                                     ((45.0, 37.0, 0.0), (12.0, 10.0, 1.0))])
+    for axis in range(3):
+        yield f"slab_{axis}", np.moveaxis(np.repeat(disc, 2, axis=2), 2, axis)
+    i, j, k = np.indices((24, 24, 24))
+    yield "plane_412", i + j + k == 30
+
+
+def _unpruned_diameters(m, offset, spacing):
+    """(3d, slice, column, row): ``_max_pairwise_distance`` over every
+    line-end candidate, and over every plane's candidates."""
+    surface = _surface_mask(m)
+    ends = [_line_ends(surface, axis) for axis in range(3)]
+
+    def points(candidates):
+        return (np.argwhere(candidates) + offset).astype(np.float64) * spacing
+
+    got = [_max_pairwise_distance(points(ends[0] & ends[1] & ends[2]))]
+    for axis in (2, 1, 0):
+        a, b = (x for x in range(3) if x != axis)
+        pts = points(ends[a] & ends[b])
+        got.append(max(_max_pairwise_distance(pts[pts[:, axis] == v])
+                       for v in np.unique(pts[:, axis])))
+    return tuple(got)
+
+
+class TestPrunedDiameterSearch:
+    @pytest.mark.parametrize("spacing, offset", [
+        ((1.0, 1.0, 1.0), (0, 0, 0)),
+        ((0.7, 1.3, 2.5), (17, 3, 40)),
+        ((1.0, 1.0, 3.0), (90, 101, 60)),
+        ((0.9375, 0.9375, 1.2), (5, 120, 7)),
+    ])
+    def test_equal_to_every_candidate(self, spacing, offset):
+        spacing, offset = np.array(spacing), np.array(offset)
+        for name, m in _pruning_cases():
+            max3d, plane = _diameters(m, offset, spacing)
+            got = (max3d, plane["slice"], plane["column"], plane["row"])
+            assert got == _unpruned_diameters(m, offset, spacing), name
+
+    def test_stop_bound_of_a_later_segment(self):
+        # the triangle's centre is farther from its corners (side / sqrt 3)
+        # than the pair's is from its ends, so the triangle is visited
+        # first; the pair, 1e-4 longer than a side, must still be visited
+        side = 10.0
+        triangle = side * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                    [0.5, np.sqrt(0.75), 0.0]])
+        pair = np.array([[0.0, 0.0, 5.0], [side * (1 + 1e-4), 0.0, 5.0]])
+        for segments in ([triangle, pair], [pair, triangle],
+                         [pair, triangle, triangle[:1], pair + 1.0]):
+            points = np.concatenate(segments)
+            counts = np.array([len(s) for s in segments])
+            want = max(_max_pairwise_distance(s) for s in segments)
+            assert want == _max_pairwise_distance(pair)
+            assert _max_distance_within(points, counts) == want
