@@ -278,15 +278,15 @@ def _diameters(member: np.ndarray, offset: np.ndarray,
     index = np.argwhere(surface)
     ends = [_line_ends(surface, axis)[tuple(index.T)] for axis in range(3)]
 
-    def max_distance(index, axis=None):
-        """Over all of ``index``, or within each plane of fixed ``axis``."""
+    def max_distance(voxels, axis=None):
+        """Over all ``voxels``, or within each plane of fixed ``axis``."""
         if axis is None:
-            counts = np.array([len(index)])
+            counts = np.array([len(voxels)])
         else:
-            index = index[np.argsort(index[:, axis], kind="stable")]
-            counts = np.bincount(index[:, axis])
+            voxels = voxels[np.argsort(voxels[:, axis], kind="stable")]
+            counts = np.bincount(voxels[:, axis])
             counts = counts[counts > 0]
-        points = (index + offset).astype(np.float64) * spacing
+        points = (voxels + offset).astype(np.float64) * spacing
         return _max_distance_within(points, counts)
 
     max3d = max_distance(index[ends[0] & ends[1] & ends[2]])

@@ -394,8 +394,8 @@ def load_mask(path: str) -> LabelMask:
     An unscaled integer payload is checked as stored; any other must hold
     finite integers once scaled to float64. Labels are checked before they
     are narrowed to C-ordered int16, so no value wraps into a valid label.
-    A payload int16 holds exactly (u1, i1, i2) is checked once, after the
-    cast, by ``LabelMask``.
+    A payload that int16 holds exactly (u1, i1, i2) is checked once, after
+    the cast, by ``LabelMask``.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
