@@ -71,6 +71,21 @@ def prepare_training(X: np.ndarray, y: np.ndarray,
     return X, y, list(feature_names), imputation
 
 
+def int_param(params: dict, key: str, default, low: int,
+              none: bool = False) -> Optional[int]:
+    """``params[key]`` (``default`` where absent): an integer of at least
+    ``low``, or None where ``none`` allows it. A bool, or a float such as
+    50.0, is not an integer; a ValueError names the parameter and value."""
+    value = params.get(key, default)
+    if none and value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{key} must be {'null or ' if none else ''}an "
+                         f"integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def impute(X: np.ndarray, imputation: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if np.isnan(X).any():

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, prepare_training
-from .tree import TreeGrower, int_param, leaf_values
+from . import Model, int_param, prepare_training
+from .tree import TreeGrower, leaf_values
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import Model, prepare_training, standardize
+from . import Model, int_param, prepare_training, standardize
 
 
 class SingularSystemError(ValueError):
@@ -45,10 +45,11 @@ def _soft_threshold(value: float, lam: float) -> float:
 
 def linear_settings(params: dict) -> tuple:
     """(penalty, lam, max_iter, tol) of ``params``: penalty ('none', 'l1'
-    or 'l2'), lam (>= 0 under a penalty), max_iter and tol."""
+    or 'l2'), lam (>= 0 under a penalty), max_iter (an integer, default
+    10000, at least 0) and tol."""
     penalty = params.get("penalty", "none")
     lam = float(params.get("lam", 0.0))
-    max_iter = int(params.get("max_iter", 10000))
+    max_iter = int_param(params, "max_iter", 10000, 0)
     tol = float(params.get("tol", 1e-8))
     if penalty not in ("none", "l1", "l2"):
         raise ValueError(f"penalty must be none/l1/l2, got {penalty!r}")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, prepare_training, standardize
+from . import Model, int_param, prepare_training, standardize
 
 DEFAULT_WIDTHS = (32, 24, 16, 12, 8)
 
@@ -111,17 +111,21 @@ def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
 
 def mlp_settings(params: dict) -> tuple:
     """(widths, epochs, lr, optimizer, batch_size) of ``params``: widths
-    (5-tuple, default DEFAULT_WIDTHS), epochs (default 200), lr (default
-    1e-3), optimizer ('adam' default, or 'sgd'), batch_size (default 32)."""
-    widths = tuple(int(w) for w in params.get("widths", DEFAULT_WIDTHS))
-    if len(widths) != 5 or any(w < 1 for w in widths):
+    (five integers of at least 1, default DEFAULT_WIDTHS), epochs (an
+    integer, default 200, at least 0), lr (default 1e-3), optimizer ('adam'
+    default, or 'sgd'), batch_size (an integer, default 32, at least 1)."""
+    widths = params.get("widths", DEFAULT_WIDTHS)
+    if not (isinstance(widths, (list, tuple)) and len(widths) == 5
+            and all(isinstance(w, (int, np.integer))
+                    and not isinstance(w, bool) and w >= 1 for w in widths)):
         raise ValueError(f"widths must be five positive integers, got {widths}")
-    epochs = int(params.get("epochs", 200))
+    epochs = int_param(params, "epochs", 200, 0)
     lr = float(params.get("lr", 1e-3))
     optimizer = params.get("optimizer", "adam")
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
-    return widths, epochs, lr, optimizer, int(params.get("batch_size", 32))
+    return (tuple(int(w) for w in widths), epochs, lr, optimizer,
+            int_param(params, "batch_size", 32, 1))
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,

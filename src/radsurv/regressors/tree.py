@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, prepare_training
+from . import Model, int_param, prepare_training
 
 
 @dataclass
@@ -274,21 +274,6 @@ def resolve_max_features(rule, p: int) -> Optional[int]:
     if not 1 <= count <= p:
         raise ValueError(f"max_features {count} outside 1..{p}")
     return count
-
-
-def int_param(params: dict, key: str, default, low: int,
-              none: bool = False) -> Optional[int]:
-    """``params[key]`` (``default`` where absent): an integer of at least
-    ``low``, or None where ``none`` allows it. A bool, or a float such as
-    50.0, is not an integer; a ValueError names the parameter and value."""
-    value = params.get(key, default)
-    if none and value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise ValueError(f"{key} must be {'null or ' if none else ''}an "
-                         f"integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def forest_settings(params: dict) -> tuple:

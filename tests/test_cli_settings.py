@@ -545,13 +545,16 @@ class TestBoundaryChecks:
         (["train", "--predictor", "gbr", "--params", '{"n_estimators": -3}'],
          {}, "radsurv train: params: n_estimators must be an integer >= 0, "
          "got -3"),
+        (["train", "--predictor", "mlp", "--params", '{"batch_size": 0}'],
+         {}, "radsurv train: params: batch_size must be an integer >= 1, "
+         "got 0"),
         (["experiment", "--predictors", "linear,gbr", "--params",
           '{"n_estimators": -3}'], {},
          "radsurv experiment: params: n_estimators must be an integer "
          ">= 0, got -3"),
         (["rfe"], {"estimator_params": {"n_trees": 2.5}},
          "radsurv rfe: estimator_params: n_trees must be an integer >= 1, "
-         "got 2.5")], ids=["train", "experiment", "rfe"])
+         "got 2.5")], ids=["train", "train-mlp", "experiment", "rfe"])
     def test_bad_hyperparameter_names_the_command_and_setting(
             self, cohort_dir, tmp_path, argv, config, message):
         config_path = tmp_path / "config.json"

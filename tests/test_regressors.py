@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,36 @@ class TestSharedContracts:
         assert fam.train.__module__ == fam.model_class.__module__
         assert fam.train.__name__.startswith("train_")
         assert fam.settings.__module__ == fam.model_class.__module__
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("mlp", {"epochs": 2.7}, "epochs must be an integer >= 0, got 2.7"),
+        ("mlp", {"epochs": True}, "epochs must be an integer >= 0, got True"),
+        ("mlp", {"batch_size": 0},
+         "batch_size must be an integer >= 1, got 0"),
+        ("mlp", {"widths": [32, 24, 16, 12, 8.0]},
+         "widths must be five positive integers, got [32, 24, 16, 12, 8.0]"),
+        ("mlp", {"widths": 5}, "widths must be five positive integers, got 5"),
+        ("linear", {"max_iter": 10.5},
+         "max_iter must be an integer >= 0, got 10.5"),
+    ])
+    def test_counts_are_integers_checked_before_fitting(self, kind, params,
+                                                        message):
+        """Each was truncated by int() (true meant 1), or, for a batch of
+        0, failed mid-fit in a message that named no setting."""
+        x = np.random.default_rng(3).random((12, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FAMILIES[kind].settings(params)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_model(kind, x, x[:, 0], params, 0)
+
+    def test_counts_at_their_bounds_accepted(self):
+        x = np.random.default_rng(3).random((12, 2))
+        for kind, params in (("mlp", {"epochs": 0, "batch_size": 1}),
+                             ("mlp", {"epochs": np.int64(1),
+                                      "widths": (1, 1, 1, 1, 1)}),
+                             ("linear", {"penalty": "l2", "max_iter": 0})):
+            model = train_model(kind, x, x[:, 0], params, 0)
+            assert predict(model, x).shape == (12,)
 
     def test_predict_arity_and_dim_check(self):
         rng = np.random.default_rng(0)
