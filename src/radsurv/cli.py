@@ -40,7 +40,8 @@ from .radiomics import (EXTRACT_MODES, FEATURE_COLUMNS, Binning,
 from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
 from .rng import make_rng
 from .util import (POSITIVE, fields, finite, numbers, of_type, one_of,
-                   parse_cell, read_csv, read_json, write_csv, write_json)
+                   parse_number, read_cell, read_csv, read_json, write_csv,
+                   write_json)
 from .volumeio import (NIFTI_MAX_DIM, NIFTI_MAX_FLOAT, NIFTI_MIN_SPACING,
                        ROI_KINDS, SubjectRecord, load_mask, load_nifti,
                        read_metadata_csv, write_nifti)
@@ -102,14 +103,14 @@ def _merge_config(command: str, settings: dict,
 
 def _setting(default, flag: dict | None):
     """The decoder of a setting's config-file value, by its flag: an
-    integer for ``type=int``, a number for ``type=_finite``, one of the
+    integer for ``type=_integer``, a number for ``type=_finite``, one of the
     ``choices``, an object whose numbers are finite where the default or
     ``type`` is one, else a string; null only where the default is null.
     It returns the value."""
     flag = flag or {}
-    if flag.get("type") in (int, _finite):
+    if flag.get("type") in (_integer, _finite):
         check = _numbers_as(lambda value: value, shape=(),
-                            kinds="i" if flag["type"] is int else "if")
+                            kinds="i" if flag["type"] is _integer else "if")
     elif "choices" in flag:
         check = one_of(flag["choices"])
     else:
@@ -137,10 +138,10 @@ def _json_object(text: str) -> dict:
 
 
 def _finite(text: str) -> float:
-    """argparse type of a flag that takes a number, finite as in a config
-    file."""
+    """argparse type of a flag that takes a number, read by
+    ``util.parse_number`` and finite as in a config file."""
     try:
-        value = float(text)
+        value = parse_number(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -148,10 +149,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """argparse type of a flag that takes an integer, read by
+    ``util.parse_number``."""
+    try:
+        return parse_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+
+
 def _binning_from(resolved: dict):
     if resolved.get("bin_width") is not None:
         return Binning("fixed_bin_width", float(resolved["bin_width"]))
-    return Binning("fixed_bin_count", int(resolved["bins"]))
+    return Binning("fixed_bin_count", resolved["bins"])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +230,8 @@ def cmd_rfe(resolved: dict) -> int:
     spec = EstimatorSpec(resolved["estimator"],
                          dict(resolved["estimator_params"]))
     ranking = rfe(cohort.X, cohort.known_survival(), cohort.feature_names,
-                  spec, n_keep=int(resolved["n_keep"]),
-                  step=int(resolved["step"]), seed=int(resolved["seed"]))
+                  spec, n_keep=resolved["n_keep"], step=resolved["step"],
+                  seed=resolved["seed"])
     os.makedirs(resolved["out"], exist_ok=True)
     ranking.write_csv(os.path.join(resolved["out"], "ranking.csv"))
     reduced = cohort.select(ranking.kept)
@@ -242,8 +253,8 @@ def cmd_train(resolved: dict) -> int:
     model, report = fit(resolved["predictor"],
                         cohort.select(cohort.feature_names),
                         cohort.known_survival(), dict(resolved["params"]),
-                        resolved["grid"], int(resolved["cv_folds"]),
-                        int(resolved["seed"]), cohort.feature_names)
+                        resolved["grid"], resolved["cv_folds"],
+                        resolved["seed"], cohort.feature_names)
     save_fit(resolved["out"], model, report)
     return 0
 
@@ -266,8 +277,8 @@ def cmd_evaluate(resolved: dict) -> int:
                             required=("predicted_days",))
     id_col = header.index("subject_id")
     pred_col = header.index("predicted_days")
-    pred_by_id = {row[id_col]: parse_cell(path, row[id_col], "predicted_days",
-                                          row[pred_col]) for row in rows}
+    pred_by_id = {row[id_col]: read_cell(path, row[id_col], "predicted_days",
+                                         row[pred_col]) for row in rows}
     records = read_metadata_csv(resolved["metadata"])
     unmatched = pred_by_id.keys() - {rec.subject_id for rec in records}
     if unmatched:
@@ -285,7 +296,7 @@ def cmd_evaluate(resolved: dict) -> int:
         true.append(rec.survival_days)
     if len(pred) < 2:
         raise SystemExit("fewer than 2 evaluable subjects after filtering")
-    metrics = evaluate(pred, true, thresholds)
+    metrics = _or_exit(f"{path}: ", evaluate, pred, true, thresholds)
     os.makedirs(resolved["out"], exist_ok=True)
     dataset = "all" if resolved["eval_filter"] == "all" else "eval"
     write_csv(os.path.join(resolved["out"], "metrics.csv"), METRICS_COLUMNS,
@@ -305,13 +316,13 @@ def cmd_experiment(resolved: dict) -> int:
     base_plan = {
         "params": dict(resolved["params"]),
         "grid": resolved["grid"],
-        "cv_folds": int(resolved["cv_folds"]),
+        "cv_folds": resolved["cv_folds"],
         "eval_filter": resolved["eval_filter"],
         "thresholds": (float(resolved["t_lo"]), float(resolved["t_hi"])),
     }
     os.makedirs(resolved["out"], exist_ok=True)
     run_experiment_matrix(cohort, feature_sets, predictors,
-                          int(resolved["seed"]), resolved["out"], base_plan)
+                          resolved["seed"], resolved["out"], base_plan)
     return 0
 
 
@@ -420,7 +431,7 @@ def cmd_phantom(resolved: dict) -> int:
 # --out where its flag is _OUT_DIR, else beside the --out file.
 
 _OUT_DIR = {"help": "output directory"}
-_INT = {"type": int}
+_INT = {"type": _integer}
 _FLOAT = {"type": _finite}
 _GRID = {"help": "JSON file with a list of parameter dicts, or 'default'"}
 _EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
@@ -432,7 +443,8 @@ COMMANDS = {
         "out": (REQUIRED, {"help": "output features CSV"}),
         "features": ("all", {"choices": EXTRACT_MODES}),
         "roi": ("WT", {"choices": ROI_KINDS}),
-        "bins": (32, {"type": int, "help": "fixed bin count (default 32)"}),
+        "bins": (32, {"type": _integer,
+                      "help": "fixed bin count (default 32)"}),
         "bin_width": (None, _FLOAT),
         "channel": ("unspecified",
                     {"help": "intensity channel label for provenance"})}),

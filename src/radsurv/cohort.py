@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .util import parse_cell, parse_float_cell, read_csv, write_csv
+from .util import read_cell, read_csv, write_csv
 from .volumeio import SubjectRecord, read_metadata_csv, write_metadata_csv
 
 
@@ -76,25 +76,15 @@ class Cohort:
 
 def read_features_csv(path: str):
     """Read a feature table: (subject ids, feature names, (n, p) float64 X
-    with NaN for empty, NA or NaN cells). An infinite cell is rejected."""
+    with NaN for missing cells); every cell is read by ``util.read_cell``."""
     header, rows = read_csv(path, key="subject_id")
     if header[0] != "subject_id":
         raise ValueError(f"{path}: first column must be 'subject_id'")
-    ids = [row[0] for row in rows]
-    try:
-        X = np.array([[parse_float_cell(c) for c in row[1:]] for row in rows],
-                     dtype=np.float64).reshape(len(rows), len(header) - 1)
-    except ValueError:
-        for row in rows:    # name the first cell that is not a number
-            for name, cell in zip(header[1:], row[1:]):
-                parse_cell(path, row[0], name, cell, parse_float_cell)
-        raise
-    infinite = np.argwhere(np.isinf(X))
-    if infinite.size:
-        i, j = infinite[0]
-        raise ValueError(f"{path}: subject {ids[i]!r} column {header[j + 1]!r} "
-                         f"holds a non-finite value {X[i, j]}")
-    return ids, header[1:], X
+    names = header[1:]
+    X = np.array([[read_cell(path, row[0], name, cell, missing=True)
+                   for name, cell in zip(names, row[1:])] for row in rows],
+                 dtype=np.float64).reshape(len(rows), len(names))
+    return [row[0] for row in rows], names, X
 
 
 def load_cohort(features_csv: str, metadata_csv: str) -> Cohort:

@@ -144,7 +144,8 @@ def spearman(x, y) -> float:
 
 
 def evaluate(pred_days, true_days, thresholds=DEFAULT_THRESHOLDS) -> Metrics:
-    """The five metrics over paired prediction/truth day vectors."""
+    """The five metrics over paired prediction/truth day vectors; a
+    MetricsError where a squared error is too large for a float."""
     pred = np.asarray(pred_days, dtype=np.float64)
     true = np.asarray(true_days, dtype=np.float64)
     if pred.shape != true.shape or pred.ndim != 1 or pred.size < 2:
@@ -152,7 +153,10 @@ def evaluate(pred_days, true_days, thresholds=DEFAULT_THRESHOLDS) -> Metrics:
     pred_cls = [bin_survival(max(d, 0.0), thresholds) for d in pred]
     true_cls = [bin_survival(d, thresholds) for d in true]
     correct = sum(p == t for p, t in zip(pred_cls, true_cls))
-    se = (pred - true) ** 2
+    with np.errstate(over="ignore"):    # rejected below, not warned of
+        se = (pred - true) ** 2
+    if not np.isfinite(se).all():
+        raise MetricsError("a squared error overflows")
     return Metrics(
         accuracy=correct / pred.size,
         mse=float(se.mean()),

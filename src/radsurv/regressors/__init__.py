@@ -12,12 +12,13 @@ models never see NaN. A column that is entirely missing imputes to 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..util import of_type
+from ..util import POSITIVE, of_type
 
 __all__ = [
     "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel",
@@ -71,19 +72,27 @@ def prepare_training(X: np.ndarray, y: np.ndarray,
     return X, y, list(feature_names), imputation
 
 
-def int_param(params: dict, key: str, default, low: int,
-              none: bool = False) -> Optional[int]:
-    """``params[key]`` (``default`` where absent): an integer of at least
-    ``low``, or None where ``none`` allows it. A bool, or a float such as
-    50.0, is not an integer; a ValueError names the parameter and value."""
+FLOAT_MAX = sys.float_info.max
+
+
+def number_param(params: dict, key: str, default, low, high=FLOAT_MAX,
+                 real: bool = False, also: tuple = ()):
+    """``params[key]`` (``default`` where absent): a string or None in
+    ``also``, or an integer (with ``real``, a number, as a float) in
+    ``low``..``high`` (``util.POSITIVE``: above 0). A bool is not a number
+    and 50.0 not an integer; a ValueError names the parameter and value."""
     value = params.get(key, default)
-    if none and value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise ValueError(f"{key} must be {'null or ' if none else ''}an "
-                         f"integer >= {low}, got {value!r}")
-    return int(value)
+    if isinstance(value, (str, type(None))) and value in also:
+        return value
+    kinds = (int, np.integer) + ((float, np.floating) if real else ())
+    if (not isinstance(value, bool) and isinstance(value, kinds)
+            and low <= value <= high):
+        return float(value) if real else int(value)
+    choices = "".join(f"{'null' if a is None else repr(a)} or " for a in also)
+    bounds = ("> 0" if low == POSITIVE else f">= {low:g}") + (
+        "" if high == FLOAT_MAX else f" and <= {high:g}")
+    noun = "a number" if real else "an integer"
+    raise ValueError(f"{key} must be {choices}{noun} {bounds}, got {value!r}")
 
 
 def impute(X: np.ndarray, imputation: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, int_param, prepare_training
+from . import Model, number_param, prepare_training
+from ..util import POSITIVE
 from .tree import TreeGrower, leaf_values
 
 
@@ -35,16 +36,11 @@ def gbr_settings(params: dict) -> tuple:
     3; None = unlimited, else at least 0), min_split (default 2, at least
     2), learning_rate in (0, 1] (default 0.1), subsample in (0, 1]
     (default 1.0)."""
-    n_estimators = int_param(params, "n_estimators", 100, 0)
-    max_depth = int_param(params, "max_depth", 3, 0, none=True)
-    min_split = int_param(params, "min_split", 2, 2)
-    lr = float(params.get("learning_rate", 0.1))
-    subsample = float(params.get("subsample", 1.0))
-    if not 0.0 < lr <= 1.0:
-        raise ValueError(f"learning_rate must be in (0, 1], got {lr}")
-    if not 0.0 < subsample <= 1.0:
-        raise ValueError(f"subsample must be in (0, 1], got {subsample}")
-    return n_estimators, max_depth, min_split, lr, subsample
+    return (number_param(params, "n_estimators", 100, 0),
+            number_param(params, "max_depth", 3, 0, also=(None,)),
+            number_param(params, "min_split", 2, 2),
+            number_param(params, "learning_rate", 0.1, POSITIVE, 1, True),
+            number_param(params, "subsample", 1.0, POSITIVE, 1, True))
 
 
 def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,

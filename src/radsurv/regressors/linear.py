@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import Model, int_param, prepare_training, standardize
+from . import Model, number_param, prepare_training, standardize
+from ..util import POSITIVE, one_of
 
 
 class SingularSystemError(ValueError):
@@ -45,17 +46,13 @@ def _soft_threshold(value: float, lam: float) -> float:
 
 def linear_settings(params: dict) -> tuple:
     """(penalty, lam, max_iter, tol) of ``params``: penalty ('none', 'l1'
-    or 'l2'), lam (>= 0 under a penalty), max_iter (an integer, default
-    10000, at least 0) and tol."""
-    penalty = params.get("penalty", "none")
-    lam = float(params.get("lam", 0.0))
-    max_iter = int_param(params, "max_iter", 10000, 0)
-    tol = float(params.get("tol", 1e-8))
-    if penalty not in ("none", "l1", "l2"):
-        raise ValueError(f"penalty must be none/l1/l2, got {penalty!r}")
-    if penalty != "none" and lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    return penalty, lam, max_iter, tol
+    or 'l2'), lam (>= 0, default 0), max_iter (an integer, default 10000,
+    at least 0) and tol (> 0, default 1e-8)."""
+    return (one_of(("none", "l1", "l2"))(params.get("penalty", "none"),
+                                         "penalty"),
+            number_param(params, "lam", 0.0, 0, real=True),
+            number_param(params, "max_iter", 10000, 0),
+            number_param(params, "tol", 1e-8, POSITIVE, real=True))
 
 
 def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,

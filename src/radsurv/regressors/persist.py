@@ -8,10 +8,9 @@ indent of other JSON outputs hold the same document and load the same. A
 tree is one object of the equal-length node arrays of
 ``tree.tree_arrays``, nodes in level order: ``feature`` (-1 for a leaf),
 ``threshold``, ``gain``, ``left`` and ``right`` (child indices, -1 for a
-leaf), ``value`` and ``n``; no depth limits save or load. A
-radsurv-model/1 tree, nested one object per level, is flattened into the
-same arrays and checks. Linear and MLP files, the same in both schemas,
-keep the name radsurv-model/1. ``load_model`` walks the file's keys and
+leaf), ``value`` and ``n``; no depth limits save or load. Linear and MLP
+files, the same in both schemas, keep the name radsurv-model/1.
+``load_model`` walks the file's keys and
 its family's ``parameters`` with ``util.fields`` and checks every number
 with ``util.numbers``: a file that lacks a key or holds an unknown one, a
 value of the wrong JSON type (true is not a number, 1.0 not an index), a
@@ -31,24 +30,6 @@ from .tree import TreeNode, tree_arrays
 SCHEMA_V1 = "radsurv-model/1"
 SCHEMA = "radsurv-model/2"
 TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value", "n")
-
-
-def _v1_tree_arrays(root, where: str) -> dict[str, list]:
-    """The node arrays of a radsurv-model/1 tree, whose split nodes nest
-    their children, in level order."""
-    rows, nodes = [], [root]
-    for i, node in enumerate(nodes):
-        try:
-            split = "feature" in node
-            head = ((node["feature"], node["threshold"], node["gain"],
-                     len(nodes), len(nodes) + 1) if split
-                    else (-1, 0.0, 0.0, -1, -1))
-            rows.append(head + (node["value"], node["n"]))
-            nodes += (node["left"], node["right"]) if split else ()
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{where}: node {i} in level order is not a "
-                             f"tree node ({exc!r})") from None
-    return {key: list(column) for key, column in zip(TREE_ARRAYS, zip(*rows))}
 
 
 def as_vector(value, where: str, n_features: int, low=None) -> np.ndarray:
@@ -195,10 +176,6 @@ def load_model(path: str):
                                doc["feature_names"])
         family = FAMILIES[kind]
         imputation = as_vector(doc["imputation"], "imputation", len(names))
-        if doc["schema"] == SCHEMA_V1 and isinstance(params.get("trees"),
-                                                     list):
-            params["trees"] = [_v1_tree_arrays(tree, f"parameters.trees[{t}]")
-                               for t, tree in enumerate(params["trees"])]
         kwargs = fields(params, family.fields, "parameters", len(names),
                         required=family.fields,
                         missing=f"{kind} model lacks parameters {{keys}}")

@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, int_param, prepare_training
+from . import Model, number_param, prepare_training
+from ..util import of_type
 
 
 @dataclass
@@ -265,28 +266,26 @@ class ForestModel(Model):
 
 
 def resolve_max_features(rule, p: int) -> Optional[int]:
-    """'all' -> every feature, 'third' -> ceil(p/3), int -> that many."""
+    """'all' -> every feature, 'third' -> ceil(p/3), n in 1..p -> n."""
     if rule == "all":
         return None
     if rule == "third":
         return max(1, math.ceil(p / 3))
-    count = int(rule)
-    if not 1 <= count <= p:
-        raise ValueError(f"max_features {count} outside 1..{p}")
-    return count
+    return number_param({"max_features": rule}, "max_features", None, 1, p)
 
 
 def forest_settings(params: dict) -> tuple:
     """(n_trees, max_depth, min_split, max_features, bootstrap) of
     ``params``: n_trees (default 50, at least 1), max_depth (None =
     unlimited, else at least 0), min_split (default 2, at least 2),
-    max_features ('third' by default, 'all', or an int, checked against
-    the feature count at training), bootstrap (default True)."""
-    return (int_param(params, "n_trees", 50, 1),
-            int_param(params, "max_depth", None, 0, none=True),
-            int_param(params, "min_split", 2, 2),
-            params.get("max_features", "third"),
-            bool(params.get("bootstrap", True)))
+    max_features ('third' by default, 'all', or an integer, at least 1 and
+    at most the feature count), bootstrap (a boolean, default True)."""
+    return (number_param(params, "n_trees", 50, 1),
+            number_param(params, "max_depth", None, 0, also=(None,)),
+            number_param(params, "min_split", 2, 2),
+            number_param(params, "max_features", "third", 1,
+                         also=("all", "third")),
+            of_type(bool)(params.get("bootstrap", True), "bootstrap"))
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,

@@ -132,7 +132,8 @@ def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
     """(header, rows of raw strings) of a CSV table, each ``key`` cell
     stripped of surrounding whitespace. A ValueError naming ``path`` rejects
     bytes that are not UTF-8 (by offset), a stray or unclosed quote (by
-    line), an empty file, a repeated column name, a missing ``required`` or
+    line), an empty file, a column name that is empty or not printable (a
+    NUL, a BOM; by 1-based number), a repeated one, a missing ``required`` or
     ``key`` column, a row whose cell count is not the header's (a blank line
     has 0 cells), naming it by its ``key`` cell (or first cell), and a
     ``key`` value that appears twice."""
@@ -152,6 +153,10 @@ def read_csv(path: str, key: Optional[str] = None, required: Sequence[str] = ()
                          f"{exc}") from None
     if not header:
         raise ValueError(f"{path}: empty CSV, header row is mandatory")
+    for number, name in enumerate(header, 1):
+        if not (name and name.isprintable()):
+            raise ValueError(f"{path}: header column {number} {name!r} is "
+                             "empty or not printable")
     reject_duplicate_ids(header, path, "column name")
     missing = [c for c in (key, *required) if c and c not in header]
     if missing:
@@ -270,23 +275,35 @@ def fields(doc, decoders: dict, where: str = "", *args, required=(),
             for key, value in doc.items()}
 
 
-def parse_float_cell(cell: str) -> float:
-    """Parse a CSV cell to float; empty or NA-like cells become NaN."""
-    text = cell.strip()
-    if text == "" or text.upper() in ("NA", "NAN", "NONE"):
-        return math.nan
-    return float(text)
+def parse_number(text: str, kind: type = float):
+    """``kind(text)``, float or int, under the package's one number grammar
+    for CSV cells and flags: ASCII digits with an optional sign, decimal
+    point and exponent (as ``fmt_float`` writes, and ``+7`` or ``.5``),
+    with surrounding whitespace; ``inf``, ``infinity`` and ``nan`` in any
+    case read as non-finite floats. A ValueError rejects the rest, the
+    ``1_000`` and non-ASCII digits (``١٢``) Python's readers also take."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
 
 
-def parse_cell(path: str, subject: str, column: str, text: str,
-               parse=float) -> float:
-    """``parse(text)``, or a ValueError naming the file, the subject and the
-    column of a cell that does not hold a number."""
+def read_cell(path: str, subject: str, column: str, text: str,
+              missing: bool = False) -> float:
+    """The finite number in the CSV cell ``text``, or NaN where the column
+    allows a ``missing`` value and the cell is empty, NA, NaN or None (in
+    any case, surrounding whitespace ignored). A ValueError names the file,
+    the subject and the column of a cell that holds anything else."""
     try:
-        return parse(text)
+        value = parse_number(text)
+        if math.isfinite(value):
+            return value
+        what = "non-finite"
     except ValueError:
-        raise ValueError(f"{path}: subject {subject!r} column {column!r} "
-                         f"holds a non-numeric value {text!r}") from None
+        what = "non-numeric"
+    if missing and text.strip().upper() in ("", "NA", "NAN", "NONE"):
+        return math.nan
+    raise ValueError(f"{path}: subject {subject!r} column {column!r} holds "
+                     f"a {what} value {text!r}")
 
 
 def reject_duplicate_ids(ids: Iterable[str], path: str,

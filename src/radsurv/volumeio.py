@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import fmt_float, numbers, parse_cell, read_csv, write_csv
+from .util import fmt_float, numbers, read_cell, read_csv, write_csv
 
 HEADER_SIZE = 348
 
@@ -471,17 +471,15 @@ def read_metadata_csv(path: str) -> list[SubjectRecord]:
     for cells in rows:
         row = dict(zip(header, cells))
         sid = row["ID"]
-        surv_raw = row["Survival_days"].strip()
-        survival = None
-        if surv_raw and surv_raw.upper() != "NA":
-            survival = parse_cell(path, sid, "Survival_days", surv_raw)
+        survival = read_cell(path, sid, "Survival_days", row["Survival_days"],
+                             missing=True)
         status = row["Extent_of_Resection"].strip() or "NA"
         if status.upper() == "NA":
             status = "NA"
         records.append(SubjectRecord(
             subject_id=sid,
-            age=parse_cell(path, sid, "Age", row["Age"]),
-            survival_days=survival,
+            age=read_cell(path, sid, "Age", row["Age"]),
+            survival_days=None if math.isnan(survival) else survival,
             resection_status=status,
         ))
     return records

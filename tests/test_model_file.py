@@ -1,14 +1,10 @@
-"""The checks ``load_model`` makes on a model.json, and radsurv-model/1 files.
+"""The checks ``load_model`` makes on a model.json.
 
-``tests/data/{gbr,rfr}_v1.json`` were written, before trees were saved as
-node arrays, for the models ``_v1_problem`` trains; they must predict what
-those models predicted then and save as the arrays the same models save as
-today. Every other file here is a saved model edited by hand or by seeded
-byte mutations: loading it either raises a ValueError that names the file
-or gives a model whose predictions are finite.
+Every file here is a saved model edited by hand or by seeded byte
+mutations: loading it either raises a ValueError that names the file or
+gives a model whose predictions are finite.
 """
 
-import hashlib
 import json
 import pathlib
 import re
@@ -17,42 +13,6 @@ import numpy as np
 import pytest
 
 from radsurv.regressors import load_model, predict, save_model, train_model
-
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-
-# sha256 of the predictions of the radsurv-model/1 files, recorded when
-# they were written
-V1_PREDICTIONS = {
-    "gbr": "c1becb6fbae5c657c49b9c6cd47978673dc03ac9c7ce618ef90d44b5a3a840c2",
-    "rfr": "b2af12566eb9914b9be7fd96d35e4f8f0c5a33ec92dcbdf28ac8ba0df64ee6cc",
-}
-V1_PARAMS = {"gbr": {"n_estimators": 5, "max_depth": 3, "subsample": 0.8},
-             "rfr": {"n_trees": 3, "max_depth": 4}}
-
-
-def _v1_problem():
-    rng = np.random.default_rng(1601)
-    x = rng.standard_normal((40, 4))
-    x[:, 1] = rng.integers(0, 3, 40)
-    y = (300.0 + 50.0 * x[:, 0] - 20.0 * x[:, 1] ** 2
-         + 10.0 * rng.standard_normal(40))
-    x[7, 2] = np.nan
-    return x, y, rng.standard_normal((25, 4))
-
-
-@pytest.mark.parametrize("kind", sorted(V1_PARAMS))
-def test_v1_tree_files_load_as_they_predicted(kind, tmp_path):
-    x, y, q = _v1_problem()
-    loaded = load_model(str(DATA / f"{kind}_v1.json"))
-    got = predict(loaded, q)
-    assert hashlib.sha256(got.tobytes()).hexdigest() == V1_PREDICTIONS[kind]
-    model = train_model(kind, x, y, V1_PARAMS[kind], 11,
-                        [f"c{j}" for j in range(4)])
-    assert np.array_equal(got, predict(model, q))
-    for name, saved in (("loaded", loaded), ("trained", model)):
-        save_model(saved, str(tmp_path / f"{name}.json"))
-    assert (tmp_path / "loaded.json").read_bytes() == \
-        (tmp_path / "trained.json").read_bytes()
 
 
 def _saved(kind, tmp_path, params=None) -> pathlib.Path:
@@ -98,15 +58,19 @@ def test_non_finite_parameter_rejected(kind, keys, shown, token, tmp_path):
         load_model(str(path))
 
 
-@pytest.mark.parametrize("kind", sorted(V1_PARAMS))
-def test_non_finite_v1_tree_entry_rejected(kind, tmp_path):
-    """A radsurv-model/1 tree is checked as its level-order arrays: the
-    root's left child is node 1."""
-    path = tmp_path / f"{kind}_v1.json"
-    path.write_bytes((DATA / f"{kind}_v1.json").read_bytes())
-    _edit(path, ["parameters", "trees", 0, "left", "value"], "1e999")
+@pytest.mark.parametrize("kind", ["gbr", "rfr"])
+def test_v1_tree_file_rejected(kind, tmp_path):
+    """A radsurv-model/1 tree, nested one object per level, is no longer
+    read: its file is rejected by the key path of its first tree."""
+    path = _saved(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["schema"] = "radsurv-model/1"
+    doc["parameters"]["trees"][0] = {
+        "feature": 0, "threshold": 0.5, "gain": 1.0, "value": 2.0, "n": 2,
+        "left": {"value": 1.0, "n": 1}, "right": {"value": 3.0, "n": 1}}
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: parameters.trees[0].value[1]: inf is not a finite")):
+            f"{path}: parameters.trees[0]: expected an object of the ")):
         load_model(str(path))
 
 
