@@ -37,7 +37,8 @@ from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
                         save_fit)
 from .radiomics import (EXTRACT_MODES, FEATURE_COLUMNS, Binning,
                         RadiomicsConfig, extract_row)
-from .regressors import FAMILIES, PREDICTOR_KINDS, load_model, predict
+from .regressors import (FAMILIES, PREDICTOR_KINDS, check_param_keys,
+                         load_model, predict)
 from .rng import make_rng
 from .util import (POSITIVE, fields, finite, numbers, of_type, one_of,
                    parse_number, read_cell, read_csv, read_json, write_csv,
@@ -70,12 +71,13 @@ def _or_exit(prefix: str, call, *args, **kwargs):
 
 def _check_params(command: str, setting: str, kinds, params: dict) -> None:
     """A SystemExit naming the command and the setting where ``params``
-    holds a hyperparameter that a fit of one of the predictor ``kinds``
-    would reject; unknown kinds are left to the command."""
+    holds a key no predictor family reads or a value that a fit of one of
+    the predictor ``kinds`` would reject; unknown kinds are left to it."""
+    prefix = f"radsurv {command}: {setting}: "
+    _or_exit(prefix, check_param_keys, params)
     for kind in kinds:
         if kind in FAMILIES:
-            _or_exit(f"radsurv {command}: {setting}: ",
-                     FAMILIES[kind].settings, params)
+            _or_exit(prefix, FAMILIES[kind].settings, params)
 
 
 def _merge_config(command: str, settings: dict,
@@ -176,8 +178,7 @@ def _extract_one(subject_id: str, scan_path: str, mask_path: str,
     if mode == "image7":    # reads no scan, so no binning either
         return extract_row(mask, record, mode=mode).tolist()
     config = RadiomicsConfig(roi_kind=resolved["roi"],
-                             binning=_binning_from(resolved),
-                             channel=resolved["channel"])
+                             binning=_binning_from(resolved))
     vol = load_nifti(scan_path) if scan_path else None
     return extract_row(mask, record, vol, config, mode).tolist()
 

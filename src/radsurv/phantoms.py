@@ -220,9 +220,8 @@ def gen_cohort(spec: CohortSpec):
                                f"got {tuple(float(p) for p in mix)}")
     check_thresholds(spec.thresholds)
 
-    from .radiomics import FEATURE_COLUMNS, RadiomicsConfig, extract_row
+    from .radiomics import FEATURE_COLUMNS, extract_row
 
-    config = RadiomicsConfig(roi_kind="WT", channel="synthetic")
     feature_names = list(FEATURE_COLUMNS["all"]) + [
         f"noise.{k:03d}" for k in range(spec.n_distractors)]
     for name in spec.link:
@@ -240,7 +239,7 @@ def gen_cohort(spec: CohortSpec):
         mask, vol, rng, draw = _synth_subject(spec.seed, i, centers, brain,
                                               ramp)
         subject = SubjectRecord(subject_id=f"SYN-{i:04d}", age=draw[0])
-        rows.append(np.concatenate([extract_row(mask, subject, vol, config),
+        rows.append(np.concatenate([extract_row(mask, subject, vol),
                                     rng.standard_normal(spec.n_distractors)]))
         draws.append(draw)
 

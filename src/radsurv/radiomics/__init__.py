@@ -2,8 +2,8 @@
 
 The vector concatenates 14 shape, 18 first-order, 24 GLCM, 16 GLRLM,
 16 GLSZM, 14 GLDM and 5 NGTDM features in the fixed manifest order. Texture
-families run on a discretized ROI; the binning rule, ROI kind and intensity
-channel are configuration, carried along as provenance in every vector.
+families run on a discretized ROI; the ROI kind and binning rule are
+configuration, which the extract command records in resolved_config.json.
 
 ``FEATURE_COLUMNS`` is the one catalog of feature groups, and
 ``extract_row`` the one composer of a subject's row for an extract mode.
@@ -40,7 +40,6 @@ __all__ = [
     "manifest_text",
 ]
 
-DEFAULT_BINNING = Binning("fixed_bin_count", 32)
 EXTRACT_MODES = ("all", "image7", "radiomics107")
 
 # the columns of each extract mode and of the shape experiment set
@@ -59,19 +58,15 @@ class RadiomicsConfig:
     """Extraction configuration; defaults are choices, not claims."""
 
     roi_kind: str = "WT"
-    binning: Binning = DEFAULT_BINNING
-    channel: str = "unspecified"
+    binning: Binning = Binning("fixed_bin_count", 32)
     gldm_alpha: float = 0.0
 
 
 @dataclass
 class RadiomicsVector:
-    """The 107 named feature values plus extraction provenance."""
+    """The 107 feature values in ``RADIOMICS_FEATURE_NAMES`` order."""
 
     values: np.ndarray
-    roi_kind: str
-    channel: str
-    binning: str
 
 
 def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
@@ -100,13 +95,8 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
         except Exception as exc:
             raise type(exc)(f"{family}: {exc}") from exc
 
-    vector = np.array([values[name] for name in RADIOMICS_FEATURE_NAMES])
     return RadiomicsVector(
-        values=vector,
-        roi_kind=config.roi_kind,
-        channel=config.channel,
-        binning=config.binning.describe(),
-    )
+        np.array([values[name] for name in RADIOMICS_FEATURE_NAMES]))
 
 
 def extract_row(mask: LabelMask, record: SubjectRecord,

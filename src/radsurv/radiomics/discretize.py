@@ -57,11 +57,6 @@ class Binning:
             raise DiscretizationError(
                 f"bin count must be an integer >= 2, got {self.value}")
 
-    def describe(self) -> str:
-        if self.mode == "fixed_bin_width":
-            return f"fixed_bin_width({self.value:g})"
-        return f"fixed_bin_count({int(self.value)})"
-
 
 @dataclass
 class DiscretizedRoi:

@@ -172,10 +172,9 @@ def extract_mesh(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vertices, faces
 
 
-def taubin_smooth(vertices: np.ndarray, faces: np.ndarray,
-                  lam: float = TAUBIN_LAMBDA, mu: float = TAUBIN_MU,
-                  iterations: int = TAUBIN_ITERATIONS) -> np.ndarray:
-    """Shrink-free Laplacian smoothing over the mesh 1-ring neighborhoods."""
+def taubin_smooth(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Shrink-free Laplacian smoothing over the mesh 1-ring neighborhoods,
+    ``TAUBIN_ITERATIONS`` times a lambda then a mu step."""
     n = vertices.shape[0]
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                             faces[:, [2, 0]]], axis=0)
@@ -187,8 +186,8 @@ def taubin_smooth(vertices: np.ndarray, faces: np.ndarray,
     degree[degree == 0] = 1.0
 
     v = vertices.T.astype(np.float64)       # one row per axis
-    for _ in range(iterations):
-        for factor in (lam, mu):
+    for _ in range(TAUBIN_ITERATIONS):
+        for factor in (TAUBIN_LAMBDA, TAUBIN_MU):
             acc = np.stack([np.bincount(owner, weights=row[neighbor],
                                         minlength=n) for row in v])
             v = v + factor * (acc / degree - v)

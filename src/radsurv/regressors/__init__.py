@@ -1,8 +1,9 @@
 """The four predictor families plus grid search and model persistence.
 
 ``FAMILIES`` is the one per-family table. An entry holds the model class
-(a ``Model``), the trainer, the predictor, the decoders of the persisted
-parameters, the feature importance and the stock grid of the family.
+(a ``Model``), the trainer, the hyperparameter table, the predictor, the
+decoders of the persisted parameters, the feature importance and the stock
+grid of the family.
 
 Missing feature values (NaN, e.g. an absent necrosis centroid) are imputed
 at training time with the per-feature training median; the imputation
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..util import POSITIVE, of_type
+from ..util import POSITIVE, fields, of_type
 
 __all__ = [
     "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel",
@@ -27,6 +28,7 @@ __all__ = [
     "train_mlp", "train_model", "predict", "staged_predict", "grid_search_cv",
     "save_model", "load_model", "prepare_training", "impute", "standardize",
     "PREDICTOR_KINDS", "FAMILIES", "family", "model_kind",
+    "check_param_keys",
 ]
 
 
@@ -75,24 +77,33 @@ def prepare_training(X: np.ndarray, y: np.ndarray,
 FLOAT_MAX = sys.float_info.max
 
 
-def number_param(params: dict, key: str, default, low, high=FLOAT_MAX,
-                 real: bool = False, also: tuple = ()):
-    """``params[key]`` (``default`` where absent): a string or None in
-    ``also``, or an integer (with ``real``, a number, as a float) in
-    ``low``..``high`` (``util.POSITIVE``: above 0). A bool is not a number
-    and 50.0 not an integer; a ValueError names the parameter and value."""
-    value = params.get(key, default)
-    if isinstance(value, (str, type(None))) and value in also:
-        return value
+def number_param(low, high=FLOAT_MAX, real: bool = False, also: tuple = ()):
+    """The rule ``(value, key)`` of a numeric hyperparameter: a string or
+    None in ``also``, or an integer (with ``real``, a number, as a float)
+    in ``low``..``high`` (``util.POSITIVE``: above 0). A bool is not a
+    number and 50.0 not an integer; a ValueError names the key and value."""
     kinds = (int, np.integer) + ((float, np.floating) if real else ())
-    if (not isinstance(value, bool) and isinstance(value, kinds)
-            and low <= value <= high):
-        return float(value) if real else int(value)
-    choices = "".join(f"{'null' if a is None else repr(a)} or " for a in also)
-    bounds = ("> 0" if low == POSITIVE else f">= {low:g}") + (
-        "" if high == FLOAT_MAX else f" and <= {high:g}")
-    noun = "a number" if real else "an integer"
-    raise ValueError(f"{key} must be {choices}{noun} {bounds}, got {value!r}")
+
+    def decode(value, key: str):
+        if isinstance(value, (str, type(None))) and value in also:
+            return value
+        if (not isinstance(value, bool) and isinstance(value, kinds)
+                and low <= value <= high):
+            return float(value) if real else int(value)
+        choices = "".join(f"{'null' if a is None else repr(a)} or "
+                          for a in also)
+        bounds = ("> 0" if low == POSITIVE else f">= {low:g}") + (
+            "" if high == FLOAT_MAX else f" and <= {high:g}")
+        noun = "a number" if real else "an integer"
+        raise ValueError(f"{key} must be {choices}{noun} {bounds}, "
+                         f"got {value!r}")
+    return decode
+
+
+def decode_params(table: dict, params: dict) -> dict:
+    """``params`` decoded over a family's ``HYPERPARAMETERS``, by key."""
+    return {key: rule(params.get(key, default), key)
+            for key, (default, rule) in table.items()}
 
 
 def impute(X: np.ndarray, imputation: np.ndarray) -> np.ndarray:
@@ -113,14 +124,13 @@ def standardize(X: np.ndarray):
 
 
 # each family's module imports the definitions above
-from .linear import (LinearModel, SingularSystemError, linear_settings,
-                     train_linear, predict_linear)
-from .tree import (ForestModel, TreeNode, forest_settings, train_forest,
-                   predict_forest, tree_feature_gains)
-from .boosting import (BoostModel, gbr_settings, train_gbr, predict_gbr,
-                       staged_predict)
-from .mlp import (MlpModel, MlpDivergenceError, mlp_settings, train_mlp,
-                  predict_mlp)
+from . import boosting, linear, mlp, tree
+from .linear import (LinearModel, SingularSystemError, train_linear,
+                     predict_linear)
+from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
+                   tree_feature_gains)
+from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
+from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
 from .persist import (save_model, load_model, as_arrays, as_counts,
                       as_forest, as_real, as_scales, as_trees, as_vector)
@@ -136,18 +146,21 @@ class Family:
     ``importance`` returns unnormalized non-negative per-feature scores; it
     is None for a family with no defined importance, which RFE rejects.
     ``grid`` is the small desk-scale grid that ``--grid default`` searches.
-    ``settings`` decodes the hyperparameters ``train`` reads from
-    ``params``, raising a ValueError that names a bad one, so they can be
-    checked before any data is read.
+    ``hyperparameters`` is its module's ``HYPERPARAMETERS`` table, which
+    ``settings`` decodes from ``params`` (a ValueError names a bad value),
+    so they can be checked before any data is read.
     """
 
     model_class: type   # a Model subclass
     train: Callable     # (X, y, params, seed, feature_names) -> model
-    settings: Callable  # params -> decoded hyperparameters
+    hyperparameters: dict[str, tuple]   # key -> (default, rule)
     predict: Callable   # (model, imputed X) -> predicted days
     fields: dict[str, Callable]
     importance: Optional[Callable]
     grid: list[dict]
+
+    def settings(self, params: dict) -> dict:
+        return decode_params(self.hyperparameters, params)
 
 
 def _standardized_coefficients(model: LinearModel) -> np.ndarray:
@@ -157,14 +170,14 @@ def _standardized_coefficients(model: LinearModel) -> np.ndarray:
 def _split_gains(model) -> np.ndarray:
     """Total variance reduction per feature over every tree's split nodes."""
     gains = np.zeros(model.n_features)
-    for tree in model.trees:
-        gains += tree_feature_gains(tree, model.n_features)
+    for root in model.trees:
+        gains += tree_feature_gains(root, model.n_features)
     return gains
 
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
-        LinearModel, train_linear, linear_settings, predict_linear,
+        LinearModel, train_linear, linear.HYPERPARAMETERS, predict_linear,
         {"coefficients": as_vector, "intercept": as_real, "lam": as_real,
          "penalty": of_type(str), "x_mean": as_vector,
          "x_scale": as_scales},
@@ -173,14 +186,14 @@ FAMILIES: dict[str, Family] = {
         + [{"penalty": p, "lam": lam, "max_iter": 10000}
            for p in ("l1", "l2") for lam in (0.01, 0.1, 1.0, 10.0)]),
     "rfr": Family(
-        ForestModel, train_forest, forest_settings, predict_forest,
+        ForestModel, train_forest, tree.HYPERPARAMETERS, predict_forest,
         {"trees": as_forest, "bootstrap": of_type(bool),
          "max_features_rule": of_type(str)},
         _split_gains,
         [{"n_trees": n, "max_depth": d}
          for n in (25, 50, 100) for d in (4, 8, None)]),
     "gbr": Family(
-        BoostModel, train_gbr, gbr_settings, predict_gbr,
+        BoostModel, train_gbr, boosting.HYPERPARAMETERS, predict_gbr,
         {"init_value": as_real, "learning_rate": as_real, "trees": as_trees,
          "subsample": as_real},
         _split_gains,
@@ -189,7 +202,7 @@ FAMILIES: dict[str, Family] = {
          for n in (50, 100) for d in (2, 3) for s in (2, 8)
          for lr in (0.05, 0.1)]),
     "mlp": Family(
-        MlpModel, train_mlp, mlp_settings, predict_mlp,
+        MlpModel, train_mlp, mlp.HYPERPARAMETERS, predict_mlp,
         {"widths": as_counts, "weights": as_arrays, "biases": as_arrays,
          "x_mean": as_vector, "x_scale": as_scales, "y_mean": as_real,
          "y_scale": as_real},
@@ -201,6 +214,15 @@ FAMILIES: dict[str, Family] = {
 }
 
 PREDICTOR_KINDS = tuple(FAMILIES)
+_ANY_KEY = {key: (lambda value, where: value)
+            for fam in FAMILIES.values() for key in fam.hyperparameters}
+
+
+def check_param_keys(params: dict, where: str = "") -> dict:
+    """``params``, once some family's table declares each key (shared params
+    go to every family); a ValueError names the first other key's path."""
+    return fields(params, _ANY_KEY, where, unknown="{key} is not a "
+                  "hyperparameter of any predictor family")
 
 
 def family(kind: str) -> Family:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, number_param, prepare_training
+from . import Model, decode_params, number_param, prepare_training
 from ..util import POSITIVE
 from .tree import TreeGrower, leaf_values
 
@@ -30,41 +30,39 @@ class BoostModel(Model):
     seed: int
 
 
-def gbr_settings(params: dict) -> tuple:
-    """(n_estimators, max_depth, min_split, learning_rate, subsample) of
-    ``params``: n_estimators (default 100, at least 0), max_depth (default
-    3; None = unlimited, else at least 0), min_split (default 2, at least
-    2), learning_rate in (0, 1] (default 0.1), subsample in (0, 1]
-    (default 1.0)."""
-    return (number_param(params, "n_estimators", 100, 0),
-            number_param(params, "max_depth", 3, 0, also=(None,)),
-            number_param(params, "min_split", 2, 2),
-            number_param(params, "learning_rate", 0.1, POSITIVE, 1, True),
-            number_param(params, "subsample", 1.0, POSITIVE, 1, True))
+# max_depth None is unlimited
+HYPERPARAMETERS = {
+    "n_estimators": (100, number_param(0)),
+    "max_depth": (3, number_param(0, also=(None,))),
+    "min_split": (2, number_param(2)),
+    "learning_rate": (0.1, number_param(POSITIVE, 1, True)),
+    "subsample": (1.0, number_param(POSITIVE, 1, True)),
+}
 
 
 def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
               feature_names: Optional[list[str]] = None) -> BoostModel:
-    """Fit a boosting ensemble on ``gbr_settings(params)``."""
+    """Fit a boosting ensemble on the ``HYPERPARAMETERS`` of ``params``."""
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n = X.shape[0]
     if n < 2:
         raise ValueError("boosting needs at least 2 samples")
-    n_estimators, max_depth, min_split, lr, subsample = gbr_settings(params)
+    settings = decode_params(HYPERPARAMETERS, params)
+    lr, subsample = settings["learning_rate"], settings["subsample"]
 
     init_value = float(y.mean())
     residual = y - init_value
     grower = TreeGrower(X)
     trees = []
-    for k in range(n_estimators):
+    for k in range(settings["n_estimators"]):
         if subsample < 1.0:
             rng = make_rng(seed, k)
             take = max(1, int(round(subsample * n)))
             rows = np.sort(rng.choice(n, size=take, replace=False))
         else:
             rows = np.arange(n)
-        tree, = grower.grow(residual, rows[None, :], max_depth, min_split,
-                            None, None)
+        tree, = grower.grow(residual, rows[None, :], settings["max_depth"],
+                            settings["min_split"], None, None)
         residual = residual - lr * leaf_values([tree], X)[0]
         trees.append(tree)
     return BoostModel(init_value=init_value, learning_rate=lr, trees=trees,

@@ -19,18 +19,21 @@ from ..util import finite, read_json
 
 def resolve_grid(spec, kind: str):
     """Parameter list of a grid spec: None (or '') for no grid search,
-    'default' for the stock grid of ``kind``, else a JSON file path."""
+    'default' for the stock grid of ``kind``, else a JSON file path, whose
+    ``grid[i]`` a ValueError names if it holds a key no family reads."""
+    from . import check_param_keys, family
+
     if not spec:
         return None
     if spec == "default":
-        from . import family
-
         return family(kind).grid   # ValueError for an unknown kind
     grid = read_json(spec, "grid file", kind=list)
     if not grid or not all(isinstance(combo, dict) for combo in grid):
         raise ValueError(f"{spec}: grid file must hold a non-empty array of "
                          "JSON objects")
-    return finite(grid, f"{spec}: ")
+    for i, combo in enumerate(finite(grid, f"{spec}: ")):
+        check_param_keys(combo, f"{spec}: grid[{i}]")
+    return grid
 
 
 @dataclass

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import Model, number_param, prepare_training, standardize
+from . import (Model, decode_params, number_param, prepare_training,
+               standardize)
 from ..util import POSITIVE, one_of
 
 
@@ -44,23 +45,21 @@ def _soft_threshold(value: float, lam: float) -> float:
     return 0.0
 
 
-def linear_settings(params: dict) -> tuple:
-    """(penalty, lam, max_iter, tol) of ``params``: penalty ('none', 'l1'
-    or 'l2'), lam (>= 0, default 0), max_iter (an integer, default 10000,
-    at least 0) and tol (> 0, default 1e-8)."""
-    return (one_of(("none", "l1", "l2"))(params.get("penalty", "none"),
-                                         "penalty"),
-            number_param(params, "lam", 0.0, 0, real=True),
-            number_param(params, "max_iter", 10000, 0),
-            number_param(params, "tol", 1e-8, POSITIVE, real=True))
+HYPERPARAMETERS = {
+    "penalty": ("none", one_of(("none", "l1", "l2"))),
+    "lam": (0.0, number_param(0, real=True)),
+    "max_iter": (10000, number_param(0)),
+    "tol": (1e-8, number_param(POSITIVE, real=True)),
+}
 
 
 def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
                  seed: int = 0,
                  feature_names: Optional[list[str]] = None) -> LinearModel:
-    """Fit a linear model on ``linear_settings(params)``; the fit draws
-    nothing, so ``seed`` is unused."""
-    penalty, lam, max_iter, tol = linear_settings(params or {})
+    """Fit a linear model on the ``HYPERPARAMETERS`` of ``params``; the
+    fit draws nothing, so ``seed`` is unused."""
+    settings = decode_params(HYPERPARAMETERS, params or {})
+    penalty, lam = settings["penalty"], settings["lam"]
 
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
@@ -82,7 +81,7 @@ def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
         residual = yc.copy()
         col_sq = (z ** 2).sum(axis=0) / n
         max_delta = float("inf")     # what a max_iter of 0 reports
-        for _ in range(max_iter):
+        for _ in range(settings["max_iter"]):
             max_delta = 0.0
             for j in range(p):
                 if col_sq[j] == 0:
@@ -94,20 +93,19 @@ def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
                     residual -= delta * z[:, j]
                     beta[j] = new
                     max_delta = max(max_delta, abs(delta))
-            if max_delta < tol:
+            if max_delta < settings["tol"]:
                 break
         else:
             logging.getLogger("radsurv").warning(
                 "l1 fit did not converge: lam=%g, max_iter=%d, last max "
-                "update %g", lam, max_iter, max_delta)
+                "update %g", lam, settings["max_iter"], max_delta)
 
     coefficients = beta / x_scale
     intercept = y_mean - float(coefficients @ x_mean)
     return LinearModel(coefficients=coefficients, intercept=intercept,
                        penalty=penalty, lam=lam,
                        x_mean=x_mean, x_scale=x_scale,
-                       params={"penalty": penalty, "lam": lam,
-                               "max_iter": max_iter, "tol": tol},
+                       params=settings,
                        feature_names=feature_names, imputation=imputation)
 
 

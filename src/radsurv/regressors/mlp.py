@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, number_param, prepare_training, standardize
+from . import (Model, decode_params, number_param, prepare_training,
+               standardize)
 from ..util import POSITIVE, one_of
-
-DEFAULT_WIDTHS = (32, 24, 16, 12, 8)
 
 
 class MlpDivergenceError(RuntimeError):
@@ -110,29 +109,30 @@ def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
     return float(np.mean(err ** 2)), grad_w, grad_b
 
 
-def mlp_settings(params: dict) -> tuple:
-    """(widths, epochs, lr, optimizer, batch_size) of ``params``: widths
-    (five integers of at least 1, default DEFAULT_WIDTHS), epochs (an
-    integer, default 200, at least 0), lr (> 0, default 1e-3), optimizer
-    ('adam' default, or 'sgd'), batch_size (an integer, default 32, >= 1)."""
-    widths = params.get("widths", DEFAULT_WIDTHS)
-    if not (isinstance(widths, (list, tuple)) and len(widths) == 5
+def _widths(value, key: str) -> list[int]:
+    """Five hidden-layer widths, each an integer of at least 1."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 5
             and all(isinstance(w, (int, np.integer))
-                    and not isinstance(w, bool) and w >= 1 for w in widths)):
-        raise ValueError(f"widths must be five positive integers, got {widths}")
-    return (tuple(int(w) for w in widths),
-            number_param(params, "epochs", 200, 0),
-            number_param(params, "lr", 1e-3, POSITIVE, real=True),
-            one_of(("sgd", "adam"))(params.get("optimizer", "adam"),
-                                    "optimizer"),
-            number_param(params, "batch_size", 32, 1))
+                    and not isinstance(w, bool) and w >= 1 for w in value)):
+        raise ValueError(f"{key} must be five positive integers, got {value}")
+    return [int(w) for w in value]
+
+
+HYPERPARAMETERS = {
+    "widths": ((32, 24, 16, 12, 8), _widths),
+    "epochs": (200, number_param(0)),
+    "lr": (1e-3, number_param(POSITIVE, real=True)),
+    "optimizer": ("adam", one_of(("sgd", "adam"))),
+    "batch_size": (32, number_param(1)),
+}
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
               feature_names: Optional[list[str]] = None) -> MlpModel:
-    """Fit the network on ``mlp_settings(params)``."""
+    """Fit the network on the ``HYPERPARAMETERS`` of ``params``."""
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
-    widths, epochs, lr, optimizer, batch_size = mlp_settings(params)
+    settings = decode_params(HYPERPARAMETERS, params)
+    widths, lr = tuple(settings["widths"]), settings["lr"]
 
     n, p = X.shape
     x_mean, x_scale, xs = standardize(X)
@@ -153,7 +153,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     grad_w, grad_b = views[:layers], views[layers:]
     batch_rng = make_rng(seed, 1)
 
-    if optimizer == "adam":
+    if settings["optimizer"] == "adam":
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
@@ -162,13 +162,13 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
     # divergence shows up as inf/nan in the epoch loss; let the arithmetic
     # produce those silently instead of warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
+        for epoch in range(settings["epochs"]):
             perm = batch_rng.permutation(n)
-            for start in range(0, n, batch_size):
-                batch = perm[start:start + batch_size]
+            for start in range(0, n, settings["batch_size"]):
+                batch = perm[start:start + settings["batch_size"]]
                 _backprop(weights, biases, xs[batch], ys[batch],
                           grad_w, grad_b)
-                if optimizer == "sgd":
+                if settings["optimizer"] == "sgd":
                     theta -= lr * grad
                 else:
                     step += 1
@@ -183,9 +183,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
 
     return MlpModel(widths=widths, weights=weights, biases=biases,
                     x_mean=x_mean, x_scale=x_scale, y_mean=y_mean,
-                    y_scale=y_scale, seed=seed,
-                    params={"widths": list(widths), "epochs": epochs, "lr": lr,
-                            "optimizer": optimizer, "batch_size": batch_size},
+                    y_scale=y_scale, seed=seed, params=settings,
                     feature_names=feature_names, imputation=imputation)
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import make_rng
-from . import Model, number_param, prepare_training
+from . import Model, decode_params, number_param, prepare_training
 from ..util import of_type
 
 
@@ -271,44 +271,40 @@ def resolve_max_features(rule, p: int) -> Optional[int]:
         return None
     if rule == "third":
         return max(1, math.ceil(p / 3))
-    return number_param({"max_features": rule}, "max_features", None, 1, p)
+    return number_param(1, p)(rule, "max_features")
 
 
-def forest_settings(params: dict) -> tuple:
-    """(n_trees, max_depth, min_split, max_features, bootstrap) of
-    ``params``: n_trees (default 50, at least 1), max_depth (None =
-    unlimited, else at least 0), min_split (default 2, at least 2),
-    max_features ('third' by default, 'all', or an integer, at least 1 and
-    at most the feature count), bootstrap (a boolean, default True)."""
-    return (number_param(params, "n_trees", 50, 1),
-            number_param(params, "max_depth", None, 0, also=(None,)),
-            number_param(params, "min_split", 2, 2),
-            number_param(params, "max_features", "third", 1,
-                         also=("all", "third")),
-            of_type(bool)(params.get("bootstrap", True), "bootstrap"))
+# max_depth None is unlimited; max_features above p fails at training
+HYPERPARAMETERS = {
+    "n_trees": (50, number_param(1)),
+    "max_depth": (None, number_param(0, also=(None,))),
+    "min_split": (2, number_param(2)),
+    "max_features": ("third", number_param(1, also=("all", "third"))),
+    "bootstrap": (True, of_type(bool)),
+}
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
                  feature_names: Optional[list[str]] = None) -> ForestModel:
-    """Fit a random forest on ``forest_settings(params)``; tree t's stream
-    draws its bootstrap, then one uniform block per depth for its searched
-    nodes (see module docstring)."""
+    """Fit a random forest on the ``HYPERPARAMETERS`` of ``params``; tree
+    t's stream draws its bootstrap, then one uniform block per depth for its
+    searched nodes (see module docstring)."""
     X, y, feature_names, imputation = prepare_training(X, y, feature_names)
     n, p = X.shape
     if n < 2:
         raise ValueError("forest training needs at least 2 samples")
-    n_trees, max_depth, min_split, rule, bootstrap = forest_settings(params)
-    mf = resolve_max_features(rule, p)
+    settings = decode_params(HYPERPARAMETERS, params)
+    mf = resolve_max_features(settings["max_features"], p)
 
-    rngs = [make_rng(seed, t) for t in range(n_trees)]
-    rows = np.array([rng.integers(0, n, size=n) if bootstrap
+    rngs = [make_rng(seed, t) for t in range(settings["n_trees"])]
+    rows = np.array([rng.integers(0, n, size=n) if settings["bootstrap"]
                      else np.arange(n) for rng in rngs])
-    return ForestModel(trees=TreeGrower(X).grow(y, rows, max_depth, min_split,
-                                                mf, rngs),
-                       bootstrap=bootstrap,
-                       max_features_rule=str(rule), seed=seed,
-                       params=dict(params), feature_names=feature_names,
-                       imputation=imputation)
+    trees = TreeGrower(X).grow(y, rows, settings["max_depth"],
+                               settings["min_split"], mf, rngs)
+    return ForestModel(trees=trees, bootstrap=settings["bootstrap"],
+                       max_features_rule=str(settings["max_features"]),
+                       seed=seed, params=dict(params),
+                       feature_names=feature_names, imputation=imputation)
 
 
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -233,13 +234,14 @@ class TestSharedContracts:
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_family_follows_the_one_contract(self, kind):
         """Every model holds the shared fields through one base class, and
-        every trainer is its family module's own, with no adapter between
-        the table and it."""
+        every trainer and hyperparameter table is its family module's own,
+        with no adapter between the table and it."""
         fam = FAMILIES[kind]
+        module = sys.modules[fam.model_class.__module__]
         assert issubclass(fam.model_class, Model)
-        assert fam.train.__module__ == fam.model_class.__module__
+        assert fam.train.__module__ == module.__name__
         assert fam.train.__name__.startswith("train_")
-        assert fam.settings.__module__ == fam.model_class.__module__
+        assert fam.hyperparameters is module.HYPERPARAMETERS
 
     @pytest.mark.parametrize("kind, params, message", [
         ("mlp", {"epochs": 2.7}, "epochs must be an integer >= 0, got 2.7"),
