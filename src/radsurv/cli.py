@@ -69,11 +69,17 @@ def _or_exit(prefix: str, call, *args, **kwargs):
         raise SystemExit(f"{prefix}{exc}") from None
 
 
-def _check_params(command: str, setting: str, kinds, params: dict) -> None:
+def _check_params(command: str, setting: str, kinds, params: dict,
+                  grid=None) -> None:
     """A SystemExit naming the command and the setting where ``params``
     holds a key no predictor family reads or a value that a fit of one of
-    the predictor ``kinds`` would reject; unknown kinds are left to it."""
+    the predictor ``kinds`` would reject; unknown kinds are left to it.
+    A grid search reads no ``params``, so with a ``grid`` they must be
+    empty."""
     prefix = f"radsurv {command}: {setting}: "
+    if grid and params:
+        raise SystemExit(f"{prefix}a grid search reads no {setting}, so "
+                         f"they must be {{}} when grid is set")
     _or_exit(prefix, check_param_keys, params)
     for kind in kinds:
         if kind in FAMILIES:
@@ -247,9 +253,8 @@ def cmd_rfe(resolved: dict) -> int:
 # train / predict / evaluate
 
 def cmd_train(resolved: dict) -> int:
-    if not resolved["grid"]:     # a grid search reads no params
-        _check_params("train", "params", [resolved["predictor"]],
-                      resolved["params"])
+    _check_params("train", "params", [resolved["predictor"]],
+                  resolved["params"], resolved["grid"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     model, report = fit(resolved["predictor"],
                         cohort.select(cohort.feature_names),
@@ -311,8 +316,8 @@ def cmd_evaluate(resolved: dict) -> int:
 def cmd_experiment(resolved: dict) -> int:
     feature_sets = [s for s in str(resolved["feature_sets"]).split(",") if s]
     predictors = [s for s in str(resolved["predictors"]).split(",") if s]
-    if not resolved["grid"]:
-        _check_params("experiment", "params", predictors, resolved["params"])
+    _check_params("experiment", "params", predictors, resolved["params"],
+                  resolved["grid"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
     base_plan = {
         "params": dict(resolved["params"]),

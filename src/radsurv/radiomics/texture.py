@@ -205,7 +205,8 @@ def _glcm_values(counts: np.ndarray, ng: int) -> np.ndarray:
     kd = np.arange(0, ng, dtype=np.float64)
     # bincount adds each matrix's entries in C order, like np.add.at
     base = np.arange(k)[:, None]
-    sum_idx = (base * ks.size + ((i + j).astype(int) - 2).ravel()).ravel()
+    sum_level = (i + j).astype(int) - 2
+    sum_idx = (base * ks.size + sum_level.ravel()).ravel()
     diff_idx = (base * kd.size + np.abs(i - j).astype(int).ravel()).ravel()
     p_sum = np.bincount(sum_idx, p.ravel(), k * ks.size).reshape(k, -1)
     p_diff = np.bincount(diff_idx, p.ravel(), k * kd.size).reshape(k, -1)
@@ -249,13 +250,17 @@ def _glcm_values(counts: np.ndarray, ng: int) -> np.ndarray:
         eig = np.sort(np.linalg.eigvals(q).real, axis=1)
         mcc[ds] = np.sqrt(np.maximum(0.0, eig[:, -2]))
 
-    shift = i + j - mu_x[:, None, None] - mu_y[:, None, None]
+    # i + j - mu_x - mu_y takes 2Ng - 1 values per matrix, one per sum
+    # level: raise those once and gather them by each cell's sum level. The
+    # shifts are the same doubles, so every cell's power keeps its bits, and
+    # the powers skip numpy's slow path for negative bases on Ng^2 cells.
+    shift = ks - mu_x[:, None] - mu_y[:, None]
     return np.stack([
         autocorr,
         mu_x,
-        _total(shift ** 4 * p),
-        _total(shift ** 3 * p),
-        _total(shift ** 2 * p),
+        _total((shift ** 4)[:, sum_level] * p),
+        _total((shift ** 3)[:, sum_level] * p),
+        _total((shift ** 2)[:, sum_level] * p),
         _total((i - j) ** 2 * p),
         correlation,
         diff_avg,

@@ -172,12 +172,9 @@ class RoiMask(VoxelGrid):
     whose first voxel has index ``corner``; no voxel outside it is a member."""
 
     membership: np.ndarray  # bool, 3D, fits inside dims at corner
-    roi_kind: str
     corner: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        if self.roi_kind not in ROI_KINDS:
-            raise ValueError(f"unknown roi_kind {self.roi_kind!r}")
         super().__post_init__()
         self.corner = tuple(int(c) for c in self.corner)
         shape = self.membership.shape
@@ -461,7 +458,7 @@ def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
     box = mask.box
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
                    membership=np.isin(mask.labels[box], _ROI_LABEL_SETS[kind]),
-                   roi_kind=kind, corner=tuple(b.start for b in box))
+                   corner=tuple(b.start for b in box))
 
 
 def read_metadata_csv(path: str) -> list[SubjectRecord]:

@@ -5,11 +5,10 @@ from radsurv.radiomics import DiscretizedRoi
 from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume
 
 
-def make_roi(membership, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
-             kind="WT"):
+def make_roi(membership, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     membership = np.asarray(membership, dtype=bool)
     return RoiMask(dims=membership.shape, spacing=spacing, origin=origin,
-                   membership=membership, roi_kind=kind)
+                   membership=membership)
 
 
 def make_disc(level_map, spacing=(1.0, 1.0, 1.0)):

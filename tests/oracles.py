@@ -669,8 +669,7 @@ def _full_roi(mask, kind):
     """The region as the package derived it before regions were cropped:
     np.isin over the whole label grid."""
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
-                   membership=np.isin(mask.labels, _LABEL_SETS[kind]),
-                   roi_kind=kind)
+                   membership=np.isin(mask.labels, _LABEL_SETS[kind]))
 
 
 def extract_image_features_full(mask, age):

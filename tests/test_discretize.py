@@ -101,7 +101,7 @@ class TestContracts:
                           Binning("fixed_bin_count", 8))
         assert disc.level_map.shape == (3, 3, 2)
         whole = discretize(make_volume(data),
-                           make_roi(np.isin(labels, (1, 4)), kind="TC"),
+                           make_roi(np.isin(labels, (1, 4))),
                            Binning("fixed_bin_count", 8))
         assert np.array_equal(disc.level_map, whole.level_map[roi.box])
 

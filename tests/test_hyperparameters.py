@@ -62,6 +62,25 @@ class TestUnknownKeys:
         assert str(exc.value) == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("params", ['{"n_tress": 3}', '{"n_trees": 3}'])
+    def test_params_with_a_grid_are_named_before_any_input_is_read(
+            self, tmp_path, command, params):
+        """A grid search reads no params: any non-empty object is rejected,
+        a key some family reads included, and nothing is written."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--predictor" if command == "train"
+                  else "--predictors", "rfr", "--grid", "default",
+                  "--params", params,
+                  "--features", str(tmp_path / "missing.csv"),
+                  "--metadata", str(tmp_path / "missing_meta.csv"),
+                  "--out", str(out)])
+        assert str(exc.value) == (
+            f"radsurv {command}: params: a grid search reads no params, so "
+            "they must be {} when grid is set")
+        assert not out.exists()
+
     def test_grid_combination_is_named_by_file_and_index(self, tables,
                                                          tmp_path):
         f, m = tables

@@ -64,6 +64,9 @@ CASES = {
        for seed in range(8)},
     "random_32_levels": lambda: _random(41, max_shape=(12, 12, 10), ng=32),
     "random_sparse": lambda: _random(42, ng=5, density=0.25),
+    "random_dense_64_levels": lambda: _random(43, max_shape=(16, 16, 16),
+                                              ng=64, density=1.0),
+    "random_dense_2_levels": lambda: _random(44, ng=2, density=1.0),
 }
 
 
@@ -86,6 +89,18 @@ def test_cases_cover_the_degenerate_conventions():
     assert _present_sets(single) == {(0,)}
     mixed = _present_sets(glcm_matrices(CASES["mixed_present_levels"]()))
     assert len([s for s in mixed if len(s) > 1]) >= 2
+    for name, ng in (("random_dense_64_levels", 64),
+                     ("random_dense_2_levels", 2)):
+        mats = glcm_matrices(CASES[name]())
+        assert mats.shape[1] == ng
+        # every sum level i + j in some direction, and in each direction
+        # cells on both sides of the shift i + j - mu_x - mu_y = 0
+        ij = np.add.outer(np.arange(1, ng + 1), np.arange(1, ng + 1))
+        assert set(ij[mats.sum(axis=0) > 0]) == set(range(2, 2 * ng + 1))
+        for m in mats:
+            p = m / m.sum()
+            mu = (np.arange(1, ng + 1) * p.sum(axis=1)).sum() * 2
+            assert (p[ij < mu] > 0).any() and (p[ij > mu] > 0).any()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -104,6 +119,45 @@ def test_glcm_stack_matches_per_matrix_bits(name):
         assert _bits(glcm_features_single(m, ng)) == _bits(per)
     assert _bits(glcm_features(disc)) == _bits(
         oracles.direction_means_per_matrix(want))
+
+
+def _random_count_stack(rng):
+    """A symmetric (k, Ng, Ng) stack of random float counts, each matrix
+    non-empty: dense or sparse, some with empty rows (and columns), some
+    with a single level."""
+    k, ng = int(rng.integers(1, 14)), int(rng.integers(1, 41))
+    density = rng.choice([0.05, 0.3, 1.0])
+    mats = rng.random((k, ng, ng)) * (rng.random((k, ng, ng)) < density)
+    mats *= rng.choice([1.0, 100.0])
+    for m in mats:
+        kind = rng.integers(0, 3)
+        if kind == 1:
+            empty = rng.random(ng) < 0.5
+            m[empty] = 0.0
+            m[:, empty] = 0.0
+        elif kind == 2:
+            m[...] = 0.0
+        if not m.any():
+            level = rng.integers(0, ng)
+            m[level, level] = rng.random() + 0.5
+    return mats + mats.transpose(0, 2, 1)
+
+
+CLUSTER = ("glcm.cluster_prominence", "glcm.cluster_shade",
+           "glcm.cluster_tendency")
+
+
+def test_glcm_cluster_moments_match_full_matrix_bits():
+    rng = np.random.default_rng(2028)
+    cols = [GLCM_FEATURE_NAMES.index(name) for name in CLUSTER]
+    for _ in range(200):
+        mats = _random_count_stack(rng)
+        ng = mats.shape[1]
+        got = _glcm_values(mats, ng)[:, cols]
+        for row, m in zip(got.tolist(), mats):
+            per = oracles.glcm_features_per_matrix(m, ng)
+            assert _bits(dict(zip(CLUSTER, row))) == _bits(
+                {name: per[name] for name in CLUSTER})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

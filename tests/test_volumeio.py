@@ -322,8 +322,7 @@ class TestDeriveRoi:
         with pytest.raises(ValueError, match="does not fit dims"):
             RoiMask(dims=(4, 5, 5), spacing=(1.0, 1.0, 1.0),
                     origin=(0.0, 0.0, 0.0),
-                    membership=np.zeros(shape, dtype=bool), roi_kind="WT",
-                    corner=corner)
+                    membership=np.zeros(shape, dtype=bool), corner=corner)
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
