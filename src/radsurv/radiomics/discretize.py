@@ -13,8 +13,15 @@ voxel in index order.
 
 Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
 the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
-builders. The ROI's neighbor pairs are built once, on first use; a
-DiscretizedRoi never changes.
+builders. Two pair lists are built once each, on first use, and shared by
+the texture families; a DiscretizedRoi never changes:
+
+* ``neighbor_pairs``: every pair of ROI voxels that one of the 13
+  half-offsets joins (GLCM, NGTDM, and GLDM for alpha < 0 or alpha >= 1);
+* ``equal_pairs``: the subset whose two voxels share a level, in the same
+  order and grouped by direction the same way (GLRLM runs, GLSZM zones,
+  and GLDM for 0 <= alpha < 1, where integer levels make |i - j| <= alpha
+  mean i = j).
 """
 
 from __future__ import annotations
@@ -96,6 +103,26 @@ class DiscretizedRoi:
         b = neighbor[joined]
         ends = np.cumsum(joined.sum(axis=1))[:-1]
         return flat[pos], a, b, list(zip(np.split(a, ends), np.split(b, ends)))
+
+    @cached_property
+    def equal_pairs(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The neighbor pairs whose two voxels share a level.
+
+        Returns (a, b, pairs): ``neighbor_pairs``' a and b with only those
+        pairs kept, in the same order, and ``pairs[k]`` as direction k's
+        (a, b) group, as views. One compare and one compress serve all 13
+        directions.
+        """
+        levels, a, b, pairs = self.neighbor_pairs
+        # flatnonzero and two takes: a boolean index is several times slower
+        # on a mask this irregular
+        kept = np.flatnonzero(levels[a] == levels[b])
+        # direction k ends in the kept list after the kept pairs that lie
+        # before its end in the full list; an empty direction keeps none
+        ends = np.searchsorted(kept,
+                               np.cumsum([pa.size for pa, _ in pairs])[:-1])
+        a, b = a[kept], b[kept]
+        return a, b, list(zip(np.split(a, ends), np.split(b, ends)))
 
 
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:

@@ -5,10 +5,15 @@ Conventions, fixed across the package and mirrored by the test oracles:
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
-  and GLRLM. All five families read one list of in-ROI voxel pairs
-  (v, v + d) over the 13 half-offsets (every 26-neighbor pair once),
-  built once per ``DiscretizedRoi``. GLRLM runs along d are the connected
-  components of d's equal-level pairs, GLSZM zones those of all 13.
+  and GLRLM. The families read two lists of in-ROI voxel pairs (v, v + d)
+  over the 13 half-offsets (every 26-neighbor pair once), each built once
+  per ``DiscretizedRoi``: ``neighbor_pairs`` holds them all, and
+  ``equal_pairs`` those whose two voxels share a level. GLCM and NGTDM
+  read the first. GLRLM and GLSZM read the second: a GLRLM run along d is
+  a chain of d's equal-level pairs, walked from its start, and GLSZM zones
+  are the connected components of all 13 directions' equal-level pairs.
+  GLDM reads the second for 0 <= alpha < 1 (integer levels differ by at
+  most alpha only when equal) and filters the first for any other alpha.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
@@ -139,22 +144,23 @@ def _zone_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     Labelling runs without a per-node loop: each node starts with its own
     index as label. A round hooks every label root to the smallest label
-    across its edges (so a label never grows and always names a node of its
-    component), then jumps pointers until every node holds its root. Rounds
-    repeat until no edge joins two labels; each node's label is then the
-    smallest node of its component.
+    across the edges (so a label never grows and always names a node of its
+    component), jumps pointers until every node holds its root, then drops
+    the edges whose two ends now hold one label: they hold one label for
+    good. Rounds repeat until no edge is left; each node's label is then
+    the smallest node of its component.
     """
     label = np.arange(n)
-    while True:
-        a, b = label[src], label[dst]
-        joined = a != b
-        if not joined.any():
-            return label
-        np.minimum.at(label, np.maximum(a, b)[joined],
-                      np.minimum(a, b)[joined])
+    a, b = src, dst     # the labels at each edge's ends: at first, its ends
+    while src.size:
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         jumped = label[label]
         while not np.array_equal(jumped, label):
             label, jumped = jumped, jumped[jumped]
+        apart = np.flatnonzero(label[src] != label[dst])
+        src, dst = src[apart], dst[apart]
+        a, b = label[src], label[dst]
+    return label
 
 
 def _zone_cells(levels: np.ndarray, labels: np.ndarray):
@@ -306,18 +312,41 @@ def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Run-length counts (level x run length) as a (13, Ng, W) stack, one
     matrix per direction in ``DIRECTIONS_13`` order.
 
-    A run along d is a connected component of d's equal-level neighbor
-    pairs. W = max(dims), which bounds any run.
+    A run along d is a chain of d's equal-level pairs: b = a + d, and d's
+    flat stride is positive, so each voxel has at most one successor and
+    one predecessor along d, and no chain closes on itself. A run of two or
+    more voxels starts at an a that is never a b. All such runs are walked
+    together, one voxel per step, and the voxels reached at each step are
+    counted by level. W = max(dims), which bounds any run.
     """
-    levels, _, _, pairs = disc.neighbor_pairs
+    levels = disc.neighbor_pairs[0]
+    _, _, pairs = disc.equal_pairs
     ng, width = disc.n_levels, max(disc.roi.dims)
-    cells = []
+    lv = levels - 1
+    # at[d, i, k]: the runs of level i along d with more than k voxels
+    at = np.zeros((len(pairs), ng, width))
+    # two buffers serve every direction: each is reset after its use
+    succ = np.full(levels.size, -1)
+    linked = np.zeros(levels.size, dtype=bool)
     for d, (a, b) in enumerate(pairs):
-        same = levels[a] == levels[b]
-        labels = _zone_labels(levels.size, a[same], b[same])
-        lv, size = _zone_cells(levels, labels)
-        cells.append((d * ng + lv) * width + size)
-    return _counts(np.concatenate(cells), (len(pairs), ng, width))
+        succ[a] = b
+        linked[b] = True
+        heads = a[np.flatnonzero(~linked[a])]
+        run, k = succ[heads], 1
+        while run.size:
+            at[d, :, k] = np.bincount(lv[run], minlength=ng)
+            run = succ[run]
+            run = run[run >= 0]
+            k += 1
+        succ[a] = -1
+        linked[b] = False
+    # each run's first voxel is one that no step reaches
+    at[:, :, 0] = np.bincount(lv, minlength=ng) - at.sum(axis=2)
+    # a run of k + 1 voxels has more than k but not more than k + 1; the
+    # counts are integers, so these differences are exact
+    runs = at.copy()
+    runs[:, :, :-1] -= at[:, :, 1:]
+    return runs
 
 
 def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
@@ -379,9 +408,9 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     """Zone count matrix (level x zone size), zones 26-connected: the
     components of the equal-level pairs of all 13 directions."""
-    levels, a, b, _ = disc.neighbor_pairs
-    same = levels[a] == levels[b]
-    lv, size = _zone_cells(levels, _zone_labels(levels.size, a[same], b[same]))
+    levels = disc.neighbor_pairs[0]
+    a, b, _ = disc.equal_pairs
+    lv, size = _zone_cells(levels, _zone_labels(levels.size, a, b))
     width = int(size.max()) + 1
     return _counts(lv * width + size, (disc.n_levels, width))
 
@@ -403,9 +432,14 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     the dependence count of both its voxels.
     """
     levels, a, b, _ = disc.neighbor_pairs
-    close = np.abs(levels[a] - levels[b]) <= alpha
+    if 0 <= alpha < 1:
+        # integer levels differ by at most alpha only when they are equal
+        a, b, _ = disc.equal_pairs
+    else:
+        close = np.abs(levels[a] - levels[b]) <= alpha
+        a, b = a[close], b[close]
     n = levels.size
-    dep = np.bincount(a[close], minlength=n) + np.bincount(b[close], minlength=n)
+    dep = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     return _counts((levels - 1) * 27 + dep, (disc.n_levels, 27))
 
 

@@ -1,0 +1,213 @@
+"""The equal-level pair list and the families that read it.
+
+``DiscretizedRoi.equal_pairs`` is built once per ROI; GLRLM walks its
+chains, GLSZM labels its components and GLDM reads it for 0 <= alpha < 1.
+A seeded fuzz over level maps compares all three count matrices with the
+brute-force oracles, and ``_zone_labels`` is checked against a flood fill.
+"""
+
+import numpy as np
+import pytest
+
+from radsurv.radiomics import texture
+from radsurv.radiomics.discretize import DIRECTIONS_13
+from radsurv.radiomics.texture import (_zone_labels, gldm_matrix,
+                                       glrlm_matrices, glszm_matrix)
+from conftest import make_disc
+import oracles
+
+ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.5)
+
+
+class _HookCounter:
+    """``numpy`` as ``texture`` sees it, with ``minimum.at`` (one call per
+    ``_zone_labels`` round) counted, and an error once ``cap`` is passed, so
+    labelling that never runs out of edges fails instead of hanging."""
+
+    def __init__(self, cap):
+        self.rounds = 0
+        counter = self
+
+        class _Minimum:
+            def __call__(self, *args, **kwargs):
+                return np.minimum(*args, **kwargs)
+
+            def at(self, *args):
+                counter.rounds += 1
+                if counter.rounds > cap:
+                    raise AssertionError(f"more than {cap} hook rounds")
+                np.minimum.at(*args)
+
+        self.minimum = _Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def hooks(monkeypatch):
+    """Count (and cap at 200) the hook rounds of ``_zone_labels``."""
+    counter = _HookCounter(cap=200)
+    monkeypatch.setattr(texture, "np", counter)
+    return counter
+
+
+def _span_map(rng, d):
+    """A run of level 1 across the whole box along ``d``: on the longest
+    axis of a box for an axial d, corner to corner in a cube otherwise;
+    every other voxel is outside the ROI or of level 2..4."""
+    d = np.array(d)
+    if np.abs(d).sum() == 1:
+        dims = np.full(3, int(rng.integers(2, 4)))
+        dims[np.flatnonzero(d)[0]] = int(rng.integers(5, 8))
+    else:
+        dims = np.full(3, int(rng.integers(3, 7)))
+    level = rng.integers(2, 5, size=tuple(dims)) * (rng.random(tuple(dims))
+                                                     < 0.7)
+    start = np.where(d < 0, dims - 1, 0)
+    length = int(dims.max())
+    level[tuple((start + np.outer(np.arange(length), d)).T)] = 1
+    return level
+
+
+def _level_maps():
+    """(name, level map) pairs: about 150 maps from one seed."""
+    rng = np.random.default_rng(2929)
+    maps = []
+    for i in range(6):
+        dims = tuple(int(s) for s in rng.integers(1, 4, size=3))
+        level = np.zeros(dims, dtype=int)
+        level[tuple(int(rng.integers(0, s)) for s in dims)] = i % 3 + 1
+        maps.append((f"single{i}", level))
+    for i in range(6):
+        dims = tuple(int(s) for s in rng.integers(1, 6, size=3))
+        member = np.ones(dims, bool) if i < 3 else rng.random(dims) < 0.6
+        member.flat[0] = True
+        maps.append((f"constant{i}", member * (i % 2 + 1)))
+    for i in range(8):
+        x, y, z = np.indices(tuple(int(s) for s in rng.integers(2, 7, size=3)))
+        level = (1 + (x + y + z) % 2 if i % 2 else
+                 1 + x % 2 + 2 * (y % 2) + 4 * (z % 2))
+        if i >= 4:
+            level = level * (rng.random(level.shape) < 0.8)
+            level.flat[0] = 1
+        maps.append((f"checker{i}", level))
+    for i in range(20):
+        dims = [int(s) for s in rng.integers(3, 7, size=3)]
+        for axis in rng.choice(3, size=1 + i % 2, replace=False):
+            dims[axis] = int(rng.integers(1, 3))
+        level = rng.integers(1, 4, size=dims) * (rng.random(dims) < 0.8)
+        level.flat[0] = 1
+        maps.append((f"slab{i}", level))
+    for i in range(26):
+        maps.append((f"span{i}", _span_map(rng, DIRECTIONS_13[i % 13])))
+    for i in range(84):
+        dims = tuple(int(s) for s in rng.integers(1, 6, size=3))
+        ng = int(rng.choice([1, 2, 3, 5, 8]))
+        level = rng.integers(1, ng + 1, size=dims)
+        level = level * (rng.random(dims) < rng.uniform(0.3, 1.0))
+        level.flat[int(rng.integers(0, level.size))] = 1
+        maps.append((f"random{i}", level))
+    return maps
+
+
+MAPS = _level_maps()
+
+
+@pytest.mark.parametrize("name, level", MAPS, ids=[n for n, _ in MAPS])
+def test_families_match_oracles(name, level, hooks):
+    disc = make_disc(level)
+    member, ng = disc.roi.membership, disc.n_levels
+
+    levels, _, _, pairs = disc.neighbor_pairs
+    a, b, equal = disc.equal_pairs
+    assert len(equal) == len(DIRECTIONS_13)
+    for (ea, eb), (pa, pb) in zip(equal, pairs):
+        same = levels[pa] == levels[pb]
+        assert ea.base is a and eb.base is b
+        assert ea.tolist() == pa[same].tolist()
+        assert eb.tolist() == pb[same].tolist()
+    assert a.tolist() == sum((ea.tolist() for ea, _ in equal), [])
+
+    for d, mat in zip(DIRECTIONS_13, glrlm_matrices(disc)):
+        want = oracles.glrlm_matrix_bf(level, member, d, ng,
+                                       max(disc.roi.dims))
+        assert np.array_equal(mat, want), d
+    assert np.array_equal(glszm_matrix(disc),
+                          oracles.glszm_matrix_bf(level, member, ng))
+    for alpha in ALPHAS:
+        assert np.array_equal(gldm_matrix(disc, alpha),
+                              oracles.gldm_matrix_bf(level, member, ng, alpha)
+                              ), alpha
+
+
+def test_level_maps_cover_the_named_cases():
+    kinds = [name.rstrip("0123456789") for name, _ in MAPS]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "single": 6, "constant": 6, "checker": 8, "slab": 20, "span": 26,
+        "random": 84}
+    assert any(0 in [pa.size for pa, _ in make_disc(level).neighbor_pairs[3]]
+               for name, level in MAPS if name.startswith("slab"))
+    for name, level in MAPS:
+        if name.startswith("span"):
+            # one level-1 run as long as the box is wide, along its direction
+            mats = glrlm_matrices(make_disc(level))
+            assert mats[int(name[4:]) % 13][0, -1] == 1.0, name
+
+
+def _components_bf(n, src, dst):
+    """Flood fill from each unlabelled node in increasing order, so each
+    component is labelled by its smallest node."""
+    neighbors = [[] for _ in range(n)]
+    for s, t in zip(src.tolist(), dst.tolist()):
+        neighbors[s].append(t)
+        neighbors[t].append(s)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for u in neighbors[stack.pop()]:
+                if label[u] < 0:
+                    label[u] = root
+                    stack.append(u)
+    return label
+
+
+def _graphs():
+    """(name, n, src, dst): random graphs with self-loops and duplicate
+    edges, edge-free graphs, and long chains under random node numbers."""
+    rng = np.random.default_rng(77)
+    graphs = [("no nodes", 0, [], []), ("one node", 1, [], []),
+              ("no edges", 9, [], [])]
+    for i in range(30):
+        n = int(rng.integers(1, 60))
+        src = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        dst = rng.integers(0, n, size=src.size)
+        loops = rng.integers(0, n, size=3)
+        twice = rng.integers(0, src.size, size=min(5, src.size))
+        graphs.append((f"random{i}", n,
+                       np.concatenate([src, loops, src[twice], dst[twice]]),
+                       np.concatenate([dst, loops, dst[twice], src[twice]])))
+    for i in range(4):
+        n = 3000
+        order = rng.permutation(n)
+        cut = rng.choice(np.arange(1, n - 1), size=i, replace=False)
+        keep = ~np.isin(np.arange(n - 1), cut)
+        graphs.append((f"chains{i}", n, order[:-1][keep], order[1:][keep]))
+    return graphs
+
+
+GRAPHS = _graphs()
+
+
+@pytest.mark.parametrize("name, n, src, dst", GRAPHS,
+                         ids=[g[0] for g in GRAPHS])
+def test_zone_labels_match_flood_fill(name, n, src, dst, hooks):
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    assert _zone_labels(n, src, dst).tolist() == _components_bf(n, src, dst)
+    if name.startswith("chains"):
+        assert hooks.rounds >= 4
