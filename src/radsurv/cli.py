@@ -55,9 +55,13 @@ REQUIRED = object()     # the default of a setting a command cannot run without
 
 def _workers() -> int:
     value = os.environ.get("RADSURV_WORKERS", "1")
-    if not value.isdecimal() or int(value) < 1:
+    try:
+        workers = parse_number(value, int)
+    except ValueError:
+        workers = 0
+    if workers < 1:
         raise SystemExit(f"RADSURV_WORKERS={value!r} is not a positive integer")
-    return int(value)
+    return workers
 
 
 def _or_exit(prefix: str, call, *args, **kwargs):

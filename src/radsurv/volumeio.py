@@ -10,10 +10,17 @@ Scope and conventions:
   are ignored beyond spacing and offset; the features computed downstream
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
+* A payload is read into the one array that keeps it: a ``.nii`` file
+  straight from disk, a ``.nii.gz`` inflated at most 64 KiB a step and then
+  read to its end, so every gzip member's CRC is checked. A header's claim
+  is bounded by what the file can hold before that array is allocated.
 * A loaded scan keeps its samples as stored (``VoxelVolume.stored``: the
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
   whole-grid float copy.
+* A loaded mask keeps a u1 or native i2 payload as stored
+  (``LabelMask.labels``); any other type becomes int16. Either way the
+  labels are in file order and read-only.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * A region (``RoiMask``) is the crop of its mask to the box of the
   labelled voxels (``LabelMask.box``, found once per mask) at ``corner``;
@@ -36,6 +43,13 @@ import numpy as np
 from .util import fmt_float, numbers, read_cell, read_csv, write_csv
 
 HEADER_SIZE = 348
+# bytes read or inflated per gzip step: each step's buffer stays below
+# glibc's mmap threshold (128 KiB), so the heap reuses it
+_STEP = 1 << 16
+# deflate's largest expansion: one compressed byte inflates to at most 1032
+_DEFLATE_MAX_RATIO = 1032
+_GZIP_EOF = ("Compressed file ended before the end-of-stream marker was "
+             "reached")
 
 # NIfTI-1 datatype code -> numpy dtype character (unscaled storage type)
 _DTYPES = {
@@ -153,7 +167,7 @@ class VoxelVolume(VoxelGrid):
 class LabelMask(VoxelGrid):
     """Integer-labeled grid; labels come from the {0, 1, 2, 4} vocabulary."""
 
-    labels: np.ndarray  # int16, shape == dims
+    labels: np.ndarray  # integers (load_mask: u1 or int16), shape == dims
 
     def __post_init__(self):
         super().__post_init__()
@@ -218,28 +232,162 @@ class SubjectRecord:
                 "not one of GTR/STR/NA")
 
 
-def _read_bytes(path: str) -> bytes:
-    """The file's bytes, decompressed if they start with the gzip magic."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:2] != b"\x1f\x8b":
-        return raw
-    try:
-        return gzip.decompress(raw)
-    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-        raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
+class _PlainStream:
+    """The bytes of an uncompressed file, read in order."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.limit = os.fstat(fh.fileno()).st_size   # most bytes it holds
+
+    def readinto(self, view) -> int:
+        return self.fh.readinto(view)
+
+    def skip(self, n: int) -> None:
+        self.fh.seek(n, os.SEEK_CUR)
+
+    def drain(self) -> int:
+        """The count of bytes in the file."""
+        return self.limit
+
+
+class _GzipStream:
+    """The inflated bytes of a gzip file, read in order and at most ``_STEP``
+    bytes a step. Members follow one another, zero padding between and after
+    them is skipped, and each member's header, CRC and length are checked as
+    ``gzip.decompress`` checks them, raising its errors with its messages.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.limit = _DEFLATE_MAX_RATIO * os.fstat(fh.fileno()).st_size
+        self.total = 0          # bytes inflated so far, over every member
+        self._start_member()
+
+    def _exact(self, n: int) -> bytes:
+        data = self.fh.read(n)
+        if len(data) < n:
+            raise EOFError(_GZIP_EOF)
+        return data
+
+    def _start_member(self) -> None:
+        """Read the next member's header; ``member`` is None at the end."""
+        self.member = None
+        magic = self.fh.read(2)
+        if not magic:
+            return
+        if magic != b"\x1f\x8b":
+            raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
+        method, flags = struct.unpack("<BB6x", self._exact(8))
+        if method != 8:
+            raise gzip.BadGzipFile("Unknown compression method")
+        if flags & 4:                               # FEXTRA
+            self._exact(struct.unpack("<H", self._exact(2))[0])
+        for flag in (8, 16):                        # FNAME, FCOMMENT
+            if flags & flag:
+                while self._exact(1) != b"\x00":
+                    pass
+        if flags & 2:                               # FHCRC, not checked
+            self._exact(2)
+        self.member = zlib.decompressobj(-zlib.MAX_WBITS)
+        self.crc = self.size = 0
+
+    def _end_member(self) -> None:
+        """Check the trailer of the member just inflated, skip zero padding
+        and start the next member."""
+        # back to the first byte after the member's deflate data
+        self.fh.seek(-len(self.member.unused_data), os.SEEK_CUR)
+        crc, size = struct.unpack("<II", self._exact(8))
+        if crc != self.crc:
+            raise gzip.BadGzipFile("CRC check failed")
+        if size != self.size & 0xFFFFFFFF:
+            raise gzip.BadGzipFile("Incorrect length of data produced")
+        while True:
+            block = self.fh.read(_STEP)
+            rest = block.lstrip(b"\x00")
+            if rest or not block:
+                break
+        self.fh.seek(-len(rest), os.SEEK_CUR)
+        self._start_member()
+
+    def read(self, n: int) -> bytes:
+        """Up to ``n`` (>= 1) bytes; empty only at the end of the file."""
+        while self.member is not None:
+            if self.member.eof:
+                self._end_member()
+                continue
+            data = self.member.unconsumed_tail or self.fh.read(_STEP)
+            out = self.member.decompress(data, n)
+            if out:
+                self.crc = zlib.crc32(out, self.crc)
+                self.size += len(out)
+                self.total += len(out)
+                return out
+            if not data and not self.member.eof:
+                raise EOFError(_GZIP_EOF)
+        return b""
+
+    def readinto(self, view) -> int:
+        """Fill the bytes of ``view`` as far as the stream goes; the count."""
+        view = memoryview(view)
+        got = 0
+        while got < len(view):
+            out = self.read(min(_STEP, len(view) - got))
+            if not out:
+                break
+            view[got:got + len(out)] = out
+            got += len(out)
+        return got
+
+    def skip(self, n: int) -> None:
+        while n > 0 and (out := self.read(min(_STEP, n))):
+            n -= len(out)
+
+    def drain(self) -> int:
+        """Inflate and check the rest of the file; the count of its bytes."""
+        while self.read(_STEP):
+            pass
+        return self.total
 
 
 def _decode(path: str):
     """Read and check a single-file NIfTI-1 file. Returns the payload as
-    stored (a read-only Fortran-ordered view in the file's dtype), the
+    stored (a read-only Fortran-ordered array in the file's dtype), the
     (scl_slope, scl_inter) pair or None if the values are stored unscaled,
-    and the dims/spacing/origin keywords of the grid."""
-    raw = _read_bytes(path)
-    if len(raw) < HEADER_SIZE:
+    and the dims/spacing/origin keywords of the grid.
+
+    A file that starts with the gzip magic is inflated step by step, the
+    payload straight into its array, and then read to its end, so a corrupt
+    stream anywhere in it is named first, before any fault of the header
+    or payload found in it."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    with open(path, "rb") as fh:
+        zipped = fh.read(2) == b"\x1f\x8b"
+        fh.seek(0)
+        try:
+            stream = _GzipStream(fh) if zipped else _PlainStream(fh)
+            try:
+                decoded = _decode_stream(path, stream)
+            except NiftiError:
+                stream.drain()
+                raise
+            stream.drain()
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
+    return decoded
+
+
+def _truncated(path: str, nbytes: int, offset: int, stream) -> NiftiError:
+    return NiftiError(
+        f"{path}: truncated payload, need {nbytes} bytes at offset {offset}, "
+        f"file holds {max(0, stream.drain() - offset)}")
+
+
+def _decode_stream(path: str, stream):
+    header = bytearray(HEADER_SIZE)
+    if stream.readinto(header) < HEADER_SIZE:
         raise NiftiError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+    raw = bytes(header)
 
     # Endianness: dim[0] (offset 40) must land in 1..7 under the true byte order.
     dim0_le = struct.unpack_from("<h", raw, 40)[0]
@@ -300,12 +448,16 @@ def _decode(path: str):
 
     count = dims[0] * dims[1] * dims[2]
     nbytes = count * dtype.itemsize
-    if len(raw) < offset + nbytes:
-        raise NiftiError(
-            f"{path}: truncated payload, need {nbytes} bytes at offset {offset}, "
-            f"file holds {max(0, len(raw) - offset)}")
-    stored = np.frombuffer(raw, dtype=dtype, count=count,
-                           offset=offset).reshape(dims, order="F")
+    # a header may claim any size, so the claim is bounded by what the file
+    # can hold before the array is allocated
+    if offset + nbytes > stream.limit:
+        raise _truncated(path, nbytes, offset, stream)
+    stored = np.empty(count, dtype=dtype)
+    stream.skip(offset - HEADER_SIZE)
+    if stream.readinto(stored.view(np.uint8)) < nbytes:
+        raise _truncated(path, nbytes, offset, stream)
+    stored.flags.writeable = False
+    stored = stored.reshape(dims, order="F")
 
     slope, inter = floats["scl_slope"], floats["scl_inter"]
     scaling = None if slope == 0.0 or (slope, inter) == (1.0, 0.0) else (slope, inter)
@@ -389,10 +541,11 @@ def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
     An unscaled integer payload is checked as stored; any other must hold
-    finite integers once scaled to float64. Labels are checked before they
-    are narrowed to C-ordered int16, so no value wraps into a valid label.
-    A payload that int16 holds exactly (u1, i1, i2) is checked once, after
-    the cast, by ``LabelMask``.
+    finite integers once scaled to float64. A u1 or native i2 payload is
+    kept as the labels, read-only and in file order, and checked once by
+    ``LabelMask``. Any other is cast to int16 in file order, its labels
+    checked before the cast when int16 cannot hold it, so no value wraps
+    into a valid label.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
@@ -406,15 +559,13 @@ def load_mask(path: str) -> LabelMask:
             raise MaskLabelError(
                 f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
         values = rounded
-    if not np.can_cast(values.dtype, np.int16):
-        _check_vocabulary(values, f"{path}: ")
-    # copied in slabs along axis 1: one whole-grid transposing copy strides
-    # through memory and takes about 3x as long on a BraTS grid
-    labels = np.empty(values.shape, dtype=np.int16)
-    for j in range(0, values.shape[1], 16):
-        labels[:, j:j + 16] = values[:, j:j + 16]
+    if values.dtype not in (np.uint8, np.int16):
+        if not np.can_cast(values.dtype, np.int16):
+            _check_vocabulary(values, f"{path}: ")
+        values = values.astype(np.int16, order="F")
+        values.flags.writeable = False
     try:
-        return LabelMask(**grid, labels=labels)
+        return LabelMask(**grid, labels=values)
     except MaskLabelError as exc:
         raise MaskLabelError(f"{path}: {exc}") from None
 

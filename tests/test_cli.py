@@ -201,7 +201,8 @@ class TestExtractCommand:
             outputs[workers] = path.read_bytes()
         assert outputs["1"] == outputs["4"]
 
-    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", "",
+                                         "١٢", "1_0"])
     def test_worker_count_must_be_a_positive_integer(self, tmp_path,
                                                      monkeypatch, workers):
         # rejected before any input is read, so no file needs to exist

@@ -1,11 +1,13 @@
 """Mask decoding: the integer fast path against the former float64 decode,
-the rejections of out-of-range and non-finite values, a seeded byte-mutation
-fuzz test over hand-built NIfTI files and a memory guard on ``load_mask``."""
+the rejections of out-of-range and non-finite values, the gzip stream's edge
+cases and their messages, a seeded byte-mutation fuzz test over hand-built
+NIfTI files and memory guards on ``load_nifti`` and ``load_mask``."""
 
 import gzip
 import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -65,8 +67,13 @@ class TestFastPathEquivalence:
                                          slope, inter))
             mask = load_mask(path)
             want = oracles.load_mask_via_float(path)
-            assert mask.labels.dtype == np.int16
-            assert mask.labels.flags.c_contiguous
+            # a u1 or native i2 payload is kept as stored, any other is
+            # cast to int16; labels stay in file order and read-only
+            kept = slope in (0.0, 1.0) and (
+                key == "u1" or key == "i2" and np.dtype(byteorder + key).isnative)
+            assert mask.labels.dtype == (np.dtype(key) if kept else np.int16)
+            assert mask.labels.flags.f_contiguous
+            assert not mask.labels.flags.writeable
             assert np.array_equal(mask.labels, want)
             assert np.array_equal(mask.labels, expected)
             vol = load_nifti(path)
@@ -162,10 +169,17 @@ class TestMutationFuzz:
     def _bases(self):
         rng = np.random.default_rng(31)
         labels = random_labels(rng, (4, 3, 5))
+        # a payload of several inflate steps (80,000 bytes), so mutations
+        # and truncations land across step boundaries; with ten bases each
+        # one meets all three ways of writing a trial. Its 5x5 blocks keep
+        # gzip.compress fast (random labels take 20x as long).
+        large = np.repeat(np.repeat(random_labels(rng, (10, 8, 20)), 5, 0),
+                          5, 1).astype("i2")
         for byteorder in "<>":
             for key in ("u1", "i2", "f4"):
                 yield nifti_blob(labels.astype(key), byteorder)
             yield nifti_blob((labels // 2).astype("i2"), byteorder, slope=2.0)
+            yield nifti_blob(large, byteorder)
 
     def _load_all(self, path, note):
         for load in (load_nifti, load_mask):
@@ -231,8 +245,9 @@ class TestMutationFuzz:
 
 
 def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
-    """The decoded mask's peak traced allocation stays within 4x the int16
-    labels; the float64 round trip took about 18x."""
+    """The decoded mask's peak traced allocation stays within 4x its labels
+    (here the u1 payload as stored); the float64 round trip took about 36x
+    that, 18x an int16 copy."""
     rng = np.random.default_rng(96)
     labels = random_labels(rng, (96, 96, 96)).astype(np.uint8)
     path = write_blob(tmp_path / "m96.nii.gz", nifti_blob(labels))
@@ -244,3 +259,146 @@ def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)
+
+
+def _loaders():
+    return (load_nifti, load_mask)
+
+
+class TestGzipStream:
+    """What the decoder accepts around the payload, and the exact message of
+    each stream it rejects, for both loaders; the large shape's payload spans
+    several inflate steps."""
+
+    SHAPES = ((4, 5, 6), (50, 40, 40))
+
+    def _blob(self, shape):
+        return nifti_blob(random_labels(np.random.default_rng(8), shape)
+                          .astype("u1"))
+
+    def _expect(self, path, message):
+        for load in _loaders():
+            with pytest.raises(NiftiError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: {message}", load.__name__
+
+    @staticmethod
+    def _member_with_every_header_field(blob):
+        """A gzip member whose header carries FEXTRA, FNAME, FCOMMENT and
+        FHCRC, as gzip.compress writes none of them."""
+        head = bytearray(b"\x1f\x8b\x08\x1e\x00\x00\x00\x00\x00\xff")
+        head += struct.pack("<H", 3) + b"xyz" + b"m.nii\x00" + b"note\x00"
+        head += struct.pack("<H", zlib.crc32(head) & 0xFFFF)
+        deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+        body = deflate.compress(blob) + deflate.flush()
+        return bytes(head) + body + struct.pack(
+            "<II", zlib.crc32(blob), len(blob) & 0xFFFFFFFF)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_accepted_streams_load_the_payload(self, tmp_path, shape):
+        blob = self._blob(shape)
+        want = load_mask(write_blob(tmp_path / "plain.nii", blob)).labels
+        cut = len(blob) // 3
+        streams = {
+            "two_members": gzip.compress(blob[:cut], mtime=0)
+            + gzip.compress(blob[cut:], mtime=0),
+            "padded_members": gzip.compress(blob[:cut], mtime=0) + b"\x00" * 7
+            + gzip.compress(blob[cut:], mtime=0) + b"\x00" * 70000,
+            "zero_padding": gzip.compress(blob, mtime=0) + b"\x00" * 512,
+            "bytes_after_payload": gzip.compress(blob + b"extra", mtime=0),
+            "empty_member_first": gzip.compress(b"", mtime=0)
+            + gzip.compress(blob, mtime=0),
+            "every_header_field": self._member_with_every_header_field(blob),
+        }
+        for name, stream in streams.items():
+            path = tmp_path / f"{name}.nii.gz"
+            path.write_bytes(stream)
+            assert np.array_equal(load_mask(str(path)).labels, want), name
+            assert np.array_equal(load_nifti(str(path)).region(...), want), \
+                name
+        path = write_blob(tmp_path / "after.nii", blob + b"extra")
+        assert np.array_equal(load_mask(path).labels, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_corrupt_streams_are_named(self, tmp_path, shape):
+        stream = gzip.compress(self._blob(shape), mtime=0)
+        flipped = bytearray(stream)
+        flipped[-8] ^= 0xFF                  # the trailer's CRC
+        cases = (
+            ("crc", bytes(flipped), "CRC check failed"),
+            ("garbage", stream + b"garbage", "Not a gzipped file (b'ga')"),
+            ("cut_trailer", stream[:-3], "Compressed file ended before the "
+             "end-of-stream marker was reached"),
+        )
+        for name, data, message in cases:
+            path = tmp_path / f"{name}.nii.gz"
+            path.write_bytes(data)
+            self._expect(str(path), f"corrupt gzip stream: {message}")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_short_payload_is_named_after_any_gzip_error(self, tmp_path,
+                                                         shape):
+        blob = self._blob(shape)
+        need = len(blob) - 352
+        message = (f"truncated payload, need {need} bytes at offset 352, "
+                   f"file holds {need - 10}")
+        for suffix in (".nii", ".nii.gz"):
+            self._expect(write_blob(tmp_path / f"short{suffix}", blob[:-10]),
+                         message)
+        flipped = bytearray(gzip.compress(blob[:-10], mtime=0))
+        flipped[-8] ^= 0xFF
+        path = tmp_path / "short_crc.nii.gz"
+        path.write_bytes(bytes(flipped))
+        self._expect(str(path), "corrupt gzip stream: CRC check failed")
+
+    def test_gzip_error_is_named_before_a_header_fault(self, tmp_path):
+        blob = bytearray(self._blob((4, 5, 6)))
+        blob[344:348] = b"bad\x00"            # no NIfTI-1 magic
+        stream = gzip.compress(bytes(blob), mtime=0)
+        self._expect(write_blob(tmp_path / "magic.nii.gz", bytes(blob)),
+                     "missing NIfTI-1 magic, got b'bad\\x00'")
+        flipped = bytearray(stream)
+        flipped[-8] ^= 0xFF
+        path = tmp_path / "magic_crc.nii.gz"
+        path.write_bytes(bytes(flipped))
+        self._expect(str(path), "corrupt gzip stream: CRC check failed")
+
+    def test_short_payload_example(self, tmp_path):
+        blob = self._blob((4, 5, 6))
+        self._expect(write_blob(tmp_path / "s.nii.gz", blob[:-10]),
+                     "truncated payload, need 120 bytes at offset 352, "
+                     "file holds 110")
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_huge_claimed_payload_is_a_named_error(self, tmp_path, suffix):
+        """A tiny file whose header claims 2**40 bytes: a truncated-payload
+        NiftiError, never a MemoryError from allocating the claim."""
+        blob = bytearray(nifti_blob(np.zeros((2, 2, 2), dtype="f8")))
+        struct.pack_into("<3h", blob, 42, 8192, 8192, 2048)
+        path = write_blob(tmp_path / f"huge{suffix}", bytes(blob))
+        self._expect(path, f"truncated payload, need {2 ** 40} bytes at "
+                     "offset 352, file holds 64")
+
+
+@pytest.mark.parametrize("load, key, bound", [(load_nifti, "i2", 2.0),
+                                              (load_mask, "u1", 2.5)])
+def test_gzip_load_peak_memory_stays_below_twice_the_payload(tmp_path, load,
+                                                             key, bound):
+    """One load of a .nii.gz peaks below ``bound`` times its payload: the
+    payload is inflated in steps into the one array that keeps it. A noise
+    scan barely compresses, so the compressed file is near the payload's
+    size too."""
+    rng = np.random.default_rng(97)
+    if key == "u1":
+        stored = random_labels(rng, (96, 96, 96)).astype("u1")
+    else:
+        stored = rng.integers(-3000, 3000, (96, 96, 96)).astype("i2")
+    path = write_blob(tmp_path / f"{key}.nii.gz", nifti_blob(stored))
+    load(path)                               # warm imports and caches
+    tracemalloc.start()
+    try:
+        load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * stored.nbytes, (peak / stored.nbytes)
