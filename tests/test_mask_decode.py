@@ -261,10 +261,6 @@ def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
     assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)
 
 
-def _loaders():
-    return (load_nifti, load_mask)
-
-
 class TestGzipStream:
     """What the decoder accepts around the payload, and the exact message of
     each stream it rejects, for both loaders; the large shape's payload spans
@@ -277,7 +273,7 @@ class TestGzipStream:
                           .astype("u1"))
 
     def _expect(self, path, message):
-        for load in _loaders():
+        for load in (load_nifti, load_mask):
             with pytest.raises(NiftiError) as err:
                 load(path)
             assert str(err.value) == f"{path}: {message}", load.__name__
