@@ -51,8 +51,19 @@ def first_order_features(vol: VoxelVolume, roi: RoiMask,
     mean = float(x.mean())
     dev = x - mean
     m2 = float(np.mean(dev ** 2))
-    m3 = float(np.mean(dev ** 3))
-    m4 = float(np.mean(dev ** 4))
+    lo, hi = float(x.min()), float(x.max())
+    if (vol.stored.dtype.kind in "iu" and vol.scaling is None
+            and hi - lo < n):
+        # integer samples spanning fewer values than voxels: each power is
+        # taken once per value and gathered, the same doubles summed in the
+        # same order as ``dev ** 3`` and ``dev ** 4``
+        per_value = np.arange(lo, hi + 1) - mean
+        at = (x - lo).astype(np.intp)
+        m3 = float(np.mean((per_value ** 3)[at]))
+        m4 = float(np.mean((per_value ** 4)[at]))
+    else:
+        m3 = float(np.mean(dev ** 3))
+        m4 = float(np.mean(dev ** 4))
     skewness = m3 / m2 ** 1.5 if m2 > 0 else 0.0
     kurtosis = m4 / m2 ** 2 if m2 > 0 else 0.0
 
@@ -68,7 +79,6 @@ def first_order_features(vol: VoxelVolume, roi: RoiMask,
     energy = float((x ** 2).sum())
     return dict(zip(FIRSTORDER_FEATURE_NAMES, (
         energy, energy * roi.voxel_volume_mm3, entropy,
-        float(x.min()), p10, p90, float(x.max()),
-        mean, float(np.median(x)), p75 - p25, float(x.max() - x.min()),
+        lo, p10, p90, hi, mean, float(np.median(x)), p75 - p25, hi - lo,
         float(np.mean(np.abs(dev))), rmad, float(np.sqrt(np.mean(x ** 2))),
         skewness, kurtosis, m2, uniformity)))

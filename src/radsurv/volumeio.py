@@ -50,6 +50,9 @@ _STEP = 1 << 16
 _DEFLATE_MAX_RATIO = 1032
 _GZIP_EOF = ("Compressed file ended before the end-of-stream marker was "
              "reached")
+# deflate level of written .nii.gz files: level 1 writes about 2.6x faster
+# than gzip's default 9 for about 6% more bytes (nibabel writes 1 too)
+_GZIP_LEVEL = 1
 
 # NIfTI-1 datatype code -> numpy dtype character (unscaled storage type)
 _DTYPES = {
@@ -488,15 +491,56 @@ def load_nifti(path: str) -> VoxelVolume:
     return VoxelVolume(**grid, stored=stored, scaling=scaling)
 
 
+def _check_holds(path: str, arr: np.ndarray, dtype: np.dtype) -> None:
+    """ValueError naming the file and the first voxel, in file order, whose
+    value ``dtype`` cannot hold. An integer type holds the finite integers
+    of its range; a float type holds any value that does not overflow it
+    (rounding to its precision is allowed). A cast numpy deems safe, such
+    as to the array's own dtype, is not checked; nor is an integer array
+    whose minimum and maximum fit, as found by two reductions that copy
+    nothing. Any other is checked one k-slab at a time."""
+    if arr.size == 0 or np.can_cast(arr.dtype, dtype):
+        return
+    if dtype.kind == "f":
+        if arr.dtype.kind != "f":
+            return              # float32 spans every integer type's range
+
+        def unheld(slab):
+            with np.errstate(over="ignore"):
+                return np.isfinite(slab) & np.isinf(slab.astype(dtype))
+    else:
+        info = np.iinfo(dtype)
+        if arr.dtype.kind in "iu" and (
+                info.min <= arr.min() and arr.max() <= info.max):
+            return
+
+        def unheld(slab):
+            held = (slab >= info.min) & (slab <= info.max)   # NaN: False
+            if slab.dtype.kind == "f":
+                held &= np.trunc(slab) == slab
+            return ~held
+
+    for k in range(arr.shape[2]):
+        bad = unheld(arr[:, :, k])
+        if bad.any():
+            j, i = np.argwhere(bad.T)[0]        # file order: i fastest
+            raise ValueError(
+                f"{path}: voxel {(int(i), int(j), k)} holds "
+                f"{arr[i, j, k].item()!r}, which {dtype} cannot hold")
+
+
 def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
                 origin=(0.0, 0.0, 0.0), dtype=None) -> None:
     """Write a 3D array as a little-endian single-file NIfTI-1 volume.
 
     ``dtype`` must be one of uint8/int16/int32/float32/float64 (default: the
-    array's dtype). Gzip compression is chosen by a ``.gz`` suffix. No data
-    scaling is written, so load(write(v)) reproduces values bit-exactly. A
-    grid, spacing or origin the header cannot hold is a ValueError naming
-    the file and the field, raised before the file is opened.
+    array's dtype). Gzip compression is chosen by a ``.gz`` suffix; the
+    stream is deflated at level 1. No data scaling is written, so
+    load(write(v)) reproduces values bit-exactly, except that a float32
+    ``dtype`` rounds wider floats to its precision. A value ``dtype`` cannot
+    hold (out of range, or a non-integer or non-finite value for an integer
+    type), or a grid, spacing or origin the header cannot hold, is a
+    ValueError naming the file, raised before the file is opened.
     """
     arr = np.asarray(data)
     if arr.ndim != 3:
@@ -511,6 +555,7 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
     if key not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype} for NIfTI output")
     code = _DTYPE_CODES[key]
+    _check_holds(path, arr, dtype)
 
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
@@ -528,8 +573,8 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 
     # mtime 0 keeps the wall clock out of the gzip header, so rewriting the
     # same volume gives the same bytes
-    with (gzip.GzipFile(path, "wb", mtime=0) if path.endswith(".gz")
-          else open(path, "wb")) as fh:
+    with (gzip.GzipFile(path, "wb", compresslevel=_GZIP_LEVEL, mtime=0)
+          if path.endswith(".gz") else open(path, "wb")) as fh:
         fh.write(hdr + b"\x00\x00\x00\x00")
         # the payload in file (Fortran) order, one k-slab at a time, so no
         # copy of the whole grid is made

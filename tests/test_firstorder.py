@@ -3,6 +3,7 @@ import pytest
 
 from radsurv.radiomics import Binning, discretize, first_order_features
 from radsurv.radiomics.firstorder import FIRSTORDER_FEATURE_NAMES
+from radsurv.volumeio import VoxelVolume
 from conftest import make_roi, make_volume
 from oracles import first_order_bf
 
@@ -68,3 +69,41 @@ class TestOracleEquivalence:
         f2, _ = compute(values + 17.0)
         assert f2["firstorder.mean"] == pytest.approx(
             f1["firstorder.mean"] + 17.0, rel=1e-12)
+
+
+class TestPowersOverValues:
+    """Integer, unscaled samples whose [min, max] range is below the voxel
+    count take the third and fourth moments from one power per value; either
+    way the skewness and kurtosis bits are those of the direct
+    ``np.mean(dev ** 3)`` and ``np.mean(dev ** 4)``."""
+
+    @pytest.mark.parametrize("dtype,low,high,scaling,under", [
+        (np.int16, -40, 60, None, True),        # negative samples
+        (np.uint8, 0, 12, None, True),
+        (np.int32, -3000, 3000, None, False),   # range above the count
+        (np.int16, -40, 60, (0.5, 3.0), False),  # scaled
+        (np.float64, -40, 60, None, False),     # integers stored as floats
+        (np.int16, 7, 8, None, True),           # constant ROI
+    ])
+    def test_bits_equal_the_direct_powers(self, dtype, low, high, scaling,
+                                          under):
+        rng = np.random.default_rng(23)
+        for trial in range(10):
+            stored = rng.integers(low, high, (14, 11, 9)).astype(dtype)
+            membership = rng.random(stored.shape) < 0.5
+            vol = VoxelVolume(dims=stored.shape, spacing=(1.0, 1.0, 1.0),
+                              origin=(0.0, 0.0, 0.0), stored=stored,
+                              scaling=scaling)
+            roi = make_roi(membership)
+            x = vol.region(...)[membership]
+            assert (vol.stored.dtype.kind in "iu" and scaling is None
+                    and x.max() - x.min() < x.size) == under
+            dev = x - float(x.mean())
+            m2 = float(np.mean(dev ** 2))
+            m3, m4 = float(np.mean(dev ** 3)), float(np.mean(dev ** 4))
+            want = ((m3 / m2 ** 1.5, m4 / m2 ** 2) if m2 > 0
+                    else (0.0, 0.0))
+            disc = discretize(vol, roi, Binning("fixed_bin_count", 8))
+            feats = first_order_features(vol, roi, disc)
+            got = (feats["firstorder.skewness"], feats["firstorder.kurtosis"])
+            assert got == want, trial

@@ -35,6 +35,14 @@ def handcrafted_header(dims=(2, 2, 2), datatype=16, bitpix=32,
     return bytes(hdr)
 
 
+def _unheld_after_file_order():
+    """Three unheld voxels; (2, 0, 3) comes first in file order (i fastest),
+    not in C order."""
+    data = np.zeros((3, 4, 5))
+    data[2, 0, 3] = data[0, 1, 3] = data[1, 3, 4] = 0.5
+    return data
+
+
 class TestLoadNifti:
     def test_minimal_handcrafted_file(self, tmp_path):
         payload = np.ones(8, dtype="<f4").tobytes()
@@ -89,6 +97,7 @@ class TestLoadNifti:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0][4:8] == b"\x00\x00\x00\x00"       # gzip mtime
+        assert blobs[0][8] == 4                # XFL: deflated at level 1
         assert blobs[0][3] & 0x08 and blobs[0][10:18] == b"vol.nii\x00"
 
     def test_random_round_trip_bit_exact(self, tmp_path):
@@ -115,19 +124,51 @@ class TestLoadNifti:
         assert peak < data.nbytes / 4, f"{peak / 2**20:.1f} MiB traced"
         assert np.array_equal(load_nifti(str(path)).region(...), data)
 
-    @pytest.mark.parametrize("shape,geometry,shown", [
-        ((40000, 1, 1), {}, "dims[0]: 40000 is not an integer"),
-        ((2, 2, 2), {"spacing": (1e300, 1, 1)}, "spacing[0]: 1e+300 is not"),
-        ((2, 2, 2), {"spacing": (1, 1e-50, 1)}, "spacing[1]: 1e-50 is not"),
-        ((2, 2, 2), {"origin": (0, -1e39, 0)}, "origin[1]: -1e+39 is not")])
-    def test_write_rejects_what_the_header_cannot_hold(self, tmp_path, shape,
-                                                       geometry, shown):
+    @pytest.mark.parametrize("data,dtype,geometry,shown", [
+        (np.zeros((40000, 1, 1), np.uint8), None, {},
+         "dims[0]: 40000 is not an integer"),
+        (np.zeros((2, 2, 2), np.uint8), None, {"spacing": (1e300, 1, 1)},
+         "spacing[0]: 1e+300 is not"),
+        (np.zeros((2, 2, 2), np.uint8), None, {"spacing": (1, 1e-50, 1)},
+         "spacing[1]: 1e-50 is not"),
+        (np.zeros((2, 2, 2), np.uint8), None, {"origin": (0, -1e39, 0)},
+         "origin[1]: -1e+39 is not"),
+        (np.full((2, 2, 2), 300), np.uint8, {},
+         "voxel (0, 0, 0) holds 300, which uint8 cannot hold"),
+        (np.full((2, 2, 2), -1, np.int16), np.uint8, {},
+         "voxel (0, 0, 0) holds -1, which uint8 cannot hold"),
+        (np.full((2, 2, 2), 2.7), np.int16, {},
+         "voxel (0, 0, 0) holds 2.7, which int16 cannot hold"),
+        (np.full((2, 2, 2), 70000.0), np.int16, {},
+         "voxel (0, 0, 0) holds 70000.0, which int16 cannot hold"),
+        (np.full((2, 2, 2), np.nan), np.int16, {},
+         "voxel (0, 0, 0) holds nan, which int16 cannot hold"),
+        (np.full((2, 2, 2), 1e300), np.float32, {},
+         "voxel (0, 0, 0) holds 1e+300, which float32 cannot hold"),
+        (_unheld_after_file_order(), np.int32, {},
+         "voxel (2, 0, 3) holds 0.5, which int32 cannot hold")])
+    def test_write_rejects_what_the_header_cannot_hold(self, tmp_path, data,
+                                                       dtype, geometry, shown):
         """These raised a bare struct.error or OverflowError naming no
-        file; no file is left behind."""
+        file, or wrote values that read back changed (300 as uint8 read 44,
+        NaN as int16 read 0); no file is left behind."""
         path = tmp_path / "big.nii.gz"
         with pytest.raises(ValueError, match=re.escape(f"{path}: {shown}")):
-            write_nifti(str(path), np.zeros(shape, dtype=np.uint8), **geometry)
+            write_nifti(str(path), data, dtype=dtype, **geometry)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value,dtype", [
+        (255, np.uint8), (-32768.0, np.int16), (np.inf, np.float32),
+        (np.nan, np.float32), (0.1, np.float32), (np.float64(3.4028235e38),
+                                                  np.float32)])
+    def test_write_keeps_what_the_header_can_hold(self, tmp_path, value,
+                                                  dtype):
+        """Values in range, and a float64 rounded to float32 precision."""
+        data = np.full((2, 3, 4), value)
+        path = tmp_path / "ok.nii.gz"
+        write_nifti(str(path), data, dtype=dtype)
+        assert np.array_equal(load_nifti(str(path)).stored,
+                              data.astype(dtype), equal_nan=True)
 
     def test_malformed_sizeof_hdr(self, tmp_path):
         path = tmp_path / "bad.nii"
