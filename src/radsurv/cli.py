@@ -415,7 +415,7 @@ def cmd_phantom(resolved: dict) -> int:
         mask = _or_exit(f"{spec_path}: masks[{i}]: ", gen_mask,
                         PhantomSpec(**{"params": (), **entry}))
         write_nifti(os.path.join(outdir, f"{name}_mask.nii.gz"),
-                    mask.labels.astype(np.int16), mask.spacing, mask.origin)
+                    mask.labels, mask.spacing, mask.origin)
         if with_volume:
             rng = make_rng(spec.get("seed", 0), i)
             ramp = np.arange(mask.dims[0])[:, None, None] / mask.dims[0]

@@ -23,7 +23,7 @@ from ..util import POSITIVE, fields, of_type
 
 __all__ = [
     "Model", "LinearModel", "ForestModel", "BoostModel", "MlpModel",
-    "TreeNode", "SingularSystemError", "MlpDivergenceError",
+    "TreeArrays", "TreeNode", "SingularSystemError", "MlpDivergenceError",
     "GridSearchReport", "train_linear", "train_forest", "train_gbr",
     "train_mlp", "train_model", "predict", "staged_predict", "grid_search_cv",
     "save_model", "load_model", "prepare_training", "impute", "standardize",
@@ -127,8 +127,8 @@ def standardize(X: np.ndarray):
 from . import boosting, linear, mlp, tree
 from .linear import (LinearModel, SingularSystemError, train_linear,
                      predict_linear)
-from .tree import (ForestModel, TreeNode, train_forest, predict_forest,
-                   tree_feature_gains)
+from .tree import (ForestModel, TreeArrays, TreeNode, train_forest,
+                   predict_forest, feature_gains)
 from .boosting import BoostModel, train_gbr, predict_gbr, staged_predict
 from .mlp import MlpModel, MlpDivergenceError, train_mlp, predict_mlp
 from .gridsearch import GridSearchReport, grid_search_cv
@@ -167,14 +167,6 @@ def _standardized_coefficients(model: LinearModel) -> np.ndarray:
     return np.abs(model.coefficients * model.x_scale)
 
 
-def _split_gains(model) -> np.ndarray:
-    """Total variance reduction per feature over every tree's split nodes."""
-    gains = np.zeros(model.n_features)
-    for root in model.trees:
-        gains += tree_feature_gains(root, model.n_features)
-    return gains
-
-
 FAMILIES: dict[str, Family] = {
     "linear": Family(
         LinearModel, train_linear, linear.HYPERPARAMETERS, predict_linear,
@@ -189,14 +181,14 @@ FAMILIES: dict[str, Family] = {
         ForestModel, train_forest, tree.HYPERPARAMETERS, predict_forest,
         {"trees": as_forest, "bootstrap": of_type(bool),
          "max_features_rule": of_type(str)},
-        _split_gains,
+        feature_gains,
         [{"n_trees": n, "max_depth": d}
          for n in (25, 50, 100) for d in (4, 8, None)]),
     "gbr": Family(
         BoostModel, train_gbr, boosting.HYPERPARAMETERS, predict_gbr,
         {"init_value": as_real, "learning_rate": as_real, "trees": as_trees,
          "subsample": as_real},
-        _split_gains,
+        feature_gains,
         [{"n_estimators": n, "max_depth": d, "min_split": s,
           "learning_rate": lr}
          for n in (50, 100) for d in (2, 3) for s in (2, 8)

@@ -18,14 +18,14 @@ import numpy as np
 from ..rng import make_rng
 from . import Model, decode_params, number_param, prepare_training
 from ..util import POSITIVE
-from .tree import TreeGrower, leaf_values
+from .tree import TreeArrays, TreeGrower, leaf_values
 
 
 @dataclass
 class BoostModel(Model):
     init_value: float
     learning_rate: float
-    trees: list                       # TreeNode roots in stage order
+    trees: TreeArrays                 # one tree per stage, in stage order
     subsample: float
     seed: int
 
@@ -61,12 +61,13 @@ def train_gbr(X: np.ndarray, y: np.ndarray, params: dict, seed: int,
             rows = np.sort(rng.choice(n, size=take, replace=False))
         else:
             rows = np.arange(n)
-        tree, = grower.grow(residual, rows[None, :], settings["max_depth"],
-                            settings["min_split"], None, None)
-        residual = residual - lr * leaf_values([tree], X)[0]
-        trees.append(tree)
-    return BoostModel(init_value=init_value, learning_rate=lr, trees=trees,
-                      subsample=subsample, seed=seed, params=dict(params),
+        tree = grower.grow(residual, rows[None, :], settings["max_depth"],
+                           settings["min_split"], None, None)
+        residual = residual - lr * leaf_values(tree, X)[0]
+        trees.append(tree.columns)
+    return BoostModel(init_value=init_value, learning_rate=lr,
+                      trees=TreeArrays.join(trees), subsample=subsample,
+                      seed=seed, params=dict(params),
                       feature_names=feature_names, imputation=imputation)
 
 

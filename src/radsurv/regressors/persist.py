@@ -5,10 +5,11 @@ imputation vector and learned parameters, written by ``util.write_json``
 through float repr as compact text (no indent: json's C encoder), so
 load(save(m)) predicts bit for bit; files written with the one-space
 indent of other JSON outputs hold the same document and load the same. A
-tree is one object of the equal-length node arrays of
-``tree.tree_arrays``, nodes in level order: ``feature`` (-1 for a leaf),
+tree is one object of its slices of the node arrays of the model's
+``tree.TreeArrays``, nodes in level order: ``feature`` (-1 for a leaf),
 ``threshold``, ``gain``, ``left`` and ``right`` (child indices, -1 for a
-leaf), ``value`` and ``n``; no depth limits save or load. Linear and MLP
+leaf), ``value`` and ``n``; no depth limits save or load, and load joins
+the checked arrays with no per-node object. Linear and MLP
 files, the same in both schemas, keep the name radsurv-model/1.
 ``load_model`` walks the file's keys and
 its family's ``parameters`` with ``util.fields`` and checks every number
@@ -25,11 +26,10 @@ import numpy as np
 
 from ..util import (POSITIVE, fields, numbers, of_type, one_of, read_json,
                     write_json)
-from .tree import TreeNode, tree_arrays
+from .tree import COLUMNS, TreeArrays
 
 SCHEMA_V1 = "radsurv-model/1"
 SCHEMA = "radsurv-model/2"
-TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value", "n")
 
 
 def as_vector(value, where: str, n_features: int, low=None) -> np.ndarray:
@@ -78,29 +78,29 @@ def _check_layers(kwargs: dict, n_features: int) -> None:
                                  f"{shape}, got {array.shape}")
 
 
-def as_trees(docs, where: str, n_features: int) -> list[TreeNode]:
-    return [_tree(doc, f"{where}[{t}]", n_features)
-            for t, doc in enumerate(of_type(list)(docs, where))]
+def as_trees(docs, where: str, n_features: int) -> TreeArrays:
+    return TreeArrays.join(_tree(doc, f"{where}[{t}]", n_features)
+                           for t, doc in enumerate(of_type(list)(docs, where)))
 
 
-def as_forest(docs, where: str, n_features: int) -> list[TreeNode]:
+def as_forest(docs, where: str, n_features: int) -> TreeArrays:
     if docs == []:
         raise ValueError(f"{where}: a forest holds at least one tree")
     return as_trees(docs, where, n_features)
 
 
-def _tree(doc, where: str, n_features: int) -> TreeNode:
-    """The root of the tree whose node arrays ``doc`` holds, once each node
-    but the first is checked to be the child of one earlier split node."""
+def _tree(doc, where: str, n_features: int) -> dict[str, np.ndarray]:
+    """The node arrays ``doc`` holds, once each node but the first is
+    checked to be the child of one earlier split node."""
     if not (isinstance(doc, dict) and all(isinstance(doc.get(key), list)
-                                          for key in TREE_ARRAYS)
-            and len({len(doc[key]) for key in TREE_ARRAYS}) == 1
+                                          for key in COLUMNS)
+            and len({len(doc[key]) for key in COLUMNS}) == 1
             and doc["n"]):
         raise ValueError(f"{where}: expected an object of the non-empty, "
-                         f"equal-length arrays {', '.join(TREE_ARRAYS)}")
+                         f"equal-length arrays {', '.join(COLUMNS)}")
     columns = {key: numbers(doc[key], f"{where}.{key}", "if" if key in (
         "threshold", "gain", "value") else "i", (None,))
-        for key in TREE_ARRAYS}
+        for key in COLUMNS}
     feature, left, right = map(columns.get, ("feature", "left", "right"))
     index, split = np.arange(feature.size), feature >= 0
 
@@ -118,16 +118,7 @@ def _tree(doc, where: str, n_features: int) -> TreeNode:
                           minlength=index.size)
     reject("n", parents != (index > 0),
            "this node is not the child of one split node")
-    nodes = [TreeNode(k, v) for k, v in zip(columns["n"].tolist(),
-                                            columns["value"].tolist())]
-    feature, threshold, gain, left, right = (
-        columns[key].tolist() for key in TREE_ARRAYS[:5])
-    for i in np.flatnonzero(split).tolist():
-        node = nodes[i]
-        node.feature, node.threshold, node.gain = (feature[i], threshold[i],
-                                                   gain[i])
-        node.left, node.right = nodes[left[i]], nodes[right[i]]
-    return nodes[0]
+    return columns
 
 
 def save_model(model, path: str) -> None:
@@ -137,11 +128,8 @@ def save_model(model, path: str) -> None:
     parameters = {name: getattr(model, name)
                   for name in FAMILIES[kind].fields}
     if "trees" in parameters:
-        arrays, sizes = tree_arrays(parameters["trees"])
-        ends = sizes.cumsum().tolist()
-        parameters["trees"] = [
-            {key: column[end - size:end] for key, column in arrays.items()}
-            for size, end in zip(sizes.tolist(), ends)]
+        trees = parameters["trees"]
+        parameters["trees"] = [trees.tree(t) for t in range(len(trees))]
     write_json(path, {
         "schema": SCHEMA if "trees" in parameters else SCHEMA_V1,
         "model_type": kind,

@@ -13,15 +13,21 @@ Trees grow one depth at a time across an ensemble (the depth-wise exact
 search of XGBoost, KDD 2016, and LightGBM, NeurIPS 2017) with each node's
 float operations unchanged. Forests average trees in tree-index order (an
 exact identity). Tree t's stream (seed, t) draws its bootstrap, then, for
-max_features below the feature count, one (k, p) uniform block per depth:
-a row for each of its k nodes searched there, in level order (left child
-first). A node searches its row's max_features smallest draws, ascending,
-so no draw depends on other trees or on the visiting order.
+max_features below the feature count, one (k, p) uniform block per depth
+at which it has k > 0 nodes to search: a row for each, in level order
+(left child first). A node searches its row's max_features smallest draws,
+ascending, so no draw depends on other trees or on the visiting order.
+
+An ensemble is one ``TreeArrays``, the node arrays model.json stores:
+growth appends each depth's nodes, and prediction, importance and
+persistence read the arrays with no per-node object. ``TreeNode`` is a
+read-only view of one node, for walking a tree by hand.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,16 +37,72 @@ from ..rng import make_rng
 from . import Model, decode_params, number_param, prepare_training
 from ..util import of_type
 
+# the node arrays of an ensemble and their types
+COLUMNS = {"feature": np.int64, "threshold": np.float64, "gain": np.float64,
+           "left": np.int64, "right": np.int64, "value": np.float64,
+           "n": np.int64}
 
-@dataclass
+
+class TreeArrays(Sequence):
+    """The trees of an ensemble as the node arrays ``columns``, tree after
+    tree, each tree's nodes in level order (left child first): ``feature``
+    (-1 for a leaf), ``threshold``, ``gain`` (the SSE reduction of the
+    split), ``left`` and ``right`` (child indices within the tree, -1 for a
+    leaf), ``value`` (the mean training target reaching the node) and ``n``
+    (how many targets reach it); ``sizes`` holds each tree's node count. A
+    tree's k-th split node, counting from 1, has the children 2k - 1 and
+    2k. As a sequence it holds each tree's root as a ``TreeNode``."""
+
+    def __init__(self, columns: dict, sizes):
+        self.columns = {key: np.asarray(columns[key], dtype)
+                        for key, dtype in COLUMNS.items()}
+        self.sizes = np.asarray(sizes, np.int64)
+        self.starts = self.sizes.cumsum() - self.sizes
+
+    @classmethod
+    def join(cls, trees: Iterable[dict]) -> "TreeArrays":
+        """The ensemble of ``trees``, each a dict of one tree's columns."""
+        trees = list(trees)
+        return cls({key: np.concatenate([np.empty(0, dtype)]
+                                        + [tree[key] for tree in trees])
+                    for key, dtype in COLUMNS.items()},
+                   [len(tree["n"]) for tree in trees])
+
+    def tree(self, t: int) -> dict[str, np.ndarray]:
+        """The columns of tree t (slices of the ensemble's)."""
+        start, size = self.starts[t], self.sizes[t]
+        return {key: column[start:start + size]
+                for key, column in self.columns.items()}
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, t: int) -> "TreeNode":
+        return TreeNode(self, range(len(self))[t], 0)
+
+
 class TreeNode:
-    n_samples: int
-    value: float                      # mean of training targets reaching it
-    feature: Optional[int] = None     # None marks a leaf
-    threshold: float = 0.0
-    gain: float = 0.0                 # SSE reduction achieved by the split
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
+    """A read-only view of node ``index`` of tree ``tree`` of ``trees``:
+    each of the node's columns is an attribute (``n`` also as
+    ``n_samples``), and ``feature`` and the child views ``left`` and
+    ``right`` are None at a leaf."""
+
+    __slots__ = ("trees", "tree", "index")
+
+    def __init__(self, trees: TreeArrays, tree: int, index: int):
+        self.trees, self.tree, self.index = trees, tree, index
+
+    def __getattr__(self, name: str):
+        key = "n" if name == "n_samples" else name
+        if key not in COLUMNS:
+            raise AttributeError(name)
+        at = self.trees.starts[self.tree] + self.index
+        value = self.trees.columns[key][at].item()
+        if key in ("feature", "left", "right") and value < 0:
+            return None
+        if key in ("left", "right"):
+            return TreeNode(self.trees, self.tree, value)
+        return value
 
 
 _BLOCK_ELEMENTS = 8192   # (row, node x feature) cells per scored block
@@ -68,7 +130,7 @@ class TreeGrower:
 
     def grow(self, y: np.ndarray, rows: np.ndarray, max_depth: Optional[int],
              min_split: int, max_features: Optional[int],
-             rngs: Optional[list[np.random.Generator]]) -> list[TreeNode]:
+             rngs: Optional[list[np.random.Generator]]) -> TreeArrays:
         """One tree per row of ``rows`` (at most X.shape[0] entries); tree t
         fits X[rows[t]], y[rows[t]] and draws its subsets from ``rngs[t]``."""
         X = self.X
@@ -79,36 +141,32 @@ class TreeGrower:
         ys = np.append(y[src[:-1]], 0.0)
         pos = np.arange(n_trees * n)    # the level's slots, node by node
         sizes, tree_of = np.full(n_trees, n), np.arange(n_trees)
-        parents, roots, depth = [], None, 0
+        levels, depth = [], 0           # each depth's nodes, grouped by tree
         while True:
             starts = sizes.cumsum() - sizes
             values, sse = _node_stats(ys[pos], starts, sizes)
-            nodes = [TreeNode(m, v) for m, v in zip(sizes.tolist(), values)]
-            for i, parent in enumerate(parents):
-                parent.left, parent.right = nodes[2 * i], nodes[2 * i + 1]
-            roots = roots or nodes
+            level = (np.full(sizes.size, -1), np.zeros(sizes.size),
+                     np.zeros(sizes.size))   # feature, threshold, gain
+            levels.append((tree_of, *level, values, sizes))
             cand = ((sizes >= min_split) & (sse > 0.0)).nonzero()[0]
             if (max_depth is not None and depth >= max_depth) or not cand.size:
-                return roots
+                break
             feats = None
             if max_features is not None and max_features < p:
                 counts = np.bincount(tree_of[cand], minlength=n_trees)
-                u = np.concatenate([rngs[t].random((c, p))
-                                    for t, c in enumerate(counts.tolist())])
-                feats = np.sort(u.argsort(axis=1, kind="stable")
-                                [:, :max_features], axis=1)
+                u = np.concatenate([rngs[t].random((c, p)) for t, c
+                                    in enumerate(counts.tolist()) if c])
+                feats = _smallest(u, max_features)
             feature, cut, gain = self._best_splits(
                 src, ys, pos, starts[cand], sizes[cand], feats)
             ok = gain > 0
             if not ok.any():
-                return roots
+                break
             split, feature, gain = cand[ok], feature[ok], gain[ok]
             lo, hi = src[cut[:, ok]]
             threshold = (X[lo, feature] + X[hi, feature]) / 2.0
-            parents = [nodes[i] for i in split.tolist()]
-            for node, f, t, g in zip(parents, feature.tolist(),
-                                     threshold.tolist(), gain.tolist()):
-                node.feature, node.threshold, node.gain = f, t, g
+            level[0][split], level[1][split], level[2][split] = (
+                feature, threshold, gain)
             # children in level order: left then right of each split node
             m = sizes[split]
             if split.size < sizes.size:   # else the gather is the identity
@@ -121,6 +179,17 @@ class TreeGrower:
             sizes = np.bincount(key, minlength=2 * split.size)
             tree_of = tree_of[split].repeat(2)
             depth += 1
+        tree, *columns = map(np.concatenate, zip(*levels))
+        order = tree.argsort(kind="stable")   # each tree's levels in turn
+        feature, threshold, gain, value, n_node = (c[order] for c in columns)
+        sizes = np.bincount(tree, minlength=n_trees)
+        split = feature >= 0
+        k = split.cumsum()              # split nodes up to each node
+        k -= (k - split)[sizes.cumsum() - sizes].repeat(sizes)
+        left = np.where(split, 2 * k - 1, -1)   # k: rank within its tree
+        return TreeArrays({"feature": feature, "threshold": threshold,
+                           "gain": gain, "left": left, "right": left + split,
+                           "value": value, "n": n_node}, sizes)
 
     def _best_splits(self, src, ys, pos, starts, sizes, feats):
         """(feature, slots around the cut, gain <= 0 if none) of each node's
@@ -171,69 +240,58 @@ class TreeGrower:
         return best_at[0], best_at[1:], gain
 
 
+def _smallest(u: np.ndarray, k: int) -> np.ndarray:
+    """Each row's columns of its k smallest values, ascending; of values
+    equal to the k-th smallest, the lowest columns, as the first k of a
+    stable argsort take them."""
+    kth = np.partition(u, k - 1, axis=1)[:, k - 1:k]
+    keep = u <= kth
+    tied = keep.sum(axis=1) > k          # rows whose k-th value repeats
+    if tied.any():
+        ut, kt = u[tied], kth[tied]
+        tie, below = ut == kt, ut < kt
+        keep[tied] = below | tie & (tie.cumsum(axis=1)
+                                    <= k - below.sum(axis=1, keepdims=True))
+    return keep.nonzero()[1].reshape(-1, k)
+
+
 def _node_stats(yv, starts, sizes):
-    """Per-node mean (a list) and SSE of the node-major targets ``yv``;
-    a block of equal-size rows gives each row numpy's 1D ``sum()`` bits."""
+    """Per-node mean and SSE of the node-major targets ``yv``; a block of
+    equal-size rows gives each row numpy's 1D ``sum()`` bits."""
     if sizes.size <= 8:   # few nodes: a slice each beats a gather per size
         segs = [yv[s:s + m] for s, m in zip(starts.tolist(), sizes.tolist())]
         means = [np.add.reduce(seg) / seg.size for seg in segs]
-        return [float(v) for v in means], np.array(
+        return np.array(means), np.array(
             [np.add.reduce((seg - v) ** 2) for seg, v in zip(segs, means)])
     values, sse = np.empty(sizes.size), np.empty(sizes.size)
-    for m in set(sizes.tolist()):
-        idx = (sizes == m).nonzero()[0]
+    order = sizes.argsort(kind="stable")
+    by_size = sizes[order]
+    edges = np.flatnonzero(np.diff(by_size, prepend=0, append=0)).tolist()
+    for a, b in zip(edges, edges[1:]):
+        idx, m = order[a:b], int(by_size[a])
         block = yv[starts[idx, None] + np.arange(m)]
         values[idx] = mean = np.add.reduce(block, axis=1) / m
         sse[idx] = np.add.reduce((block - mean[:, None]) ** 2, axis=1)
-    return values.tolist(), sse
+    return values, sse
 
 
-def tree_arrays(trees: list[TreeNode]) -> tuple[dict[str, np.ndarray],
-                                                np.ndarray]:
-    """The node arrays of ``trees`` and each tree's node count: tree after
-    tree, each tree's nodes in level order (as ``TreeGrower.grow`` makes
-    them), ``feature`` (-1 for a leaf), ``threshold``, ``gain``, ``left``
-    and ``right`` (child indices within the tree, -1 for a leaf), ``value``
-    and ``n``. A tree's k-th split node, counting from 1, has the children
-    2k - 1 and 2k."""
-    nodes, sizes = [], []
-    for root in trees:
-        level = [root]
-        for node in level:          # the loop reaches the children it queues
-            if node.feature is not None:
-                level += (node.left, node.right)
-        nodes += level
-        sizes.append(len(level))
-    sizes = np.array(sizes, dtype=np.int64)
-    feature = np.array([-1 if node.feature is None else node.feature
-                        for node in nodes], dtype=np.int64)
-    split = feature >= 0
-    count = split.cumsum()          # split nodes up to each node, all trees
-    k = count - (count - split)[sizes.cumsum() - sizes].repeat(sizes)
-    left = np.where(split, 2 * k - 1, -1)     # k: rank within its tree
-    return {"feature": feature,
-            "threshold": np.array([node.threshold for node in nodes], float),
-            "gain": np.array([node.gain for node in nodes], float),
-            "left": left, "right": left + split,
-            "value": np.array([node.value for node in nodes], float),
-            "n": np.array([node.n_samples for node in nodes], np.int64)}, sizes
-
-
-def leaf_values(trees: list[TreeNode], X: np.ndarray) -> np.ndarray:
+def leaf_values(trees, X: np.ndarray) -> np.ndarray:
     """(len(trees), rows of X) array: the value of the leaf each row of X
-    reaches in each tree, going left where x <= threshold. With each leaf
-    its own two children, every (tree, row) pair advances one depth per
-    step through the trees' node arrays until all sit at leaves (the tree
-    traversal of Hummingbird, OSDI 2020)."""
-    arrays, sizes = tree_arrays(trees)
-    feature, threshold, value = (arrays[key] for key in
+    reaches in each tree of ``trees`` (a TreeArrays, or root views of any
+    ensembles), going left where x <= threshold. With each leaf its own two
+    children, every (tree, row) pair advances one depth per step through
+    the node arrays until all sit at leaves (the tree traversal of
+    Hummingbird, OSDI 2020)."""
+    if not isinstance(trees, TreeArrays):
+        trees = TreeArrays.join(root.trees.tree(root.tree) for root in trees)
+    feature, threshold, value = (trees.columns[key] for key in
                                  ("feature", "threshold", "value"))
-    starts = sizes.cumsum() - sizes
+    sizes, starts = trees.sizes, trees.starts
     leaf = feature < 0
     left = np.where(leaf, np.arange(feature.size),
-                    arrays["left"] + starts.repeat(sizes))
+                    trees.columns["left"] + starts.repeat(sizes))
     right = left + ~leaf            # a right child follows its left
-    feature[leaf] = 0
+    feature = np.where(leaf, 0, feature)
     n, p = X.shape
     node = starts.repeat(n).reshape(len(trees), n)
     row_at, flat = np.arange(0, n * p, p), X.ravel()
@@ -244,22 +302,38 @@ def leaf_values(trees: list[TreeNode], X: np.ndarray) -> np.ndarray:
     return value.take(node)
 
 
-def tree_feature_gains(root: TreeNode, p: int) -> np.ndarray:
-    """Total SSE reduction credited to each feature across the tree."""
-    gains = np.zeros(p, dtype=np.float64)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.feature is not None:
-            gains[node.feature] += node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-    return gains
+def feature_gains(model) -> np.ndarray:
+    """Total SSE reduction credited to each feature of a tree model. Each
+    tree adds its split gains in the order a stack walk pops them (a node,
+    its right subtree, then its left subtree), and the per-tree totals add
+    in tree order; RFE breaks ties on these bits."""
+    trees = model.trees
+    feature, gain = trees.columns["feature"], trees.columns["gain"]
+    split = feature >= 0
+    tree_of = np.arange(len(trees)).repeat(trees.sizes)
+    left, right = (trees.columns[key] + trees.starts[tree_of]
+                   for key in ("left", "right"))
+    nodes, parents = trees.starts, []      # each depth's split nodes
+    while (at := nodes[split[nodes]]).size:
+        parents.append(at)
+        nodes = np.concatenate([left[at], right[at]])
+    size = np.ones(feature.size, np.int64)    # nodes in each subtree
+    for at in reversed(parents):
+        size[at] += size[left[at]] + size[right[at]]
+    visit = trees.starts[tree_of]             # stack-walk position
+    for at in parents:
+        visit[right[at]] = visit[at] + 1
+        visit[left[at]] = visit[at] + 1 + size[right[at]]
+    order = split.nonzero()[0]
+    order = order[visit[order].argsort()]
+    per_tree = np.zeros((len(trees), model.n_features))
+    np.add.at(per_tree, (tree_of[order], feature[order]), gain[order])
+    return per_tree.sum(axis=0)
 
 
 @dataclass
 class ForestModel(Model):
-    trees: list[TreeNode]
+    trees: TreeArrays
     bootstrap: bool
     max_features_rule: str            # "all" or "third" or an explicit count
     seed: int

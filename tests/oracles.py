@@ -10,8 +10,9 @@ degenerate-value substitutions) are reproduced here from the definitions,
 not imported. The image-feature oracles are the exception to the loops:
 they apply np.isin and np.nonzero to the whole grid, where the package
 gathers inside bounding boxes. The tree oracles are the package's former
-node-by-node CART growth (one split search per node, on that node's rows)
-and its former prediction, which walked one tree node by node.
+node-by-node CART growth (one split search per node, on that node's rows),
+its former prediction, which walked one tree node by node, and its
+former importance, which walked each tree with a stack.
 The last sections keep more former package paths: the mask decode that
 took every datatype through float64, the image features and mask summary
 computed on the whole label grid, the perceptron's optimizer loop that
@@ -635,6 +636,25 @@ def predict_tree_bf(root, X):
             stack.append((node.left, idx[go_left]))
             stack.append((node.right, idx[~go_left]))
     return out
+
+
+def split_gains_bf(trees, p):
+    """Per-feature split gains of the trees at the root views ``trees``:
+    each tree's gains added as a stack pops its nodes (a node, then its
+    right subtree, then its left), the per-tree vectors added in tree
+    order."""
+    gains = np.zeros(p)
+    for root in trees:
+        tree_gains = np.zeros(p)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.feature is not None:
+                tree_gains[node.feature] += node.gain
+                stack.append(node.left)
+                stack.append(node.right)
+        gains += tree_gains
+    return gains
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from radsurv.cli import main
-from radsurv.regressors import (TreeNode, load_model, predict, save_model,
+from radsurv.regressors import (TreeArrays, load_model, predict, save_model,
                                 train_model)
 from radsurv.util import UnencodableValueError, write_json
 
@@ -134,13 +134,16 @@ def test_non_finite_number_names_its_path_and_writes_nothing(tmp_path, doc,
 
 
 def test_tree_nodes_save_as_level_order_arrays(tmp_path):
-    leaf = TreeNode(n_samples=2, value=1.5)
-    split = TreeNode(n_samples=5, value=-0.0, feature=1, threshold=0.25,
-                     gain=7.0, left=leaf, right=TreeNode(3, 1e16))
-    root = TreeNode(n_samples=9, value=2.0, feature=0, threshold=-1.0,
-                    gain=3.0, left=split, right=TreeNode(4, -3.0))
+    """The ensemble's arrays hold a 5-node tree and then a leaf; the file
+    holds each tree's slice."""
     model = _gbr({"n_estimators": 2})
-    model.trees = [root, leaf]
+    model.trees = TreeArrays({
+        "feature": [0, 1, -1, -1, -1, -1],
+        "threshold": [-1.0, 0.25, 0.0, 0.0, 0.0, 0.0],
+        "gain": [3.0, 7.0, 0.0, 0.0, 0.0, 0.0],
+        "left": [1, 3, -1, -1, -1, -1], "right": [2, 4, -1, -1, -1, -1],
+        "value": [2.0, -0.0, -3.0, 1.5, 1e16, 1.5],
+        "n": [9, 5, 4, 2, 3, 2]}, [5, 1])
     path = tmp_path / "model.json"
     save_model(model, str(path))
     doc = json.loads(path.read_text())
@@ -201,13 +204,8 @@ def test_failed_save_leaves_an_existing_file_unchanged(tmp_path):
 
 
 def _deep_tree(depth):
-    """A chain of ``depth`` splits, each with a leaf on its left, and the
-    node arrays it saves as."""
-    node = TreeNode(n_samples=1, value=0.5)
-    for level in range(depth):
-        node = TreeNode(n_samples=level + 2, value=float(level), feature=0,
-                        threshold=-float(level), gain=1.0,
-                        left=TreeNode(n_samples=1, value=-1.0), right=node)
+    """The node arrays of a chain of ``depth`` splits, each with a leaf on
+    its left."""
     levels = range(depth - 1, -1, -1)
     pairs = {
         "feature": [(0, -1) for _ in levels],
@@ -219,14 +217,14 @@ def _deep_tree(depth):
         "n": [(level + 2, 1) for level in levels]}
     last = {"feature": -1, "threshold": 0.0, "gain": 0.0, "left": -1,
             "right": -1, "value": 0.5, "n": 1}
-    return node, {key: [x for pair in column for x in pair] + [last[key]]
-                  for key, column in pairs.items()}
+    return {key: [x for pair in column for x in pair] + [last[key]]
+            for key, column in pairs.items()}
 
 
 def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
-    node, expected = _deep_tree(sys.getrecursionlimit() + 500)
+    expected = _deep_tree(sys.getrecursionlimit() + 500)
     model = _gbr({"n_estimators": 1})
-    model.trees = [node]
+    model.trees = TreeArrays.join([expected])
     path = tmp_path / "model.json"
     save_model(model, str(path))
     text = path.read_text()
@@ -238,7 +236,7 @@ def test_tree_deeper_than_the_recursion_limit_saves_whole(tmp_path):
 def test_tree_deeper_than_the_recursion_limit_round_trips(tmp_path):
     depth = sys.getrecursionlimit() + 500
     model = _gbr({"n_estimators": 1})
-    model.trees = [_deep_tree(depth)[0]]
+    model.trees = TreeArrays.join([_deep_tree(depth)])
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))

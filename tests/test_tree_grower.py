@@ -21,7 +21,8 @@ from radsurv.featselect import EstimatorSpec, rfe
 from radsurv.regressors import (grid_search_cv, predict, save_model,
                                 train_forest, train_gbr, train_model)
 from radsurv.regressors import tree as tree_mod
-from radsurv.regressors.tree import TreeGrower, resolve_max_features
+from radsurv.regressors.tree import (TreeGrower, _smallest,
+                                     resolve_max_features)
 from radsurv.rng import make_rng
 
 
@@ -160,6 +161,36 @@ def test_block_budget_changes_no_bit(budget, tmp_path, monkeypatch):
     reference = [_model_bytes(fit(), tmp_path) for fit in fits]
     monkeypatch.setattr(tree_mod, "_BLOCK_ELEMENTS", budget)
     assert [_model_bytes(fit(), tmp_path) for fit in fits] == reference
+
+
+def _stable_smallest(u, k):
+    return np.sort(u.argsort(axis=1, kind="stable")[:, :k], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_smallest_draws_equal_the_stable_argsort(seed):
+    """Random blocks, and blocks of few distinct values, so that most rows
+    hold ties at their k-th smallest value (ties go to the lowest
+    columns)."""
+    rng = np.random.default_rng(seed)
+    for levels in (None, 2, 3, 7):
+        rows, p = int(rng.integers(1, 40)), int(rng.integers(2, 120))
+        u = (rng.random((rows, p)) if levels is None
+             else rng.integers(0, levels, (rows, p)) / levels)
+        for k in {1, p // 3 or 1, p - 1}:
+            got = _smallest(u, k)
+            assert got.shape == (rows, k)
+            assert got.tobytes() == _stable_smallest(u, k).tobytes(), k
+
+
+def test_smallest_draws_with_ties_at_the_kth_value():
+    u = np.array([[0.5, 0.1, 0.5, 0.5, 0.9],     # k-th value 0.5, thrice
+                  [0.2, 0.2, 0.2, 0.2, 0.2],     # all equal
+                  [0.7, 0.3, 0.3, 0.1, 0.3],     # 0.3 at columns 1, 2, 4
+                  [0.4, 0.6, 0.1, 0.2, 0.3]])    # no tie
+    for k in range(1, 5):
+        assert _smallest(u, k).tobytes() == _stable_smallest(u, k).tobytes()
+    assert _smallest(u, 2).tolist() == [[0, 1], [0, 1], [1, 3], [2, 3]]
 
 
 def _count_splits(node) -> int:
