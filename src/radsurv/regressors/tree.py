@@ -49,9 +49,11 @@ class TreeArrays(Sequence):
     (-1 for a leaf), ``threshold``, ``gain`` (the SSE reduction of the
     split), ``left`` and ``right`` (child indices within the tree, -1 for a
     leaf), ``value`` (the mean training target reaching the node) and ``n``
-    (how many targets reach it); ``sizes`` holds each tree's node count. A
-    tree's k-th split node, counting from 1, has the children 2k - 1 and
-    2k. As a sequence it holds each tree's root as a ``TreeNode``."""
+    (how many targets reach it); ``sizes`` holds each tree's node count.
+    In a grown tree the k-th split node, counting from 1, has the children
+    2k - 1 and 2k; readers follow ``left`` and ``right``, which a loaded
+    file may order otherwise. As a sequence it holds each tree's root as a
+    ``TreeNode``."""
 
     def __init__(self, columns: dict, sizes):
         self.columns = {key: np.asarray(columns[key], dtype)
@@ -286,14 +288,13 @@ def leaf_values(trees, X: np.ndarray) -> np.ndarray:
         trees = TreeArrays.join(root.trees.tree(root.tree) for root in trees)
     feature, threshold, value = (trees.columns[key] for key in
                                  ("feature", "threshold", "value"))
-    sizes, starts = trees.sizes, trees.starts
     leaf = feature < 0
-    left = np.where(leaf, np.arange(feature.size),
-                    trees.columns["left"] + starts.repeat(sizes))
-    right = left + ~leaf            # a right child follows its left
+    at, start = np.arange(feature.size), trees.starts.repeat(trees.sizes)
+    left, right = (np.where(leaf, at, trees.columns[key] + start)
+                   for key in ("left", "right"))
     feature = np.where(leaf, 0, feature)
     n, p = X.shape
-    node = starts.repeat(n).reshape(len(trees), n)
+    node = trees.starts.repeat(n).reshape(len(trees), n)
     row_at, flat = np.arange(0, n * p, p), X.ravel()
     while not leaf.take(node).all():
         x = flat.take(row_at + feature.take(node))

@@ -138,6 +138,26 @@ def test_round_trip_keeps_arrays_importances_and_predictions(kind,
     assert predict(loaded, q).tobytes() == predict(model, q).tobytes()
 
 
+def test_file_with_children_out_of_level_order_predicts_by_its_links(
+        tmp_path):
+    """model.json may place a split's right child before its left one (or
+    anywhere later in the tree); prediction and importance follow the
+    stored links."""
+    model, x = _fit("gbr")
+    model.trees = TreeArrays.join([{
+        "feature": [0, -1, 1, -1, -1], "threshold": [0.0, 0.0, 0.5, 0.0, 0.0],
+        "gain": [2.0, 0.0, 1.0, 0.0, 0.0], "left": [2, -1, 4, -1, -1],
+        "right": [1, -1, 3, -1, -1], "value": [0.0, 10.0, 0.0, 20.0, 30.0],
+        "n": [4, 2, 2, 1, 1]}])
+    loaded = _round_trip(model, tmp_path)
+    q = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [0.0, 0.5]])
+    q = np.pad(q, ((0, 0), (0, x.shape[1] - 2)))
+    expected = loaded.init_value + loaded.learning_rate * np.array(
+        [10.0, 30.0, 20.0, 30.0])
+    assert predict(loaded, q).tobytes() == expected.tobytes()
+    assert importance(loaded).tolist()[:2] == [2 / 3, 1 / 3]
+
+
 @pytest.mark.parametrize("kind", ["rfr", "gbr"])
 def test_no_node_view_on_the_model_paths(kind, tmp_path, monkeypatch):
     def refuse(*args):
