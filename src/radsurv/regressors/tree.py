@@ -329,7 +329,7 @@ def feature_gains(model) -> np.ndarray:
     order = order[visit[order].argsort()]
     per_tree = np.zeros((len(trees), model.n_features))
     np.add.at(per_tree, (tree_of[order], feature[order]), gain[order])
-    return per_tree.sum(axis=0)
+    return per_tree.sum(axis=0)     # adds the C-ordered rows one by one
 
 
 @dataclass
