@@ -84,16 +84,21 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
                                    shape_features(roi).as_vector().tolist()))),
         ("firstorder", lambda: first_order_features(vol, roi, disc)),
         ("glcm", lambda: glcm_features(disc)),
+        ("ngtdm", lambda: ngtdm_features(disc)),
         ("glrlm", lambda: glrlm_features(disc)),
         ("glszm", lambda: glszm_features(disc)),
         ("gldm", lambda: gldm_features(disc, config.gldm_alpha)),
-        ("ngtdm", lambda: ngtdm_features(disc)),
     )
     for family, compute in stages:
         try:
             values.update(compute())
         except Exception as exc:
             raise type(exc)(f"{family}: {exc}") from exc
+        if family == "ngtdm" and 0 <= config.gldm_alpha < 1:
+            # NGTDM was the last reader of the full pair list: GLRLM, GLSZM
+            # and GLDM (at this alpha) read only its equal-level subset
+            disc.equal_pairs
+            del disc.neighbor_pairs
 
     return RadiomicsVector(
         np.array([values[name] for name in RADIOMICS_FEATURE_NAMES]))

@@ -14,7 +14,9 @@ voxel in index order.
 Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
 the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
 builders. Two pair lists are built once each, on first use, and shared by
-the texture families; a DiscretizedRoi never changes:
+the texture families; a DiscretizedRoi never changes, so a caller may
+``del`` a list that no later family reads, and a later read rebuilds the
+same arrays:
 
 * ``neighbor_pairs``: every pair of ROI voxels that one of the 13
   half-offsets joins (GLCM, NGTDM, and GLDM for alpha < 0 or alpha >= 1);
@@ -73,7 +75,7 @@ class DiscretizedRoi:
     roi: RoiMask
     n_levels: int
 
-    @property
+    @cached_property
     def levels(self) -> np.ndarray:
         """Flat 1..Ng level array over ROI voxels (argwhere order)."""
         return self.level_map[self.roi.membership]
@@ -82,27 +84,39 @@ class DiscretizedRoi:
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """ROI levels and the pairs of ROI voxels that the 13 directions join.
 
-        Returns (levels, a, b, pairs). ``levels`` holds the level of every ROI
-        voxel in C order. ``a`` and ``b`` are flat int64 index arrays into it,
-        grouped by direction in ``DIRECTIONS_13`` order; ``pairs[k]`` is the
-        (a, b) group of direction k, as views, with voxel b = voxel a +
-        DIRECTIONS_13[k].
+        Returns (levels, a, b, pairs). ``levels`` is ``self.levels``: the level
+        of every ROI voxel in C order. ``a`` and ``b`` are flat int64 index
+        arrays into it, grouped by direction in ``DIRECTIONS_13`` order;
+        ``pairs[k]`` is the (a, b) group of direction k, as views, with voxel
+        b = voxel a + DIRECTIONS_13[k]. Each direction's joined pairs are
+        counted first, so ``a`` and ``b`` are filled one direction at a time
+        and no temporary spans all 13 directions.
         """
-        # the one-voxel pad keeps every neighbor index inside the array
+        # the one-voxel pad keeps every neighbor index inside the array and
+        # makes each direction one positive flat shift
         padded = np.pad(self.level_map, 1)
-        flat = padded.ravel()
-        pos = np.flatnonzero(flat)
+        inside = padded.ravel() > 0
+        pos = np.flatnonzero(inside)
         if pos.size == 0:
             raise DiscretizationError("empty ROI")
-        number = np.full(flat.size, -1, dtype=np.int64)
+        number = np.full(inside.size, -1, dtype=np.int64)
         number[pos] = np.arange(pos.size)
         strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-        neighbor = number[pos + (np.array(DIRECTIONS_13) @ strides)[:, None]]
-        joined = neighbor >= 0
-        a = np.broadcast_to(np.arange(pos.size), joined.shape)[joined]
-        b = neighbor[joined]
-        ends = np.cumsum(joined.sum(axis=1))[:-1]
-        return flat[pos], a, b, list(zip(np.split(a, ends), np.split(b, ends)))
+        shifts = (np.array(DIRECTIONS_13) @ strides).tolist()
+        ends = np.cumsum([np.count_nonzero(inside[:-s] & inside[s:])
+                          for s in shifts])
+        a = np.empty(ends[-1], dtype=np.int64)
+        b = np.empty(ends[-1], dtype=np.int64)
+        pairs, start = [], 0
+        for s, end in zip(shifts, ends.tolist()):
+            neighbor = number[pos + s]
+            joined = np.flatnonzero(neighbor >= 0)
+            pa, pb = a[start:end], b[start:end]
+            pa[:] = joined
+            np.take(neighbor, joined, out=pb)
+            pairs.append((pa, pb))
+            start = end
+        return self.levels, a, b, pairs
 
     @cached_property
     def equal_pairs(self) -> tuple[np.ndarray, np.ndarray, list]:
@@ -110,19 +124,32 @@ class DiscretizedRoi:
 
         Returns (a, b, pairs): ``neighbor_pairs``' a and b with only those
         pairs kept, in the same order, and ``pairs[k]`` as direction k's
-        (a, b) group, as views. One compare and one compress serve all 13
-        directions.
+        (a, b) group, as views. Each direction is compared into one flag
+        array over all pairs; its kept pairs are then taken into the
+        preallocated outputs.
         """
-        levels, a, b, pairs = self.neighbor_pairs
-        # flatnonzero and two takes: a boolean index is several times slower
-        # on a mask this irregular
-        kept = np.flatnonzero(levels[a] == levels[b])
-        # direction k ends in the kept list after the kept pairs that lie
-        # before its end in the full list; an empty direction keeps none
-        ends = np.searchsorted(kept,
-                               np.cumsum([pa.size for pa, _ in pairs])[:-1])
-        a, b = a[kept], b[kept]
-        return a, b, list(zip(np.split(a, ends), np.split(b, ends)))
+        levels, a, _, pairs = self.neighbor_pairs
+        same = np.empty(a.size, dtype=bool)
+        flags, start = [], 0
+        for pa, pb in pairs:
+            flag = same[start:start + pa.size]
+            np.equal(levels[pa], levels[pb], out=flag)
+            flags.append(flag)
+            start += pa.size
+        ends = np.cumsum([np.count_nonzero(flag) for flag in flags])
+        a = np.empty(ends[-1], dtype=np.int64)
+        b = np.empty(ends[-1], dtype=np.int64)
+        kept_pairs, start = [], 0
+        for (pa, pb), flag, end in zip(pairs, flags, ends.tolist()):
+            # flatnonzero and two takes: a boolean index is several times
+            # slower on a mask this irregular
+            kept = np.flatnonzero(flag)
+            ka, kb = a[start:end], b[start:end]
+            np.take(pa, kept, out=ka)
+            np.take(pb, kept, out=kb)
+            kept_pairs.append((ka, kb))
+            start = end
+        return a, b, kept_pairs
 
 
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:

@@ -14,6 +14,8 @@ Conventions, fixed across the package and mirrored by the test oracles:
   are the connected components of all 13 directions' equal-level pairs.
   GLDM reads the second for 0 <= alpha < 1 (integer levels differ by at
   most alpha only when equal) and filters the first for any other alpha.
+  GLCM counts and NGTDM neighbor sums are accumulated one direction at a
+  time, so no temporary spans all 13 directions' pairs.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
@@ -179,8 +181,12 @@ def glcm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     levels, _, _, pairs = disc.neighbor_pairs
     ng = disc.n_levels
     lv = levels.astype(np.int64) - 1
-    cells = [(d * ng + lv[a]) * ng + lv[b] for d, (a, b) in enumerate(pairs)]
-    p = _counts(np.concatenate(cells), (len(pairs), ng, ng))
+    row = lv * ng
+    p = np.empty((len(pairs), ng, ng))
+    for d, (a, b) in enumerate(pairs):
+        cells = row[a]
+        cells += lv[b]
+        p[d] = np.bincount(cells, minlength=ng * ng).reshape(ng, ng)
     return p + p.transpose(0, 2, 1)
 
 
@@ -319,7 +325,7 @@ def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     together, one voxel per step, and the voxels reached at each step are
     counted by level. W = max(dims), which bounds any run.
     """
-    levels = disc.neighbor_pairs[0]
+    levels = disc.levels
     _, _, pairs = disc.equal_pairs
     ng, width = disc.n_levels, max(disc.roi.dims)
     lv = levels - 1
@@ -408,7 +414,7 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     """Zone count matrix (level x zone size), zones 26-connected: the
     components of the equal-level pairs of all 13 directions."""
-    levels = disc.neighbor_pairs[0]
+    levels = disc.levels
     a, b, _ = disc.equal_pairs
     lv, size = _zone_cells(levels, _zone_labels(levels.size, a, b))
     width = int(size.max()) + 1
@@ -431,11 +437,12 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     Each neighbor pair whose levels differ by at most ``alpha`` adds one to
     the dependence count of both its voxels.
     """
-    levels, a, b, _ = disc.neighbor_pairs
+    levels = disc.levels
     if 0 <= alpha < 1:
         # integer levels differ by at most alpha only when they are equal
         a, b, _ = disc.equal_pairs
     else:
+        _, a, b, _ = disc.neighbor_pairs
         close = np.abs(levels[a] - levels[b]) <= alpha
         a, b = a[close], b[close]
     n = levels.size
@@ -464,12 +471,16 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
     |i - neighborhood mean| over them. Each neighbor pair adds to the
     neighbor sum and count of both its voxels.
     """
-    levels, a, b, _ = disc.neighbor_pairs
+    levels, a, b, pairs = disc.neighbor_pairs
     nv = levels.size
     neigh_cnt = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)
-    # integer levels, so these float sums are exact in any order
-    neigh_sum = (np.bincount(a, weights=levels[b], minlength=nv)
-                 + np.bincount(b, weights=levels[a], minlength=nv))
+    # integer levels, so these float sums are exact in any order; one
+    # direction at a time, the weights stay one direction long
+    weight = levels.astype(np.float64)
+    neigh_sum = np.zeros(nv)
+    for pa, pb in pairs:
+        neigh_sum += np.bincount(pa, weights=weight[pb], minlength=nv)
+        neigh_sum += np.bincount(pb, weights=weight[pa], minlength=nv)
     part = neigh_cnt > 0
     ng = disc.n_levels
     n = np.zeros(ng, dtype=np.float64)

@@ -53,6 +53,8 @@ _GZIP_EOF = ("Compressed file ended before the end-of-stream marker was "
 # deflate level of written .nii.gz files: level 1 writes about 2.6x faster
 # than gzip's default 9 for about 6% more bytes (nibabel writes 1 too)
 _GZIP_LEVEL = 1
+# payload bytes write_nifti gathers at a time (at least one k-slab)
+_WRITE_BLOCK = 1 << 20
 
 # NIfTI-1 datatype code -> numpy dtype character (unscaled storage type)
 _DTYPES = {
@@ -576,10 +578,15 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
     with (gzip.GzipFile(path, "wb", compresslevel=_GZIP_LEVEL, mtime=0)
           if path.endswith(".gz") else open(path, "wb")) as fh:
         fh.write(hdr + b"\x00\x00\x00\x00")
-        # the payload in file (Fortran) order, one k-slab at a time, so no
-        # copy of the whole grid is made
-        for k in range(arr.shape[2]):
-            fh.write(arr[:, :, k].astype("<" + key).tobytes(order="F"))
+        # the payload in file (Fortran) order, a block of k-slabs at a time,
+        # so no copy of the whole grid is made: one transposing copy gathers
+        # each block of a C-ordered grid, and an F-ordered grid of the
+        # file's type is written from its own memory
+        slab = arr.shape[0] * arr.shape[1] * dtype.itemsize
+        step = max(1, _WRITE_BLOCK // max(1, slab))
+        for k in range(0, arr.shape[2], step):
+            fh.write(memoryview(np.ascontiguousarray(
+                arr[:, :, k:k + step].T, "<" + key)).cast("B"))
 
 
 def load_mask(path: str) -> LabelMask:

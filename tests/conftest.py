@@ -1,8 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radsurv.radiomics import DiscretizedRoi
 from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume
+
+
+def traced_peak(fn, *, after=None):
+    """(result, peak): ``fn()``'s result and the peak bytes ``tracemalloc``
+    traced while it ran, counting what was traced before it. With
+    ``after``, ``after()`` runs first under tracing, so what it leaves held
+    counts but its own transient does not; ``fn`` then gets its result."""
+    tracemalloc.start()
+    try:
+        if after is None:
+            result = fn()
+        else:
+            held = after()
+            tracemalloc.reset_peak()
+            result = fn(held)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_roi(membership, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):

@@ -6,7 +6,6 @@ NIfTI files and memory guards on ``load_nifti`` and ``load_mask``."""
 import gzip
 import re
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from radsurv.volumeio import (MaskLabelError, NiftiError, load_mask,
                               load_nifti)
 import oracles
+from conftest import traced_peak
 
 _CODES = {"u1": (2, 8), "i2": (4, 16), "i4": (8, 32), "f4": (16, 32),
           "f8": (64, 64)}
@@ -252,12 +252,7 @@ def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
     labels = random_labels(rng, (96, 96, 96)).astype(np.uint8)
     path = write_blob(tmp_path / "m96.nii.gz", nifti_blob(labels))
     load_mask(path)                          # warm imports and caches
-    tracemalloc.start()
-    try:
-        mask = load_mask(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    mask, peak = traced_peak(lambda: load_mask(path))
     assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)
 
 
@@ -391,10 +386,5 @@ def test_gzip_load_peak_memory_stays_below_twice_the_payload(tmp_path, load,
         stored = rng.integers(-3000, 3000, (96, 96, 96)).astype("i2")
     path = write_blob(tmp_path / f"{key}.nii.gz", nifti_blob(stored))
     load(path)                               # warm imports and caches
-    tracemalloc.start()
-    try:
-        load(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: load(path))
     assert peak < bound * stored.nbytes, (peak / stored.nbytes)

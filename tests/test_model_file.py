@@ -169,6 +169,9 @@ def test_value_of_the_wrong_json_type_or_key_named(kind, keys, value, shown,
     (["n"], "[1]", r"trees\[1\]: expected an object of the non-empty, "
                    "equal-length arrays"),
     (["gain"], '"x"', r"trees\[1\]: expected an object"),
+    (["left", 0], "1.0", r"trees\[1\]\.left: expected integers \(1-d\)"),
+    (["n", 2], "true", r"trees\[1\]\.n: expected integers \(1-d\)"),
+    (["right", 0], "true", r"trees\[1\]\.right: expected integers"),
 ])
 def test_malformed_tree_named(keys, value, message, tmp_path):
     path = _saved("gbr", tmp_path)
@@ -176,6 +179,44 @@ def test_malformed_tree_named(keys, value, message, tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameters.")
                        + message):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("keys,value,message", [
+    (["threshold", 1], "1e999", r"trees\[7\]\.threshold\[1\]: inf is not"),
+    (["feature", 2], "-2", r"trees\[7\]\.feature\[2\]: outside -1\.\.2"),
+    (["value", 0], "false", r"trees\[7\]\.value: expected numbers \(1-d\)"),
+    (["right", 0], "1", r"trees\[7\]\.n\[1\]: this node is not the child"),
+])
+def test_bad_cell_in_a_later_tree_named(keys, value, message, tmp_path):
+    """Columns are checked over all trees at once; a rejection names the
+    tree and node, as a check tree by tree does."""
+    path = _saved("gbr", tmp_path, {"n_estimators": 9, "max_depth": 2})
+    _edit(path, ["parameters", "trees", 7] + keys, value)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameters.")
+                       + message):
+        load_model(str(path))
+
+
+def test_integers_beyond_int64_judged_tree_by_tree(tmp_path):
+    """numpy reads a list of integers in 2**63..2**64 - 1 as uint64, which
+    is rejected, but as floats beside a float: the joined columns of all
+    trees may not accept what the tree's own list rejects. A float that
+    large is a number like any other."""
+    path = _saved("gbr", tmp_path, {"n_estimators": 4, "max_depth": 2})
+    doc = json.loads(path.read_text())
+    size = len(doc["parameters"]["trees"][2]["threshold"])
+    _edit(path, ["parameters", "trees", 2, "threshold"],
+          "[" + ", ".join(["9223372036854775808"] * size) + "]")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameters.trees[2].threshold: expected numbers")):
+        load_model(str(path))
+    leaf = doc["parameters"]["trees"][2]["feature"].index(-1)
+    _edit(path, ["parameters", "trees", 2, "threshold"],
+          json.dumps(doc["parameters"]["trees"][2]["threshold"]))
+    _edit(path, ["parameters", "trees", 2, "threshold", leaf],
+          "9223372036854775808.0")
+    model = load_model(str(path))
+    assert model.trees.tree(2)["threshold"][leaf] == 2.0 ** 63
 
 
 def test_empty_forest_rejected(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 from radsurv import cli
 from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.volumeio import load_mask
+from conftest import traced_peak
 
 
 def test_gen_mask_peak_stays_below_half_a_float64_grid():
@@ -19,12 +20,7 @@ def test_gen_mask_peak_stays_below_half_a_float64_grid():
                        center=(119.5, 119.5, 77.0), dims=dims)
     voxels = dims[0] * dims[1] * dims[2]
 
-    tracemalloc.start()
-    try:
-        gen_mask(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: gen_mask(spec))
     assert peak < 4 * voxels, f"{peak / 2**20:.1f} MiB traced"
 
 
@@ -47,13 +43,9 @@ def test_phantom_mask_write_holds_no_copy_of_the_labels(tmp_path,
         return masks[-1]
 
     monkeypatch.setattr(cli, "gen_mask", made)
-    tracemalloc.start()
-    try:
-        assert cli.main(["phantom", "--spec", str(spec_path),
-                         "--out", str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cli.main(
+        ["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "out")]))
+    assert code == 0
     labels = masks[0].labels
     assert labels.dtype == np.int16
     assert peak < 1.5 * labels.nbytes, f"{peak / 2**20:.1f} MiB traced"

@@ -144,6 +144,26 @@ def test_trees_grown_together_equal_trees_grown_alone():
         assert _text(root) == _text(together[t])
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_one_tree_equals_tree_zero_of_two_copies(seed):
+    """A one-tree grow, which skips the reorder by tree, holds tree 0 of a
+    grow over two copies of its rows, column by column and dtype by dtype."""
+    rng, x, y = _problem(seed)
+    rows = rng.integers(0, x.shape[0], size=(1, x.shape[0]))
+    mf = None if seed % 2 else 1
+
+    def grow(copies):
+        rngs = [make_rng(seed, 0) for _ in range(copies)]
+        return TreeGrower(x).grow(y, np.repeat(rows, copies, axis=0), None,
+                                  2, mf, rngs)
+
+    alone, pair = grow(1), grow(2)
+    assert alone.sizes.tolist() == pair.sizes[:1].tolist()
+    for key, column in alone.tree(0).items():
+        assert column.dtype == pair.tree(0)[key].dtype, key
+        assert np.array_equal(column, pair.tree(0)[key]), key
+
+
 def _model_bytes(model, tmp_path) -> bytes:
     path = tmp_path / "model.json"
     save_model(model, str(path))

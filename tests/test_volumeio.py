@@ -2,7 +2,6 @@ import gzip
 import re
 import struct
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from radsurv.volumeio import (GeometryError, LabelMask, MaskLabelError,
                               NiftiError, RoiMask, SubjectRecord, derive_roi,
                               load_mask, load_nifti, read_metadata_csv,
                               write_metadata_csv, write_nifti)
-from conftest import make_mask
+from radsurv import volumeio
+from conftest import make_mask, traced_peak
 
 
 def handcrafted_header(dims=(2, 2, 2), datatype=16, bitpix=32,
@@ -115,14 +115,37 @@ class TestLoadNifti:
         8 MiB grid traces less than a quarter of its bytes."""
         data = np.full((128, 128, 64), 0.25)
         path = tmp_path / f"big{suffix}"
-        tracemalloc.start()
-        try:
-            write_nifti(str(path), data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_nifti(str(path), data))
         assert peak < data.nbytes / 4, f"{peak / 2**20:.1f} MiB traced"
         assert np.array_equal(load_nifti(str(path)).region(...), data)
+
+    @pytest.mark.parametrize("stored,dtype", [("<f8", None), (">i2", None),
+                                              ("<f8", "float32"),
+                                              ("<i4", "uint8")])
+    def test_c_and_f_order_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                                stored, dtype):
+        """The payload is gathered in blocks of k-slabs, here 3, 3 and 2:
+        both layouts of one array write the file-order bytes, and the
+        .nii.gz the same deflate stream."""
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 200, (5, 4, 8)).astype(stored)
+        slab = 5 * 4 * np.dtype(dtype or stored).itemsize
+        monkeypatch.setattr(volumeio, "_WRITE_BLOCK", 3 * slab + 1)
+        payload = data.astype("<" + np.dtype(dtype or stored).str[1:]
+                              ).tobytes(order="F")
+        for suffix in (".nii", ".nii.gz"):
+            blobs = []
+            for name, layout in (("c", np.ascontiguousarray),
+                                 ("f", np.asfortranarray)):
+                (tmp_path / name).mkdir(exist_ok=True)
+                path = tmp_path / name / f"vol{suffix}"   # gzip names it
+                write_nifti(str(path), layout(data), dtype=dtype)
+                blobs.append(path.read_bytes())
+            assert blobs[0] == blobs[1], suffix
+            if suffix == ".nii":
+                assert blobs[0][352:] == payload
+            else:
+                assert gzip.decompress(blobs[0])[352:] == payload
 
     @pytest.mark.parametrize("data,dtype,geometry,shown", [
         (np.zeros((40000, 1, 1), np.uint8), None, {},
