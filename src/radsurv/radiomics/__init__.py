@@ -95,8 +95,9 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
         except Exception as exc:
             raise type(exc)(f"{family}: {exc}") from exc
         if family == "ngtdm" and 0 <= config.gldm_alpha < 1:
-            # NGTDM was the last reader of the full pair list: GLRLM, GLSZM
-            # and GLDM (at this alpha) read only its equal-level subset
+            # NGTDM was the last reader of the full pair list: build its
+            # equal-level subset, all that GLRLM, GLSZM and GLDM (at this
+            # alpha) read, and drop it
             disc.equal_pairs
             del disc.neighbor_pairs
 

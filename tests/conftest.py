@@ -9,9 +9,9 @@ from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume
 
 def traced_peak(fn, *, after=None):
     """(result, peak): ``fn()``'s result and the peak bytes ``tracemalloc``
-    traced while it ran, counting what was traced before it. With
-    ``after``, ``after()`` runs first under tracing, so what it leaves held
-    counts but its own transient does not; ``fn`` then gets its result."""
+    traced while it ran. With ``after``, ``after()`` runs first under
+    tracing, so what it leaves held counts toward the peak but its own
+    transient does not; ``fn`` then gets its result."""
     tracemalloc.start()
     try:
         if after is None:
