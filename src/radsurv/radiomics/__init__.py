@@ -94,10 +94,10 @@ def extract_radiomics(vol: VoxelVolume, mask: LabelMask,
             values.update(compute())
         except Exception as exc:
             raise type(exc)(f"{family}: {exc}") from exc
-        if family == "ngtdm" and 0 <= config.gldm_alpha < 1:
+        if family == "ngtdm":
             # NGTDM was the last reader of the full pair list: build its
-            # equal-level subset, all that GLRLM, GLSZM and GLDM (at this
-            # alpha) read, and drop it
+            # equal-level subset, which GLRLM and GLSZM read, and drop it
+            # (a GLDM alpha outside [0, 1) rebuilds it)
             disc.equal_pairs
             del disc.neighbor_pairs
 

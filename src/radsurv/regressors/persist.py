@@ -22,8 +22,6 @@ shape is a ValueError naming the file and key path, e.g.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from ..util import (POSITIVE, fields, numbers, of_type, one_of, read_json,
@@ -81,14 +79,8 @@ def _check_layers(kwargs: dict, n_features: int) -> None:
 
 
 def as_trees(docs, where: str, n_features: int) -> TreeArrays:
-    docs = of_type(list)(docs, where)
-    try:
-        return _trees(docs, where, n_features)
-    except ValueError:
-        # the same checks tree by tree: the message names the first bad tree
-        return TreeArrays.join(
-            _trees([doc], f"{where}[{t}]", n_features).tree(0)
-            for t, doc in enumerate(docs))
+    return TreeArrays.join(_tree(doc, f"{where}[{t}]", n_features)
+                           for t, doc in enumerate(of_type(list)(docs, where)))
 
 
 def as_forest(docs, where: str, n_features: int) -> TreeArrays:
@@ -97,33 +89,20 @@ def as_forest(docs, where: str, n_features: int) -> TreeArrays:
     return as_trees(docs, where, n_features)
 
 
-def _trees(docs: list, where: str, n_features: int) -> TreeArrays:
-    """The ensemble of the trees ``docs``, once each node but the first of
-    its tree is checked to be the child of one earlier split node. Each
-    column is checked once over all trees, so a message names a node of the
-    joined columns; for one tree, that is the node of the tree."""
-    if not all(isinstance(doc, dict) and all(isinstance(doc.get(key), list)
-                                             for key in COLUMNS)
-               and len({len(doc[key]) for key in COLUMNS}) == 1
-               and doc["n"] for doc in docs):
+def _tree(doc, where: str, n_features: int) -> dict[str, np.ndarray]:
+    """The node arrays ``doc`` holds, once each node but the first is
+    checked to be the child of one earlier split node."""
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(key), list)
+                                          for key in COLUMNS)
+            and len({len(doc[key]) for key in COLUMNS}) == 1
+            and doc["n"]):
         raise ValueError(f"{where}: expected an object of the non-empty, "
                          f"equal-length arrays {', '.join(COLUMNS)}")
-    columns = {key: numbers(
-        list(chain.from_iterable(doc[key] for doc in docs)), f"{where}.{key}",
-        "if" if key in ("threshold", "gain", "value") else "i", (None,))
+    columns = {key: numbers(doc[key], f"{where}.{key}", "if" if key in (
+        "threshold", "gain", "value") else "i", (None,))
         for key in COLUMNS}
-    # numpy reads a list of integers beyond int64 as an object or uint64
-    # array, which is rejected, unless the list holds a float too: leave
-    # such values to the tree-by-tree check, which sees each tree's list
-    if len(docs) > 1 and any(column.dtype.kind == "f"
-                             and (np.abs(column) >= 2.0 ** 63).any()
-                             for column in columns.values()):
-        raise ValueError(f"{where}: a number beyond int64")
-    sizes = np.array([len(doc["n"]) for doc in docs])
-    first = (sizes.cumsum() - sizes).repeat(sizes)  # each node's tree start
     feature, left, right = map(columns.get, ("feature", "left", "right"))
-    index, split = np.arange(feature.size) - first, feature >= 0
-    size = sizes.repeat(sizes)
+    index, split = np.arange(feature.size), feature >= 0
 
     def reject(key: str, bad: np.ndarray, why: str) -> None:
         if bad.any():
@@ -132,15 +111,14 @@ def _trees(docs: list, where: str, n_features: int) -> TreeArrays:
     reject("feature", (feature < -1) | (feature >= n_features),
            f"outside -1..{n_features - 1}")
     for key, child in (("left", left), ("right", right)):
-        reject(key, np.where(split, (child <= index) | (child >= size),
+        reject(key, np.where(split, (child <= index) | (child >= index.size),
                              child != -1),
                "a split node's child is a later node, a leaf's is -1")
-    parents = np.bincount(np.concatenate([(left + first)[split],
-                                          (right + first)[split]]),
+    parents = np.bincount(np.concatenate([left[split], right[split]]),
                           minlength=index.size)
     reject("n", parents != (index > 0),
            "this node is not the child of one split node")
-    return TreeArrays(columns, sizes)
+    return columns
 
 
 def save_model(model, path: str) -> None:

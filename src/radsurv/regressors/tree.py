@@ -182,10 +182,8 @@ class TreeGrower:
             tree_of = tree_of[split].repeat(2)
             depth += 1
         tree, *columns = map(np.concatenate, zip(*levels))
-        if n_trees > 1:     # a lone tree's levels are already in order
-            order = tree.argsort(kind="stable")   # each tree's levels in turn
-            columns = [c[order] for c in columns]
-        feature, threshold, gain, value, n_node = columns
+        order = tree.argsort(kind="stable")   # each tree's levels in turn
+        feature, threshold, gain, value, n_node = (c[order] for c in columns)
         sizes = np.bincount(tree, minlength=n_trees)
         split = feature >= 0
         k = split.cumsum()              # split nodes up to each node

@@ -188,35 +188,12 @@ def test_malformed_tree_named(keys, value, message, tmp_path):
     (["right", 0], "1", r"trees\[7\]\.n\[1\]: this node is not the child"),
 ])
 def test_bad_cell_in_a_later_tree_named(keys, value, message, tmp_path):
-    """Columns are checked over all trees at once; a rejection names the
-    tree and node, as a check tree by tree does."""
+    """A rejection in a later tree names that tree and its node."""
     path = _saved("gbr", tmp_path, {"n_estimators": 9, "max_depth": 2})
     _edit(path, ["parameters", "trees", 7] + keys, value)
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameters.")
                        + message):
         load_model(str(path))
-
-
-def test_integers_beyond_int64_judged_tree_by_tree(tmp_path):
-    """numpy reads a list of integers in 2**63..2**64 - 1 as uint64, which
-    is rejected, but as floats beside a float: the joined columns of all
-    trees may not accept what the tree's own list rejects. A float that
-    large is a number like any other."""
-    path = _saved("gbr", tmp_path, {"n_estimators": 4, "max_depth": 2})
-    doc = json.loads(path.read_text())
-    size = len(doc["parameters"]["trees"][2]["threshold"])
-    _edit(path, ["parameters", "trees", 2, "threshold"],
-          "[" + ", ".join(["9223372036854775808"] * size) + "]")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: parameters.trees[2].threshold: expected numbers")):
-        load_model(str(path))
-    leaf = doc["parameters"]["trees"][2]["feature"].index(-1)
-    _edit(path, ["parameters", "trees", 2, "threshold"],
-          json.dumps(doc["parameters"]["trees"][2]["threshold"]))
-    _edit(path, ["parameters", "trees", 2, "threshold", leaf],
-          "9223372036854775808.0")
-    model = load_model(str(path))
-    assert model.trees.tree(2)["threshold"][leaf] == 2.0 ** 63
 
 
 def test_empty_forest_rejected(tmp_path):

@@ -146,8 +146,8 @@ def test_trees_grown_together_equal_trees_grown_alone():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_one_tree_equals_tree_zero_of_two_copies(seed):
-    """A one-tree grow, which skips the reorder by tree, holds tree 0 of a
-    grow over two copies of its rows, column by column and dtype by dtype."""
+    """A one-tree grow holds tree 0 of a grow over two copies of its rows,
+    column by column and dtype by dtype."""
     rng, x, y = _problem(seed)
     rows = rng.integers(0, x.shape[0], size=(1, x.shape[0]))
     mf = None if seed % 2 else 1
