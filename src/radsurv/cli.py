@@ -206,6 +206,9 @@ def cmd_extract(resolved: dict) -> int:
         if sid not in ages:
             raise KeyError(f"{resolved['metadata']}: no metadata row for "
                            f"subject {sid!r}")
+        if not row["mask"]:
+            raise ValueError(f"{resolved['subjects']}: subject {sid!r} "
+                             "column 'mask' is empty")
         return _extract_one(sid, row.get("scan", ""), row["mask"], ages[sid],
                             resolved)
 

@@ -10,10 +10,11 @@ Scope and conventions:
   are ignored beyond spacing and offset; the features computed downstream
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
-* A payload is read into the one array that keeps it: a ``.nii`` file
-  straight from disk, a ``.nii.gz`` inflated at most 64 KiB a step and then
-  read to its end, so every gzip member's CRC is checked. A header's claim
-  is bounded by what the file can hold before that array is allocated.
+* A payload is read into the one array that keeps it, 64 KiB at a time:
+  a ``.nii`` file straight from disk, a ``.nii.gz`` through
+  ``gzip.GzipFile``, which is then read to its end, so every gzip member's
+  CRC is checked. A header's claim is bounded by what the file can hold
+  before that array is allocated.
 * A loaded scan keeps its samples as stored (``VoxelVolume.stored``: the
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
@@ -43,13 +44,12 @@ import numpy as np
 from .util import fmt_float, numbers, read_cell, read_csv, write_csv
 
 HEADER_SIZE = 348
-# bytes read or inflated per gzip step: each step's buffer stays below
-# glibc's mmap threshold (128 KiB), so the heap reuses it
+# bytes read per call into a payload or while reading a file to its end:
+# each call's buffer stays below glibc's mmap threshold (128 KiB), so the
+# heap reuses it
 _STEP = 1 << 16
 # deflate's largest expansion: one compressed byte inflates to at most 1032
 _DEFLATE_MAX_RATIO = 1032
-_GZIP_EOF = ("Compressed file ended before the end-of-stream marker was "
-             "reached")
 # deflate level of written .nii.gz files: level 1 writes about 2.6x faster
 # than gzip's default 9 for about 6% more bytes (nibabel writes 1 too)
 _GZIP_LEVEL = 1
@@ -237,121 +237,23 @@ class SubjectRecord:
                 "not one of GTR/STR/NA")
 
 
-class _PlainStream:
-    """The bytes of an uncompressed file, read in order."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.limit = os.fstat(fh.fileno()).st_size   # most bytes it holds
-
-    def readinto(self, view) -> int:
-        return self.fh.readinto(view)
-
-    def skip(self, n: int) -> None:
-        self.fh.seek(n, os.SEEK_CUR)
-
-    def drain(self) -> int:
-        """The count of bytes in the file."""
-        return self.limit
+def _fill(fh, view) -> int:
+    """Read ``fh`` into ``view`` as far as the file goes; the count. Each
+    call fills at most ``_STEP`` bytes, as ``GzipFile.readinto`` reads a
+    whole request into a new bytes object before copying it."""
+    view = memoryview(view)
+    got = 0
+    while got < len(view) and (n := fh.readinto(view[got:got + _STEP])):
+        got += n
+    return got
 
 
-class _GzipStream:
-    """The inflated bytes of a gzip file, read in order and at most ``_STEP``
-    bytes a step. Members follow one another, zero padding between and after
-    them is skipped, and each member's header, CRC and length are checked as
-    ``gzip.decompress`` checks them, raising its errors with its messages.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.limit = _DEFLATE_MAX_RATIO * os.fstat(fh.fileno()).st_size
-        self.total = 0          # bytes inflated so far, over every member
-        self._start_member()
-
-    def _exact(self, n: int) -> bytes:
-        data = self.fh.read(n)
-        if len(data) < n:
-            raise EOFError(_GZIP_EOF)
-        return data
-
-    def _start_member(self) -> None:
-        """Read the next member's header; ``member`` is None at the end."""
-        self.member = None
-        magic = self.fh.read(2)
-        if not magic:
-            return
-        if magic != b"\x1f\x8b":
-            raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
-        method, flags = struct.unpack("<BB6x", self._exact(8))
-        if method != 8:
-            raise gzip.BadGzipFile("Unknown compression method")
-        if flags & 4:                               # FEXTRA
-            self._exact(struct.unpack("<H", self._exact(2))[0])
-        for flag in (8, 16):                        # FNAME, FCOMMENT
-            if flags & flag:
-                while self._exact(1) != b"\x00":
-                    pass
-        if flags & 2:                               # FHCRC, not checked
-            self._exact(2)
-        self.member = zlib.decompressobj(-zlib.MAX_WBITS)
-        self.crc = self.size = 0
-
-    def _end_member(self) -> None:
-        """Check the trailer of the member just inflated, skip zero padding
-        and start the next member."""
-        # back to the first byte after the member's deflate data
-        self.fh.seek(-len(self.member.unused_data), os.SEEK_CUR)
-        crc, size = struct.unpack("<II", self._exact(8))
-        if crc != self.crc:
-            raise gzip.BadGzipFile("CRC check failed")
-        if size != self.size & 0xFFFFFFFF:
-            raise gzip.BadGzipFile("Incorrect length of data produced")
-        while True:
-            block = self.fh.read(_STEP)
-            rest = block.lstrip(b"\x00")
-            if rest or not block:
-                break
-        self.fh.seek(-len(rest), os.SEEK_CUR)
-        self._start_member()
-
-    def read(self, n: int) -> bytes:
-        """Up to ``n`` (>= 1) bytes; empty only at the end of the file."""
-        while self.member is not None:
-            if self.member.eof:
-                self._end_member()
-                continue
-            data = self.member.unconsumed_tail or self.fh.read(_STEP)
-            out = self.member.decompress(data, n)
-            if out:
-                self.crc = zlib.crc32(out, self.crc)
-                self.size += len(out)
-                self.total += len(out)
-                return out
-            if not data and not self.member.eof:
-                raise EOFError(_GZIP_EOF)
-        return b""
-
-    def readinto(self, view) -> int:
-        """Fill the bytes of ``view`` as far as the stream goes; the count."""
-        view = memoryview(view)
-        got = 0
-        while got < len(view):
-            out = self.read(min(_STEP, len(view) - got))
-            if not out:
-                break
-            view[got:got + len(out)] = out
-            got += len(out)
-        return got
-
-    def skip(self, n: int) -> None:
-        while n > 0 and (out := self.read(min(_STEP, n))):
-            n -= len(out)
-
-    def drain(self) -> int:
-        """Inflate and check the rest of the file; the count of its bytes."""
-        while self.read(_STEP):
-            pass
-        return self.total
+def _drain(fh) -> int:
+    """Read ``fh`` to its end, which checks every gzip member's CRC and
+    length; the count of bytes in the file."""
+    while fh.read(_STEP):
+        pass
+    return fh.tell()
 
 
 def _decode(path: str):
@@ -360,37 +262,38 @@ def _decode(path: str):
     (scl_slope, scl_inter) pair or None if the values are stored unscaled,
     and the dims/spacing/origin keywords of the grid.
 
-    A file that starts with the gzip magic is inflated step by step, the
-    payload straight into its array, and then read to its end, so a corrupt
-    stream anywhere in it is named first, before any fault of the header
-    or payload found in it."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "rb") as fh:
-        zipped = fh.read(2) == b"\x1f\x8b"
-        fh.seek(0)
-        try:
-            stream = _GzipStream(fh) if zipped else _PlainStream(fh)
+    A file that starts with the gzip magic is read through
+    ``gzip.GzipFile``, the payload straight into its array, and then read
+    to its end, so a corrupt stream anywhere in it is named first, before
+    any fault of the header or payload found in it."""
+    with open(path, "rb") as raw:
+        zipped = raw.read(2) == b"\x1f\x8b"
+        raw.seek(0)
+        # the most bytes the file can hold
+        limit = os.fstat(raw.fileno()).st_size * (
+            _DEFLATE_MAX_RATIO if zipped else 1)
+        with (gzip.GzipFile(fileobj=raw) if zipped else raw) as fh:
             try:
-                decoded = _decode_stream(path, stream)
-            except NiftiError:
-                stream.drain()
-                raise
-            stream.drain()
-        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-            raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
+                try:
+                    decoded = _decode_stream(path, fh, limit)
+                except NiftiError:
+                    _drain(fh)
+                    raise
+                _drain(fh)
+            except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+                raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
     return decoded
 
 
-def _truncated(path: str, nbytes: int, offset: int, stream) -> NiftiError:
+def _truncated(path: str, nbytes: int, offset: int, fh) -> NiftiError:
     return NiftiError(
         f"{path}: truncated payload, need {nbytes} bytes at offset {offset}, "
-        f"file holds {max(0, stream.drain() - offset)}")
+        f"file holds {max(0, _drain(fh) - offset)}")
 
 
-def _decode_stream(path: str, stream):
+def _decode_stream(path: str, fh, limit: int):
     header = bytearray(HEADER_SIZE)
-    if stream.readinto(header) < HEADER_SIZE:
+    if _fill(fh, header) < HEADER_SIZE:
         raise NiftiError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
     raw = bytes(header)
 
@@ -455,12 +358,12 @@ def _decode_stream(path: str, stream):
     nbytes = count * dtype.itemsize
     # a header may claim any size, so the claim is bounded by what the file
     # can hold before the array is allocated
-    if offset + nbytes > stream.limit:
-        raise _truncated(path, nbytes, offset, stream)
+    if offset + nbytes > limit:
+        raise _truncated(path, nbytes, offset, fh)
     stored = np.empty(count, dtype=dtype)
-    stream.skip(offset - HEADER_SIZE)
-    if stream.readinto(stored.view(np.uint8)) < nbytes:
-        raise _truncated(path, nbytes, offset, stream)
+    fh.seek(offset)
+    if _fill(fh, stored.view(np.uint8)) < nbytes:
+        raise _truncated(path, nbytes, offset, fh)
     stored.flags.writeable = False
     stored = stored.reshape(dims, order="F")
 

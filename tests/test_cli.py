@@ -145,6 +145,23 @@ class TestExtractCommand:
         assert ("subject BAD failed: scan spacing (1.0, 1.0, 2.0) differs "
                 "from mask spacing (1.0, 1.0, 1.0)") in caplog.text
 
+    def test_empty_mask_cell_names_manifest_subject_and_column(
+            self, phantom_dir, tmp_path, caplog):
+        root, out = phantom_dir
+        subjects = self._manifest(tmp_path, out, [
+            ("S1", str(out / "sph_mask.nii.gz"), ""),
+            ("S2", "", ""),
+        ])
+        meta = self._metadata(tmp_path, ["S1", "S2"])
+        features = tmp_path / "partial.csv"
+        assert main(["extract", "--subjects", str(subjects),
+                     "--metadata", str(meta), "--out", str(features),
+                     "--features", "image7"]) == 1
+        header, rows = read_csv(str(features))
+        assert [r[0] for r in rows] == ["S1"]
+        assert (f"subject S2 failed: {subjects}: subject 'S2' column 'mask' "
+                "is empty") in caplog.text
+
     def test_duplicate_manifest_id_rejected(self, phantom_dir, tmp_path):
         root, out = phantom_dir
         subjects = self._manifest(tmp_path, out, [

@@ -285,6 +285,17 @@ class TestGzipStream:
         return bytes(head) + body + struct.pack(
             "<II", zlib.crc32(blob), len(blob) & 0xFFFFFFFF)
 
+    @staticmethod
+    def _crc_flipped(blob):
+        """A one-member stream of ``blob`` whose trailer's CRC is flipped,
+        and the message that names it: the stored CRC, then the CRC of the
+        inflated bytes."""
+        flipped = bytearray(gzip.compress(blob, mtime=0))
+        flipped[-8] ^= 0xFF
+        stored = struct.unpack_from("<I", flipped, len(flipped) - 8)[0]
+        return bytes(flipped), (f"CRC check failed {hex(stored)} != "
+                                f"{hex(zlib.crc32(blob))}")
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_accepted_streams_load_the_payload(self, tmp_path, shape):
         blob = self._blob(shape)
@@ -312,11 +323,14 @@ class TestGzipStream:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_corrupt_streams_are_named(self, tmp_path, shape):
-        stream = gzip.compress(self._blob(shape), mtime=0)
-        flipped = bytearray(stream)
-        flipped[-8] ^= 0xFF                  # the trailer's CRC
+        blob = self._blob(shape)
+        stream = gzip.compress(blob, mtime=0)
+        cut = len(blob) // 3
+        first, first_message = self._crc_flipped(blob[:cut])
         cases = (
-            ("crc", bytes(flipped), "CRC check failed"),
+            ("crc", *self._crc_flipped(blob)),
+            ("first_member_crc", first + gzip.compress(blob[cut:], mtime=0),
+             first_message),
             ("garbage", stream + b"garbage", "Not a gzipped file (b'ga')"),
             ("cut_trailer", stream[:-3], "Compressed file ended before the "
              "end-of-stream marker was reached"),
@@ -336,23 +350,25 @@ class TestGzipStream:
         for suffix in (".nii", ".nii.gz"):
             self._expect(write_blob(tmp_path / f"short{suffix}", blob[:-10]),
                          message)
-        flipped = bytearray(gzip.compress(blob[:-10], mtime=0))
-        flipped[-8] ^= 0xFF
+        cut = len(blob) // 3            # the count spans both members
+        path = tmp_path / "short_two_members.nii.gz"
+        path.write_bytes(gzip.compress(blob[:cut], mtime=0)
+                         + gzip.compress(blob[cut:-10], mtime=0))
+        self._expect(str(path), message)
+        flipped, crc_message = self._crc_flipped(blob[:-10])
         path = tmp_path / "short_crc.nii.gz"
-        path.write_bytes(bytes(flipped))
-        self._expect(str(path), "corrupt gzip stream: CRC check failed")
+        path.write_bytes(flipped)
+        self._expect(str(path), f"corrupt gzip stream: {crc_message}")
 
     def test_gzip_error_is_named_before_a_header_fault(self, tmp_path):
         blob = bytearray(self._blob((4, 5, 6)))
         blob[344:348] = b"bad\x00"            # no NIfTI-1 magic
-        stream = gzip.compress(bytes(blob), mtime=0)
         self._expect(write_blob(tmp_path / "magic.nii.gz", bytes(blob)),
                      "missing NIfTI-1 magic, got b'bad\\x00'")
-        flipped = bytearray(stream)
-        flipped[-8] ^= 0xFF
+        flipped, message = self._crc_flipped(bytes(blob))
         path = tmp_path / "magic_crc.nii.gz"
-        path.write_bytes(bytes(flipped))
-        self._expect(str(path), "corrupt gzip stream: CRC check failed")
+        path.write_bytes(flipped)
+        self._expect(str(path), f"corrupt gzip stream: {message}")
 
     def test_short_payload_example(self, tmp_path):
         blob = self._blob((4, 5, 6))
