@@ -189,14 +189,15 @@ def _extract_one(subject_id: str, scan_path: str, mask_path: str,
         return extract_row(mask, record, mode=mode).tolist()
     config = RadiomicsConfig(roi_kind=resolved["roi"],
                              binning=_binning_from(resolved))
-    vol = load_nifti(scan_path) if scan_path else None
+    vol = load_nifti(scan_path)
     return extract_row(mask, record, vol, config, mode).tolist()
 
 
 def cmd_extract(resolved: dict) -> int:
     workers = _workers()
-    header, rows = read_csv(resolved["subjects"], key="ID",
-                            required=("mask",))
+    # image7 reads no scan
+    files = ("mask",) if resolved["features"] == "image7" else ("mask", "scan")
+    header, rows = read_csv(resolved["subjects"], key="ID", required=files)
     rows = [dict(zip(header, row)) for row in rows]
     ages = {r.subject_id: r.age
             for r in read_metadata_csv(resolved["metadata"])}
@@ -206,9 +207,10 @@ def cmd_extract(resolved: dict) -> int:
         if sid not in ages:
             raise KeyError(f"{resolved['metadata']}: no metadata row for "
                            f"subject {sid!r}")
-        if not row["mask"]:
-            raise ValueError(f"{resolved['subjects']}: subject {sid!r} "
-                             "column 'mask' is empty")
+        for column in files:
+            if not row[column]:
+                raise ValueError(f"{resolved['subjects']}: subject {sid!r} "
+                                 f"column {column!r} is empty")
         return _extract_one(sid, row.get("scan", ""), row["mask"], ages[sid],
                             resolved)
 

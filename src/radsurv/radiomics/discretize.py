@@ -13,17 +13,11 @@ voxel in index order.
 
 Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
 the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
-builders. Two pair lists are built once each, on first use, and shared by
-the texture families; a DiscretizedRoi never changes, so a caller may
-``del`` a list that no later family reads, and a later read rebuilds the
-same arrays:
-
-* ``neighbor_pairs``: every pair of ROI voxels that one of the 13
-  half-offsets joins (GLCM, NGTDM, and GLDM for alpha < 0 or alpha >= 1);
-* ``equal_pairs``: the subset whose two voxels share a level, in the same
-  order and grouped by direction the same way (GLRLM runs, GLSZM zones,
-  and GLDM for 0 <= alpha < 1, where integer levels make |i - j| <= alpha
-  mean i = j).
+builders. ``direction_pairs`` yields the in-ROI voxel pairs (v, v + d) of
+one direction d of ``DIRECTIONS_13`` at a time, so no pair array spans all
+13 directions. ``texture_counts`` is the one walk over those directions
+that every texture family reads (``texture.count_textures``), made once,
+on first use; a DiscretizedRoi never changes, so the walk never goes stale.
 """
 
 from __future__ import annotations
@@ -67,6 +61,12 @@ class Binning:
                 f"bin count must be an integer >= 2, got {self.value}")
 
 
+def _joined(neighbor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, neighbor[a]) over the a whose neighbor is in the ROI (>= 0)."""
+    a = np.flatnonzero(neighbor >= 0)
+    return a, neighbor[a]
+
+
 @dataclass
 class DiscretizedRoi:
     """Gray levels per ROI voxel."""
@@ -80,76 +80,29 @@ class DiscretizedRoi:
         """Flat 1..Ng level array over ROI voxels (argwhere order)."""
         return self.level_map[self.roi.membership]
 
-    @cached_property
-    def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """ROI levels and the pairs of ROI voxels that the 13 directions join.
-
-        Returns (levels, a, b, pairs). ``levels`` is ``self.levels``: the level
-        of every ROI voxel in C order. ``a`` and ``b`` are flat int64 index
-        arrays into it, grouped by direction in ``DIRECTIONS_13`` order;
-        ``pairs[k]`` is the (a, b) group of direction k, as views, with voxel
-        b = voxel a + DIRECTIONS_13[k]. Each direction's joined pairs are
-        counted first, so ``a`` and ``b`` are filled one direction at a time
-        and no temporary spans all 13 directions.
-        """
+    def direction_pairs(self):
+        """For each direction d of ``DIRECTIONS_13`` in order, the pairs of
+        ROI voxels that d joins, as int64 index arrays (a, b) into ``levels``
+        with voxel b = voxel a + d and a ascending."""
         # the one-voxel pad keeps every neighbor index inside the array and
         # makes each direction one positive flat shift
         padded = np.pad(self.level_map, 1)
-        inside = padded.ravel() > 0
-        pos = np.flatnonzero(inside)
+        pos = np.flatnonzero(padded.ravel())
         if pos.size == 0:
             raise DiscretizationError("empty ROI")
-        number = np.full(inside.size, -1, dtype=np.int64)
+        number = np.full(padded.size, -1, dtype=np.int64)
         number[pos] = np.arange(pos.size)
         strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-        shifts = (np.array(DIRECTIONS_13) @ strides).tolist()
-        ends = np.cumsum([np.count_nonzero(inside[:-s] & inside[s:])
-                          for s in shifts])
-        a = np.empty(ends[-1], dtype=np.int64)
-        b = np.empty(ends[-1], dtype=np.int64)
-        pairs, start = [], 0
-        for s, end in zip(shifts, ends.tolist()):
-            neighbor = number[pos + s]
-            joined = np.flatnonzero(neighbor >= 0)
-            pa, pb = a[start:end], b[start:end]
-            pa[:] = joined
-            np.take(neighbor, joined, out=pb)
-            pairs.append((pa, pb))
-            start = end
-        return self.levels, a, b, pairs
+        for s in (np.array(DIRECTIONS_13) @ strides).tolist():
+            # no local holds a direction's arrays while its pairs are read
+            yield _joined(number[pos + s])
 
     @cached_property
-    def equal_pairs(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """The neighbor pairs whose two voxels share a level.
-
-        Returns (a, b, pairs): ``neighbor_pairs``' a and b with only those
-        pairs kept, in the same order, and ``pairs[k]`` as direction k's
-        (a, b) group, as views. Each direction is compared into one flag
-        array over all pairs; its kept pairs are then taken into the
-        preallocated outputs.
-        """
-        levels, a, _, pairs = self.neighbor_pairs
-        same = np.empty(a.size, dtype=bool)
-        flags, start = [], 0
-        for pa, pb in pairs:
-            flag = same[start:start + pa.size]
-            np.equal(levels[pa], levels[pb], out=flag)
-            flags.append(flag)
-            start += pa.size
-        ends = np.cumsum([np.count_nonzero(flag) for flag in flags])
-        a = np.empty(ends[-1], dtype=np.int64)
-        b = np.empty(ends[-1], dtype=np.int64)
-        kept_pairs, start = [], 0
-        for (pa, pb), flag, end in zip(pairs, flags, ends.tolist()):
-            # flatnonzero and two takes: a boolean index is several times
-            # slower on a mask this irregular
-            kept = np.flatnonzero(flag)
-            ka, kb = a[start:end], b[start:end]
-            np.take(pa, kept, out=ka)
-            np.take(pb, kept, out=kb)
-            kept_pairs.append((ka, kb))
-            start = end
-        return a, b, kept_pairs
+    def texture_counts(self):
+        """Every texture family's count table, from one walk over the 13
+        directions (``texture.count_textures``)."""
+        from .texture import count_textures     # texture imports this module
+        return count_textures(self)
 
 
 def discretize(vol: VoxelVolume, roi: RoiMask, binning: Binning) -> DiscretizedRoi:

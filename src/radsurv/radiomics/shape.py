@@ -305,12 +305,15 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
     member = roi.membership
     offset = np.array(roi.corner)
     spacing = np.asarray(roi.spacing, dtype=np.float64)
-    coords = (np.argwhere(member) + offset).astype(np.float64)
-    phys = coords * spacing + np.asarray(roi.origin)
+    phys = ((np.argwhere(member) + offset).astype(np.float64) * spacing
+            + np.asarray(roi.origin))
+    centered = phys - phys.mean(axis=0)
+    del phys
+    cov = centered.T @ centered / n
+    degenerate = n < 4 or np.linalg.matrix_rank(centered, tol=1e-9) < 3
+    del centered    # the voxel coordinates are not held through the mesh
 
     vox_vol = roi_volume(roi)
-    centered = phys - phys.mean(axis=0)
-    cov = centered.T @ centered / n
     eigvals = np.clip(np.sort(np.linalg.eigvalsh(cov))[::-1], 0.0, None)
     axis_lengths = 4.0 * np.sqrt(eigvals)
     if eigvals[0] > 0:
@@ -320,7 +323,6 @@ def shape_features(roi: RoiMask) -> ShapeDescriptors:
         elongation = 1.0
         flatness = 1.0
 
-    degenerate = n < 4 or np.linalg.matrix_rank(centered, tol=1e-9) < 3
     if degenerate:
         mesh_volume = vox_vol
         surface_area = roi_surface_area_facecount(roi)

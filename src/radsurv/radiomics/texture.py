@@ -5,17 +5,21 @@ Conventions, fixed across the package and mirrored by the test oracles:
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
-  and GLRLM. The families read two lists of in-ROI voxel pairs (v, v + d)
-  over the 13 half-offsets (every 26-neighbor pair once), each built once
-  per ``DiscretizedRoi``: ``neighbor_pairs`` holds them all, and
-  ``equal_pairs`` those whose two voxels share a level. GLCM and NGTDM
-  read the first. GLRLM and GLSZM read the second: a GLRLM run along d is
-  a chain of d's equal-level pairs, walked from its start, and GLSZM zones
-  are the connected components of all 13 directions' equal-level pairs.
-  GLDM reads the second for 0 <= alpha < 1 (integer levels differ by at
-  most alpha only when equal) and filters the first for any other alpha.
-  GLCM counts and NGTDM neighbor sums are accumulated one direction at a
-  time, so no temporary spans all 13 directions' pairs.
+  and GLRLM. Every family reads the in-ROI voxel pairs (v, v + d) over the
+  13 half-offsets d (every 26-neighbor pair once) through one walk,
+  ``count_textures``, made once per ``DiscretizedRoi``. The walk builds
+  one direction's pairs at a time and, before the next, adds its GLCM
+  counts, takes its equal-level pairs, walks its GLRLM runs as chains of
+  those pairs from their starts, adds its GLDM dependence counts
+  (0 <= alpha < 1: integer levels differ by at most alpha only when
+  equal) and runs one zone-labelling round on them, keeping only the
+  pairs whose voxels still hold two labels. No pair array outlives its
+  direction: the walk keeps the count tables, and after it labelling
+  finishes on the kept pairs, so GLSZM zones are the connected components
+  of all 13 directions' equal-level pairs. GLDM at any other alpha walks
+  the directions again. Every count is an integer, so no table depends on
+  the order in which the pairs are visited. NGTDM reads no pairs: its
+  neighbor counts and level sums are 3x3x3 box sums over the level map.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
@@ -42,6 +46,8 @@ names and order; every family returns its values through its tuple.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,35 +147,111 @@ def _counts(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         shape).astype(np.float64)
 
 
-def _zone_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Connected components of n nodes joined by the edges (src, dst).
+def _hook(label: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """One labelling round over the edges (src, dst) of a flat label forest:
+    returns (label, src, dst) with the edges whose ends still hold two
+    labels.
 
-    Labelling runs without a per-node loop: each node starts with its own
-    index as label. A round hooks every label root to the smallest label
-    across the edges (so a label never grows and always names a node of its
-    component), jumps pointers until every node holds its root, then drops
-    the edges whose two ends now hold one label: they hold one label for
-    good. Rounds repeat until no edge is left; each node's label is then
-    the smallest node of its component.
+    In a flat forest each node holds a root, a node of its component that
+    holds itself; at first, each node holds its own index. The round hooks
+    every root at an edge's ends to the smallest root across its edges, so
+    a label never grows and always names a node of its component. It then
+    jumps the hooked roots to their new roots, and every node to its root.
+    Edges whose ends now hold one label hold one label for good. Rounds
+    repeated until no edge is left give each node the smallest node of its
+    component, whatever edges each round was given.
     """
-    label = np.arange(n)
-    a, b = src, dst     # the labels at each edge's ends: at first, its ends
-    while src.size:
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        jumped = label[label]
-        while not np.array_equal(jumped, label):
-            label, jumped = jumped, jumped[jumped]
-        apart = np.flatnonzero(label[src] != label[dst])
-        src, dst = src[apart], dst[apart]
-        a, b = label[src], label[dst]
-    return label
+    a, b = label[src], label[dst]
+    apart = np.flatnonzero(a != b)
+    src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+    hi = np.maximum(a, b)
+    np.minimum.at(label, hi, np.minimum(a, b))
+    # only hooked roots hold a label that is not a root
+    up = label[hi]
+    while ((jumped := label[up]) != up).any():
+        label[hi] = up = jumped
+    label = label[label]
+    apart = np.flatnonzero(label[src] != label[dst])
+    return label, src[apart], dst[apart]
 
 
 def _zone_cells(levels: np.ndarray, labels: np.ndarray):
-    """(level - 1, size - 1) of every component of ``_zone_labels`` output."""
+    """(level - 1, size - 1) of every component of a labelling whose every
+    component is labelled by one of its nodes."""
     sizes = np.bincount(labels)
     roots = np.flatnonzero(sizes)
     return levels[roots].astype(np.int64) - 1, sizes[roots] - 1
+
+
+@dataclass(frozen=True)
+class TextureCounts:
+    """The count tables of every texture family of one ``DiscretizedRoi``,
+    read-only: what one walk over ``DIRECTIONS_13`` keeps."""
+
+    glcm: np.ndarray        # (13, Ng, Ng) pairs (level of v, level of v + d)
+    longer: np.ndarray      # (13, Ng, W) runs of level i along d, > k voxels
+    gldm: np.ndarray        # (Ng, 27) dependence counts, 0 <= alpha < 1
+    zones: tuple            # (level - 1, size - 1) of every zone
+
+
+def count_textures(disc: DiscretizedRoi) -> TextureCounts:
+    """Every family's count table from one walk over ``DIRECTIONS_13``
+    (``DiscretizedRoi.texture_counts`` keeps it); see the module docstring.
+
+    A run along d is a chain of d's equal-level pairs: b = a + d, and d's
+    flat stride is positive, so each voxel has at most one successor and
+    one predecessor along d, and no chain closes on itself. A run of two or
+    more voxels starts at an a that is never a b. All of d's runs are walked
+    together, one voxel per step, and the voxels reached at each step are
+    counted by level. W = max(dims), which bounds any run.
+    """
+    levels = disc.levels
+    nv, ng, width = levels.size, disc.n_levels, max(disc.roi.dims)
+    lv = levels.astype(np.int64) - 1
+    glcm = np.empty((len(DIRECTIONS_13), ng, ng))
+    longer = np.zeros((len(DIRECTIONS_13), ng, width))
+    dep = np.zeros(nv, dtype=np.int64)
+    # two run buffers serve every direction: each is reset after its use
+    succ = np.full(nv, -1)
+    linked = np.zeros(nv, dtype=bool)
+    label, left = np.arange(nv), []
+    for d, (a, b) in enumerate(disc.direction_pairs()):
+        la, lb = lv[a], lv[b]
+        cells = la * ng
+        cells += lb
+        glcm[d] = np.bincount(cells, minlength=ng * ng).reshape(ng, ng)
+        # flatnonzero and two takes: a boolean index is several times
+        # slower on a mask this irregular
+        same = np.flatnonzero(la == lb)
+        del la, lb, cells
+        a, b = a[same], b[same]
+        del same
+        dep += np.bincount(a, minlength=nv)
+        dep += np.bincount(b, minlength=nv)
+        succ[a] = b
+        linked[b] = True
+        run, k = succ[a[np.flatnonzero(~linked[a])]], 1
+        while run.size:
+            longer[d, :, k] = np.bincount(lv[run], minlength=ng)
+            run = succ[run]
+            run = run[run >= 0]
+            k += 1
+        succ[a] = -1
+        linked[b] = False
+        label, a, b = _hook(label, a, b)
+        left.append((a, b))
+    # each run's first voxel is one that no step reaches
+    longer[:, :, 0] = np.bincount(lv, minlength=ng) - longer.sum(axis=2)
+    src, dst = (np.concatenate(ends) for ends in zip(*left))
+    del left
+    while src.size:
+        label, src, dst = _hook(label, src, dst)
+
+    tables = (glcm, longer, _counts(lv * 27 + dep, (ng, 27)),
+              *_zone_cells(levels, label))
+    for table in tables:
+        table.flags.writeable = False
+    return TextureCounts(*tables[:3], zones=tables[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +260,7 @@ def _zone_cells(levels: np.ndarray, labels: np.ndarray):
 def glcm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Symmetrized co-occurrence counts as a (13, Ng, Ng) stack, one matrix
     per direction in ``DIRECTIONS_13`` order."""
-    levels, _, _, pairs = disc.neighbor_pairs
-    ng = disc.n_levels
-    lv = levels.astype(np.int64) - 1
-    row = lv * ng
-    p = np.empty((len(pairs), ng, ng))
-    for d, (a, b) in enumerate(pairs):
-        cells = row[a]
-        cells += lv[b]
-        p[d] = np.bincount(cells, minlength=ng * ng).reshape(ng, ng)
+    p = disc.texture_counts.glcm
     return p + p.transpose(0, 2, 1)
 
 
@@ -316,38 +390,9 @@ def glcm_features(disc: DiscretizedRoi) -> dict[str, float]:
 
 def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Run-length counts (level x run length) as a (13, Ng, W) stack, one
-    matrix per direction in ``DIRECTIONS_13`` order.
-
-    A run along d is a chain of d's equal-level pairs: b = a + d, and d's
-    flat stride is positive, so each voxel has at most one successor and
-    one predecessor along d, and no chain closes on itself. A run of two or
-    more voxels starts at an a that is never a b. All such runs are walked
-    together, one voxel per step, and the voxels reached at each step are
-    counted by level. W = max(dims), which bounds any run.
-    """
-    levels = disc.levels
-    _, _, pairs = disc.equal_pairs
-    ng, width = disc.n_levels, max(disc.roi.dims)
-    lv = levels - 1
-    # at[d, i, k]: the runs of level i along d with more than k voxels
-    at = np.zeros((len(pairs), ng, width))
-    # two buffers serve every direction: each is reset after its use
-    succ = np.full(levels.size, -1)
-    linked = np.zeros(levels.size, dtype=bool)
-    for d, (a, b) in enumerate(pairs):
-        succ[a] = b
-        linked[b] = True
-        heads = a[np.flatnonzero(~linked[a])]
-        run, k = succ[heads], 1
-        while run.size:
-            at[d, :, k] = np.bincount(lv[run], minlength=ng)
-            run = succ[run]
-            run = run[run >= 0]
-            k += 1
-        succ[a] = -1
-        linked[b] = False
-    # each run's first voxel is one that no step reaches
-    at[:, :, 0] = np.bincount(lv, minlength=ng) - at.sum(axis=2)
+    matrix per direction in ``DIRECTIONS_13`` order; runs are walked by
+    ``count_textures``."""
+    at = disc.texture_counts.longer
     # a run of k + 1 voxels has more than k but not more than k + 1; the
     # counts are integers, so these differences are exact
     runs = at.copy()
@@ -362,7 +407,10 @@ def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
     The 16 values come in the canonical order of GLRLM and GLSZM (emphasis
     pairs, non-uniformities, percentage, variances, entropy, gray-level
     emphases and the four joint emphases). Each row carries the bits of a
-    one-matrix evaluation.
+    one-matrix evaluation. Every cellwise term is formed in ``cell``, one
+    buffer of the stack's shape reused term after term, with the operations
+    of the plain expression (``div(mul(p, i2), s2)`` for ``p * i**2 / s**2``;
+    a product's operands may swap sides), so each cell keeps its bits.
     """
     nr = _total(p)
     if not (nr > 0).all():
@@ -370,29 +418,41 @@ def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
     k, ng, smax = p.shape
     i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
     s = np.arange(1, smax + 1, dtype=np.float64)[None, :]
-    pn = p / nr[:, None, None]
+    i2, s2 = i ** 2, s ** 2
     row = p.sum(axis=2)
     col = p.sum(axis=1)
-    mu_i = _total(i * pn)[:, None, None]
-    mu_s = _total(s * pn)[:, None, None]
-    return np.stack([
-        _total(p / s ** 2) / nr,                   # short/small emphasis
-        _total(p * s ** 2) / nr,                   # long/large emphasis
+    cell = np.empty_like(p)
+
+    def mul(x, y):
+        return np.multiply(x, y, out=cell)
+
+    def div(x, y):
+        return np.divide(x, y, out=cell)
+
+    nr3 = nr[:, None, None]
+    mu_i = _total(mul(div(p, nr3), i))[:, None, None]
+    mu_s = _total(mul(div(p, nr3), s))[:, None, None]
+    pn = div(p, nr3).reshape(k, -1)
+    entropy = _neg_plog2(pn, pn)
+    values = [
+        _total(div(p, s2)) / nr,                   # short/small emphasis
+        _total(mul(p, s2)) / nr,                   # long/large emphasis
         (row ** 2).sum(axis=1) / nr,               # gray level non-uniformity
         (row ** 2).sum(axis=1) / nr ** 2,          # ... normalized
         (col ** 2).sum(axis=1) / nr,               # size non-uniformity
         (col ** 2).sum(axis=1) / nr ** 2,          # ... normalized
         nr / n_voxels,                             # run/zone percentage
-        _total((i - mu_i) ** 2 * pn),              # gray level variance
-        _total((s - mu_s) ** 2 * pn),              # size variance
-        _neg_plog2(pn.reshape(k, -1), pn.reshape(k, -1)),  # entropy
-        _total(p / i ** 2) / nr,                   # low gray level emphasis
-        _total(p * i ** 2) / nr,                   # high gray level emphasis
-        _total(p / (i ** 2 * s ** 2)) / nr,
-        _total(p * i ** 2 / s ** 2) / nr,
-        _total(p * s ** 2 / i ** 2) / nr,
-        _total(p * i ** 2 * s ** 2) / nr,
-    ], axis=1)
+        _total(mul(div(p, nr3), (i - mu_i) ** 2)),  # gray level variance
+        _total(mul(div(p, nr3), (s - mu_s) ** 2)),  # size variance
+        entropy,
+        _total(div(p, i2)) / nr,                   # low gray level emphasis
+        _total(mul(p, i2)) / nr,                   # high gray level emphasis
+        _total(div(p, mul(i2, s2))) / nr,
+        _total(div(mul(p, i2), s2)) / nr,
+        _total(div(mul(p, s2), i2)) / nr,
+        _total(mul(mul(p, i2), s2)) / nr,
+    ]
+    return np.stack(values, axis=1)
 
 
 def glrlm_features_single(p: np.ndarray, n_voxels: int) -> dict[str, float]:
@@ -414,9 +474,7 @@ def glrlm_features(disc: DiscretizedRoi) -> dict[str, float]:
 def glszm_matrix(disc: DiscretizedRoi) -> np.ndarray:
     """Zone count matrix (level x zone size), zones 26-connected: the
     components of the equal-level pairs of all 13 directions."""
-    levels = disc.levels
-    a, b, _ = disc.equal_pairs
-    lv, size = _zone_cells(levels, _zone_labels(levels.size, a, b))
+    lv, size = disc.texture_counts.zones
     width = int(size.max()) + 1
     return _counts(lv * width + size, (disc.n_levels, width))
 
@@ -435,18 +493,19 @@ def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
     """Dependence count matrix (level x dependence count 0..26).
 
     Each neighbor pair whose levels differ by at most ``alpha`` adds one to
-    the dependence count of both its voxels.
+    the dependence count of both its voxels. For 0 <= alpha < 1 that is
+    the equal-level pairs, counted by ``count_textures``; any other alpha
+    walks the directions again.
     """
-    levels = disc.levels
     if 0 <= alpha < 1:
-        # integer levels differ by at most alpha only when they are equal
-        a, b, _ = disc.equal_pairs
-    else:
-        _, a, b, _ = disc.neighbor_pairs
-        close = np.abs(levels[a] - levels[b]) <= alpha
-        a, b = a[close], b[close]
+        return disc.texture_counts.gldm
+    levels = disc.levels
     n = levels.size
-    dep = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    dep = np.zeros(n, dtype=np.int64)
+    for a, b in disc.direction_pairs():
+        close = np.flatnonzero(np.abs(levels[a] - levels[b]) <= alpha)
+        dep += np.bincount(a[close], minlength=n)
+        dep += np.bincount(b[close], minlength=n)
     return _counts((levels - 1) * 27 + dep, (disc.n_levels, 27))
 
 
@@ -468,19 +527,19 @@ def ngtdm_table(disc: DiscretizedRoi) -> tuple[np.ndarray, np.ndarray, int]:
 
     Returns (n, s, n_participating) where n and s are indexed by level-1
     over 1..Ng, n_i counts participating voxels of level i and s_i sums
-    |i - neighborhood mean| over them. Each neighbor pair adds to the
-    neighbor sum and count of both its voxels.
+    |i - neighborhood mean| over them. A voxel's in-ROI neighbor count and
+    neighbor level sum are 3x3x3 box sums over the padded level map, less
+    the voxel itself: sums of integers, so exact.
     """
-    levels, a, b, pairs = disc.neighbor_pairs
-    nv = levels.size
-    neigh_cnt = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)
-    # integer levels, so these float sums are exact in any order; one
-    # direction at a time, the weights stay one direction long
-    weight = levels.astype(np.float64)
-    neigh_sum = np.zeros(nv)
-    for pa, pb in pairs:
-        neigh_sum += np.bincount(pa, weights=weight[pb], minlength=nv)
-        neigh_sum += np.bincount(pb, weights=weight[pa], minlength=nv)
+    levels = disc.levels
+    padded = np.pad(disc.level_map, 1)
+    sums = []
+    for grid in ((padded > 0).astype(np.int32), padded):
+        grid = grid[:-2] + grid[1:-1] + grid[2:]
+        grid = grid[:, :-2] + grid[:, 1:-1] + grid[:, 2:]
+        grid = grid[:, :, :-2] + grid[:, :, 1:-1] + grid[:, :, 2:]
+        sums.append(grid[disc.roi.membership])
+    neigh_cnt, neigh_sum = sums[0] - 1, sums[1] - levels
     part = neigh_cnt > 0
     ng = disc.n_levels
     n = np.zeros(ng, dtype=np.float64)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -162,6 +163,52 @@ class TestExtractCommand:
         assert (f"subject S2 failed: {subjects}: subject 'S2' column 'mask' "
                 "is empty") in caplog.text
 
+    @pytest.mark.parametrize("mode", ["all", "radiomics107"])
+    def test_manifest_without_scan_column_rejected_before_any_subject(
+            self, phantom_dir, tmp_path, monkeypatch, mode):
+        root, out = phantom_dir
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text(f"ID,mask\nS1,{out / 'sph_mask.nii.gz'}\n"
+                            f"S2,{out / 'box_mask.nii.gz'}\n")
+        meta = self._metadata(tmp_path, ["S1", "S2"])
+        read = []
+        monkeypatch.setattr("radsurv.cli.load_mask",
+                            lambda path: read.append(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{subjects}: missing columns ['scan']")):
+            main(["extract", "--subjects", str(subjects),
+                  "--metadata", str(meta), "--out", str(tmp_path / "f.csv"),
+                  "--features", mode])
+        assert read == []
+
+    def test_image7_needs_no_scan_column(self, phantom_dir, tmp_path):
+        root, out = phantom_dir
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text(f"ID,mask\nS1,{out / 'sph_mask.nii.gz'}\n")
+        meta = self._metadata(tmp_path, ["S1"])
+        features = tmp_path / "img7.csv"
+        assert main(["extract", "--subjects", str(subjects),
+                     "--metadata", str(meta), "--out", str(features),
+                     "--features", "image7"]) == 0
+        assert [r[0] for r in read_csv(str(features))[1]] == ["S1"]
+
+    @pytest.mark.parametrize("mode", ["all", "radiomics107"])
+    def test_empty_scan_cell_names_manifest_subject_and_column(
+            self, phantom_dir, tmp_path, caplog, mode):
+        root, out = phantom_dir
+        subjects = self._manifest(tmp_path, out, [
+            ("S1", str(out / "sph_mask.nii.gz"), str(out / "sph_vol.nii.gz")),
+            ("S2", str(out / "box_mask.nii.gz"), ""),
+        ])
+        meta = self._metadata(tmp_path, ["S1", "S2"])
+        features = tmp_path / "partial.csv"
+        assert main(["extract", "--subjects", str(subjects),
+                     "--metadata", str(meta), "--out", str(features),
+                     "--features", mode]) == 1
+        assert [r[0] for r in read_csv(str(features))[1]] == ["S1"]
+        assert (f"subject S2 failed: {subjects}: subject 'S2' column 'scan' "
+                "is empty") in caplog.text
+
     def test_duplicate_manifest_id_rejected(self, phantom_dir, tmp_path):
         root, out = phantom_dir
         subjects = self._manifest(tmp_path, out, [
@@ -230,6 +277,71 @@ class TestExtractCommand:
                   "--metadata", str(tmp_path / "metadata.csv"),
                   "--out", str(tmp_path / "features.csv")])
         assert os.listdir(tmp_path) == []
+
+    def test_fuzzed_manifest_writes_finite_or_names_the_fault(
+            self, phantom_dir, tmp_path, caplog):
+        """Mutated subjects manifests through ``extract``, in the style of
+        ``test_number_rule.py``'s fuzz. A run either writes every subject
+        with finite values; or writes the others and logs each failed
+        subject by its manifest ID; or is rejected before any subject is
+        read, in an error that names the manifest."""
+        root, out = phantom_dir
+        files = {"sm": str(out / "sph_mask.nii.gz"),
+                 "sv": str(out / "sph_vol.nii.gz"),
+                 "bm": str(out / "box_mask.nii.gz"),
+                 "bv": str(out / "box_vol.nii.gz")}
+        tokens = ("", " ", "NA", "abc", "\x00", "\ufeff", "é", "S1", "S9",
+                  "ID", "mask", "scan", '"', "a,b", files["sv"], files["bm"],
+                  str(root), str(out / "missing.nii.gz"))
+        base = [["ID", "mask", "scan"], ["S0", files["sm"], files["sv"]],
+                ["S1", files["bm"], files["bv"]],
+                ["S2", files["sm"], files["sv"]]]
+        meta = self._metadata(tmp_path, ["S0", "S1", "S2"])
+        manifest = tmp_path / "subjects.csv"
+        rng = np.random.default_rng(3535)
+        outcomes = {"written": 0, "partial": 0, "rejected": 0}
+        for trial in range(90):
+            lines = [list(line) for line in base]
+            for _ in range(int(rng.integers(1, 3))):
+                if rng.random() < 0.15:     # a row or a column dropped
+                    if rng.random() < 0.5 and len(lines) > 2:
+                        del lines[int(rng.integers(1, len(lines)))]
+                    else:
+                        column = int(rng.integers(3))
+                        lines = [line[:column] + line[column + 1:]
+                                 for line in lines]
+                    continue
+                line = lines[int(rng.integers(len(lines)))]
+                if line:
+                    line[int(rng.integers(len(line)))] = tokens[int(
+                        rng.integers(len(tokens)))]
+            manifest.write_text("\n".join(map(",".join, lines)) + "\n")
+            mode = ("image7", "radiomics107", "all")[trial % 3]
+            features = tmp_path / f"t{trial}.csv"
+            caplog.clear()
+            try:
+                status = main(["extract", "--subjects", str(manifest),
+                               "--metadata", str(meta), "--out", str(features),
+                               "--features", mode])
+            except (ValueError, KeyError, SystemExit) as exc:
+                assert str(manifest) in str(exc), f"trial {trial}: {exc}"
+                outcomes["rejected"] += 1
+                continue
+            ids = [line[0].strip() for line in lines[1:]]
+            header, written = (read_csv(str(features))
+                               if features.exists() else ([], []))
+            for row in written:
+                for name, cell in zip(header[1:], row[1:]):
+                    # only a centroid of a region the mask lacks is missing
+                    if not (cell == "" and name.startswith("mask.centroid")):
+                        assert math.isfinite(float(cell)), (trial, name)
+            done = [row[0] for row in written]
+            for sid in set(ids) - set(done):
+                assert f"subject {sid} failed: " in caplog.text, (trial, sid)
+            assert set(done) <= set(ids) and len(set(done)) == len(done)
+            assert status == (0 if len(done) == len(ids) else 1), trial
+            outcomes["written" if status == 0 else "partial"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestTrainPredictEvaluate:

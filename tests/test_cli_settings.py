@@ -617,7 +617,7 @@ class TestBoundaryChecks:
                 f"{subjects}: {message}")):
             main(["extract", "--subjects", str(subjects), "--metadata",
                   str(tmp_path / "meta.csv"), "--out",
-                  str(tmp_path / "f.csv")])
+                  str(tmp_path / "f.csv"), "--features", "image7"])
 
     def test_extract_names_the_metadata_file_of_a_missing_row(self, tmp_path,
                                                               caplog):
@@ -627,7 +627,8 @@ class TestBoundaryChecks:
         meta.write_text("ID,Age,Survival_days,Extent_of_Resection\n"
                         "S1,50,200,GTR\n")
         assert main(["extract", "--subjects", str(subjects), "--metadata",
-                     str(meta), "--out", str(tmp_path / "f.csv")]) == 1
+                     str(meta), "--out", str(tmp_path / "f.csv"),
+                     "--features", "image7"]) == 1
         assert f"{meta}: no metadata row for subject 'S9'" in caplog.text
 
 

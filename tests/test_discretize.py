@@ -112,23 +112,22 @@ class TestContracts:
                        Binning("fixed_bin_count", 8))
 
 
-class TestNeighborPairs:
-    def test_flat_pairs_against_a_voxel_loop(self):
+class TestDirectionPairs:
+    def test_pairs_of_each_direction_against_a_voxel_loop(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             disc = random_disc(rng, density=0.5)
-            levels, a, b, pairs = disc.neighbor_pairs
             voxels = [tuple(v) for v in np.argwhere(disc.level_map > 0)]
             number = {v: n for n, v in enumerate(voxels)}
             want = [[(number[v], number[w]) for v in voxels
                      if (w := tuple(np.add(v, d))) in number]
                     for d in DIRECTIONS_13]
-            assert levels.tolist() == [disc.level_map[v] for v in voxels]
-            assert a.dtype == b.dtype == np.int64
-            assert list(zip(a.tolist(), b.tolist())) == sum(want, [])
-            for (pa, pb), w in zip(pairs, want):
-                assert pa.base is a and pb.base is b
-                assert list(zip(pa.tolist(), pb.tolist())) == w
+            assert disc.levels.tolist() == [disc.level_map[v] for v in voxels]
+            pairs = list(disc.direction_pairs())
+            assert len(pairs) == len(want)
+            for (a, b), w in zip(pairs, want):
+                assert a.dtype == b.dtype == np.int64
+                assert list(zip(a.tolist(), b.tolist())) == w
 
 
 class TestNonFinite:

@@ -1,8 +1,9 @@
 """Extraction memory. The scan keeps its samples as stored, so no float64
 copy of a whole scan grid is made, and only the mask's box becomes float64.
-The radiomics phase holds at most one full pair list: the pair lists are
-filled one direction at a time, the texture counts are accumulated per
-direction, and the full list is dropped once its last reader has run."""
+The radiomics phase holds no pair list that spans the 13 directions: one
+walk builds a direction's pairs, counts every texture family's share of
+them and drops them before the next direction, and keeps only the count
+tables."""
 
 import numpy as np
 
@@ -39,13 +40,10 @@ def test_extract_radiomics_peak_stays_below_one_float64_grid(tmp_path):
     assert peak < 8 * scan.size, f"{peak / 2**20:.1f} MiB traced"
 
 
-def test_radiomics_working_set_of_a_large_lobulated_roi(tmp_path):
-    """A lobulated whole tumor of about 86k voxels on a smooth scan, where
-    many neighbor pairs share a level. Above the loaded scan, extraction
-    traces at most 400 bytes per ROI voxel (about 320 here). The full pair
-    list alone holds about 200: 12.4 pairs per voxel, two int64 indices
-    each. A build through (13, n) temporaries that holds the list through
-    GLRLM, GLSZM and GLDM peaks at about 470."""
+def _lobulated_working_set(tmp_path) -> float:
+    """Traced bytes per ROI voxel above the loaded scan, on a lobulated
+    whole tumor of about 86k voxels on a smooth scan, where many neighbor
+    pairs share a level."""
     dims = (96, 96, 80)
     grid = np.ogrid[:dims[0], :dims[1], :dims[2]]
     labels = np.zeros(dims, dtype=np.int16)
@@ -59,6 +57,23 @@ def test_radiomics_working_set_of_a_large_lobulated_roi(tmp_path):
     scan = (400 + 100 * smooth).astype(np.int16)
     # the loaded scan keeps its int16 samples as stored
     peak = _loaded_extract_peak(tmp_path, labels, scan) - scan.nbytes
-    per_voxel = peak / roi_voxels
     assert 70_000 < roi_voxels < 100_000, roi_voxels
+    return peak / roi_voxels
+
+
+def test_radiomics_working_set_of_a_large_lobulated_roi(tmp_path):
+    """At most 400 bytes per ROI voxel. A full pair list over the 13
+    directions alone holds about 200: 12.4 pairs per voxel, two int64
+    indices each. A build through (13, n) temporaries that holds the list
+    through GLRLM, GLSZM and GLDM peaks at about 470."""
+    per_voxel = _lobulated_working_set(tmp_path)
     assert per_voxel < 400, f"{per_voxel:.0f} bytes per ROI voxel"
+
+
+def test_radiomics_working_set_holds_no_full_pair_list(tmp_path):
+    """At most 240 bytes per ROI voxel (about 185 here), so no list of
+    every direction's pairs (about 200 bytes per voxel) is held beside the
+    rest of the working set; extraction that builds the full list and its
+    equal-level subset before dropping the full one peaks at about 335."""
+    per_voxel = _lobulated_working_set(tmp_path)
+    assert per_voxel < 240, f"{per_voxel:.0f} bytes per ROI voxel"

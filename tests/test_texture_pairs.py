@@ -1,19 +1,26 @@
-"""The equal-level pair list and the families that read it.
+"""The one walk over the 13 directions and the families that read it.
 
-``DiscretizedRoi.equal_pairs`` is built once per ROI; GLRLM walks its
-chains, GLSZM labels its components and GLDM reads it for 0 <= alpha < 1.
-A seeded fuzz over level maps compares all three count matrices with the
-brute-force oracles, and ``_zone_labels`` is checked against a flood fill.
+``count_textures`` builds each direction's pairs once, through
+``DiscretizedRoi.direction_pairs``: GLRLM walks the chains of its
+equal-level pairs, GLSZM labels the components of all directions' equal
+pairs a round at a time and GLDM counts them for 0 <= alpha < 1. A seeded
+fuzz over level maps compares all three count matrices with the
+brute-force oracles, and the zone labelling is checked against a flood fill.
 """
 
 import numpy as np
 import pytest
 
-from radsurv.radiomics import texture
+from radsurv.phantoms import PhantomSpec, gen_mask
+from radsurv.radiomics import (RADIOMICS_FEATURE_NAMES, DiscretizedRoi,
+                               RadiomicsConfig, discretize, extract_radiomics,
+                               first_order_features, shape_features, texture)
 from radsurv.radiomics.discretize import DIRECTIONS_13
-from radsurv.radiomics.texture import (_zone_labels, gldm_matrix,
-                                       glrlm_matrices, glszm_matrix)
-from conftest import make_disc
+from radsurv.radiomics.shape import SHAPE_FEATURE_NAMES
+from radsurv.radiomics.texture import (_hook, gldm_matrix, glrlm_matrices,
+                                       glszm_matrix)
+from radsurv.volumeio import derive_roi
+from conftest import make_disc, make_volume
 import oracles
 
 ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.5)
@@ -21,7 +28,7 @@ ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.5)
 
 class _HookCounter:
     """``numpy`` as ``texture`` sees it, with ``minimum.at`` (one call per
-    ``_zone_labels`` round) counted, and an error once ``cap`` is passed, so
+    ``_hook`` round) counted, and an error once ``cap`` is passed, so
     labelling that never runs out of edges fails instead of hanging."""
 
     def __init__(self, cap):
@@ -46,7 +53,7 @@ class _HookCounter:
 
 @pytest.fixture
 def hooks(monkeypatch):
-    """Count (and cap at 200) the hook rounds of ``_zone_labels``."""
+    """Count (and cap at 200) the labelling rounds of ``_hook``."""
     counter = _HookCounter(cap=200)
     monkeypatch.setattr(texture, "np", counter)
     return counter
@@ -119,15 +126,12 @@ def test_families_match_oracles(name, level, hooks):
     disc = make_disc(level)
     member, ng = disc.roi.membership, disc.n_levels
 
-    levels, _, _, pairs = disc.neighbor_pairs
-    a, b, equal = disc.equal_pairs
-    assert len(equal) == len(DIRECTIONS_13)
-    for (ea, eb), (pa, pb) in zip(equal, pairs):
-        same = levels[pa] == levels[pb]
-        assert ea.base is a and eb.base is b
-        assert ea.tolist() == pa[same].tolist()
-        assert eb.tolist() == pb[same].tolist()
-    assert a.tolist() == sum((ea.tolist() for ea, _ in equal), [])
+    pairs = list(disc.direction_pairs())
+    assert len(pairs) == len(DIRECTIONS_13)
+    for a, b in pairs:
+        # ascending, so a direction's equal-level subset keeps pair order
+        # and each voxel has at most one successor and one predecessor
+        assert (np.diff(a) > 0).all() and (np.diff(b) > 0).all()
 
     for d, mat in zip(DIRECTIONS_13, glrlm_matrices(disc)):
         want = oracles.glrlm_matrix_bf(level, member, d, ng,
@@ -146,7 +150,7 @@ def test_level_maps_cover_the_named_cases():
     assert {kind: kinds.count(kind) for kind in set(kinds)} == {
         "single": 6, "constant": 6, "checker": 8, "slab": 20, "span": 26,
         "random": 84}
-    assert any(0 in [pa.size for pa, _ in make_disc(level).neighbor_pairs[3]]
+    assert any(0 in [a.size for a, _ in make_disc(level).direction_pairs()]
                for name, level in MAPS if name.startswith("slab"))
     for name, level in MAPS:
         if name.startswith("span"):
@@ -203,11 +207,135 @@ def _graphs():
 GRAPHS = _graphs()
 
 
+def _labels(n, src, dst, groups):
+    """Labels as ``count_textures`` makes them: one ``_hook`` round per
+    group of edges, then rounds over the edges still apart until none is
+    left."""
+    label, left = np.arange(n), []
+    for part in np.array_split(np.arange(src.size), groups):
+        label, a, b = _hook(label, src[part], dst[part])
+        left.append((a, b))
+    src, dst = (np.concatenate(ends) for ends in zip(*left))
+    while src.size:
+        label, src, dst = _hook(label, src, dst)
+    return label
+
+
 @pytest.mark.parametrize("name, n, src, dst", GRAPHS,
                          ids=[g[0] for g in GRAPHS])
 def test_zone_labels_match_flood_fill(name, n, src, dst, hooks):
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    assert _zone_labels(n, src, dst).tolist() == _components_bf(n, src, dst)
+    want = _components_bf(n, src, dst)
+    assert _labels(n, src, dst, 1).tolist() == want
     if name.startswith("chains"):
         assert hooks.rounds >= 4
+    # a round per direction's worth of edges, in a shuffled order
+    order = np.random.default_rng(n).permutation(src.size)
+    assert _labels(n, src[order], dst[order], 13).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# the cached walk, against extract_radiomics' bytes
+
+FAMILIES = {
+    "shape": lambda vol, disc, alpha: dict(zip(
+        SHAPE_FEATURE_NAMES, shape_features(disc.roi).as_vector().tolist())),
+    "firstorder": lambda vol, disc, alpha: first_order_features(
+        vol, disc.roi, disc),
+    "glcm": lambda vol, disc, alpha: texture.glcm_features(disc),
+    "glrlm": lambda vol, disc, alpha: texture.glrlm_features(disc),
+    "glszm": lambda vol, disc, alpha: texture.glszm_features(disc),
+    "gldm": lambda vol, disc, alpha: texture.gldm_features(disc, alpha),
+    "ngtdm": lambda vol, disc, alpha: texture.ngtdm_features(disc),
+}
+
+ORDERS = (tuple(FAMILIES), tuple(reversed(FAMILIES)),
+          ("gldm", "glszm", "ngtdm", "shape", "glrlm", "firstorder", "glcm"))
+
+
+@pytest.fixture(scope="module")
+def subject():
+    """A sphere of radius 7 on a smooth scan with noise, so that runs and
+    zones span many voxels and many pairs join two levels."""
+    mask = gen_mask(PhantomSpec(shape="sphere", params=(7.0,),
+                                center=(10, 10, 10), label_fill=2,
+                                dims=(21, 21, 21)))
+    smooth = np.sin(np.indices((21, 21, 21)).sum(axis=0) / 5.0)
+    noise = np.random.default_rng(35).random((21, 21, 21))
+    return make_volume(smooth + 0.3 * noise), mask
+
+
+def _fresh_disc(vol, mask):
+    return discretize(vol, derive_roi(mask, "WT"), RadiomicsConfig().binning)
+
+
+def _slice(values, family):
+    names = [n for n in RADIOMICS_FEATURE_NAMES if n.startswith(family + ".")]
+    return np.array([values[n] for n in names])
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["manifest", "reversed",
+                                               "shuffled"])
+def test_family_order_on_one_roi_keeps_the_bytes(subject, order):
+    vol, mask = subject
+    disc = _fresh_disc(vol, mask)
+    values = {}
+    for family in order:
+        values.update(FAMILIES[family](vol, disc, 0.0))
+    got = np.array([values[n] for n in RADIOMICS_FEATURE_NAMES])
+    assert got.tobytes() == extract_radiomics(vol, mask).values.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_alone_keeps_its_bytes(subject, family):
+    vol, mask = subject
+    want = dict(zip(RADIOMICS_FEATURE_NAMES,
+                    extract_radiomics(vol, mask).values.tolist()))
+    alone = FAMILIES[family](vol, _fresh_disc(vol, mask), 0.0)
+    assert _slice(alone, family).tobytes() == _slice(want, family).tobytes()
+
+
+def test_gldm_at_every_alpha_after_the_walk(subject):
+    vol, mask = subject
+    disc = _fresh_disc(vol, mask)
+    texture.glcm_features(disc)
+    walk = disc.texture_counts
+    member, ng = disc.roi.membership, disc.n_levels
+    for alpha in ALPHAS:
+        want = extract_radiomics(vol, mask, RadiomicsConfig(gldm_alpha=alpha))
+        want = dict(zip(RADIOMICS_FEATURE_NAMES, want.values.tolist()))
+        got = texture.gldm_features(disc, alpha)
+        assert _slice(got, "gldm").tobytes() == \
+            _slice(want, "gldm").tobytes(), alpha
+        assert np.array_equal(gldm_matrix(disc, alpha), oracles.gldm_matrix_bf(
+            disc.level_map, member, ng, alpha)), alpha
+    assert disc.texture_counts is walk
+
+
+def test_directions_are_walked_once_per_roi(subject, monkeypatch):
+    """Every family at 0 <= alpha < 1 reads one walk; GLDM at any other
+    alpha walks the directions once more."""
+    vol, mask = subject
+    walks = []
+    direction_pairs = DiscretizedRoi.direction_pairs
+
+    def counted(self):
+        walks.append(self)
+        return direction_pairs(self)
+
+    monkeypatch.setattr(DiscretizedRoi, "direction_pairs", counted)
+    disc = _fresh_disc(vol, mask)
+    for family in ORDERS[0]:
+        FAMILIES[family](vol, disc, 0.5)
+    assert len(walks) == 1
+    FAMILIES["gldm"](vol, disc, 2.5)
+    assert len(walks) == 2
+
+
+def test_walk_tables_are_read_only(subject):
+    vol, mask = subject
+    walk = _fresh_disc(vol, mask).texture_counts
+    for table in (walk.glcm, walk.longer, walk.gldm, *walk.zones):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 1
