@@ -48,6 +48,7 @@ names and order; every family returns its values through its tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -175,14 +176,6 @@ def _hook(label: np.ndarray, src: np.ndarray, dst: np.ndarray):
     return label, src[apart], dst[apart]
 
 
-def _zone_cells(levels: np.ndarray, labels: np.ndarray):
-    """(level - 1, size - 1) of every component of a labelling whose every
-    component is labelled by one of its nodes."""
-    sizes = np.bincount(labels)
-    roots = np.flatnonzero(sizes)
-    return levels[roots].astype(np.int64) - 1, sizes[roots] - 1
-
-
 @dataclass(frozen=True)
 class TextureCounts:
     """The count tables of every texture family of one ``DiscretizedRoi``,
@@ -247,8 +240,11 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
     while src.size:
         label, src, dst = _hook(label, src, dst)
 
+    # each zone is labelled by one of its voxels
+    sizes = np.bincount(label)
+    roots = np.flatnonzero(sizes)
     tables = (glcm, longer, _counts(lv * 27 + dep, (ng, 27)),
-              *_zone_cells(levels, label))
+              lv[roots], sizes[roots] - 1)
     for table in tables:
         table.flags.writeable = False
     return TextureCounts(*tables[:3], zones=tables[3:])
@@ -422,13 +418,7 @@ def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
     row = p.sum(axis=2)
     col = p.sum(axis=1)
     cell = np.empty_like(p)
-
-    def mul(x, y):
-        return np.multiply(x, y, out=cell)
-
-    def div(x, y):
-        return np.divide(x, y, out=cell)
-
+    mul, div = partial(np.multiply, out=cell), partial(np.divide, out=cell)
     nr3 = nr[:, None, None]
     mu_i = _total(mul(div(p, nr3), i))[:, None, None]
     mu_s = _total(mul(div(p, nr3), s))[:, None, None]
