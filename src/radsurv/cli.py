@@ -402,10 +402,26 @@ _COHORT_KEYS = {
         _numbers_as(tuple, shape=(2,))(value, where),
         (f"{where}[0]", f"{where}[1]"))}
 _MASK = _entry(_MASK_KEYS, "shape", "center")
+
+
+def _masks(value, where: str) -> list:
+    """The mask entries, each with its name (by default ``phantom{i:03d}``),
+    which names its output files, so no two entries share one."""
+    entries = [_MASK(entry, f"{where}[{i}]")
+               for i, entry in enumerate(of_type(list)(value, where))]
+    first = {}
+    for i, entry in enumerate(entries):
+        name = entry.setdefault("name", f"phantom{i:03d}")
+        if name in first:
+            raise ValueError(f"{where}[{i}].name {name!r} is also the name "
+                             f"of {where}[{first[name]}]")
+        first[name] = i
+    return entries
+
+
 _SPEC = _entry({
     "seed": _COUNT, "cohort": _entry(_COHORT_KEYS, "n_subjects", "seed"),
-    "masks": lambda value, where: [_MASK(entry, f"{where}[{i}]") for i, entry
-                                   in enumerate(of_type(list)(value, where))]})
+    "masks": _masks})
 
 
 def cmd_phantom(resolved: dict) -> int:
@@ -415,7 +431,7 @@ def cmd_phantom(resolved: dict) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     for i, entry in enumerate(spec.get("masks", [])):
-        name = entry.pop("name", f"phantom{i:03d}")
+        name = entry.pop("name")
         with_volume = entry.pop("with_volume", False)
         mask = _or_exit(f"{spec_path}: masks[{i}]: ", gen_mask,
                         PhantomSpec(**{"params": (), **entry}))

@@ -19,13 +19,16 @@ Scope and conventions:
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
   whole-grid float copy.
-* A loaded mask keeps a u1 or native i2 payload as stored
-  (``LabelMask.labels``); any other type becomes int16. Either way the
-  labels are in file order and read-only.
+* A loaded mask is checked whole, then holds only the box of its labelled
+  voxels (``LabelMask.labels`` at ``LabelMask.corner``), so extraction
+  holds no whole label grid. A u1 or native i2 payload keeps its stored
+  type; any other type becomes int16. Either way the labels are in file
+  order and read-only.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
-* A region (``RoiMask``) is the crop of its mask to the box of the
-  labelled voxels (``LabelMask.box``, found once per mask) at ``corner``;
-  its dims, spacing and origin stay the whole grid's.
+* ``LabelMask`` and ``RoiMask`` hold a box of the grid at ``corner``;
+  their dims, spacing and origin stay the whole grid's. ``LabelMask.box``
+  (found once per mask) and ``RoiMask.box`` are grid index slices. A
+  region is the crop of its mask to ``LabelMask.box``.
 """
 
 from __future__ import annotations
@@ -137,6 +140,18 @@ class VoxelGrid:
             raise ValueError(
                 f"{name} shape {array.shape} does not match dims {self.dims}")
 
+    def _check_fits(self, name: str, array: np.ndarray,
+                    corner) -> tuple[int, int, int]:
+        """``corner`` as ints; a ValueError unless ``array`` is a 3D box
+        that fits inside dims with its first voxel at ``corner``."""
+        corner = tuple(int(c) for c in corner)
+        shape = array.shape
+        if len(shape) != 3 or len(corner) != 3 or not all(
+                0 <= c <= d - n for c, n, d in zip(corner, shape, self.dims)):
+            raise ValueError(f"{name} shape {shape} at corner {corner} "
+                             f"does not fit dims {self.dims}")
+        return corner
+
     @property
     def voxel_volume_mm3(self) -> float:
         return self.spacing[0] * self.spacing[1] * self.spacing[2]
@@ -170,19 +185,31 @@ class VoxelVolume(VoxelGrid):
 
 @dataclass
 class LabelMask(VoxelGrid):
-    """Integer-labeled grid; labels come from the {0, 1, 2, 4} vocabulary."""
+    """Integer-labeled grid; labels come from the {0, 1, 2, 4} vocabulary.
 
-    labels: np.ndarray  # integers (load_mask: u1 or int16), shape == dims
+    ``labels`` is the box of the grid whose first voxel has index
+    ``corner``; no voxel outside it is labelled. A mask built from a whole
+    grid (``gen_mask``) keeps it at corner (0, 0, 0); ``load_mask`` keeps
+    only the box of the labelled voxels.
+    """
+
+    labels: np.ndarray  # integers (load_mask: u1 or int16), 3D, fits at corner
+    corner: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         super().__post_init__()
-        self._check_shape("labels", self.labels)
+        self.corner = self._check_fits("labels", self.labels, self.corner)
         _check_vocabulary(self.labels)
 
     @cached_property
     def box(self) -> tuple[slice, slice, slice]:
-        """The box of the labelled voxels; empty if no voxel is labelled."""
-        return bounding_box(self.labels > 0) or (slice(0, 0),) * 3
+        """The grid's index box of the labelled voxels; empty if no voxel
+        is labelled."""
+        box = bounding_box(self.labels > 0)
+        if box is None:
+            return (slice(0, 0),) * 3
+        return tuple(slice(c + b.start, c + b.stop)
+                     for c, b in zip(self.corner, box))
 
 
 @dataclass
@@ -195,12 +222,8 @@ class RoiMask(VoxelGrid):
 
     def __post_init__(self):
         super().__post_init__()
-        self.corner = tuple(int(c) for c in self.corner)
-        shape = self.membership.shape
-        if len(shape) != 3 or len(self.corner) != 3 or not all(
-                0 <= c <= d - n for c, n, d in zip(self.corner, shape, self.dims)):
-            raise ValueError(f"membership shape {shape} at corner {self.corner} "
-                             f"does not fit dims {self.dims}")
+        self.corner = self._check_fits("membership", self.membership,
+                                       self.corner)
 
     @property
     def box(self) -> tuple[slice, slice, slice]:
@@ -497,10 +520,12 @@ def load_mask(path: str) -> LabelMask:
 
     An unscaled integer payload is checked as stored; any other must hold
     finite integers once scaled to float64. A u1 or native i2 payload is
-    kept as the labels, read-only and in file order, and checked once by
-    ``LabelMask``. Any other is cast to int16 in file order, its labels
-    checked before the cast when int16 cannot hold it, so no value wraps
-    into a valid label.
+    kept as stored, and checked once, whole, by ``LabelMask``. Any other is
+    cast to int16 in file order, its labels checked before the cast when
+    int16 cannot hold it, so no value wraps into a valid label. The mask
+    then holds only the box of its labelled voxels (``LabelMask.corner``),
+    read-only and in file order: the payload itself when the box is the
+    whole grid, else a copy of the box.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
@@ -520,9 +545,16 @@ def load_mask(path: str) -> LabelMask:
         values = values.astype(np.int16, order="F")
         values.flags.writeable = False
     try:
-        return LabelMask(**grid, labels=values)
+        mask = LabelMask(**grid, labels=values)
     except MaskLabelError as exc:
         raise MaskLabelError(f"{path}: {exc}") from None
+    # the box is found, and its temporary freed, before the crop is copied
+    box = mask.box
+    if tuple(b.stop - b.start for b in box) != mask.dims:
+        mask.labels = np.array(values[box], order="F")
+        mask.labels.flags.writeable = False
+        mask.corner = tuple(b.start for b in box)
+    return mask
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:
@@ -562,8 +594,10 @@ def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
     if kind not in _ROI_LABEL_SETS:
         raise ValueError(f"unknown roi_kind {kind!r}, expected one of {ROI_KINDS}")
     box = mask.box
+    crop = mask.labels[tuple(slice(b.start - c, b.stop - c)
+                             for b, c in zip(box, mask.corner))]
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
-                   membership=np.isin(mask.labels[box], _ROI_LABEL_SETS[kind]),
+                   membership=np.isin(crop, _ROI_LABEL_SETS[kind]),
                    corner=tuple(b.start for b in box))
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from radsurv import cli
+from radsurv import cli, phantoms
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
 from radsurv.radiomics import FEATURE_COLUMNS
@@ -288,6 +288,97 @@ class TestPhantomSpec:
             assert sorted(os.listdir(root)) == ["out", "spec.json"], spec
             _load_phantom_outputs(out)
 
+    def test_fuzzed_mask_entries_load_back_cropped_or_name_the_entry(
+            self, tmp_path, monkeypatch):
+        """A seeded fuzz of the spec's mask entries through ``cli.main``,
+        in the style of ``test_number_rule.py``'s fuzz: values replaced,
+        keys, entries or the whole list dropped, entries repeated. A run
+        either writes every entry's mask, which loads back, held as its
+        box, to the labels ``gen_mask`` made for it; or exits naming the
+        spec file and a mutated entry (or ``masks``)."""
+        made = []
+        monkeypatch.setattr(cli, "gen_mask", lambda spec: made.append(
+            phantoms.gen_mask(spec)) or made[-1])
+        rng = np.random.default_rng(3636)
+        outcomes = {"written": 0, "rejected": 0}
+        for trial in range(150):
+            spec = copy.deepcopy(MASK_FUZZ_BASE)
+            entries = spec["masks"]
+            mutated = set()
+            for _ in range(int(rng.integers(1, 3))):
+                pick = rng.random()
+                if pick < 0.1 and entries:
+                    del entries[int(rng.integers(len(entries)))]
+                elif pick < 0.2 and entries:
+                    entries.append(copy.deepcopy(
+                        entries[int(rng.integers(len(entries)))]))
+                    mutated.add(id(entries[-1]))
+                elif pick < 0.25:
+                    spec["masks"] = FUZZ_VALUES[int(rng.integers(
+                        len(FUZZ_VALUES)))]
+                    mutated.add("masks")
+                elif entries:
+                    entry = entries[int(rng.integers(len(entries)))]
+                    key = FUZZ_KEYS["masks"][int(rng.integers(
+                        len(FUZZ_KEYS["masks"])))]
+                    if rng.random() < 0.15:
+                        entry.pop(key, None)
+                    else:
+                        entry[key] = copy.deepcopy(FUZZ_VALUES[int(
+                            rng.integers(len(FUZZ_VALUES)))])
+                    mutated.add(id(entry))
+            named = {"masks"} & mutated | {
+                f"masks[{i}]" for i, entry in enumerate(entries)
+                if id(entry) in mutated}
+            path, out = tmp_path / f"s{trial}.json", tmp_path / f"o{trial}"
+            path.write_text(json.dumps(spec))
+            made.clear()
+            try:
+                assert main(["phantom", "--spec", str(path),
+                             "--out", str(out)]) == 0
+            except SystemExit as exc:
+                message = str(exc)
+                assert str(path) in message, (trial, message)
+                assert any(name in message for name in named), \
+                    (trial, named, message)
+                outcomes["rejected"] += 1
+                continue
+            names = [entry.get("name", f"phantom{i:03d}")
+                     for i, entry in enumerate(spec["masks"])]
+            assert len(made) == len(names), trial
+            for name, entry, generated in zip(names, spec["masks"], made):
+                mask = load_mask(str(out / f"{name}_mask.nii.gz"))
+                box = mask.box
+                assert mask.corner == tuple(b.start for b in box), trial
+                assert np.array_equal(mask.labels, generated.labels[box])
+                outside = generated.labels.copy()
+                outside[box] = 0
+                assert not outside.any(), (trial, name)
+                if entry.get("with_volume"):
+                    vol = load_nifti(str(out / f"{name}_vol.nii.gz"))
+                    assert np.isfinite(vol.region(...)).all(), (trial, name)
+            outcomes["written"] += 1
+        assert outcomes["written"] >= 20 and outcomes["rejected"] >= 40, \
+            outcomes
+
+    def test_repeated_mask_name_is_rejected_before_any_file(self, tmp_path):
+        """Each name names its entry's files, so a repeat, given or by
+        default, would let the later entry overwrite the earlier one."""
+        cases = ([{"name": "m"}, {"name": "m"}],
+                 [{}, {"name": "phantom000"}])
+        for n, names in enumerate(cases):
+            spec = {"masks": [{"shape": "sphere", "params": [2],
+                               "center": [4, 4, 4], "dims": [9, 9, 9],
+                               **entry} for entry in names]}
+            path, out = tmp_path / f"dup{n}.json", tmp_path / f"o{n}"
+            path.write_text(json.dumps(spec))
+            name = names[1]["name"]
+            with pytest.raises(SystemExit, match=re.escape(
+                    f"{path}: masks[1].name {name!r} is also the name of "
+                    "masks[0]")):
+                main(["phantom", "--spec", str(path), "--out", str(out)])
+            assert not out.exists()
+
 
 def _load_phantom_outputs(out):
     for name in os.listdir(out):
@@ -314,6 +405,14 @@ FUZZ_BASES = {
         "class_mix": None, "resection_mix": [0.5, 0.25, 0.25],
         "thresholds": [100, 200]}},
 }
+# two mask entries, the second named by default and touching three faces
+MASK_FUZZ_BASE = {"masks": [
+    {"name": "a", "shape": "ellipsoid", "params": [3, 2.5, 2],
+     "center": [5, 5, 5], "label_fill": 2, "dims": [11, 11, 11],
+     "with_volume": True},
+    {"shape": "cuboid", "params": [2, 3, 2], "center": [0.5, 1.25, 0.5],
+     "label_fill": 4, "dims": [9, 10, 8], "spacing": [1, 0.5, 2],
+     "origin": [0, 0, 0]}]}
 FUZZ_KEYS = {
     "masks": ("name", "shape", "params", "center", "label_fill", "dims",
               "spacing", "origin", "with_volume"),

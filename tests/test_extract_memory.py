@@ -1,14 +1,16 @@
 """Extraction memory. The scan keeps its samples as stored, so no float64
 copy of a whole scan grid is made, and only the mask's box becomes float64.
-The radiomics phase holds no pair list that spans the 13 directions: one
-walk builds a direction's pairs, counts every texture family's share of
-them and drops them before the next direction, and keeps only the count
-tables."""
+A loaded mask holds only the box of its labelled voxels, so a subject's
+extraction holds no whole label grid beside the scan. The radiomics phase
+holds no pair list that spans the 13 directions: one walk builds a
+direction's pairs, counts every texture family's share of them and drops
+them before the next direction, and keeps only the count tables."""
 
 import numpy as np
 
+from radsurv.imagefeat import extract_image_features, mask_summary
 from radsurv.radiomics import extract_radiomics
-from radsurv.volumeio import load_nifti, write_nifti
+from radsurv.volumeio import SubjectRecord, load_mask, load_nifti, write_nifti
 from conftest import make_mask, traced_peak
 
 
@@ -38,6 +40,41 @@ def test_extract_radiomics_peak_stays_below_one_float64_grid(tmp_path):
     scan[box] = np.random.default_rng(4).integers(100, 900, ball.shape)
     peak = _loaded_extract_peak(tmp_path, labels, scan)
     assert peak < 8 * scan.size, f"{peak / 2**20:.1f} MiB traced"
+
+
+def test_subject_extraction_holds_no_whole_label_grid(tmp_path):
+    """One subject as ``extract`` runs it, on a BraTS grid with a small
+    tumour: load the u1 mask, its image features and summary, then the
+    int16 scan and its radiomics. The peak is the scan plus the texture
+    walk (about 2.7 MiB here) and stays below the scan plus half a label
+    grid; a mask that held its whole grid would add 8.5 MiB."""
+    dims = (240, 240, 155)
+    center, radius = np.array([120, 110, 70]), 10
+    i, j, k = np.ogrid[-radius:radius + 1, -radius:radius + 1,
+                       -radius:radius + 1]
+    r2 = i * i + j * j + k * k
+    box = tuple(slice(c - radius, c + radius + 1) for c in center)
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[box][r2 <= radius ** 2] = 2
+    labels[box][r2 <= 36] = 4
+    labels[box][r2 <= 9] = 1
+    scan = np.zeros(dims, dtype=np.int16)
+    scan[box] = np.random.default_rng(5).integers(100, 900, r2.shape)
+    mask_path, scan_path = tmp_path / "m.nii.gz", tmp_path / "s.nii.gz"
+    write_nifti(str(mask_path), labels)
+    write_nifti(str(scan_path), scan)
+
+    def subject():
+        mask = load_mask(str(mask_path))
+        record = SubjectRecord("s", age=50.0)
+        extract_image_features(mask, record)
+        mask_summary(mask)
+        return extract_radiomics(load_nifti(str(scan_path)), mask)
+
+    subject()                               # warm imports and caches
+    _, peak = traced_peak(subject)
+    assert peak < scan.nbytes + labels.nbytes // 2, \
+        f"{peak / 2**20:.1f} MiB traced"
 
 
 def _lobulated_working_set(tmp_path) -> float:

@@ -1,6 +1,6 @@
 """Mask decoding: the integer fast path against the former float64 decode,
-the rejections of out-of-range and non-finite values, the gzip stream's edge
-cases and their messages, a seeded byte-mutation fuzz test over hand-built
+the rejections of out-of-range and non-finite values, the box of labelled
+voxels a loaded mask holds, the gzip stream's edge cases and their messages, a seeded byte-mutation fuzz test over hand-built
 NIfTI files and memory guards on ``load_nifti`` and ``load_mask``."""
 
 import gzip
@@ -11,8 +11,9 @@ import zlib
 import numpy as np
 import pytest
 
-from radsurv.volumeio import (MaskLabelError, NiftiError, load_mask,
-                              load_nifti)
+import radsurv.volumeio as volumeio
+from radsurv.volumeio import (ROI_KINDS, LabelMask, MaskLabelError,
+                              NiftiError, derive_roi, load_mask, load_nifti)
 import oracles
 from conftest import traced_peak
 
@@ -122,6 +123,96 @@ class TestFastPathEquivalence:
         path = write_blob(tmp_path / "once.nii", nifti_blob(labels))
         assert np.array_equal(load_mask(path).labels, labels)
         assert len(scans) == 1
+
+
+def _box_cases(rng, shape=(9, 8, 7)):
+    """(name, labels): random labels in a random inner box, none, labels
+    over the whole grid, one voxel at each grid corner, and a blob touching
+    each face."""
+    labels = np.zeros(shape, dtype=np.int16)
+    lo = [int(rng.integers(1, n // 2)) for n in shape]
+    hi = [int(rng.integers(m + 1, n - 1)) for m, n in zip(lo, shape)]
+    inner = tuple(map(slice, lo, hi))
+    labels[inner] = random_labels(rng, labels[inner].shape)
+    labels[tuple(lo)] = labels[tuple(h - 1 for h in hi)] = 4
+    yield "random", labels
+    yield "all-zero", np.zeros(shape, dtype=np.int16)
+    whole = random_labels(rng, shape)
+    whole[0, 0, 0] = whole[-1, -1, -1] = 2
+    yield "whole-grid", whole
+    for corner in np.ndindex(2, 2, 2):
+        labels = np.zeros(shape, dtype=np.int16)
+        labels[tuple(-c for c in corner)] = 1
+        yield f"corner {corner}", labels
+    for axis in range(3):
+        for end in (0, -1):
+            labels = np.zeros(shape, dtype=np.int16)
+            index = [slice(2, 5)] * 3
+            index[axis] = end
+            labels[tuple(index)] = random_labels(rng, (3, 3))
+            labels[tuple(index)][1, 1] = 2
+            yield f"face {axis}:{end}", labels
+
+
+class TestBoxForm:
+    """A loaded mask holds the box of its labelled voxels at ``corner``;
+    the oracle's whole-grid decode is zero outside it, and every region
+    equals the oracle's whole-grid region cropped to the same box."""
+
+    @pytest.mark.parametrize("key", ["u1", "i2", "f4"])
+    def test_box_equals_whole_grid_decode(self, tmp_path, key, monkeypatch):
+        decoded = []
+        decode = volumeio._decode
+        monkeypatch.setattr(volumeio, "_decode",
+                            lambda path: decoded.append(decode(path))
+                            or decoded[-1])
+        for n, (name, labels) in enumerate(_box_cases(
+                np.random.default_rng(36))):
+            # f4 halves, scaled back by slope 2: a payload that is cast
+            stored, slope = ((labels / 2).astype(key), 2.0) if key == "f4" \
+                else (labels.astype(key), 0.0)
+            path = write_blob(tmp_path / f"b{n}.nii.gz",
+                              nifti_blob(stored, slope=slope))
+            mask = load_mask(path)
+            payload = decoded[-1][0]
+            want = oracles.load_mask_via_float(path)
+            box = mask.box
+            assert mask.corner == tuple(b.start for b in box), name
+            assert np.array_equal(mask.labels, want[box]), name
+            outside = want.copy()
+            outside[box] = 0
+            assert not outside.any(), name
+            assert mask.labels.flags.f_contiguous, name
+            assert not mask.labels.flags.writeable, name
+            if name == "whole-grid":
+                assert mask.labels.shape == mask.dims
+                if key != "f4":     # the payload itself, not a copy
+                    assert mask.labels is payload
+            if name == "all-zero":
+                assert mask.labels.shape == (0, 0, 0)
+                assert mask.corner == (0, 0, 0)
+            whole = LabelMask(dims=mask.dims, spacing=mask.spacing,
+                              origin=mask.origin, labels=want)
+            for kind in ROI_KINDS:
+                roi = derive_roi(mask, kind)
+                full = oracles._full_roi(whole, kind).membership
+                assert roi.box == box, (name, kind)
+                assert np.array_equal(roi.membership, full[box]), (name, kind)
+                full[box] = False
+                assert not full.any(), (name, kind)
+
+    def test_negative_label_outside_the_box_is_rejected(self, tmp_path):
+        labels = np.zeros((6, 7, 5), dtype=np.int16)
+        labels[2:4, 3:6, 1:4] = 2
+        labels[3, 4, 2] = 3
+        labels[0, 5, 1] = -1            # first in C order, outside the box
+        path = write_blob(tmp_path / "neg.nii.gz", nifti_blob(labels))
+        with pytest.raises(MaskLabelError) as want:
+            oracles.load_mask_via_float(path)
+        with pytest.raises(MaskLabelError) as got:
+            load_mask(path)
+        assert str(got.value) == str(want.value)
+        assert "label -1 at voxel (0, 5, 1)" in str(got.value)
 
 
 class TestRejectedValues:

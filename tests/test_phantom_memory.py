@@ -28,7 +28,7 @@ def test_phantom_mask_write_holds_no_copy_of_the_labels(tmp_path,
                                                         monkeypatch):
     """``radsurv phantom`` writes the int16 labels ``gen_mask`` built: past
     the mask itself, writing it takes under half of its size again, and the
-    file decodes to the same bytes."""
+    file decodes to the same labels, held as their box."""
     dims = (240, 240, 155)
     entry = {"name": "brats", "shape": "ellipsoid",
              "params": [60.0, 50.0, 40.0], "center": [119.5, 119.5, 77.0],
@@ -49,6 +49,13 @@ def test_phantom_mask_write_holds_no_copy_of_the_labels(tmp_path,
     labels = masks[0].labels
     assert labels.dtype == np.int16
     assert peak < 1.5 * labels.nbytes, f"{peak / 2**20:.1f} MiB traced"
-    written = load_mask(str(tmp_path / "out" / "brats_mask.nii.gz")).labels
-    assert written.dtype == labels.dtype
-    assert written.tobytes() == labels.tobytes()
+    written = load_mask(str(tmp_path / "out" / "brats_mask.nii.gz"))
+    assert written.labels.dtype == labels.dtype
+    # the loaded mask holds the box of the labels: the crop at its corner
+    # is labels[box], and no voxel outside the box is labelled
+    box = written.box
+    assert written.corner == tuple(b.start for b in box)
+    assert written.labels.tobytes(order="F") == labels[box].tobytes(order="F")
+    outside = labels.copy()
+    outside[box] = 0
+    assert not outside.any()
