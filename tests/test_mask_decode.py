@@ -113,8 +113,6 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("key", ["u1", "i2"])
     def test_int16_payload_scanned_once(self, tmp_path, key, monkeypatch):
-        import radsurv.volumeio as volumeio
-
         scans = []
         check = volumeio._check_vocabulary
         monkeypatch.setattr(volumeio, "_check_vocabulary",
