@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -109,25 +108,27 @@ def _merge_config(command: str, settings: dict,
         elif resolved[key] is REQUIRED:
             raise SystemExit(f"radsurv {command} needs --"
                              f"{key.replace('_', '-')} or the config key "
-                             f"{key!r}")
+                             f"{key!r}" + (f" in {args.config}"
+                                           if args.config else ""))
     return resolved
 
 
 def _setting(default, flag: dict | None):
-    """The decoder of a setting's config-file value, by its flag: an
-    integer for ``type=_integer``, a number for ``type=_finite``, one of the
-    ``choices``, an object whose numbers are finite where the default or
-    ``type`` is one, else a string; null only where the default is null.
-    It returns the value."""
+    """The decoder of a setting's config-file value, by its flag: what
+    ``util.numbers`` accepts as the flag's ``type=_Number(...)``, one of
+    the ``choices``, an object whose numbers are finite where the default
+    or ``type`` is one, else a string; null only where the default is
+    null. It returns the value."""
     flag = flag or {}
-    if flag.get("type") in (_integer, _finite):
-        check = _numbers_as(lambda value: value, shape=(),
-                            kinds="i" if flag["type"] is _integer else "if")
+    kind = flag.get("type")
+    if isinstance(kind, _Number):
+        check = _numbers_as(lambda value: value, shape=(), kinds=kind.kinds,
+                            low=kind.low)
     elif "choices" in flag:
         check = one_of(flag["choices"])
     else:
         is_kind = of_type(dict if isinstance(default, dict)
-                          or flag.get("type") is _json_object else str)
+                          or kind is _json_object else str)
         check = lambda value, where: finite(is_kind(value, where), where)
     return lambda value, where: (value if value is None and default is None
                                  else check(value, where))
@@ -149,26 +150,24 @@ def _json_object(text: str) -> dict:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _finite(text: str) -> float:
-    """argparse type of a flag that takes a number, read by
-    ``util.parse_number`` and finite as in a config file."""
-    try:
-        value = parse_number(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+class _Number:
+    """argparse type of a flag that takes a finite number, an integer where
+    ``kinds`` is "i", of at least ``low``: read by ``util.parse_number``
+    and checked by ``util.numbers``, as a config file's value is."""
 
+    def __init__(self, kinds: str = "if", low=None):
+        self.kinds, self.low = kinds, low
+        self.what = (f"an integer >= {low}" if kinds == "i" else
+                     "a finite number" + (" > 0" if low == POSITIVE else ""))
 
-def _integer(text: str) -> int:
-    """argparse type of a flag that takes an integer, read by
-    ``util.parse_number``."""
-    try:
-        return parse_number(text, int)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
+    def __call__(self, text: str):
+        try:
+            value = parse_number(text, int if self.kinds == "i" else float)
+            numbers(value, "", self.kinds, (), self.low)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {self.what}") from None
+        return value
 
 
 def _binning_from(resolved: dict):
@@ -243,6 +242,10 @@ def cmd_rfe(resolved: dict) -> int:
     _check_params("rfe", "estimator_params", [resolved["estimator"]],
                   resolved["estimator_params"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])
+    if resolved["n_keep"] > len(cohort.feature_names):
+        raise SystemExit(f"{resolved['features']}: n_keep "
+                         f"{resolved['n_keep']} is above its "
+                         f"{len(cohort.feature_names)} feature columns")
     spec = EstimatorSpec(resolved["estimator"],
                          dict(resolved["estimator_params"]))
     ranking = rfe(cohort.X, cohort.known_survival(), cohort.feature_names,
@@ -462,8 +465,9 @@ def cmd_phantom(resolved: dict) -> int:
 # --out where its flag is _OUT_DIR, else beside the --out file.
 
 _OUT_DIR = {"help": "output directory"}
-_INT = {"type": _integer}
-_FLOAT = {"type": _finite}
+_SEED = {"type": _Number("i", 0)}
+_FOLDS = {"type": _Number("i", 2)}
+_FLOAT = {"type": _Number()}
 _GRID = {"help": "JSON file with a list of parameter dicts, or 'default'"}
 _EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
 
@@ -474,26 +478,26 @@ COMMANDS = {
         "out": (REQUIRED, {"help": "output features CSV"}),
         "features": ("all", {"choices": EXTRACT_MODES}),
         "roi": ("WT", {"choices": ROI_KINDS}),
-        "bins": (32, {"type": _integer,
+        "bins": (32, {"type": _Number("i", 2),
                       "help": "fixed bin count (default 32)"}),
-        "bin_width": (None, _FLOAT),
+        "bin_width": (None, {"type": _Number(low=POSITIVE)}),
         "channel": ("unspecified",
                     {"help": "intensity channel label for provenance"})}),
     "rfe": (cmd_rfe, "recursive feature elimination", {
         "features": (REQUIRED, {}), "metadata": (REQUIRED, {}),
-        "out": (REQUIRED, _OUT_DIR), "n_keep": (20, _INT),
+        "out": (REQUIRED, _OUT_DIR), "n_keep": (20, {"type": _Number("i", 1)}),
         "estimator": ("rfr", {"choices": [
             kind for kind, fam in FAMILIES.items()
             if fam.importance is not None]}),
-        "estimator_params": ({}, None), "step": (1, _INT),
-        "seed": (0, _INT)}),
+        "estimator_params": ({}, None), "step": (1, {"type": _Number("i", 1)}),
+        "seed": (0, _SEED)}),
     "train": (cmd_train, "train one predictor on a feature CSV", {
         "features": (REQUIRED, {}), "metadata": (REQUIRED, {}),
         "out": (REQUIRED, _OUT_DIR),
         "predictor": (REQUIRED, {"choices": PREDICTOR_KINDS}),
         "params": ({}, {"type": _json_object,
                         "help": "JSON dict of hyperparameters"}),
-        "grid": (None, _GRID), "cv_folds": (3, _INT), "seed": (0, _INT)}),
+        "grid": (None, _GRID), "cv_folds": (3, _FOLDS), "seed": (0, _SEED)}),
     "predict": (cmd_predict, "predict survival days", {
         "model": (REQUIRED, {}), "features": (REQUIRED, {}),
         "out": (REQUIRED, {"help": "output predictions CSV"})}),
@@ -509,10 +513,10 @@ COMMANDS = {
             "help": "comma list from image7,radiomics107,rfe20,shape"}),
         "predictors": ("mlp,linear,gbr,rfr",
                        {"help": "comma list from mlp,linear,gbr,rfr"}),
-        "seed": (0, _INT),
+        "seed": (0, _SEED),
         "params": ({}, {"type": _json_object,
                         "help": "JSON dict of shared hyperparameters"}),
-        "grid": (None, _GRID), "cv_folds": (3, _INT),
+        "grid": (None, _GRID), "cv_folds": (3, _FOLDS),
         "eval_filter": ("GTR", _EVAL_FILTER),
         "t_lo": (DEFAULT_THRESHOLDS[0], _FLOAT),
         "t_hi": (DEFAULT_THRESHOLDS[1], _FLOAT)}),
@@ -545,7 +549,9 @@ def main(argv=None) -> int:
     func, _, settings = COMMANDS[args.command]
     resolved = _merge_config(args.command, settings, args)
     if "t_lo" in resolved:   # before any input is read
-        _or_exit("", check_thresholds, (resolved["t_lo"], resolved["t_hi"]))
+        _or_exit(f"{args.config}: " if args.config
+                 and None in (args.t_lo, args.t_hi) else "",
+                 check_thresholds, (resolved["t_lo"], resolved["t_hi"]))
     status = func(resolved)
     out = resolved["out"]
     if settings["out"][1] is not _OUT_DIR:

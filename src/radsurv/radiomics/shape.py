@@ -12,6 +12,22 @@ measures within 0.3% of its analytic volume and sphericity 0.994.
 Volume is the absolute divergence-theorem sum of signed tetrahedra, i.e.
 the triangle orientation is taken so the signed volume is positive.
 
+The smoothing reads the 1-ring neighbourhoods from a jagged-diagonal
+table (Saad 1989). The vertices are relabelled by descending degree, with
+a stable sort, and column j of the table holds every vertex's j-th
+smallest neighbour in the new labels. Since the degrees descend, column j
+is a prefix: exactly the vertices with more than j neighbours. The
+columns lie end to end in one index array, so a step gathers the
+coordinates of all directed edges with one ``np.take`` and then adds each
+column into the leading entries of a zeroed sum. A vertex's sum is
+therefore 0.0 + n_0 + n_1 + ... in ascending neighbour index, the same
+additions in the same order as a ``bincount`` over the edge list sorted
+by (owner, neighbour), and the update is the same four IEEE operations,
+so every smoothed coordinate keeps its bits. A table padded to the
+largest degree (about 10 against a mean of 6 on a BraTS-size mesh) was
+slower than ``bincount``, since it gathered about 1.7 times the values;
+the relabelling leaves no padding to gather.
+
 Axis lengths are ``4 * sqrt(lambda_i)`` for the eigenvalues (descending) of
 the population covariance of member voxel centers in physical coordinates;
 elongation and flatness are ``sqrt(lambda_2 / lambda_1)`` and
@@ -181,17 +197,41 @@ def taubin_smooth(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     # both directions of every edge, once each, sorted by (owner, neighbor)
     keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
                                    edges[:, 1] * n + edges[:, 0]]))
+    del edges
     owner, neighbor = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    degree = np.bincount(owner, minlength=n).astype(np.float64)
+    del keys
+    count = np.bincount(owner, minlength=n)
+    # relabel by descending degree; rank[i] is vertex i's new label
+    order = np.argsort(-count, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    # col: each edge's place among its owner's neighbours, ascending
+    col = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+    height = np.bincount(col)   # column j: the vertices with > j neighbours
+    start = np.cumsum(height) - height
+    table = np.empty(owner.size, dtype=np.intp)
+    table[start[col] + rank[owner]] = rank[neighbor]
+    del owner, neighbor, col, rank
+    columns = [(s, s + h, h) for s, h in zip(start.tolist(), height.tolist())]
+    degree = count[order].astype(np.float64)
     degree[degree == 0] = 1.0
 
-    v = vertices.T.astype(np.float64)       # one row per axis
+    v = np.take(vertices.T, order, axis=1).astype(np.float64, copy=False)
+    gathered = np.empty((3, table.size))
+    acc = np.empty((3, n))
     for _ in range(TAUBIN_ITERATIONS):
         for factor in (TAUBIN_LAMBDA, TAUBIN_MU):
-            acc = np.stack([np.bincount(owner, weights=row[neighbor],
-                                        minlength=n) for row in v])
-            v = v + factor * (acc / degree - v)
-    return np.ascontiguousarray(v.T)
+            np.take(v, table, axis=1, out=gathered, mode="clip")
+            acc.fill(0.0)
+            for lo, hi, h in columns:
+                acc[:, :h] += gathered[:, lo:hi]
+            acc /= degree
+            acc -= v
+            acc *= factor
+            v += acc
+    smoothed = np.empty((n, 3))
+    smoothed[order] = v.T
+    return smoothed
 
 
 def mesh_area_volume(vertices: np.ndarray, faces: np.ndarray,

@@ -16,8 +16,10 @@ former importance, which walked each tree with a stack.
 The last sections keep more former package paths: the mask decode that
 took every datatype through float64, the image features and mask summary
 computed on the whole label grid, the perceptron's optimizer loop that
-updated each weight and bias array on its own, and the GLCM and run/zone
-formulas evaluated on one direction's matrix at a time.
+updated each weight and bias array on its own, the GLCM and run/zone
+formulas evaluated on one direction's matrix at a time, and the Taubin
+smoothing that summed every vertex's neighbours with one ``bincount`` per
+axis and step.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 
 from radsurv.imagefeat import (ImageFeatures, MaskSummary, roi_volume,
                                roi_surface_area_facecount)
+from radsurv.radiomics.shape import (TAUBIN_ITERATIONS, TAUBIN_LAMBDA,
+                                     TAUBIN_MU)
 from radsurv.regressors.mlp import (MlpDivergenceError, forward,
                                     init_parameters, loss_and_grads)
 from radsurv.rng import make_rng
@@ -909,3 +913,28 @@ def direction_means_per_matrix(per_dir):
     """Each value's mean over a list of per-direction value dicts."""
     return {name: float(np.mean([d[name] for d in per_dir]))
             for name in per_dir[0]}
+
+
+# ---------------------------------------------------------------------------
+# Former package path: Taubin smoothing summed with one bincount per axis
+
+def taubin_via_bincount(vertices, faces):
+    """Shrink-free Laplacian smoothing over the mesh 1-ring neighborhoods,
+    ``TAUBIN_ITERATIONS`` times a lambda then a mu step."""
+    n = vertices.shape[0]
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                            faces[:, [2, 0]]], axis=0)
+    # both directions of every edge, once each, sorted by (owner, neighbor)
+    keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                   edges[:, 1] * n + edges[:, 0]]))
+    owner, neighbor = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    degree = np.bincount(owner, minlength=n).astype(np.float64)
+    degree[degree == 0] = 1.0
+
+    v = vertices.T.astype(np.float64)       # one row per axis
+    for _ in range(TAUBIN_ITERATIONS):
+        for factor in (TAUBIN_LAMBDA, TAUBIN_MU):
+            acc = np.stack([np.bincount(owner, weights=row[neighbor],
+                                        minlength=n) for row in v])
+            v = v + factor * (acc / degree - v)
+    return np.ascontiguousarray(v.T)

@@ -5,12 +5,14 @@
 ``regressors.number_param`` decodes every numeric hyperparameter. Each
 case in the ``*_named`` tests below was once accepted without a word (or
 failed in a message that named no file, subject, column, flag or key). The
-seeded fuzz feeds mutated predictions CSVs to ``evaluate`` and random
+seeded fuzz feeds mutated predictions CSVs to ``evaluate``, random
 hyperparameter objects to ``train --params``, ``rfe`` ``estimator_params``
-and ``train --grid``: each case either succeeds with finite outputs or
-raises an error that names what is at fault.
+and ``train --grid``, and mutated ``--config`` files to five commands:
+each case either succeeds with finite outputs or raises an error that
+names what is at fault.
 """
 
+import copy
 import json
 import math
 import re
@@ -18,11 +20,11 @@ import re
 import numpy as np
 import pytest
 
-from radsurv.cli import main
+from radsurv.cli import COMMANDS, main
 from radsurv.cohort import load_cohort
 from radsurv.regressors import FAMILIES, load_model, predict, train_model
-from radsurv.util import parse_number, read_cell
-from radsurv.volumeio import read_metadata_csv
+from radsurv.util import parse_number, read_cell, read_csv
+from radsurv.volumeio import read_metadata_csv, write_nifti
 
 N_SUBJECTS = 12
 
@@ -174,7 +176,19 @@ class TestCsvNamed:
         (["rfe", "--n-keep", "2_0"], "argument --n-keep: '2_0' is not an "
                                      "integer"),
         (["rfe", "--step", "1_0"], "argument --step: '1_0' is not an "
-                                   "integer")])
+                                   "integer"),
+        (["train", "--seed", "-1"], "argument --seed: '-1' is not an "
+                                    "integer >= 0"),
+        (["train", "--cv-folds", "1"], "argument --cv-folds: '1' is not an "
+                                       "integer >= 2"),
+        (["extract", "--bins", "1"], "argument --bins: '1' is not an "
+                                     "integer >= 2"),
+        (["rfe", "--n-keep", "0"], "argument --n-keep: '0' is not an "
+                                   "integer >= 1"),
+        (["rfe", "--step", "0"], "argument --step: '0' is not an "
+                                 "integer >= 1"),
+        (["extract", "--bin-width", "0"], "argument --bin-width: '0' is not "
+                                          "a finite number > 0")])
     def test_flag_outside_the_grammar(self, tmp_path, monkeypatch, capsys,
                                       argv, message):
         monkeypatch.chdir(tmp_path)
@@ -338,4 +352,130 @@ class TestFuzz:
                     except ValueError as exc:
                         assert error == str(exc), (trial, combo, error)
         assert outcomes["fitted"] >= 10 and outcomes["rejected"] >= 10, \
+            outcomes
+
+    def test_fuzzed_config_files_run_finite_or_name_the_file_and_key(
+            self, tables, tmp_path, monkeypatch):
+        """A seeded fuzz of ``--config`` files through ``main`` for
+        ``extract``, ``rfe``, ``train``, ``predict`` and ``evaluate``:
+        values replaced, keys dropped, an unknown key added, the whole
+        document replaced. Each run exits 0 with finite outputs, or raises
+        an error that names the config file and a mutated key (the file
+        alone for a replaced document). Two rejections name the file at
+        fault instead: a path setting that names no readable file is
+        refused by the OS error for that path, and an ``n_keep`` above the
+        feature columns by one that names the features file."""
+        f, m = tables
+        preds = tmp_path / "p.csv"
+        preds.write_text("subject_id,predicted_days\n" + "".join(
+            f"S{i},{250.0 + 31.5 * i!r}\n" for i in range(N_SUBJECTS)))
+        model = tmp_path / "model"
+        assert main(["train", "--predictor", "linear", "--features", str(f),
+                     "--metadata", str(m), "--out", str(model)]) == 0
+        labels = np.zeros((10, 10, 10), dtype=np.int16)
+        labels[2:8, 2:8, 2:8] = 2
+        labels[3:7, 3:7, 3:7] = 4
+        labels[4:6, 4:6, 4:6] = 1
+        # a narrow intensity range: the fuzz's bin width 1e-3 gives a few
+        # gray levels, where a wide range would give that many thousand
+        scan = 100.0 + np.random.default_rng(9).integers(0, 5, labels.shape) \
+            * 1e-3
+        write_nifti(str(tmp_path / "mask.nii.gz"), labels)
+        write_nifti(str(tmp_path / "scan.nii.gz"), scan)
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text(f"ID,mask,scan\nS0,{tmp_path / 'mask.nii.gz'},"
+                            f"{tmp_path / 'scan.nii.gz'}\n")
+        base = {
+            "extract": {"subjects": str(subjects), "metadata": str(m),
+                        "out": "x.csv", "features": "all", "roi": "WT",
+                        "bins": 8, "channel": "t1"},
+            "rfe": {"features": str(f), "metadata": str(m), "out": "o",
+                    "n_keep": 1, "estimator": "linear",
+                    "estimator_params": {}, "step": 1, "seed": 0},
+            "train": {"features": str(f), "metadata": str(m), "out": "o",
+                      "predictor": "linear", "params": {}, "cv_folds": 3,
+                      "seed": 0},
+            "predict": {"model": str(model / "model.json"),
+                        "features": str(f), "out": "p.csv"},
+            "evaluate": {"predictions": str(preds), "metadata": str(m),
+                         "out": "o", "eval_filter": "all", "t_lo": 300,
+                         "t_hi": 450}}
+        # other values each setting accepts, drawn as often as fuzz values
+        accepted = {
+            "extract": {"features": ("image7", "radiomics107"),
+                        "roi": ("TC", "ET", "LABEL1", "LABEL2"),
+                        "bins": (2, 3, 32), "bin_width": (0.25, 1e300),
+                        "channel": ("", "FLAIR")},
+            "rfe": {"n_keep": (2, 3), "estimator": ("rfr", "gbr"),
+                    "estimator_params": ({"lam": 2.0}, {"n_trees": 3}),
+                    "step": (2, 5), "seed": (1, 7)},
+            "train": {"predictor": ("rfr", "gbr", "mlp"),
+                      "params": ({"n_trees": 3}, {"epochs": 4}),
+                      "cv_folds": (2, 5), "seed": (1, 7)},
+            "predict": {},
+            "evaluate": {"eval_filter": ("GTR",), "t_lo": (0, 400.5),
+                         "t_hi": (500, 1e4)}}
+        paths = {"subjects", "metadata", "features", "model", "predictions",
+                 "grid", "out"}
+        x = load_cohort(str(f), str(m)).X
+        rng = np.random.default_rng(4242)
+        outcomes = {"ran": 0, "rejected": 0}
+        for trial in range(400):
+            command = sorted(base)[trial % len(base)]
+            doc = copy.deepcopy(base[command])
+            keys = sorted(COMMANDS[command][2])
+            mutated = set()
+            for _ in range(int(rng.integers(1, 3))):
+                pick, key = rng.random(), keys[int(rng.integers(len(keys)))]
+                values = accepted[command].get(key, ()) if pick < 0.6 \
+                    else FUZZ_VALUES
+                if pick < 0.05:
+                    doc = copy.deepcopy(FUZZ_VALUES[int(rng.integers(
+                        len(FUZZ_VALUES)))])
+                    mutated = set()
+                    break
+                if pick < 0.15:
+                    key = "bogus"
+                    doc[key] = 1
+                elif pick < 0.3:
+                    doc.pop(key, None)
+                elif values:
+                    doc[key] = copy.deepcopy(values[int(rng.integers(
+                        len(values)))])
+                mutated.add(key)
+            config, run = tmp_path / f"c{trial}.json", tmp_path / f"r{trial}"
+            config.write_text(json.dumps(doc))
+            run.mkdir()
+            monkeypatch.chdir(run)
+            try:
+                assert main([command, "--config", str(config)]) == 0, trial
+            except OSError as exc:
+                assert any(doc.get(key) == exc.filename
+                           for key in mutated & paths), (trial, doc, exc)
+                outcomes["rejected"] += 1
+                continue
+            except (SystemExit, ValueError, KeyError, RuntimeError) as exc:
+                message = str(exc)
+                assert str(config) in message or message.startswith(
+                    f"{f}: n_keep "), (trial, doc, message)
+                assert not mutated or any(
+                    re.search(rf"\b{key}\b", message) for key in mutated), \
+                    (trial, doc, message)
+                outcomes["rejected"] += 1
+                continue
+            outcomes["ran"] += 1
+            out = run / doc.get("out", "")
+            if command == "train":
+                model_out = load_model(str(out / "model.json"))
+                assert np.isfinite(predict(model_out, x)).all(), trial
+                continue
+            table = {"extract": out, "rfe": out / "reduced_features.csv",
+                     "predict": out, "evaluate": out / "metrics.csv"}[command]
+            _, rows = read_csv(str(table))
+            cells = [cell for row in rows for cell in row[1:]]
+            if command == "evaluate":
+                cells = [cell for row in rows for cell in row[3:9]]
+            assert cells and all(math.isfinite(parse_number(cell))
+                                 for cell in cells), (trial, doc)
+        assert outcomes["ran"] >= 60 and outcomes["rejected"] >= 150, \
             outcomes

@@ -9,9 +9,10 @@ from radsurv.radiomics import shape_features
 from radsurv.radiomics.shape import (ShapeError, _diameters, _line_ends,
                                     _max_distance_within,
                                     _max_pairwise_distance, _surface_mask,
-                                    extract_mesh, mesh_area_volume)
+                                    extract_mesh, mesh_area_volume,
+                                    taubin_smooth)
 from radsurv.volumeio import derive_roi
-from conftest import make_roi
+from conftest import make_roi, traced_peak
 import oracles
 
 
@@ -157,6 +158,52 @@ def test_mesh_digests():
             h.update(np.ascontiguousarray(a).tobytes())
         got[name] = h.hexdigest()
     assert got == MESH_DIGESTS
+
+
+def _taubin_meshes():
+    """(name, vertices, faces): the meshes the smoothing is checked on."""
+    m = gen_mask(PhantomSpec(shape="ellipsoid", params=(7.0, 5.5, 4.0),
+                             center=(9.0, 8.0, 7.0), dims=(19, 17, 15)))
+    yield ("ellipsoid", *extract_mesh(m.labels > 0))
+    # 45% noise: ambiguous cube cases and vertices of high degree
+    noise = np.random.default_rng(41).random((12, 11, 10)) < 0.45
+    yield ("noise", *extract_mesh(noise))
+    blobs = np.zeros((14, 8, 8), dtype=bool)
+    blobs[1:5, 2:6, 1:6] = True
+    blobs[8:13, 1:4, 3:7] = True
+    yield ("two_blobs", *extract_mesh(blobs))
+    one = np.zeros((1, 1, 1), dtype=bool)
+    one[0, 0, 0] = True
+    yield ("single_voxel", *extract_mesh(one))
+    vertices, faces = extract_mesh(noise)
+    perm = np.random.default_rng(42).permutation(len(vertices))
+    shuffled = np.empty_like(vertices)
+    shuffled[perm] = vertices
+    yield ("shuffled", shuffled, perm[faces])
+    vertices, faces = extract_mesh(blobs)
+    lone = np.vstack([vertices, [[50.5, -3.0, 7.25]]])   # in no face
+    yield ("unreferenced_vertex", lone, faces)
+
+
+class TestTaubinTable:
+    def test_bits_equal_bincount_oracle(self):
+        for name, vertices, faces in _taubin_meshes():
+            got = taubin_smooth(vertices, faces)
+            want = oracles.taubin_via_bincount(vertices, faces)
+            assert got.shape == want.shape and got.flags.c_contiguous, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_peak_no_higher_than_bincount_oracle(self):
+        # the extract_brats smooth lobe: about 12k vertices and 25k faces
+        m = gen_mask(PhantomSpec(shape="ellipsoid", params=(30, 26, 22),
+                                 center=(31.0, 27.0, 23.0), dims=(63, 55, 47)))
+        vertices, faces = extract_mesh(m.labels > 0)
+        assert len(vertices) > 10000
+        got, peak = traced_peak(lambda: taubin_smooth(vertices, faces))
+        want, oracle_peak = traced_peak(
+            lambda: oracles.taubin_via_bincount(vertices, faces))
+        assert got.tobytes() == want.tobytes()
+        assert peak <= oracle_peak
 
 
 class TestAxisPermutation:
