@@ -31,9 +31,9 @@ from .cohort import load_cohort, read_features_csv
 from .featselect import EstimatorSpec, rfe
 from .phantoms import (PHANTOM_SHAPES, CohortSpec, PhantomSpec, gen_cohort,
                        gen_mask)
-from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, METRICS_COLUMNS,
-                        check_thresholds, evaluate, fit, run_experiment_matrix,
-                        save_fit)
+from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, FEATURE_SETS,
+                        METRICS_COLUMNS, check_thresholds, evaluate, fit,
+                        resolve_grid, run_experiment_matrix, save_fit)
 from .radiomics import (EXTRACT_MODES, FEATURE_COLUMNS, Binning,
                         RadiomicsConfig, extract_row)
 from .regressors import (FAMILIES, PREDICTOR_KINDS, check_param_keys,
@@ -76,17 +76,17 @@ def _check_params(command: str, setting: str, kinds, params: dict,
                   grid=None) -> None:
     """A SystemExit naming the command and the setting where ``params``
     holds a key no predictor family reads or a value that a fit of one of
-    the predictor ``kinds`` would reject; unknown kinds are left to it.
-    A grid search reads no ``params``, so with a ``grid`` they must be
-    empty."""
+    the predictor ``kinds`` would reject, or where ``grid`` names no grid
+    of each kind. A grid search reads no ``params``, so with a ``grid``
+    they must be empty."""
     prefix = f"radsurv {command}: {setting}: "
     if grid and params:
         raise SystemExit(f"{prefix}a grid search reads no {setting}, so "
                          f"they must be {{}} when grid is set")
     _or_exit(prefix, check_param_keys, params)
     for kind in kinds:
-        if kind in FAMILIES:
-            _or_exit(prefix, FAMILIES[kind].settings, params)
+        _or_exit(prefix, FAMILIES[kind].settings, params)
+        _or_exit(f"radsurv {command}: grid: ", resolve_grid, grid, kind)
 
 
 def _merge_config(command: str, settings: dict,
@@ -325,9 +325,21 @@ def cmd_evaluate(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
+def _names(setting: str, value: str, choices) -> list[str]:
+    """A comma list's names; a SystemExit names an unknown or repeated one."""
+    names = value.split(",")
+    for i, name in enumerate(names):
+        _or_exit("radsurv experiment: ", one_of(choices), name, setting)
+        if name in names[:i]:
+            raise SystemExit(f"radsurv experiment: {setting} names "
+                             f"{name!r} twice")
+    return names
+
+
 def cmd_experiment(resolved: dict) -> int:
-    feature_sets = [s for s in str(resolved["feature_sets"]).split(",") if s]
-    predictors = [s for s in str(resolved["predictors"]).split(",") if s]
+    feature_sets = _names("feature_sets", resolved["feature_sets"],
+                          FEATURE_SETS)
+    predictors = _names("predictors", resolved["predictors"], PREDICTOR_KINDS)
     _check_params("experiment", "params", predictors, resolved["params"],
                   resolved["grid"])
     cohort = load_cohort(resolved["features"], resolved["metadata"])

@@ -59,7 +59,7 @@ class RadiomicsConfig:
 
     roi_kind: str = "WT"
     binning: Binning = Binning("fixed_bin_count", 32)
-    gldm_alpha: float = 0.0
+    gldm_alpha: float = 0.0     # [0, 1) only; perfbench/workloads.py reads it
 
 
 @dataclass

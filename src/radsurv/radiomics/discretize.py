@@ -15,9 +15,9 @@ Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
 the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
 builders. ``direction_pairs`` yields the in-ROI voxel pairs (v, v + d) of
 one direction d of ``DIRECTIONS_13`` at a time, so no pair array spans all
-13 directions. ``texture_counts`` is the one walk over those directions
-that every texture family reads (``texture.count_textures``), made once,
-on first use; a DiscretizedRoi never changes, so the walk never goes stale.
+13 directions; ``texture.count_textures`` alone reads them. Its one walk
+leaves every texture family's table finished in ``texture_counts``, made
+once, on first use; a DiscretizedRoi never changes, so it never goes stale.
 """
 
 from __future__ import annotations

@@ -5,21 +5,19 @@ Conventions, fixed across the package and mirrored by the test oracles:
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
-  and GLRLM. Every family reads the in-ROI voxel pairs (v, v + d) over the
-  13 half-offsets d (every 26-neighbor pair once) through one walk,
-  ``count_textures``, made once per ``DiscretizedRoi``. The walk builds
-  one direction's pairs at a time and, before the next, adds its GLCM
-  counts, takes its equal-level pairs, walks its GLRLM runs as chains of
-  those pairs from their starts, adds its GLDM dependence counts
-  (0 <= alpha < 1: integer levels differ by at most alpha only when
-  equal) and runs one zone-labelling round on them, keeping only the
-  pairs whose voxels still hold two labels. No pair array outlives its
-  direction: the walk keeps the count tables, and after it labelling
-  finishes on the kept pairs, so GLSZM zones are the connected components
-  of all 13 directions' equal-level pairs. GLDM at any other alpha walks
-  the directions again. Every count is an integer, so no table depends on
-  the order in which the pairs are visited. NGTDM reads no pairs: its
-  neighbor counts and level sums are 3x3x3 box sums over the level map.
+  and GLRLM. One walk, ``count_textures``, made once per
+  ``DiscretizedRoi``, reads the in-ROI voxel pairs (v, v + d) over the 13
+  half-offsets d (every 26-neighbor pair once), one direction at a time:
+  it adds their GLCM counts, takes the equal-level pairs, walks their
+  GLRLM runs from their starts, adds their GLDM dependence counts and
+  runs one zone-labelling round on them; no other pair outlives its
+  direction. After the walk, labelling finishes on the pairs whose voxels
+  still hold two labels, so GLSZM zones are the components of all 13
+  directions' equal-level pairs, and the GLCM and GLRLM tables are
+  finished in place: each family only reads its table. Every count is an
+  integer, so no table depends on the order of the pairs. NGTDM reads no
+  pairs: its neighbor counts and level sums are 3x3x3 box sums over the
+  level map.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
@@ -181,9 +179,9 @@ class TextureCounts:
     """The count tables of every texture family of one ``DiscretizedRoi``,
     read-only: what one walk over ``DIRECTIONS_13`` keeps."""
 
-    glcm: np.ndarray        # (13, Ng, Ng) pairs (level of v, level of v + d)
-    longer: np.ndarray      # (13, Ng, W) runs of level i along d, > k voxels
-    gldm: np.ndarray        # (Ng, 27) dependence counts, 0 <= alpha < 1
+    glcm: np.ndarray        # (13, Ng, Ng) symmetrized pair counts along d
+    runs: np.ndarray        # (13, Ng, W) runs of level i along d, k + 1 long
+    gldm: np.ndarray        # (Ng, 27) voxels by equal-level neighbor count
     zones: tuple            # (level - 1, size - 1) of every zone
 
 
@@ -235,6 +233,10 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
         left.append((a, b))
     # each run's first voxel is one that no step reaches
     longer[:, :, 0] = np.bincount(lv, minlength=ng) - longer.sum(axis=2)
+    # a run of k + 1 voxels has more than k but not more than k + 1; numpy
+    # buffers overlapping operands, and integer counts subtract exactly
+    longer[:, :, :-1] -= longer[:, :, 1:]
+    glcm += glcm.transpose(0, 2, 1)
     src, dst = (np.concatenate(ends) for ends in zip(*left))
     del left
     while src.size:
@@ -256,8 +258,7 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
 def glcm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Symmetrized co-occurrence counts as a (13, Ng, Ng) stack, one matrix
     per direction in ``DIRECTIONS_13`` order."""
-    p = disc.texture_counts.glcm
-    return p + p.transpose(0, 2, 1)
+    return disc.texture_counts.glcm
 
 
 def _glcm_values(counts: np.ndarray, ng: int) -> np.ndarray:
@@ -386,14 +387,8 @@ def glcm_features(disc: DiscretizedRoi) -> dict[str, float]:
 
 def glrlm_matrices(disc: DiscretizedRoi) -> np.ndarray:
     """Run-length counts (level x run length) as a (13, Ng, W) stack, one
-    matrix per direction in ``DIRECTIONS_13`` order; runs are walked by
-    ``count_textures``."""
-    at = disc.texture_counts.longer
-    # a run of k + 1 voxels has more than k but not more than k + 1; the
-    # counts are integers, so these differences are exact
-    runs = at.copy()
-    runs[:, :, :-1] -= at[:, :, 1:]
-    return runs
+    matrix per direction in ``DIRECTIONS_13`` order."""
+    return disc.texture_counts.runs
 
 
 def _run_zone_values(p: np.ndarray, n_voxels: int) -> np.ndarray:
@@ -479,31 +474,20 @@ def glszm_features(disc: DiscretizedRoi) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # GLDM
 
-def gldm_matrix(disc: DiscretizedRoi, alpha: float = 0.0) -> np.ndarray:
-    """Dependence count matrix (level x dependence count 0..26).
-
-    Each neighbor pair whose levels differ by at most ``alpha`` adds one to
-    the dependence count of both its voxels. For 0 <= alpha < 1 that is
-    the equal-level pairs, counted by ``count_textures``; any other alpha
-    walks the directions again.
-    """
-    if 0 <= alpha < 1:
-        return disc.texture_counts.gldm
-    levels = disc.levels
-    n = levels.size
-    dep = np.zeros(n, dtype=np.int64)
-    for a, b in disc.direction_pairs():
-        close = np.flatnonzero(np.abs(levels[a] - levels[b]) <= alpha)
-        dep += np.bincount(a[close], minlength=n)
-        dep += np.bincount(b[close], minlength=n)
-    return _counts((levels - 1) * 27 + dep, (disc.n_levels, 27))
+def gldm_matrix(disc: DiscretizedRoi) -> np.ndarray:
+    """Dependence count matrix (level x dependence count 0..26): each
+    voxel by the number of its 26 neighbors at its level."""
+    return disc.texture_counts.gldm
 
 
 def gldm_features(disc: DiscretizedRoi, alpha: float = 0.0) -> dict[str, float]:
     """The 14 GLDM features: the run/zone formulas over the dependence matrix
     (size d = count + 1), less its entries 3 (GLN normalized) and 6
-    (percentage)."""
-    values = _run_zone_values(gldm_matrix(disc, alpha)[None],
+    (percentage). Every ``alpha`` in [0, 1) counts the equal-level neighbors,
+    and callers pass ``RadiomicsConfig.gldm_alpha``; any other alpha raises."""
+    if not 0 <= alpha < 1:
+        raise TextureError(f"GLDM alpha must be in [0, 1), got {alpha!r}")
+    values = _run_zone_values(gldm_matrix(disc)[None],
                               disc.roi.voxel_count)[0].tolist()
     del values[6], values[3]
     return dict(zip(GLDM_FEATURE_NAMES, values))

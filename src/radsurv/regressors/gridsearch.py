@@ -9,6 +9,7 @@ the minimal mean among those that trained, and it is retrained on all data.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ def resolve_grid(spec, kind: str):
         return None
     if spec == "default":
         return family(kind).grid   # ValueError for an unknown kind
+    if not os.path.isfile(spec):
+        raise ValueError(f"{spec}: no grid file of that name ('default' "
+                         "is the stock grid)")
     grid = read_json(spec, "grid file", kind=list)
     if not grid or not all(isinstance(combo, dict) for combo in grid):
         raise ValueError(f"{spec}: grid file must hold a non-empty array of "

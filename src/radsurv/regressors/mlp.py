@@ -54,11 +54,16 @@ def init_parameters(n_inputs: int, widths: tuple[int, ...], seed: int):
     return weights, biases
 
 
-def forward(weights, biases, x: np.ndarray) -> np.ndarray:
-    h = x
+def _hidden(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """The input and each hidden layer's rectified output, in order."""
+    activations = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return (h @ weights[-1] + biases[-1])[:, 0]
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    return activations
+
+
+def forward(weights, biases, x: np.ndarray) -> np.ndarray:
+    return (_hidden(weights, biases, x)[-1] @ weights[-1] + biases[-1])[:, 0]
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -76,15 +81,8 @@ def _backprop(weights, biases, x: np.ndarray, y: np.ndarray,
               grad_w, grad_b) -> np.ndarray:
     """Write the MSE gradients w.r.t. every weight and bias into ``grad_w``
     and ``grad_b`` (arrays shaped like them); return the residuals."""
-    h = x
-    activations = [x]
-    pre = []
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        activations.append(h)
-    out = (h @ weights[-1] + biases[-1])[:, 0]
+    activations = _hidden(weights, biases, x)
+    out = (activations[-1] @ weights[-1] + biases[-1])[:, 0]
     err = out - y
     n = y.shape[0]
 
@@ -93,7 +91,8 @@ def _backprop(weights, biases, x: np.ndarray, y: np.ndarray,
     np.add.reduce(delta, axis=0, out=grad_b[-1])
     back = delta @ weights[-1].T
     for layer in range(len(weights) - 2, -1, -1):
-        back = back * (pre[layer] > 0.0)
+        # max(z, 0) > 0 exactly where z > 0, NaN included
+        back = back * (activations[layer + 1] > 0.0)
         np.matmul(activations[layer].T, back, out=grad_w[layer])
         np.add.reduce(back, axis=0, out=grad_b[layer])
         if layer > 0:

@@ -22,8 +22,10 @@ import pytest
 from radsurv import cli, phantoms
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
+from radsurv.prognosis import FEATURE_SETS
 from radsurv.radiomics import FEATURE_COLUMNS
-from radsurv.regressors import load_model, save_model, train_model
+from radsurv.regressors import (PREDICTOR_KINDS, load_model, save_model,
+                                train_model)
 from radsurv.regressors.gridsearch import resolve_grid
 from radsurv.util import read_csv, read_json
 from radsurv.volumeio import load_mask, load_nifti
@@ -549,12 +551,18 @@ class TestJsonInputs:
         ('[{"n_trees": 3}, "n_trees"]',
          "grid file must hold a non-empty array of JSON objects"),
         ('[{"n_trees": 3}, {"max_depth": NaN}]',
-         "[1].max_depth: nan is not a finite number")],
+         "[1].max_depth: nan is not a finite number"),
+        (None, "no grid file of that name ('default' is the stock grid)"),
+        ("", "no grid file of that name ('default' is the stock grid)")],
         ids=["invalid", "object", "nested", "empty", "not-objects",
-             "non-finite"])
+             "non-finite", "missing", "directory"])
     def test_bad_grid_file_names_the_file(self, tmp_path, text, message):
+        """``text`` None writes no file, and "" makes a directory."""
         grid = tmp_path / "grid.json"
-        grid.write_text(text)
+        if text:
+            grid.write_text(text)
+        elif text == "":
+            grid.mkdir()
         with pytest.raises(ValueError, match=re.escape(f"{grid}: {message}")):
             resolve_grid(str(grid), "rfr")
 
@@ -627,18 +635,62 @@ class TestBoundaryChecks:
                      "--out", str(tmp_path / "ph")]) == 0
         return tmp_path / "ph"
 
-    @pytest.mark.parametrize("flag,names,bad", [
-        ("--feature-sets", "image7,bogus", "unknown feature_set 'bogus'"),
-        ("--predictors", "linear,bogus", "unknown predictor kind 'bogus'")])
-    def test_experiment_checks_every_name_before_any_cell(
-            self, cohort_dir, tmp_path, flag, names, bad):
+    @pytest.mark.parametrize("setting,names,bad", [
+        ("feature_sets", "image7,bogus", "'bogus'"),
+        ("predictors", "linear,bogus", "'bogus'"),
+        ("feature_sets", "abc", "'abc'"), ("predictors", "xgb", "'xgb'"),
+        ("feature_sets", ",", "''"), ("predictors", "", "''"),
+        ("feature_sets", "image7,image7", None),
+        ("predictors", "linear,gbr,linear", None)],
+        ids=["bogus-set", "bogus-predictor", "abc", "xgb", "comma", "empty",
+             "repeated-set", "repeated-predictor"])
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_experiment_checks_every_name_before_any_input(
+            self, tmp_path, setting, names, bad, by):
+        """An empty list used to run no cell and exit 0, a repeated name
+        to run its cells twice, and an unknown one to end in a bare
+        ValueError; the feature and metadata files here do not exist."""
+        choices = {"feature_sets": FEATURE_SETS,
+                   "predictors": PREDICTOR_KINDS}[setting]
+        message = (f"radsurv experiment: {setting} must be one of "
+                   f"{list(choices)}, not {bad}" if bad else
+                   f"radsurv experiment: {setting} names "
+                   f"{names.split(',')[0]!r} twice")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({setting: names} if by == "config"
+                                     else {}))
+        flag = ["--" + setting.replace("_", "-"), names] if by == "flag" \
+            else []
         out = tmp_path / "exp"
-        with pytest.raises(ValueError, match=re.escape(bad)):
-            main(["experiment", "--features", str(cohort_dir / "features.csv"),
-                  "--metadata", str(cohort_dir / "metadata.csv"),
-                  "--feature-sets", "image7", "--predictors", "linear",
-                  flag, names, "--out", str(out)])
-        assert list(out.iterdir()) == []
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--features", str(tmp_path / "f.csv"),
+                  "--metadata", str(tmp_path / "m.csv"),
+                  "--config", str(config), *flag, "--out", str(out)])
+        assert str(exc.value) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("grid,message", [
+        ("defualt", "defualt: no grid file of that name ('default' is the "
+                    "stock grid)"),
+        ("grid.json", "grid.json: grid file is not valid JSON: "),
+        (".", ".: no grid file of that name")],
+        ids=["misspelt", "invalid-json", "directory"])
+    def test_bad_grid_exits_before_any_input(self, tmp_path, monkeypatch,
+                                             command, grid, message):
+        """Such grids used to end in a FileNotFoundError traceback, or in
+        a ValueError once the cohort was read; the feature and metadata
+        files here do not exist."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.json").write_text('[{"n_trees": ')
+        (tmp_path / "config.json").write_text(json.dumps({"grid": grid}))
+        argv = ["--predictor", "rfr"] if command == "train" else [
+            "--predictors", "linear,rfr"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--features", "f.csv", "--metadata",
+                  "m.csv", "--config", "config.json", "--out", "out"])
+        assert str(exc.value).startswith(f"radsurv {command}: grid: {message}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,config,message", [
         (["train", "--predictor", "gbr", "--params", '{"n_estimators": -3}'],
@@ -786,6 +838,18 @@ def _calls_by_function(node):
         if isinstance(child, ast.Call):
             yield scope, getattr(child.func, "id",
                                  getattr(child.func, "attr", None))
+
+
+def test_direction_pairs_are_walked_only_by_count_textures():
+    """``texture.count_textures`` is the one walk over the neighbour pairs,
+    and every texture family reads the tables it leaves."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    callers = {(path.name, scope)
+               for path in package.rglob("*.py")
+               for scope, name in _calls_by_function(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if name == "direction_pairs"}
+    assert callers == {("texture.py", "count_textures")}
 
 
 def test_feature_rows_are_composed_only_by_extract_row():

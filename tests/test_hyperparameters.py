@@ -87,9 +87,9 @@ class TestUnknownKeys:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"n_trees": 3}, {"max_dept": 2}]))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="^" + re.escape(
-                f"{grid}: grid[1].max_dept is not a hyperparameter of any "
-                "predictor family") + "$"):
+        with pytest.raises(SystemExit, match="^" + re.escape(
+                f"radsurv train: grid: {grid}: grid[1].max_dept is not a "
+                "hyperparameter of any predictor family") + "$"):
             main(["train", "--predictor", "rfr", "--grid", str(grid),
                   "--features", str(f), "--metadata", str(m),
                   "--out", str(out)])

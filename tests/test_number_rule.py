@@ -363,8 +363,9 @@ class TestFuzz:
         an error that names the config file and a mutated key (the file
         alone for a replaced document). Two rejections name the file at
         fault instead: a path setting that names no readable file is
-        refused by the OS error for that path, and an ``n_keep`` above the
-        feature columns by one that names the features file."""
+        refused by the OS error for that path (a grid by an exit naming
+        the grid), and an ``n_keep`` above the feature columns by one that
+        names the features file."""
         f, m = tables
         preds = tmp_path / "p.csv"
         preds.write_text("subject_id,predicted_days\n" + "".join(
@@ -457,7 +458,9 @@ class TestFuzz:
             except (SystemExit, ValueError, KeyError, RuntimeError) as exc:
                 message = str(exc)
                 assert str(config) in message or message.startswith(
-                    f"{f}: n_keep "), (trial, doc, message)
+                    f"{f}: n_keep ") or message.startswith(
+                    f"radsurv {command}: grid: {doc.get('grid')}: "), \
+                    (trial, doc, message)
                 assert not mutated or any(
                     re.search(rf"\b{key}\b", message) for key in mutated), \
                     (trial, doc, message)

@@ -65,11 +65,11 @@ class TestExtractRadiomics:
         neighbor pairs, gives the bytes of its slice of the full vector,
         whose families share one DiscretizedRoi."""
         vol, mask = phantom
-        vec = extract_radiomics(vol, mask, RadiomicsConfig(gldm_alpha=1.0))
+        vec = extract_radiomics(vol, mask, RadiomicsConfig(gldm_alpha=0.5))
         families = {
             "glcm": glcm_features, "glrlm": glrlm_features,
             "glszm": glszm_features, "ngtdm": ngtdm_features,
-            "gldm": lambda disc: gldm_features(disc, 1.0),
+            "gldm": lambda disc: gldm_features(disc, 0.5),
             "firstorder": lambda disc: first_order_features(vol, disc.roi,
                                                             disc),
         }
