@@ -9,7 +9,8 @@ runs the command and echoes the fully resolved configuration (schema
 ``radsurv-config/1``) next to its outputs, so reruns are reproducible from
 the artifacts alone. Outputs are byte-identical across reruns with the same
 inputs and seed. Exit status is 0 only when every requested subject or
-experiment cell succeeded.
+experiment cell succeeded. A path setting that names no file, or the
+wrong kind of file, exits with one line naming the setting and the path.
 
 Environment: RADSURV_WORKERS (a positive integer, default 1) caps the
 extract thread pool, not the output order; RADSURV_LOG sets the log level.
@@ -559,18 +560,31 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     func, _, settings = COMMANDS[args.command]
-    resolved = _merge_config(args.command, settings, args)
-    if "t_lo" in resolved:   # before any input is read
-        _or_exit(f"{args.config}: " if args.config
-                 and None in (args.t_lo, args.t_hi) else "",
-                 check_thresholds, (resolved["t_lo"], resolved["t_hi"]))
-    status = func(resolved)
-    out = resolved["out"]
-    if settings["out"][1] is not _OUT_DIR:
-        out = os.path.dirname(os.path.abspath(out))
-    write_json(os.path.join(out, "resolved_config.json"),
-               {"schema": CONFIG_SCHEMA, "version": __version__,
-                "command": args.command, **resolved})
+    resolved = {}
+    try:
+        resolved = _merge_config(args.command, settings, args)
+        if "t_lo" in resolved:   # before any input is read
+            _or_exit(f"{args.config}: " if args.config
+                     and None in (args.t_lo, args.t_hi) else "",
+                     check_thresholds, (resolved["t_lo"], resolved["t_hi"]))
+        status = func(resolved)
+        out = resolved["out"]
+        if settings["out"][1] is not _OUT_DIR:
+            out = os.path.dirname(os.path.abspath(out))
+        write_json(os.path.join(out, "resolved_config.json"),
+                   {"schema": CONFIG_SCHEMA, "version": __version__,
+                    "command": args.command, **resolved})
+    except OSError as exc:
+        # the setting holding the path: path settings lead each table
+        values = {"config": args.config, **resolved}
+        path = exc.filename and os.path.abspath(exc.filename)
+        setting = next((key for key, value in values.items()
+                        if isinstance(value, str)
+                        and os.path.abspath(value) == path), None)
+        if setting is None:
+            raise
+        raise SystemExit(f"radsurv {args.command}: {setting} "
+                         f"{values[setting]}: {exc.strerror}") from None
     return status
 
 

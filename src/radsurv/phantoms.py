@@ -38,6 +38,7 @@ from .rng import make_rng
 from .volumeio import LabelMask, SubjectRecord, VoxelVolume
 from .cohort import Cohort
 from .prognosis import DEFAULT_THRESHOLDS, check_thresholds
+from .radiomics import FEATURE_COLUMNS, extract_row
 
 # each shape with the number of params it takes
 PHANTOM_SHAPES = {"sphere": 1, "ellipsoid": 3, "cuboid": 3, "single_voxel": 0}
@@ -219,8 +220,6 @@ def gen_cohort(spec: CohortSpec):
             raise PhantomError(f"{name} must be 3 proportions summing to 1, "
                                f"got {tuple(float(p) for p in mix)}")
     check_thresholds(spec.thresholds)
-
-    from .radiomics import FEATURE_COLUMNS, extract_row
 
     feature_names = list(FEATURE_COLUMNS["all"]) + [
         f"noise.{k:03d}" for k in range(spec.n_distractors)]

@@ -32,6 +32,7 @@ import numpy as np
 
 from .cohort import Cohort
 from .featselect import EstimatorSpec, rfe
+from .radiomics import FEATURE_COLUMNS
 from .regressors import family, grid_search_cv, predict, save_model, train_model
 from .regressors.gridsearch import resolve_grid
 from .util import fmt_float, write_csv, write_json
@@ -171,8 +172,6 @@ def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan):
     """(feature names, RFE ranking) of a set; the ranking is None but for
     rfe20, whose RFE pass over the radiomics107 columns depends on the plan
     only through its seed and RFE settings."""
-    from .radiomics import FEATURE_COLUMNS
-
     if name != "rfe20":
         return list(FEATURE_COLUMNS[name]), None
     radiomics = list(FEATURE_COLUMNS["radiomics107"])
@@ -252,7 +251,7 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
 
     Returns (results, paths): per-cell results in row-major order plus the
     matrix-level metrics CSV paths (metrics_train.csv / metrics_eval.csv,
-    one row per cell).
+    one row per cell); a cell's error starts ``<feature_set>__<predictor>: ``.
     """
     base = base_plan or {}
     # every plan is built, and so every name checked, before any cell runs
@@ -262,10 +261,16 @@ def run_experiment_matrix(cohort: Cohort, feature_sets: list[str],
     last = {plan.feature_set: plan for plan in plans}
     selections = {fs: resolve_feature_set(fs, cohort, plan)
                   for fs, plan in last.items()}
-    results = [run_experiment(cohort, plan, os.path.join(
-                   outdir, f"{plan.feature_set}__{plan.predictor}")
-                   if outdir else None, selections[plan.feature_set])
-               for plan in plans]
+    results = []
+    for plan in plans:
+        cell = f"{plan.feature_set}__{plan.predictor}"
+        try:
+            results.append(run_experiment(
+                cohort, plan, os.path.join(outdir, cell) if outdir else None,
+                selections[plan.feature_set]))
+        except (ValueError, RuntimeError) as exc:   # kept, with its fields
+            exc.args = (f"{cell}: {exc}",)
+            raise
     paths = {} if outdir is None else {
         f"metrics_{dataset}": os.path.join(outdir, f"metrics_{dataset}.csv")
         for dataset in ("train", "eval")}

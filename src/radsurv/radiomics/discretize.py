@@ -12,12 +12,9 @@ A non-finite intensity inside the ROI is rejected, naming the first such
 voxel in index order.
 
 Levels are stored as a 3D map over the ROI's box (``roi.box``: 0 outside
-the ROI, 1..Ng inside), which is the natural shape for the texture-matrix
-builders. ``direction_pairs`` yields the in-ROI voxel pairs (v, v + d) of
-one direction d of ``DIRECTIONS_13`` at a time, so no pair array spans all
-13 directions; ``texture.count_textures`` alone reads them. Its one walk
-leaves every texture family's table finished in ``texture_counts``, made
-once, on first use; a DiscretizedRoi never changes, so it never goes stale.
+the ROI, 1..Ng inside). This module only bins; ``texture_counts`` keeps the
+tables of the one walk over the neighbour pairs, ``texture.count_textures``,
+made on first use: a DiscretizedRoi never changes, so they never go stale.
 """
 
 from __future__ import annotations
@@ -28,15 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from ..volumeio import RoiMask, VoxelVolume
-
-# The 13 canonical direction offsets: the lexicographically positive half
-# of the 26-neighborhood (first nonzero component positive).
-DIRECTIONS_13 = (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
-    (0, 1, 1), (0, 1, -1),
-    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-)
+from .texture import TextureCounts, count_textures
 
 
 class DiscretizationError(ValueError):
@@ -61,12 +50,6 @@ class Binning:
                 f"bin count must be an integer >= 2, got {self.value}")
 
 
-def _joined(neighbor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, neighbor[a]) over the a whose neighbor is in the ROI (>= 0)."""
-    a = np.flatnonzero(neighbor >= 0)
-    return a, neighbor[a]
-
-
 @dataclass
 class DiscretizedRoi:
     """Gray levels per ROI voxel."""
@@ -80,28 +63,12 @@ class DiscretizedRoi:
         """Flat 1..Ng level array over ROI voxels (argwhere order)."""
         return self.level_map[self.roi.membership]
 
-    def direction_pairs(self):
-        """For each direction d of ``DIRECTIONS_13`` in order, the pairs of
-        ROI voxels that d joins, as int64 index arrays (a, b) into ``levels``
-        with voxel b = voxel a + d and a ascending."""
-        # the one-voxel pad keeps every neighbor index inside the array and
-        # makes each direction one positive flat shift
-        padded = np.pad(self.level_map, 1)
-        pos = np.flatnonzero(padded.ravel())
-        if pos.size == 0:
-            raise DiscretizationError("empty ROI")
-        number = np.full(padded.size, -1, dtype=np.int64)
-        number[pos] = np.arange(pos.size)
-        strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-        for s in (np.array(DIRECTIONS_13) @ strides).tolist():
-            # no local holds a direction's arrays while its pairs are read
-            yield _joined(number[pos + s])
-
     @cached_property
-    def texture_counts(self):
+    def texture_counts(self) -> TextureCounts:
         """Every texture family's count table, from one walk over the 13
         directions (``texture.count_textures``)."""
-        from .texture import count_textures     # texture imports this module
+        if not self.levels.size:
+            raise DiscretizationError("empty ROI")
         return count_textures(self)
 
 

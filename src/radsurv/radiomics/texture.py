@@ -5,8 +5,9 @@ Conventions, fixed across the package and mirrored by the test oracles:
 * Neighborhoods are infinity-norm distance 1: the 26-neighborhood for
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
-  and GLRLM. One walk, ``count_textures``, made once per
-  ``DiscretizedRoi``, reads the in-ROI voxel pairs (v, v + d) over the 13
+  and GLRLM, ``DIRECTIONS_13``, which this module owns. One walk,
+  ``count_textures``, made once per ``DiscretizedRoi``, numbers the ROI
+  voxels and builds the in-ROI voxel pairs (v, v + d) over the 13
   half-offsets d (every 26-neighbor pair once), one direction at a time:
   it adds their GLCM counts, takes the equal-level pairs, walks their
   GLRLM runs from their starts, adds their GLDM dependence counts and
@@ -47,10 +48,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discretize import DIRECTIONS_13, DiscretizedRoi
+if TYPE_CHECKING:
+    from .discretize import DiscretizedRoi
+
+# The 13 canonical direction offsets: the lexicographically positive half
+# of the 26-neighborhood (first nonzero component positive).
+DIRECTIONS_13 = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+    (0, 1, 1), (0, 1, -1),
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+)
 
 COARSENESS_SENTINEL = 1e6
 
@@ -206,7 +218,17 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
     succ = np.full(nv, -1)
     linked = np.zeros(nv, dtype=bool)
     label, left = np.arange(nv), []
-    for d, (a, b) in enumerate(disc.direction_pairs()):
+    # voxels numbered in levels order; the pad makes each d one flat shift
+    padded = np.pad(disc.level_map, 1)
+    pos = np.flatnonzero(padded.ravel())
+    number = np.full(padded.size, -1, dtype=np.int64)
+    number[pos] = np.arange(pos.size)
+    strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    del padded
+    for d, shift in enumerate((np.array(DIRECTIONS_13) @ strides).tolist()):
+        b = number[pos + shift]
+        a = np.flatnonzero(b >= 0)
+        b = b[a]
         la, lb = lv[a], lv[b]
         cells = la * ng
         cells += lb

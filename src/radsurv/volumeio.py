@@ -185,7 +185,7 @@ class VoxelVolume(VoxelGrid):
 
 @dataclass
 class LabelMask(VoxelGrid):
-    """Integer-labeled grid; labels come from the {0, 1, 2, 4} vocabulary.
+    """Integer-labeled grid; its makers keep labels in {0, 1, 2, 4}.
 
     ``labels`` is the box of the grid whose first voxel has index
     ``corner``; no voxel outside it is labelled. A mask built from a whole
@@ -199,15 +199,12 @@ class LabelMask(VoxelGrid):
     def __post_init__(self):
         super().__post_init__()
         self.corner = self._check_fits("labels", self.labels, self.corner)
-        _check_vocabulary(self.labels)
 
     @cached_property
     def box(self) -> tuple[slice, slice, slice]:
         """The grid's index box of the labelled voxels; empty if no voxel
         is labelled."""
-        box = bounding_box(self.labels > 0)
-        if box is None:
-            return (slice(0, 0),) * 3
+        box = bounding_box(self.labels > 0) or (slice(0, 0),) * 3
         return tuple(slice(c + b.start, c + b.stop)
                      for c, b in zip(self.corner, box))
 
@@ -519,13 +516,12 @@ def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
     An unscaled integer payload is checked as stored; any other must hold
-    finite integers once scaled to float64. A u1 or native i2 payload is
-    kept as stored, and checked once, whole, by ``LabelMask``. Any other is
-    cast to int16 in file order, its labels checked before the cast when
-    int16 cannot hold it, so no value wraps into a valid label. The mask
-    then holds only the box of its labelled voxels (``LabelMask.corner``),
-    read-only and in file order: the payload itself when the box is the
-    whole grid, else a copy of the box.
+    finite integers once scaled to float64. The labels are checked once,
+    on the whole payload, before any cast, so no value wraps into a valid
+    label. The mask then holds only the box of its labelled voxels
+    (``LabelMask.corner``), read-only and in file order: a u1 or native i2
+    payload itself when the box is the whole grid, else the box copied,
+    and any other payload's box cast to int16.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
@@ -539,22 +535,18 @@ def load_mask(path: str) -> LabelMask:
             raise MaskLabelError(
                 f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
         values = rounded
+    _check_vocabulary(values, f"{path}: ")
+    box = bounding_box(values > 0) or (slice(0, 0),) * 3
+    labels = values[box]
     if values.dtype not in (np.uint8, np.int16):
-        if not np.can_cast(values.dtype, np.int16):
-            _check_vocabulary(values, f"{path}: ")
-        values = values.astype(np.int16, order="F")
-        values.flags.writeable = False
-    try:
-        mask = LabelMask(**grid, labels=values)
-    except MaskLabelError as exc:
-        raise MaskLabelError(f"{path}: {exc}") from None
-    # the box is found, and its temporary freed, before the crop is copied
-    box = mask.box
-    if tuple(b.stop - b.start for b in box) != mask.dims:
-        mask.labels = np.array(values[box], order="F")
-        mask.labels.flags.writeable = False
-        mask.corner = tuple(b.start for b in box)
-    return mask
+        labels = labels.astype(np.int16, order="F")
+    elif labels.shape == values.shape:
+        labels = values
+    else:
+        labels = np.array(labels, order="F")
+    labels.flags.writeable = False
+    return LabelMask(**grid, labels=labels,
+                     corner=tuple(b.start for b in box))
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:

@@ -9,6 +9,7 @@ byte.
 import argparse
 import ast
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -783,6 +784,89 @@ class TestBoundaryChecks:
         assert f"{meta}: no metadata row for subject 'S9'" in caplog.text
 
 
+# each command on the files ``run_pipeline`` leaves, and its path settings
+PATH_RUNS = {
+    "extract": (["--subjects", "subjects.csv", "--metadata", "meta.csv",
+                 "--features", "image7", "--out", "ext/img.csv"],
+                ["subjects", "metadata"]),
+    "rfe": (["--features", "ph/features.csv", "--metadata", "ph/metadata.csv",
+             "--estimator", "rfr", "--n-keep", "4", "--step", "50",
+             "--out", "rfe"], ["features", "metadata"]),
+    "train": (["--features", "ph/features.csv", "--metadata",
+               "ph/metadata.csv", "--predictor", "linear", "--params",
+               '{"penalty": "l2", "lam": 1.0}', "--out", "train"],
+              ["features", "metadata"]),
+    "predict": (["--model", "train/model.json", "--features",
+                 "ph/features.csv", "--out", "pred/p.csv"],
+                ["model", "features"]),
+    "evaluate": (["--predictions", "pred/p.csv", "--metadata",
+                  "ph/metadata.csv", "--eval-filter", "all", "--out", "eval"],
+                 ["predictions", "metadata"]),
+    "experiment": (["--features", "ph/features.csv", "--metadata",
+                    "ph/metadata.csv", "--feature-sets", "image7",
+                    "--predictors", "linear", "--eval-filter", "all",
+                    "--t-hi", "480", "--out", "exp"],
+                   ["features", "metadata"]),
+    "phantom": (["--spec", "spec.json", "--out", "ph"], ["spec"]),
+}
+# a path to no file, a directory, and a file where --out names a directory
+PATH_FAULTS = {"missing": ("nope", errno.ENOENT),
+               "directory": ("adir", errno.EISDIR),
+               "file": ("afile", errno.EEXIST)}
+
+
+def _path_cases():
+    for command, (argv, inputs) in PATH_RUNS.items():
+        for setting in [*inputs, "config"]:
+            for fault in ("missing", "directory"):
+                yield command, setting, fault
+        # --out is made where missing; it fails as a directory where it
+        # names a file, and as a file where it names a directory
+        yield command, "out", ("directory" if COMMANDS[command][2]["out"][1]
+                               is not cli._OUT_DIR else "file")
+
+
+class TestPathSettings:
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("paths")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(root)
+            run_pipeline(root)
+        (root / "adir").mkdir()
+        (root / "afile").write_text("")
+        return root
+
+    @pytest.mark.parametrize("command,setting,fault", list(_path_cases()),
+                             ids=["-".join(case) for case in _path_cases()])
+    def test_unreadable_path_names_the_command_and_setting(
+            self, workspace, monkeypatch, command, setting, fault):
+        """Each used to end in a bare FileNotFoundError, IsADirectoryError
+        or FileExistsError traceback that named the path alone."""
+        monkeypatch.chdir(workspace)
+        argv = list(PATH_RUNS[command][0])
+        path, code = PATH_FAULTS[fault]
+        if setting == "config":
+            argv += ["--config", path]
+        else:
+            argv[argv.index("--" + setting) + 1] = path
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert str(exc.value) == (f"radsurv {command}: {setting} {path}: "
+                                  f"{os.strerror(code)}")
+
+    def test_other_os_errors_are_raised_unchanged(self, workspace,
+                                                  monkeypatch):
+        """An OSError for a path that no setting holds, here the model file
+        ``train`` writes inside its --out, keeps its type and message."""
+        monkeypatch.chdir(workspace)
+        argv = list(PATH_RUNS["train"][0])
+        argv[argv.index("--out") + 1] = "blocked"
+        (workspace / "blocked" / "model.json").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match="model.json"):
+            main(["train", *argv])
+
+
 def test_input_files_are_read_only_through_util():
     """Every CSV table and JSON file goes through util.read_csv / read_json,
     so no reader can bypass their checks, and every JSON file is written by
@@ -840,16 +924,37 @@ def _calls_by_function(node):
                                  getattr(child.func, "attr", None))
 
 
-def test_direction_pairs_are_walked_only_by_count_textures():
+def test_count_textures_is_called_only_by_texture_counts():
     """``texture.count_textures`` is the one walk over the neighbour pairs,
-    and every texture family reads the tables it leaves."""
+    made once per ROI by ``DiscretizedRoi.texture_counts``, and every
+    texture family reads the tables it leaves. ``texture`` builds the pairs
+    itself, so it imports nothing from ``discretize`` at run time."""
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
     callers = {(path.name, scope)
                for path in package.rglob("*.py")
                for scope, name in _calls_by_function(
                    ast.parse(path.read_text(encoding="utf-8")))
-               if name == "direction_pairs"}
-    assert callers == {("texture.py", "count_textures")}
+               if name == "count_textures"}
+    assert callers == {("discretize.py", "texture_counts")}
+    texture = ast.parse((package / "radiomics" / "texture.py").read_text(
+        encoding="utf-8"))
+    assert "discretize" not in [node.module for node in texture.body
+                                if isinstance(node, ast.ImportFrom)]
+
+
+def test_imports_are_at_module_level():
+    """No module imports inside a function, so an import cycle shows at
+    import time. ``regressors/__init__`` imports ``persist`` and
+    ``gridsearch`` before its family table is defined, and those two read
+    the table, so only they defer their import of it."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    deferred = {path.relative_to(package).as_posix()
+                for path in package.rglob("*.py")
+                for scope, node in _nodes_by_function(
+                    ast.parse(path.read_text(encoding="utf-8")))
+                if scope != "<module>"
+                and isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert deferred == {"regressors/persist.py", "regressors/gridsearch.py"}
 
 
 def test_feature_rows_are_composed_only_by_extract_row():

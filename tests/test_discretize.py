@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from radsurv.radiomics import Binning, discretize, extract_radiomics
-from radsurv.radiomics.discretize import DIRECTIONS_13, DiscretizationError
+from radsurv.radiomics.discretize import DiscretizationError
 from radsurv.volumeio import derive_roi
-from conftest import make_mask, make_roi, make_volume, random_disc
+from conftest import make_mask, make_roi, make_volume
 
 
 def disc_of(values, binning, shape=None):
@@ -110,24 +110,6 @@ class TestContracts:
         with pytest.raises(ValueError, match="does not match dims"):
             discretize(make_volume(np.ones((4, 3, 3))), roi,
                        Binning("fixed_bin_count", 8))
-
-
-class TestDirectionPairs:
-    def test_pairs_of_each_direction_against_a_voxel_loop(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            disc = random_disc(rng, density=0.5)
-            voxels = [tuple(v) for v in np.argwhere(disc.level_map > 0)]
-            number = {v: n for n, v in enumerate(voxels)}
-            want = [[(number[v], number[w]) for v in voxels
-                     if (w := tuple(np.add(v, d))) in number]
-                    for d in DIRECTIONS_13]
-            assert disc.levels.tolist() == [disc.level_map[v] for v in voxels]
-            pairs = list(disc.direction_pairs())
-            assert len(pairs) == len(want)
-            for (a, b), w in zip(pairs, want):
-                assert a.dtype == b.dtype == np.int64
-                assert list(zip(a.tolist(), b.tolist())) == w
 
 
 class TestNonFinite:

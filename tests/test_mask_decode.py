@@ -345,6 +345,26 @@ def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
     assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)
 
 
+def test_int32_mask_is_cast_only_in_its_box(tmp_path):
+    """A BraTS-size int32 mask with a small tumour peaks below its payload
+    plus 1.5 bytes a voxel: the vocabulary and box are found on the payload
+    (one grid of bools at a time) and only the box is cast. Casting the
+    whole payload to int16 first held the payload and the int16 grid, 2
+    bytes a voxel."""
+    dims = (240, 240, 155)
+    labels = np.zeros(dims, dtype=np.int32)
+    labels[100:120, 90:115, 60:80] = 2
+    labels[105:112, 95:108, 65:72] = 4
+    path = str(tmp_path / "m.nii.gz")
+    volumeio.write_nifti(path, labels)
+    load_mask(path)                          # warm imports and caches
+    mask, peak = traced_peak(lambda: load_mask(path))
+    assert mask.corner == (100, 90, 60) and mask.labels.dtype == np.int16
+    assert np.array_equal(mask.labels, labels[100:120, 90:115, 60:80])
+    assert peak < labels.nbytes + labels.size * 1.5, \
+        f"{peak / 2**20:.1f} MiB traced"
+
+
 class TestGzipStream:
     """What the decoder accepts around the payload, and the exact message of
     each stream it rejects, for both loaders; the large shape's payload spans

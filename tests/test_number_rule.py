@@ -356,15 +356,17 @@ class TestFuzz:
 
     def test_fuzzed_config_files_run_finite_or_name_the_file_and_key(
             self, tables, tmp_path, monkeypatch):
-        """A seeded fuzz of ``--config`` files through ``main`` for
-        ``extract``, ``rfe``, ``train``, ``predict`` and ``evaluate``:
-        values replaced, keys dropped, an unknown key added, the whole
-        document replaced. Each run exits 0 with finite outputs, or raises
-        an error that names the config file and a mutated key (the file
-        alone for a replaced document). Two rejections name the file at
-        fault instead: a path setting that names no readable file is
-        refused by the OS error for that path (a grid by an exit naming
-        the grid), and an ``n_keep`` above the feature columns by one that
+        """A seeded fuzz of ``--config`` files through ``main`` for all
+        seven commands (``experiment`` on a 12-subject phantom cohort with
+        cheap fits, ``phantom`` on a small spec): values replaced, keys
+        dropped, an unknown key added, the whole document replaced. Each
+        run exits 0 with finite outputs, or raises an error that names the
+        config file and a mutated key (the file alone for a replaced
+        document). Some rejections name the setting at fault instead of
+        the file: a path setting that names no readable file is refused by
+        an exit naming the command, the setting and the path, a bad grid
+        or ``experiment`` name list by one naming the command and the
+        setting, and an ``n_keep`` above the feature columns by one that
         names the features file."""
         f, m = tables
         preds = tmp_path / "p.csv"
@@ -386,6 +388,22 @@ class TestFuzz:
         subjects = tmp_path / "subjects.csv"
         subjects.write_text(f"ID,mask,scan\nS0,{tmp_path / 'mask.nii.gz'},"
                             f"{tmp_path / 'scan.nii.gz'}\n")
+        # a small phantom cohort with the 107 radiomics columns, and a spec
+        # of one small mask and a three-subject cohort
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": {
+            "n_subjects": 12, "seed": 3, "intercept": -100.0,
+            "link": {"img.vol_wt": 0.2, "meta.age": 3.0}, "noise_std": 20.0}}))
+        cohort = tmp_path / "cohort"
+        assert main(["phantom", "--spec", str(spec), "--out",
+                     str(cohort)]) == 0
+        pf, pm = cohort / "features.csv", cohort / "metadata.csv"
+        spec.write_text(json.dumps({
+            "masks": [{"shape": "sphere", "params": [3.0],
+                       "center": [5, 5, 5], "dims": [10, 10, 10]}],
+            "cohort": {"n_subjects": 3, "seed": 2}}))
+        cheap = {"penalty": "l2", "lam": 1.0, **CHEAP["rfr"],
+                 **CHEAP["gbr"], **CHEAP["mlp"]}
         base = {
             "extract": {"subjects": str(subjects), "metadata": str(m),
                         "out": "x.csv", "features": "all", "roi": "WT",
@@ -400,7 +418,13 @@ class TestFuzz:
                         "features": str(f), "out": "p.csv"},
             "evaluate": {"predictions": str(preds), "metadata": str(m),
                          "out": "o", "eval_filter": "all", "t_lo": 300,
-                         "t_hi": 450}}
+                         "t_hi": 450},
+            "experiment": {"features": str(pf), "metadata": str(pm),
+                           "out": "o", "feature_sets": "image7",
+                           "predictors": "linear", "seed": 0,
+                           "params": cheap, "cv_folds": 3,
+                           "eval_filter": "all", "t_lo": 300, "t_hi": 450},
+            "phantom": {"spec": str(spec), "out": "o"}}
         # other values each setting accepts, drawn as often as fuzz values
         accepted = {
             "extract": {"features": ("image7", "radiomics107"),
@@ -415,13 +439,21 @@ class TestFuzz:
                       "cv_folds": (2, 5), "seed": (1, 7)},
             "predict": {},
             "evaluate": {"eval_filter": ("GTR",), "t_lo": (0, 400.5),
-                         "t_hi": (500, 1e4)}}
+                         "t_hi": (500, 1e4)},
+            # not rfe20: its RFE pass over 107 columns takes seconds
+            "experiment": {"feature_sets": ("shape", "radiomics107",
+                                            "shape,image7"),
+                           "predictors": ("rfr", "gbr", "mlp", "gbr,linear"),
+                           "seed": (1, 7), "params": ({**cheap, "lam": 2.0},),
+                           "cv_folds": (2, 5), "eval_filter": ("GTR",),
+                           "t_lo": (0, 400.5), "t_hi": (500, 1e4)},
+            "phantom": {}}
         paths = {"subjects", "metadata", "features", "model", "predictions",
-                 "grid", "out"}
+                 "spec", "grid", "out"}
         x = load_cohort(str(f), str(m)).X
         rng = np.random.default_rng(4242)
         outcomes = {"ran": 0, "rejected": 0}
-        for trial in range(400):
+        for trial in range(560):
             command = sorted(base)[trial % len(base)]
             doc = copy.deepcopy(base[command])
             keys = sorted(COMMANDS[command][2])
@@ -450,16 +482,16 @@ class TestFuzz:
             monkeypatch.chdir(run)
             try:
                 assert main([command, "--config", str(config)]) == 0, trial
-            except OSError as exc:
-                assert any(doc.get(key) == exc.filename
-                           for key in mutated & paths), (trial, doc, exc)
-                outcomes["rejected"] += 1
-                continue
             except (SystemExit, ValueError, KeyError, RuntimeError) as exc:
                 message = str(exc)
                 assert str(config) in message or message.startswith(
                     f"{f}: n_keep ") or message.startswith(
-                    f"radsurv {command}: grid: {doc.get('grid')}: "), \
+                    f"radsurv {command}: grid: {doc.get('grid')}: ") or any(
+                    message.startswith(f"radsurv {command}: {key} "
+                                       f"{doc.get(key)}: ")
+                    for key in mutated & paths) or any(
+                    message.startswith(f"radsurv {command}: {key} ")
+                    for key in mutated & {"feature_sets", "predictors"}), \
                     (trial, doc, message)
                 assert not mutated or any(
                     re.search(rf"\b{key}\b", message) for key in mutated), \
@@ -473,12 +505,14 @@ class TestFuzz:
                 assert np.isfinite(predict(model_out, x)).all(), trial
                 continue
             table = {"extract": out, "rfe": out / "reduced_features.csv",
-                     "predict": out, "evaluate": out / "metrics.csv"}[command]
+                     "predict": out, "evaluate": out / "metrics.csv",
+                     "experiment": out / "metrics_eval.csv",
+                     "phantom": out / "features.csv"}[command]
             _, rows = read_csv(str(table))
             cells = [cell for row in rows for cell in row[1:]]
-            if command == "evaluate":
+            if command in ("evaluate", "experiment"):
                 cells = [cell for row in rows for cell in row[3:9]]
             assert cells and all(math.isfinite(parse_number(cell))
                                  for cell in cells), (trial, doc)
-        assert outcomes["ran"] >= 60 and outcomes["rejected"] >= 150, \
+        assert outcomes["ran"] >= 84 and outcomes["rejected"] >= 210, \
             outcomes

@@ -11,6 +11,7 @@ from radsurv.prognosis import (DEFAULT_THRESHOLDS, ExperimentPlan, Metrics,
                                run_experiment, run_experiment_matrix,
                                spearman)
 from radsurv.radiomics import FEATURE_COLUMNS
+from radsurv.regressors import MlpDivergenceError, SingularSystemError
 from radsurv.util import read_csv
 
 
@@ -213,6 +214,29 @@ class TestRunExperiment:
         plan = ExperimentPlan(feature_set="image7", predictor="linear", seed=0)
         with pytest.raises(KeyError):
             run_experiment(cohort, plan)
+
+    @pytest.mark.parametrize("feature_set,predictor,params,error,message", [
+        ("image7", "gbr", {"n_estimators": 0}, MetricsError,
+         "undefined correlation: zero rank variance"),
+        ("radiomics107", "linear", {"penalty": "none"}, SingularSystemError,
+         "design matrix is rank deficient; an l2 penalty would regularize "
+         "the solve"),
+        ("image7", "mlp", {"optimizer": "sgd", "lr": 1e6, "epochs": 5},
+         MlpDivergenceError,
+         "training diverged (non-finite loss) at epoch 0")],
+        ids=["gbr", "linear", "mlp"])
+    def test_failing_cell_is_named(self, small_cohort, feature_set,
+                                   predictor, params, error, message):
+        """A cell's error keeps its type and attributes, and its message
+        names the cell; it used to name none."""
+        with pytest.raises(error) as exc:
+            run_experiment_matrix(small_cohort, [feature_set],
+                                  ["rfr", predictor], seed=0,
+                                  base_plan={"params": {"n_trees": 3,
+                                                        **params}})
+        assert str(exc.value) == f"{feature_set}__{predictor}: {message}"
+        if error is MlpDivergenceError:
+            assert exc.value.epoch == 0
 
     def test_matrix_emits_16_rows_per_dataset(self, small_cohort, tmp_path):
         base = {

@@ -1,29 +1,33 @@
 """The one walk over the 13 directions and the families that read it.
 
-``count_textures`` builds each direction's pairs once, through
-``DiscretizedRoi.direction_pairs``: GLRLM walks the chains of its
+``count_textures`` builds each direction's pairs once, as one flat shift of
+its voxel numbering: GLCM counts them, GLRLM walks the chains of its
 equal-level pairs, GLSZM labels the components of all directions' equal
 pairs a round at a time and GLDM counts them. A seeded fuzz over level maps
-compares all three count matrices with the brute-force oracles, and the
-zone labelling is checked against a flood fill.
+compares all four count tables with the brute-force oracles, and the zone
+labelling is checked against a flood fill.
 """
 
+import importlib
 import re
 
 import numpy as np
 import pytest
 
 from radsurv.phantoms import PhantomSpec, gen_mask
-from radsurv.radiomics import (RADIOMICS_FEATURE_NAMES, DiscretizedRoi,
-                               RadiomicsConfig, discretize, extract_radiomics,
+from radsurv.radiomics import (RADIOMICS_FEATURE_NAMES, RadiomicsConfig,
+                               discretize, extract_radiomics,
                                first_order_features, shape_features, texture)
-from radsurv.radiomics.discretize import DIRECTIONS_13
+from radsurv.radiomics.discretize import DiscretizationError
 from radsurv.radiomics.shape import SHAPE_FEATURE_NAMES
-from radsurv.radiomics.texture import (TextureError, _hook, gldm_matrix,
+from radsurv.radiomics.texture import (DIRECTIONS_13, TextureError, _hook,
+                                       gldm_matrix, glcm_matrices,
                                        glrlm_matrices, glszm_matrix)
 from radsurv.volumeio import derive_roi
 from conftest import make_disc, make_volume
 import oracles
+
+discretize_module = importlib.import_module("radsurv.radiomics.discretize")
 
 
 class _HookCounter:
@@ -126,13 +130,11 @@ def test_families_match_oracles(name, level, hooks):
     disc = make_disc(level)
     member, ng = disc.roi.membership, disc.n_levels
 
-    pairs = list(disc.direction_pairs())
-    assert len(pairs) == len(DIRECTIONS_13)
-    for a, b in pairs:
-        # ascending, so a direction's equal-level subset keeps pair order
-        # and each voxel has at most one successor and one predecessor
-        assert (np.diff(a) > 0).all() and (np.diff(b) > 0).all()
-
+    # every pair of each direction, counted by its two levels
+    assert len(glcm_matrices(disc)) == len(DIRECTIONS_13)
+    for d, mat in zip(DIRECTIONS_13, glcm_matrices(disc)):
+        assert np.array_equal(mat, oracles.glcm_matrix_bf(level, member, d,
+                                                          ng)), d
     for d, mat in zip(DIRECTIONS_13, glrlm_matrices(disc)):
         want = oracles.glrlm_matrix_bf(level, member, d, ng,
                                        max(disc.roi.dims))
@@ -148,7 +150,8 @@ def test_level_maps_cover_the_named_cases():
     assert {kind: kinds.count(kind) for kind in set(kinds)} == {
         "single": 6, "constant": 6, "checker": 8, "slab": 20, "span": 26,
         "random": 84}
-    assert any(0 in [a.size for a, _ in make_disc(level).direction_pairs()]
+    # a slab one voxel thick has a direction that joins no pair
+    assert any(0 in glcm_matrices(make_disc(level)).sum(axis=(1, 2))
                for name, level in MAPS if name.startswith("slab"))
     for name, level in MAPS:
         if name.startswith("span"):
@@ -329,17 +332,22 @@ def test_directions_are_walked_once_per_roi(subject, monkeypatch):
     """Every family reads one walk."""
     vol, mask = subject
     walks = []
-    direction_pairs = DiscretizedRoi.direction_pairs
+    count_textures = discretize_module.count_textures
 
-    def counted(self):
-        walks.append(self)
-        return direction_pairs(self)
+    def counted(disc):
+        walks.append(disc)
+        return count_textures(disc)
 
-    monkeypatch.setattr(DiscretizedRoi, "direction_pairs", counted)
+    monkeypatch.setattr(discretize_module, "count_textures", counted)
     disc = _fresh_disc(vol, mask)
     for family in ORDERS[0]:
         FAMILIES[family](vol, disc, 0.5)
     assert len(walks) == 1
+
+
+def test_empty_roi_is_rejected_before_the_walk():
+    with pytest.raises(DiscretizationError, match="empty ROI"):
+        make_disc(np.zeros((2, 3, 2))).texture_counts
 
 
 def test_walk_tables_are_read_only(subject):
