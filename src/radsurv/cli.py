@@ -94,12 +94,17 @@ def _merge_config(command: str, settings: dict,
                   args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, over the keys of a
     command's ``settings`` table; a SystemExit names a REQUIRED setting
-    that neither the file nor a flag sets."""
+    that neither the file nor a flag sets, and an echo of another command
+    or schema (its echo keys select nothing)."""
     resolved = {key: default for key, (default, _) in settings.items()}
     if args.config:
+        doc = _or_exit("", read_json, args.config, "config file")
+        echo = {"schema": one_of([CONFIG_SCHEMA]),
+                "command": one_of([command]), "version": of_type(str)}
+        _or_exit(f"{args.config}: ", fields,
+                 {key: doc.pop(key) for key in echo if key in doc}, echo)
         resolved.update(_or_exit(
-            f"{args.config}: ", fields,
-            _or_exit("", read_json, args.config, "config file"),
+            f"{args.config}: ", fields, doc,
             {key: _setting(*setting) for key, setting in settings.items()},
             unknown="config file has unknown keys: {keys}"))
     for key in settings:

@@ -29,6 +29,7 @@ the spec, including its seed: per-subject streams are derived as
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -263,7 +264,12 @@ def gen_cohort(spec: CohortSpec):
         offset = t_lo - scale * q1
 
     noise_z = np.array([nz for _, _, nz in draws])
-    survival = np.maximum(scale * raw + offset + spec.noise_std * noise_z, 1.0)
+    survival = scale * raw + offset + spec.noise_std * noise_z
+    if floored := int(np.count_nonzero(survival < 1.0)):
+        logging.getLogger("radsurv").warning(
+            "cohort survival floored at 1 day for %d of %d subjects",
+            floored, spec.n_subjects)
+    survival = np.maximum(survival, 1.0)
 
     gtr, stri, _ = spec.resection_mix
     records = [SubjectRecord(subject_id=f"SYN-{i:04d}", age=age,

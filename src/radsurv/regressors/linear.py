@@ -67,11 +67,12 @@ def train_linear(X: np.ndarray, y: np.ndarray, params: Optional[dict] = None,
     y_mean = float(y.mean())
     yc = y - y_mean
 
+    if (penalty == "none" or penalty == "l2" and lam == 0) \
+            and np.linalg.matrix_rank(z) < p:
+        raise SingularSystemError(
+            "design matrix is rank deficient; an l2 penalty with lam > 0 "
+            "would regularize the solve")
     if penalty == "none":
-        if np.linalg.matrix_rank(z) < p:
-            raise SingularSystemError(
-                "design matrix is rank deficient; an l2 penalty would "
-                "regularize the solve")
         beta, *_ = np.linalg.lstsq(z, yc, rcond=None)
     elif penalty == "l2":
         beta = np.linalg.solve(z.T @ z + lam * np.eye(p), z.T @ yc)

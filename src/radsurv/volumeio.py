@@ -4,7 +4,8 @@ Scope and conventions:
 
 * Single-file NIfTI-1 only (``.nii`` / ``.nii.gz``), little- or big-endian.
   Endianness is decided by the dim[0] sanity check (valid range 1..7), per
-  the format convention. Paired ``.hdr``/``.img`` files are rejected.
+  the format convention. Paired ``.hdr``/``.img`` files are rejected. The
+  header's fields are declared once (``_HEADER``), for reader and writer.
 * Voxel data is kept in the file's native i-fastest order: ``data[i, j, k]``
   with axis 0 fastest on disk. Orientation fields (qform/sform rotations)
   are ignored beyond spacing and offset; the features computed downstream
@@ -19,11 +20,11 @@ Scope and conventions:
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
   whole-grid float copy.
-* A loaded mask is checked whole, then holds only the box of its labelled
-  voxels (``LabelMask.labels`` at ``LabelMask.corner``), so extraction
-  holds no whole label grid. A u1 or native i2 payload keeps its stored
-  type; any other type becomes int16. Either way the labels are in file
-  order and read-only.
+* A loaded mask is checked in the box of its nonzero voxels, then holds
+  only a copy of that box (``LabelMask.labels`` at ``LabelMask.corner``),
+  so an unscaled integer payload's load makes no other grid. A u1 or
+  native i2 payload keeps its stored type; any other type becomes int16.
+  Either way the labels are in file order and read-only.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * ``LabelMask`` and ``RoiMask`` hold a box of the grid at ``corner``;
   their dims, spacing and origin stay the whole grid's. ``LabelMask.box``
@@ -36,7 +37,6 @@ from __future__ import annotations
 import gzip
 import math
 import os
-import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +46,15 @@ import numpy as np
 
 from .util import fmt_float, numbers, read_cell, read_csv, write_csv
 
-HEADER_SIZE = 348
+# the NIfTI-1 header fields read or written, at their nifti1.h offsets,
+# little-endian; magic stays raw bytes, so a message shows the file's own
+_HEADER = np.dtype({
+    "names": ["sizeof_hdr", "dim", "datatype", "bitpix", "pixdim",
+              "vox_offset", "scl_slope", "scl_inter", "qoffset", "magic"],
+    "formats": ["<i4", ("<i2", 8), "<i2", "<i2", ("<f4", 8), "<f4", "<f4",
+                "<f4", ("<f4", 3), "V4"],
+    "offsets": [0, 40, 70, 72, 76, 108, 112, 116, 268, 344]})
+HEADER_SIZE = _HEADER.itemsize
 # bytes read per call into a payload or while reading a file to its end:
 # each call's buffer stays below glibc's mmap threshold (128 KiB), so the
 # heap reuses it
@@ -98,23 +106,22 @@ class GeometryError(ValueError):
 # NIfTI stores spacing and origin as float32 (relative round-off ~6e-8)
 GEOMETRY_RTOL = 1e-6
 
-# what a NIfTI-1 header holds: int16 grid axes (dim[1..3]), and float32
-# spacing (pixdim[1..3]) and origin (qoffset); a spacing below the least
-# float32 above 0 is stored as 0
-NIFTI_MAX_DIM = 32767
-NIFTI_MAX_FLOAT = float(np.finfo(np.float32).max)
-NIFTI_MIN_SPACING = float(np.finfo(np.float32).smallest_subnormal)
+# what dim, pixdim and qoffset hold (a smaller spacing is stored as 0)
+NIFTI_MAX_DIM = int(np.iinfo(_HEADER["dim"].base).max)
+NIFTI_MAX_FLOAT = float(np.finfo(_HEADER["pixdim"].base).max)
+NIFTI_MIN_SPACING = float(np.finfo(_HEADER["pixdim"].base).smallest_subnormal)
 
 
-def _check_vocabulary(labels: np.ndarray, where: str = "") -> None:
-    """MaskLabelError naming the first voxel whose integer value is not in
-    {0, 1, 2, 4}; the grid is only compared voxel by voxel to find it."""
+def _check_vocabulary(labels: np.ndarray, corner, where: str) -> None:
+    """MaskLabelError naming, by its grid index, the first voxel of the box
+    ``labels`` at ``corner`` whose integer value is not in {0, 1, 2, 4};
+    the box is only compared voxel by voxel to find it."""
     if labels.size and (labels.min() < 0 or labels.max() > 4
                         or (labels == 3).any()):
         bad = (labels < 0) | (labels > 4) | (labels == 3)
-        idx = tuple(int(c[0]) for c in np.nonzero(bad))
+        idx = tuple(k + int(c[0]) for k, c in zip(corner, np.nonzero(bad)))
         raise MaskLabelError(
-            f"{where}label {int(labels[idx])} at voxel {idx} is not in {{0,1,2,4}}")
+            f"{where}label {int(labels[bad][0])} at voxel {idx} is not in {{0,1,2,4}}")
 
 
 @dataclass
@@ -204,7 +211,7 @@ class LabelMask(VoxelGrid):
     def box(self) -> tuple[slice, slice, slice]:
         """The grid's index box of the labelled voxels; empty if no voxel
         is labelled."""
-        box = bounding_box(self.labels > 0) or (slice(0, 0),) * 3
+        box = bounding_box(self.labels) or (slice(0, 0),) * 3
         return tuple(slice(c + b.start, c + b.stop)
                      for c, b in zip(self.corner, box))
 
@@ -315,38 +322,36 @@ def _decode_stream(path: str, fh, limit: int):
     header = bytearray(HEADER_SIZE)
     if _fill(fh, header) < HEADER_SIZE:
         raise NiftiError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
-    raw = bytes(header)
 
-    # Endianness: dim[0] (offset 40) must land in 1..7 under the true byte order.
-    dim0_le = struct.unpack_from("<h", raw, 40)[0]
-    dim0_be = struct.unpack_from(">h", raw, 40)[0]
-    if 1 <= dim0_le <= 7:
-        bo = "<"
-    elif 1 <= dim0_be <= 7:
-        bo = ">"
+    # Endianness: dim[0] must land in 1..7 under the true byte order.
+    le, be = (np.frombuffer(header, _HEADER.newbyteorder(bo))[0]
+              for bo in "<>")
+    if 1 <= le["dim"][0] <= 7:
+        hdr, bo = le, "<"
+    elif 1 <= be["dim"][0] <= 7:
+        hdr, bo = be, ">"
     else:
         raise NiftiError(
-            f"{path}: dim[0] is {dim0_le} (LE) / {dim0_be} (BE), "
+            f"{path}: dim[0] is {le['dim'][0]} (LE) / {be['dim'][0]} (BE), "
             "outside 1..7 under either byte order")
 
-    sizeof_hdr = struct.unpack_from(bo + "i", raw, 0)[0]
-    if sizeof_hdr != HEADER_SIZE:
-        raise NiftiError(f"{path}: malformed header, sizeof_hdr={sizeof_hdr} != 348")
+    if hdr["sizeof_hdr"] != HEADER_SIZE:
+        raise NiftiError(f"{path}: malformed header, sizeof_hdr={hdr['sizeof_hdr']} != 348")
 
-    magic = raw[344:348]
+    magic = hdr["magic"].tobytes()
     if magic[:3] == b"ni1":
         raise NiftiError(f"{path}: paired .hdr/.img NIfTI (magic 'ni1') is not supported")
     if magic[:3] != b"n+1":
         raise NiftiError(f"{path}: missing NIfTI-1 magic, got {magic!r}")
 
-    dim = struct.unpack_from(bo + "8h", raw, 40)
-    datatype, bitpix = struct.unpack_from(bo + "2h", raw, 70)
+    dim = hdr["dim"].tolist()
+    datatype, bitpix = int(hdr["datatype"]), int(hdr["bitpix"])
     floats = {
-        "pixdim[1..3]": struct.unpack_from(bo + "8f", raw, 76)[1:4],
-        "vox_offset": struct.unpack_from(bo + "f", raw, 108)[0],
-        "scl_slope": struct.unpack_from(bo + "f", raw, 112)[0],
-        "scl_inter": struct.unpack_from(bo + "f", raw, 116)[0],
-        "qoffset": struct.unpack_from(bo + "3f", raw, 268),
+        "pixdim[1..3]": tuple(hdr["pixdim"][1:4].tolist()),
+        "vox_offset": hdr["vox_offset"].item(),
+        "scl_slope": hdr["scl_slope"].item(),
+        "scl_inter": hdr["scl_inter"].item(),
+        "qoffset": tuple(hdr["qoffset"].tolist()),
     }
     for name, value in floats.items():
         if not np.isfinite(value).all():
@@ -356,7 +361,7 @@ def _decode_stream(path: str, fh, limit: int):
         raise NiftiError(f"{path}: dim[0]={dim[0]}, only 3D (or 4D single-frame) supported")
     if dim[0] == 4 and dim[4] > 1:
         raise NiftiError(f"{path}: 4D file with {dim[4]} frames, only single-frame supported")
-    dims = tuple(int(d) for d in dim[1:4])
+    dims = tuple(dim[1:4])
     if any(d <= 0 for d in dims):
         raise NiftiError(f"{path}: non-positive dimension in dim[1..3]={dims}")
 
@@ -389,10 +394,10 @@ def _decode_stream(path: str, fh, limit: int):
 
     slope, inter = floats["scl_slope"], floats["scl_inter"]
     scaling = None if slope == 0.0 or (slope, inter) == (1.0, 0.0) else (slope, inter)
-    spacing = tuple(float(p) for p in floats["pixdim[1..3]"])
+    spacing = floats["pixdim[1..3]"]
     if any(s <= 0 for s in spacing):
         raise NiftiError(f"{path}: non-positive pixdim[1..3]={spacing}")
-    origin = tuple(float(q) for q in floats["qoffset"])
+    origin = floats["qoffset"]
     return stored, scaling, dict(dims=dims, spacing=spacing, origin=origin)
 
 
@@ -482,25 +487,21 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
     code = _DTYPE_CODES[key]
     _check_holds(path, arr, dtype)
 
-    hdr = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    struct.pack_into("<8h", hdr, 40, 3, arr.shape[0], arr.shape[1], arr.shape[2],
-                     1, 1, 1, 1)
-    struct.pack_into("<h", hdr, 70, code)
-    struct.pack_into("<h", hdr, 72, dtype.itemsize * 8)
-    struct.pack_into("<8f", hdr, 76, 1.0, spacing[0], spacing[1], spacing[2],
-                     0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", hdr, 108, 352.0)
-    struct.pack_into("<f", hdr, 112, 0.0)   # scl_slope 0: no scaling
-    struct.pack_into("<f", hdr, 116, 0.0)
-    struct.pack_into("<3f", hdr, 268, origin[0], origin[1], origin[2])
-    hdr[344:348] = b"n+1\x00"
+    hdr = np.zeros((), _HEADER)
+    hdr["sizeof_hdr"] = HEADER_SIZE
+    hdr["dim"] = (3, *arr.shape, 1, 1, 1, 1)
+    hdr["datatype"] = code
+    hdr["bitpix"] = dtype.itemsize * 8
+    hdr["pixdim"] = (1.0, *spacing, 0.0, 0.0, 0.0, 0.0)
+    hdr["vox_offset"] = 352.0   # scl_slope stays 0: no scaling
+    hdr["qoffset"] = origin
+    hdr["magic"] = b"n+1\x00"
 
     # mtime 0 keeps the wall clock out of the gzip header, so rewriting the
     # same volume gives the same bytes
     with (gzip.GzipFile(path, "wb", compresslevel=_GZIP_LEVEL, mtime=0)
           if path.endswith(".gz") else open(path, "wb")) as fh:
-        fh.write(hdr + b"\x00\x00\x00\x00")
+        fh.write(hdr.tobytes() + b"\x00\x00\x00\x00")
         # the payload in file (Fortran) order, a block of k-slabs at a time,
         # so no copy of the whole grid is made: one transposing copy gathers
         # each block of a C-ordered grid, and an F-ordered grid of the
@@ -516,12 +517,12 @@ def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
     An unscaled integer payload is checked as stored; any other must hold
-    finite integers once scaled to float64. The labels are checked once,
-    on the whole payload, before any cast, so no value wraps into a valid
-    label. The mask then holds only the box of its labelled voxels
-    (``LabelMask.corner``), read-only and in file order: a u1 or native i2
-    payload itself when the box is the whole grid, else the box copied,
-    and any other payload's box cast to int16.
+    finite integers once scaled to float64. Every label it can reject is
+    nonzero, so the labels are checked in the box of the nonzero voxels,
+    before any cast, so no value wraps into a valid label. That box, the
+    box of the labelled voxels, is what the mask holds (at
+    ``LabelMask.corner``), copied read-only in file order: in the stored
+    type of a u1 or native i2 payload, else cast to int16.
     """
     values, scaling, grid = _decode(path)
     if scaling is not None or values.dtype.kind == "f":
@@ -535,23 +536,19 @@ def load_mask(path: str) -> LabelMask:
             raise MaskLabelError(
                 f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
         values = rounded
-    _check_vocabulary(values, f"{path}: ")
-    box = bounding_box(values > 0) or (slice(0, 0),) * 3
-    labels = values[box]
-    if values.dtype not in (np.uint8, np.int16):
-        labels = labels.astype(np.int16, order="F")
-    elif labels.shape == values.shape:
-        labels = values
-    else:
-        labels = np.array(labels, order="F")
+    box = bounding_box(values) or (slice(0, 0),) * 3
+    corner = tuple(b.start for b in box)
+    _check_vocabulary(values[box], corner, f"{path}: ")
+    labels = values[box].astype(
+        values.dtype if values.dtype in (np.uint8, np.int16) else np.int16,
+        order="F")
     labels.flags.writeable = False
-    return LabelMask(**grid, labels=labels,
-                     corner=tuple(b.start for b in box))
+    return LabelMask(**grid, labels=labels, corner=corner)
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:
-    """Index slices of the smallest box holding every set voxel of a 3D
-    mask, or None if none is set.
+    """Index slices of the smallest box holding every nonzero voxel of a 3D
+    grid, or None if none is nonzero.
 
     Each axis comes from an any-projection of the box found so far, so only
     the first projection reads the whole grid.

@@ -627,6 +627,55 @@ class TestJsonInputs:
                   "--metadata", "m.csv", "--out", str(tmp_path / "o")])
 
 
+class TestConfigEcho:
+    """A command's resolved_config.json is a config file for the same
+    command; its schema, version and command keys select nothing. They
+    were rejected as unknown keys."""
+
+    def test_each_command_reruns_from_its_echo(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(tmp_path)
+        for name in CONFIG_DIGESTS:
+            config = f"{name}/resolved_config.json"
+            echo = read_json(config, "config file")
+            out = name + "2" + echo["out"][len(name):]
+            assert main([echo["command"], "--config", config,
+                         "--out", out]) == 0, name
+            first = sorted(p.relative_to(name) for p in
+                           pathlib.Path(name).rglob("*") if p.is_file())
+            again = sorted(p.relative_to(name + "2") for p in
+                           pathlib.Path(name + "2").rglob("*") if p.is_file())
+            assert first == again, name
+            for rel in first:
+                if rel.name != "resolved_config.json":
+                    assert (pathlib.Path(name, rel).read_bytes()
+                            == pathlib.Path(name + "2", rel).read_bytes()), \
+                        (name, rel)
+            assert read_json(f"{name}2/resolved_config.json", "echo") == \
+                {**echo, "out": out}, name
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("command", "train", "command must be one of ['rfe'], not 'train'"),
+        ("schema", "radsurv-config/2", "schema must be one of "
+         "['radsurv-config/1'], not 'radsurv-config/2'"),
+        ("version", 1, "version must be a JSON string, not int")],
+        ids=["command", "schema", "version"])
+    def test_echo_of_another_run_is_rejected(self, tmp_path, key, value,
+                                             message):
+        """A train echo given to rfe, another schema, a version that is not
+        a string: one line naming the file and the key."""
+        config = tmp_path / "cfg.json"
+        echo = {"schema": "radsurv-config/1", "version": "0.1.0",
+                "command": "rfe", "seed": 0, key: value}
+        if key == "command":       # a train echo holds train's settings
+            echo.update(predictor="linear", params={}, grid=None)
+        config.write_text(json.dumps(echo))
+        with pytest.raises(SystemExit) as exc:
+            main(["rfe", "--config", str(config), "--features", "f.csv",
+                  "--metadata", "m.csv", "--out", str(tmp_path / "o")])
+        assert str(exc.value) == f"{config}: {message}"
+
+
 class TestBoundaryChecks:
     @pytest.fixture()
     def cohort_dir(self, tmp_path):

@@ -58,11 +58,17 @@ class TestGridSearch:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 20))   # p > n: unpenalized solve fails
         y = rng.standard_normal(12)
-        grid = [{"penalty": "none"}, {"penalty": "l2", "lam": 1.0}]
+        # l2 at its default lam 0 used to fit on a singular system
+        grid = [{"penalty": "none"}, {"penalty": "l2", "lam": 1.0},
+                {"penalty": "l2"}]
         model, report = grid_search_cv("linear", x, y, grid, k=3, seed=0)
         assert report.best_index == 1
-        assert report.mean_mse[0] is None and report.std_mse[0] is None
-        assert report.errors[0] is not None
+        for failed in (0, 2):
+            assert report.mean_mse[failed] is None
+            assert report.std_mse[failed] is None
+            assert report.errors[failed] == (
+                "design matrix is rank deficient; an l2 penalty with lam > 0 "
+                "would regularize the solve")
         assert report.errors[1] is None
 
     def test_all_combinations_failing_raises(self):

@@ -259,7 +259,8 @@ GRIDS = {
 
 # sha256 of the files: model.json as first written as compact text,
 # linear/grid_report.json as first written with null for the failed
-# combination's mean and std, the others as json.dump wrote them
+# combination's mean and std (and its error reworded to name lam > 0),
+# the others as json.dump wrote them
 DIGESTS = {
     "cohort/cohort_report.json":
         "a47afe55f5b38c1b71bf6316851b3f79ed8238f6048dac6a770dfadff0e904c9",
@@ -268,7 +269,7 @@ DIGESTS = {
     "gbr/model.json":
         "59ea3f9cfe74e29228e8552678208138dc8c70072d7e0532742a23b6fbb82421",
     "linear/grid_report.json":
-        "38954764a5c2252d110f50b622eca7d31850ab5ff331d181709c878b3d3b3ce0",
+        "bc0a124d2bc50702319e0a9e22c033c1e1af0830db0c52ec9749530b6d7351e3",
     "linear/model.json":
         "be0ab96a9bd9916574fbc61f171cd1d3bd34a99be0c744ed48937de83cb9cec8",
     "mlp/grid_report.json":

@@ -158,12 +158,7 @@ class TestBoxForm:
     equals the oracle's whole-grid region cropped to the same box."""
 
     @pytest.mark.parametrize("key", ["u1", "i2", "f4"])
-    def test_box_equals_whole_grid_decode(self, tmp_path, key, monkeypatch):
-        decoded = []
-        decode = volumeio._decode
-        monkeypatch.setattr(volumeio, "_decode",
-                            lambda path: decoded.append(decode(path))
-                            or decoded[-1])
+    def test_box_equals_whole_grid_decode(self, tmp_path, key):
         for n, (name, labels) in enumerate(_box_cases(
                 np.random.default_rng(36))):
             # f4 halves, scaled back by slope 2: a payload that is cast
@@ -172,7 +167,6 @@ class TestBoxForm:
             path = write_blob(tmp_path / f"b{n}.nii.gz",
                               nifti_blob(stored, slope=slope))
             mask = load_mask(path)
-            payload = decoded[-1][0]
             want = oracles.load_mask_via_float(path)
             box = mask.box
             assert mask.corner == tuple(b.start for b in box), name
@@ -184,8 +178,6 @@ class TestBoxForm:
             assert not mask.labels.flags.writeable, name
             if name == "whole-grid":
                 assert mask.labels.shape == mask.dims
-                if key != "f4":     # the payload itself, not a copy
-                    assert mask.labels is payload
             if name == "all-zero":
                 assert mask.labels.shape == (0, 0, 0)
                 assert mask.corner == (0, 0, 0)
@@ -200,17 +192,43 @@ class TestBoxForm:
                 assert not full.any(), (name, kind)
 
     def test_negative_label_outside_the_box_is_rejected(self, tmp_path):
-        labels = np.zeros((6, 7, 5), dtype=np.int16)
-        labels[2:4, 3:6, 1:4] = 2
-        labels[3, 4, 2] = 3
-        labels[0, 5, 1] = -1            # first in C order, outside the box
-        path = write_blob(tmp_path / "neg.nii.gz", nifti_blob(labels))
-        with pytest.raises(MaskLabelError) as want:
-            oracles.load_mask_via_float(path)
-        with pytest.raises(MaskLabelError) as got:
-            load_mask(path)
-        assert str(got.value) == str(want.value)
-        assert "label -1 at voxel (0, 5, 1)" in str(got.value)
+        """A bad label anywhere, in or outside the box of the positive
+        labels, is named as the whole-grid decode names it: the first bad
+        voxel in C order, by its grid index."""
+        rng = np.random.default_rng(40)
+        shape = (6, 7, 5)
+        base = np.zeros(shape, dtype=np.int16)
+        base[2:4, 3:6, 1:4] = 2
+        # outside the box; in it and outside, the one in it first
+        placements = [[(0, 5, 1)], [(5, 0, 4), (3, 4, 2)]]
+        placements += [[tuple(int(rng.integers(n)) for n in shape)
+                        for _ in range(int(rng.integers(1, 3)))]
+                       for _ in range(4)]
+        placements += [[tuple(c * (n - 1) for c, n in zip(corner, shape))]
+                       for corner in np.ndindex(2, 2, 2)]
+        n = 0
+        for key in ("u1", "i2", "i4", "f4"):
+            for bad in (-1, 3, 5, 255):
+                if key == "u1" and bad < 0:
+                    continue
+                for voxels in placements:
+                    labels = base.copy()
+                    for voxel in voxels:
+                        labels[voxel] = bad
+                    # f4 halves, scaled back by slope 2
+                    stored, slope = ((labels / 2).astype(key), 2.0) \
+                        if key == "f4" else (labels.astype(key), 0.0)
+                    path = write_blob(tmp_path / f"bad{n}.nii.gz",
+                                      nifti_blob(stored, "<>"[n % 2],
+                                                 slope=slope))
+                    n += 1
+                    first = min(voxels)
+                    with pytest.raises(MaskLabelError) as want:
+                        oracles.load_mask_via_float(path)
+                    with pytest.raises(MaskLabelError) as got:
+                        load_mask(path)
+                    assert str(got.value) == str(want.value)
+                    assert f"label {bad} at voxel {first}" in str(got.value)
 
 
 class TestRejectedValues:
@@ -363,6 +381,25 @@ def test_int32_mask_is_cast_only_in_its_box(tmp_path):
     assert np.array_equal(mask.labels, labels[100:120, 90:115, 60:80])
     assert peak < labels.nbytes + labels.size * 1.5, \
         f"{peak / 2**20:.1f} MiB traced"
+
+
+def test_u1_mask_load_holds_no_grid_but_its_payload(tmp_path):
+    """A BraTS-size u1 mask with a small tumour peaks below its payload
+    plus 1 MiB: its labels are checked and copied in their box. The whole-
+    grid label check and the ``labels > 0`` grid of the box search took
+    17.0 MiB for this 8.5 MiB payload."""
+    dims = (240, 240, 155)
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[100:140, 90:135, 60:95] = 2
+    labels[105:125, 95:118, 65:82] = 1
+    labels[108:120, 99:110, 70:78] = 4
+    path = str(tmp_path / "m.nii.gz")
+    volumeio.write_nifti(path, labels)
+    load_mask(path)                          # warm imports and caches
+    mask, peak = traced_peak(lambda: load_mask(path))
+    assert mask.corner == (100, 90, 60) and mask.labels.dtype == np.uint8
+    assert np.array_equal(mask.labels, labels[100:140, 90:135, 60:95])
+    assert peak < labels.nbytes + 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestGzipStream:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import logging
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +164,28 @@ class TestGenCohort:
         cohort, _ = gen_cohort(self._spec(
             link={"meta.age": 1.0}, intercept=-1000.0))
         assert np.all(cohort.survival_days >= 1.0)
+
+    def test_floored_survival_is_logged_once_per_cohort(self, caplog):
+        """A spec with no link floors every value at 1 day, which used to
+        pass without a word; the README's desk-scale spec floors none."""
+        readme = (pathlib.Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        spec = json.loads(re.search(r"cat > spec.json <<'EOF'\n(.*?)\nEOF",
+                                    readme, re.S).group(1))["cohort"]
+        for kw, message in (({"n_subjects": 6, "seed": 3}, "6 of 6"),
+                            (spec, None)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="radsurv"):
+                cohort, _ = gen_cohort(CohortSpec(**kw))
+            records = [r for r in caplog.records if r.name == "radsurv"]
+            if message is None:
+                assert records == [] and cohort.survival_days.min() > 1.0
+                continue
+            [record] = records
+            assert record.levelno == logging.WARNING
+            assert record.getMessage() == ("cohort survival floored at 1 "
+                                           f"day for {message} subjects")
+            assert np.all(cohort.survival_days == 1.0)
 
 
 # Golden digests, recorded before the voxel-centre grid was replaced by

@@ -219,12 +219,15 @@ class TestRunExperiment:
         ("image7", "gbr", {"n_estimators": 0}, MetricsError,
          "undefined correlation: zero rank variance"),
         ("radiomics107", "linear", {"penalty": "none"}, SingularSystemError,
-         "design matrix is rank deficient; an l2 penalty would regularize "
-         "the solve"),
+         "design matrix is rank deficient; an l2 penalty with lam > 0 would "
+         "regularize the solve"),
+        ("radiomics107", "linear", {"penalty": "l2"}, SingularSystemError,
+         "design matrix is rank deficient; an l2 penalty with lam > 0 would "
+         "regularize the solve"),
         ("image7", "mlp", {"optimizer": "sgd", "lr": 1e6, "epochs": 5},
          MlpDivergenceError,
          "training diverged (non-finite loss) at epoch 0")],
-        ids=["gbr", "linear", "mlp"])
+        ids=["gbr", "linear", "linear-l2", "mlp"])
     def test_failing_cell_is_named(self, small_cohort, feature_set,
                                    predictor, params, error, message):
         """A cell's error keeps its type and attributes, and its message

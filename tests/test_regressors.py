@@ -74,13 +74,29 @@ class TestLinear:
         assert (f"lam={lam:g}, max_iter={max_iter}, last max update"
                 in record.getMessage())
 
-    def test_singular_design_suggests_l2(self):
+    @pytest.mark.parametrize("params", [{}, {"penalty": "l2"},
+                                        {"penalty": "l2", "lam": 0.0}])
+    def test_singular_design_suggests_l2(self, params):
+        """An l2 penalty of 0 used to end in a bare LinAlgError naming
+        neither key."""
         x = np.ones((10, 2))
         x[:, 1] = np.arange(10)
         x = np.hstack([x, x[:, 1:2]])   # duplicated column
         y = np.arange(10.0)
-        with pytest.raises(SingularSystemError, match="l2"):
-            train_linear(x, y)
+        with pytest.raises(SingularSystemError, match=re.escape(
+                "design matrix is rank deficient; an l2 penalty with lam > 0 "
+                "would regularize the solve")):
+            train_linear(x, y, params)
+        train_linear(x, y, {"penalty": "l2", "lam": 1e-3})
+
+    def test_full_rank_l2_at_lam_0_keeps_the_normal_equations(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((20, 3))
+        y = rng.standard_normal(20)
+        m = train_linear(x, y, {"penalty": "l2"})
+        z = (x - m.x_mean) / m.x_scale
+        beta = np.linalg.solve(z.T @ z, z.T @ (y - y.mean()))
+        assert np.array_equal(m.coefficients, beta / m.x_scale)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(2)

@@ -19,7 +19,8 @@ from conftest import make_mask, traced_peak
 def handcrafted_header(dims=(2, 2, 2), datatype=16, bitpix=32,
                        scl_slope=0.0, scl_inter=0.0, vox_offset=348.0,
                        byteorder="<", dim0=3, sizeof_hdr=348,
-                       magic=b"n+1\x00", pixdim=(1.0, 1.0, 1.0)):
+                       magic=b"n+1\x00", pixdim=(1.0, 1.0, 1.0),
+                       origin=(0.0, 0.0, 0.0)):
     hdr = bytearray(348)
     struct.pack_into(byteorder + "i", hdr, 0, sizeof_hdr)
     struct.pack_into(byteorder + "8h", hdr, 40, dim0, dims[0], dims[1],
@@ -31,6 +32,7 @@ def handcrafted_header(dims=(2, 2, 2), datatype=16, bitpix=32,
     struct.pack_into(byteorder + "f", hdr, 108, vox_offset)
     struct.pack_into(byteorder + "f", hdr, 112, scl_slope)
     struct.pack_into(byteorder + "f", hdr, 116, scl_inter)
+    struct.pack_into(byteorder + "3f", hdr, 268, *origin)
     hdr[344:348] = magic
     return bytes(hdr)
 
@@ -192,6 +194,37 @@ class TestLoadNifti:
         write_nifti(str(path), data, dtype=dtype)
         assert np.array_equal(load_nifti(str(path)).stored,
                               data.astype(dtype), equal_nan=True)
+
+    @pytest.mark.parametrize("dims,spacing,origin", [
+        ((32767, 1, 1), (volumeio.NIFTI_MIN_SPACING, 1.0, 2.5),
+         (volumeio.NIFTI_MAX_FLOAT, -volumeio.NIFTI_MAX_FLOAT, 0.0)),
+        ((1, 32767, 2), (volumeio.NIFTI_MAX_FLOAT, 0.7,
+                         volumeio.NIFTI_MIN_SPACING),
+         (-volumeio.NIFTI_MAX_FLOAT, -1.25, volumeio.NIFTI_MAX_FLOAT)),
+        ((2, 1, 32767), (0.1, volumeio.NIFTI_MAX_FLOAT,
+                         volumeio.NIFTI_MAX_FLOAT), (0.3, 1e30, -1e-30))])
+    def test_written_header_matches_the_struct_layout(self, tmp_path, dims,
+                                                      spacing, origin):
+        """The header ``write_nifti`` writes at the extremes it accepts is
+        the nifti1.h layout packed field by field, and reads back in both
+        byte orders."""
+        data = np.arange(int(np.prod(dims)), dtype=np.int16).reshape(dims)
+        path = tmp_path / "edge.nii"
+        write_nifti(str(path), data, spacing=spacing, origin=origin)
+        blob = path.read_bytes()
+        fields = dict(dims=dims, datatype=4, bitpix=16, vox_offset=352.0,
+                      pixdim=spacing, origin=origin)
+        assert blob[:352] == handcrafted_header(**fields) + b"\x00" * 4
+        want = tuple(float(np.float32(v)) for v in (*spacing, *origin))
+        payload = data.astype(">i2").tobytes(order="F")
+        swapped = tmp_path / "edge_be.nii"
+        swapped.write_bytes(handcrafted_header(**fields, byteorder=">")
+                            + b"\x00" * 4 + payload)
+        for name in (path, swapped):
+            vol = load_nifti(str(name))
+            assert vol.dims == dims
+            assert vol.spacing + vol.origin == want
+            assert np.array_equal(vol.stored, data)
 
     def test_malformed_sizeof_hdr(self, tmp_path):
         path = tmp_path / "bad.nii"
