@@ -33,8 +33,9 @@ from .featselect import EstimatorSpec, rfe
 from .phantoms import (PHANTOM_SHAPES, CohortSpec, PhantomSpec, gen_cohort,
                        gen_mask)
 from .prognosis import (DEFAULT_THRESHOLDS, EVAL_STATUSES, FEATURE_SETS,
-                        METRICS_COLUMNS, check_thresholds, evaluate, fit,
-                        resolve_grid, run_experiment_matrix, save_fit)
+                        METRICS_COLUMNS, check_thresholds, evaluate,
+                        feature_set_columns, fit, resolve_grid,
+                        run_experiment_matrix, save_fit)
 from .radiomics import (EXTRACT_MODES, FEATURE_COLUMNS, Binning,
                         RadiomicsConfig, extract_row)
 from .regressors import (FAMILIES, PREDICTOR_KINDS, check_param_keys,
@@ -176,6 +177,23 @@ class _Number:
         return value
 
 
+def _cohort(resolved: dict):
+    """The cohort of ``features`` and ``metadata``; a SystemExit, before
+    any fit, where a grid search's ``cv_folds`` is above its subjects."""
+    cohort = load_cohort(resolved["features"], resolved["metadata"])
+    if resolved.get("grid") and resolved["cv_folds"] > cohort.n_subjects:
+        raise SystemExit(f"{resolved['features']}: cv_folds "
+                         f"{resolved['cv_folds']} is above its "
+                         f"{cohort.n_subjects} subjects")
+    return cohort
+
+
+def _first_missing(names, have):
+    """The first of ``names`` that ``have`` lacks, or None."""
+    have = set(have)
+    return next((name for name in names if name not in have), None)
+
+
 def _binning_from(resolved: dict):
     if resolved.get("bin_width") is not None:
         return Binning("fixed_bin_width", float(resolved["bin_width"]))
@@ -247,7 +265,7 @@ def cmd_extract(resolved: dict) -> int:
 def cmd_rfe(resolved: dict) -> int:
     _check_params("rfe", "estimator_params", [resolved["estimator"]],
                   resolved["estimator_params"])
-    cohort = load_cohort(resolved["features"], resolved["metadata"])
+    cohort = _cohort(resolved)
     if resolved["n_keep"] > len(cohort.feature_names):
         raise SystemExit(f"{resolved['features']}: n_keep "
                          f"{resolved['n_keep']} is above its "
@@ -273,7 +291,7 @@ def cmd_rfe(resolved: dict) -> int:
 def cmd_train(resolved: dict) -> int:
     _check_params("train", "params", [resolved["predictor"]],
                   resolved["params"], resolved["grid"])
-    cohort = load_cohort(resolved["features"], resolved["metadata"])
+    cohort = _cohort(resolved)
     model, report = fit(resolved["predictor"],
                         cohort.select(cohort.feature_names),
                         cohort.known_survival(), dict(resolved["params"]),
@@ -286,9 +304,10 @@ def cmd_train(resolved: dict) -> int:
 def cmd_predict(resolved: dict) -> int:
     model = load_model(resolved["model"])
     ids, names, X = read_features_csv(resolved["features"])
-    missing = [n for n in model.feature_names if n not in names]
+    missing = _first_missing(model.feature_names, names)
     if missing:
-        raise SystemExit(f"features CSV lacks model columns {missing}")
+        raise SystemExit(f"radsurv predict: {resolved['features']}: lacks "
+                         f"the model's column {missing!r}")
     days = predict(model, X[:, [names.index(n) for n in model.feature_names]])
     write_csv(resolved["out"], ["subject_id", "predicted_days"],
               [[sid, float(d)] for sid, d in zip(ids, days)])
@@ -348,7 +367,14 @@ def cmd_experiment(resolved: dict) -> int:
     predictors = _names("predictors", resolved["predictors"], PREDICTOR_KINDS)
     _check_params("experiment", "params", predictors, resolved["params"],
                   resolved["grid"])
-    cohort = load_cohort(resolved["features"], resolved["metadata"])
+    cohort = _cohort(resolved)
+    for name in feature_sets:      # before rfe20's RFE pass or any cell
+        missing = _first_missing(feature_set_columns(name),
+                                 cohort.feature_names)
+        if missing:
+            raise SystemExit(f"radsurv experiment: {resolved['features']}: "
+                             f"feature set {name!r} needs column "
+                             f"{missing!r}")
     base_plan = {
         "params": dict(resolved["params"]),
         "grid": resolved["grid"],

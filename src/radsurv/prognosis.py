@@ -168,14 +168,19 @@ def evaluate(pred_days, true_days, thresholds=DEFAULT_THRESHOLDS) -> Metrics:
     )
 
 
+def feature_set_columns(name: str) -> tuple[str, ...]:
+    """The cohort columns a feature set reads: rfe20 ranks radiomics107's."""
+    return FEATURE_COLUMNS["radiomics107" if name == "rfe20" else name]
+
+
 def resolve_feature_set(name: str, cohort: Cohort, plan: ExperimentPlan):
     """(feature names, RFE ranking) of a set; the ranking is None but for
     rfe20, whose RFE pass over the radiomics107 columns depends on the plan
     only through its seed and RFE settings."""
+    names = list(feature_set_columns(name))
     if name != "rfe20":
-        return list(FEATURE_COLUMNS[name]), None
-    radiomics = list(FEATURE_COLUMNS["radiomics107"])
-    ranking = rfe(cohort.select(radiomics), cohort.known_survival(), radiomics,
+        return names, None
+    ranking = rfe(cohort.select(names), cohort.known_survival(), names,
                   plan.rfe_estimator, n_keep=20, step=plan.rfe_step,
                   seed=plan.seed)
     return list(ranking.kept), ranking

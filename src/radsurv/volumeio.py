@@ -20,11 +20,10 @@ Scope and conventions:
   file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
   samples become float64, one index box at a time, so extraction holds no
   whole-grid float copy.
-* A loaded mask is checked in the box of its nonzero voxels, then holds
-  only a copy of that box (``LabelMask.labels`` at ``LabelMask.corner``),
-  so an unscaled integer payload's load makes no other grid. A u1 or
-  native i2 payload keeps its stored type; any other type becomes int16.
-  Either way the labels are in file order and read-only.
+* A mask is loaded as a scan whose samples are labels, checked in the box
+  of its nonzero samples, and holds only a copy of that box
+  (``LabelMask.labels`` at ``LabelMask.corner``): read-only u1 labels in
+  file order. An unscaled payload's load makes no other grid.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * ``LabelMask`` and ``RoiMask`` hold a box of the grid at ``corner``;
   their dims, spacing and origin stay the whole grid's. ``LabelMask.box``
@@ -186,8 +185,12 @@ class VoxelVolume(VoxelGrid):
     def region(self, box) -> np.ndarray:
         """The float64 (scaled) samples of the index box ``box``, each
         voxel's bits the same whatever the box, as conversion and scaling
-        are elementwise."""
-        return _to_float(self.stored[box], self.scaling)
+        are elementwise: the package's one conversion of samples to float."""
+        data = self.stored[box].astype(np.float64)
+        if self.scaling is not None:    # in place: one float64 box at a time
+            data *= self.scaling[0]
+            data += self.scaling[1]
+        return data
 
 
 @dataclass
@@ -197,10 +200,10 @@ class LabelMask(VoxelGrid):
     ``labels`` is the box of the grid whose first voxel has index
     ``corner``; no voxel outside it is labelled. A mask built from a whole
     grid (``gen_mask``) keeps it at corner (0, 0, 0); ``load_mask`` keeps
-    only the box of the labelled voxels.
+    only the box of its file's nonzero samples.
     """
 
-    labels: np.ndarray  # integers (load_mask: u1 or int16), 3D, fits at corner
+    labels: np.ndarray  # integers (load_mask: u1), 3D, fits at corner
     corner: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
@@ -209,9 +212,11 @@ class LabelMask(VoxelGrid):
 
     @cached_property
     def box(self) -> tuple[slice, slice, slice]:
-        """The grid's index box of the labelled voxels; empty if no voxel
-        is labelled."""
-        box = bounding_box(self.labels) or (slice(0, 0),) * 3
+        """The grid's index box of the labelled voxels; empty, at (0, 0, 0),
+        if no voxel is labelled."""
+        box = bounding_box(self.labels)
+        if box is None:
+            return (slice(0, 0),) * 3
         return tuple(slice(c + b.start, c + b.stop)
                      for c, b in zip(self.corner, box))
 
@@ -283,16 +288,19 @@ def _drain(fh) -> int:
     return fh.tell()
 
 
-def _decode(path: str):
-    """Read and check a single-file NIfTI-1 file. Returns the payload as
-    stored (a read-only Fortran-ordered array in the file's dtype), the
-    (scl_slope, scl_inter) pair or None if the values are stored unscaled,
-    and the dims/spacing/origin keywords of the grid.
+def load_nifti(path: str) -> VoxelVolume:
+    """Load a single-file NIfTI-1 volume; its samples stay as stored (a
+    read-only Fortran-ordered array in the file's dtype, with the
+    (scl_slope, scl_inter) pair unless scl_slope is 0 or the pair is
+    (1, 0)), and ``region`` gives them as float64.
 
-    A file that starts with the gzip magic is read through
-    ``gzip.GzipFile``, the payload straight into its array, and then read
-    to its end, so a corrupt stream anywhere in it is named first, before
-    any fault of the header or payload found in it."""
+    Raises NiftiError with a distinct diagnostic for malformed headers,
+    non-finite header fields, unsupported datatypes, unexpected
+    dimensionality, corrupt gzip streams and truncated payloads. A file
+    that starts with the gzip magic is read through ``gzip.GzipFile``, the
+    payload straight into its array, and then read to its end, so a corrupt
+    stream anywhere in it is named first, before any fault of the header or
+    payload found in it."""
     with open(path, "rb") as raw:
         zipped = raw.read(2) == b"\x1f\x8b"
         raw.seek(0)
@@ -302,14 +310,14 @@ def _decode(path: str):
         with (gzip.GzipFile(fileobj=raw) if zipped else raw) as fh:
             try:
                 try:
-                    decoded = _decode_stream(path, fh, limit)
+                    volume = _decode_stream(path, fh, limit)
                 except NiftiError:
                     _drain(fh)
                     raise
                 _drain(fh)
             except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
                 raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
-    return decoded
+    return volume
 
 
 def _truncated(path: str, nbytes: int, offset: int, fh) -> NiftiError:
@@ -398,27 +406,8 @@ def _decode_stream(path: str, fh, limit: int):
     if any(s <= 0 for s in spacing):
         raise NiftiError(f"{path}: non-positive pixdim[1..3]={spacing}")
     origin = floats["qoffset"]
-    return stored, scaling, dict(dims=dims, spacing=spacing, origin=origin)
-
-
-def _to_float(stored: np.ndarray, scaling) -> np.ndarray:
-    data = stored.astype(np.float64)
-    if scaling is not None:
-        data = data * np.float64(scaling[0]) + np.float64(scaling[1])
-    return data
-
-
-def load_nifti(path: str) -> VoxelVolume:
-    """Load a single-file NIfTI-1 volume; its samples stay as stored, and
-    ``region`` gives them as float64.
-
-    Data scaling (scl_slope/scl_inter) is applied when scl_slope != 0.
-    Raises NiftiError with a distinct diagnostic for malformed headers,
-    non-finite header fields, unsupported datatypes, unexpected
-    dimensionality, corrupt gzip streams and truncated payloads.
-    """
-    stored, scaling, grid = _decode(path)
-    return VoxelVolume(**grid, stored=stored, scaling=scaling)
+    return VoxelVolume(dims=dims, spacing=spacing, origin=origin,
+                       stored=stored, scaling=scaling)
 
 
 def _check_holds(path: str, arr: np.ndarray, dtype: np.dtype) -> None:
@@ -516,34 +505,37 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
-    An unscaled integer payload is checked as stored; any other must hold
-    finite integers once scaled to float64. Every label it can reject is
-    nonzero, so the labels are checked in the box of the nonzero voxels,
-    before any cast, so no value wraps into a valid label. That box, the
-    box of the labelled voxels, is what the mask holds (at
-    ``LabelMask.corner``), copied read-only in file order: in the stored
-    type of a u1 or native i2 payload, else cast to int16.
+    The file is read as a scan whose samples are labels. Every value it can
+    reject (non-integer, non-finite or outside the vocabulary) is nonzero,
+    so only the box of the nonzero samples is checked: its first bad voxel
+    in C order is the grid's. A float or scaled payload must hold finite
+    integers as float64. The labels are checked before any cast, so no
+    value wraps into a valid label; that box is then copied once, at
+    ``LabelMask.corner``, as read-only u1 in file order. A float sample
+    within 1e-6 of 0 is label 0 yet widens the box held; ``LabelMask.box``
+    is found on the labels, so no region changes.
     """
-    values, scaling, grid = _decode(path)
-    if scaling is not None or values.dtype.kind == "f":
-        values = _to_float(values, scaling)
-        rounded = np.rint(values)
-        with np.errstate(invalid="ignore"):     # inf - inf: NaN, flagged
-            off = ~(np.abs(values - rounded) <= 1e-6)
-        if off.any():
-            idx = tuple(int(c[0]) for c in np.nonzero(off))
-            kind = "non-integer" if np.isfinite(values[idx]) else "non-finite"
-            raise MaskLabelError(
-                f"{path}: voxel {idx} holds {kind} value {values[idx]!r}")
-        values = rounded
-    box = bounding_box(values) or (slice(0, 0),) * 3
+    vol = load_nifti(path)
+    box = bounding_box(vol.stored if vol.scaling is None
+                       else vol.region(...)) or (slice(0, 0),) * 3
     corner = tuple(b.start for b in box)
-    _check_vocabulary(values[box], corner, f"{path}: ")
-    labels = values[box].astype(
-        values.dtype if values.dtype in (np.uint8, np.int16) else np.int16,
-        order="F")
+    labels = vol.stored[box]
+    if vol.scaling is not None or labels.dtype.kind == "f":
+        values = vol.region(box)
+        labels = np.rint(values)
+        with np.errstate(invalid="ignore"):     # inf - inf: NaN, flagged
+            off = ~(np.abs(values - labels) <= 1e-6)
+        if off.any():
+            at = tuple(int(c[0]) for c in np.nonzero(off))
+            idx = tuple(c + a for c, a in zip(corner, at))
+            kind = "non-integer" if np.isfinite(values[at]) else "non-finite"
+            raise MaskLabelError(
+                f"{path}: voxel {idx} holds {kind} value {values[at]!r}")
+    _check_vocabulary(labels, corner, f"{path}: ")
+    labels = labels.astype(np.uint8, order="F")
     labels.flags.writeable = False
-    return LabelMask(**grid, labels=labels, corner=corner)
+    return LabelMask(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
+                     labels=labels, corner=corner)
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radsurv.radiomics import DiscretizedRoi
-from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume
+from radsurv.volumeio import LabelMask, RoiMask, VoxelVolume, write_nifti
 
 
 def traced_peak(fn, *, after=None):
@@ -23,6 +23,19 @@ def traced_peak(fn, *, after=None):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def write_brats_mask(tmp_path, dtype):
+    """(path, labels): a BraTS-size (240, 240, 155) ``.nii.gz`` mask stored
+    as ``dtype``, whose tumour is edema (2) around a core (1) around an
+    enhancing part (4); its labelled box is [100:140, 90:135, 60:95]."""
+    labels = np.zeros((240, 240, 155), dtype=dtype)
+    labels[100:140, 90:135, 60:95] = 2
+    labels[105:125, 95:118, 65:82] = 1
+    labels[108:120, 99:110, 70:78] = 4
+    path = str(tmp_path / "m.nii.gz")
+    write_nifti(path, labels)
+    return path, labels
 
 
 def make_roi(membership, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):

@@ -791,6 +791,78 @@ class TestBoundaryChecks:
                   "--metadata", str(meta), "--out", str(out)])
         assert not (out / "resolved_config.json").exists()
 
+    @staticmethod
+    def _columns(cohort_dir, tmp_path, names, file="features.csv"):
+        """A copy of the cohort's features CSV holding only ``names``."""
+        header, rows = read_csv(str(cohort_dir / "features.csv"))
+        keep = [0] + [header.index(name) for name in names]
+        path = tmp_path / file
+        path.write_text("".join(",".join(row[i] for i in keep) + "\n"
+                                for row in [header, *rows]))
+        return path
+
+    @pytest.mark.parametrize("feature_set", ["shape", "rfe20"])
+    def test_experiment_names_a_column_a_feature_set_needs(
+            self, cohort_dir, tmp_path, feature_set):
+        """A features CSV of the image7 columns only used to end in a bare
+        KeyError traceback from ``Cohort.select``, after rfe20's RFE."""
+        image7 = FEATURE_COLUMNS["image7"]
+        features = self._columns(cohort_dir, tmp_path, image7)
+        needed = FEATURE_COLUMNS["radiomics107" if feature_set == "rfe20"
+                                 else feature_set]
+        missing = next(name for name in needed if name not in image7)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--feature-sets", f"image7,{feature_set}",
+                  "--predictors", "linear", "--features", str(features),
+                  "--metadata", str(cohort_dir / "metadata.csv"),
+                  "--out", str(out)])
+        assert str(exc.value) == (f"radsurv experiment: {features}: feature "
+                                  f"set {feature_set!r} needs column "
+                                  f"{missing!r}")
+        assert not out.exists()
+
+    def test_predict_names_the_file_and_the_model_column_it_lacks(
+            self, cohort_dir, tmp_path):
+        """The message used to name neither the command nor the file."""
+        image7 = FEATURE_COLUMNS["image7"]
+        assert main(["train", "--predictor", "linear", "--params",
+                     '{"penalty": "l2", "lam": 1.0}', "--features",
+                     str(self._columns(cohort_dir, tmp_path, image7)),
+                     "--metadata", str(cohort_dir / "metadata.csv"),
+                     "--out", str(tmp_path / "model")]) == 0
+        features = self._columns(cohort_dir, tmp_path,
+                                 [n for n in image7 if n != "meta.age"],
+                                 "no_age.csv")
+        out = tmp_path / "predictions.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model", str(tmp_path / "model/model.json"),
+                  "--features", str(features), "--out", str(out)])
+        assert str(exc.value) == (f"radsurv predict: {features}: lacks the "
+                                  "model's column 'meta.age'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--predictor", "linear"],
+        ["experiment", "--feature-sets", "image7", "--predictors", "linear"]],
+        ids=["train", "experiment"])
+    def test_grid_folds_above_the_subject_count_exit_before_any_fit(
+            self, cohort_dir, tmp_path, monkeypatch, argv):
+        """They used to end in a ValueError traceback from the grid
+        search's split; without a grid, cv_folds is not read."""
+        features = cohort_dir / "features.csv"
+        args = [*argv, "--features", str(features), "--metadata",
+                str(cohort_dir / "metadata.csv"), "--cv-folds", "50"]
+        monkeypatch.setattr(cli, "fit", None)   # any fit is a TypeError
+        monkeypatch.setattr(cli, "run_experiment_matrix", None)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--grid", "default", "--out", str(tmp_path / "g")])
+        assert str(exc.value) == (f"{features}: cv_folds 50 is above its 6 "
+                                  "subjects")
+        assert not (tmp_path / "g").exists()
+        with pytest.raises(TypeError):      # past the check, at the fit
+            main([*args, "--out", str(tmp_path / "no_grid")])
+
     @pytest.mark.parametrize("row,message", [
         ("SYN-0001,abc", "subject 'SYN-0001' column 'predicted_days' holds "
                          "a non-numeric value 'abc'"),

@@ -15,7 +15,7 @@ import radsurv.volumeio as volumeio
 from radsurv.volumeio import (ROI_KINDS, LabelMask, MaskLabelError,
                               NiftiError, derive_roi, load_mask, load_nifti)
 import oracles
-from conftest import traced_peak
+from conftest import traced_peak, write_brats_mask
 
 _CODES = {"u1": (2, 8), "i2": (4, 16), "i4": (8, 32), "f4": (16, 32),
           "f8": (64, 64)}
@@ -60,19 +60,28 @@ class TestFastPathEquivalence:
         rng = np.random.default_rng(2020)
         labels = random_labels(rng)
         halves = rng.choice(np.array([0, 1, 2]), size=labels.shape)
-        cases = ((0.0, 0.0, labels, labels), (1.0, 0.0, labels, labels),
-                 (2.0, 0.0, halves, 2 * halves))
-        for n, (slope, inter, stored, expected) in enumerate(cases):
+        # labels in an inner box, stored + 1 and scaled back by scl_inter
+        # -1: the background is stored as 1, so only a box found on the
+        # scaled samples is the box of the labelled voxels
+        inner = (slice(1, -1), slice(2, -3), slice(1, -1))
+        framed = np.zeros_like(labels)
+        framed[inner] = labels[inner]
+        whole = (slice(None),) * 3
+        cases = ((0.0, 0.0, labels, labels, whole),
+                 (1.0, 0.0, labels, labels, whole),
+                 (2.0, 0.0, halves, 2 * halves, whole),
+                 (1.0, -1.0, framed + 1, framed[inner], inner))
+        for n, (slope, inter, stored, expected, held) in enumerate(cases):
             path = write_blob(tmp_path / f"m{n}{suffix}",
                               nifti_blob(stored.astype(key), byteorder,
                                          slope, inter))
             mask = load_mask(path)
-            want = oracles.load_mask_via_float(path)
-            # a u1 or native i2 payload is kept as stored, any other is
-            # cast to int16; labels stay in file order and read-only
-            kept = slope in (0.0, 1.0) and (
-                key == "u1" or key == "i2" and np.dtype(byteorder + key).isnative)
-            assert mask.labels.dtype == (np.dtype(key) if kept else np.int16)
+            want = oracles.load_mask_via_float(path)[held]
+            assert mask.corner == tuple(b.indices(d)[0] for b, d in
+                                        zip(held, mask.dims))
+            # every accepted label fits in u1; labels stay in file order
+            # and read-only
+            assert mask.labels.dtype == np.uint8
             assert mask.labels.flags.f_contiguous
             assert not mask.labels.flags.writeable
             assert np.array_equal(mask.labels, want)
@@ -191,10 +200,30 @@ class TestBoxForm:
                 full[box] = False
                 assert not full.any(), (name, kind)
 
+    def test_near_zero_float_sample_widens_only_the_held_box(self,
+                                                             tmp_path):
+        """A float sample within 1e-6 of 0 is label 0: it widens the box
+        the mask holds, but not ``LabelMask.box``, so no region changes; a
+        mask with no other sample has the empty box at (0, 0, 0)."""
+        stored = np.zeros((6, 7, 5), dtype="f4")
+        stored[2:4, 3:6, 1:4] = 2
+        stored[5, 0, 4] = 1e-7
+        box = (slice(2, 4), slice(3, 6), slice(1, 4))
+        for n, (corner, want, labelled) in enumerate((
+                ((2, 0, 1), box, 18), ((5, 0, 4), (slice(0, 0),) * 3, 0))):
+            mask = load_mask(write_blob(tmp_path / f"near{n}.nii",
+                                        nifti_blob(stored)))
+            assert mask.corner == corner
+            assert mask.box == want
+            assert np.count_nonzero(mask.labels) == labelled
+            for kind in ("WT", "LABEL2"):
+                assert derive_roi(mask, kind).box == want
+            stored[box] = 0
+
     def test_negative_label_outside_the_box_is_rejected(self, tmp_path):
-        """A bad label anywhere, in or outside the box of the positive
-        labels, is named as the whole-grid decode names it: the first bad
-        voxel in C order, by its grid index."""
+        """A bad label or value anywhere, in or outside the box of the
+        positive labels, is named as the whole-grid decode names it: the
+        first bad voxel in C order, by its grid index."""
         rng = np.random.default_rng(40)
         shape = (6, 7, 5)
         base = np.zeros(shape, dtype=np.int16)
@@ -229,6 +258,31 @@ class TestBoxForm:
                         load_mask(path)
                     assert str(got.value) == str(want.value)
                     assert f"label {bad} at voxel {first}" in str(got.value)
+        # float and scaled payloads holding a non-integer or non-finite
+        # value: the oracle's drift check passes NaN (NaN > 1e-6 is False),
+        # so a non-finite value's message is pinned by its text
+        for key, slope, inter in (("f4", 0.0, 0.0), ("f8", 0.0, 0.0),
+                                  ("f4", 2.0, 0.0), ("f8", 1.0, -1.0)):
+            for bad in (1.5, np.nan, np.inf, -np.inf):
+                for voxels in placements:
+                    values = base.astype(np.float64)
+                    for voxel in voxels:
+                        values[voxel] = bad
+                    stored = (values - inter) / (slope or 1.0)
+                    path = write_blob(tmp_path / f"bad{n}.nii.gz",
+                                      nifti_blob(stored.astype(key),
+                                                 "<>"[n % 2], slope, inter))
+                    n += 1
+                    kind = "non-integer" if bad == 1.5 else "non-finite"
+                    with pytest.raises(MaskLabelError) as got:
+                        load_mask(path)
+                    assert str(got.value) == (
+                        f"{path}: voxel {min(voxels)} holds {kind} value "
+                        f"{np.float64(bad)!r}")
+                    if bad == 1.5:
+                        with pytest.raises(MaskLabelError) as want:
+                            oracles.load_mask_via_float(path)
+                        assert str(got.value) == str(want.value)
 
 
 class TestRejectedValues:
@@ -363,22 +417,24 @@ def test_load_mask_peak_memory_stays_near_the_label_grid(tmp_path):
     assert peak <= 4 * mask.labels.nbytes, (peak, mask.labels.nbytes)
 
 
+def _brats_mask_load_peak(tmp_path, dtype):
+    """(labels, peak): the BraTS-size mask stored as ``dtype``, and the
+    traced peak of one ``load_mask`` of it, which holds its u1 labels' box."""
+    path, labels = write_brats_mask(tmp_path, dtype)
+    load_mask(path)                          # warm imports and caches
+    mask, peak = traced_peak(lambda: load_mask(path))
+    assert mask.corner == (100, 90, 60) and mask.labels.dtype == np.uint8
+    assert np.array_equal(mask.labels, labels[100:140, 90:135, 60:95])
+    return labels, peak
+
+
 def test_int32_mask_is_cast_only_in_its_box(tmp_path):
     """A BraTS-size int32 mask with a small tumour peaks below its payload
     plus 1.5 bytes a voxel: the vocabulary and box are found on the payload
     (one grid of bools at a time) and only the box is cast. Casting the
     whole payload to int16 first held the payload and the int16 grid, 2
     bytes a voxel."""
-    dims = (240, 240, 155)
-    labels = np.zeros(dims, dtype=np.int32)
-    labels[100:120, 90:115, 60:80] = 2
-    labels[105:112, 95:108, 65:72] = 4
-    path = str(tmp_path / "m.nii.gz")
-    volumeio.write_nifti(path, labels)
-    load_mask(path)                          # warm imports and caches
-    mask, peak = traced_peak(lambda: load_mask(path))
-    assert mask.corner == (100, 90, 60) and mask.labels.dtype == np.int16
-    assert np.array_equal(mask.labels, labels[100:120, 90:115, 60:80])
+    labels, peak = _brats_mask_load_peak(tmp_path, np.int32)
     assert peak < labels.nbytes + labels.size * 1.5, \
         f"{peak / 2**20:.1f} MiB traced"
 
@@ -388,18 +444,35 @@ def test_u1_mask_load_holds_no_grid_but_its_payload(tmp_path):
     plus 1 MiB: its labels are checked and copied in their box. The whole-
     grid label check and the ``labels > 0`` grid of the box search took
     17.0 MiB for this 8.5 MiB payload."""
-    dims = (240, 240, 155)
-    labels = np.zeros(dims, dtype=np.uint8)
-    labels[100:140, 90:135, 60:95] = 2
-    labels[105:125, 95:118, 65:82] = 1
-    labels[108:120, 99:110, 70:78] = 4
-    path = str(tmp_path / "m.nii.gz")
-    volumeio.write_nifti(path, labels)
+    labels, peak = _brats_mask_load_peak(tmp_path, np.uint8)
+    assert peak < labels.nbytes + 2**20, f"{peak / 2**20:.1f} MiB traced"
+
+
+def test_f4_mask_is_checked_in_its_box(tmp_path):
+    """A BraTS-size float32 mask with a small tumour peaks below its
+    payload plus 4 MiB: its box is found on the payload, and only the box
+    becomes float64 to be checked. Converting and checking the whole grid
+    as float64 peaked at 272.5 MiB for this 34.1 MiB payload."""
+    labels, peak = _brats_mask_load_peak(tmp_path, np.float32)
+    assert peak < labels.nbytes + 4 * 2**20, f"{peak / 2**20:.1f} MiB traced"
+
+
+def test_scaled_mask_holds_one_float64_grid_while_its_box_is_found(
+        tmp_path):
+    """A BraTS-size scaled int16 mask (labels + 1 stored, scl_inter -1)
+    peaks below its payload plus one float64 grid and 4 MiB: its box is
+    found on the scaled samples, which ``VoxelVolume.region`` scales in
+    place. Scaling out of place held two float64 grids (153.3 MiB here)."""
+    _, labels = write_brats_mask(tmp_path, np.uint8)
+    stored = labels.astype("i2") + 1
+    path = write_blob(tmp_path / "scaled.nii.gz",
+                      nifti_blob(stored, slope=1.0, inter=-1.0))
     load_mask(path)                          # warm imports and caches
     mask, peak = traced_peak(lambda: load_mask(path))
-    assert mask.corner == (100, 90, 60) and mask.labels.dtype == np.uint8
+    assert mask.corner == (100, 90, 60)
     assert np.array_equal(mask.labels, labels[100:140, 90:135, 60:95])
-    assert peak < labels.nbytes + 2**20, f"{peak / 2**20:.1f} MiB traced"
+    assert peak < stored.nbytes + 8 * stored.size + 4 * 2**20, \
+        f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestGzipStream:
