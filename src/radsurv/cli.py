@@ -12,8 +12,13 @@ inputs and seed. Exit status is 0 only when every requested subject or
 experiment cell succeeded. A path setting that names no file, or the
 wrong kind of file, exits with one line naming the setting and the path.
 
+Every feature table a command writes goes through
+``cohort.write_features_csv``; extract builds one ``RadiomicsConfig`` per
+run and each subject's row with ``radiomics.extract_row``.
+
 Environment: RADSURV_WORKERS (a positive integer, default 1) caps the
-extract thread pool, not the output order; RADSURV_LOG sets the log level.
+extract thread pool, not the output order; RADSURV_LOG sets the log level
+(DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .cohort import load_cohort, read_features_csv
+from .cohort import load_cohort, read_features_csv, write_features_csv
 from .featselect import EstimatorSpec, rfe
 from .phantoms import (PHANTOM_SHAPES, CohortSpec, PhantomSpec, gen_cohort,
                        gen_mask)
@@ -194,64 +199,53 @@ def _first_missing(names, have):
     return next((name for name in names if name not in have), None)
 
 
-def _binning_from(resolved: dict):
-    if resolved.get("bin_width") is not None:
-        return Binning("fixed_bin_width", float(resolved["bin_width"]))
-    return Binning("fixed_bin_count", resolved["bins"])
-
-
 # ---------------------------------------------------------------------------
 # extract
 
-def _extract_one(subject_id: str, scan_path: str, mask_path: str,
-                 age: float, resolved: dict):
-    mode = resolved["features"]
-    mask = load_mask(mask_path)
-    record = SubjectRecord(subject_id=subject_id, age=age)
-    if mode == "image7":    # reads no scan, so no binning either
-        return extract_row(mask, record, mode=mode).tolist()
-    config = RadiomicsConfig(roi_kind=resolved["roi"],
-                             binning=_binning_from(resolved))
-    vol = load_nifti(scan_path)
-    return extract_row(mask, record, vol, config, mode).tolist()
-
-
 def cmd_extract(resolved: dict) -> int:
     workers = _workers()
+    mode = resolved["features"]
     # image7 reads no scan
-    files = ("mask",) if resolved["features"] == "image7" else ("mask", "scan")
+    files = ("mask",) if mode == "image7" else ("mask", "scan")
     header, rows = read_csv(resolved["subjects"], key="ID", required=files)
     rows = [dict(zip(header, row)) for row in rows]
     ages = {r.subject_id: r.age
             for r in read_metadata_csv(resolved["metadata"])}
+    width = resolved["bin_width"]
+    config = RadiomicsConfig(
+        roi_kind=resolved["roi"],
+        binning=Binning("fixed_bin_count", resolved["bins"]) if width is None
+        else Binning("fixed_bin_width", float(width)))
 
     def work(row):
         sid = row["ID"]
         if sid not in ages:
-            raise KeyError(f"{resolved['metadata']}: no metadata row for "
-                           f"subject {sid!r}")
+            raise ValueError(f"{resolved['metadata']}: no metadata row for "
+                             f"subject {sid!r}")
         for column in files:
             if not row[column]:
                 raise ValueError(f"{resolved['subjects']}: subject {sid!r} "
                                  f"column {column!r} is empty")
-        return _extract_one(sid, row.get("scan", ""), row["mask"], ages[sid],
-                            resolved)
+        mask = load_mask(row["mask"])
+        vol = load_nifti(row["scan"]) if "scan" in files else None
+        return extract_row(mask, SubjectRecord(subject_id=sid, age=ages[sid]),
+                           vol, config, mode)
 
-    results = []
+    ids, results = [], []
     failures = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(row["ID"], pool.submit(work, row)) for row in rows]
         for sid, fut in futures:
             try:
-                results.append([sid] + fut.result())
+                results.append(fut.result())
+                ids.append(sid)
             except Exception as exc:
                 failures += 1
                 log.error("subject %s failed: %s", sid, exc)
 
     if results:
-        write_csv(resolved["out"],
-                  ["subject_id", *FEATURE_COLUMNS[resolved["features"]]],
-                  results)
+        write_features_csv(resolved["out"], ids, FEATURE_COLUMNS[mode],
+                           results)
     log.info("extract: %d subjects written, %d failed", len(results), failures)
     if not results:
         log.error("no subjects succeeded")
@@ -277,11 +271,9 @@ def cmd_rfe(resolved: dict) -> int:
                   seed=resolved["seed"])
     os.makedirs(resolved["out"], exist_ok=True)
     ranking.write_csv(os.path.join(resolved["out"], "ranking.csv"))
-    reduced = cohort.select(ranking.kept)
-    rows = [[sid] + row.tolist()
-            for sid, row in zip(cohort.subject_ids, reduced)]
-    write_csv(os.path.join(resolved["out"], "reduced_features.csv"),
-              ["subject_id"] + ranking.kept, rows)
+    write_features_csv(os.path.join(resolved["out"], "reduced_features.csv"),
+                       cohort.subject_ids, ranking.kept,
+                       cohort.select(ranking.kept))
     return 0
 
 
@@ -309,8 +301,7 @@ def cmd_predict(resolved: dict) -> int:
         raise SystemExit(f"radsurv predict: {resolved['features']}: lacks "
                          f"the model's column {missing!r}")
     days = predict(model, X[:, [names.index(n) for n in model.feature_names]])
-    write_csv(resolved["out"], ["subject_id", "predicted_days"],
-              [[sid, float(d)] for sid, d in zip(ids, days)])
+    write_features_csv(resolved["out"], ids, ["predicted_days"], days)
     return 0
 
 
@@ -514,6 +505,7 @@ _FOLDS = {"type": _Number("i", 2)}
 _FLOAT = {"type": _Number()}
 _GRID = {"help": "JSON file with a list of parameter dicts, or 'default'"}
 _EVAL_FILTER = {"choices": list(EVAL_STATUSES)}
+_RADIOMICS = RadiomicsConfig()     # extract's roi and bins defaults
 
 COMMANDS = {
     "extract": (cmd_extract, "extract feature table from volumes", {
@@ -521,9 +513,10 @@ COMMANDS = {
         "metadata": (REQUIRED, {"help": "metadata CSV (ID,Age,...)"}),
         "out": (REQUIRED, {"help": "output features CSV"}),
         "features": ("all", {"choices": EXTRACT_MODES}),
-        "roi": ("WT", {"choices": ROI_KINDS}),
-        "bins": (32, {"type": _Number("i", 2),
-                      "help": "fixed bin count (default 32)"}),
+        "roi": (_RADIOMICS.roi_kind, {"choices": ROI_KINDS}),
+        "bins": (_RADIOMICS.binning.value, {
+            "type": _Number("i", 2),
+            "help": f"fixed bin count (default {_RADIOMICS.binning.value})"}),
         "bin_width": (None, {"type": _Number(low=POSITIVE)}),
         "channel": ("unspecified",
                     {"help": "intensity channel label for provenance"})}),
@@ -586,8 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("RADSURV_LOG", "INFO")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        raise SystemExit(f"RADSURV_LOG={level!r} is not one of DEBUG, INFO, "
+                         "WARNING, ERROR or CRITICAL")
     logging.basicConfig(
-        level=os.environ.get("RADSURV_LOG", "INFO").upper(),
+        level=level.upper(),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     func, _, settings = COMMANDS[args.command]

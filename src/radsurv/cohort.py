@@ -1,4 +1,9 @@
-"""Cohort container: subjects x features plus survival targets and metadata."""
+"""Cohort container: subjects x features plus survival targets and metadata.
+
+A feature table is a ``subject_id`` column, then one column per feature
+name, with NaN as an empty cell; ``write_features_csv`` is its one writer
+and ``read_features_csv`` its one reader.
+"""
 
 from __future__ import annotations
 
@@ -65,13 +70,18 @@ class Cohort:
         return np.array([r.resection_status in statuses for r in self.records])
 
     def write_features_csv(self, path: str) -> None:
-        rows = []
-        for i, sid in enumerate(self.subject_ids):
-            rows.append([sid] + [float(v) for v in self.X[i]])
-        write_csv(path, ["subject_id"] + list(self.feature_names), rows)
+        write_features_csv(path, self.subject_ids, self.feature_names, self.X)
 
     def write_metadata_csv(self, path: str) -> None:
         write_metadata_csv(path, self.records)
+
+
+def write_features_csv(path: str, ids, names, X) -> None:
+    """Write ``X``, one row per id and one column per name, as a feature
+    table; a NaN cell is written empty."""
+    rows = np.asarray(X, dtype=np.float64).reshape(len(ids), len(names))
+    write_csv(path, ["subject_id", *names],
+              ([sid, *row] for sid, row in zip(ids, rows.tolist())))
 
 
 def read_features_csv(path: str):

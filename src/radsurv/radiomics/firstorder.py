@@ -67,7 +67,7 @@ def first_order_features(vol: VoxelVolume, roi: RoiMask,
     skewness = m3 / m2 ** 1.5 if m2 > 0 else 0.0
     kurtosis = m4 / m2 ** 2 if m2 > 0 else 0.0
 
-    p10, p25, p75, p90 = (float(np.percentile(x, q)) for q in (10, 25, 75, 90))
+    p10, p25, p75, p90 = np.percentile(x, (10, 25, 75, 90)).tolist()
     band = x[(x >= p10) & (x <= p90)]
     rmad = float(np.mean(np.abs(band - band.mean()))) if band.size else 0.0
 

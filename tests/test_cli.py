@@ -278,6 +278,24 @@ class TestExtractCommand:
                   "--out", str(tmp_path / "features.csv")])
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("level", ["verbose", "15", "", "INFO "])
+    def test_log_level_must_be_a_level_name(self, monkeypatch, capsys, level):
+        # checked before logging is configured or any argument is parsed
+        monkeypatch.setenv("RADSURV_LOG", level)
+        with pytest.raises(SystemExit, match=re.escape(
+                f"RADSURV_LOG={level!r} is not one of DEBUG, INFO, WARNING, "
+                "ERROR or CRITICAL")):
+            main(["--version"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARNING", "warn",
+                                       "error", "critical"])
+    def test_log_level_of_any_case_is_accepted(self, monkeypatch, level):
+        monkeypatch.setenv("RADSURV_LOG", level)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+
     def test_fuzzed_manifest_writes_finite_or_names_the_fault(
             self, phantom_dir, tmp_path, caplog):
         """Mutated subjects manifests through ``extract``, in the style of

@@ -24,7 +24,7 @@ from radsurv import cli, phantoms
 from radsurv.cli import COMMANDS, build_parser, main
 from radsurv.cohort import load_cohort
 from radsurv.prognosis import FEATURE_SETS
-from radsurv.radiomics import FEATURE_COLUMNS
+from radsurv.radiomics import FEATURE_COLUMNS, Binning, RadiomicsConfig
 from radsurv.regressors import (PREDICTOR_KINDS, load_model, save_model,
                                 train_model)
 from radsurv.regressors.gridsearch import resolve_grid
@@ -904,6 +904,27 @@ class TestBoundaryChecks:
                      "--features", "image7"]) == 1
         assert f"{meta}: no metadata row for subject 'S9'" in caplog.text
 
+    def test_extract_logs_a_missing_metadata_row_unquoted(self, tmp_path,
+                                                          caplog):
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("ID,mask\nS9,m.nii.gz\n")
+        meta = tmp_path / "meta.csv"
+        meta.write_text("ID,Age,Survival_days,Extent_of_Resection\n")
+        assert main(["extract", "--subjects", str(subjects), "--metadata",
+                     str(meta), "--out", str(tmp_path / "f.csv"),
+                     "--features", "image7"]) == 1
+        assert [r.getMessage() for r in caplog.records][0] == (
+            f"subject S9 failed: {meta}: no metadata row for subject 'S9'")
+
+    def test_extract_defaults_are_those_of_radiomics_config(self):
+        args = build_parser().parse_args(
+            ["extract", *_flags(COMPLETE["extract"])])
+        resolved = cli._merge_config("extract", COMMANDS["extract"][2], args)
+        config = RadiomicsConfig()
+        assert resolved["roi"] == config.roi_kind
+        assert resolved["bin_width"] is None
+        assert Binning("fixed_bin_count", resolved["bins"]) == config.binning
+
 
 # each command on the files ``run_pipeline`` leaves, and its path settings
 PATH_RUNS = {
@@ -1092,6 +1113,22 @@ def test_feature_rows_are_composed_only_by_extract_row():
                if name in extractors}
     assert callers == {("__init__.py", "extract_row", name)
                        for name in extractors}
+
+
+def test_feature_tables_and_radiomics_configs_have_one_builder_in_cli():
+    """Every feature table ``cli`` writes goes through
+    ``cohort.write_features_csv``, so its only ``write_csv`` call is
+    ``evaluate``'s metrics; and ``extract`` builds the one
+    ``RadiomicsConfig`` of a run, so no per-subject helper builds its own."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "radsurv"
+    calls = {(scope, child.func.id) for scope, child in _nodes_by_function(
+                 ast.parse((package / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(child, ast.Call)
+             and isinstance(child.func, ast.Name)
+             and child.func.id in ("write_csv", "RadiomicsConfig")}
+    assert calls == {("cmd_evaluate", "write_csv"),
+                     ("cmd_extract", "RadiomicsConfig"),
+                     ("<module>", "RadiomicsConfig")}
 
 
 def test_no_module_level_name_is_bound_twice():

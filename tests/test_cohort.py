@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from radsurv.cohort import Cohort, load_cohort
+from radsurv.cohort import (Cohort, load_cohort, read_features_csv,
+                            write_features_csv)
 from radsurv.volumeio import SubjectRecord
 
 
@@ -20,6 +21,32 @@ def cohort():
                   feature_names=["alpha", "beta"], X=X,
                   survival_days=np.array([200.0, 400.0, 600.0]),
                   records=records)
+
+
+@pytest.mark.parametrize("n, p", [(7, 5), (4, 1), (0, 3), (0, 1)])
+def test_feature_table_round_trip(tmp_path, n, p):
+    """The writer's table reads back with its ids and names; a NaN cell is
+    written empty, and a table read back is written to the same bytes. A
+    cell holds 12 significant digits, so the bits are not asked back."""
+    rng = np.random.default_rng(n * 10 + p)
+    ids = [f"S{i:02d}" for i in range(n)]
+    names = [f"group.f{j}" for j in range(p)]
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-8, 9, (n, p))
+    X[rng.random((n, p)) < 0.25] = np.nan
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_features_csv(str(first), ids, names, X)
+    read_ids, read_names, read_X = read_features_csv(str(first))
+    assert (read_ids, read_names) == (ids, names)
+    assert read_X.shape == (n, p)
+    assert np.array_equal(np.isnan(read_X), np.isnan(X))
+    assert np.allclose(read_X[~np.isnan(X)], X[~np.isnan(X)], rtol=1e-11,
+                       atol=0)
+    cells = [line.split(",")[1:]
+             for line in first.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [[cell == "" for cell in row] for row in cells] == \
+        np.isnan(X).tolist()
+    write_features_csv(str(second), read_ids, read_names, read_X)
+    assert second.read_bytes() == first.read_bytes()
 
 
 class TestCohort:
