@@ -11,11 +11,14 @@ Mask summaries add per-label amounts, the WT bounding-box extent and the
 WT / necrosis centroids. Extent is count-based: a 1-voxel-thick region has
 extent equal to one spacing step, not zero. Centroids are means of member
 voxel centers, where voxel (i, j, k) has center ``origin + index * spacing``;
-an empty label set yields a missing centroid (None), never a fake zero.
+each axis's mean is its exact integer index sum (from the member counts of
+a projection of the region) divided once by the count. An empty label set
+yields a missing centroid (None), never a fake zero.
 
 Every region comes from ``volumeio.derive_roi``; which labels make up a
 region is decided there and nowhere else, as the crop of the box of the
-mask's labelled voxels. WT is all of them, so its crop is the extent.
+mask's labelled voxels, one comparison per label. WT is all of them, so
+its crop is the extent.
 """
 
 from __future__ import annotations
@@ -102,13 +105,22 @@ def roi_surface_area_facecount(roi: RoiMask) -> float:
 
 
 def _centroid(roi: RoiMask):
-    """Mean member voxel center, or None for an empty region."""
-    idx = np.nonzero(roi.membership)
-    if idx[0].size == 0:
+    """Mean member voxel center, or None for an empty region.
+
+    Each axis's index sum is exact: the member count at each index (a
+    projection of the box) times the index. One division rounds it, as
+    ``np.mean`` of the indices rounds their exact float64 sum while it stays
+    below 2**53."""
+    n = roi.voxel_count
+    if n == 0:
         return None
-    return tuple(
-        float(np.mean(idx[a] + roi.corner[a]) * roi.spacing[a] + roi.origin[a])
-        for a in range(3))
+    centroid = []
+    for a in range(3):
+        counts = np.count_nonzero(roi.membership,
+                                  axis=tuple(b for b in range(3) if b != a))
+        total = int(counts @ (np.arange(counts.size) + roi.corner[a]))
+        centroid.append(total / n * roi.spacing[a] + roi.origin[a])
+    return tuple(centroid)
 
 
 def extract_image_features(mask: LabelMask, subject: SubjectRecord) -> ImageFeatures:

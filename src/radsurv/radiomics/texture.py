@@ -6,19 +6,21 @@ Conventions, fixed across the package and mirrored by the test oracles:
   GLSZM zones, GLDM dependence counts and NGTDM neighborhood means, and
   the 13 axial+diagonal directions (antipodal offsets merged) for GLCM
   and GLRLM, ``DIRECTIONS_13``, which this module owns. One walk,
-  ``count_textures``, made once per ``DiscretizedRoi``, numbers the ROI
-  voxels and builds the in-ROI voxel pairs (v, v + d) over the 13
-  half-offsets d (every 26-neighbor pair once), one direction at a time:
-  it adds their GLCM counts, takes the equal-level pairs, walks their
-  GLRLM runs from their starts, adds their GLDM dependence counts and
-  runs one zone-labelling round on them; no other pair outlives its
-  direction. After the walk, labelling finishes on the pairs whose voxels
-  still hold two labels, so GLSZM zones are the components of all 13
-  directions' equal-level pairs, and the GLCM and GLRLM tables are
-  finished in place: each family only reads its table. Every count is an
-  integer, so no table depends on the order of the pairs. NGTDM reads no
-  pairs: its neighbor counts and level sums are 3x3x3 box sums over the
-  level map.
+  ``count_textures``, made once per ``DiscretizedRoi``, visits the voxel
+  pairs (v, v + d) over the 13 half-offsets d (every 26-neighbor pair
+  once), one direction at a time, as one gather of each ROI voxel's
+  neighbor level from the zero-padded level map (0 outside the ROI): one
+  ``bincount`` of those levels against the voxel's gives the GLCM counts,
+  and the neighbors at the voxel's own level give the equal-level pairs.
+  It walks their GLRLM runs from their starts, adds their GLDM dependence
+  counts and runs one zone-labelling round on them; no other pair
+  outlives its direction. After the walk, labelling finishes on the pairs
+  whose voxels still hold two labels, so GLSZM zones are the components
+  of all 13 directions' equal-level pairs, and the GLCM and GLRLM tables
+  are finished in place: each family only reads its table. Every count is
+  an integer, so no table depends on the order of the pairs. NGTDM reads
+  no pairs: its neighbor counts and level sums are 3x3x3 box sums over
+  the level map.
 * Directional families compute features per direction and then take the
   arithmetic mean over directions, in the fixed ``DIRECTIONS_13`` order.
   GLCM and GLRLM matrices come as one (13, Ng, .) stack; each formula runs
@@ -218,27 +220,26 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
     succ = np.full(nv, -1)
     linked = np.zeros(nv, dtype=bool)
     label, left = np.arange(nv), []
-    # voxels numbered in levels order; the pad makes each d one flat shift
+    # voxels numbered in levels order; the pad makes each d one flat shift,
+    # and its zeros are the neighbours outside the ROI
     padded = np.pad(disc.level_map, 1)
-    pos = np.flatnonzero(padded.ravel())
-    number = np.full(padded.size, -1, dtype=np.int64)
+    flat = padded.ravel()
+    pos = np.flatnonzero(flat)
+    number = np.empty(padded.size, dtype=np.int64)    # read at ROI voxels
     number[pos] = np.arange(pos.size)
     strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-    del padded
+    # row lv + 1 of a (Ng + 1)-square table whose row and column 0 are
+    # dropped: column 0 counts the neighbours outside the ROI
+    rows = (lv + 1) * (ng + 1)
     for d, shift in enumerate((np.array(DIRECTIONS_13) @ strides).tolist()):
-        b = number[pos + shift]
-        a = np.flatnonzero(b >= 0)
-        b = b[a]
-        la, lb = lv[a], lv[b]
-        cells = la * ng
-        cells += lb
-        glcm[d] = np.bincount(cells, minlength=ng * ng).reshape(ng, ng)
+        lb = flat[pos + shift]
+        glcm[d] = np.bincount(rows + lb, minlength=(ng + 1) ** 2).reshape(
+            ng + 1, ng + 1)[1:, 1:]
         # flatnonzero and two takes: a boolean index is several times
         # slower on a mask this irregular
-        same = np.flatnonzero(la == lb)
-        del la, lb, cells
-        a, b = a[same], b[same]
-        del same
+        a = np.flatnonzero(lb == levels)
+        del lb
+        b = number[pos[a] + shift]
         dep += np.bincount(a, minlength=nv)
         dep += np.bincount(b, minlength=nv)
         succ[a] = b

@@ -11,19 +11,21 @@ Scope and conventions:
   are ignored beyond spacing and offset; the features computed downstream
   aggregate over directions, so anatomical orientation does not affect
   them. This limitation is deliberate.
-* A payload is read into the one array that keeps it, 64 KiB at a time:
-  a ``.nii`` file straight from disk, a ``.nii.gz`` through
-  ``gzip.GzipFile``, which is then read to its end, so every gzip member's
-  CRC is checked. A header's claim is bounded by what the file can hold
-  before that array is allocated.
+* Both loaders share one header decode (``_decode_header``) and one file
+  reader (``_load``): a ``.nii`` file is read straight from disk, a
+  ``.nii.gz`` through ``gzip.GzipFile``, 64 KiB at a time, and then to its
+  end, so every gzip member's CRC is checked. A header's claim is bounded
+  by what the file can hold before any buffer is allocated.
 * A loaded scan keeps its samples as stored (``VoxelVolume.stored``: the
-  file's dtype, with its ``scaling``). ``VoxelVolume.region(box)`` is where
-  samples become float64, one index box at a time, so extraction holds no
-  whole-grid float copy.
-* A mask is loaded as a scan whose samples are labels, checked in the box
-  of its nonzero samples, and holds only a copy of that box
-  (``LabelMask.labels`` at ``LabelMask.corner``): read-only u1 labels in
-  file order. An unscaled payload's load makes no other grid.
+  file's dtype, with its ``scaling``), read into the one array that keeps
+  them. ``VoxelVolume.region(box)`` is where samples become float64, one
+  index box at a time, so extraction holds no whole-grid float copy.
+* A mask is loaded as a scan whose samples are labels, read in blocks of
+  whole k-slabs through one reused buffer; each block keeps only the box
+  of its nonzero (scaled) samples. The labels are checked in the box of
+  all of them, and the mask holds only that box (``LabelMask.labels`` at
+  ``LabelMask.corner``): read-only u1 labels in file order. No payload or
+  float64 grid is held whole.
 * The physical center of voxel ``(i, j, k)`` is ``origin + index * spacing``.
 * ``LabelMask`` and ``RoiMask`` hold a box of the grid at ``corner``;
   their dims, spacing and origin stay the whole grid's. ``LabelMask.box``
@@ -39,7 +41,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -186,11 +188,7 @@ class VoxelVolume(VoxelGrid):
         """The float64 (scaled) samples of the index box ``box``, each
         voxel's bits the same whatever the box, as conversion and scaling
         are elementwise: the package's one conversion of samples to float."""
-        data = self.stored[box].astype(np.float64)
-        if self.scaling is not None:    # in place: one float64 box at a time
-            data *= self.scaling[0]
-            data += self.scaling[1]
-        return data
+        return _as_float(self.stored[box], self.scaling)
 
 
 @dataclass
@@ -269,6 +267,18 @@ class SubjectRecord:
                 "not one of GTR/STR/NA")
 
 
+def _as_float(samples: np.ndarray, scaling) -> np.ndarray:
+    """``samples`` as a new float64 array, scaled by ``scaling`` (slope,
+    intercept) unless it is None: the package's one conversion of samples
+    to float, elementwise, so each sample's bits do not depend on the
+    array it comes in."""
+    data = samples.astype(np.float64)
+    if scaling is not None:             # in place: one float64 array
+        data *= scaling[0]
+        data += scaling[1]
+    return data
+
+
 def _fill(fh, view) -> int:
     """Read ``fh`` into ``view`` as far as the file goes; the count. Each
     call fills at most ``_STEP`` bytes, as ``GzipFile.readinto`` reads a
@@ -288,19 +298,31 @@ def _drain(fh) -> int:
     return fh.tell()
 
 
-def load_nifti(path: str) -> VoxelVolume:
-    """Load a single-file NIfTI-1 volume; its samples stay as stored (a
-    read-only Fortran-ordered array in the file's dtype, with the
-    (scl_slope, scl_inter) pair unless scl_slope is 0 or the pair is
-    (1, 0)), and ``region`` gives them as float64.
+class _Payload(NamedTuple):
+    """What a header says of its payload: grid, stored type, byte offset,
+    (scl_slope, scl_inter) unless they leave samples as stored, and the
+    spacing and origin; ``_load`` checks the spacing's values once the
+    payload is read, so a short payload is named first."""
 
-    Raises NiftiError with a distinct diagnostic for malformed headers,
-    non-finite header fields, unsupported datatypes, unexpected
-    dimensionality, corrupt gzip streams and truncated payloads. A file
-    that starts with the gzip magic is read through ``gzip.GzipFile``, the
-    payload straight into its array, and then read to its end, so a corrupt
-    stream anywhere in it is named first, before any fault of the header or
-    payload found in it."""
+    dims: tuple[int, int, int]
+    dtype: np.dtype
+    offset: int
+    scaling: Optional[tuple[float, float]]
+    spacing: tuple[float, float, float]
+    origin: tuple[float, float, float]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.dims) * self.dtype.itemsize
+
+
+def _load(path: str, read):
+    """(head, ``read(path, fh, head)``) of a single-file NIfTI-1 file: the
+    header is decoded into ``head``, ``read`` takes the payload from
+    ``fh``, the spacing is checked and the file is read to its end. A file
+    that starts with the gzip magic is read through ``gzip.GzipFile``, so a
+    corrupt stream anywhere in it is named first, before any fault of the
+    header or payload found in it."""
     with open(path, "rb") as raw:
         zipped = raw.read(2) == b"\x1f\x8b"
         raw.seek(0)
@@ -310,23 +332,53 @@ def load_nifti(path: str) -> VoxelVolume:
         with (gzip.GzipFile(fileobj=raw) if zipped else raw) as fh:
             try:
                 try:
-                    volume = _decode_stream(path, fh, limit)
+                    head = _decode_header(path, fh, limit)
+                    result = read(path, fh, head)
+                    if any(s <= 0 for s in head.spacing):
+                        raise NiftiError(f"{path}: non-positive "
+                                         f"pixdim[1..3]={head.spacing}")
                 except NiftiError:
                     _drain(fh)
                     raise
                 _drain(fh)
             except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
                 raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from None
-    return volume
+    return head, result
 
 
-def _truncated(path: str, nbytes: int, offset: int, fh) -> NiftiError:
+def load_nifti(path: str) -> VoxelVolume:
+    """Load a single-file NIfTI-1 volume; its samples stay as stored (a
+    read-only Fortran-ordered array in the file's dtype, with the
+    (scl_slope, scl_inter) pair unless scl_slope is 0 or the pair is
+    (1, 0)), and ``region`` gives them as float64.
+
+    Raises NiftiError with a distinct diagnostic for malformed headers,
+    non-finite header fields, unsupported datatypes, unexpected
+    dimensionality, corrupt gzip streams and truncated payloads; the
+    payload is read straight into its array (see ``_load``)."""
+    head, stored = _load(path, _whole)
+    return VoxelVolume(dims=head.dims, spacing=head.spacing,
+                       origin=head.origin, stored=stored, scaling=head.scaling)
+
+
+def _whole(path: str, fh, head: _Payload) -> np.ndarray:
+    """The payload, read into the one array that keeps it."""
+    stored = np.empty(math.prod(head.dims), dtype=head.dtype)
+    if _fill(fh, stored.view(np.uint8)) < head.nbytes:
+        raise _truncated(path, head, fh)
+    stored.flags.writeable = False
+    return stored.reshape(head.dims, order="F")
+
+
+def _truncated(path: str, head: _Payload, fh) -> NiftiError:
     return NiftiError(
-        f"{path}: truncated payload, need {nbytes} bytes at offset {offset}, "
-        f"file holds {max(0, _drain(fh) - offset)}")
+        f"{path}: truncated payload, need {head.nbytes} bytes at offset "
+        f"{head.offset}, file holds {max(0, _drain(fh) - head.offset)}")
 
 
-def _decode_stream(path: str, fh, limit: int):
+def _decode_header(path: str, fh, limit: int) -> _Payload:
+    """The header's ``_Payload``, once every field is checked but the
+    spacing's values; ``fh`` is left at the payload's first byte."""
     header = bytearray(HEADER_SIZE)
     if _fill(fh, header) < HEADER_SIZE:
         raise NiftiError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
@@ -387,27 +439,18 @@ def _decode_stream(path: str, fh, limit: int):
     if offset < HEADER_SIZE:
         raise NiftiError(f"{path}: vox_offset={offset} points inside the header")
 
-    count = dims[0] * dims[1] * dims[2]
-    nbytes = count * dtype.itemsize
-    # a header may claim any size, so the claim is bounded by what the file
-    # can hold before the array is allocated
-    if offset + nbytes > limit:
-        raise _truncated(path, nbytes, offset, fh)
-    stored = np.empty(count, dtype=dtype)
-    fh.seek(offset)
-    if _fill(fh, stored.view(np.uint8)) < nbytes:
-        raise _truncated(path, nbytes, offset, fh)
-    stored.flags.writeable = False
-    stored = stored.reshape(dims, order="F")
-
     slope, inter = floats["scl_slope"], floats["scl_inter"]
-    scaling = None if slope == 0.0 or (slope, inter) == (1.0, 0.0) else (slope, inter)
-    spacing = floats["pixdim[1..3]"]
-    if any(s <= 0 for s in spacing):
-        raise NiftiError(f"{path}: non-positive pixdim[1..3]={spacing}")
-    origin = floats["qoffset"]
-    return VoxelVolume(dims=dims, spacing=spacing, origin=origin,
-                       stored=stored, scaling=scaling)
+    head = _Payload(
+        dims=dims, dtype=dtype, offset=offset,
+        scaling=None if slope == 0.0 or (slope, inter) == (1.0, 0.0)
+        else (slope, inter),
+        spacing=floats["pixdim[1..3]"], origin=floats["qoffset"])
+    # a header may claim any size, so the claim is bounded by what the file
+    # can hold before any buffer is allocated
+    if offset + head.nbytes > limit:
+        raise _truncated(path, head, fh)
+    fh.seek(offset)
+    return head
 
 
 def _check_holds(path: str, arr: np.ndarray, dtype: np.dtype) -> None:
@@ -505,23 +548,34 @@ def write_nifti(path: str, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
 def load_mask(path: str) -> LabelMask:
     """Load a segmentation mask, rejecting any label outside {0, 1, 2, 4}.
 
-    The file is read as a scan whose samples are labels. Every value it can
-    reject (non-integer, non-finite or outside the vocabulary) is nonzero,
-    so only the box of the nonzero samples is checked: its first bad voxel
-    in C order is the grid's. A float or scaled payload must hold finite
-    integers as float64. The labels are checked before any cast, so no
-    value wraps into a valid label; that box is then copied once, at
+    The file is read as a scan whose samples are labels, in blocks of whole
+    k-slabs through one reused buffer (``_nonzero_crops``): each block
+    (scaled first, if the file scales its samples) keeps only the box of
+    its nonzero samples, so no payload or float64 grid is held whole. Once
+    the file is read to its end, so that a gzip fault is named before a
+    label fault, those boxes are placed in the box of every nonzero sample.
+    Every value it can reject (non-integer, non-finite or outside the
+    vocabulary) is nonzero, so only that box is checked: its first bad
+    voxel in C order is the grid's. A float or scaled payload must hold
+    finite integers as float64. The labels are checked before any cast, so
+    no value wraps into a valid label; the box is then held, at
     ``LabelMask.corner``, as read-only u1 in file order. A float sample
     within 1e-6 of 0 is label 0 yet widens the box held; ``LabelMask.box``
     is found on the labels, so no region changes.
     """
-    vol = load_nifti(path)
-    box = bounding_box(vol.stored if vol.scaling is None
-                       else vol.region(...)) or (slice(0, 0),) * 3
-    corner = tuple(b.start for b in box)
-    labels = vol.stored[box]
-    if vol.scaling is not None or labels.dtype.kind == "f":
-        values = vol.region(box)
+    head, crops = _load(path, _nonzero_crops)
+    lo, labels = (0, 0, 0), np.zeros((0, 0, 0), dtype=head.dtype)
+    if crops:
+        lo = np.min([at for at, _ in crops], axis=0).tolist()
+        hi = np.max([np.add(at, crop.shape) for at, crop in crops], axis=0)
+        labels = np.zeros(hi - lo, dtype=crops[0][1].dtype, order="F")
+        while crops:                # each crop is freed once placed
+            at, crop = crops.pop()
+            labels[tuple(slice(a - c, a - c + n) for a, c, n in
+                         zip(at, lo, crop.shape))] = crop
+    corner = tuple(lo)
+    if head.scaling is not None or labels.dtype.kind == "f":
+        values = labels.astype(np.float64, copy=False)
         labels = np.rint(values)
         with np.errstate(invalid="ignore"):     # inf - inf: NaN, flagged
             off = ~(np.abs(values - labels) <= 1e-6)
@@ -532,10 +586,35 @@ def load_mask(path: str) -> LabelMask:
             raise MaskLabelError(
                 f"{path}: voxel {idx} holds {kind} value {values[at]!r}")
     _check_vocabulary(labels, corner, f"{path}: ")
-    labels = labels.astype(np.uint8, order="F")
+    labels = labels.astype(np.uint8, order="F", copy=False)
     labels.flags.writeable = False
-    return LabelMask(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
+    return LabelMask(dims=head.dims, spacing=head.spacing, origin=head.origin,
                      labels=labels, corner=corner)
+
+
+def _nonzero_crops(path: str, fh, head: _Payload) -> list:
+    """(grid index of its first voxel, copy) of the box of the nonzero
+    samples of each block of the payload that holds one, in k order. A
+    block is as many whole k-slabs as make at least ``_STEP`` bytes, read
+    into one reused buffer; a scaled block's samples are its float64 scaled
+    values."""
+    d0, d1, d2 = head.dims
+    slab = d0 * d1
+    step = min(d2, -(-_STEP // (slab * head.dtype.itemsize)))
+    buffer = np.empty(slab * step, dtype=head.dtype)
+    crops = []
+    for k in range(0, d2, step):
+        block = buffer[:slab * min(step, d2 - k)]
+        if _fill(fh, block.view(np.uint8)) < block.nbytes:
+            raise _truncated(path, head, fh)
+        block = block.reshape((d0, d1, -1), order="F")
+        if head.scaling is not None:
+            block = _as_float(block, head.scaling)
+        if np.count_nonzero(block):     # most blocks of a mask hold none
+            box = bounding_box(block)
+            crops.append(((box[0].start, box[1].start, k + box[2].start),
+                          block[box].copy(order="F")))
+    return crops
 
 
 def bounding_box(member: np.ndarray) -> Optional[tuple[slice, slice, slice]]:
@@ -571,15 +650,19 @@ def check_same_grid(vol: VoxelVolume, mask: LabelMask) -> None:
 
 def derive_roi(mask: LabelMask, kind: str) -> RoiMask:
     """Derive a binary ROI (WT/TC/ET or a single label) from a label mask,
-    as the crop of the mask's box: every region lies inside it."""
+    as the crop of the mask's box: every region lies inside it. Membership
+    is one ``==`` per label of the kind, joined by ``|``."""
     if kind not in _ROI_LABEL_SETS:
         raise ValueError(f"unknown roi_kind {kind!r}, expected one of {ROI_KINDS}")
     box = mask.box
     crop = mask.labels[tuple(slice(b.start - c, b.stop - c)
                              for b, c in zip(box, mask.corner))]
+    first, *rest = _ROI_LABEL_SETS[kind]
+    membership = crop == first
+    for label in rest:
+        membership |= crop == label
     return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
-                   membership=np.isin(crop, _ROI_LABEL_SETS[kind]),
-                   corner=tuple(b.start for b in box))
+                   membership=membership, corner=tuple(b.start for b in box))
 
 
 def read_metadata_csv(path: str) -> list[SubjectRecord]:

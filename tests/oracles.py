@@ -17,9 +17,11 @@ The last sections keep more former package paths: the mask decode that
 took every datatype through float64, the image features and mask summary
 computed on the whole label grid, the perceptron's optimizer loop that
 updated each weight and bias array on its own, the GLCM and run/zone
-formulas evaluated on one direction's matrix at a time, and the Taubin
+formulas evaluated on one direction's matrix at a time, the Taubin
 smoothing that summed every vertex's neighbours with one ``bincount`` per
-axis and step.
+axis and step, regions taken with ``np.isin`` and centroids with
+``np.mean``, and the texture walk that gathered two level arrays per
+direction.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from radsurv.imagefeat import (ImageFeatures, MaskSummary, roi_volume,
                                roi_surface_area_facecount)
 from radsurv.radiomics.shape import (TAUBIN_ITERATIONS, TAUBIN_LAMBDA,
                                      TAUBIN_MU)
+from radsurv.radiomics.texture import TextureCounts, _hook
 from radsurv.regressors.mlp import (MlpDivergenceError, forward,
                                     init_parameters, loss_and_grads)
 from radsurv.rng import make_rng
@@ -938,3 +941,84 @@ def taubin_via_bincount(vertices, faces):
                                         minlength=n) for row in v])
             v = v + factor * (acc / degree - v)
     return np.ascontiguousarray(v.T)
+
+
+# ---------------------------------------------------------------------------
+# Former package paths: regions by np.isin, centroids by np.mean, and the
+# texture walk that gathered voxel numbers and then two level arrays
+
+def derive_roi_isin(mask, kind):
+    """The region as ``derive_roi`` took it with ``np.isin`` over the crop
+    of the mask's box."""
+    box = mask.box
+    crop = mask.labels[tuple(slice(b.start - c, b.stop - c)
+                             for b, c in zip(box, mask.corner))]
+    return RoiMask(dims=mask.dims, spacing=mask.spacing, origin=mask.origin,
+                   membership=np.isin(crop, _LABEL_SETS[kind]),
+                   corner=tuple(b.start for b in box))
+
+
+def centroid_mean(roi):
+    """Mean member voxel center by ``np.mean`` of the nonzero indices, or
+    None for an empty region."""
+    idx = np.nonzero(roi.membership)
+    if idx[0].size == 0:
+        return None
+    return tuple(
+        float(np.mean(idx[a] + roi.corner[a]) * roi.spacing[a] + roi.origin[a])
+        for a in range(3))
+
+
+def count_textures_gather(disc):
+    """``TextureCounts`` of the walk that, per direction, gathered the
+    neighbours' voxel numbers, then the levels at both ends of each pair:
+    the GLCM from one ``bincount`` of ``la * ng + lb``, the equal pairs from
+    ``la == lb``."""
+    levels = disc.levels
+    nv, ng, width = levels.size, disc.n_levels, max(disc.roi.dims)
+    lv = levels.astype(np.int64) - 1
+    glcm = np.empty((len(DIRS), ng, ng))
+    longer = np.zeros((len(DIRS), ng, width))
+    dep = np.zeros(nv, dtype=np.int64)
+    succ = np.full(nv, -1)
+    linked = np.zeros(nv, dtype=bool)
+    label, left = np.arange(nv), []
+    padded = np.pad(disc.level_map, 1)
+    pos = np.flatnonzero(padded.ravel())
+    number = np.full(padded.size, -1, dtype=np.int64)
+    number[pos] = np.arange(pos.size)
+    strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    for d, shift in enumerate((np.array(DIRS) @ strides).tolist()):
+        b = number[pos + shift]
+        a = np.flatnonzero(b >= 0)
+        b = b[a]
+        la, lb = lv[a], lv[b]
+        glcm[d] = np.bincount(la * ng + lb, minlength=ng * ng).reshape(ng, ng)
+        same = np.flatnonzero(la == lb)
+        a, b = a[same], b[same]
+        dep += np.bincount(a, minlength=nv)
+        dep += np.bincount(b, minlength=nv)
+        succ[a] = b
+        linked[b] = True
+        run, k = succ[a[np.flatnonzero(~linked[a])]], 1
+        while run.size:
+            longer[d, :, k] = np.bincount(lv[run], minlength=ng)
+            run = succ[run]
+            run = run[run >= 0]
+            k += 1
+        succ[a] = -1
+        linked[b] = False
+        label, a, b = _hook(label, a, b)
+        left.append((a, b))
+    longer[:, :, 0] = np.bincount(lv, minlength=ng) - longer.sum(axis=2)
+    longer[:, :, :-1] -= longer[:, :, 1:]
+    glcm += glcm.transpose(0, 2, 1)
+    src, dst = (np.concatenate(ends) for ends in zip(*left))
+    while src.size:
+        label, src, dst = _hook(label, src, dst)
+    sizes = np.bincount(label)
+    roots = np.flatnonzero(sizes)
+    return TextureCounts(glcm, longer,
+                         np.bincount(lv * 27 + dep, minlength=ng * 27)
+                         .reshape(ng, 27).astype(np.float64),
+                         zones=(lv[roots], sizes[roots] - 1))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from radsurv.imagefeat import (ImageFeatures, extract_image_features,
-                               mask_summary, roi_surface_area_facecount,
-                               roi_volume)
+from radsurv.imagefeat import (ImageFeatures, _centroid,
+                               extract_image_features, mask_summary,
+                               roi_surface_area_facecount, roi_volume)
 from radsurv.phantoms import PhantomSpec, gen_mask
-from radsurv.volumeio import SubjectRecord, derive_roi
+from radsurv.volumeio import ROI_KINDS, LabelMask, SubjectRecord, derive_roi
 from conftest import make_mask, make_roi
 import oracles
 
@@ -220,6 +220,61 @@ class TestCropAgainstWholeGrid:
             assert got.as_vector().tobytes() == want.as_vector().tobytes(), \
                 (labels.shape, spacing, origin)
         assert len(faces) == 6
+
+
+def _label_boxes():
+    """Seeded label boxes in u1 and int16, each in C and Fortran order, at
+    a corner of a larger grid: random labels, boxes lacking one label or
+    all of them (empty regions), one voxel, and boxes far from the origin
+    whose index sums are large."""
+    rng = np.random.default_rng(4343)
+    vocabulary = np.array([0, 1, 2, 4])
+    for case in range(48):
+        shape = tuple(int(n) for n in rng.integers(1, 12 if case % 6 else 40,
+                                                   size=3))
+        labels = rng.choice(vocabulary, size=shape, p=(0.4, 0.2, 0.2, 0.2))
+        variant = case % 8
+        if variant < 4:
+            labels[labels == vocabulary[variant]] = 0
+        elif variant == 4:
+            labels[...] = 0
+        elif variant == 5:
+            labels = labels[:1, :1, :1]
+        corner = tuple(int(c) for c in rng.integers(0, 300 if case % 3
+                                                    else 2, size=3))
+        dims = tuple(c + n + int(rng.integers(0, 3))
+                     for c, n in zip(corner, labels.shape))
+        spacing = tuple(rng.uniform(0.3, 3.0, 3))
+        origin = tuple(rng.uniform(-150.0, 150.0, 3))
+        for dtype in (np.uint8, np.int16):
+            for order in "CF":
+                yield LabelMask(dims=dims, spacing=spacing, origin=origin,
+                                labels=np.asarray(labels, dtype, order=order),
+                                corner=corner)
+
+
+class TestAgainstFormerRegionPaths:
+    def test_regions_and_centroids_match_isin_and_mean(self):
+        """``derive_roi`` equals the ``np.isin`` region and ``_centroid``
+        the ``np.mean`` centroid, bit for bit, for every ROI kind."""
+        empty = 0
+        for mask in _label_boxes():
+            for kind in ROI_KINDS:
+                got, want = derive_roi(mask, kind), \
+                    oracles.derive_roi_isin(mask, kind)
+                assert got.membership.dtype == want.membership.dtype
+                assert got.membership.tobytes() == \
+                    want.membership.tobytes(), kind
+                assert (got.corner, got.dims, got.spacing, got.origin) == \
+                    (want.corner, want.dims, want.spacing, want.origin)
+                centroid = _centroid(got)
+                assert centroid == oracles.centroid_mean(want), kind
+                if centroid is None:
+                    empty += 1
+                else:
+                    assert [c.hex() for c in centroid] == \
+                        [c.hex() for c in oracles.centroid_mean(want)]
+        assert empty > 0
 
 
 class TestProperties:

@@ -3,7 +3,9 @@ the rejections of out-of-range and non-finite values, the box of labelled
 voxels a loaded mask holds, the gzip stream's edge cases and their messages, a seeded byte-mutation fuzz test over hand-built
 NIfTI files and memory guards on ``load_nifti`` and ``load_mask``."""
 
+import ast
 import gzip
+import inspect
 import re
 import struct
 import zlib
@@ -439,13 +441,13 @@ def test_int32_mask_is_cast_only_in_its_box(tmp_path):
         f"{peak / 2**20:.1f} MiB traced"
 
 
-def test_u1_mask_load_holds_no_grid_but_its_payload(tmp_path):
-    """A BraTS-size u1 mask with a small tumour peaks below its payload
-    plus 1 MiB: its labels are checked and copied in their box. The whole-
-    grid label check and the ``labels > 0`` grid of the box search took
-    17.0 MiB for this 8.5 MiB payload."""
+def test_u1_mask_load_peaks_below_a_quarter_of_its_payload(tmp_path):
+    """A BraTS-size u1 mask with a small tumour peaks below a quarter of its
+    8.5 MiB payload: it is read in blocks of k-slabs through one buffer,
+    and each block keeps only the box of its nonzero samples. Reading the
+    payload whole peaked at 8.8 MiB."""
     labels, peak = _brats_mask_load_peak(tmp_path, np.uint8)
-    assert peak < labels.nbytes + 2**20, f"{peak / 2**20:.1f} MiB traced"
+    assert peak < labels.nbytes / 4, f"{peak / 2**20:.2f} MiB traced"
 
 
 def test_f4_mask_is_checked_in_its_box(tmp_path):
@@ -457,12 +459,11 @@ def test_f4_mask_is_checked_in_its_box(tmp_path):
     assert peak < labels.nbytes + 4 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
-def test_scaled_mask_holds_one_float64_grid_while_its_box_is_found(
-        tmp_path):
+def test_scaled_mask_peaks_below_its_payload(tmp_path):
     """A BraTS-size scaled int16 mask (labels + 1 stored, scl_inter -1)
-    peaks below its payload plus one float64 grid and 4 MiB: its box is
-    found on the scaled samples, which ``VoxelVolume.region`` scales in
-    place. Scaling out of place held two float64 grids (153.3 MiB here)."""
+    peaks below its 17.0 MiB payload: each block of k-slabs is scaled on
+    its own, and only its box of nonzero scaled samples is kept. Finding
+    the box on the whole grid's scaled samples peaked at 85.2 MiB."""
     _, labels = write_brats_mask(tmp_path, np.uint8)
     stored = labels.astype("i2") + 1
     path = write_blob(tmp_path / "scaled.nii.gz",
@@ -471,8 +472,27 @@ def test_scaled_mask_holds_one_float64_grid_while_its_box_is_found(
     mask, peak = traced_peak(lambda: load_mask(path))
     assert mask.corner == (100, 90, 60)
     assert np.array_equal(mask.labels, labels[100:140, 90:135, 60:95])
-    assert peak < stored.nbytes + 8 * stored.size + 4 * 2**20, \
-        f"{peak / 2**20:.1f} MiB traced"
+    assert peak < stored.nbytes, f"{peak / 2**20:.2f} MiB traced"
+
+
+def test_load_mask_reaches_no_whole_payload_read_and_no_isin():
+    """``load_mask`` reaches ``load_nifti`` through no function of
+    ``volumeio`` (it reads its payload in blocks), and ``volumeio`` calls
+    no ``np.isin`` (a region is one comparison per label)."""
+    tree = ast.parse(inspect.getsource(volumeio))
+    names = {fn.name: {node.id for node in ast.walk(fn)
+                       if isinstance(node, ast.Name)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo = set(), ["load_mask"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [n for n in names.get(name, ()) if n in names
+                 and n not in reached]
+    assert "_nonzero_crops" in reached
+    assert "load_nifti" not in reached
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "isin"]
 
 
 class TestGzipStream:

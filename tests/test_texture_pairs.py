@@ -18,13 +18,13 @@ from radsurv.phantoms import PhantomSpec, gen_mask
 from radsurv.radiomics import (RADIOMICS_FEATURE_NAMES, RadiomicsConfig,
                                discretize, extract_radiomics,
                                first_order_features, shape_features, texture)
-from radsurv.radiomics.discretize import DiscretizationError
+from radsurv.radiomics.discretize import Binning, DiscretizationError
 from radsurv.radiomics.shape import SHAPE_FEATURE_NAMES
 from radsurv.radiomics.texture import (DIRECTIONS_13, TextureError, _hook,
                                        gldm_matrix, glcm_matrices,
                                        glrlm_matrices, glszm_matrix)
 from radsurv.volumeio import derive_roi
-from conftest import make_disc, make_volume
+from conftest import make_disc, make_roi, make_volume
 import oracles
 
 discretize_module = importlib.import_module("radsurv.radiomics.discretize")
@@ -143,6 +143,48 @@ def test_families_match_oracles(name, level, hooks):
                           oracles.glszm_matrix_bf(level, member, ng))
     assert np.array_equal(gldm_matrix(disc),
                           oracles.gldm_matrix_bf(level, member, ng, 0.0))
+
+
+def _walk_cases():
+    """(name, DiscretizedRoi) pairs: every level map above, Ng from 1 to 64
+    on random maps and one-voxel-thick slabs, and scans binned by each
+    rule."""
+    for name, level in MAPS:
+        yield name, make_disc(level)
+    rng = np.random.default_rng(4444)
+    for ng in range(1, 65):
+        dims = [int(s) for s in rng.integers(2, 9, size=3)]
+        if ng % 4 == 0:
+            dims[ng // 4 % 3] = 1
+        level = rng.integers(1, ng + 1, size=dims) * (rng.random(dims) < 0.85)
+        level.flat[0] = ng
+        yield f"ng{ng}", make_disc(level)
+    for i in range(12):
+        dims = tuple(int(s) for s in rng.integers(1, 9, size=3))
+        member = rng.random(dims) < 0.7
+        member.flat[int(rng.integers(0, member.size))] = True
+        scan = rng.normal(100.0, 30.0, dims)
+        binning = (Binning("fixed_bin_width", float(rng.uniform(2, 40)))
+                   if i % 2 else Binning("fixed_bin_count",
+                                         int(rng.integers(2, 65))))
+        yield f"{binning.mode}{i}", discretize(make_volume(scan),
+                                               make_roi(member), binning)
+
+
+def test_walk_matches_the_former_gather():
+    """Every ``TextureCounts`` table equals the walk that gathered voxel
+    numbers and two level arrays per direction, byte for byte."""
+    seen = set()
+    for name, disc in _walk_cases():
+        got = texture.count_textures(disc)
+        want = oracles.count_textures_gather(disc)
+        for table, old in ((got.glcm, want.glcm), (got.runs, want.runs),
+                           (got.gldm, want.gldm), *zip(got.zones,
+                                                       want.zones)):
+            assert table.dtype == old.dtype and table.shape == old.shape
+            assert table.tobytes() == old.tobytes(), name
+        seen.add(disc.n_levels)
+    assert seen >= set(range(1, 65))
 
 
 def test_level_maps_cover_the_named_cases():
