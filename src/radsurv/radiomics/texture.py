@@ -228,13 +228,16 @@ def count_textures(disc: DiscretizedRoi) -> TextureCounts:
     number = np.empty(padded.size, dtype=np.int64)    # read at ROI voxels
     number[pos] = np.arange(pos.size)
     strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
-    # row lv + 1 of a (Ng + 1)-square table whose row and column 0 are
-    # dropped: column 0 counts the neighbours outside the ROI
-    rows = (lv + 1) * (ng + 1)
     for d, shift in enumerate((np.array(DIRECTIONS_13) @ strides).tolist()):
         lb = flat[pos + shift]
-        glcm[d] = np.bincount(rows + lb, minlength=(ng + 1) ** 2).reshape(
+        # the transposed counts (symmetrised below) of an (Ng + 1)-square
+        # table; row 0, the neighbours outside the ROI, and the empty
+        # column 0 are dropped
+        cells = lb * (ng + 1)
+        cells += levels
+        glcm[d] = np.bincount(cells, minlength=(ng + 1) ** 2).reshape(
             ng + 1, ng + 1)[1:, 1:]
+        del cells
         # flatnonzero and two takes: a boolean index is several times
         # slower on a mask this irregular
         a = np.flatnonzero(lb == levels)

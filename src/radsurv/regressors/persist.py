@@ -17,9 +17,7 @@ with ``util.numbers``: a file that lacks a key or holds an unknown one, a
 value of the wrong JSON type (true is not a number, 1.0 not an index), a
 non-finite number, a malformed tree or a linear or MLP array of the wrong
 shape is a ValueError naming the file and key path, e.g.
-``parameters.trees[3].threshold[17]``. Each tree column is checked once
-over all trees; only a file that fails is checked again tree by tree, to
-name the first tree at fault.
+``parameters.trees[3].threshold[17]``.
 """
 
 from __future__ import annotations
@@ -81,12 +79,8 @@ def _check_layers(kwargs: dict, n_features: int) -> None:
 
 
 def as_trees(docs, where: str, n_features: int) -> TreeArrays:
-    docs = of_type(list)(docs, where)
-    trees = _joined(docs, n_features)
-    if trees is None:       # some tree is at fault: its own check names it
-        trees = TreeArrays.join(_tree(doc, f"{where}[{t}]", n_features)
-                                for t, doc in enumerate(docs))
-    return trees
+    return TreeArrays.join(_tree(doc, f"{where}[{t}]", n_features)
+                           for t, doc in enumerate(of_type(list)(docs, where)))
 
 
 def as_forest(docs, where: str, n_features: int) -> TreeArrays:
@@ -95,79 +89,35 @@ def as_forest(docs, where: str, n_features: int) -> TreeArrays:
     return as_trees(docs, where, n_features)
 
 
-# the numpy kinds of a column's JSON numbers
-_KINDS = {key: "i" if dtype == np.int64 else "if"
-          for key, dtype in COLUMNS.items()}
-# a joined float column holding this magnitude or more is checked tree by
-# tree: numpy reads a one-node tree's [2**63] as uint64, which that tree's
-# check rejects, but as a float beside other trees' numbers
-_JOINED_FLOAT_MAX = 2.0 ** 53
-
-
-def _well_formed(doc) -> bool:
-    """Whether ``doc`` is an object of the non-empty, equal-length arrays
-    ``COLUMNS``."""
-    return (isinstance(doc, dict) and all(isinstance(doc.get(key), list)
-                                          for key in COLUMNS)
-            and len({len(doc[key]) for key in COLUMNS}) == 1
-            and bool(doc["n"]))
-
-
-def _faults(columns: dict, sizes, n_features: int):
-    """(key, bad, why) of each check of the node columns of trees of
-    ``sizes`` nodes, in the order ``_tree`` names them: ``bad`` flags the
-    nodes that fail it. A later check assumes that the earlier ones pass."""
-    feature, left, right = map(columns.get, ("feature", "left", "right"))
-    sizes = np.asarray(sizes)
-    start = np.repeat(sizes.cumsum() - sizes, sizes)
-    index, split = np.arange(feature.size) - start, feature >= 0
-    yield ("feature", (feature < -1) | (feature >= n_features),
-           f"outside -1..{n_features - 1}")
-    size = np.repeat(sizes, sizes)
-    for key, child in (("left", left), ("right", right)):
-        yield (key, np.where(split, (child <= index) | (child >= size),
-                             child != -1),
-               "a split node's child is a later node, a leaf's is -1")
-    parents = np.bincount(np.concatenate([(start + left)[split],
-                                          (start + right)[split]]),
-                          minlength=index.size)
-    yield "n", parents != (index > 0), \
-        "this node is not the child of one split node"
-
-
-def _joined(docs: list, n_features: int):
-    """The trees of ``docs``, each column checked once over all of them as
-    ``_tree`` checks it in one tree; None if any tree fails a check."""
-    if not all(map(_well_formed, docs)):
-        return None
-    columns = {}
-    for key, kinds in _KINDS.items():
-        try:
-            column = numbers([x for doc in docs for x in doc[key]], key,
-                             kinds, (None,))
-        except ValueError:
-            return None
-        if column.dtype.kind == "f" and not (
-                np.abs(column) < _JOINED_FLOAT_MAX).all():
-            return None
-        columns[key] = column
-    sizes = [len(doc["n"]) for doc in docs]
-    if any(bad.any() for _, bad, _ in _faults(columns, sizes, n_features)):
-        return None
-    return TreeArrays(columns, sizes)
-
-
 def _tree(doc, where: str, n_features: int) -> dict[str, np.ndarray]:
     """The node arrays ``doc`` holds, once each node but the first is
     checked to be the child of one earlier split node."""
-    if not _well_formed(doc):
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(key), list)
+                                          for key in COLUMNS)
+            and len({len(doc[key]) for key in COLUMNS}) == 1
+            and doc["n"]):
         raise ValueError(f"{where}: expected an object of the non-empty, "
                          f"equal-length arrays {', '.join(COLUMNS)}")
-    columns = {key: numbers(doc[key], f"{where}.{key}", kinds, (None,))
-               for key, kinds in _KINDS.items()}
-    for key, bad, why in _faults(columns, [len(doc["n"])], n_features):
+    columns = {key: numbers(doc[key], f"{where}.{key}", "if" if key in (
+        "threshold", "gain", "value") else "i", (None,))
+        for key in COLUMNS}
+    feature, left, right = map(columns.get, ("feature", "left", "right"))
+    index, split = np.arange(feature.size), feature >= 0
+
+    def reject(key: str, bad: np.ndarray, why: str) -> None:
         if bad.any():
             raise ValueError(f"{where}.{key}[{bad.argmax()}]: {why}")
+
+    reject("feature", (feature < -1) | (feature >= n_features),
+           f"outside -1..{n_features - 1}")
+    for key, child in (("left", left), ("right", right)):
+        reject(key, np.where(split, (child <= index) | (child >= index.size),
+                             child != -1),
+               "a split node's child is a later node, a leaf's is -1")
+    parents = np.bincount(np.concatenate([left[split], right[split]]),
+                          minlength=index.size)
+    reject("n", parents != (index > 0),
+           "this node is not the child of one split node")
     return columns
 
 

@@ -12,9 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from radsurv.regressors import (load_model, persist, predict, save_model,
-                                train_model)
-from radsurv.regressors.tree import TreeArrays
+from radsurv.regressors import load_model, predict, save_model, train_model
 
 
 def _saved(kind, tmp_path, params=None) -> pathlib.Path:
@@ -195,51 +193,6 @@ def test_bad_cell_in_a_later_tree_named(keys, value, message, tmp_path):
     _edit(path, ["parameters", "trees", 7] + keys, value)
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameters.")
                        + message):
-        load_model(str(path))
-
-
-@pytest.mark.parametrize("kind", ["gbr", "rfr"])
-def test_trees_checked_together_load_as_tree_by_tree(kind, tmp_path):
-    """Each column is checked once over all trees, and a file that fails
-    is checked tree by tree to name its fault; either way the trees and
-    messages are those of the per-tree check. Integers at or above 2**63
-    are another numpy kind alone than beside other numbers."""
-    path = _saved(kind, tmp_path, {"n_estimators": 6, "max_depth": 2}
-                  if kind == "gbr" else {"n_trees": 6, "max_depth": 3})
-    doc = json.loads(path.read_text())
-    trees = doc["parameters"]["trees"]
-    where = "parameters.trees"
-
-    def per_tree(docs):
-        return TreeArrays.join(persist._tree(tree, f"{where}[{t}]", 3)
-                               for t, tree in enumerate(docs))
-
-    trees[1]["threshold"] = [round(x) for x in trees[1]["threshold"]]
-    trees[2]["value"][0] = 2.0 ** 60
-    trees[3]["gain"] = [int(x) for x in trees[3]["gain"]]
-    trees[3]["gain"][0] = 2 ** 62
-    path.write_text(json.dumps(doc))
-    got, want = load_model(str(path)).trees, per_tree(trees)
-    assert got.sizes.tobytes() == want.sizes.tobytes()
-    for key, column in want.columns.items():
-        assert got.columns[key].dtype == column.dtype
-        assert got.columns[key].tobytes() == column.tobytes(), key
-    # a one-node tree's threshold [2**63] is uint64 alone, a float beside
-    # other trees' numbers
-    leaf = {"feature": [-1], "threshold": [2 ** 63], "gain": [0.0],
-            "left": [-1], "right": [-1], "value": [1.5], "n": [30]}
-    path.write_text(json.dumps({**doc, "parameters": {
-        **doc["parameters"], "trees": trees[:1] + [leaf] + trees[2:]}}))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: {where}[1].threshold: expected numbers (1-d)")):
-        load_model(str(path))
-    # the first tree at fault is named, whichever check each tree fails
-    trees[4]["feature"][0] = 7
-    trees[5]["gain"][0] = True
-    path.write_text(json.dumps(doc))
-    _edit(path, ["parameters", "trees", 2, "left", 0], "0")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: {where}[2].left[0]: a split node's child")):
         load_model(str(path))
 
 
